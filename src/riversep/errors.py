@@ -38,9 +38,9 @@ class NotSymmetric(RiversepError):
 
 
 class DidNotConverge(RiversepError):
-    def __init__(self, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"iteration did not converge after {iterations} sweeps")
+    def __init__(self, routine: str):
+        self.routine = routine
+        super().__init__(f"LAPACK {routine} did not converge")
 
 
 class ShapeMismatch(RiversepError):

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .errors import (
     DofNegative,
@@ -39,7 +39,7 @@ from .errors import (
     SingularCorrelation,
     TooFewRows,
 )
-from .linalg import _fix_signs, as_matrix, correlation_matrix, sym_eigen
+from .linalg import _column_signs, as_matrix, correlation_matrix, sym_eigen
 
 # Lower bound on uniquenesses: a communality may not exceed 0.995, so a
 # boundary (Heywood) solution is flagged instead of producing a degenerate
@@ -185,7 +185,8 @@ def _loadings_at(psi, r, k):
     m = r * np.outer(1.0 / d, 1.0 / d)
     values, vectors = sym_eigen((m + m.T) / 2.0)
     top = np.sqrt(np.clip(values[:k] - 1.0, 0.0, None))
-    return _fix_signs(d[:, None] * vectors[:, :k] * top)
+    loadings = d[:, None] * vectors[:, :k] * top
+    return loadings * _column_signs(loadings)
 
 
 def _newton_polish(rho, r, k, lb, ub):
@@ -340,7 +341,7 @@ def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
     residual = r - sigma
 
     # Discrepancy in its definitional form (equals the profiled value at
-    # the optimum; both are computed from this package's own eigensolver).
+    # the optimum, up to the rounding of the two eigensolves).
     s_values, s_vectors = sym_eigen((sigma + sigma.T) / 2.0)
     sigma_inv = (s_vectors / s_values) @ s_vectors.T
     discrepancy = float(
@@ -348,20 +349,14 @@ def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
         + np.sum(r * sigma_inv) - p
     )
 
-    stat = (n_obs - 1.0 - (2.0 * p + 5.0) / 6.0 - 2.0 * k / 3.0) * discrepancy
-    if dof == 0:
-        # Saturated model: the chi-square family degenerates to a point
-        # mass at zero (scipy yields nan), so the fit is accepted outright.
-        p_value = 1.0
-    else:
-        p_value = float(chi2.sf(stat, dof))
+    stat, p_value = _bartlett_test(discrepancy, n_obs, p, k, dof)
 
     labels = tuple(variable_labels) if variable_labels is not None else None
     return FaModel(
         loadings=loadings,
         uniquenesses=psi,
         k=k,
-        log_likelihood_stat=float(stat),
+        log_likelihood_stat=stat,
         dof=dof,
         p_value=p_value,
         residual=residual,
@@ -371,6 +366,19 @@ def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
         n_obs=int(n_obs),
         variable_labels=labels,
     )
+
+
+def _bartlett_test(discrepancy, n, p, k, dof):
+    """Bartlett-corrected likelihood-ratio statistic and its upper-tail
+    chi-square p-value."""
+    stat = float((n - 1.0 - (2.0 * p + 5.0) / 6.0 - 2.0 * k / 3.0) * discrepancy)
+    if dof == 0:
+        # Saturated model: the chi-square family degenerates to a point
+        # mass at zero (scipy yields nan), so the fit is accepted outright.
+        return stat, 1.0
+    # chdtrc is nan below zero where the chi-square tail is 1; a rounding-
+    # negative statistic must read as a perfect fit.
+    return stat, float(chdtrc(dof, max(stat, 0.0)))
 
 
 def fit_fa_ml(x, k: int, variable_labels=None) -> FaModel:
@@ -415,13 +423,8 @@ def lr_test(m: FaModel, n: int):
     """
     if not m.converged:
         raise NotConverged("cannot test a fit that did not converge")
-    p = m.n_variables
-    stat = (n - 1.0 - (2.0 * p + 5.0) / 6.0 - 2.0 * m.k / 3.0) * m.discrepancy
-    if m.dof == 0:
-        p_value = 1.0
-    else:
-        p_value = float(chi2.sf(stat, m.dof))
-    return float(stat), m.dof, p_value
+    stat, p_value = _bartlett_test(m.discrepancy, n, m.n_variables, m.k, m.dof)
+    return stat, m.dof, p_value
 
 
 def smallest_adequate_k(p_values: Sequence[float], alpha: float = 0.05) -> FactorSelection:

@@ -2,10 +2,10 @@
 
 Whitening runs through the package SVD so that the whitened data has unit
 sample covariance under the n-1 convention.  The fixed-point update uses
-the logcosh contrast by default; symmetric decorrelation re-orthonormalizes
-all rows of the unmixing matrix after every iteration.  A run that exhausts
-its iteration budget is returned with ``converged=False`` rather than
-raised: non-convergence is a reportable outcome, not a failure.
+the logcosh contrast by default; symmetric decorrelation replaces the
+unmixing matrix by its polar factor after every iteration.  A run that
+exhausts its iteration budget is returned with ``converged=False`` rather
+than raised: non-convergence is a reportable outcome, not a failure.
 """
 
 from __future__ import annotations
@@ -17,17 +17,15 @@ import numpy as np
 from .errors import (
     OutOfRange,
     RankDeficient,
+    RiversepError,
     Singular,
     TooFewRows,
 )
-from .linalg import as_matrix, center_scale, svd, sym_eigen
+from .linalg import as_matrix, center_scale, svd
 
 # Singular values below this fraction of the largest do not count toward
 # the usable rank when whitening.
 _RANK_RTOL = 1e-10
-
-# Floor applied to eigenvalues when taking an inverse square root.
-_EIG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,11 +110,13 @@ def _contrast(u: np.ndarray, cfg: IcaConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
-    """Return (w w^T)^(-1/2) w, the closest matrix with orthonormal rows."""
-    wwt = w @ w.T
-    values, vectors = sym_eigen((wwt + wwt.T) / 2.0)
-    inv_sqrt = vectors @ np.diag(1.0 / np.sqrt(np.maximum(values, _EIG_FLOOR))) @ vectors.T
-    return inv_sqrt @ w
+    """Return (w w^T)^(-1/2) w, the closest matrix with orthonormal rows.
+
+    That is the polar factor ``u @ vt`` of ``w = u @ diag(s) @ vt``, which
+    stays orthonormal even when ``w`` is near-singular.
+    """
+    u, _, vt = np.linalg.svd(w)
+    return u @ vt
 
 
 def fast_ica(x, cfg: IcaConfig) -> IcaModel:
@@ -148,8 +148,8 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
         gu, gprime = _contrast(u, cfg)
         w_new = (gu.T @ z) / n - np.diag(gprime.mean(axis=0)) @ w
         w_new = _sym_decorrelate(w_new)
-        # rows stay orthonormal after decorrelation
-        assert np.abs(w_new @ w_new.T - np.eye(k)).max() < 1e-8
+        if np.abs(w_new @ w_new.T - np.eye(k)).max() >= 1e-8:
+            raise RiversepError("FastICA lost orthonormality in decorrelation")
         delta = float(np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1)))))
         deltas.append(delta)
         w = w_new

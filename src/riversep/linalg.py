@@ -1,10 +1,11 @@
 """Dense matrix primitives shared by every model in the package.
 
 All routines accept anything ``np.asarray`` turns into a 2-D float array and
-are deterministic: two calls on the same input return bit-identical results.
-The symmetric eigensolver is a cyclic Jacobi iteration and is the only
-iterative kernel here; the SVD is derived from it by diagonalizing the Gram
-matrix of the smaller dimension.
+are deterministic: two calls on the same input return bit-identical results
+on the same numpy/BLAS build.  The eigensolver and the SVD are thin wrappers
+over LAPACK (``np.linalg.eigh`` and ``np.linalg.svd``) that fix the order
+and the sign of their vectors, so downstream fits do not depend on LAPACK's
+arbitrary orientation.
 
 Sample statistics use the n-1 (unbiased) normalization throughout.
 """
@@ -26,13 +27,6 @@ from .errors import (
 # against the column's own magnitude so that tiny-but-real variation in
 # small-scale data is not destroyed.
 _ZERO_VAR_REL = 1e-13
-
-# Jacobi sweep parameters.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
-# Singular values below this fraction of the largest are treated as zero.
-_SVD_RTOL = 1e-12
 
 
 class EigenDecomposition(NamedTuple):
@@ -125,8 +119,9 @@ def correlation_matrix(x) -> np.ndarray:
     return np.clip(r, -1.0, 1.0)
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the largest-magnitude entry is positive.
+def _column_signs(vectors: np.ndarray) -> np.ndarray:
+    """Sign (+1 or -1) of each column's largest-magnitude entry; multiplying
+    by it orients every column so that entry is positive.
 
     Ties go to the lowest index (np.argmax picks the first maximum), which
     makes the orientation deterministic.
@@ -134,24 +129,22 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    return signs
 
 
 def sym_eigen(s) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix by LAPACK.
 
-    Eigenvalues are returned in descending order with orthonormal
-    eigenvectors as columns.  Each eigenvector is oriented so its
-    largest-magnitude entry is positive, which makes the output
-    reproducible bit-for-bit.
+    Eigenvalues are returned in descending order (ties keep LAPACK's
+    ascending order) with orthonormal eigenvectors as columns.  Each
+    eigenvector is oriented so its largest-magnitude entry is positive.
 
     Raises
     ------
     NotSymmetric
         If ``max|s - s.T|`` exceeds 1e-10 (relative to the matrix scale).
     DidNotConverge
-        If the off-diagonal mass has not dropped below the sweep threshold
-        after 100 sweeps.
+        If LAPACK fails to converge.
     """
     a = as_matrix(s, "s")
     n, m = a.shape
@@ -161,127 +154,31 @@ def sym_eigen(s) -> EigenDecomposition:
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-10 * scale:
         raise NotSymmetric(asym)
-    # Work on the symmetrized copy so roundoff asymmetry cannot accumulate.
-    a = (a + a.T) / 2.0
-
-    v = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(a[0].copy(), v)
-
-    thresh = _JACOBI_TOL * scale
-    converged = False
-    for _sweep in range(_JACOBI_MAX_SWEEPS):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= thresh:
-            converged = True
-            break
-        _jacobi_sweep(a, v, thresh)
-    if not converged:
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off > thresh:
-            raise DidNotConverge(_JACOBI_MAX_SWEEPS)
-
-    values = np.diag(a).copy()
+    try:
+        values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise DidNotConverge("eigh") from exc
     order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values[order], _fix_signs(v[:, order]))
-
-
-def _jacobi_sweep(a: np.ndarray, v: np.ndarray, thresh: float) -> None:
-    """One cyclic sweep of symmetric Schur rotations, in place."""
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if abs(apq) <= thresh:
-                continue
-            # Symmetric Schur rotation annihilating a[p, q].
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            if tau >= 0.0:
-                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-            else:
-                t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * c
-
-            col_p = a[:, p].copy()
-            col_q = a[:, q].copy()
-            a[:, p] = c * col_p - sn * col_q
-            a[:, q] = sn * col_p + c * col_q
-            row_p = a[p, :].copy()
-            row_q = a[q, :].copy()
-            a[p, :] = c * row_p - sn * row_q
-            a[q, :] = sn * row_p + c * row_q
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-
-            vcol_p = v[:, p].copy()
-            vcol_q = v[:, q].copy()
-            v[:, p] = c * vcol_p - sn * vcol_q
-            v[:, q] = sn * vcol_p + c * vcol_q
-
-
-def _complete_orthonormal(cols: np.ndarray, r: int) -> np.ndarray:
-    """Extend orthonormal columns to ``r`` columns by Gram-Schmidt over the
-    standard basis, scanned in index order (deterministic)."""
-    n = cols.shape[0]
-    have = [cols[:, j] for j in range(cols.shape[1])]
-    for j in range(n):
-        if len(have) >= r:
-            break
-        cand = np.zeros(n)
-        cand[j] = 1.0
-        for u in have:
-            cand -= (u @ cand) * u
-        norm = np.sqrt(cand @ cand)
-        if norm > 1e-8:
-            have.append(cand / norm)
-    return np.column_stack(have[:r])
-
-
-def _snap_gram_eigenvalues(values: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Zero out Gram eigenvalues indistinguishable from rounding noise."""
-    floor = max(n, m) * np.finfo(float).eps * max(values[0], 0.0)
-    return np.where(values > floor, values, 0.0)
+    vectors = vectors[:, order]
+    return EigenDecomposition(values[order], vectors * _column_signs(vectors))
 
 
 def svd(x) -> SvdDecomposition:
-    """Thin singular value decomposition built on :func:`sym_eigen`.
+    """Thin singular value decomposition by LAPACK.
 
-    The Gram matrix of the smaller dimension is diagonalized; singular
-    values are the square roots of its (clipped) eigenvalues.  Columns of
-    ``u`` and ``v`` paired with a numerically zero singular value are
-    completed to an orthonormal set and contribute nothing to the product.
+    Singular values are descending.  Columns of ``v`` follow the
+    :func:`sym_eigen` sign rule, so ``v`` matches the eigenvectors of
+    ``x.T @ x`` for a well-separated spectrum; ``u`` is flipped to match.
 
-    Squaring halves the exponent range: a Gram eigenvalue at the rounding
-    floor (``eps * lambda_1``) turns into a spurious singular value near
-    ``sqrt(eps) * sigma_1``.  Eigenvalues below ``max(n, m) * eps *
-    lambda_1`` are therefore snapped to exact zero — true singular values
-    that small are unresolvable by this route, and rank decisions
-    downstream must see a hard zero rather than rounding noise.
+    Raises
+    ------
+    DidNotConverge
+        If LAPACK fails to converge.
     """
     a = as_matrix(x)
-    n, m = a.shape
-    r = min(n, m)
-    if m <= n:
-        g = a.T @ a
-        values, vecs = sym_eigen((g + g.T) / 2.0)
-        values = _snap_gram_eigenvalues(values, n, m)
-        sigma = np.sqrt(np.clip(values, 0.0, None))
-        v = vecs
-        nonzero = sigma > _SVD_RTOL * max(sigma[0], 1e-300)
-        u_cols = a @ v[:, nonzero] / sigma[nonzero]
-        u = _complete_orthonormal(u_cols, r)
-        v = v[:, :r]
-        sigma = sigma[:r]
-    else:
-        g = a @ a.T
-        values, vecs = sym_eigen((g + g.T) / 2.0)
-        values = _snap_gram_eigenvalues(values, n, m)
-        sigma = np.sqrt(np.clip(values, 0.0, None))
-        u = vecs
-        nonzero = sigma > _SVD_RTOL * max(sigma[0], 1e-300)
-        v_cols = a.T @ u[:, nonzero] / sigma[nonzero]
-        v = _complete_orthonormal(v_cols, r)
-        u = u[:, :r]
-        sigma = sigma[:r]
-    return SvdDecomposition(u, sigma, v)
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise DidNotConverge("svd") from exc
+    signs = _column_signs(vt.T)
+    return SvdDecomposition(u * signs, sigma, vt.T * signs)

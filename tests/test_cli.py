@@ -7,12 +7,16 @@ in advance; the tests here pin those counts and the determinism contract
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riversep
 import station_builder
 from riversep.cli import main
 from riversep.preprocess import parse_annual_csv
@@ -117,6 +121,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "filter" in err
         assert "99999" in err
+
+    def test_lapack_failure_is_a_runtime_error(self, workdir, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["run", str(workdir / "pipeline.json")]) == 3
+        err = capsys.readouterr().err
+        assert "error in stage" in err
+        assert "did not converge" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_input_file_is_a_runtime_error(self, workdir, capsys):
         doc = json.loads((workdir / "pipeline.json").read_text())
@@ -232,9 +247,24 @@ class TestSynthBench:
         main(args + ["--out", str(tmp_path / "b")])
         assert hash_tree(tmp_path / "a") == hash_tree(tmp_path / "b")
 
+    def test_near_singular_unmixing_update_does_not_abort(self, tmp_path):
+        # A two_gaussian replicate of this seed drives the FastICA update
+        # to a near-singular matrix.
+        args = ["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "5000",
+                "--replicates", "10", "--seed", "994300727"]
+        assert main(args) == 0
+
     def test_ica_separates_where_pca_cannot(self, tmp_path):
         main(["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "2000"])
         summary = json.loads((tmp_path / "bench" / "synth_summary.json").read_text())
         means = summary["mean_amari"]
         assert means["two_uniform/ica"] < 0.1
         assert means["two_uniform/pca"] > means["two_uniform/ica"]
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    code = "import sys, riversep.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

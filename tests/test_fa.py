@@ -7,6 +7,8 @@ discrepancy.  Sampling behavior is checked against a seeded simulation
 from a known two-factor population.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,13 @@ class TestExactRecovery:
         assert stat == pytest.approx(m.log_likelihood_stat, abs=1e-12)
         assert dof == m.dof == fa_dof(6, 2)
         assert p == pytest.approx(m.p_value, abs=1e-12)
+
+    def test_rounding_negative_statistic_reads_as_perfect_fit(self):
+        _, _, pop = two_factor_population()
+        m = fit_fa_ml_corr(pop, 2, n_obs=500)
+        stat, _, p = lr_test(dataclasses.replace(m, discrepancy=-1e-15), 500)
+        assert stat < 0.0
+        assert p == 1.0
 
     def test_lr_test_requires_convergence(self):
         _, _, pop = two_factor_population()

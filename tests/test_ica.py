@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from riversep import errors
-from riversep.ica import IcaConfig, IcaModel, amari_index, fast_ica, whiten
+from riversep import errors, ica
+from riversep.ica import (
+    IcaConfig,
+    IcaModel,
+    _sym_decorrelate,
+    amari_index,
+    fast_ica,
+    whiten,
+)
 from riversep.linalg import covariance_matrix
 from riversep.synth import generate_scenario
 
@@ -124,6 +131,19 @@ class TestFastIca:
                                mixing_condition_max=10.0, seed=17)
         model = fast_ica(sc.observed, paper_defaults(2, seed=17, contrast="cube"))
         assert amari_index(model.unmixing @ model.whitening, sc.mixing) < 0.05
+
+    def test_decorrelation_of_near_singular_matrix_is_orthonormal(self):
+        # (w w^T)^(-1/2) w through an eigensolve loses orthonormality here;
+        # the polar factor does not.
+        w = _sym_decorrelate(np.array([[1.0, 0.0], [1.0, 1e-9]]))
+        assert_allclose(w @ w.T, np.eye(2), atol=1e-12)
+
+    def test_lost_orthonormality_is_a_package_error(self, monkeypatch):
+        # Raised, not asserted, so that it survives ``python -O``.
+        monkeypatch.setattr(ica, "_sym_decorrelate", lambda w: 2.0 * w)
+        sc = generate_scenario(["uniform", "uniform"], rows=500, seed=3)
+        with pytest.raises(errors.RiversepError, match="orthonormality"):
+            fast_ica(sc.observed, paper_defaults(2))
 
     def test_too_few_rows_for_components(self):
         rng = np.random.default_rng(4)

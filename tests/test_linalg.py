@@ -244,3 +244,30 @@ class TestSvd:
         a = rng.normal(size=(9, 5))
         _, sigma, _ = svd(a)
         assert_allclose(sigma, np.linalg.svd(a, compute_uv=False), atol=1e-10)
+
+    def test_v_follows_the_sym_eigen_sign_convention(self):
+        # Whitening uses v, so its orientation must match the eigenvectors
+        # of the Gram matrix that sym_eigen would return.
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(40, 4)) @ np.diag([8.0, 4.0, 2.0, 1.0])
+        u, sigma, v = svd(a)
+        gram_values, gram_vectors = sym_eigen(a.T @ a)
+        assert np.all(np.diff(gram_values) < -1.0)
+        assert_allclose(v, gram_vectors, atol=1e-10)
+        assert_allclose(u @ np.diag(sigma) @ v.T, a, atol=1e-10)
+
+
+class TestLapackFailure:
+    @staticmethod
+    def _fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    def test_sym_eigen_raises_did_not_converge(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", self._fail)
+        with pytest.raises(errors.DidNotConverge, match="eigh"):
+            sym_eigen(np.eye(3))
+
+    def test_svd_raises_did_not_converge(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", self._fail)
+        with pytest.raises(errors.DidNotConverge, match="svd"):
+            svd(np.eye(3))
