@@ -25,7 +25,6 @@ from .fa import (
     lr_test,
     profiled_discrepancy,
     residual_matrix,
-    select_factors,
     smallest_adequate_k,
 )
 from .ica import IcaConfig, IcaModel, amari_index, fast_ica, whiten
@@ -51,7 +50,6 @@ from .linalg import (
 )
 from .pca import PcaModel, explained_variance, fit_pca, kaiser_retain, scores
 from .preprocess import (
-    DEFAULT_REDUNDANCY_RULES,
     AnnualTable,
     RedundancyRule,
     annual_mean,
@@ -91,7 +89,6 @@ __all__ = [
     "parse_rdb",
     # preprocessing
     "AnnualTable",
-    "DEFAULT_REDUNDANCY_RULES",
     "RedundancyRule",
     "annual_mean",
     "difference",
@@ -120,7 +117,6 @@ __all__ = [
     "lr_test",
     "profiled_discrepancy",
     "residual_matrix",
-    "select_factors",
     "smallest_adequate_k",
     # diagnostics
     "AcfResult",

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,26 +64,40 @@ class _StageFailure(Exception):
         self.cause = cause
 
 
+@contextmanager
+def _stage(name: str, errors=RiversepError):
+    """Report ``errors`` raised in the block as a failure of stage ``name``."""
+    try:
+        yield
+    except errors as exc:
+        raise _StageFailure(name, exc) from exc
+
+
 class _Pipeline:
-    """Loads the input table and applies the configured stages in order."""
+    """The configured chain from input record to model input.
+
+    Each link (the parsed record, the staged table, the dense matrix) is
+    computed on first use and kept, so a subcommand runs only the part of
+    the chain its outputs read, and runs it once.
+    """
 
     def __init__(self, cfg: RunConfig, seed_override=None, offline=False):
         self.cfg = cfg
-        self.seed = cfg.ica_seed if seed_override is None else seed_override
+        self.seed = cfg.ica.seed if seed_override is None else seed_override
         self.offline = offline
         self.stage_counts = []
-        self.raw = None
-        self.table = None
 
-    def load(self):
+    @cached_property
+    def raw(self):
+        """The input record as parsed."""
         cfg = self.cfg
-        try:
+        with _stage("ingest", (RiversepError, OSError)):
             if cfg.input_path is not None:
                 data = cfg.input_path.read_bytes()
                 if cfg.input_path.suffix.lower() == ".rdb":
-                    self.raw = parse_rdb(data)
+                    raw = parse_rdb(data)
                 else:
-                    self.raw = parse_csv(data)
+                    raw = parse_csv(data)
             else:
                 r = cfg.remote
                 data = fetch_remote(
@@ -93,13 +110,13 @@ class _Pipeline:
                     medium_code=r.medium_code,
                     offline=self.offline,
                 )
-                self.raw = parse_rdb(data)
-        except (RiversepError, OSError) as exc:
-            raise _StageFailure("ingest", exc) from exc
-        self.table = self.raw
-        self.stage_counts.append(("ingest", self.raw.n_rows, self.raw.n_vars))
+                raw = parse_rdb(data)
+        self.stage_counts.append(("ingest", raw.n_rows, raw.n_vars))
+        return raw
 
-    def apply_stages(self):
+    @cached_property
+    def table(self):
+        """The record after the configured stages, applied in order."""
         cfg = self.cfg
         steps = {
             "filter": lambda t: filter_table(t, cfg.filter_spec),
@@ -109,26 +126,28 @@ class _Pipeline:
             "drop_redundant": lambda t: drop_redundant(t, cfg.redundancy_rules)[0],
             "difference": lambda t: difference(t, cfg.difference_lag),
         }
+        table = self.raw
         for name in cfg.pipeline:
-            try:
-                self.table = steps[name](self.table)
-            except RiversepError as exc:
-                raise _StageFailure(name, exc) from exc
-            self.stage_counts.append((name, self.table.n_rows, self.table.n_vars))
+            with _stage(name):
+                table = steps[name](table)
+            self.stage_counts.append((name, table.n_rows, table.n_vars))
+        return table
 
-    def final_matrix(self):
-        """Dense model input: (values, labels, row index column)."""
-        values = np.asarray(self.table.values, dtype=float)
+    @cached_property
+    def model_input(self):
+        """Dense model input: (values, labels, row index column name, index)."""
+        table = self.table
+        values = np.asarray(table.values, dtype=float)
         missing = int(np.isnan(values).sum())
         if missing:
             raise _StageFailure("model input", MissingCells(missing))
-        labels = tuple(self.table.codes())
-        if isinstance(self.table, AnnualTable):
+        labels = tuple(table.codes())
+        if isinstance(table, AnnualTable):
             index_name = "year"
-            index = [str(y) for y in self.table.years]
+            index = [str(y) for y in table.years]
         else:
             index_name = "date"
-            index = [d.isoformat() for d in self.table.dates]
+            index = [d.isoformat() for d in table.dates]
         return values, labels, index_name, index
 
 
@@ -136,6 +155,15 @@ def _write(out_dir: Path, name: str, text: str) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / name).write_text(text)
     return name
+
+
+def _table_csv(header, keys, rows, fmt) -> str:
+    """CSV text: the header, then per key a line of the key followed by that
+    row's values formatted by ``fmt``."""
+    lines = [",".join(header)]
+    for key, row in zip(keys, rows):
+        lines.append(",".join([key, *(fmt(v) for v in row)]))
+    return "\n".join(lines) + "\n"
 
 
 def _write_ingested(pipe: _Pipeline) -> list:
@@ -150,21 +178,15 @@ def _write_preprocessed(pipe: _Pipeline) -> list:
     return [_write(pipe.cfg.output_dir, "preprocessed.csv", text)]
 
 
-def _fit_pca_stage(pipe: _Pipeline, matrix, labels):
-    try:
-        return fit_pca(matrix, pipe.cfg.pca_center, pipe.cfg.pca_scale, labels)
-    except RiversepError as exc:
-        raise _StageFailure("pca", exc) from exc
-
-
-def _write_pca(pipe: _Pipeline, matrix, labels) -> list:
-    model = _fit_pca_stage(pipe, matrix, labels)
-    header = "variable," + ",".join(f"PC{j + 1}" for j in range(model.n_components))
-    lines = [header]
-    for i, code in enumerate(labels):
-        lines.append(code + "," + ",".join(format_loading(v) for v in model.loadings[i]))
-    lines.append("stdev," + ",".join(format_loading(s) for s in model.stdevs))
-    files = [_write(pipe.cfg.output_dir, "pca_loadings.csv", "\n".join(lines) + "\n")]
+def _write_pca(pipe: _Pipeline) -> list:
+    cfg = pipe.cfg
+    matrix, labels, _, _ = pipe.model_input
+    with _stage("pca"):
+        model = fit_pca(matrix, cfg.pca_center, cfg.pca_scale, labels)
+    header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
+    rows = np.vstack([model.loadings, model.stdevs])
+    text = _table_csv(header, labels + ("stdev",), rows, format_loading)
+    files = [_write(cfg.output_dir, "pca_loadings.csv", text)]
 
     try:
         kaiser = kaiser_retain(model)
@@ -181,59 +203,41 @@ def _write_pca(pipe: _Pipeline, matrix, labels) -> list:
         "kaiser_components": kaiser,
         "explained_variance_kaiser": explained,
     }
-    write_json(pipe.cfg.output_dir / "pca_summary.json", summary)
+    write_json(cfg.output_dir / "pca_summary.json", summary)
     files.append("pca_summary.json")
     return files
 
 
-def _resolve_ica_components(pipe: _Pipeline, matrix, labels) -> int:
-    if pipe.cfg.ica_components is not None:
-        return pipe.cfg.ica_components
-    try:
-        return kaiser_retain(fit_pca(matrix, True, True, labels))
-    except RiversepError as exc:
-        raise _StageFailure("ica", exc) from exc
-
-
-def _write_ica(pipe: _Pipeline, matrix, labels, index_name, index) -> list:
+def _write_ica(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
-    k = _resolve_ica_components(pipe, matrix, labels)
-    try:
-        icfg = IcaConfig(
-            n_components=k,
-            max_iter=cfg.ica_max_iter,
-            tol=cfg.ica_tol,
-            contrast=cfg.ica_contrast,
-            logcosh_alpha=cfg.ica_logcosh_alpha,
-            seed=pipe.seed,
-        )
-        model = fast_ica(matrix, icfg)
-    except RiversepError as exc:
-        raise _StageFailure("ica", exc) from exc
+    matrix, labels, index_name, index = pipe.model_input
+    k = cfg.ica_components
+    with _stage("ica"):
+        if k is None:
+            k = kaiser_retain(fit_pca(matrix, True, True, labels))
+        model = fast_ica(matrix, replace(cfg.ica, n_components=k, seed=pipe.seed))
 
-    header = index_name + "," + ",".join(f"IC{j + 1}" for j in range(k))
-    lines = [header]
-    for i, key in enumerate(index):
-        lines.append(key + "," + ",".join(format_number(v) for v in model.sources[i]))
-    files = [_write(cfg.output_dir, "ica_sources.csv", "\n".join(lines) + "\n")]
-
+    header = [index_name] + [f"IC{j + 1}" for j in range(k)]
+    text = _table_csv(header, index, model.sources, format_number)
+    files = [_write(cfg.output_dir, "ica_sources.csv", text)]
     summary = {
         "n_components": k,
         "converged": model.converged,
         "iterations": model.iterations,
         "final_delta": model.delta_history[-1] if model.delta_history else None,
         "seed": pipe.seed,
-        "contrast": cfg.ica_contrast,
-        "tol": cfg.ica_tol,
-        "max_iter": cfg.ica_max_iter,
+        "contrast": cfg.ica.contrast,
+        "tol": cfg.ica.tol,
+        "max_iter": cfg.ica.max_iter,
     }
     write_json(cfg.output_dir / "ica_summary.json", summary)
     files.append("ica_summary.json")
     return files
 
 
-def _write_fa(pipe: _Pipeline, matrix, labels) -> list:
+def _write_fa(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
+    matrix, labels, _, _ = pipe.model_input
     p = len(labels)
     k_used = 0
     for k in range(1, cfg.fa_k_max + 1):
@@ -248,38 +252,15 @@ def _write_fa(pipe: _Pipeline, matrix, labels) -> list:
     files = []
     fits = []
     for k in range(1, k_used + 1):
-        try:
+        with _stage("fa"):
             m = fit_fa_ml(matrix, k, variable_labels=labels)
-        except RiversepError as exc:
-            raise _StageFailure("fa", exc) from exc
         fits.append(m)
-
-        header = (
-            "variable,"
-            + ",".join(f"F{j + 1}" for j in range(k))
-            + ",uniqueness"
-        )
-        lines = [header]
-        for i, code in enumerate(labels):
-            lines.append(
-                code
-                + ","
-                + ",".join(format_loading(v) for v in m.loadings[i])
-                + ","
-                + format_loading(m.uniquenesses[i])
-            )
-        files.append(
-            _write(cfg.output_dir, f"fa_k{k}_loadings.csv", "\n".join(lines) + "\n")
-        )
-
-        res_lines = ["variable," + ",".join(labels)]
-        for i, code in enumerate(labels):
-            res_lines.append(
-                code + "," + ",".join(format_number(v) for v in m.residual[i])
-            )
-        files.append(
-            _write(cfg.output_dir, f"fa_k{k}_residual.csv", "\n".join(res_lines) + "\n")
-        )
+        header = ["variable"] + [f"F{j + 1}" for j in range(k)] + ["uniqueness"]
+        rows = np.column_stack([m.loadings, m.uniquenesses])
+        text = _table_csv(header, labels, rows, format_loading)
+        files.append(_write(cfg.output_dir, f"fa_k{k}_loadings.csv", text))
+        text = _table_csv(["variable", *labels], labels, m.residual, format_number)
+        files.append(_write(cfg.output_dir, f"fa_k{k}_residual.csv", text))
 
     selection = smallest_adequate_k([m.p_value for m in fits], cfg.fa_alpha)
     entries = []
@@ -313,36 +294,31 @@ def _write_fa(pipe: _Pipeline, matrix, labels) -> list:
     return files
 
 
-def _write_diagnostics(pipe: _Pipeline, matrix, labels) -> list:
+def _write_diagnostics(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
+    matrix, labels, _, _ = pipe.model_input
     n = matrix.shape[0]
     max_lag = min(cfg.acf_max_lag, n - 2)
     lines = ["variable,lag,value,conf_band"]
-    try:
+    with _stage("diagnose"):
         for j, code in enumerate(labels):
             result = acf(matrix[:, j], max_lag)
             for lag, value in zip(result.lags, result.values):
                 lines.append(
                     f"{code},{lag},{format_number(value)},{format_number(result.conf_band)}"
                 )
-    except RiversepError as exc:
-        raise _StageFailure("diagnose", exc) from exc
     files = [_write(cfg.output_dir, "acf.csv", "\n".join(lines) + "\n")]
 
     p = len(labels)
     mi = np.zeros((p, p))
-    try:
+    with _stage("diagnose"):
         for i in range(p):
             for j in range(i, p):
                 mi[i, j] = mi[j, i] = mutual_information_discrete(
                     matrix[:, i], matrix[:, j], bins=cfg.mi_bins
                 )
-    except RiversepError as exc:
-        raise _StageFailure("diagnose", exc) from exc
-    mi_lines = ["variable," + ",".join(labels)]
-    for i, code in enumerate(labels):
-        mi_lines.append(code + "," + ",".join(format_number(v) for v in mi[i]))
-    files.append(_write(cfg.output_dir, "mi.csv", "\n".join(mi_lines) + "\n"))
+    text = _table_csv(["variable", *labels], labels, mi, format_number)
+    files.append(_write(cfg.output_dir, "mi.csv", text))
     return files
 
 
@@ -361,74 +337,42 @@ def _write_manifest(pipe: _Pipeline, outputs: list) -> None:
     write_json(pipe.cfg.output_dir / "manifest.json", manifest)
 
 
-def _cmd_ingest(pipe: _Pipeline) -> int:
-    pipe.load()
-    _write_ingested(pipe)
-    return 0
-
-
-def _cmd_preprocess(pipe: _Pipeline) -> int:
-    pipe.load()
-    pipe.apply_stages()
-    _write_ingested(pipe)
-    _write_preprocessed(pipe)
-    return 0
-
-
-def _cmd_pca(pipe: _Pipeline) -> int:
-    pipe.load()
-    pipe.apply_stages()
-    matrix, labels, _, _ = pipe.final_matrix()
-    _write_pca(pipe, matrix, labels)
-    return 0
-
-
-def _cmd_ica(pipe: _Pipeline) -> int:
-    pipe.load()
-    pipe.apply_stages()
-    matrix, labels, index_name, index = pipe.final_matrix()
-    _write_ica(pipe, matrix, labels, index_name, index)
-    return 0
-
-
-def _cmd_fa(pipe: _Pipeline) -> int:
-    pipe.load()
-    pipe.apply_stages()
-    matrix, labels, _, _ = pipe.final_matrix()
-    _write_fa(pipe, matrix, labels)
-    return 0
-
-
-def _cmd_diagnose(pipe: _Pipeline) -> int:
-    pipe.load()
-    pipe.apply_stages()
-    matrix, labels, _, _ = pipe.final_matrix()
-    _write_diagnostics(pipe, matrix, labels)
-    return 0
-
-
-def _cmd_run(pipe: _Pipeline) -> int:
-    pipe.load()
-    pipe.apply_stages()
-    outputs = _write_ingested(pipe) + _write_preprocessed(pipe)
-    matrix, labels, index_name, index = pipe.final_matrix()
-    outputs += _write_pca(pipe, matrix, labels)
-    outputs += _write_ica(pipe, matrix, labels, index_name, index)
-    outputs += _write_fa(pipe, matrix, labels)
-    outputs += _write_diagnostics(pipe, matrix, labels)
-    _write_manifest(pipe, outputs)
-    return 0
-
-
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "preprocess": _cmd_preprocess,
-    "pca": _cmd_pca,
-    "ica": _cmd_ica,
-    "fa": _cmd_fa,
-    "diagnose": _cmd_diagnose,
-    "run": _cmd_run,
+# Each config-driven subcommand: its help text and its output writers, in
+# the order they run.  Only ``run`` also writes manifest.json.
+_SUBCOMMANDS = {
+    "ingest": ("parse the input record and write ingested.csv", (_write_ingested,)),
+    "preprocess": (
+        "run the configured stages and write preprocessed.csv",
+        (_write_ingested, _write_preprocessed),
+    ),
+    "pca": ("fit principal components on the preprocessed table", (_write_pca,)),
+    "ica": ("extract independent components on the preprocessed table", (_write_ica,)),
+    "fa": ("fit maximum-likelihood factor models for k = 1..k_max", (_write_fa,)),
+    "diagnose": (
+        "write autocorrelation and mutual-information tables",
+        (_write_diagnostics,),
+    ),
+    "run": (
+        "full pipeline: all outputs plus manifest.json",
+        (
+            _write_ingested,
+            _write_preprocessed,
+            _write_pca,
+            _write_ica,
+            _write_fa,
+            _write_diagnostics,
+        ),
+    ),
 }
+
+
+def _execute(pipe: _Pipeline, command: str) -> int:
+    _, writers = _SUBCOMMANDS[command]
+    outputs = [name for write in writers for name in write(pipe)]
+    if command == "run":
+        _write_manifest(pipe, outputs)
+    return 0
+
 
 _BENCH_SCENARIOS = (
     ("two_uniform", ("uniform", "uniform")),
@@ -483,16 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "ingest": "parse the input record and write ingested.csv",
-        "preprocess": "run the configured stages and write preprocessed.csv",
-        "pca": "fit principal components on the preprocessed table",
-        "ica": "extract independent components on the preprocessed table",
-        "fa": "fit maximum-likelihood factor models for k = 1..k_max",
-        "diagnose": "write autocorrelation and mutual-information tables",
-        "run": "full pipeline: all outputs plus manifest.json",
-    }
-    for name, text in helps.items():
+    for name, (text, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("config", type=Path, help="path to the JSON run config")
         p.add_argument(
@@ -520,7 +455,7 @@ def main(argv=None) -> int:
             return _synth_bench(args.out, args.rows, args.seed, args.replicates)
         cfg = load_config(args.config)
         pipe = _Pipeline(cfg, seed_override=args.seed, offline=args.offline)
-        return _COMMANDS[args.command](pipe)
+        return _execute(pipe, args.command)
     except ConfigError as exc:
         print(f"riversep: config error: {exc}", file=sys.stderr)
         return 2

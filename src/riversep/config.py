@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, OutOfRange
+from .ica import IcaConfig
 from .ingest import FilterSpec
 from .preprocess import RedundancyRule
 
@@ -49,8 +50,10 @@ class RunConfig:
     """Validated, path-resolved run settings.
 
     ``ica_components`` of None means "decide from the data" (the
-    eigenvalue-above-one count of a scaled PCA).  ``acf_max_lag`` is
-    clamped at run time to the series length minus two.
+    eigenvalue-above-one count of a scaled PCA).  ``ica`` holds the
+    validated FastICA settings; the run replaces its ``n_components`` with
+    the resolved count and its ``seed`` with any ``--seed`` override.
+    ``acf_max_lag`` is clamped at run time to the series length minus two.
     """
 
     base_dir: Path
@@ -64,11 +67,7 @@ class RunConfig:
     pca_center: bool
     pca_scale: bool
     ica_components: int | None
-    ica_max_iter: int
-    ica_tol: float
-    ica_contrast: str
-    ica_logcosh_alpha: float
-    ica_seed: int
+    ica: IcaConfig
     fa_k_max: int
     fa_alpha: float
     acf_max_lag: int
@@ -160,7 +159,7 @@ def _parse_filter(section) -> FilterSpec:
         raise ConfigError("'filter' must be an object")
     _reject_unknown(
         section,
-        ("min_count", "start", "end", "required_variable", "medium_code"),
+        ("min_count", "start", "end", "required_variable"),
         "'filter'",
     )
     kwargs = {}
@@ -174,8 +173,6 @@ def _parse_filter(section) -> FilterSpec:
         kwargs["required_variable"] = _as_str(
             section["required_variable"], "filter.required_variable"
         )
-    if "medium_code" in section:
-        kwargs["medium_code"] = _as_str(section["medium_code"], "filter.medium_code")
     try:
         return FilterSpec(**kwargs)
     except ValueError as exc:
@@ -308,10 +305,22 @@ def load_config(path) -> RunConfig:
     )
     n_comp = ica.get("n_components")
     if n_comp is not None:
-        n_comp = _as_int(n_comp, "ica.n_components", 1)
-    contrast = _as_str(ica.get("contrast", "logcosh"), "ica.contrast")
-    if contrast not in ("logcosh", "cube"):
-        raise ConfigError(f"ica.contrast must be 'logcosh' or 'cube', got {contrast!r}")
+        n_comp = _as_int(n_comp, "ica.n_components")
+    kwargs = {}
+    for key, as_type in (
+        ("max_iter", _as_int),
+        ("tol", _as_float),
+        ("contrast", _as_str),
+        ("logcosh_alpha", _as_float),
+        ("seed", _as_int),
+    ):
+        if key in ica:
+            kwargs[key] = as_type(ica[key], f"ica.{key}")
+    try:
+        # A count decided from the data is not known yet; 1 stands in.
+        ica_cfg = IcaConfig(n_components=1 if n_comp is None else n_comp, **kwargs)
+    except OutOfRange as exc:
+        raise ConfigError(f"invalid 'ica' section: {exc}") from None
 
     fa = doc.get("fa", {})
     if not isinstance(fa, dict):
@@ -338,11 +347,7 @@ def load_config(path) -> RunConfig:
         pca_center=pca_center,
         pca_scale=pca_scale,
         ica_components=n_comp,
-        ica_max_iter=_as_int(ica.get("max_iter", 200), "ica.max_iter", 1),
-        ica_tol=_as_float(ica.get("tol", 1e-4), "ica.tol"),
-        ica_contrast=contrast,
-        ica_logcosh_alpha=_as_float(ica.get("logcosh_alpha", 1.0), "ica.logcosh_alpha"),
-        ica_seed=_as_int(ica.get("seed", 0), "ica.seed"),
+        ica=ica_cfg,
         fa_k_max=_as_int(fa.get("k_max", 5), "fa.k_max", 1),
         fa_alpha=fa_alpha,
         acf_max_lag=_as_int(diag.get("max_lag", 10), "diagnostics.max_lag", 1),

@@ -445,25 +445,6 @@ def smallest_adequate_k(p_values: Sequence[float], alpha: float = 0.05) -> Facto
     return FactorSelection(len(p_values), False, p_values)
 
 
-def select_factors(x, k_max: int, alpha: float = 0.05) -> FactorSelection:
-    """Choose a factor count by fitting k = 1..k_max in sequence.
-
-    Stops at the first count whose likelihood-ratio p-value exceeds
-    ``alpha``; the p-values of every fit attempted are returned alongside
-    the choice.  ``k_max`` must leave nonnegative degrees of freedom — fit
-    errors propagate unchanged.
-    """
-    if k_max < 1:
-        raise OutOfRange(f"k_max must be at least 1, got {k_max}")
-    p_values = []
-    for k in range(1, k_max + 1):
-        model = fit_fa_ml(x, k)
-        p_values.append(model.p_value)
-        if model.p_value > alpha:
-            return FactorSelection(k, True, tuple(p_values))
-    return FactorSelection(k_max, False, tuple(p_values))
-
-
 def residual_matrix(m: FaModel, r) -> np.ndarray:
     """Difference between a correlation matrix and the model's fit.
 

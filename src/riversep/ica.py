@@ -39,7 +39,6 @@ class IcaConfig:
     contrast: str = "logcosh"
     logcosh_alpha: float = 1.0
     seed: int = 0
-    prescale: bool = False
 
     def __post_init__(self):
         if self.n_components < 1:
@@ -52,6 +51,8 @@ class IcaConfig:
             raise OutOfRange(f"unknown contrast {self.contrast!r}")
         if not 1.0 <= self.logcosh_alpha <= 2.0:
             raise OutOfRange("logcosh_alpha must lie in [1, 2]")
+        if self.seed < 0:
+            raise OutOfRange("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,9 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
 def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     """Extract independent components from ``x`` (rows are observations).
 
-    The input is always centered; variance pre-scaling is off by default
-    and available through ``cfg.prescale`` for records whose units differ
-    wildly.  All components are estimated simultaneously from a seeded
-    random orthonormal start, so the same data and seed give bit-identical
-    models.
+    The input is centered, not scaled.  All components are estimated
+    simultaneously from a seeded random orthonormal start, so the same
+    data and seed give bit-identical models.
     """
     m = as_matrix(x)
     n, p = m.shape
@@ -134,7 +133,7 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     if n < 10 * k:
         raise TooFewRows(n, 10 * k)
 
-    pre = center_scale(m, center=True, scale=cfg.prescale)
+    pre = center_scale(m, center=True)
     z, whitening = whiten(pre, k)
 
     rng = np.random.default_rng(cfg.seed)

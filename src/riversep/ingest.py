@@ -4,7 +4,9 @@ Two on-disk layouts are supported: USGS RDB (tab-delimited with ``#``
 comment lines and a column-format line after the header) and RFC-4180 CSV.
 Both are wide tables: the first column holds calendar dates, every other
 column one monitored variable.  Cells that are empty or read ``NA``/``na``
-are missing; any other unparseable numeric cell also becomes missing.
+are missing; any other unparseable numeric cell also becomes missing, and
+so does a non-finite one (``inf``, ``-inf``, or a value such as ``1e400``
+that overflows), since no model can take it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import datetime
 import hashlib
 import io
+import math
 import os
 import re
 import tempfile
@@ -84,18 +87,12 @@ class TimeSeriesTable:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Row/column filter applied by :func:`filter_table`.
-
-    ``medium_code`` is carried for provenance (it selects the sample medium
-    at retrieval time, e.g. surface water) and does not filter parsed
-    tables, which hold a single medium.
-    """
+    """Row/column filter applied by :func:`filter_table`."""
 
     min_count: int = 1
     start: datetime.date = datetime.date.min
     end: datetime.date = datetime.date.max
     required_variable: str | None = None
-    medium_code: str | None = None
 
     def __post_init__(self):
         if self.min_count < 1:
@@ -116,10 +113,11 @@ def _parse_cell(text: str) -> float:
     if text.lower() in _MISSING_TOKENS:
         return float("nan")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         # unparseable numeric cells degrade to missing rather than aborting
         return float("nan")
+    return value if math.isfinite(value) else float("nan")
 
 
 def _assemble(
@@ -290,11 +288,6 @@ def drop_incomplete_rows(table: TimeSeriesTable) -> TimeSeriesTable:
     )
 
 
-def _cache_key(site: str, codes: Sequence[str], start: str, end: str) -> str:
-    key = "|".join([site, ",".join(codes), start, end])
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()
-
-
 def fetch_remote(
     site: str,
     codes: Sequence[str],
@@ -308,12 +301,14 @@ def fetch_remote(
 ) -> bytes:
     """Fetch a monitoring record over HTTP with a content cache.
 
-    The cache key is a hash of (site, codes, start, end); a hit never
-    touches the network.  Downloads are written to a temporary file and
+    The cache key is a hash of (site, codes, start, end, medium_code,
+    url_template), everything that shapes the request; a hit never touches
+    the network.  Downloads are written to a temporary file and
     renamed into place so a crash cannot leave a truncated cache entry.
     """
     cache_dir = Path(cache_dir)
-    cached = cache_dir / (_cache_key(site, codes, start, end) + ".rdb")
+    key = "|".join([site, ",".join(codes), start, end, medium_code or "", url_template])
+    cached = cache_dir / (hashlib.sha256(key.encode("utf-8")).hexdigest() + ".rdb")
     if cached.exists():
         return cached.read_bytes()
     if offline:

@@ -24,7 +24,10 @@ class PcaModel:
     ``loadings`` holds one orthonormal eigenvector per column (variables x
     components); ``stdevs`` are the component standard deviations, i.e. the
     square roots of the covariance eigenvalues, in descending order.
-    Arrays are read-only by convention.
+    ``mean`` and ``sd`` are the training columns' means and sample (n-1)
+    standard deviations, which :func:`scores` applies to new data; a model
+    assembled by hand may leave them out.  Arrays are read-only by
+    convention.
     """
 
     loadings: np.ndarray
@@ -32,6 +35,8 @@ class PcaModel:
     centered: bool
     scaled: bool
     variable_labels: tuple[str, ...]
+    mean: np.ndarray | None = None
+    sd: np.ndarray | None = None
 
     @property
     def n_components(self) -> int:
@@ -70,6 +75,8 @@ def fit_pca(
         centered=center,
         scaled=scale,
         variable_labels=tuple(variable_labels),
+        mean=m.mean(axis=0),
+        sd=m.std(axis=0, ddof=1),
     )
 
 
@@ -96,15 +103,18 @@ def explained_variance(model: PcaModel, k: int) -> float:
 def scores(model: PcaModel, x) -> np.ndarray:
     """Project ``x`` onto the components.
 
-    The input is centered/scaled exactly as the model's fit was (using the
-    column statistics of ``x`` itself), then rotated by the loadings.  On
-    the training data the score columns are uncorrelated with variances
-    equal to ``stdevs**2``.
+    The input is centered/scaled as the model's fit was, with the training
+    mean and sd, then rotated by the loadings.  On the training data the
+    score columns are uncorrelated with variances equal to ``stdevs**2``.
     """
     m = as_matrix(x)
     if m.shape[1] != model.loadings.shape[0]:
         raise OutOfRange(
             f"{m.shape[1]} columns, model was fit with {model.loadings.shape[0]}"
         )
-    pre = center_scale(m, center=model.centered, scale=model.scaled)
+    if model.mean is None or model.sd is None:
+        raise RuleInapplicable("scores need the training mean and sd of a fit_pca model")
+    pre = m - model.mean if model.centered else m
+    if model.scaled:
+        pre = pre / model.sd
     return pre @ model.loadings

@@ -60,15 +60,6 @@ class RedundancyRule:
             raise ValueError("a composite cannot be its own part")
 
 
-# Mass-balance relations among the nitrogen species: each composite is the
-# sum of its parts, so it carries no information once the parts are present.
-DEFAULT_REDUNDANCY_RULES = (
-    RedundancyRule("nitrate_nitrite", ("nitrate", "nitrite")),
-    RedundancyRule("kjeldahl_n", ("organic_n", "ammonia_n")),
-    RedundancyRule("total_n", ("kjeldahl_n", "nitrate", "nitrite")),
-)
-
-
 def annual_mean(table: TimeSeriesTable) -> AnnualTable:
     """Collapse a daily table to per-year means of the non-missing samples.
 

@@ -135,18 +135,10 @@ def _greedy_match(true_sources: np.ndarray, recovered: np.ndarray) -> tuple[floa
     """Pair each true source with its best remaining recovered column by
     absolute correlation; returns per-true-source |corr| in source order."""
     k = true_sources.shape[1]
-    corr = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            a = true_sources[:, i]
-            b = recovered[:, j]
-            sa, sb = a.std(), b.std()
-            if sa == 0 or sb == 0:
-                corr[i, j] = 0.0
-            else:
-                corr[i, j] = abs(
-                    np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb)
-                )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        full = np.corrcoef(true_sources, recovered, rowvar=False)
+    # a zero-variance column has no correlation (nan here); it reads as 0
+    corr = np.nan_to_num(np.abs(full[:k, k:]), nan=0.0)
     out = {}
     remaining = corr.copy()
     for _ in range(k):

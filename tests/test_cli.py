@@ -141,6 +141,39 @@ class TestExitCodes:
         assert main(["run", str(bad)]) == 3
         assert "ingest" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("tol", 0), ("logcosh_alpha", 3), ("seed", -1)])
+    def test_invalid_ica_setting_is_a_config_error(self, workdir, capsys, key, value):
+        doc = json.loads((workdir / "pipeline.json").read_text())
+        doc["ica"][key] = value
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert key in err
+        assert not (workdir / "out").exists()
+
+    def test_non_finite_cells_do_not_escape_as_a_traceback(self, workdir):
+        record = workdir / "station_fixture.rdb"
+        lines = record.read_text().splitlines(keepends=True)
+        # one cell of a variable that survives to the models, in three rows
+        column = lines[3].split("\t").index("00300")
+        for row, token in ((10, "inf"), (20, "-inf"), (30, "1e400")):
+            fields = lines[row].split("\t")
+            fields[column] = token
+            lines[row] = "\t".join(fields)
+        record.write_text("".join(lines))
+        env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "riversep.cli", "run", str(workdir / "pipeline.json")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode in (0, 2, 3)
+        assert "Traceback" not in proc.stderr
+        messages = proc.stderr.splitlines()
+        assert len(messages) == (0 if proc.returncode == 0 else 1)
+        assert all(m.startswith("riversep:") for m in messages)
+
     def test_offline_without_cache_is_a_runtime_error(self, workdir, capsys):
         doc = json.loads((workdir / "pipeline.json").read_text())
         doc["input"] = {
@@ -156,7 +189,41 @@ class TestExitCodes:
         assert "ingest" in capsys.readouterr().err
 
 
+# The files each subcommand writes; run writes all of them plus manifest.json.
+SUBCOMMAND_OUTPUTS = {
+    "ingest": ["ingested.csv"],
+    "preprocess": ["ingested.csv", "preprocessed.csv"],
+    "pca": ["pca_loadings.csv", "pca_summary.json"],
+    "ica": ["ica_sources.csv", "ica_summary.json"],
+    "fa": [f"fa_k{k}_{kind}.csv" for k in (1, 2, 3) for kind in ("loadings", "residual")]
+    + ["fa_summary.json"],
+    "diagnose": ["acf.csv", "mi.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def run_outputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("full_run")
+    shutil.copy(FIXTURES / "station_fixture.rdb", work)
+    shutil.copy(FIXTURES / "pipeline.json", work)
+    assert main(["run", str(work / "pipeline.json")]) == 0
+    return work / "out"
+
+
 class TestSubcommands:
+    def test_run_writes_every_subcommand_output_and_the_manifest(self, run_outputs):
+        expected = {name for files in SUBCOMMAND_OUTPUTS.values() for name in files}
+        on_disk = sorted(p.name for p in run_outputs.iterdir())
+        assert on_disk == sorted(expected | {"manifest.json"})
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OUTPUTS))
+    def test_subcommand_writes_its_files_as_run_does(self, workdir, run_outputs, command):
+        assert main([command, str(workdir / "pipeline.json")]) == 0
+        out = workdir / "out"
+        assert sorted(p.name for p in out.iterdir()) == sorted(SUBCOMMAND_OUTPUTS[command])
+        for name in SUBCOMMAND_OUTPUTS[command]:
+            assert (out / name).read_bytes() == (run_outputs / name).read_bytes(), name
+
     def test_preprocess_writes_reparseable_table(self, workdir):
         assert main(["preprocess", str(workdir / "pipeline.json")]) == 0
         out = workdir / "out"

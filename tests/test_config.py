@@ -3,11 +3,17 @@
 import datetime
 import hashlib
 import json
+import re
+import shutil
+from pathlib import Path
 
 import pytest
 
+from riversep.cli import main
 from riversep.config import RunConfig, load_config
 from riversep.errors import ConfigError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 MINIMAL = {
     "input": {"path": "data.rdb"},
@@ -142,6 +148,32 @@ def test_non_bool_flag_rejected(tmp_path):
     doc = dict(MINIMAL, pca={"center": 1})
     with pytest.raises(ConfigError, match="center"):
         load_config(write_config(tmp_path, doc))
+
+
+def test_filter_medium_code_is_an_unknown_key(tmp_path):
+    doc = dict(
+        MINIMAL,
+        pipeline=["filter", "annual_mean"],
+        filter={"medium_code": "WS"},
+    )
+    with pytest.raises(ConfigError, match="medium_code"):
+        load_config(write_config(tmp_path, doc))
+
+
+def test_readme_configs_load_and_run(tmp_path):
+    # Every JSON block in the README is a run config; it must load, and
+    # run on the bundled record it names.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        work = tmp_path / f"block{i}"
+        work.mkdir()
+        (work / "cfg.json").write_text(block)
+        shutil.copy(FIXTURES / json.loads(block)["input"]["path"], work)
+        cfg = load_config(work / "cfg.json")
+        assert cfg.input_path.exists()
+        assert main(["run", str(work / "cfg.json")]) == 0
 
 
 def test_bad_contrast(tmp_path):

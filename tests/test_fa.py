@@ -29,7 +29,6 @@ from riversep.fa import (
     lr_test,
     profiled_discrepancy,
     residual_matrix,
-    select_factors,
     smallest_adequate_k,
 )
 from riversep.linalg import correlation_matrix
@@ -278,14 +277,6 @@ class TestSelection:
     def test_bad_alpha_rejected(self):
         with pytest.raises(OutOfRange):
             smallest_adequate_k((0.5,), alpha=0.0)
-
-    def test_select_on_simulated_data(self):
-        x, _ = simulate_two_factor()
-        sel = select_factors(x, k_max=3, alpha=0.05)
-        assert sel.k == 2
-        assert sel.adequate
-        assert len(sel.p_values) == 2
-        assert sel.p_values[0] <= 0.05 < sel.p_values[1]
 
 
 class TestResidualMatrix:

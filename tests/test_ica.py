@@ -157,6 +157,8 @@ class TestFastIca:
             IcaConfig(n_components=2, contrast="kurtosis")
         with pytest.raises(errors.OutOfRange):
             IcaConfig(n_components=2, logcosh_alpha=3.0)
+        with pytest.raises(errors.OutOfRange):
+            IcaConfig(n_components=2, seed=-1)
 
 
 class TestAmariIndex:

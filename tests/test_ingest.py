@@ -96,6 +96,12 @@ class TestParseRdb:
         t = parse_rdb("datetime\ta\n10d\t12n\n1990-01-01\t<0.01\n")
         assert np.isnan(t.values[0, 0])
 
+    def test_non_finite_cells_become_missing(self):
+        t = parse_rdb(
+            "datetime\ta\tb\tc\n10d\t12n\t12n\t12n\n1990-01-01\tinf\t-inf\t1e400\n"
+        )
+        assert np.isnan(t.values).all()
+
     def test_bad_date_raises(self):
         with pytest.raises(errors.InvalidDate):
             parse_rdb("datetime\ta\n10d\t12n\n01/02/1990\t1\n")
@@ -252,6 +258,32 @@ class TestFetchRemote:
         )
         assert second == payload
         assert parse_rdb(second).n_rows == 20
+
+    def test_medium_and_url_template_key_the_cache(self, tmp_path, monkeypatch):
+        import riversep.ingest as ingest_mod
+
+        requested = []
+
+        def download(url, **kwargs):
+            requested.append(url)
+            return _FakeResponse(url.encode("utf-8"))
+
+        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", download)
+        args = ("TEST-0001", ["00618"], "1995-01-01", "1996-12-31", tmp_path)
+        url = self.URL + "&medium={medium}"
+        water = fetch_remote(*args, url, medium_code="WS")
+        sediment = fetch_remote(*args, url, medium_code="SB")
+        mirror = fetch_remote(*args, "https://mirror.invalid/{site}", medium_code="WS")
+        assert len({water, sediment, mirror}) == 3
+        assert len(requested) == 3
+        assert len(list(tmp_path.glob("*.rdb"))) == 3
+
+        def explode(*a, **k):
+            raise AssertionError("network touched despite cache hit")
+
+        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", explode)
+        assert fetch_remote(*args, url, medium_code="WS") == water
+        assert fetch_remote(*args, url, medium_code="SB") == sediment
 
     def test_offline_without_cache(self, tmp_path):
         with pytest.raises(errors.NetworkUnavailable):

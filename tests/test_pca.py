@@ -157,6 +157,22 @@ class TestScores:
         pre = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
         assert_allclose(s @ m.loadings.T, pre, atol=1e-8)
 
+    def test_new_data_is_standardized_with_the_training_statistics(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(30, 3)) * [1.0, 2.0, 5.0]
+        shift = np.array([3.0, -1.0, 10.0])
+        for scale in (True, False):
+            m = fit_pca(x, center=True, scale=scale)
+            moved = scores(m, x + shift)
+            assert not np.allclose(moved, scores(m, x))
+            spread = x.std(axis=0, ddof=1) if scale else 1.0
+            assert_allclose(moved, scores(m, x) + (shift / spread) @ m.loadings)
+
+    def test_hand_built_model_cannot_score(self):
+        m = model_from_stdevs([2.0, 1.0])
+        with pytest.raises(errors.RuleInapplicable):
+            scores(m, np.eye(2))
+
     def test_column_count_checked(self):
         rng = np.random.default_rng(8)
         m = fit_pca(rng.normal(size=(10, 3)))
