@@ -128,7 +128,9 @@ class _Pipeline:
         }
         table = self.raw
         for name in cfg.pipeline:
-            with _stage(name):
+            # an overflowing stage is reported by the model-input check,
+            # not by numpy warnings on stderr
+            with _stage(name), np.errstate(over="ignore", invalid="ignore"):
                 table = steps[name](table)
             self.stage_counts.append((name, table.n_rows, table.n_vars))
         return table
@@ -141,6 +143,13 @@ class _Pipeline:
         missing = int(np.isnan(values).sum())
         if missing:
             raise _StageFailure("model input", MissingCells(missing))
+        # parsed cells are finite, but a stage's arithmetic can overflow
+        infinite = int(np.isinf(values).sum())
+        if infinite:
+            raise _StageFailure(
+                "model input",
+                RiversepError(f"table has {infinite} infinite cells; a stage overflowed"),
+            )
         labels = tuple(table.codes())
         if isinstance(table, AnnualTable):
             index_name = "year"
@@ -442,16 +451,42 @@ def _build_parser() -> argparse.ArgumentParser:
         "synth-bench", help="recovery benchmark on synthetic mixing scenarios"
     )
     bench.add_argument("--out", type=Path, required=True, help="output directory")
-    bench.add_argument("--rows", type=int, default=2000)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--replicates", type=int, default=5)
+    bench.add_argument(
+        "--rows", type=int, default=2000, help="rows per synthetic dataset (at least 3)"
+    )
+    bench.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="base seed (non-negative); replicate r uses seed + r, so runs at "
+        "consecutive seeds share all but one replicate",
+    )
+    bench.add_argument(
+        "--replicates", type=int, default=5, help="datasets per scenario (at least 1)"
+    )
     return parser
+
+
+def _bench_argument_error(args) -> str | None:
+    """What is wrong with the synth-bench arguments, if anything."""
+    for flag, value, least in (
+        ("--seed", args.seed, 0),
+        ("--rows", args.rows, 3),
+        ("--replicates", args.replicates, 1),
+    ):
+        if value < least:
+            return f"{flag} must be at least {least}, got {value}"
+    return None
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "synth-bench":
+            problem = _bench_argument_error(args)
+            if problem is not None:
+                print(f"riversep: command-line error: {problem}", file=sys.stderr)
+                return 2
             return _synth_bench(args.out, args.rows, args.seed, args.replicates)
         cfg = load_config(args.config)
         pipe = _Pipeline(cfg, seed_override=args.seed, offline=args.offline)

@@ -3,10 +3,15 @@
 Two on-disk layouts are supported: USGS RDB (tab-delimited with ``#``
 comment lines and a column-format line after the header) and RFC-4180 CSV.
 Both are wide tables: the first column holds calendar dates, every other
-column one monitored variable.  Cells that are empty or read ``NA``/``na``
-are missing; any other unparseable numeric cell also becomes missing, and
-so does a non-finite one (``inf``, ``-inf``, or a value such as ``1e400``
-that overflows), since no model can take it.
+column one monitored variable.
+
+The cell rule: a cell reads as the number ``float`` makes of it, and as
+missing (NaN) when it is empty or ``NA``/``na`` after stripping whitespace,
+when ``float`` rejects it, or when the number is not finite (``nan``,
+``inf``, ``-inf``, or a value such as ``1e400`` that overflows), since no
+model can take it.  :func:`_parse_cell` is that rule for one cell; the
+parsers read a row at a time and fall back to it for a row that ``float``
+rejects, then map non-finite values to NaN over the whole array.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +43,10 @@ from .errors import (
     RaggedRow,
     UnknownVariable,
 )
-from .report import MISSING_TOKEN, format_number
+from .report import format_rows
 
 _MISSING_TOKENS = {"", "na"}
+_NAN = float("nan")
 
 # Column-format tokens in the line after an RDB header, e.g. "10d" or "12n".
 _FORMAT_TOKEN = re.compile(r"\d+[A-Za-z]")
@@ -109,6 +115,7 @@ def _parse_date(text: str, line_no: int) -> datetime.date:
 
 
 def _parse_cell(text: str) -> float:
+    """One cell by the module's cell rule."""
     text = text.strip()
     if text.lower() in _MISSING_TOKENS:
         return float("nan")
@@ -120,14 +127,26 @@ def _parse_cell(text: str) -> float:
     return value if math.isfinite(value) else float("nan")
 
 
+def _read_row(cells: Sequence[str]) -> list[float]:
+    """A record's cells as floats; non-finite values are left for
+    :func:`_assemble` to map.  A row holding a cell that ``float`` rejects
+    (``NA``, whitespace, text) is read cell by cell with :func:`_parse_cell`."""
+    try:
+        return [float(c) if c else _NAN for c in cells]
+    except ValueError:
+        return [_parse_cell(c) for c in cells]
+
+
 def _assemble(
     header: Sequence[str],
-    rows: Iterable[tuple[int, datetime.date, list[float]]],
+    dates: Sequence[datetime.date],
+    rows: Sequence[list[float]],
 ) -> TimeSeriesTable:
     """Merge parsed records into a date-sorted table.
 
-    Records sharing a date are merged; two non-missing values for the same
-    (date, variable) raise :class:`DuplicateTimestampVariable`.
+    Non-finite cells become NaN first.  Records sharing a date are then
+    merged; two non-missing values for the same (date, variable) raise
+    :class:`DuplicateTimestampVariable`.
     """
     codes = [c.strip() for c in header]
     if len(codes) < 2:
@@ -138,26 +157,23 @@ def _assemble(
     if len(set(var_codes)) != len(var_codes):
         raise MalformedHeader("header repeats a variable code")
 
-    by_date: dict[datetime.date, np.ndarray] = {}
-    for _line_no, date, cells in rows:
-        row = by_date.get(date)
-        if row is None:
-            by_date[date] = np.asarray(cells, dtype=float)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(var_codes))
+    values[~np.isfinite(values)] = np.nan
+    first: dict[datetime.date, int] = {}
+    for i, date in enumerate(dates):
+        j = first.setdefault(date, i)
+        if j == i:
             continue
-        for j, value in enumerate(cells):
-            if np.isnan(value):
-                continue
-            if not np.isnan(row[j]):
-                raise DuplicateTimestampVariable(date, var_codes[j])
-            row[j] = value
+        present = ~np.isnan(values[i])
+        clash = present & ~np.isnan(values[j])
+        if clash.any():
+            raise DuplicateTimestampVariable(date, var_codes[int(np.argmax(clash))])
+        values[j, present] = values[i, present]
 
-    dates = sorted(by_date)
-    if dates:
-        values = np.vstack([by_date[d] for d in dates])
-    else:
-        values = np.empty((0, len(var_codes)))
+    order = sorted(first)
+    values = values[[first[d] for d in order]]
     variables = [Variable(code=c) for c in var_codes]
-    return TimeSeriesTable(dates=dates, variables=variables, values=values)
+    return TimeSeriesTable(dates=order, variables=variables, values=values)
 
 
 def parse_rdb(data: bytes | str) -> TimeSeriesTable:
@@ -167,7 +183,8 @@ def parse_rdb(data: bytes | str) -> TimeSeriesTable:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     header: list[str] | None = None
     format_seen = False
-    records: list[tuple[int, datetime.date, list[float]]] = []
+    dates: list[datetime.date] = []
+    rows: list[list[float]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("#"):
             continue
@@ -194,13 +211,13 @@ def parse_rdb(data: bytes | str) -> TimeSeriesTable:
             continue
         if len(fields) != len(header):
             raise RaggedRow(line_no, len(header), len(fields))
-        date = _parse_date(fields[0], line_no)
-        records.append((line_no, date, [_parse_cell(c) for c in fields[1:]]))
+        dates.append(_parse_date(fields[0], line_no))
+        rows.append(_read_row(fields[1:]))
     if header is None:
         raise MalformedHeader("no header line found")
     if not format_seen:
         raise MalformedHeader("no column-format line found")
-    return _assemble(header, records)
+    return _assemble(header, dates, rows)
 
 
 def parse_csv(data: bytes | str) -> TimeSeriesTable:
@@ -208,7 +225,8 @@ def parse_csv(data: bytes | str) -> TimeSeriesTable:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
-    records: list[tuple[int, datetime.date, list[float]]] = []
+    dates: list[datetime.date] = []
+    rows: list[list[float]] = []
     for fields in reader:
         line_no = reader.line_num
         if header is None:
@@ -222,11 +240,11 @@ def parse_csv(data: bytes | str) -> TimeSeriesTable:
             continue
         if len(fields) != len(header):
             raise RaggedRow(line_no, len(header), len(fields))
-        date = _parse_date(fields[0], line_no)
-        records.append((line_no, date, [_parse_cell(c) for c in fields[1:]]))
+        dates.append(_parse_date(fields[0], line_no))
+        rows.append(_read_row(fields[1:]))
     if header is None:
         raise MalformedHeader("no header line found")
-    return _assemble(header, records)
+    return _assemble(header, dates, rows)
 
 
 def emit_csv(table: TimeSeriesTable, date_column: str = "date") -> str:
@@ -235,12 +253,8 @@ def emit_csv(table: TimeSeriesTable, date_column: str = "date") -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([date_column] + table.codes())
-    for i, date in enumerate(table.dates):
-        cells = [
-            MISSING_TOKEN if np.isnan(v) else format_number(v)
-            for v in table.values[i]
-        ]
-        writer.writerow([date.isoformat()] + cells)
+    for date, cells in zip(table.dates, format_rows(table.values)):
+        writer.writerow([date.isoformat(), *cells])
     return out.getvalue()
 
 

@@ -23,7 +23,7 @@ from .errors import (
     UnknownVariable,
 )
 from .ingest import TimeSeriesTable, Variable
-from .report import MISSING_TOKEN, format_number
+from .report import format_rows
 
 
 @dataclass
@@ -151,12 +151,8 @@ def emit_annual_csv(table: AnnualTable) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["year"] + table.codes())
-    for i, year in enumerate(table.years):
-        cells = [
-            MISSING_TOKEN if np.isnan(v) else format_number(v)
-            for v in table.values[i]
-        ]
-        writer.writerow([str(year)] + cells)
+    for year, cells in zip(table.years, format_rows(table.values)):
+        writer.writerow([str(year), *cells])
     return out.getvalue()
 
 

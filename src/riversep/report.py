@@ -9,6 +9,9 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 # Values whose magnitude falls outside this window switch to scientific
 # notation.
@@ -33,6 +36,21 @@ def format_number(x: float) -> str:
     if _PLAIN_LO <= ax < _PLAIN_HI:
         return f"{x:.12g}"
     return f"{x:.11e}"
+
+
+def format_rows(values) -> Iterator[list[str]]:
+    """Yield each row of a 2-D array as :func:`format_number` strings.
+
+    The plain-window test runs once over the whole array, so a cell inside
+    the window is formatted directly; every other cell (NaN, zero,
+    scientific notation) goes through :func:`format_number`.  Rows are made
+    one at a time, so a caller can stream them to a writer.
+    """
+    values = np.asarray(values, dtype=float)
+    magnitude = np.abs(values)
+    plain = (magnitude >= _PLAIN_LO) & (magnitude < _PLAIN_HI)
+    for row, row_plain in zip(values.tolist(), plain.tolist()):
+        yield [f"{x:.12g}" if p else format_number(x) for x, p in zip(row, row_plain)]
 
 
 def format_loading(x: float) -> str:

@@ -174,6 +174,33 @@ class TestExitCodes:
         assert len(messages) == (0 if proc.returncode == 0 else 1)
         assert all(m.startswith("riversep:") for m in messages)
 
+    def test_stage_overflow_is_a_runtime_error(self, workdir):
+        record = workdir / "station_fixture.rdb"
+        lines = record.read_text().splitlines(keepends=True)
+        header = lines[3].split("\t")
+        column, required = header.index("00300"), header.index("00618")
+        # two rows of one year that survive the filter: their annual sum
+        # overflows to inf, which the models cannot take
+        rows = [
+            i for i, line in enumerate(lines)
+            if line.startswith("1960-") and line.split("\t")[required].strip()
+        ][:2]
+        for row in rows:
+            fields = lines[row].split("\t")
+            fields[column] = "1.7e308"
+            lines[row] = "\t".join(fields)
+        record.write_text("".join(lines))
+        env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "riversep.cli", "run", str(workdir / "pipeline.json")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "riversep: error in stage 'model input': "
+            "table has 2 infinite cells; a stage overflowed"
+        ]
+
     def test_offline_without_cache_is_a_runtime_error(self, workdir, capsys):
         doc = json.loads((workdir / "pipeline.json").read_text())
         doc["input"] = {
@@ -320,6 +347,18 @@ class TestSynthBench:
         args = ["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "5000",
                 "--replicates", "10", "--seed", "994300727"]
         assert main(args) == 0
+
+    @pytest.mark.parametrize(
+        "flag,value,least", [("--seed", -1, 0), ("--rows", 2, 3), ("--replicates", 0, 1)]
+    )
+    def test_bad_argument_is_a_command_line_error(self, tmp_path, capsys, flag, value, least):
+        args = ["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "300",
+                "--replicates", "1", flag, str(value)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"riversep: command-line error: {flag} must be at least {least}, got {value}"
+        ]
+        assert not (tmp_path / "bench").exists()
 
     def test_ica_separates_where_pca_cannot(self, tmp_path):
         main(["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "2000"])

@@ -10,6 +10,7 @@ from riversep.ingest import (
     FilterSpec,
     TimeSeriesTable,
     Variable,
+    _parse_cell,
     drop_incomplete_rows,
     emit_csv,
     fetch_remote,
@@ -17,6 +18,8 @@ from riversep.ingest import (
     parse_csv,
     parse_rdb,
 )
+from riversep.preprocess import AnnualTable, emit_annual_csv
+from riversep.report import format_number
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -142,6 +145,83 @@ class TestParseCsv:
         assert_allclose(again.values, t.values, equal_nan=True)
         # a second emit is byte-stable
         assert emit_csv(again) == text
+
+
+# Cell spellings the row-wise parsers must read exactly as _parse_cell does.
+CELL_SPELLINGS = [
+    " 1.5 ", "NA", "na", "   ", "", "nan", "inf", "-inf", "1e400",
+    "-0", "+3", "1_0", "abc", "2.25",
+]
+
+
+def same_cell(a, b):
+    """Equal as floats, NaN equal to NaN, and -0.0 told apart from 0.0."""
+    if np.isnan(a) or np.isnan(b):
+        return bool(np.isnan(a) and np.isnan(b))
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+class TestRowWiseCells:
+    """The row-at-a-time readers agree with the one-cell rule, cell by cell.
+
+    Each spelling sits alone in a row of numbers (so a row falls back to
+    ``_parse_cell`` only through that cell), and one row holds them all.
+    """
+
+    codes = [f"v{j}" for j in range(len(CELL_SPELLINGS))]
+    rows = [[s] + ["2.5"] * (len(CELL_SPELLINGS) - 1) for s in CELL_SPELLINGS] + [CELL_SPELLINGS]
+    days = [f"1990-01-{i + 1:02d}" for i in range(len(rows))]
+
+    def check(self, table):
+        assert table.n_rows == len(self.rows)
+        for i, row in enumerate(self.rows):
+            for j, cell in enumerate(row):
+                assert same_cell(table.values[i, j], _parse_cell(cell)), (i, cell)
+
+    def test_rdb(self):
+        lines = ["\t".join(["datetime", *self.codes]), "\t".join(["10d"] + ["12n"] * len(self.codes))]
+        lines += ["\t".join([day, *row]) for day, row in zip(self.days, self.rows)]
+        self.check(parse_rdb("\n".join(lines) + "\n"))
+
+    def test_csv(self):
+        lines = [",".join(["date", *self.codes])]
+        lines += [",".join([day, *row]) for day, row in zip(self.days, self.rows)]
+        self.check(parse_csv("\n".join(lines) + "\n"))
+
+    def test_infinite_first_record_does_not_collide_on_a_duplicate_date(self):
+        text = (
+            "datetime\ta\tb\n10d\t12n\t12n\n"
+            "1990-01-01\tinf\t1e400\n"
+            "1990-01-01\t4\t5\n"
+        )
+        t = parse_rdb(text)
+        assert t.dates == [d("1990-01-01")]
+        assert t.values.tolist() == [[4.0, 5.0]]
+
+
+# Values on both sides of format_number's plain-notation window and its
+# special cases.
+EDGE_VALUES = [
+    np.nan, 0.0, -0.0, 1e-4, np.nextafter(1e-4, 0.0), -1e-4, 999999.9999999,
+    1e6, -1e6, np.nextafter(1e6, 0.0), 5e-324, 2.5e-310, 1.7e308, -1.7e308,
+    np.inf, -np.inf, 123.456, -0.1,
+]
+
+
+def per_cell_csv(index_name, index, codes, values):
+    lines = [",".join([index_name, *codes])]
+    lines += [",".join([key, *map(format_number, row)]) for key, row in zip(index, values)]
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_equals_per_cell_format_number():
+    values = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
+    codes = [f"v{j}" for j in range(len(EDGE_VALUES))]
+    variables = [Variable(code=c) for c in codes]
+    dated = TimeSeriesTable([d("1990-01-01"), d("1990-01-02")], variables, values)
+    annual = AnnualTable([1990, 1991], variables, values)
+    assert emit_csv(dated) == per_cell_csv("date", ["1990-01-01", "1990-01-02"], codes, values)
+    assert emit_annual_csv(annual) == per_cell_csv("year", ["1990", "1991"], codes, values)
 
 
 def make_table(dates, codes, values):
