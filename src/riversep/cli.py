@@ -30,7 +30,7 @@ from .config import RunConfig, load_config
 from .diagnostics import acf, mutual_information_discrete
 from .errors import ConfigError, MissingCells, RiversepError, RuleInapplicable
 from .fa import fa_dof, fit_fa_ml, smallest_adequate_k
-from .ica import IcaConfig, fast_ica
+from .ica import _ROWS_PER_COMPONENT, IcaConfig, fast_ica
 from .ingest import (
     drop_incomplete_rows,
     emit_csv,
@@ -389,6 +389,8 @@ _BENCH_SCENARIOS = (
     ("two_laplace", ("laplace", "laplace")),
     ("two_gaussian", ("gaussian", "gaussian")),
 )
+# FastICA extracts one component per source of every scenario.
+_BENCH_MIN_ROWS = _ROWS_PER_COMPONENT * max(len(d) for _, d in _BENCH_SCENARIOS)
 
 
 def _synth_bench(out_dir: Path, rows: int, base_seed: int, replicates: int) -> int:
@@ -452,7 +454,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--out", type=Path, required=True, help="output directory")
     bench.add_argument(
-        "--rows", type=int, default=2000, help="rows per synthetic dataset (at least 3)"
+        "--rows",
+        type=int,
+        default=2000,
+        help=f"rows per synthetic dataset (at least {_BENCH_MIN_ROWS})",
     )
     bench.add_argument(
         "--seed",
@@ -471,7 +476,7 @@ def _bench_argument_error(args) -> str | None:
     """What is wrong with the synth-bench arguments, if anything."""
     for flag, value, least in (
         ("--seed", args.seed, 0),
-        ("--rows", args.rows, 3),
+        ("--rows", args.rows, _BENCH_MIN_ROWS),
         ("--replicates", args.replicates, 1),
     ):
         if value < least:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError, OutOfRange
+from .errors import ConfigError, OutOfRange, RuleInapplicable
 from .ica import IcaConfig
 from .ingest import FilterSpec
 from .preprocess import RedundancyRule
@@ -175,7 +175,7 @@ def _parse_filter(section) -> FilterSpec:
         )
     try:
         return FilterSpec(**kwargs)
-    except ValueError as exc:
+    except OutOfRange as exc:
         raise ConfigError(f"invalid 'filter' section: {exc}") from None
 
 
@@ -194,7 +194,7 @@ def _parse_rules(items) -> tuple:
             raise ConfigError(f"{where}.parts must be a list of strings")
         try:
             rules.append(RedundancyRule(composite, tuple(parts)))
-        except ValueError as exc:
+        except RuleInapplicable as exc:
             raise ConfigError(f"invalid {where}: {exc}") from None
     return tuple(rules)
 

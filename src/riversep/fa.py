@@ -10,9 +10,10 @@ diagonal (the uniquenesses).  Fitting maximizes the Gaussian likelihood of
 the sample correlation matrix.  The loadings are profiled out analytically:
 for fixed uniquenesses the optimal ``Lambda`` comes from the top-``k``
 eigenpairs of ``Psi^(-1/2) R Psi^(-1/2)``, which reduces the search to the
-uniquenesses alone.  A quasi-Newton pass over log-uniquenesses is followed
-by a Newton polish so interior optima are resolved to near machine
-precision.  No rotation is applied to the result.
+uniquenesses alone.  One projected Newton method over log-uniquenesses,
+started at Joreskog's point, minimizes that profiled discrepancy on its
+exact Hessian (Jennrich & Robinson 1969), to near machine precision at an
+interior optimum.  No rotation is applied to the result.
 
 Uniquenesses are kept in ``[0.005, 1]``; solutions pinned at the lower
 bound are flagged (``heywood``) rather than rejected.  Model fit is judged
@@ -22,12 +23,11 @@ upper tail, and by the off-diagonal residuals of the fitted correlation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import chdtrc
 
 from .errors import (
     DofNegative,
@@ -53,6 +53,13 @@ _SINGULAR_EIG = 1e-10
 
 # KKT tolerance on the log-scale gradient used for the converged flag.
 _GRAD_TOL = 1e-6
+
+# Projected Newton: the free gradient at which it stops, its iteration and
+# step-halving caps, and the floor under the Hessian's lifted eigenvalues.
+_NEWTON_GTOL = 1e-12
+_NEWTON_MAX_ITER = 100
+_MAX_HALVINGS = 20
+_EIG_LIFT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,13 @@ def fa_dof(p: int, k: int) -> int:
     return ((p - k) ** 2 - p - k) // 2
 
 
+def _scaled_eigen(psi, r):
+    """Eigenpairs of ``diag(psi)^(-1/2) R diag(psi)^(-1/2)``, descending."""
+    d = 1.0 / np.sqrt(psi)
+    m = r * np.outer(d, d)
+    return sym_eigen((m + m.T) / 2.0)
+
+
 def profiled_discrepancy(psi, r, k: int):
     """ML discrepancy with loadings profiled out, and its gradient.
 
@@ -162,10 +176,7 @@ def profiled_discrepancy(psi, r, k: int):
         ``g_i = (1 / psi_i) * sum_{j>k} (1 - lam_j) * v_ij**2``.
     """
     psi = np.asarray(psi, dtype=float)
-    r = np.asarray(r, dtype=float)
-    d = 1.0 / np.sqrt(psi)
-    m = r * np.outer(d, d)
-    values, vectors = sym_eigen((m + m.T) / 2.0)
+    values, vectors = _scaled_eigen(psi, np.asarray(r, dtype=float))
     tail = np.clip(values[k:], 1e-300, None)
     value = float(np.sum(tail - np.log(tail) - 1.0))
     gradient = ((1.0 - values[k:]) * vectors[:, k:] ** 2).sum(axis=1) / psi
@@ -179,79 +190,66 @@ def _objective_log(rho, r, k):
     return value, grad_psi * psi
 
 
+def _hessian_log(rho, r, k):
+    """Exact Hessian of the profiled discrepancy over log-uniquenesses.
+
+    With eigenpairs ``(lam_j, v_j)`` of the scaled matrix and ``T`` the
+    ``p - k`` smallest, eigenvalue perturbation (Jennrich & Robinson 1969)
+    gives ``H_il = sum_{j in T} sum_m c_jm v_ij v_im v_lj v_lm``, where
+    ``c_jm = lam_j`` for ``m`` in ``T`` and
+    ``c_jm = (lam_j - 1)(lam_j + lam_m) / (lam_j - lam_m)`` for the ``k``
+    largest, whose gap is floored at a tie ``lam_k = lam_(k+1)``.
+    """
+    values, vectors = _scaled_eigen(np.exp(rho), r)
+    p = values.shape[0]
+    tail, head = values[k:, None], values[None, :k]
+    c = np.repeat(tail, p, axis=1)
+    gap = np.minimum(tail - head, -1e-12 * head)  # a tie has unbounded curvature
+    c[:, :k] = (tail - 1.0) * (tail + head) / gap
+    pairs = (vectors[:, k:, None] * vectors[:, None, :]).reshape(p, -1)
+    return (pairs * c.ravel()) @ pairs.T
+
+
 def _loadings_at(psi, r, k):
     """Optimal loadings for fixed uniquenesses (the profiling identity)."""
-    d = np.sqrt(psi)
-    m = r * np.outer(1.0 / d, 1.0 / d)
-    values, vectors = sym_eigen((m + m.T) / 2.0)
+    values, vectors = _scaled_eigen(psi, r)
     top = np.sqrt(np.clip(values[:k] - 1.0, 0.0, None))
-    loadings = d[:, None] * vectors[:, :k] * top
+    loadings = np.sqrt(psi)[:, None] * vectors[:, :k] * top
     return loadings * _column_signs(loadings)
 
 
-def _newton_polish(rho, r, k, lb, ub):
-    """Newton iteration on the log-scale gradient, bound-aware.
+def _projected_newton(rho, r, k, lb, ub):
+    """Minimize the profiled discrepancy over the box ``lb <= rho <= ub``.
 
-    L-BFGS-B stops on its own ftol well before the gradient reaches
-    rounding level; Newton steps on the analytic gradient push interior
-    coordinates to ~1e-12.  Coordinates pinned at a bound are frozen out
-    of each step.  The central-difference Jacobian is the expensive part,
-    and near the optimum the iterates move by far less than the
-    differencing step h, so it is computed lazily: once, then reused
-    until the point drifts by more than ~h, the free set changes, or a
-    step gets rejected.
+    Coordinates at a bound whose gradient points out of the box are held;
+    the free block takes a Newton step on the exact Hessian, its
+    eigenvalues made positive (``|w|``, floored), projected onto the box
+    and shortened by Armijo backtracking with an allowance for the
+    rounding of ``F``.  Returns the final point, its gradient and free set.
     """
-    h = 1e-5
-    p = rho.shape[0]
-    jac = None
-    jac_at = None
-    jac_free = None
-    for _ in range(40):
-        value, grad = _objective_log(rho, r, k)
-        free = (rho > lb + 1e-12) & (rho < ub - 1e-12)
-        if not np.any(free):
+    value, grad = _objective_log(rho, r, k)
+    for iteration in range(_NEWTON_MAX_ITER + 1):
+        free = ~(((rho <= lb) & (grad > 0.0)) | ((rho >= ub) & (grad < 0.0)))
+        done = np.all(np.abs(grad[free]) <= _NEWTON_GTOL)
+        if done or iteration == _NEWTON_MAX_ITER:
             break
-        if np.max(np.abs(grad[free])) < 1e-12:
-            break
-        fresh = (
-            jac is None
-            or not np.array_equal(free, jac_free)
-            or np.max(np.abs(rho - jac_at)) > 1e-3
-        )
-        if fresh:
-            jac = np.empty((p, p))
-            for i in range(p):
-                e = np.zeros(p)
-                e[i] = h
-                _, g_plus = _objective_log(rho + e, r, k)
-                _, g_minus = _objective_log(rho - e, r, k)
-                jac[:, i] = (g_plus - g_minus) / (2.0 * h)
-            jac = (jac + jac.T) / 2.0
-            jac_at = rho.copy()
-            jac_free = free.copy()
-        idx = np.flatnonzero(free)
-        try:
-            step = np.linalg.solve(jac[np.ix_(idx, idx)], -grad[idx])
-        except np.linalg.LinAlgError:
-            break
-        # Backtrack until the objective stops increasing.
-        scale = 1.0
-        improved = False
-        for _ in range(25):
+        w, u = np.linalg.eigh(_hessian_log(rho, r, k)[np.ix_(free, free)])
+        step = -u @ ((u.T @ grad[free]) / np.maximum(np.abs(w), _EIG_LIFT))
+        slack = 1e-14 * (abs(value) + rho.size)
+        # A predicted decrease below F's rounding cannot be checked on F.
+        trusted = -(grad[free] @ step) <= slack
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
             trial = rho.copy()
-            trial[idx] = np.clip(rho[idx] + scale * step, lb, ub)
-            trial_value, _ = _objective_log(trial, r, k)
-            if trial_value <= value + 1e-15:
-                rho = trial
-                improved = True
+            trial[free] = np.clip(rho[free] + t * step, lb, ub)
+            trial_value, trial_grad = _objective_log(trial, r, k)
+            if trusted or trial_value <= value + 1e-4 * (grad @ (trial - rho)) + slack:
                 break
-            scale /= 2.0
-        if improved:
-            continue
-        if fresh:
+            t /= 2.0
+        else:
             break
-        jac = None  # stale Jacobian may be the blocker; retry once fresh
-    return rho
+        rho, value, grad = trial, trial_value, trial_grad
+    return rho, grad, free
 
 
 def _validate_correlation(r) -> np.ndarray:
@@ -313,28 +311,12 @@ def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
     psi0 = np.clip((1.0 - k / (2.0 * p)) / inv_diag, _PSI_FLOOR * 2, _PSI_CEIL)
 
     lb, ub = np.log(_PSI_FLOOR), np.log(_PSI_CEIL)
-    result = minimize(
-        _objective_log,
-        np.log(psi0),
-        args=(r, k),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(lb, ub)] * p,
-        options={"maxiter": 1000, "ftol": 1e-14, "gtol": 1e-10},
-    )
-    rho = _newton_polish(result.x, r, k, lb, ub)
+    rho, grad, free = _projected_newton(np.log(psi0), r, k, lb, ub)
 
+    # Coordinates held at a bound meet their one-sided condition already.
     psi = np.exp(rho)
-    _, grad = _objective_log(rho, r, k)
-    at_floor = rho <= lb + 1e-12
-    at_ceil = rho >= ub - 1e-12
-    interior = ~(at_floor | at_ceil)
-    converged = bool(
-        np.all(np.abs(grad[interior]) <= _GRAD_TOL)
-        and np.all(grad[at_floor] >= -_GRAD_TOL)
-        and np.all(grad[at_ceil] <= _GRAD_TOL)
-    )
-    heywood = bool(np.any(at_floor))
+    converged = bool(np.max(np.abs(grad[free]), initial=0.0) <= _GRAD_TOL)
+    heywood = bool(np.any(rho <= lb))
 
     loadings = _loadings_at(psi, r, k)
     sigma = loadings @ loadings.T + np.diag(psi)
@@ -372,13 +354,31 @@ def _bartlett_test(discrepancy, n, p, k, dof):
     """Bartlett-corrected likelihood-ratio statistic and its upper-tail
     chi-square p-value."""
     stat = float((n - 1.0 - (2.0 * p + 5.0) / 6.0 - 2.0 * k / 3.0) * discrepancy)
-    if dof == 0:
-        # Saturated model: the chi-square family degenerates to a point
-        # mass at zero (scipy yields nan), so the fit is accepted outright.
+    # A saturated model (the chi-square family degenerates to a point mass
+    # at zero) and a statistic at or below zero by rounding both read as a
+    # perfect fit.
+    if dof == 0 or stat <= 0.0:
         return stat, 1.0
-    # chdtrc is nan below zero where the chi-square tail is 1; a rounding-
-    # negative statistic must read as a perfect fit.
-    return stat, float(chdtrc(dof, max(stat, 0.0)))
+    return stat, _chi2_upper_tail(stat, dof)
+
+
+def _chi2_upper_tail(x: float, dof: int) -> float:
+    """Chi-square upper-tail probability at ``x > 0`` for integer ``dof``.
+
+    Integer degrees of freedom give a closed form: with ``h = x / 2``, an
+    even ``dof`` has ``e^-h sum_{j < dof/2} h^j / j!`` and an odd one
+    ``erfc(sqrt(h)) + e^-h sum_{j < (dof-1)/2} h^(j+1/2) / Gamma(j + 3/2)``.
+    Each term is formed in log space, so a large ``dof`` cannot overflow.
+    """
+    h = x / 2.0
+    a = 0.5 * (dof % 2)
+    terms = [
+        math.exp((j + a) * math.log(h) - h - math.lgamma(j + a + 1.0))
+        for j in range(dof // 2)
+    ]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return min(math.fsum(terms), 1.0)
 
 
 def fit_fa_ml(x, k: int, variable_labels=None) -> FaModel:

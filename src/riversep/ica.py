@@ -27,6 +27,9 @@ from .linalg import as_matrix, center_scale, svd
 # the usable rank when whitening.
 _RANK_RTOL = 1e-10
 
+# Fewest rows per extracted component that FastICA accepts.
+_ROWS_PER_COMPONENT = 10
+
 
 @dataclass(frozen=True)
 class IcaConfig:
@@ -130,8 +133,8 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     m = as_matrix(x)
     n, p = m.shape
     k = cfg.n_components
-    if n < 10 * k:
-        raise TooFewRows(n, 10 * k)
+    if n < _ROWS_PER_COMPONENT * k:
+        raise TooFewRows(n, _ROWS_PER_COMPONENT * k)
 
     pre = center_scale(m, center=True)
     z, whitening = whiten(pre, k)

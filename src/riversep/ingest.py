@@ -40,6 +40,7 @@ from .errors import (
     InvalidDate,
     MalformedHeader,
     NetworkUnavailable,
+    OutOfRange,
     RaggedRow,
     UnknownVariable,
 )
@@ -102,9 +103,9 @@ class FilterSpec:
 
     def __post_init__(self):
         if self.min_count < 1:
-            raise ValueError("min_count must be at least 1")
+            raise OutOfRange("min_count must be at least 1")
         if self.start > self.end:
-            raise ValueError("filter start date is after end date")
+            raise OutOfRange("filter start date is after end date")
 
 
 def _parse_date(text: str, line_no: int) -> datetime.date:

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import (
     DidNotConverge,
     NotSymmetric,
+    OutOfRange,
+    ShapeMismatch,
     TooFewRows,
     ZeroVarianceColumn,
 )
@@ -49,16 +51,18 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
 
     Raises
     ------
-    ValueError
-        If the input is not 2-D, is empty, or contains NaN/Inf.
+    ShapeMismatch
+        If the input is not 2-D or is empty.
+    OutOfRange
+        If the input contains NaN/Inf.
     """
     m = np.asarray(x, dtype=float)
     if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
+        raise ShapeMismatch(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and one column")
+        raise ShapeMismatch(f"{name} must have at least one row and one column")
     if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise OutOfRange(f"{name} contains non-finite entries")
     return m
 
 

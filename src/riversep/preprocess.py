@@ -19,6 +19,8 @@ from .errors import (
     EmptyResult,
     MissingCells,
     NonConsecutiveYears,
+    OutOfRange,
+    RuleInapplicable,
     TooShort,
     UnknownVariable,
 )
@@ -55,9 +57,9 @@ class RedundancyRule:
 
     def __post_init__(self):
         if not self.parts:
-            raise ValueError("a redundancy rule needs at least one part")
+            raise RuleInapplicable("a redundancy rule needs at least one part")
         if self.composite in self.parts:
-            raise ValueError("a composite cannot be its own part")
+            raise RuleInapplicable("a composite cannot be its own part")
 
 
 def annual_mean(table: TimeSeriesTable) -> AnnualTable:
@@ -65,6 +67,12 @@ def annual_mean(table: TimeSeriesTable) -> AnnualTable:
 
     The year axis lists every year that appears in the input (order
     ascending); a (year, variable) cell with no samples stays missing.
+
+    Raises
+    ------
+    OutOfRange
+        If a mean is not finite: the year's samples overflow when summed,
+        or some are infinite.
     """
     years = sorted({d.year for d in table.dates})
     values = np.full((len(years), table.n_vars), np.nan)
@@ -73,9 +81,17 @@ def annual_mean(table: TimeSeriesTable) -> AnnualTable:
         block = table.values[row_years == year]
         present = ~np.isnan(block)
         counts = present.sum(axis=0)
-        sums = np.where(present, block, 0.0).sum(axis=0)
+        with np.errstate(over="ignore"):  # reported below as an error
+            sums = np.where(present, block, 0.0).sum(axis=0)
         has_any = counts > 0
         values[i, has_any] = sums[has_any] / counts[has_any]
+        bad = has_any & ~np.isfinite(values[i])
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise OutOfRange(
+                f"annual mean of {table.variables[j].code} in {year} is "
+                f"{values[i, j]:g}: its samples overflow or are infinite"
+            )
     return AnnualTable(years=years, variables=list(table.variables), values=values)
 
 
@@ -128,7 +144,7 @@ def difference(table: AnnualTable, lag: int = 1) -> AnnualTable:
     exactly ``lag`` years.
     """
     if lag < 1:
-        raise ValueError("lag must be at least 1")
+        raise OutOfRange(f"lag must be at least 1, got {lag}")
     n_missing = int(np.isnan(table.values).sum())
     if n_missing:
         raise MissingCells(n_missing)

@@ -54,6 +54,33 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def set_00300_cells(workdir, year, cells):
+    """Overwrite column 00300 in the first rows of ``year`` that survive the
+    fixture's filter (those with 00618 present), in order."""
+    record = workdir / "station_fixture.rdb"
+    lines = record.read_text().splitlines(keepends=True)
+    header = lines[3].split("\t")
+    column, required = header.index("00300"), header.index("00618")
+    rows = [
+        i for i, line in enumerate(lines)
+        if line.startswith(year + "-") and line.split("\t")[required].strip()
+    ]
+    for row, cell in zip(rows, cells):
+        fields = lines[row].split("\t")
+        fields[column] = cell
+        lines[row] = "\t".join(fields)
+    record.write_text("".join(lines))
+
+
+def run_in_subprocess(workdir):
+    """``riversep run`` on the workdir's config in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "riversep.cli", "run", str(workdir / "pipeline.json")],
+        env=env, capture_output=True, text=True,
+    )
+
+
 def hash_tree(directory: Path) -> dict:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -163,11 +190,7 @@ class TestExitCodes:
             fields[column] = token
             lines[row] = "\t".join(fields)
         record.write_text("".join(lines))
-        env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "riversep.cli", "run", str(workdir / "pipeline.json")],
-            env=env, capture_output=True, text=True,
-        )
+        proc = run_in_subprocess(workdir)
         assert proc.returncode in (0, 2, 3)
         assert "Traceback" not in proc.stderr
         messages = proc.stderr.splitlines()
@@ -175,30 +198,28 @@ class TestExitCodes:
         assert all(m.startswith("riversep:") for m in messages)
 
     def test_stage_overflow_is_a_runtime_error(self, workdir):
-        record = workdir / "station_fixture.rdb"
-        lines = record.read_text().splitlines(keepends=True)
-        header = lines[3].split("\t")
-        column, required = header.index("00300"), header.index("00618")
-        # two rows of one year that survive the filter: their annual sum
-        # overflows to inf, which the models cannot take
-        rows = [
-            i for i, line in enumerate(lines)
-            if line.startswith("1960-") and line.split("\t")[required].strip()
-        ][:2]
-        for row in rows:
-            fields = lines[row].split("\t")
-            fields[column] = "1.7e308"
-            lines[row] = "\t".join(fields)
-        record.write_text("".join(lines))
-        env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "riversep.cli", "run", str(workdir / "pipeline.json")],
-            env=env, capture_output=True, text=True,
-        )
+        # one kept sample in each of two adjacent years: the annual means
+        # are finite, but their difference overflows to -inf
+        set_00300_cells(workdir, "1960", ["1.7e308", "", "", ""])
+        set_00300_cells(workdir, "1961", ["-1.7e308", "", "", ""])
+        proc = run_in_subprocess(workdir)
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "riversep: error in stage 'model input': "
-            "table has 2 infinite cells; a stage overflowed"
+            "table has 1 infinite cells; a stage overflowed"
+        ]
+
+    @pytest.mark.parametrize("years", [("1960",), ("1960", "1961")])
+    def test_annual_mean_overflow_is_reported_where_it_happens(self, workdir, years):
+        # two samples of a year sum past the largest float; in two adjacent
+        # years inf - inf would reach the model input as a missing cell
+        for year in years:
+            set_00300_cells(workdir, year, ["1.7e308", "1.7e308"])
+        proc = run_in_subprocess(workdir)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "riversep: error in stage 'annual_mean': annual mean of 00300 in "
+            "1960 is inf: its samples overflow or are infinite"
         ]
 
     def test_offline_without_cache_is_a_runtime_error(self, workdir, capsys):
@@ -349,7 +370,13 @@ class TestSynthBench:
         assert main(args) == 0
 
     @pytest.mark.parametrize(
-        "flag,value,least", [("--seed", -1, 0), ("--rows", 2, 3), ("--replicates", 0, 1)]
+        "flag,value,least",
+        [
+            ("--seed", -1, 0),
+            ("--rows", 2, 30),
+            ("--rows", 29, 30),
+            ("--replicates", 0, 1),
+        ],
     )
     def test_bad_argument_is_a_command_line_error(self, tmp_path, capsys, flag, value, least):
         args = ["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "300",
@@ -368,9 +395,12 @@ class TestSynthBench:
         assert means["two_uniform/pca"] > means["two_uniform/ica"]
 
 
-def test_importing_the_cli_does_not_load_scipy_stats():
-    code = "import sys, riversep.cli; print('scipy.stats' in sys.modules)"
+def test_importing_the_cli_loads_no_scipy():
+    code = (
+        "import sys, riversep.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

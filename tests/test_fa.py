@@ -8,6 +8,7 @@ from a known two-factor population.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,8 +22,12 @@ from riversep.errors import (
     SingularCorrelation,
     TooFewRows,
 )
+from riversep import fa
 from riversep.fa import (
     FaModel,
+    _chi2_upper_tail,
+    _hessian_log,
+    _objective_log,
     fa_dof,
     fit_fa_ml,
     fit_fa_ml_corr,
@@ -54,6 +59,18 @@ def two_factor_population():
     )
     psi = 1.0 - (lam**2).sum(axis=1)
     return lam, psi, lam @ lam.T + np.diag(psi)
+
+
+def simulate_sweep(p, n_factors, seed):
+    """Seeded data with loadings U(0.3, 0.9) of random sign and uniquenesses
+    max(1 - communality, 0.05), n = 10p rows."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.3, 0.9, size=(p, n_factors))
+    lam *= rng.choice([-1.0, 1.0], size=(p, n_factors))
+    psi = np.maximum(1.0 - (lam**2).sum(axis=1), 0.05)
+    n = 10 * p
+    noise = rng.normal(size=(n, p)) * np.sqrt(psi)
+    return rng.normal(size=(n, n_factors)) @ lam.T + noise
 
 
 def simulate_two_factor(n=1000, seed=2026):
@@ -236,6 +253,102 @@ class TestGradient:
         fd = self.central_difference(m.uniquenesses, r, 2)
         assert np.abs(grad).max() < 1e-10
         assert np.abs(grad - fd).max() < 1e-8
+
+
+class TestHessian:
+    """The exact Hessian over log-uniquenesses versus central differences
+    of the analytic gradient."""
+
+    @pytest.mark.parametrize("p", [11, 30, 60])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_central_differences(self, p, k):
+        r = correlation_matrix(simulate_sweep(p, 2, seed=p))
+        rho = np.log(np.random.default_rng(k).uniform(0.2, 0.9, size=p))
+        hess = _hessian_log(rho, r, k)
+        h = 1e-5
+        fd = np.empty((p, p))
+        for i in range(p):
+            e = np.zeros(p)
+            e[i] = h
+            _, up = _objective_log(rho + e, r, k)
+            _, dn = _objective_log(rho - e, r, k)
+            fd[:, i] = (up - dn) / (2.0 * h)
+        assert np.abs(hess - fd).max() / np.abs(fd).max() < 1e-6
+
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_tied_eigenvalues_still_fit(self, k):
+        # Uncorrelated variables tie every eigenvalue of the scaled matrix
+        # at the start, where the exact curvature is unbounded.
+        m = fit_fa_ml_corr(np.eye(6), k, n_obs=200)
+        assert m.converged
+        assert m.discrepancy == pytest.approx(0.0, abs=1e-12)
+
+
+class TestNewtonSweep:
+    """Every fit of a seeded sweep ends at a KKT point within the evaluation
+    budget of the projected Newton."""
+
+    def check_fits(self, monkeypatch, x, ks):
+        calls = []
+        original = fa.profiled_discrepancy
+
+        def counted(psi, r, k):
+            calls.append(k)
+            return original(psi, r, k)
+
+        monkeypatch.setattr(fa, "profiled_discrepancy", counted)
+        r = correlation_matrix(x)
+        lb = np.log(0.005)
+        for k in ks:
+            calls.clear()
+            m = fit_fa_ml(x, k)
+            assert m.converged
+            assert len(calls) <= 40
+            rho = np.log(m.uniquenesses)
+            _, grad = _objective_log(rho, r, k)
+            held = ((rho <= lb) & (grad > 0)) | ((rho >= 0.0) & (grad < 0))
+            assert np.abs(grad[~held]).max() <= 1e-10
+
+    @pytest.mark.parametrize("p", [11, 30, 60])
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_fits_converge_in_few_evaluations(self, monkeypatch, p, n_factors):
+        x = simulate_sweep(p, n_factors, seed=10 * p + n_factors)
+        self.check_fits(monkeypatch, x, (1, 2, 3))
+
+    def test_decrease_below_rounding_does_not_stall(self, monkeypatch):
+        # Near this optimum the Newton step's predicted decrease is below
+        # the rounding of F, so F cannot confirm it in a line search.
+        self.check_fits(monkeypatch, simulate_sweep(11, 3, seed=3113), (1,))
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("x", [1e-8, 0.3, 1.0, 3.84, 10.0, 50.0])
+    def test_closed_forms_at_one_and_two_dof(self, x):
+        one = math.erfc(math.sqrt(x / 2))
+        assert _chi2_upper_tail(x, 1) == pytest.approx(one, rel=1e-13)
+        assert _chi2_upper_tail(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "dof, critical",
+        [
+            (1, 3.841458820694124),
+            (2, 5.991464547107979),
+            (3, 7.814727903251178),
+            (10, 18.307038053275146),
+            (30, 43.77297182574219),
+            (100, 124.34211340400407),
+            (1000, 1074.679448803441),
+        ],
+    )
+    def test_five_percent_critical_values(self, dof, critical):
+        assert _chi2_upper_tail(critical, dof) == pytest.approx(0.05, rel=1e-11)
+
+    @pytest.mark.parametrize("dof", [999, 1000, 4999])
+    def test_large_dof_median(self, dof):
+        # Wilson-Hilferty: the median is close to dof * (1 - 2 / (9 dof))**3.
+        median = dof * (1.0 - 2.0 / (9.0 * dof)) ** 3
+        assert _chi2_upper_tail(median, dof) == pytest.approx(0.5, abs=1e-3)
 
 
 class TestHeywood:

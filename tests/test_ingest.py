@@ -288,9 +288,9 @@ class TestFilterTable:
         assert_allclose(twice.values, once.values, equal_nan=True)
 
     def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.OutOfRange):
             FilterSpec(min_count=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.OutOfRange):
             FilterSpec(start=d("1995-01-01"), end=d("1990-01-01"))
 
 

@@ -60,8 +60,13 @@ class TestCenterScale:
         assert_allclose(out.mean(axis=0), np.zeros(5), atol=1e-12)
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.OutOfRange):
             center_scale([[1.0], [np.nan]])
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0], np.empty((0, 3)), np.ones((2, 2, 2))])
+    def test_rejects_a_non_matrix(self, x):
+        with pytest.raises(errors.ShapeMismatch):
+            center_scale(x)
 
 
 class TestCovariance:

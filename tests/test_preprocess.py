@@ -62,6 +62,15 @@ class TestAnnualMean:
         assert a.years == [1990, 1991]
         assert_allclose(a.values, [[2.0], [5.0]])
 
+    def test_overflowing_mean_is_rejected(self):
+        t = make_table(
+            ["1990-03-01", "1990-09-01", "1991-03-01"],
+            ["a", "b"],
+            [[1.0, 1.7e308], [2.0, 1.7e308], [3.0, 4.0]],
+        )
+        with pytest.raises(errors.OutOfRange, match="annual mean of b in 1990 is inf"):
+            annual_mean(t)
+
     def test_year_with_no_samples_for_variable_stays_missing(self):
         t = make_table(
             ["1990-03-01", "1991-03-01"],
@@ -159,9 +168,9 @@ class TestDropRedundant:
         assert out_fwd.codes() == out_rev.codes()
 
     def test_bad_rule_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.RuleInapplicable):
             RedundancyRule("x", ())
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.RuleInapplicable):
             RedundancyRule("x", ("x", "y"))
 
 
@@ -206,6 +215,11 @@ class TestDifference:
         a = make_annual([1990, 1991], ["a"], [[1.0], [np.nan]])
         with pytest.raises(errors.MissingCells):
             difference(a)
+
+    def test_lag_below_one_rejected(self):
+        a = make_annual([1990, 1991], ["a"], [[1.0], [2.0]])
+        with pytest.raises(errors.OutOfRange):
+            difference(a, lag=0)
 
 
 class TestAnnualCsv:
