@@ -204,6 +204,9 @@ def _write_pca(pipe: _Pipeline) -> list:
         # eigenvalue-above-one reasoning needs the correlation scale
         kaiser = None
         explained = None
+    # eigenvalues as the model holds them, so a negative rounding one reads 0
+    eigenvalues = model.stdevs**2
+    smallest = float(eigenvalues[-1])
     summary = {
         "center": model.centered,
         "scale": model.scaled,
@@ -211,6 +214,8 @@ def _write_pca(pipe: _Pipeline) -> list:
         "stdevs": [float(s) for s in model.stdevs],
         "kaiser_components": kaiser,
         "explained_variance_kaiser": explained,
+        "min_eigenvalue": smallest,
+        "condition_number": float(eigenvalues[0]) / smallest if smallest > 0 else None,
     }
     write_json(cfg.output_dir / "pca_summary.json", summary)
     files.append("pca_summary.json")

@@ -21,7 +21,7 @@ from .errors import (
     Singular,
     TooFewRows,
 )
-from .linalg import as_matrix, center_scale, svd
+from .linalg import _column_mean, as_matrix, svd
 
 # Singular values below this fraction of the largest do not count toward
 # the usable rank when whitening.
@@ -91,7 +91,7 @@ def whiten(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
         raise TooFewRows(m.shape[0], 2)
     if n_components < 1:
         raise OutOfRange("n_components must be at least 1")
-    xc = m - m.mean(axis=0)
+    xc = m - _column_mean(m)
     n = m.shape[0]
     _, sigma, v = svd(xc)
     effective_rank = int(np.sum(sigma > _RANK_RTOL * max(sigma[0], 1e-300)))
@@ -129,6 +129,12 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     The input is centered, not scaled.  All components are estimated
     simultaneously from a seeded random orthonormal start, so the same
     data and seed give bit-identical models.
+
+    A step counts as a fixed point only when its delta is below ``tol``
+    and no larger than the previous step's: a start near a saddle of the
+    contrast can move less than ``tol`` at first and then speed up on its
+    way to a separating solution.  So the first iteration never converges,
+    and ``max_iter=1`` always returns ``converged=False``.
     """
     m = as_matrix(x)
     n, p = m.shape
@@ -136,8 +142,10 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     if n < _ROWS_PER_COMPONENT * k:
         raise TooFewRows(n, _ROWS_PER_COMPONENT * k)
 
-    pre = center_scale(m, center=True)
-    z, whitening = whiten(pre, k)
+    z, whitening = whiten(m, k)
+    # components x rows, so that every per-component statistic of the
+    # iteration is a contiguous pass over one row
+    zt = np.ascontiguousarray(z.T)
 
     rng = np.random.default_rng(cfg.seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
@@ -146,17 +154,15 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        u = z @ w.T
-        gu, gprime = _contrast(u, cfg)
-        w_new = (gu.T @ z) / n - np.diag(gprime.mean(axis=0)) @ w
-        w_new = _sym_decorrelate(w_new)
+        gu, gprime = _contrast(w @ zt, cfg)
+        w_new = _sym_decorrelate(gu @ z / n - gprime.mean(axis=1)[:, None] * w)
         if np.abs(w_new @ w_new.T - np.eye(k)).max() >= 1e-8:
             raise RiversepError("FastICA lost orthonormality in decorrelation")
         delta = float(np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1)))))
+        converged = delta < cfg.tol and bool(deltas) and delta <= deltas[-1]
         deltas.append(delta)
         w = w_new
-        if delta < cfg.tol:
-            converged = True
+        if converged:
             break
 
     sources = z @ w.T

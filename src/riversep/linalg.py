@@ -66,9 +66,16 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
     return m
 
 
-def _column_sd(x: np.ndarray) -> np.ndarray:
-    """Sample standard deviation (n-1) per column; requires >= 2 rows."""
-    return x.std(axis=0, ddof=1)
+def _column_mean(x: np.ndarray) -> np.ndarray:
+    """Column means as one matrix-vector product with a ones vector.
+
+    On the tall, narrow matrices the models fit, ``x.mean(axis=0)`` takes
+    numpy's strided reduction path and is several times slower than this
+    one contiguous pass.  The sums run in BLAS order, so the result can
+    differ from ``np.mean`` in the last bits.
+    """
+    n = x.shape[0]
+    return np.ones(n) @ x / n
 
 
 def _check_zero_variance(x: np.ndarray, sd: np.ndarray) -> None:
@@ -80,6 +87,29 @@ def _check_zero_variance(x: np.ndarray, sd: np.ndarray) -> None:
         raise ZeroVarianceColumn(int(np.argmax(bad)))
 
 
+def _column_moments(
+    m: np.ndarray, standardize: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mean, sd, c)`` of the columns of a validated matrix, all from one
+    centering: the means, the sample (n-1) standard deviations, and the
+    sample covariance, or with ``standardize`` the correlation, which
+    raises :class:`ZeroVarianceColumn` on a constant column.  The sds are
+    the square roots of the covariance diagonal.
+    """
+    n = m.shape[0]
+    if n < 2:
+        raise TooFewRows(n, 2)
+    mean = _column_mean(m)
+    xc = m - mean
+    c = xc.T @ xc / (n - 1)
+    sd = np.sqrt(np.diag(c))
+    if standardize:
+        _check_zero_variance(m, sd)
+        c /= np.outer(sd, sd)
+    # Force exact symmetry so the result feeds straight into sym_eigen.
+    return mean, sd, (c + c.T) / 2.0
+
+
 def center_scale(x, center: bool = True, scale: bool = False) -> np.ndarray:
     """Return a copy of ``x`` with columns centered and/or scaled.
 
@@ -88,13 +118,12 @@ def center_scale(x, center: bool = True, scale: bool = False) -> np.ndarray:
     :class:`ZeroVarianceColumn` when ``scale`` is requested.
     """
     m = as_matrix(x)
-    out = m.copy()
-    if center:
-        out -= m.mean(axis=0)
+    xc = m - _column_mean(m)
+    out = xc if center else m.copy()
     if scale:
         if m.shape[0] < 2:
             raise TooFewRows(m.shape[0], 2)
-        sd = _column_sd(m)
+        sd = np.sqrt(np.ones(m.shape[0]) @ (xc * xc) / (m.shape[0] - 1))
         _check_zero_variance(m, sd)
         out /= sd
     return out
@@ -102,24 +131,12 @@ def center_scale(x, center: bool = True, scale: bool = False) -> np.ndarray:
 
 def covariance_matrix(x) -> np.ndarray:
     """Sample covariance (n-1 normalization) of the columns of ``x``."""
-    m = as_matrix(x)
-    if m.shape[0] < 2:
-        raise TooFewRows(m.shape[0], 2)
-    xc = m - m.mean(axis=0)
-    c = xc.T @ xc / (m.shape[0] - 1)
-    # Force exact symmetry so the result feeds straight into sym_eigen.
-    return (c + c.T) / 2.0
+    return _column_moments(as_matrix(x), standardize=False)[2]
 
 
 def correlation_matrix(x) -> np.ndarray:
     """Sample correlation of the columns of ``x``; unit diagonal, entries in [-1, 1]."""
-    m = as_matrix(x)
-    if m.shape[0] < 2:
-        raise TooFewRows(m.shape[0], 2)
-    sd = _column_sd(m)
-    _check_zero_variance(m, sd)
-    c = covariance_matrix(m)
-    r = c / np.outer(sd, sd)
+    r = _column_moments(as_matrix(x), standardize=True)[2]
     return np.clip(r, -1.0, 1.0)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, RuleInapplicable, TooFewRows
-from .linalg import as_matrix, center_scale, covariance_matrix, sym_eigen
+from .linalg import _column_moments, as_matrix, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,9 @@ def fit_pca(
         raise OutOfRange(
             f"{len(variable_labels)} labels for {p} variables"
         )
-    pre = center_scale(m, center=center, scale=scale)
-    values, vectors = sym_eigen(covariance_matrix(pre))
+    # Centering does not change a covariance, so only scaling shapes the fit.
+    mean, sd, c = _column_moments(m, standardize=scale)
+    values, vectors = sym_eigen(c)
     stdevs = np.sqrt(np.clip(values, 0.0, None))
     return PcaModel(
         loadings=vectors,
@@ -75,8 +76,8 @@ def fit_pca(
         centered=center,
         scaled=scale,
         variable_labels=tuple(variable_labels),
-        mean=m.mean(axis=0),
-        sd=m.std(axis=0, ddof=1),
+        mean=mean,
+        sd=sd,
     )
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConditioningFailed, OutOfRange, ShapeMismatch
 from .ica import IcaModel, amari_index
+from .linalg import _ZERO_VAR_REL, _column_mean
 from .pca import PcaModel, scores
 
 _DISTRIBUTIONS = ("uniform", "laplace", "gaussian")
@@ -131,14 +132,28 @@ def generate_scenario(
     )
 
 
+def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(xc, inv)``: the centered columns and the reciprocals of their
+    lengths.  A column whose centered length is rounding next to its own
+    length (zero variance) gets ``inv`` 0, so its correlations read 0."""
+    n = x.shape[0]
+    mean = _column_mean(x)
+    xc = x - mean
+    ss = np.ones(n) @ (xc * xc)
+    # the column's own sum of squares is ss + n * mean**2
+    live = ss > _ZERO_VAR_REL**2 * (ss + n * mean**2)
+    inv = np.zeros_like(ss)
+    inv[live] = 1.0 / np.sqrt(ss[live])
+    return xc, inv
+
+
 def _greedy_match(true_sources: np.ndarray, recovered: np.ndarray) -> tuple[float, ...]:
     """Pair each true source with its best remaining recovered column by
     absolute correlation; returns per-true-source |corr| in source order."""
     k = true_sources.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        full = np.corrcoef(true_sources, recovered, rowvar=False)
-    # a zero-variance column has no correlation (nan here); it reads as 0
-    corr = np.nan_to_num(np.abs(full[:k, k:]), nan=0.0)
+    a, inv_a = _centered_columns(true_sources)
+    b, inv_b = _centered_columns(recovered)
+    corr = np.minimum(np.abs(a.T @ b) * np.outer(inv_a, inv_b), 1.0)
     out = {}
     remaining = corr.copy()
     for _ in range(k):

@@ -11,12 +11,14 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import riversep
+import riversep.cli
 import station_builder
 from riversep.cli import main
 from riversep.preprocess import parse_annual_csv
@@ -297,6 +299,23 @@ class TestSubcommands:
         assert sum(s**2 for s in stdevs) == pytest.approx(11.0, abs=1e-8)
         assert 1 <= summary["kaiser_components"] <= 11
         assert 0.0 < summary["explained_variance_kaiser"] <= 1.0
+        assert summary["min_eigenvalue"] == stdevs[-1] ** 2
+        assert summary["condition_number"] == stdevs[0] ** 2 / stdevs[-1] ** 2
+
+    def test_pca_summary_has_no_condition_number_for_a_singular_spectrum(
+        self, workdir, monkeypatch
+    ):
+        fit = riversep.cli.fit_pca
+
+        def singular(*args):
+            model = fit(*args)
+            return replace(model, stdevs=np.append(model.stdevs[:-1], 0.0))
+
+        monkeypatch.setattr(riversep.cli, "fit_pca", singular)
+        assert main(["pca", str(workdir / "pipeline.json")]) == 0
+        summary = json.loads((workdir / "out" / "pca_summary.json").read_text())
+        assert summary["min_eigenvalue"] == 0.0
+        assert summary["condition_number"] is None
 
     def test_ica_outputs_and_seed_override(self, workdir):
         assert main(["ica", str(workdir / "pipeline.json")]) == 0

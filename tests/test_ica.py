@@ -132,6 +132,40 @@ class TestFastIca:
         model = fast_ica(sc.observed, paper_defaults(2, seed=17, contrast="cube"))
         assert amari_index(model.unmixing @ model.whitening, sc.mixing) < 0.05
 
+    def test_update_matches_the_row_major_formula(self):
+        # The fit iterates in components x rows layout; this is the same
+        # fixed point written rows x components, as the update was first
+        # implemented, replayed for the fit's own number of iterations.
+        sc = generate_scenario(["uniform", "laplace", "uniform"], rows=4000, seed=23)
+        cfg = paper_defaults(3, seed=23)
+        model = fast_ica(sc.observed, cfg)
+        z, _ = whiten(sc.observed, 3)
+        n = z.shape[0]
+        w = _sym_decorrelate(np.random.default_rng(cfg.seed).standard_normal((3, 3)))
+        for _ in range(model.iterations):
+            gu = np.tanh(z @ w.T)
+            gprime = 1.0 - gu**2
+            w = _sym_decorrelate((gu.T @ z) / n - np.diag(gprime.mean(axis=0)) @ w)
+        assert model.iterations > 2
+        assert_allclose(model.unmixing, w, rtol=0, atol=1e-12)
+
+    def test_slow_first_step_near_a_saddle_is_not_a_fixed_point(self):
+        # This start sits near a saddle of the contrast: its first step moves
+        # less than tol (8.8e-5), and the steps after it grow before the fit
+        # settles on a separating solution.
+        sc = generate_scenario(["laplace", "laplace"], rows=5000, seed=1005)
+        model = fast_ica(sc.observed, paper_defaults(2, seed=1005))
+        assert model.delta_history[0] < 1e-4 < model.delta_history[1]
+        assert model.converged
+        assert model.iterations > 2
+        assert amari_index(model.unmixing @ model.whitening, sc.mixing) < 0.05
+
+    def test_one_iteration_never_converges(self):
+        sc = generate_scenario(["uniform", "uniform"], rows=500, seed=4)
+        model = fast_ica(sc.observed, IcaConfig(n_components=2, max_iter=1, tol=1.0))
+        assert not model.converged
+        assert model.iterations == 1
+
     def test_decorrelation_of_near_singular_matrix_is_orthonormal(self):
         # (w w^T)^(-1/2) w through an eigensolve loses orthonormality here;
         # the polar factor does not.

@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from riversep import errors
 from riversep.linalg import (
+    _column_mean,
+    _column_moments,
     center_scale,
     correlation_matrix,
     covariance_matrix,
@@ -67,6 +69,38 @@ class TestCenterScale:
     def test_rejects_a_non_matrix(self, x):
         with pytest.raises(errors.ShapeMismatch):
             center_scale(x)
+
+
+class TestColumnStatistics:
+    """The column mean is a product with a ones vector, not ``np.mean``; the
+    two differ only in summation order, on either memory layout."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(5000, 3), (50, 30)])
+    def test_mean_and_sd_match_numpy(self, shape, order):
+        rng = np.random.default_rng(5)
+        offsets = rng.uniform(-10.0, 10.0, size=shape[1])
+        scales = rng.uniform(0.1, 5.0, size=shape[1])
+        x = np.asarray(rng.normal(size=shape) * scales + offsets, order=order)
+        assert_allclose(_column_mean(x), np.mean(x, axis=0), rtol=1e-14, atol=0)
+        mean, sd, c = _column_moments(x, standardize=False)
+        assert_allclose(mean, np.mean(x, axis=0), rtol=1e-14, atol=0)
+        assert_allclose(sd, np.std(x, axis=0, ddof=1), rtol=1e-14, atol=0)
+        assert_allclose(c, np.cov(x, rowvar=False), rtol=1e-12, atol=1e-13)
+        scaled = center_scale(x, center=True, scale=True)
+        assert_allclose(scaled * sd + mean, x, rtol=1e-13, atol=1e-13)
+
+    def test_constant_column_of_a_tall_matrix_has_zero_variance(self):
+        # 0.1 is inexact in binary, so the column's computed mean may miss it
+        # in the last bit; the column must still read as constant.
+        rng = np.random.default_rng(6)
+        x = np.column_stack([rng.normal(size=5000), np.full(5000, 0.1), rng.normal(size=5000)])
+        with pytest.raises(errors.ZeroVarianceColumn) as exc:
+            center_scale(x, scale=True)
+        assert exc.value.col == 1
+        with pytest.raises(errors.ZeroVarianceColumn) as exc:
+            correlation_matrix(x)
+        assert exc.value.col == 1
 
 
 class TestCovariance:

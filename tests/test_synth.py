@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from riversep import errors
 from riversep.ica import IcaConfig, fast_ica
 from riversep.pca import fit_pca
-from riversep.synth import evaluate_recovery, generate_scenario
+from riversep.synth import _greedy_match, evaluate_recovery, generate_scenario
 
 
 class TestGenerateScenario:
@@ -113,6 +113,22 @@ class TestEvaluateRecovery:
                 vals.append(evaluate_recovery(sc, model).amari)
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
+
+    def test_matching_agrees_with_corrcoef(self):
+        sc = generate_scenario(["uniform", "laplace", "uniform"], rows=3000, seed=14)
+        noise = np.random.default_rng(14).normal(size=(3000, 3))
+        # recovered column j carries source order[j], scaled, shifted and noisy
+        order = [2, 0, 1]
+        recovered = sc.sources[:, order] * [2.0, -0.5, 3.0] + [1.0, -4.0, 0.0] + 0.5 * noise
+        full = np.corrcoef(sc.sources, recovered, rowvar=False)
+        expected = [abs(full[i, 3 + order.index(i)]) for i in range(3)]
+        assert_allclose(_greedy_match(sc.sources, recovered), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("constant", [0.0, 0.1, -3.7e5])
+    def test_zero_variance_recovered_column_reads_zero(self, constant):
+        sc = generate_scenario(["uniform", "uniform"], rows=5000, seed=12)
+        recovered = np.column_stack([2.0 * sc.sources[:, 1] + 1.0, np.full(5000, constant)])
+        assert _greedy_match(sc.sources, recovered) == (0.0, pytest.approx(1.0))
 
     def test_wrong_model_type(self):
         sc = generate_scenario(["uniform"], rows=100, seed=11)
