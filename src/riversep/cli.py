@@ -48,7 +48,7 @@ from .preprocess import (
     drop_redundant,
     emit_annual_csv,
 )
-from .report import format_loading, format_number, write_json
+from .report import format_loading, format_number, format_rows, keyed_lines, write_json
 from .synth import evaluate_recovery, generate_scenario
 
 # Off-diagonal residuals at or below this make an FA fit "adequate".
@@ -166,13 +166,15 @@ def _write(out_dir: Path, name: str, text: str) -> str:
     return name
 
 
-def _table_csv(header, keys, rows, fmt) -> str:
+def _table_csv(header, keys, lines) -> str:
     """CSV text: the header, then per key a line of the key followed by that
-    row's values formatted by ``fmt``."""
-    lines = [",".join(header)]
-    for key, row in zip(keys, rows):
-        lines.append(",".join([key, *(fmt(v) for v in row)]))
-    return "\n".join(lines) + "\n"
+    row's formatted ``lines`` entry."""
+    return ",".join(header) + "\n" + keyed_lines(keys, lines)
+
+
+def _loading_lines(rows):
+    """Rows of a loading table, each cell formatted by :func:`format_loading`."""
+    return (",".join(map(format_loading, row)) for row in rows)
 
 
 def _write_ingested(pipe: _Pipeline) -> list:
@@ -194,7 +196,7 @@ def _write_pca(pipe: _Pipeline) -> list:
         model = fit_pca(matrix, cfg.pca_center, cfg.pca_scale, labels)
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
-    text = _table_csv(header, labels + ("stdev",), rows, format_loading)
+    text = _table_csv(header, labels + ("stdev",), _loading_lines(rows))
     files = [_write(cfg.output_dir, "pca_loadings.csv", text)]
 
     try:
@@ -232,7 +234,7 @@ def _write_ica(pipe: _Pipeline) -> list:
         model = fast_ica(matrix, replace(cfg.ica, n_components=k, seed=pipe.seed))
 
     header = [index_name] + [f"IC{j + 1}" for j in range(k)]
-    text = _table_csv(header, index, model.sources, format_number)
+    text = _table_csv(header, index, format_rows(model.sources))
     files = [_write(cfg.output_dir, "ica_sources.csv", text)]
     summary = {
         "n_components": k,
@@ -271,9 +273,9 @@ def _write_fa(pipe: _Pipeline) -> list:
         fits.append(m)
         header = ["variable"] + [f"F{j + 1}" for j in range(k)] + ["uniqueness"]
         rows = np.column_stack([m.loadings, m.uniquenesses])
-        text = _table_csv(header, labels, rows, format_loading)
+        text = _table_csv(header, labels, _loading_lines(rows))
         files.append(_write(cfg.output_dir, f"fa_k{k}_loadings.csv", text))
-        text = _table_csv(["variable", *labels], labels, m.residual, format_number)
+        text = _table_csv(["variable", *labels], labels, format_rows(m.residual))
         files.append(_write(cfg.output_dir, f"fa_k{k}_residual.csv", text))
 
     selection = smallest_adequate_k([m.p_value for m in fits], cfg.fa_alpha)
@@ -331,7 +333,7 @@ def _write_diagnostics(pipe: _Pipeline) -> list:
                 mi[i, j] = mi[j, i] = mutual_information_discrete(
                     matrix[:, i], matrix[:, j], bins=cfg.mi_bins
                 )
-    text = _table_csv(["variable", *labels], labels, mi, format_number)
+    text = _table_csv(["variable", *labels], labels, format_rows(mi))
     files.append(_write(cfg.output_dir, "mi.csv", text))
     return files
 

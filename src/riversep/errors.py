@@ -53,6 +53,12 @@ class ShapeMismatch(RiversepError):
 # ingestion errors
 
 
+class NotUtf8(RiversepError):
+    def __init__(self, offset: int):
+        self.offset = offset
+        super().__init__(f"input is not UTF-8 text (invalid byte at offset {offset})")
+
+
 class MalformedHeader(RiversepError):
     pass
 

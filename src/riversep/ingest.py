@@ -40,11 +40,12 @@ from .errors import (
     InvalidDate,
     MalformedHeader,
     NetworkUnavailable,
+    NotUtf8,
     OutOfRange,
     RaggedRow,
     UnknownVariable,
 )
-from .report import format_rows
+from .report import csv_header, format_rows, keyed_lines
 
 _MISSING_TOKENS = {"", "na"}
 _NAN = float("nan")
@@ -106,6 +107,16 @@ class FilterSpec:
             raise OutOfRange("min_count must be at least 1")
         if self.start > self.end:
             raise OutOfRange("filter start date is after end date")
+
+
+def _text(data: bytes | str) -> str:
+    """``data`` as text; bytes must be UTF-8."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(exc.start) from None
 
 
 def _parse_date(text: str, line_no: int) -> datetime.date:
@@ -181,7 +192,7 @@ def parse_rdb(data: bytes | str) -> TimeSeriesTable:
     """Parse USGS RDB text: ``#`` comments, tab-delimited header, a
     column-format line (``5s	10d	12n`` style) that is validated for arity
     and discarded, then one record per line."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _text(data)
     header: list[str] | None = None
     format_seen = False
     dates: list[datetime.date] = []
@@ -223,7 +234,7 @@ def parse_rdb(data: bytes | str) -> TimeSeriesTable:
 
 def parse_csv(data: bytes | str) -> TimeSeriesTable:
     """Parse an RFC-4180 CSV with a single header row (date column first)."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _text(data)
     reader = csv.reader(io.StringIO(text))
     header: list[str] | None = None
     dates: list[datetime.date] = []
@@ -251,12 +262,9 @@ def parse_csv(data: bytes | str) -> TimeSeriesTable:
 def emit_csv(table: TimeSeriesTable, date_column: str = "date") -> str:
     """Serialize a table to CSV; inverse of :func:`parse_csv` up to the
     12-significant-digit number formatting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([date_column] + table.codes())
-    for date, cells in zip(table.dates, format_rows(table.values)):
-        writer.writerow([date.isoformat(), *cells])
-    return out.getvalue()
+    header = csv_header([date_column, *table.codes()])
+    keys = (date.isoformat() for date in table.dates)
+    return header + keyed_lines(keys, format_rows(table.values))
 
 
 def filter_table(table: TimeSeriesTable, spec: FilterSpec) -> TimeSeriesTable:

@@ -80,8 +80,10 @@ def _column_mean(x: np.ndarray) -> np.ndarray:
 
 def _check_zero_variance(x: np.ndarray, sd: np.ndarray) -> None:
     # Constant columns can leave a roundoff-sized sd; compare against the
-    # column's own scale so the check is unit-free.
-    scale = np.max(np.abs(x), axis=0)
+    # column's own scale so the check is unit-free.  The max runs along the
+    # contiguous rows of the transpose, not down strided columns; a max is
+    # exact, so the layout does not change the result.
+    scale = np.abs(np.ascontiguousarray(x.T)).max(axis=1)
     bad = sd <= _ZERO_VAR_REL * scale
     if bad.any():
         raise ZeroVarianceColumn(int(np.argmax(bad)))

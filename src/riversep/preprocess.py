@@ -25,7 +25,7 @@ from .errors import (
     UnknownVariable,
 )
 from .ingest import TimeSeriesTable, Variable
-from .report import format_rows
+from .report import csv_header, format_rows, keyed_lines
 
 
 @dataclass
@@ -164,12 +164,8 @@ def difference(table: AnnualTable, lag: int = 1) -> AnnualTable:
 
 def emit_annual_csv(table: AnnualTable) -> str:
     """Serialize an annual table (inverse of :func:`parse_annual_csv`)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["year"] + table.codes())
-    for year, cells in zip(table.years, format_rows(table.values)):
-        writer.writerow([str(year), *cells])
-    return out.getvalue()
+    header = csv_header(["year", *table.codes()])
+    return header + keyed_lines(map(str, table.years), format_rows(table.values))
 
 
 def parse_annual_csv(text: str) -> AnnualTable:

@@ -6,6 +6,8 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -38,19 +40,44 @@ def format_number(x: float) -> str:
     return f"{x:.11e}"
 
 
-def format_rows(values) -> Iterator[list[str]]:
-    """Yield each row of a 2-D array as :func:`format_number` strings.
+def format_rows(values) -> Iterator[str]:
+    """Yield each row of a 2-D array as one line of :func:`format_number`
+    cells joined by commas.
 
-    The plain-window test runs once over the whole array, so a cell inside
-    the window is formatted directly; every other cell (NaN, zero,
-    scientific notation) goes through :func:`format_number`.  Rows are made
-    one at a time, so a caller can stream them to a writer.
+    A row of only zeros, NaNs and plain-window cells is one ``%`` call:
+    ``%.12g`` writes a double as ``f"{x:.12g}"`` does, NaN as ``nan`` (then
+    replaced by the missing token), and zero as ``0`` once adding 0.0 has
+    turned -0.0 into 0.0.  Other rows go cell by cell.  The test runs once
+    over the whole array; rows are made one at a time.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float) + 0.0
     magnitude = np.abs(values)
-    plain = (magnitude >= _PLAIN_LO) & (magnitude < _PLAIN_HI)
-    for row, row_plain in zip(values.tolist(), plain.tolist()):
-        yield [f"{x:.12g}" if p else format_number(x) for x, p in zip(row, row_plain)]
+    simple = (
+        ((magnitude >= _PLAIN_LO) & (magnitude < _PLAIN_HI))
+        | (values == 0.0)
+        | np.isnan(values)
+    ).all(axis=1)
+    row_format = ",".join(["%.12g"] * values.shape[1])
+    for row, row_simple in zip(values.tolist(), simple.tolist()):
+        if row_simple:
+            yield (row_format % tuple(row)).replace("nan", MISSING_TOKEN)
+        else:
+            yield ",".join(map(format_number, row))
+
+
+def keyed_lines(keys, lines) -> str:
+    """Text of one ``key,line`` line per row.  An empty line (a table with
+    no columns) leaves the key alone, as :mod:`csv` writes such a row."""
+    return "".join(
+        f"{key},{line}\n" if line else f"{key}\n" for key, line in zip(keys, lines)
+    )
+
+
+def csv_header(fields) -> str:
+    """One CSV line of ``fields``, quoted where :mod:`csv` needs to."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()
 
 
 def format_loading(x: float) -> str:

@@ -239,6 +239,55 @@ class TestExitCodes:
         assert "ingest" in capsys.readouterr().err
 
 
+def mutate(data: bytes, rng, first_op: int) -> bytes:
+    """``data`` with one to three byte edits: flip (xor a byte), insert a
+    byte, delete a byte, or truncate, which ends the edits.  ``first_op``
+    picks the first edit, so a caller can cover all four."""
+    data = bytearray(data)
+    ops = [first_op, *rng.integers(0, 4, size=rng.integers(0, 3))]
+    for op in ops:
+        i = int(rng.integers(0, len(data) + 1))
+        if op == 0 and i < len(data):
+            data[i] ^= int(rng.integers(1, 256))
+        elif op == 1:
+            data.insert(i, int(rng.integers(0, 256)))
+        elif op == 2 and i < len(data):
+            del data[i]
+        elif op == 3:
+            del data[i:]
+            break
+    return bytes(data)
+
+
+MUTANTS_PER_TARGET = 40
+
+
+@pytest.mark.parametrize("target", ["rdb", "csv", "config"])
+def test_mutated_inputs_keep_the_exit_code_contract(workdir, capsys, target):
+    # Seeded byte-level damage to the record or the config: every command
+    # must exit 0 with a silent stderr, or 2 or 3 with a one-line message,
+    # and no exception may escape main.
+    rng = np.random.default_rng(["rdb", "csv", "config"].index(target))
+    config = workdir / "pipeline.json"
+    if target == "csv":
+        assert main(["ingest", str(config)]) == 0
+        shutil.copy(workdir / "out" / "ingested.csv", workdir / "station.csv")
+        doc = json.loads(config.read_text())
+        doc["input"] = {"path": "station.csv"}
+        config.write_text(json.dumps(doc))
+    name = {"rdb": "station_fixture.rdb", "csv": "station.csv", "config": "pipeline.json"}
+    path = workdir / name[target]
+    original = path.read_bytes()
+    for i in range(MUTANTS_PER_TARGET):
+        path.write_bytes(mutate(original, rng, first_op=i % 4))
+        for command in ("ingest", "run"):
+            code = main([command, str(config)])
+            err = capsys.readouterr().err
+            assert (code, len(err.splitlines())) in {(0, 0), (2, 1), (3, 1)}, (
+                i, command, code, err,
+            )
+
+
 # The files each subcommand writes; run writes all of them plus manifest.json.
 SUBCOMMAND_OUTPUTS = {
     "ingest": ["ingested.csv"],

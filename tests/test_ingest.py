@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from riversep import errors
+from riversep import errors, report
 from riversep.ingest import (
     FilterSpec,
     TimeSeriesTable,
@@ -199,6 +199,15 @@ class TestRowWiseCells:
         assert t.values.tolist() == [[4.0, 5.0]]
 
 
+@pytest.mark.parametrize("parse", [parse_rdb, parse_csv])
+def test_bytes_that_are_not_utf8_are_a_typed_error(parse):
+    data = RDB_MINIMAL.encode()
+    bad = data[:40] + b"\xff" + data[40:]
+    with pytest.raises(errors.NotUtf8) as exc:
+        parse(bad)
+    assert exc.value.offset == 40
+
+
 # Values on both sides of format_number's plain-notation window and its
 # special cases.
 EDGE_VALUES = [
@@ -214,14 +223,75 @@ def per_cell_csv(index_name, index, codes, values):
     return "\n".join(lines) + "\n"
 
 
-def test_emit_equals_per_cell_format_number():
-    values = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
-    codes = [f"v{j}" for j in range(len(EDGE_VALUES))]
+def _seeded_wide_range(rows=2000, cols=8, seed=3):
+    """Magnitudes log-uniform over 1e-8..1e8, random signs, 20% NaN and
+    some signed zeros."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], size=(rows, cols)) * 10.0 ** rng.uniform(
+        -8.0, 8.0, size=(rows, cols)
+    )
+    values[rng.random((rows, cols)) < 0.02] = 0.0
+    values[rng.random((rows, cols)) < 0.02] = -0.0
+    values[rng.random((rows, cols)) < 0.2] = np.nan
+    return values
+
+
+nan, inf = np.nan, np.inf
+# name -> (values, rows that must fall back to per-cell formatting, or None
+# for "some but not all")
+ROW_PATH_CASES = {
+    "edge_values": ([EDGE_VALUES, EDGE_VALUES[::-1]], 2),
+    "all_plain": (
+        [[1.5, -2.25, 123456.789], [999999.9999999, -1e-4, 3.14159265358979]],
+        0,
+    ),
+    "plain_nan_signed_zero": (
+        [[1.0, nan, -0.0], [nan, nan, nan], [-0.0, 0.0, -0.0], [0.5, 0.0, nan]],
+        0,
+    ),
+    "mixed": (
+        [
+            [1.0, 2.0, 1e6],
+            [1.0, nan, -0.0],
+            [5e-324, 0.0, 3.0],
+            [inf, 1.0, 2.0],
+            [1e-4, 999999.0, nan],
+            [-inf, nan, 0.0],
+            [0.25, 1e-5, -7.5],
+        ],
+        5,
+    ),
+    "seeded_wide_range": (_seeded_wide_range(), None),
+    "no_variables": (np.empty((3, 0)), 0),
+    "no_rows": (np.empty((0, 4)), 0),
+}
+
+
+@pytest.mark.parametrize("case", ROW_PATH_CASES)
+def test_emit_equals_per_cell_format_number(case, monkeypatch):
+    # A row of zeros, NaNs and plain-window cells is formatted whole; any
+    # other row cell by cell.  Both must write format_number's bytes.
+    values, fallback_rows = ROW_PATH_CASES[case]
+    values = np.array(values, dtype=float)
+    n, p = values.shape
+    codes = [f"v{j}" for j in range(p)]
     variables = [Variable(code=c) for c in codes]
-    dated = TimeSeriesTable([d("1990-01-01"), d("1990-01-02")], variables, values)
-    annual = AnnualTable([1990, 1991], variables, values)
-    assert emit_csv(dated) == per_cell_csv("date", ["1990-01-01", "1990-01-02"], codes, values)
-    assert emit_annual_csv(annual) == per_cell_csv("year", ["1990", "1991"], codes, values)
+    dates = [d("1990-01-01") + datetime.timedelta(days=i) for i in range(n)]
+    years = list(range(1900, 1900 + n))
+    dated = TimeSeriesTable(dates, variables, values)
+    annual = AnnualTable(years, variables, values)
+    expected_dated = per_cell_csv("date", [x.isoformat() for x in dates], codes, values)
+    assert emit_csv(dated) == expected_dated
+    expected_annual = per_cell_csv("year", [str(y) for y in years], codes, values)
+    assert emit_annual_csv(annual) == expected_annual
+
+    calls = []
+    monkeypatch.setattr(report, "format_number", lambda x: calls.append(x) or "")
+    list(report.format_rows(values))
+    if fallback_rows is None:
+        assert 0 < len(calls) < values.size
+    else:
+        assert len(calls) == fallback_rows * p
 
 
 def make_table(dates, codes, values):

@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from riversep import errors
 from riversep.linalg import (
     _column_mean,
+    _ZERO_VAR_REL,
+    _check_zero_variance,
     _column_moments,
     center_scale,
     correlation_matrix,
@@ -101,6 +103,23 @@ class TestColumnStatistics:
         with pytest.raises(errors.ZeroVarianceColumn) as exc:
             correlation_matrix(x)
         assert exc.value.col == 1
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_variance_threshold_is_the_column_abs_max(self, order):
+        # The threshold is _ZERO_VAR_REL times max |x| per column, as the
+        # strided ``np.max(np.abs(x), axis=0)`` gives it: an sd exactly on it
+        # is flagged, one ulp above it is not, column by column.
+        rng = np.random.default_rng(8)
+        x = np.asarray(rng.normal(size=(5000, 3)) * [1e-3, 1.0, 1e5], order=order)
+        at = _ZERO_VAR_REL * np.max(np.abs(x), axis=0)
+        above = np.nextafter(at, np.inf)
+        _check_zero_variance(x, above)
+        for j in range(3):
+            sd = above.copy()
+            sd[j] = at[j]
+            with pytest.raises(errors.ZeroVarianceColumn) as exc:
+                _check_zero_variance(x, sd)
+            assert exc.value.col == j
 
 
 class TestCovariance:
