@@ -22,16 +22,13 @@ from .fa import (
     fa_dof,
     fit_fa_ml,
     fit_fa_ml_corr,
-    lr_test,
     profiled_discrepancy,
-    residual_matrix,
     smallest_adequate_k,
 )
 from .ica import IcaConfig, IcaModel, amari_index, fast_ica, whiten
 from .ingest import (
     FilterSpec,
-    TimeSeriesTable,
-    Variable,
+    Table,
     drop_incomplete_rows,
     emit_csv,
     fetch_remote,
@@ -50,14 +47,11 @@ from .linalg import (
 )
 from .pca import PcaModel, explained_variance, fit_pca, kaiser_retain, scores
 from .preprocess import (
-    AnnualTable,
     RedundancyRule,
     annual_mean,
     difference,
     drop_na_columns,
     drop_redundant,
-    emit_annual_csv,
-    parse_annual_csv,
 )
 from .synth import (
     RecoveryReport,
@@ -79,8 +73,7 @@ __all__ = [
     "sym_eigen",
     # ingestion
     "FilterSpec",
-    "TimeSeriesTable",
-    "Variable",
+    "Table",
     "drop_incomplete_rows",
     "emit_csv",
     "fetch_remote",
@@ -88,14 +81,11 @@ __all__ = [
     "parse_csv",
     "parse_rdb",
     # preprocessing
-    "AnnualTable",
     "RedundancyRule",
     "annual_mean",
     "difference",
     "drop_na_columns",
     "drop_redundant",
-    "emit_annual_csv",
-    "parse_annual_csv",
     # principal components
     "PcaModel",
     "explained_variance",
@@ -114,9 +104,7 @@ __all__ = [
     "fa_dof",
     "fit_fa_ml",
     "fit_fa_ml_corr",
-    "lr_test",
     "profiled_discrepancy",
-    "residual_matrix",
     "smallest_adequate_k",
     # diagnostics
     "AcfResult",

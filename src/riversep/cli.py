@@ -32,6 +32,7 @@ from .errors import ConfigError, MissingCells, RiversepError, RuleInapplicable
 from .fa import fa_dof, fit_fa_ml, smallest_adequate_k
 from .ica import _ROWS_PER_COMPONENT, IcaConfig, fast_ica
 from .ingest import (
+    Table,
     drop_incomplete_rows,
     emit_csv,
     fetch_remote,
@@ -40,15 +41,16 @@ from .ingest import (
     parse_rdb,
 )
 from .pca import explained_variance, fit_pca, kaiser_retain
-from .preprocess import (
-    AnnualTable,
-    annual_mean,
-    difference,
-    drop_na_columns,
-    drop_redundant,
-    emit_annual_csv,
+from .preprocess import annual_mean, difference, drop_na_columns, drop_redundant
+from .report import (
+    csv_field,
+    csv_header,
+    format_loading,
+    format_number,
+    format_rows,
+    keyed_lines,
+    write_json,
 )
-from .report import format_loading, format_number, format_rows, keyed_lines, write_json
 from .synth import evaluate_recovery, generate_scenario
 
 # Off-diagonal residuals at or below this make an FA fit "adequate".
@@ -85,7 +87,20 @@ class _Pipeline:
         self.cfg = cfg
         self.seed = cfg.ica.seed if seed_override is None else seed_override
         self.offline = offline
-        self.stage_counts = []
+        # one manifest entry per stage: its name, the table's shape after
+        # it, and the codes it dropped, in input order
+        self.stages = []
+
+    def _record(self, name, before, after):
+        kept = set(after.codes)
+        self.stages.append(
+            {
+                "stage": name,
+                "rows": after.n_rows,
+                "columns": after.n_vars,
+                "dropped": [c for c in before.codes if c not in kept],
+            }
+        )
 
     @cached_property
     def raw(self):
@@ -111,7 +126,7 @@ class _Pipeline:
                     offline=self.offline,
                 )
                 raw = parse_rdb(data)
-        self.stage_counts.append(("ingest", raw.n_rows, raw.n_vars))
+        self._record("ingest", raw, raw)
         return raw
 
     @cached_property
@@ -123,7 +138,7 @@ class _Pipeline:
             "drop_incomplete_rows": drop_incomplete_rows,
             "annual_mean": annual_mean,
             "drop_na_columns": drop_na_columns,
-            "drop_redundant": lambda t: drop_redundant(t, cfg.redundancy_rules)[0],
+            "drop_redundant": lambda t: drop_redundant(t, cfg.redundancy_rules),
             "difference": lambda t: difference(t, cfg.difference_lag),
         }
         table = self.raw
@@ -131,15 +146,16 @@ class _Pipeline:
             # an overflowing stage is reported by the model-input check,
             # not by numpy warnings on stderr
             with _stage(name), np.errstate(over="ignore", invalid="ignore"):
-                table = steps[name](table)
-            self.stage_counts.append((name, table.n_rows, table.n_vars))
+                staged = steps[name](table)
+            self._record(name, table, staged)
+            table = staged
         return table
 
     @cached_property
-    def model_input(self):
-        """Dense model input: (values, labels, row index column name, index)."""
+    def model_input(self) -> Table:
+        """The staged table, checked to be dense and finite."""
         table = self.table
-        values = np.asarray(table.values, dtype=float)
+        values = table.values
         missing = int(np.isnan(values).sum())
         if missing:
             raise _StageFailure("model input", MissingCells(missing))
@@ -150,14 +166,7 @@ class _Pipeline:
                 "model input",
                 RiversepError(f"table has {infinite} infinite cells; a stage overflowed"),
             )
-        labels = tuple(table.codes())
-        if isinstance(table, AnnualTable):
-            index_name = "year"
-            index = [str(y) for y in table.years]
-        else:
-            index_name = "date"
-            index = [d.isoformat() for d in table.dates]
-        return values, labels, index_name, index
+        return table
 
 
 def _write(out_dir: Path, name: str, text: str) -> str:
@@ -168,8 +177,9 @@ def _write(out_dir: Path, name: str, text: str) -> str:
 
 def _table_csv(header, keys, lines) -> str:
     """CSV text: the header, then per key a line of the key followed by that
-    row's formatted ``lines`` entry."""
-    return ",".join(header) + "\n" + keyed_lines(keys, lines)
+    row's formatted ``lines`` entry.  Header fields and keys (variable
+    codes) are quoted where :mod:`csv` needs to."""
+    return csv_header(header) + keyed_lines(map(csv_field, keys), lines)
 
 
 def _loading_lines(rows):
@@ -182,21 +192,17 @@ def _write_ingested(pipe: _Pipeline) -> list:
 
 
 def _write_preprocessed(pipe: _Pipeline) -> list:
-    if isinstance(pipe.table, AnnualTable):
-        text = emit_annual_csv(pipe.table)
-    else:
-        text = emit_csv(pipe.table)
-    return [_write(pipe.cfg.output_dir, "preprocessed.csv", text)]
+    return [_write(pipe.cfg.output_dir, "preprocessed.csv", emit_csv(pipe.table))]
 
 
 def _write_pca(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
-    matrix, labels, _, _ = pipe.model_input
+    matrix, labels = pipe.model_input.values, pipe.model_input.codes
     with _stage("pca"):
         model = fit_pca(matrix, cfg.pca_center, cfg.pca_scale, labels)
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
-    text = _table_csv(header, labels + ("stdev",), _loading_lines(rows))
+    text = _table_csv(header, [*labels, "stdev"], _loading_lines(rows))
     files = [_write(cfg.output_dir, "pca_loadings.csv", text)]
 
     try:
@@ -226,16 +232,16 @@ def _write_pca(pipe: _Pipeline) -> list:
 
 def _write_ica(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
-    matrix, labels, index_name, index = pipe.model_input
+    table = pipe.model_input
     k = cfg.ica_components
     with _stage("ica"):
         if k is None:
-            k = kaiser_retain(fit_pca(matrix, True, True, labels))
-        model = fast_ica(matrix, replace(cfg.ica, n_components=k, seed=pipe.seed))
+            k = kaiser_retain(fit_pca(table.values, True, True, table.codes))
+        model = fast_ica(table.values, replace(cfg.ica, n_components=k, seed=pipe.seed))
 
-    header = [index_name] + [f"IC{j + 1}" for j in range(k)]
-    text = _table_csv(header, index, format_rows(model.sources))
-    files = [_write(cfg.output_dir, "ica_sources.csv", text)]
+    codes = [f"IC{j + 1}" for j in range(k)]
+    sources = Table(table.index_name, table.index, codes, model.sources)
+    files = [_write(cfg.output_dir, "ica_sources.csv", emit_csv(sources))]
     summary = {
         "n_components": k,
         "converged": model.converged,
@@ -253,7 +259,7 @@ def _write_ica(pipe: _Pipeline) -> list:
 
 def _write_fa(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
-    matrix, labels, _, _ = pipe.model_input
+    matrix, labels = pipe.model_input.values, pipe.model_input.codes
     p = len(labels)
     k_used = 0
     for k in range(1, cfg.fa_k_max + 1):
@@ -312,18 +318,19 @@ def _write_fa(pipe: _Pipeline) -> list:
 
 def _write_diagnostics(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
-    matrix, labels, _, _ = pipe.model_input
+    matrix, labels = pipe.model_input.values, pipe.model_input.codes
     n = matrix.shape[0]
     max_lag = min(cfg.acf_max_lag, n - 2)
-    lines = ["variable,lag,value,conf_band"]
+    rows = []
     with _stage("diagnose"):
-        for j, code in enumerate(labels):
+        for j in range(len(labels)):
             result = acf(matrix[:, j], max_lag)
-            for lag, value in zip(result.lags, result.values):
-                lines.append(
-                    f"{code},{lag},{format_number(value)},{format_number(result.conf_band)}"
-                )
-    files = [_write(cfg.output_dir, "acf.csv", "\n".join(lines) + "\n")]
+            band = np.full(max_lag + 1, result.conf_band)
+            rows.append(np.column_stack([result.lags, result.values, band]))
+    keys = [code for code in labels for _ in range(max_lag + 1)]
+    header = ["variable", "lag", "value", "conf_band"]
+    text = _table_csv(header, keys, format_rows(np.vstack(rows)))
+    files = [_write(cfg.output_dir, "acf.csv", text)]
 
     p = len(labels)
     mi = np.zeros((p, p))
@@ -344,10 +351,7 @@ def _write_manifest(pipe: _Pipeline, outputs: list) -> None:
         "config_sha256": pipe.cfg.config_sha256,
         "seed": pipe.seed,
         "offline": pipe.offline,
-        "stages": [
-            {"stage": name, "rows": rows, "columns": cols}
-            for name, rows, cols in pipe.stage_counts
-        ],
+        "stages": pipe.stages,
         "outputs": sorted(set(outputs) | {"manifest.json"}),
     }
     write_json(pipe.cfg.output_dir / "manifest.json", manifest)

@@ -160,10 +160,6 @@ class SingularCorrelation(RiversepError):
     pass
 
 
-class NotConverged(RiversepError):
-    pass
-
-
 class OutOfRange(RiversepError):
     def __init__(self, detail: str):
         self.detail = detail

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     DofNegative,
     EmptyResult,
-    NotConverged,
     NotSymmetric,
     OutOfRange,
     ShapeMismatch,
@@ -110,10 +109,6 @@ class FaModel:
     discrepancy: float
     n_obs: int
     variable_labels: tuple | None = None
-
-    @property
-    def n_variables(self) -> int:
-        return self.uniquenesses.shape[0]
 
     def fitted(self) -> np.ndarray:
         """Model correlation matrix ``loadings @ loadings.T + diag(psi)``."""
@@ -400,33 +395,6 @@ def fit_fa_ml(x, k: int, variable_labels=None) -> FaModel:
     return fit_fa_ml_corr(r, k, n, variable_labels=variable_labels)
 
 
-def lr_test(m: FaModel, n: int):
-    """Bartlett-corrected likelihood-ratio test of a fitted model.
-
-    Parameters
-    ----------
-    m : FaModel
-        A converged fit.
-    n : int
-        Sample size to evaluate the statistic at (usually ``m.n_obs``).
-
-    Returns
-    -------
-    (stat, dof, p) : tuple
-        The corrected statistic, its degrees of freedom, and the upper-tail
-        chi-square probability.
-
-    Raises
-    ------
-    NotConverged
-        If the model's optimizer did not meet its criterion.
-    """
-    if not m.converged:
-        raise NotConverged("cannot test a fit that did not converge")
-    stat, p_value = _bartlett_test(m.discrepancy, n, m.n_variables, m.k, m.dof)
-    return stat, m.dof, p_value
-
-
 def smallest_adequate_k(p_values: Sequence[float], alpha: float = 0.05) -> FactorSelection:
     """Apply the sequential stopping rule to a p-value sequence.
 
@@ -443,23 +411,3 @@ def smallest_adequate_k(p_values: Sequence[float], alpha: float = 0.05) -> Facto
         if p > alpha:
             return FactorSelection(i + 1, True, p_values)
     return FactorSelection(len(p_values), False, p_values)
-
-
-def residual_matrix(m: FaModel, r) -> np.ndarray:
-    """Difference between a correlation matrix and the model's fit.
-
-    Returns ``r - (loadings @ loadings.T + diag(psi))``.  For the null
-    model (``k=0``, no loadings, unit uniquenesses) this is ``r - I``.
-
-    Raises
-    ------
-    ShapeMismatch
-        If ``r`` is not the p x p matrix the model was built for.
-    """
-    r = as_matrix(r, "r")
-    p = m.n_variables
-    if r.shape != (p, p):
-        raise ShapeMismatch(
-            f"expected a {p}x{p} correlation matrix, got {r.shape[0]}x{r.shape[1]}"
-        )
-    return r - m.fitted()

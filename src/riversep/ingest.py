@@ -54,43 +54,42 @@ _NAN = float("nan")
 _FORMAT_TOKEN = re.compile(r"\d+[A-Za-z]")
 
 
-@dataclass(frozen=True)
-class Variable:
-    code: str
-    label: str = ""
-    unit: str = ""
-
-
 @dataclass
-class TimeSeriesTable:
-    """Wide observation table: one row per calendar date, one column per variable.
+class Table:
+    """Labelled observation table: one row per index entry, one column per
+    variable code, through every stage of the pipeline.
 
-    ``values`` is a float array with NaN marking missing cells.  Dates are
-    strictly increasing; the parser merges records that share a date as long
-    as their variables do not collide.
+    Until :func:`~riversep.preprocess.annual_mean` the index is ``"date"``
+    and holds strictly increasing dates (the parser merges records that
+    share a date as long as their variables do not collide); after it the
+    index is ``"year"`` and holds ints.  ``values`` is a float array with
+    NaN marking missing cells.
     """
 
-    dates: list[datetime.date]
-    variables: list[Variable]
+    index_name: str
+    index: list
+    codes: list[str]
     values: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return len(self.dates)
+        return len(self.index)
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.codes)
 
-    def codes(self) -> list[str]:
-        return [v.code for v in self.variables]
-
-    def column(self, code: str) -> np.ndarray:
-        try:
-            j = self.codes().index(code)
-        except ValueError:
-            raise UnknownVariable(code) from None
-        return self.values[:, j]
+    def take(self, rows=None, cols=None) -> Table:
+        """The table restricted by boolean masks over rows and over columns;
+        ``None`` keeps every row or column."""
+        index, codes, values = self.index, self.codes, self.values
+        if rows is not None:
+            index = [x for x, keep in zip(index, rows) if keep]
+            values = values[rows]
+        if cols is not None:
+            codes = [c for c, keep in zip(codes, cols) if keep]
+            values = values[:, cols]
+        return Table(self.index_name, list(index), list(codes), values)
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def _assemble(
     header: Sequence[str],
     dates: Sequence[datetime.date],
     rows: Sequence[list[float]],
-) -> TimeSeriesTable:
+) -> Table:
     """Merge parsed records into a date-sorted table.
 
     Non-finite cells become NaN first.  Records sharing a date are then
@@ -183,12 +182,10 @@ def _assemble(
         values[j, present] = values[i, present]
 
     order = sorted(first)
-    values = values[[first[d] for d in order]]
-    variables = [Variable(code=c) for c in var_codes]
-    return TimeSeriesTable(dates=order, variables=variables, values=values)
+    return Table("date", order, var_codes, values[[first[d] for d in order]])
 
 
-def parse_rdb(data: bytes | str) -> TimeSeriesTable:
+def parse_rdb(data: bytes | str) -> Table:
     """Parse USGS RDB text: ``#`` comments, tab-delimited header, a
     column-format line (``5s	10d	12n`` style) that is validated for arity
     and discarded, then one record per line."""
@@ -232,7 +229,7 @@ def parse_rdb(data: bytes | str) -> TimeSeriesTable:
     return _assemble(header, dates, rows)
 
 
-def parse_csv(data: bytes | str) -> TimeSeriesTable:
+def parse_csv(data: bytes | str) -> Table:
     """Parse an RFC-4180 CSV with a single header row (date column first)."""
     text = _text(data)
     reader = csv.reader(io.StringIO(text))
@@ -259,15 +256,15 @@ def parse_csv(data: bytes | str) -> TimeSeriesTable:
     return _assemble(header, dates, rows)
 
 
-def emit_csv(table: TimeSeriesTable, date_column: str = "date") -> str:
+def emit_csv(table: Table) -> str:
     """Serialize a table to CSV; inverse of :func:`parse_csv` up to the
-    12-significant-digit number formatting."""
-    header = csv_header([date_column, *table.codes()])
-    keys = (date.isoformat() for date in table.dates)
-    return header + keyed_lines(keys, format_rows(table.values))
+    12-significant-digit number formatting.  Its index (ISO dates or years)
+    never needs quoting."""
+    header = csv_header([table.index_name, *table.codes])
+    return header + keyed_lines(map(str, table.index), format_rows(table.values))
 
 
-def filter_table(table: TimeSeriesTable, spec: FilterSpec) -> TimeSeriesTable:
+def filter_table(table: Table, spec: FilterSpec) -> Table:
     """Apply a :class:`FilterSpec`: restrict rows to the date range, drop
     rows where the required variable is missing, then drop variables with
     fewer than ``min_count`` non-missing values among the surviving rows.
@@ -276,39 +273,27 @@ def filter_table(table: TimeSeriesTable, spec: FilterSpec) -> TimeSeriesTable:
     required variable itself is exempt from the count rule (every surviving
     row has it by construction).
     """
-    if spec.required_variable is not None and spec.required_variable not in table.codes():
-        raise UnknownVariable(spec.required_variable)
+    required = spec.required_variable
+    if required is not None and required not in table.codes:
+        raise UnknownVariable(required)
 
-    row_mask = np.array(
-        [spec.start <= d <= spec.end for d in table.dates], dtype=bool
-    )
-    if spec.required_variable is not None:
-        required_col = table.column(spec.required_variable)
-        row_mask &= ~np.isnan(required_col)
+    row_mask = np.array([spec.start <= d <= spec.end for d in table.index], dtype=bool)
+    if required is not None:
+        row_mask &= ~np.isnan(table.values[:, table.codes.index(required)])
 
-    kept_values = table.values[row_mask]
-    counts = np.sum(~np.isnan(kept_values), axis=0)
+    counts = np.sum(~np.isnan(table.values[row_mask]), axis=0)
     col_mask = counts >= spec.min_count
-    if spec.required_variable is not None:
-        col_mask[table.codes().index(spec.required_variable)] = True
-
-    return TimeSeriesTable(
-        dates=[d for d, keep in zip(table.dates, row_mask) if keep],
-        variables=[v for v, keep in zip(table.variables, col_mask) if keep],
-        values=kept_values[:, col_mask],
-    )
+    if required is not None:
+        col_mask[table.codes.index(required)] = True
+    return table.take(row_mask, col_mask)
 
 
-def drop_incomplete_rows(table: TimeSeriesTable) -> TimeSeriesTable:
+def drop_incomplete_rows(table: Table) -> Table:
     """Keep only rows with no missing cell; error if nothing survives."""
     mask = ~np.isnan(table.values).any(axis=1)
     if not mask.any():
         raise EmptyResult("no complete rows remain")
-    return TimeSeriesTable(
-        dates=[d for d, keep in zip(table.dates, mask) if keep],
-        variables=list(table.variables),
-        values=table.values[mask],
-    )
+    return table.take(rows=mask)
 
 
 def fetch_remote(

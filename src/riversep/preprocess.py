@@ -9,8 +9,6 @@ years to strip trends.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,30 +20,8 @@ from .errors import (
     OutOfRange,
     RuleInapplicable,
     TooShort,
-    UnknownVariable,
 )
-from .ingest import TimeSeriesTable, Variable
-from .report import csv_header, format_rows, keyed_lines
-
-
-@dataclass
-class AnnualTable:
-    """Year-by-variable table of annual means; NaN marks empty years."""
-
-    years: list[int]
-    variables: list[Variable]
-    values: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.years)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.variables)
-
-    def codes(self) -> list[str]:
-        return [v.code for v in self.variables]
+from .ingest import Table
 
 
 @dataclass(frozen=True)
@@ -62,8 +38,9 @@ class RedundancyRule:
             raise RuleInapplicable("a composite cannot be its own part")
 
 
-def annual_mean(table: TimeSeriesTable) -> AnnualTable:
-    """Collapse a daily table to per-year means of the non-missing samples.
+def annual_mean(table: Table) -> Table:
+    """Collapse a dated table to a year-indexed one of per-year means of the
+    non-missing samples.
 
     The year axis lists every year that appears in the input (order
     ascending); a (year, variable) cell with no samples stays missing.
@@ -74,9 +51,9 @@ def annual_mean(table: TimeSeriesTable) -> AnnualTable:
         If a mean is not finite: the year's samples overflow when summed,
         or some are infinite.
     """
-    years = sorted({d.year for d in table.dates})
+    years = sorted({d.year for d in table.index})
     values = np.full((len(years), table.n_vars), np.nan)
-    row_years = np.array([d.year for d in table.dates])
+    row_years = np.array([d.year for d in table.index])
     for i, year in enumerate(years):
         block = table.values[row_years == year]
         present = ~np.isnan(block)
@@ -89,54 +66,42 @@ def annual_mean(table: TimeSeriesTable) -> AnnualTable:
         if bad.any():
             j = int(np.argmax(bad))
             raise OutOfRange(
-                f"annual mean of {table.variables[j].code} in {year} is "
+                f"annual mean of {table.codes[j]} in {year} is "
                 f"{values[i, j]:g}: its samples overflow or are infinite"
             )
-    return AnnualTable(years=years, variables=list(table.variables), values=values)
+    return Table("year", years, list(table.codes), values)
 
 
-def drop_na_columns(table: AnnualTable) -> AnnualTable:
+def drop_na_columns(table: Table) -> Table:
     """Drop every variable that still has a missing annual cell."""
     keep = ~np.isnan(table.values).any(axis=0)
     if not keep.any():
         raise EmptyResult("every variable has at least one empty year")
-    return AnnualTable(
-        years=list(table.years),
-        variables=[v for v, k in zip(table.variables, keep) if k],
-        values=table.values[:, keep],
-    )
+    return table.take(cols=keep)
 
 
 def drop_redundant(
-    table: AnnualTable, rules: tuple[RedundancyRule, ...] | list[RedundancyRule]
-) -> tuple[AnnualTable, list[str]]:
+    table: Table, rules: tuple[RedundancyRule, ...] | list[RedundancyRule]
+) -> Table:
     """Remove composite variables whose parts are all columns of ``table``.
 
     Rule parts are checked against the *input* column set, so chained rules
     (a composite appearing as a part of another rule) behave the same in
-    any rule order.  Returns the pruned table and the removed codes in rule
-    order.
+    any rule order.
     """
-    codes = set(table.codes())
-    removed = []
-    for rule in rules:
-        if rule.composite in codes and all(p in codes for p in rule.parts):
-            removed.append(rule.composite)
-    removed_set = set(removed)
-    keep = [v.code not in removed_set for v in table.variables]
+    codes = set(table.codes)
+    removed = {
+        rule.composite
+        for rule in rules
+        if rule.composite in codes and all(p in codes for p in rule.parts)
+    }
+    keep = [c not in removed for c in table.codes]
     if not any(keep):
         raise EmptyResult("redundancy rules removed every variable")
-    return (
-        AnnualTable(
-            years=list(table.years),
-            variables=[v for v, k in zip(table.variables, keep) if k],
-            values=table.values[:, keep],
-        ),
-        removed,
-    )
+    return table.take(cols=keep)
 
 
-def difference(table: AnnualTable, lag: int = 1) -> AnnualTable:
+def difference(table: Table, lag: int = 1) -> Table:
     """Difference a dense annual table at the given lag.
 
     Output rows are labeled by the later year of each pair; row count drops
@@ -150,39 +115,14 @@ def difference(table: AnnualTable, lag: int = 1) -> AnnualTable:
         raise MissingCells(n_missing)
     if table.n_rows <= lag:
         raise TooShort(table.n_rows, lag + 1)
-    years = np.asarray(table.years)
+    years = np.asarray(table.index)
     gaps = np.diff(years)
     if np.any(gaps != 1):
         first_gap = int(np.argmax(gaps != 1))
         raise NonConsecutiveYears(int(years[first_gap]), int(years[first_gap + 1]))
-    return AnnualTable(
-        years=[int(y) for y in years[lag:]],
-        variables=list(table.variables),
-        values=table.values[lag:] - table.values[:-lag],
-    )
-
-
-def emit_annual_csv(table: AnnualTable) -> str:
-    """Serialize an annual table (inverse of :func:`parse_annual_csv`)."""
-    header = csv_header(["year", *table.codes()])
-    return header + keyed_lines(map(str, table.years), format_rows(table.values))
-
-
-def parse_annual_csv(text: str) -> AnnualTable:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r]
-    if not rows or len(rows[0]) < 2:
-        raise UnknownVariable("year")
-    header = rows[0]
-    years = []
-    values = []
-    for fields in rows[1:]:
-        years.append(int(fields[0]))
-        values.append(
-            [float("nan") if c.strip().lower() in ("", "na") else float(c) for c in fields[1:]]
-        )
-    return AnnualTable(
-        years=years,
-        variables=[Variable(code=c) for c in header[1:]],
-        values=np.asarray(values, dtype=float) if values else np.empty((0, len(header) - 1)),
+    return Table(
+        "year",
+        [int(y) for y in years[lag:]],
+        list(table.codes),
+        table.values[lag:] - table.values[:-lag],
     )

@@ -80,6 +80,11 @@ def csv_header(fields) -> str:
     return out.getvalue()
 
 
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted where :mod:`csv` needs to."""
+    return csv_header([text])[:-1]
+
+
 def format_loading(x: float) -> str:
     """Fixed 7-decimal formatting used for loading tables."""
     return f"{float(x):.7f}"

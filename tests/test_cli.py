@@ -5,6 +5,7 @@ in advance; the tests here pin those counts and the determinism contract
 (rerunning a command reproduces every output byte for byte).
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -21,7 +22,6 @@ import riversep
 import riversep.cli
 import station_builder
 from riversep.cli import main
-from riversep.preprocess import parse_annual_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,6 +83,11 @@ def run_in_subprocess(workdir):
     )
 
 
+def read_csv(path: Path) -> list:
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
 def hash_tree(directory: Path) -> dict:
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -103,6 +108,55 @@ class TestRun:
         manifest = json.loads((workdir / "out" / "manifest.json").read_text())
         got = [(s["stage"], s["rows"], s["columns"]) for s in manifest["stages"]]
         assert got == EXPECTED_STAGES
+
+    def test_manifest_names_the_columns_each_stage_dropped(self, workdir):
+        assert main(["run", str(workdir / "pipeline.json")]) == 0
+        manifest = json.loads((workdir / "out" / "manifest.json").read_text())
+        dropped = {s["stage"]: s["dropped"] for s in manifest["stages"]}
+        assert dropped == {
+            "ingest": [],
+            # the two sparse variables, below min_count
+            "filter": ["00078", "71820"],
+            "annual_mean": [],
+            # each misses one full year
+            "drop_na_columns": [
+                "00095", "00530", "00535", "00545", "00550", "00915", "00925",
+                "00930", "00935", "00945", "00950", "00955", "70300",
+            ],
+            # the config's six composites, in column order
+            "drop_redundant": ["00600", "00625", "00631", "71845", "71851", "71887"],
+            "difference": [],
+        }
+
+    def test_variable_codes_are_quoted_in_every_csv_output(self, workdir):
+        # A CSV record whose header holds the code "00,618": every output
+        # must read back with one field count per file and the code whole.
+        config = workdir / "pipeline.json"
+        assert main(["ingest", str(config)]) == 0
+        header, *rows = read_csv(workdir / "out" / "ingested.csv")
+        header = ["00,618" if code == "00618" else code for code in header]
+        with open(workdir / "station.csv", "w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+        doc = json.loads(config.read_text().replace('"00618"', '"00,618"'))
+        doc["input"] = {"path": "station.csv"}
+        config.write_text(json.dumps(doc))
+        shutil.rmtree(workdir / "out")
+
+        assert main(["run", str(config)]) == 0
+        holding = set()
+        for path in sorted((workdir / "out").glob("*.csv")):
+            rows = read_csv(path)
+            assert len({len(row) for row in rows}) == 1, path.name
+            if any("00,618" in row for row in rows):
+                holding.add(path.name)
+        assert holding == {
+            "ingested.csv",
+            "preprocessed.csv",
+            "pca_loadings.csv",
+            "mi.csv",
+            "acf.csv",
+            *(f"fa_k{k}_{kind}.csv" for k in (1, 2, 3) for kind in ("loadings", "residual")),
+        }
 
     def test_manifest_lists_exactly_the_files_written(self, workdir):
         main(["run", str(workdir / "pipeline.json")])
@@ -330,11 +384,12 @@ class TestSubcommands:
             "ingested.csv",
             "preprocessed.csv",
         ]
-        table = parse_annual_csv((out / "preprocessed.csv").read_text())
-        assert table.n_rows == 50
-        assert table.codes() == FINAL_CODES
-        assert table.years[0] == 1951
-        assert not np.isnan(table.values).any()
+        header, *rows = read_csv(out / "preprocessed.csv")
+        assert header == ["year", *FINAL_CODES]
+        assert len(rows) == 50
+        assert rows[0][0] == "1951"
+        values = np.array([row[1:] for row in rows], dtype=float)
+        assert np.isfinite(values).all()
 
     def test_pca_outputs(self, workdir):
         assert main(["pca", str(workdir / "pipeline.json")]) == 0
@@ -472,3 +527,10 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in riversep.__all__ if not hasattr(riversep, name)] == []
+    namespace = {}
+    exec("from riversep import *", namespace)
+    assert set(riversep.__all__) <= set(namespace)

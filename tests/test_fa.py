@@ -7,7 +7,6 @@ discrepancy.  Sampling behavior is checked against a seeded simulation
 from a known two-factor population.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -16,24 +15,21 @@ import pytest
 from riversep.errors import (
     DofNegative,
     EmptyResult,
-    NotConverged,
     OutOfRange,
-    ShapeMismatch,
     SingularCorrelation,
     TooFewRows,
 )
 from riversep import fa
 from riversep.fa import (
     FaModel,
+    _bartlett_test,
     _chi2_upper_tail,
     _hessian_log,
     _objective_log,
     fa_dof,
     fit_fa_ml,
     fit_fa_ml_corr,
-    lr_test,
     profiled_discrepancy,
-    residual_matrix,
     smallest_adequate_k,
 )
 from riversep.linalg import correlation_matrix
@@ -133,38 +129,21 @@ class TestExactRecovery:
         assert np.abs(m.residual).max() <= 1e-8
 
     def test_lr_test_matches_model_fields(self):
-        _, _, pop = two_factor_population()
-        m = fit_fa_ml_corr(pop, 2, n_obs=500)
-        stat, dof, p = lr_test(m, 500)
-        assert stat == pytest.approx(m.log_likelihood_stat, abs=1e-12)
-        assert dof == m.dof == fa_dof(6, 2)
-        assert p == pytest.approx(m.p_value, abs=1e-12)
+        # Bartlett's correction applied to the minimized discrepancy, with its
+        # chi-square tail, on a one-factor fit that two-factor data reject
+        x, _ = simulate_two_factor()
+        n, p = x.shape
+        m = fit_fa_ml(x, 1)
+        stat = (n - 1 - (2 * p + 5) / 6 - 2 / 3) * m.discrepancy
+        assert m.log_likelihood_stat == pytest.approx(stat, rel=1e-12)
+        assert m.dof == fa_dof(p, 1)
+        assert m.p_value == _chi2_upper_tail(m.log_likelihood_stat, m.dof)
+        assert m.p_value < 1e-6
 
     def test_rounding_negative_statistic_reads_as_perfect_fit(self):
-        _, _, pop = two_factor_population()
-        m = fit_fa_ml_corr(pop, 2, n_obs=500)
-        stat, _, p = lr_test(dataclasses.replace(m, discrepancy=-1e-15), 500)
+        stat, p = _bartlett_test(-1e-15, 500, 6, 2, fa_dof(6, 2))
         assert stat < 0.0
         assert p == 1.0
-
-    def test_lr_test_requires_convergence(self):
-        _, _, pop = two_factor_population()
-        m = fit_fa_ml_corr(pop, 2, n_obs=500)
-        broken = FaModel(
-            loadings=m.loadings,
-            uniquenesses=m.uniquenesses,
-            k=m.k,
-            log_likelihood_stat=m.log_likelihood_stat,
-            dof=m.dof,
-            p_value=m.p_value,
-            residual=m.residual,
-            converged=False,
-            heywood=False,
-            discrepancy=m.discrepancy,
-            n_obs=m.n_obs,
-        )
-        with pytest.raises(NotConverged):
-            lr_test(broken, 500)
 
 
 class TestSimulatedTwoFactor:
@@ -396,7 +375,8 @@ class TestResidualMatrix:
     def test_perfect_fit_residual_zero(self):
         _, _, pop = two_factor_population()
         m = fit_fa_ml_corr(pop, 2, n_obs=500)
-        assert np.abs(residual_matrix(m, pop)).max() <= 1e-8
+        np.testing.assert_allclose(m.residual, pop - m.fitted(), rtol=0, atol=1e-15)
+        assert np.abs(m.residual).max() <= 1e-8
 
     def test_null_model_residual_is_r_minus_identity(self):
         r = compound_symmetry(4, 0.3)
@@ -413,13 +393,8 @@ class TestResidualMatrix:
             discrepancy=0.0,
             n_obs=100,
         )
-        np.testing.assert_allclose(residual_matrix(null, r), r - np.eye(4))
-
-    def test_shape_mismatch(self):
-        _, _, pop = two_factor_population()
-        m = fit_fa_ml_corr(pop, 2, n_obs=500)
-        with pytest.raises(ShapeMismatch):
-            residual_matrix(m, np.eye(5))
+        np.testing.assert_array_equal(null.fitted(), np.eye(4))
+        np.testing.assert_allclose(r - null.fitted(), null.residual)
 
 
 class TestInputValidation:

@@ -8,8 +8,7 @@ from numpy.testing import assert_allclose
 from riversep import errors, report
 from riversep.ingest import (
     FilterSpec,
-    TimeSeriesTable,
-    Variable,
+    Table,
     _parse_cell,
     drop_incomplete_rows,
     emit_csv,
@@ -18,7 +17,6 @@ from riversep.ingest import (
     parse_csv,
     parse_rdb,
 )
-from riversep.preprocess import AnnualTable, emit_annual_csv
 from riversep.report import format_number
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,8 +38,8 @@ def d(text):
 class TestParseRdb:
     def test_minimal(self):
         t = parse_rdb(RDB_MINIMAL)
-        assert t.codes() == ["00618", "00300"]
-        assert t.dates == [d("1990-03-01"), d("1990-03-02")]
+        assert t.codes == ["00618", "00300"]
+        assert t.index == [d("1990-03-01"), d("1990-03-02")]
         assert_allclose(t.values[0], [0.5, 8.1])
         assert np.isnan(t.values[1, 0]) and t.values[1, 1] == 8.4
 
@@ -52,7 +50,7 @@ class TestParseRdb:
     def test_bundled_fixture_counts(self):
         t = parse_rdb((FIXTURES / "small.rdb").read_bytes())
         assert t.n_rows == 20
-        assert t.codes() == ["00618", "00608", "00300"]
+        assert t.codes == ["00618", "00608", "00300"]
         # hand-counted missingness per column
         missing = np.isnan(t.values).sum(axis=0)
         assert list(missing) == [2, 4, 1]
@@ -92,7 +90,7 @@ class TestParseRdb:
             "1990-01-02\t7\t\n"
         )
         t = parse_rdb(text)
-        assert t.dates == [d("1990-01-01"), d("1990-01-02")]
+        assert t.index == [d("1990-01-01"), d("1990-01-02")]
         assert_allclose(t.values, [[9, 8], [7, 5]])
 
     def test_unparseable_numeric_becomes_missing(self):
@@ -121,12 +119,12 @@ class TestParseRdb:
 class TestParseCsv:
     def test_minimal(self):
         t = parse_csv("date,00618\n1990-01-01,1.5\n")
-        assert t.codes() == ["00618"]
+        assert t.codes == ["00618"]
         assert t.values[0, 0] == 1.5
 
     def test_quoted_field_with_comma(self):
         t = parse_csv('date,"total n, filtered"\n1990-01-01,2.5\n')
-        assert t.codes() == ["total n, filtered"]
+        assert t.codes == ["total n, filtered"]
 
     def test_missing_tokens(self):
         t = parse_csv("date,a,b\n1990-01-01,,NA\n")
@@ -140,8 +138,8 @@ class TestParseCsv:
         t = parse_rdb((FIXTURES / "small.rdb").read_bytes())
         text = emit_csv(t)
         again = parse_csv(text)
-        assert again.dates == t.dates
-        assert again.codes() == t.codes()
+        assert again.index == t.index
+        assert again.codes == t.codes
         assert_allclose(again.values, t.values, equal_nan=True)
         # a second emit is byte-stable
         assert emit_csv(again) == text
@@ -195,7 +193,7 @@ class TestRowWiseCells:
             "1990-01-01\t4\t5\n"
         )
         t = parse_rdb(text)
-        assert t.dates == [d("1990-01-01")]
+        assert t.index == [d("1990-01-01")]
         assert t.values.tolist() == [[4.0, 5.0]]
 
 
@@ -275,15 +273,14 @@ def test_emit_equals_per_cell_format_number(case, monkeypatch):
     values = np.array(values, dtype=float)
     n, p = values.shape
     codes = [f"v{j}" for j in range(p)]
-    variables = [Variable(code=c) for c in codes]
     dates = [d("1990-01-01") + datetime.timedelta(days=i) for i in range(n)]
     years = list(range(1900, 1900 + n))
-    dated = TimeSeriesTable(dates, variables, values)
-    annual = AnnualTable(years, variables, values)
+    dated = Table("date", dates, codes, values)
+    annual = Table("year", years, codes, values)
     expected_dated = per_cell_csv("date", [x.isoformat() for x in dates], codes, values)
     assert emit_csv(dated) == expected_dated
     expected_annual = per_cell_csv("year", [str(y) for y in years], codes, values)
-    assert emit_annual_csv(annual) == expected_annual
+    assert emit_csv(annual) == expected_annual
 
     calls = []
     monkeypatch.setattr(report, "format_number", lambda x: calls.append(x) or "")
@@ -295,11 +292,7 @@ def test_emit_equals_per_cell_format_number(case, monkeypatch):
 
 
 def make_table(dates, codes, values):
-    return TimeSeriesTable(
-        dates=[d(x) for x in dates],
-        variables=[Variable(code=c) for c in codes],
-        values=np.asarray(values, dtype=float),
-    )
+    return Table("date", [d(x) for x in dates], list(codes), np.asarray(values, dtype=float))
 
 
 class TestFilterTable:
@@ -310,7 +303,7 @@ class TestFilterTable:
             [[1, np.nan], [2, np.nan], [3, 7]],
         )
         out = filter_table(t, FilterSpec(min_count=2))
-        assert out.codes() == ["a"]
+        assert out.codes == ["a"]
         assert out.n_rows == 3
 
     def test_date_range_is_inclusive(self):
@@ -322,7 +315,7 @@ class TestFilterTable:
         out = filter_table(
             t, FilterSpec(start=d("1990-01-01"), end=d("1991-01-01"))
         )
-        assert out.dates == [d("1990-01-01"), d("1991-01-01")]
+        assert out.index == [d("1990-01-01"), d("1991-01-01")]
 
     def test_required_variable_drops_rows(self):
         t = make_table(
@@ -353,8 +346,8 @@ class TestFilterTable:
         )
         once = filter_table(t, spec)
         twice = filter_table(once, spec)
-        assert twice.dates == once.dates
-        assert twice.codes() == once.codes()
+        assert twice.index == once.index
+        assert twice.codes == once.codes
         assert_allclose(twice.values, once.values, equal_nan=True)
 
     def test_bad_spec_rejected(self):

@@ -1,44 +1,36 @@
+import csv
 import datetime
+import io
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from riversep import errors
-from riversep.ingest import TimeSeriesTable, Variable
+from riversep.ingest import Table, emit_csv
 from riversep.preprocess import (
-    AnnualTable,
     RedundancyRule,
     annual_mean,
     difference,
     drop_na_columns,
     drop_redundant,
-    emit_annual_csv,
-    parse_annual_csv,
 )
 
 
 def make_table(dates, codes, values):
-    return TimeSeriesTable(
-        dates=[datetime.date.fromisoformat(x) for x in dates],
-        variables=[Variable(code=c) for c in codes],
-        values=np.asarray(values, dtype=float),
-    )
+    dates = [datetime.date.fromisoformat(x) for x in dates]
+    return Table("date", dates, list(codes), np.asarray(values, dtype=float))
 
 
 def make_annual(years, codes, values):
-    return AnnualTable(
-        years=list(years),
-        variables=[Variable(code=c) for c in codes],
-        values=np.asarray(values, dtype=float),
-    )
+    return Table("year", list(years), list(codes), np.asarray(values, dtype=float))
 
 
 def brute_force_annual(table):
     """Dict-based groupby oracle for annual_mean."""
     out = {}
-    for i, date in enumerate(table.dates):
-        for j, code in enumerate(table.codes()):
+    for i, date in enumerate(table.index):
+        for j, code in enumerate(table.codes):
             v = table.values[i, j]
             if not np.isnan(v):
                 out.setdefault((date.year, code), []).append(v)
@@ -49,7 +41,7 @@ class TestAnnualMean:
     def test_two_samples_average(self):
         t = make_table(["1990-03-01", "1990-09-01"], ["a"], [[2.0], [4.0]])
         a = annual_mean(t)
-        assert a.years == [1990]
+        assert a.index == [1990]
         assert_allclose(a.values, [[3.0]])
 
     def test_missing_samples_ignored(self):
@@ -59,7 +51,7 @@ class TestAnnualMean:
             [[2.0], [np.nan], [5.0]],
         )
         a = annual_mean(t)
-        assert a.years == [1990, 1991]
+        assert a.index == [1990, 1991]
         assert_allclose(a.values, [[2.0], [5.0]])
 
     def test_overflowing_mean_is_rejected(self):
@@ -93,8 +85,8 @@ class TestAnnualMean:
         t = make_table(dates, ["a", "b", "c"], rows)
         a = annual_mean(t)
         oracle = brute_force_annual(t)
-        for i, year in enumerate(a.years):
-            for j, code in enumerate(a.codes()):
+        for i, year in enumerate(a.index):
+            for j, code in enumerate(a.codes):
                 if (year, code) in oracle:
                     assert a.values[i, j] == pytest.approx(oracle[(year, code)], abs=1e-12)
                 else:
@@ -108,7 +100,7 @@ class TestAnnualMean:
         perm = rng.permutation(9)
         t_perm = make_table([dates[i] for i in perm], ["a", "b"], values[perm])
         a, b = annual_mean(t), annual_mean(t_perm)
-        assert a.years == b.years
+        assert a.index == b.index
         assert_allclose(a.values, b.values)
 
 
@@ -116,12 +108,12 @@ class TestDropNaColumns:
     def test_drops_gappy_variable(self):
         a = make_annual([1990, 1991], ["a", "b"], [[1, np.nan], [2, 3]])
         out = drop_na_columns(a)
-        assert out.codes() == ["a"]
+        assert out.codes == ["a"]
 
     def test_keeps_complete_table(self):
         a = make_annual([1990, 1991], ["a", "b"], [[1, 5], [2, 3]])
         out = drop_na_columns(a)
-        assert out.codes() == ["a", "b"]
+        assert out.codes == ["a", "b"]
 
     def test_empty_result(self):
         a = make_annual([1990, 1991], ["a"], [[np.nan], [2]])
@@ -140,15 +132,13 @@ class TestDropRedundant:
         a = make_annual(
             [1990], ["no3", "no2", "no3_no2"], [[1.0, 2.0, 3.0]]
         )
-        out, removed = drop_redundant(a, self.RULES)
-        assert out.codes() == ["no3", "no2"]
-        assert removed == ["no3_no2"]
+        out = drop_redundant(a, self.RULES)
+        assert out.codes == ["no3", "no2"]
 
     def test_composite_kept_when_part_absent(self):
         a = make_annual([1990], ["no3", "no3_no2"], [[1.0, 3.0]])
-        out, removed = drop_redundant(a, self.RULES)
-        assert out.codes() == ["no3", "no3_no2"]
-        assert removed == []
+        out = drop_redundant(a, self.RULES)
+        assert out.codes == ["no3", "no3_no2"]
 
     def test_chained_rules_hand_oracle(self):
         # total_n depends on tkn, which is itself removed by an earlier
@@ -156,16 +146,15 @@ class TestDropRedundant:
         # composites go and the elementary species stay.
         codes = ["org_n", "nh3", "no3", "no2", "tkn", "total_n"]
         a = make_annual([1990, 1991], codes, np.arange(12.0).reshape(2, 6))
-        out, removed = drop_redundant(a, self.RULES)
-        assert out.codes() == ["org_n", "nh3", "no3", "no2"]
-        assert removed == ["tkn", "total_n"]
+        out = drop_redundant(a, self.RULES)
+        assert out.codes == ["org_n", "nh3", "no3", "no2"]
 
     def test_rule_order_irrelevant(self):
         codes = ["org_n", "nh3", "no3", "no2", "tkn", "total_n"]
         a = make_annual([1990], codes, [np.arange(6.0)])
-        out_fwd, _ = drop_redundant(a, self.RULES)
-        out_rev, _ = drop_redundant(a, tuple(reversed(self.RULES)))
-        assert out_fwd.codes() == out_rev.codes()
+        out_fwd = drop_redundant(a, self.RULES)
+        out_rev = drop_redundant(a, tuple(reversed(self.RULES)))
+        assert out_fwd.codes == out_rev.codes
 
     def test_bad_rule_rejected(self):
         with pytest.raises(errors.RuleInapplicable):
@@ -178,7 +167,7 @@ class TestDifference:
     def test_constant_series_gives_zeros(self):
         a = make_annual([1990, 1991, 1992], ["a"], [[5.0], [5.0], [5.0]])
         out = difference(a)
-        assert out.years == [1991, 1992]
+        assert out.index == [1991, 1992]
         assert_allclose(out.values, [[0.0], [0.0]])
 
     def test_doubling_series(self):
@@ -189,7 +178,7 @@ class TestDifference:
     def test_lag_two(self):
         a = make_annual([1990, 1991, 1992, 1993], ["a"], [[1.0], [2.0], [4.0], [8.0]])
         out = difference(a, lag=2)
-        assert out.years == [1992, 1993]
+        assert out.index == [1992, 1993]
         assert_allclose(out.values[:, 0], [3.0, 6.0])
 
     def test_cumsum_reconstructs(self):
@@ -225,9 +214,10 @@ class TestDifference:
 class TestAnnualCsv:
     def test_round_trip(self):
         a = make_annual([1990, 1991], ["a", "b"], [[1.25, np.nan], [2.5, 3.75]])
-        text = emit_annual_csv(a)
-        again = parse_annual_csv(text)
-        assert again.years == a.years
-        assert again.codes() == a.codes()
-        assert_allclose(again.values, a.values, equal_nan=True)
-        assert emit_annual_csv(again) == text
+        text = emit_csv(a)
+        assert text == "year,a,b\n1990,1.25,NA\n1991,2.5,3.75\n"
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == ["year", *a.codes]
+        assert [int(r[0]) for r in rows] == a.index
+        again = [[float("nan") if c == "NA" else float(c) for c in r[1:]] for r in rows]
+        assert_allclose(again, a.values, equal_nan=True)
