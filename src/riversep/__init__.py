@@ -15,6 +15,7 @@ from .diagnostics import (
     acf,
     morans_i,
     mutual_information_discrete,
+    mutual_information_matrix,
 )
 from .fa import (
     FactorSelection,
@@ -112,6 +113,7 @@ __all__ = [
     "acf",
     "morans_i",
     "mutual_information_discrete",
+    "mutual_information_matrix",
     # synthetic benchmark
     "RecoveryReport",
     "SyntheticScenario",

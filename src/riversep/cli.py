@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .diagnostics import acf, mutual_information_discrete
+from .diagnostics import acf, mutual_information_matrix
 from .errors import ConfigError, MissingCells, RiversepError, RuleInapplicable
 from .fa import fa_dof, fit_fa_ml, smallest_adequate_k
 from .ica import _ROWS_PER_COMPONENT, IcaConfig, fast_ica
@@ -332,14 +332,8 @@ def _write_diagnostics(pipe: _Pipeline) -> list:
     text = _table_csv(header, keys, format_rows(np.vstack(rows)))
     files = [_write(cfg.output_dir, "acf.csv", text)]
 
-    p = len(labels)
-    mi = np.zeros((p, p))
     with _stage("diagnose"):
-        for i in range(p):
-            for j in range(i, p):
-                mi[i, j] = mi[j, i] = mutual_information_discrete(
-                    matrix[:, i], matrix[:, j], bins=cfg.mi_bins
-                )
+        mi = mutual_information_matrix(matrix, bins=cfg.mi_bins)
     text = _table_csv(["variable", *labels], labels, format_rows(mi))
     files.append(_write(cfg.output_dir, "mi.csv", text))
     return files

@@ -1,10 +1,10 @@
 """Statistical screening checks used around the decomposition models.
 
 Three diagnostics: temporal autocorrelation of a single series, a
-histogram estimate of mutual information between two series (the
-independence measure the separation models aim to drive toward zero), and
-Moran's I for spatial dependence across sites.  All are pure functions of
-their inputs.
+histogram estimate of mutual information between two series or between
+every pair of columns (the independence measure the separation models aim
+to drive toward zero), and Moran's I for spatial dependence across sites.
+All are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -95,8 +95,12 @@ def acf(series, max_lag: int) -> AcfResult:
     n = x.shape[0]
     if n < max_lag + 2:
         raise TooShort(n, max_lag + 2)
-    centered = x - x.mean()
-    denom = float(np.sum(centered**2))
+    # a sum of squares past the largest float is rejected, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean()
+        denom = float(np.sum(centered**2))
+    if not np.isfinite(denom):
+        raise OutOfRange("series' sum of squares overflows")
     if denom == 0.0:
         raise ConstantSeries("series has no variation")
     values = np.empty(max_lag + 1)
@@ -121,7 +125,8 @@ def mutual_information_discrete(x, y, bins: int = 8) -> float:
 
     The histogram plug-in is biased upward for continuous data (finer bins
     inflate it), so this is a comparative diagnostic, not an unbiased
-    estimate of the underlying continuous quantity.
+    estimate of the underlying continuous quantity.  It is the off-diagonal
+    entry of :func:`mutual_information_matrix` of the two columns.
 
     Returns
     -------
@@ -135,15 +140,57 @@ def mutual_information_discrete(x, y, bins: int = 8) -> float:
         raise ShapeMismatch("inputs must be 1-D series")
     if x.shape[0] != y.shape[0]:
         raise LengthMismatch(x.shape[0], y.shape[0])
-    if x.shape[0] < 10:
-        raise TooShort(x.shape[0], 10)
+    return float(mutual_information_matrix(np.column_stack([x, y]), bins)[0, 1])
+
+
+def mutual_information_matrix(x, bins: int = 8) -> np.ndarray:
+    """Plug-in mutual information of every pair of columns of ``x``, in bits.
+
+    Each column is binned once, onto ``bins`` equal-width intervals spanning
+    its own range (``np.histogram2d``'s rule: a cell on the last edge falls
+    in the last bin), and every pair's joint histogram is counted from the
+    two columns' bin codes.  Entry (i, j) is
+    :func:`mutual_information_discrete` of columns i and j; the diagonal is
+    each column's binned entropy.
+
+    Returns
+    -------
+    np.ndarray, shape (p, p)
+        Symmetric; (j, i) is a copy of (i, j) for i <= j.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ShapeMismatch(f"x must be 2-D, got shape {x.shape}")
+    n, p = x.shape
+    if n < 10:
+        raise TooShort(n, 10)
     if bins < 2:
         raise OutOfRange(f"bins must be at least 2, got {bins}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not np.all(np.isfinite(x)):
         raise OutOfRange("series must be finite")
-    if x.min() == x.max() or y.min() == y.max():
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
+    if np.any(lo == hi):
         raise DegenerateRange("cannot bin a range of zero width")
-    counts, _, _ = np.histogram2d(x, y, bins=bins)
+    codes = np.empty((p, n), dtype=np.intp)
+    for j in range(p):
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.linspace(lo[j], hi[j], bins + 1)
+        if not np.all(np.isfinite(edges)):
+            raise OutOfRange(f"column {j} spans {lo[j]:g} to {hi[j]:g}, too wide to bin")
+        codes[j] = np.searchsorted(edges, x[:, j], side="right") - 1
+        codes[j][x[:, j] == edges[-1]] -= 1
+    mi = np.empty((p, p))
+    for i in range(p):
+        rows = codes[i] * bins
+        for j in range(i, p):
+            counts = np.bincount(rows + codes[j], minlength=bins * bins)
+            mi[i, j] = mi[j, i] = _plugin_mi(counts.reshape(bins, bins).astype(float))
+    return mi
+
+
+def _plugin_mi(counts: np.ndarray) -> float:
+    """Mutual information, in bits, of a joint histogram of counts."""
     joint = counts / counts.sum()
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)

@@ -109,8 +109,8 @@ def _contrast(u: np.ndarray, cfg: IcaConfig) -> tuple[np.ndarray, np.ndarray]:
         a = cfg.logcosh_alpha
         gu = np.tanh(a * u)
         return gu, a * (1.0 - gu**2)
-    # cube
-    return u**3, 3.0 * u**2
+    # cube: u * u * u skips numpy's generic pow loop, within about an ulp of u**3
+    return u * u * u, 3.0 * u**2
 
 
 def _sym_decorrelate(w: np.ndarray) -> np.ndarray:

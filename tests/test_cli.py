@@ -22,6 +22,9 @@ import riversep
 import riversep.cli
 import station_builder
 from riversep.cli import main
+from riversep.config import load_config
+from riversep.report import format_rows
+from test_diagnostics import reference_mi_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,11 +77,11 @@ def set_00300_cells(workdir, year, cells):
     record.write_text("".join(lines))
 
 
-def run_in_subprocess(workdir):
-    """``riversep run`` on the workdir's config in a fresh interpreter."""
+def run_in_subprocess(workdir, command="run"):
+    """``riversep <command>`` on the workdir's config in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "riversep.cli", "run", str(workdir / "pipeline.json")],
+        [sys.executable, "-m", "riversep.cli", command, str(workdir / "pipeline.json")],
         env=env, capture_output=True, text=True,
     )
 
@@ -278,6 +281,20 @@ class TestExitCodes:
             "1960 is inf: its samples overflow or are infinite"
         ]
 
+    @pytest.mark.parametrize("cell", ["1.7e308", "1.5e155"])
+    def test_overflowing_diagnostic_is_a_runtime_error(self, workdir, cell):
+        # the one kept 1960 sample of 00300 becomes that year's mean and
+        # enters both of its differences: with 1.7e308 the column's range
+        # overflows, with 1.5e155 only its sum of squares does; either way
+        # the sum of squares fails first
+        set_00300_cells(workdir, "1960", [cell, "", "", ""])
+        proc = run_in_subprocess(workdir, "diagnose")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "riversep: error in stage 'diagnose': series' sum of squares overflows"
+        ]
+
     def test_offline_without_cache_is_a_runtime_error(self, workdir, capsys):
         doc = json.loads((workdir / "pipeline.json").read_text())
         doc["input"] = {
@@ -457,6 +474,17 @@ class TestSubcommands:
         # symmetry of the emitted matrix
         rows = [line.split(",")[1:] for line in mi_lines[1:]]
         assert rows[0][3] == rows[3][0]
+
+
+    def test_mi_table_matches_one_histogram2d_per_pair(self, run_outputs):
+        cfg = load_config(run_outputs.parent / "pipeline.json")
+        model_input = riversep.cli._Pipeline(cfg).model_input
+        table = reference_mi_table(model_input.values, cfg.mi_bins)
+        lines = (run_outputs / "mi.csv").read_text().splitlines()
+        assert lines[0] == ",".join(["variable", *FINAL_CODES])
+        assert lines[1:] == [
+            f"{code},{line}" for code, line in zip(FINAL_CODES, format_rows(table))
+        ]
 
 
 class TestSynthBench:

@@ -5,6 +5,8 @@ arithmetic: the alternating series for the ACF, exact product-of-marginals
 grids for mutual information, and the checkerboard ring for Moran's I.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from riversep.diagnostics import (
     acf,
     morans_i,
     mutual_information_discrete,
+    mutual_information_matrix,
 )
 from riversep.errors import (
     ConstantField,
@@ -24,6 +27,50 @@ from riversep.errors import (
     ShapeMismatch,
     TooShort,
 )
+
+
+def reference_mi_table(x, bins):
+    """Pairwise mutual information as it was first computed: one
+    ``np.histogram2d`` per pair i <= j, then the plug-in formula."""
+    p = x.shape[1]
+    mi = np.zeros((p, p))
+    for i in range(p):
+        for j in range(i, p):
+            counts, _, _ = np.histogram2d(x[:, i], x[:, j], bins=bins)
+            joint = counts / counts.sum()
+            px = joint.sum(axis=1)
+            py = joint.sum(axis=0)
+            nonzero = joint > 0.0
+            ratio = joint[nonzero] / np.outer(px, py)[nonzero]
+            mi[i, j] = mi[j, i] = float(np.sum(joint[nonzero] * np.log2(ratio)))
+    return mi
+
+
+def random_sizes(rng, count):
+    """``count`` (rows, columns, bins) draws from 10-400, 2-12 and 2-12,
+    led by the smallest and the largest."""
+    draws = rng.integers((10, 2, 2), (401, 13, 13), size=(count - 2, 3))
+    return [(10, 2, 2), (400, 12, 12), *(tuple(map(int, d)) for d in draws)]
+
+
+def random_table(rng, n, p, bins):
+    """A seeded n x p table for ``bins`` bins, with ties and with several
+    cells on each column's last edge."""
+    kind = rng.integers(3)
+    if kind == 0:
+        # rounded continuous data: ties, arbitrary scales and offsets
+        x = rng.normal(size=(n, p)) * rng.uniform(0.01, 1e3, size=p)
+        x = np.round(x + rng.normal(scale=1e3, size=p), int(rng.integers(0, 3)))
+    elif kind == 1:
+        # integers 0..bins: every interior edge is hit exactly
+        x = rng.integers(0, bins + 1, size=(n, p)).astype(float)
+    else:
+        # a handful of distinct values
+        x = rng.choice(rng.normal(size=4), size=(n, p))
+    rows = rng.integers(0, n, size=(3, p))
+    x[rows, np.arange(p)] = x.max(axis=0)
+    x[0, x.min(axis=0) == x.max(axis=0)] -= 1.0
+    return x
 
 
 def ring_weights(n):
@@ -82,6 +129,16 @@ class TestAcf:
     def test_too_short(self):
         with pytest.raises(TooShort):
             acf(np.arange(6.0), max_lag=5)
+
+    @pytest.mark.parametrize("cells", [[1.5e155], [1.7e308, 1.7e308]])
+    def test_overflowing_sum_of_squares_is_rejected_without_warnings(self, cells):
+        # one cell squares past the largest float, or two overflow the mean
+        x = np.random.default_rng(8).normal(size=30)
+        x[3:3 + len(cells)] = cells
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="sum of squares overflows"):
+                acf(x, max_lag=5)
 
     def test_result_fields(self):
         r = acf(np.sin(np.arange(30.0)), max_lag=4)
@@ -143,6 +200,68 @@ class TestMutualInformation:
     def test_bad_bins(self):
         with pytest.raises(OutOfRange):
             mutual_information_discrete(np.arange(20.0), np.arange(20.0), bins=1)
+
+
+class TestMutualInformationMatrix:
+    def test_matches_one_histogram2d_per_pair_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        for n, p, bins in random_sizes(rng, 200):
+            x = random_table(rng, n, p, bins)
+            got = mutual_information_matrix(x, bins)
+            want = reference_mi_table(x, bins)
+            upper = np.triu_indices(p)
+            np.testing.assert_array_equal(got[upper], want[upper])
+            np.testing.assert_array_equal(got, got.T)
+
+    def test_diagonal_is_the_binned_entropy(self):
+        rng = np.random.default_rng(31)
+        for n, p, bins in random_sizes(rng, 50):
+            x = random_table(rng, n, p, bins)
+            diagonal = np.diag(mutual_information_matrix(x, bins))
+            for j in range(p):
+                counts, _ = np.histogram(x[:, j], bins=bins)
+                q = counts[counts > 0] / n
+                assert diagonal[j] == pytest.approx(-np.sum(q * np.log2(q)), abs=1e-12)
+
+    def test_pair_entry_is_mutual_information_discrete(self):
+        rng = np.random.default_rng(9)
+        x = np.round(rng.normal(size=(60, 3)), 1)
+        mi = mutual_information_matrix(x, bins=5)
+        assert mi[0, 2] == mutual_information_discrete(x[:, 0], x[:, 2], bins=5)
+
+    def test_overflowing_range_names_the_column(self):
+        # both cells are finite, but max - min is not: the edges would be
+        x = np.random.default_rng(10).normal(size=(20, 3))
+        x[0, 1], x[1, 1] = 1.7e308, -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="column 1 spans"):
+                mutual_information_matrix(x)
+            with pytest.raises(OutOfRange, match="too wide to bin"):
+                mutual_information_discrete(x[:, 0], x[:, 1])
+
+    def test_not_two_dimensional(self):
+        with pytest.raises(ShapeMismatch):
+            mutual_information_matrix(np.arange(20.0))
+
+    def test_too_short(self):
+        with pytest.raises(TooShort):
+            mutual_information_matrix(np.arange(18.0).reshape(9, 2))
+
+    def test_bad_bins(self):
+        with pytest.raises(OutOfRange, match="bins"):
+            mutual_information_matrix(np.arange(40.0).reshape(20, 2), bins=1)
+
+    def test_non_finite(self):
+        x = np.arange(40.0).reshape(20, 2)
+        x[4, 1] = np.nan
+        with pytest.raises(OutOfRange, match="finite"):
+            mutual_information_matrix(x)
+
+    def test_degenerate_column(self):
+        x = np.column_stack([np.arange(20.0), np.ones(20), np.arange(20.0)])
+        with pytest.raises(DegenerateRange):
+            mutual_information_matrix(x)
 
 
 class TestSpatialWeights:

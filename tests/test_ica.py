@@ -132,6 +132,13 @@ class TestFastIca:
         model = fast_ica(sc.observed, paper_defaults(2, seed=17, contrast="cube"))
         assert amari_index(model.unmixing @ model.whitening, sc.mixing) < 0.05
 
+    def test_cube_contrast_is_within_four_ulp_of_the_power(self):
+        u = np.random.default_rng(4).standard_normal((3, 5000)) * 3.0
+        gu, dgu = ica._contrast(u, IcaConfig(n_components=3, contrast="cube"))
+        exact = u**3
+        assert np.all(np.abs(gu - exact) <= 4 * np.spacing(np.abs(exact)))
+        np.testing.assert_array_equal(dgu, 3.0 * u**2)
+
     def test_update_matches_the_row_major_formula(self):
         # The fit iterates in components x rows layout; this is the same
         # fixed point written rows x components, as the update was first
