@@ -6,6 +6,14 @@ the logcosh contrast by default; symmetric decorrelation replaces the
 unmixing matrix by its polar factor after every iteration.  A run that
 exhausts its iteration budget is returned with ``converged=False`` rather
 than raised: non-convergence is a reportable outcome, not a failure.
+
+The iteration runs on the whitened data in components x rows layout, a
+C-ordered (k, n) array, so that every per-component statistic is a
+contiguous pass over one row.  Callers still see rows x components:
+:func:`whiten` returns the F-ordered transpose of its (k, n) product, with
+the values of the rows x components product, and ``sources`` is C-ordered.
+Column means stay ``ones @ x`` on the C-ordered input: ``x.T @ ones`` sums
+in another order, so every fitted model would move in its last bits.
 """
 
 from __future__ import annotations
@@ -83,32 +91,44 @@ def whiten(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
     uncorrelated columns.
 
     Returns ``(z, k)`` with ``z = xc @ k.T`` and ``cov(z) = I`` under the
-    n-1 convention.  Raises :class:`RankDeficient` when the request exceeds
-    the numerical rank of the centered data.
+    n-1 convention.  ``z`` may be the F-ordered transpose of the
+    components x rows product ``k @ xc.T``: its values are those of
+    ``xc @ k.T``, and ``z.T`` is C-contiguous.  Raises
+    :class:`RankDeficient` when the request exceeds the numerical rank of
+    the centered data.
     """
     m = as_matrix(x)
     if m.shape[0] < 2:
         raise TooFewRows(m.shape[0], 2)
     if n_components < 1:
         raise OutOfRange("n_components must be at least 1")
-    xc = m - _column_mean(m)
+    # center a components x rows copy: a row of means broadcast down a
+    # tall, narrow matrix costs several times as much
+    xct = np.ascontiguousarray(m.T) - _column_mean(m)[:, None]
     n = m.shape[0]
-    _, sigma, v = svd(xc)
+    _, sigma, v = svd(xct.T)  # the same matrix to LAPACK
     effective_rank = int(np.sum(sigma > _RANK_RTOL * max(sigma[0], 1e-300)))
     if n_components > effective_rank:
         raise RankDeficient(effective_rank)
     top = sigma[:n_components]
     # scale so the n-1 sample covariance of z is exactly the identity
     k = np.sqrt(n - 1) * (v[:, :n_components] / top).T
-    return xc @ k.T, k
+    return (k @ xct).T, k
 
 
 def _contrast(u: np.ndarray, cfg: IcaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Return (g(u), g'(u)) for the configured contrast."""
+    """Return (g(u), g'(u)) for the configured contrast.
+
+    The logcosh branch overwrites ``u`` with g(u), so pass a fresh array.
+    """
     if cfg.contrast == "logcosh":
         a = cfg.logcosh_alpha
-        gu = np.tanh(a * u)
-        return gu, a * (1.0 - gu**2)
+        u *= a
+        gu = np.tanh(u, out=u)
+        gprime = gu * gu
+        np.subtract(1.0, gprime, out=gprime)
+        gprime *= a
+        return gu, gprime
     # cube: u * u * u skips numpy's generic pow loop, within about an ulp of u**3
     return u * u * u, 3.0 * u**2
 
@@ -135,6 +155,9 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     contrast can move less than ``tol`` at first and then speed up on its
     way to a separating solution.  So the first iteration never converges,
     and ``max_iter=1`` always returns ``converged=False``.
+
+    The iteration runs on the components x rows whitened data ``zt``;
+    ``sources`` is C-ordered, rows x components.
     """
     m = as_matrix(x)
     n, p = m.shape
@@ -143,20 +166,21 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
         raise TooFewRows(n, _ROWS_PER_COMPONENT * k)
 
     z, whitening = whiten(m, k)
-    # components x rows, so that every per-component statistic of the
-    # iteration is a contiguous pass over one row
-    zt = np.ascontiguousarray(z.T)
+    zt = z.T  # C-ordered (k, n)
 
     rng = np.random.default_rng(cfg.seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
+    eye = np.eye(k)
 
     deltas: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         gu, gprime = _contrast(w @ zt, cfg)
-        w_new = _sym_decorrelate(gu @ z / n - gprime.mean(axis=1)[:, None] * w)
-        if np.abs(w_new @ w_new.T - np.eye(k)).max() >= 1e-8:
+        # np.add.reduce(...) / n is the arithmetic of gprime.mean(axis=1)
+        mean_gprime = np.add.reduce(gprime, axis=1) / n
+        w_new = _sym_decorrelate(gu @ z / n - mean_gprime[:, None] * w)
+        if np.abs(w_new @ w_new.T - eye).max() >= 1e-8:
             raise RiversepError("FastICA lost orthonormality in decorrelation")
         delta = float(np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1)))))
         converged = delta < cfg.tol and bool(deltas) and delta <= deltas[-1]
@@ -165,6 +189,8 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
         if converged:
             break
 
+    # C-ordered, so sums over its columns keep their order; fast, as z is
+    # F-ordered
     sources = z @ w.T
     mixing = np.linalg.pinv(w @ whitening)
     return IcaModel(

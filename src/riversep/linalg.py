@@ -97,13 +97,22 @@ def _column_moments(
     sample covariance, or with ``standardize`` the correlation, which
     raises :class:`ZeroVarianceColumn` on a constant column.  The sds are
     the square roots of the covariance diagonal.
+
+    The centering runs on a columns x rows copy ``xct``: a row of means
+    broadcast down a tall, narrow ``m`` is several times slower.  The Gram
+    product ``xct @ xct.T`` takes the symmetric BLAS route of
+    ``xc.T @ xc``.  The means stay ``ones @ m``: ``xct @ ones`` sums in
+    another order.  Raises :class:`OutOfRange` when the sums overflow.
     """
     n = m.shape[0]
     if n < 2:
         raise TooFewRows(n, 2)
-    mean = _column_mean(m)
-    xc = m - mean
-    c = xc.T @ xc / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _column_mean(m)
+        xct = np.ascontiguousarray(m.T) - mean[:, None]
+        c = xct @ xct.T / (n - 1)
+    if not np.isfinite(c).all():
+        raise OutOfRange("column sums of squares overflow")
     sd = np.sqrt(np.diag(c))
     if standardize:
         _check_zero_variance(m, sd)
@@ -204,4 +213,6 @@ def svd(x) -> SvdDecomposition:
     except np.linalg.LinAlgError as exc:
         raise DidNotConverge("svd") from exc
     signs = _column_signs(vt.T)
-    return SvdDecomposition(u * signs, sigma, vt.T * signs)
+    if (signs < 0.0).any():  # flipping the tall u is a broadcast
+        u = u * signs
+    return SvdDecomposition(u, sigma, vt.T * signs)

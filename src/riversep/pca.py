@@ -107,6 +107,8 @@ def scores(model: PcaModel, x) -> np.ndarray:
     The input is centered/scaled as the model's fit was, with the training
     mean and sd, then rotated by the loadings.  On the training data the
     score columns are uncorrelated with variances equal to ``stdevs**2``.
+    The centering and scaling run on a variables x rows copy; the scores
+    come back C-ordered, rows x components.
     """
     m = as_matrix(x)
     if m.shape[1] != model.loadings.shape[0]:
@@ -115,7 +117,9 @@ def scores(model: PcaModel, x) -> np.ndarray:
         )
     if model.mean is None or model.sd is None:
         raise RuleInapplicable("scores need the training mean and sd of a fit_pca model")
-    pre = m - model.mean if model.centered else m
+    pre = np.ascontiguousarray(m.T)  # variables x rows, as in whiten
+    if model.centered:
+        pre = pre - model.mean[:, None]
     if model.scaled:
-        pre = pre / model.sd
-    return pre @ model.loadings
+        pre = pre / model.sd[:, None]
+    return pre.T @ model.loadings  # fast for an F-ordered left operand

@@ -118,7 +118,8 @@ def generate_scenario(
     if mixing is None:
         raise ConditioningFailed(_MAX_MIXING_DRAWS, best)
 
-    observed = sources @ mixing.T
+    # sources @ mixing.T, fast with the F-ordered left operand
+    observed = np.stack(cols).T @ mixing.T
     if noise_sd > 0:
         observed = observed + noise_sd * noise_rng.standard_normal((rows, p))
 
@@ -135,7 +136,12 @@ def generate_scenario(
 def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(xc, inv)``: the centered columns and the reciprocals of their
     lengths.  A column whose centered length is rounding next to its own
-    length (zero variance) gets ``inv`` 0, so its correlations read 0."""
+    length (zero variance) gets ``inv`` 0, so its correlations read 0.
+
+    This stays rows x columns, unlike the fits: the means, the sums of
+    squares and :func:`_greedy_match`'s cross product sum in an order set
+    by the layout, and a columns x rows copy moves written correlations.
+    """
     n = x.shape[0]
     mean = _column_mean(x)
     xc = x - mean

@@ -295,6 +295,17 @@ class TestExitCodes:
             "riversep: error in stage 'diagnose': series' sum of squares overflows"
         ]
 
+    @pytest.mark.parametrize("cell", ["1.7e308", "1.5e155"])
+    def test_overflowing_model_input_is_a_runtime_error(self, workdir, cell):
+        # the same one-sample year reaches the models: the sum of squares
+        # of its column overflows in the first model's column moments
+        set_00300_cells(workdir, "1960", [cell, "", "", ""])
+        proc = run_in_subprocess(workdir)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "riversep: error in stage 'pca': column sums of squares overflow"
+        ]
+
     def test_offline_without_cache_is_a_runtime_error(self, workdir, capsys):
         doc = json.loads((workdir / "pipeline.json").read_text())
         doc["input"] = {

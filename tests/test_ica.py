@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+import rows_layout
 from riversep import errors, ica
 from riversep.ica import (
     IcaConfig,
@@ -200,6 +201,55 @@ class TestFastIca:
             IcaConfig(n_components=2, logcosh_alpha=3.0)
         with pytest.raises(errors.OutOfRange):
             IcaConfig(n_components=2, seed=-1)
+
+
+def assert_models_identical(model, oracle):
+    for field in ("sources", "mixing", "unmixing", "whitening"):
+        assert_array_equal(getattr(model, field), getattr(oracle, field), err_msg=field)
+    assert model.converged == oracle.converged
+    assert model.iterations == oracle.iterations
+    assert model.delta_history == oracle.delta_history
+
+
+class TestRowsLayoutBitIdentity:
+    """Whitening and FastICA run on components x rows arrays; every model
+    field must carry the bits of the rows x components computation."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dists", rows_layout.SCENARIOS, ids="+".join)
+    def test_scenario_fit_matches_the_rows_layout(self, dists, seed):
+        x = generate_scenario(dists, rows=5000, seed=seed).observed
+        cfg = paper_defaults(len(dists), seed=seed)
+        z, k = whiten(x, len(dists))
+        z_oracle, k_oracle = rows_layout.whiten(x, len(dists))
+        assert_array_equal(z, z_oracle)
+        assert_array_equal(k, k_oracle)
+        assert_models_identical(fast_ica(x, cfg), rows_layout.fast_ica(x, cfg))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fifty_by_eleven_fit_matches_the_rows_layout(self, seed):
+        x = rows_layout.fifty_by_eleven(seed)
+        cfg = paper_defaults(3, seed=seed)
+        assert_models_identical(fast_ica(x, cfg), rows_layout.fast_ica(x, cfg))
+
+    @pytest.mark.parametrize("settings", [{"logcosh_alpha": 1.5}, {"contrast": "cube"}])
+    def test_other_contrasts_match_the_rows_layout(self, settings):
+        x = generate_scenario(rows_layout.SCENARIOS[1], rows=5000, seed=4).observed
+        cfg = paper_defaults(3, seed=4, **settings)
+        assert_models_identical(fast_ica(x, cfg), rows_layout.fast_ica(x, cfg))
+
+    def test_sources_stay_c_ordered(self):
+        # the recovery scores sum the sources' columns in a layout-bound order
+        x = generate_scenario(rows_layout.SCENARIOS[0], rows=500, seed=5).observed
+        assert fast_ica(x, paper_defaults(2, seed=5)).sources.flags.c_contiguous
+
+    def test_logcosh_contrast_consumes_its_argument(self):
+        u = np.random.default_rng(6).standard_normal((3, 5000))
+        expected = rows_layout.contrast(u.copy(), paper_defaults(3, logcosh_alpha=1.5))
+        gu, gprime = ica._contrast(u, paper_defaults(3, logcosh_alpha=1.5))
+        assert gu is u
+        assert_array_equal(gu, expected[0])
+        assert_array_equal(gprime, expected[1])
 
 
 class TestAmariIndex:

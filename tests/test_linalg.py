@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -120,6 +122,38 @@ class TestColumnStatistics:
             with pytest.raises(errors.ZeroVarianceColumn) as exc:
                 _check_zero_variance(x, sd)
             assert exc.value.col == j
+
+
+class TestOverflow:
+    """Sums that overflow raise a typed error, with no numpy warning."""
+
+    @staticmethod
+    def table(cell):
+        x = np.random.default_rng(9).standard_normal((50, 4))
+        x[7, 2] = cell
+        return x
+
+    @pytest.mark.parametrize("statistic", [correlation_matrix, covariance_matrix])
+    @pytest.mark.parametrize("cell", [1e200, 1.5e155, 1.7e308])
+    def test_overflowing_sum_of_squares_raises(self, statistic, cell):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.OutOfRange, match="sums of squares overflow"):
+                statistic(self.table(cell))
+
+    def test_overflowing_mean_raises(self):
+        x = np.full((50, 2), 1e307)
+        x[:, 1] = np.linspace(-1.0, 1.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.OutOfRange, match="sums of squares overflow"):
+                covariance_matrix(x)
+
+    def test_large_finite_squares_pass(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = correlation_matrix(self.table(1e150))
+        assert np.isfinite(r).all()
 
 
 class TestCovariance:
@@ -313,6 +347,17 @@ class TestSvd:
         assert np.all(np.diff(gram_values) < -1.0)
         assert_allclose(v, gram_vectors, atol=1e-10)
         assert_allclose(u @ np.diag(sigma) @ v.T, a, atol=1e-10)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_u_is_flipped_with_v(self, seed):
+        # u is only multiplied by the signs when one of them is negative
+        a = np.random.default_rng(seed).normal(size=(200, 3))
+        u, sigma, v = svd(a)
+        u_lapack, sigma_lapack, vt = np.linalg.svd(a, full_matrices=False)
+        signs = np.sign(v[0] / vt.T[0])
+        np.testing.assert_array_equal(u, u_lapack * signs)
+        np.testing.assert_array_equal(v, vt.T * signs)
 
 
 class TestLapackFailure:

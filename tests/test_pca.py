@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+import rows_layout
 from riversep import errors
-from riversep.linalg import covariance_matrix
+from riversep.linalg import correlation_matrix, covariance_matrix, sym_eigen
 from riversep.pca import (
     PcaModel,
     explained_variance,
@@ -178,3 +179,31 @@ class TestScores:
         m = fit_pca(rng.normal(size=(10, 3)))
         with pytest.raises(errors.OutOfRange):
             scores(m, rng.normal(size=(5, 4)))
+
+
+class TestRowsLayoutBitIdentity:
+    """Column moments and scores run on variables x rows copies; every
+    model field and score must carry the bits of the rows x variables
+    computation."""
+
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_fit_and_scores_match_the_rows_layout(self, scale):
+        for x in rows_layout.tables():
+            model = fit_pca(x, center=True, scale=scale)
+            mean, sd, c = rows_layout.column_moments(x, standardize=scale)
+            values, vectors = sym_eigen(c)
+            assert_array_equal(model.mean, mean)
+            assert_array_equal(model.sd, sd)
+            assert_array_equal(model.loadings, vectors)
+            assert_array_equal(model.stdevs, np.sqrt(np.clip(values, 0.0, None)))
+            got = scores(model, x)
+            assert got.flags.c_contiguous
+            assert_array_equal(got, rows_layout.scores(model, x))
+
+    def test_covariance_and_correlation_match_the_rows_layout(self):
+        for x in rows_layout.tables():
+            assert_array_equal(covariance_matrix(x), rows_layout.column_moments(x, False)[2])
+            assert_array_equal(
+                correlation_matrix(x),
+                np.clip(rows_layout.column_moments(x, True)[2], -1.0, 1.0),
+            )

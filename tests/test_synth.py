@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+import rows_layout
 from riversep import errors
 from riversep.ica import IcaConfig, fast_ica
-from riversep.pca import fit_pca
-from riversep.synth import _greedy_match, evaluate_recovery, generate_scenario
+from riversep.pca import fit_pca, scores
+from riversep.synth import (
+    _centered_columns,
+    _greedy_match,
+    evaluate_recovery,
+    generate_scenario,
+)
 
 
 class TestGenerateScenario:
@@ -134,3 +140,35 @@ class TestEvaluateRecovery:
         sc = generate_scenario(["uniform"], rows=100, seed=11)
         with pytest.raises(errors.ShapeMismatch):
             evaluate_recovery(sc, object())
+
+
+class TestRowsLayoutBitIdentity:
+    """The scenario's mixing product and the arrays that recovery is scored
+    on must carry the bits of the rows x columns computation, so that every
+    written correlation stays the same."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dists", rows_layout.SCENARIOS, ids="+".join)
+    def test_scenario_and_recovery_match_the_rows_layout(self, dists, seed):
+        k = len(dists)
+        sc = generate_scenario(dists, rows=5000, seed=seed)
+        # the models' column means sum in a layout-bound order
+        assert sc.observed.flags.c_contiguous
+        assert_array_equal(sc.observed, rows_layout.mixing_product(sc.sources, sc.mixing))
+        cfg = IcaConfig(n_components=k, seed=seed)
+        ica_model = fast_ica(sc.observed, cfg)
+        pca_model = fit_pca(sc.observed, center=True, scale=False)
+        recovered = {
+            "ica": (ica_model.sources, rows_layout.fast_ica(sc.observed, cfg).sources),
+            "pca": (scores(pca_model, sc.observed)[:, :k],
+                    rows_layout.scores(pca_model, sc.observed)[:, :k]),
+        }
+        for x, oracle in [(sc.sources, sc.sources), *recovered.values()]:
+            xc, inv = _centered_columns(x)
+            xc_oracle, inv_oracle = rows_layout.centered_columns(oracle)
+            assert_array_equal(xc, xc_oracle)
+            assert_array_equal(inv, inv_oracle)
+        for model in (ica_model, pca_model):
+            report = evaluate_recovery(sc, model)
+            oracle = recovered[report.method][1]
+            assert report.matched_correlations == _greedy_match(sc.sources, oracle)
