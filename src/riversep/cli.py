@@ -178,8 +178,9 @@ def _write(out_dir: Path, name: str, text: str) -> str:
 def _table_csv(header, keys, lines) -> str:
     """CSV text: the header, then per key a line of the key followed by that
     row's formatted ``lines`` entry.  Header fields and keys (variable
-    codes) are quoted where :mod:`csv` needs to."""
-    return csv_header(header) + keyed_lines(map(csv_field, keys), lines)
+    codes) are quoted where :mod:`csv` needs to, each distinct key once."""
+    quoted = {key: csv_field(key) for key in dict.fromkeys(keys)}
+    return csv_header(header) + keyed_lines(map(quoted.get, keys), lines)
 
 
 def _loading_lines(rows):

@@ -13,7 +13,9 @@ eigenpairs of ``Psi^(-1/2) R Psi^(-1/2)``, which reduces the search to the
 uniquenesses alone.  One projected Newton method over log-uniquenesses,
 started at Joreskog's point, minimizes that profiled discrepancy on its
 exact Hessian (Jennrich & Robinson 1969), to near machine precision at an
-interior optimum.  No rotation is applied to the result.
+interior optimum.  It eigensolves each point it evaluates once, without a
+sign rule, and reuses those pairs for the Hessian and the final loadings.
+No rotation is applied to the result.
 
 Uniquenesses are kept in ``[0.005, 1]``; solutions pinned at the lower
 bound are flagged (``heywood``) rather than rejected.  Model fit is judged
@@ -30,6 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    DidNotConverge,
     DofNegative,
     EmptyResult,
     NotSymmetric,
@@ -38,7 +41,7 @@ from .errors import (
     SingularCorrelation,
     TooFewRows,
 )
-from .linalg import _column_signs, as_matrix, correlation_matrix, sym_eigen
+from .linalg import _column_signs, _sym_eigh, as_matrix, correlation_matrix, sym_eigen
 
 # Lower bound on uniquenesses: a communality may not exceed 0.995, so a
 # boundary (Heywood) solution is flagged instead of producing a degenerate
@@ -138,10 +141,12 @@ def fa_dof(p: int, k: int) -> int:
 
 
 def _scaled_eigen(psi, r):
-    """Eigenpairs of ``diag(psi)^(-1/2) R diag(psi)^(-1/2)``, descending."""
+    """Eigenpairs of ``diag(psi)^(-1/2) R diag(psi)^(-1/2)``, descending,
+    with LAPACK's signs: the discrepancy, gradient and Hessian read each
+    vector only through ``v**2`` or products holding its sign twice, and
+    :func:`_loadings_at` orients what it returns."""
     d = 1.0 / np.sqrt(psi)
-    m = r * np.outer(d, d)
-    return sym_eigen((m + m.T) / 2.0)
+    return _sym_eigh(r * np.outer(d, d))
 
 
 def profiled_discrepancy(psi, r, k: int):
@@ -171,7 +176,12 @@ def profiled_discrepancy(psi, r, k: int):
         ``g_i = (1 / psi_i) * sum_{j>k} (1 - lam_j) * v_ij**2``.
     """
     psi = np.asarray(psi, dtype=float)
-    values, vectors = _scaled_eigen(psi, np.asarray(r, dtype=float))
+    return _profiled(psi, _scaled_eigen(psi, np.asarray(r, dtype=float)), k)
+
+
+def _profiled(psi, eig, k):
+    """:func:`profiled_discrepancy` from the scaled eigenpairs ``eig``."""
+    values, vectors = eig
     tail = np.clip(values[k:], 1e-300, None)
     value = float(np.sum(tail - np.log(tail) - 1.0))
     gradient = ((1.0 - values[k:]) * vectors[:, k:] ** 2).sum(axis=1) / psi
@@ -179,13 +189,15 @@ def profiled_discrepancy(psi, r, k: int):
 
 
 def _objective_log(rho, r, k):
-    """Profiled discrepancy over log-uniquenesses (chain rule absorbs psi)."""
+    """Profiled discrepancy over log-uniquenesses (chain rule absorbs psi),
+    its gradient, and the scaled eigenpairs both were computed from."""
     psi = np.exp(rho)
-    value, grad_psi = profiled_discrepancy(psi, r, k)
-    return value, grad_psi * psi
+    eig = _scaled_eigen(psi, r)
+    value, grad_psi = _profiled(psi, eig, k)
+    return value, grad_psi * psi, eig
 
 
-def _hessian_log(rho, r, k):
+def _hessian_log(eig, k):
     """Exact Hessian of the profiled discrepancy over log-uniquenesses.
 
     With eigenpairs ``(lam_j, v_j)`` of the scaled matrix and ``T`` the
@@ -193,9 +205,11 @@ def _hessian_log(rho, r, k):
     gives ``H_il = sum_{j in T} sum_m c_jm v_ij v_im v_lj v_lm``, where
     ``c_jm = lam_j`` for ``m`` in ``T`` and
     ``c_jm = (lam_j - 1)(lam_j + lam_m) / (lam_j - lam_m)`` for the ``k``
-    largest, whose gap is floored at a tie ``lam_k = lam_(k+1)``.
+    largest, whose gap is floored at a tie ``lam_k = lam_(k+1)``.  ``eig``
+    holds the scaled eigenpairs at the point, as :func:`_objective_log`
+    returns them.
     """
-    values, vectors = _scaled_eigen(np.exp(rho), r)
+    values, vectors = eig
     p = values.shape[0]
     tail, head = values[k:, None], values[None, :k]
     c = np.repeat(tail, p, axis=1)
@@ -205,11 +219,18 @@ def _hessian_log(rho, r, k):
     return (pairs * c.ravel()) @ pairs.T
 
 
-def _loadings_at(psi, r, k):
-    """Optimal loadings for fixed uniquenesses (the profiling identity)."""
-    values, vectors = _scaled_eigen(psi, r)
+def _loadings_at(psi, eig, k):
+    """Optimal loadings for fixed uniquenesses (the profiling identity),
+    from the scaled eigenpairs ``eig`` at ``psi``.
+
+    The top vectors take :func:`sym_eigen`'s sign rule first: where the
+    clip zeroes a column, its zeros then carry that rule's signs, not
+    LAPACK's.
+    """
+    values, vectors = eig
     top = np.sqrt(np.clip(values[:k] - 1.0, 0.0, None))
-    loadings = np.sqrt(psi)[:, None] * vectors[:, :k] * top
+    head = vectors[:, :k]
+    loadings = np.sqrt(psi)[:, None] * (head * _column_signs(head)) * top
     return loadings * _column_signs(loadings)
 
 
@@ -220,15 +241,20 @@ def _projected_newton(rho, r, k, lb, ub):
     the free block takes a Newton step on the exact Hessian, its
     eigenvalues made positive (``|w|``, floored), projected onto the box
     and shortened by Armijo backtracking with an allowance for the
-    rounding of ``F``.  Returns the final point, its gradient and free set.
+    rounding of ``F``.  Returns the final point, its gradient, its free set
+    and its scaled eigenpairs.  Each evaluated point is eigensolved once:
+    the Hessian and the caller's loadings reuse the accepted point's pairs.
     """
-    value, grad = _objective_log(rho, r, k)
+    value, grad, eig = _objective_log(rho, r, k)
     for iteration in range(_NEWTON_MAX_ITER + 1):
         free = ~(((rho <= lb) & (grad > 0.0)) | ((rho >= ub) & (grad < 0.0)))
         done = np.all(np.abs(grad[free]) <= _NEWTON_GTOL)
         if done or iteration == _NEWTON_MAX_ITER:
             break
-        w, u = np.linalg.eigh(_hessian_log(rho, r, k)[np.ix_(free, free)])
+        try:
+            w, u = np.linalg.eigh(_hessian_log(eig, k)[np.ix_(free, free)])
+        except np.linalg.LinAlgError as exc:
+            raise DidNotConverge("eigh") from exc
         step = -u @ ((u.T @ grad[free]) / np.maximum(np.abs(w), _EIG_LIFT))
         slack = 1e-14 * (abs(value) + rho.size)
         # A predicted decrease below F's rounding cannot be checked on F.
@@ -237,14 +263,14 @@ def _projected_newton(rho, r, k, lb, ub):
         for _ in range(_MAX_HALVINGS):
             trial = rho.copy()
             trial[free] = np.clip(rho[free] + t * step, lb, ub)
-            trial_value, trial_grad = _objective_log(trial, r, k)
+            trial_value, trial_grad, trial_eig = _objective_log(trial, r, k)
             if trusted or trial_value <= value + 1e-4 * (grad @ (trial - rho)) + slack:
                 break
             t /= 2.0
         else:
             break
-        rho, value, grad = trial, trial_value, trial_grad
-    return rho, grad, free
+        rho, value, grad, eig = trial, trial_value, trial_grad, trial_eig
+    return rho, grad, free, eig
 
 
 def _validate_correlation(r) -> np.ndarray:
@@ -306,14 +332,14 @@ def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
     psi0 = np.clip((1.0 - k / (2.0 * p)) / inv_diag, _PSI_FLOOR * 2, _PSI_CEIL)
 
     lb, ub = np.log(_PSI_FLOOR), np.log(_PSI_CEIL)
-    rho, grad, free = _projected_newton(np.log(psi0), r, k, lb, ub)
+    rho, grad, free, eig = _projected_newton(np.log(psi0), r, k, lb, ub)
 
     # Coordinates held at a bound meet their one-sided condition already.
     psi = np.exp(rho)
     converged = bool(np.max(np.abs(grad[free]), initial=0.0) <= _GRAD_TOL)
     heywood = bool(np.any(rho <= lb))
 
-    loadings = _loadings_at(psi, r, k)
+    loadings = _loadings_at(psi, eig, k)
     sigma = loadings @ loadings.T + np.diag(psi)
     residual = r - sigma
 

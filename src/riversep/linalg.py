@@ -5,7 +5,8 @@ are deterministic: two calls on the same input return bit-identical results
 on the same numpy/BLAS build.  The eigensolver and the SVD are thin wrappers
 over LAPACK (``np.linalg.eigh`` and ``np.linalg.svd``) that fix the order
 and the sign of their vectors, so downstream fits do not depend on LAPACK's
-arbitrary orientation.
+arbitrary orientation.  Factor analysis alone takes the eigensolver's
+private core, which fixes the order but not the sign.
 
 Sample statistics use the n-1 (unbiased) normalization throughout.
 """
@@ -164,6 +165,26 @@ def _column_signs(vectors: np.ndarray) -> np.ndarray:
     return signs
 
 
+def _sym_eigh(s) -> EigenDecomposition:
+    """:func:`sym_eigen` without its sign rule: LAPACK's orientation of each
+    eigenvector is kept.  For callers whose results depend on the vectors
+    only through sign-invariant products; raises as :func:`sym_eigen`."""
+    a = as_matrix(s, "s")
+    n, m = a.shape
+    if n != m:
+        raise NotSymmetric(float("inf"))
+    scale = max(1.0, float(np.max(np.abs(a))))
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > 1e-10 * scale:
+        raise NotSymmetric(asym)
+    try:
+        values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise DidNotConverge("eigh") from exc
+    order = np.argsort(-values, kind="stable")
+    return EigenDecomposition(values[order], vectors[:, order])
+
+
 def sym_eigen(s) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK.
 
@@ -178,21 +199,8 @@ def sym_eigen(s) -> EigenDecomposition:
     DidNotConverge
         If LAPACK fails to converge.
     """
-    a = as_matrix(s, "s")
-    n, m = a.shape
-    if n != m:
-        raise NotSymmetric(float("inf"))
-    scale = max(1.0, float(np.max(np.abs(a))))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-10 * scale:
-        raise NotSymmetric(asym)
-    try:
-        values, vectors = np.linalg.eigh((a + a.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise DidNotConverge("eigh") from exc
-    order = np.argsort(-values, kind="stable")
-    vectors = vectors[:, order]
-    return EigenDecomposition(values[order], vectors * _column_signs(vectors))
+    values, vectors = _sym_eigh(s)
+    return EigenDecomposition(values, vectors * _column_signs(vectors))
 
 
 def svd(x) -> SvdDecomposition:

@@ -9,6 +9,7 @@ that were already there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,12 @@ class SyntheticScenario:
     @property
     def n_sources(self) -> int:
         return self.sources.shape[1]
+
+    @cached_property
+    def _centered_sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_centered_columns` of the sources, computed once for every
+        model scored against them."""
+        return _centered_columns(self.sources)
 
 
 @dataclass(frozen=True)
@@ -153,11 +160,12 @@ def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xc, inv
 
 
-def _greedy_match(true_sources: np.ndarray, recovered: np.ndarray) -> tuple[float, ...]:
+def _greedy_match(truth, recovered: np.ndarray) -> tuple[float, ...]:
     """Pair each true source with its best remaining recovered column by
-    absolute correlation; returns per-true-source |corr| in source order."""
-    k = true_sources.shape[1]
-    a, inv_a = _centered_columns(true_sources)
+    absolute correlation; returns per-true-source |corr| in source order.
+    ``truth`` is the :func:`_centered_columns` pair of the true sources."""
+    a, inv_a = truth
+    k = a.shape[1]
     b, inv_b = _centered_columns(recovered)
     corr = np.minimum(np.abs(a.T @ b) * np.outer(inv_a, inv_b), 1.0)
     out = {}
@@ -200,5 +208,5 @@ def evaluate_recovery(scenario: SyntheticScenario, model) -> RecoveryReport:
     return RecoveryReport(
         method=method,
         amari=amari_index(w_full, scenario.mixing),
-        matched_correlations=_greedy_match(scenario.sources, recovered),
+        matched_correlations=_greedy_match(scenario._centered_sources, recovered),
     )

@@ -161,6 +161,17 @@ class TestRun:
             *(f"fa_k{k}_{kind}.csv" for k in (1, 2, 3) for kind in ("loadings", "residual")),
         }
 
+    def test_table_csv_quotes_repeated_keys_alike(self):
+        # Repeated, empty and comma-holding keys, and a key with no cells;
+        # a key is quoted as csv writes it alone in a row.
+        keys = ["00,618", "", "00618", "00,618", "", 'a"b', "x\ny", "00618"]
+        lines = ["1,2", "3,4", "5,6", "7,8", "", "9,10", "11,12", "13,14"]
+        got = riversep.cli._table_csv(["variable", "a", "b"], keys, lines)
+        assert got == (
+            'variable,a,b\n"00,618",1,2\n"",3,4\n00618,5,6\n"00,618",7,8\n""\n'
+            '"a""b",9,10\n"x\ny",11,12\n00618,13,14\n'
+        )
+
     def test_manifest_lists_exactly_the_files_written(self, workdir):
         main(["run", str(workdir / "pipeline.json")])
         manifest = json.loads((workdir / "out" / "manifest.json").read_text())

@@ -8,11 +8,15 @@ from a known two-factor population.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riversep.cli
+from riversep.config import load_config
 from riversep.errors import (
+    DidNotConverge,
     DofNegative,
     EmptyResult,
     OutOfRange,
@@ -33,6 +37,8 @@ from riversep.fa import (
     smallest_adequate_k,
 )
 from riversep.linalg import correlation_matrix
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def compound_symmetry(p, rho):
@@ -243,14 +249,14 @@ class TestHessian:
     def test_matches_central_differences(self, p, k):
         r = correlation_matrix(simulate_sweep(p, 2, seed=p))
         rho = np.log(np.random.default_rng(k).uniform(0.2, 0.9, size=p))
-        hess = _hessian_log(rho, r, k)
+        hess = _hessian_log(_objective_log(rho, r, k)[2], k)
         h = 1e-5
         fd = np.empty((p, p))
         for i in range(p):
             e = np.zeros(p)
             e[i] = h
-            _, up = _objective_log(rho + e, r, k)
-            _, dn = _objective_log(rho - e, r, k)
+            _, up, _ = _objective_log(rho + e, r, k)
+            _, dn, _ = _objective_log(rho - e, r, k)
             fd[:, i] = (up - dn) / (2.0 * h)
         assert np.abs(hess - fd).max() / np.abs(fd).max() < 1e-6
 
@@ -269,23 +275,24 @@ class TestNewtonSweep:
     budget of the projected Newton."""
 
     def check_fits(self, monkeypatch, x, ks):
+        # Count the evaluation the Newton loop calls, not the public wrapper.
         calls = []
-        original = fa.profiled_discrepancy
+        original = fa._objective_log
 
-        def counted(psi, r, k):
+        def counted(rho, r, k):
             calls.append(k)
-            return original(psi, r, k)
+            return original(rho, r, k)
 
-        monkeypatch.setattr(fa, "profiled_discrepancy", counted)
+        monkeypatch.setattr(fa, "_objective_log", counted)
         r = correlation_matrix(x)
         lb = np.log(0.005)
         for k in ks:
             calls.clear()
             m = fit_fa_ml(x, k)
             assert m.converged
-            assert len(calls) <= 40
+            assert 0 < len(calls) <= 40
             rho = np.log(m.uniquenesses)
-            _, grad = _objective_log(rho, r, k)
+            _, grad, _ = original(rho, r, k)
             held = ((rho <= lb) & (grad > 0)) | ((rho >= 0.0) & (grad < 0))
             assert np.abs(grad[~held]).max() <= 1e-10
 
@@ -299,6 +306,117 @@ class TestNewtonSweep:
         # Near this optimum the Newton step's predicted decrease is below
         # the rounding of F, so F cannot confirm it in a line search.
         self.check_fits(monkeypatch, simulate_sweep(11, 3, seed=3113), (1,))
+
+
+def fixture_model_input():
+    cfg = load_config(FIXTURES / "pipeline.json")
+    return riversep.cli._Pipeline(cfg).model_input.values
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestOneEigensolvePerPoint:
+    """The Newton loop eigensolves each evaluated point once: the Hessian
+    and the final loadings reuse the accepted point's eigenpairs."""
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(fa, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fa, name, counted)
+        return calls
+
+    def test_fixture_fits_solve_once_per_evaluation(self, monkeypatch):
+        x = fixture_model_input()
+        evals = self.count_calls(monkeypatch, "_objective_log")
+        solves = self.count_calls(monkeypatch, "_sym_eigh")
+        got = []
+        for k in (1, 2, 3):
+            evals.clear()
+            solves.clear()
+            assert fit_fa_ml(x, k).converged
+            got.append((len(evals), len(solves)))
+        assert got == [(8, 8), (6, 6), (10, 10)]
+
+    def refit_loadings(self, m, x):
+        r = correlation_matrix(x)
+        psi = m.uniquenesses
+        return fa._loadings_at(psi, fa._scaled_eigen(psi, r), m.k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_iteration_cap_returns_the_loadings_of_its_point(self, monkeypatch, k):
+        monkeypatch.setattr(fa, "_NEWTON_MAX_ITER", 2)
+        hessians = self.count_calls(monkeypatch, "_hessian_log")
+        x = simulate_sweep(11, 2, seed=0)
+        m = fit_fa_ml(x, k)
+        assert len(hessians) == 2
+        np.testing.assert_array_equal(m.loadings, self.refit_loadings(m, x))
+
+    @pytest.mark.parametrize("k, n_factors, seed", [(1, 2, 3), (2, 1, 0), (3, 2, 1)])
+    def test_failed_line_search_returns_the_loadings_of_its_point(
+        self, monkeypatch, k, n_factors, seed
+    ):
+        # One trial per line search: each of these fits ends on a trial
+        # rejected far from the point it returns.
+        monkeypatch.setattr(fa, "_MAX_HALVINGS", 1)
+        evals = self.count_calls(monkeypatch, "_objective_log")
+        x = simulate_sweep(11, n_factors, seed=seed)
+        m = fit_fa_ml(x, k)
+        rho_last = evals[-1][0]
+        assert np.abs(rho_last - np.log(m.uniquenesses)).max() > 0.1
+        np.testing.assert_array_equal(m.loadings, self.refit_loadings(m, x))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_eigenvector_signs_do_not_reach_f_gradient_or_hessian(self, k):
+        r = correlation_matrix(simulate_sweep(11, 2, seed=5))
+        rng = np.random.default_rng(k)
+        psi = rng.uniform(0.2, 0.9, size=11)
+        values, vectors = eig = fa._scaled_eigen(psi, r)
+        for _ in range(5):
+            signs = rng.choice([-1.0, 1.0], size=11)
+            flipped = (values, vectors * signs)
+            value, grad = fa._profiled(psi, eig, k)
+            value_f, grad_f = fa._profiled(psi, flipped, k)
+            assert value == value_f
+            assert_same_bits(grad, grad_f)
+            assert_same_bits(_hessian_log(eig, k), _hessian_log(flipped, k))
+            assert_same_bits(
+                fa._loadings_at(psi, eig, k), fa._loadings_at(psi, flipped, k)
+            )
+
+    def test_zero_loading_columns_keep_their_signs(self):
+        # With every scaled eigenvalue at 1 the loadings are signed zeros;
+        # their signs follow the vectors' sign rule, not LAPACK's.
+        psi = np.ones(6)
+        values, vectors = eig = fa._scaled_eigen(psi, np.eye(6))
+        flipped = (values, -vectors)
+        assert_same_bits(fa._loadings_at(psi, eig, 2), fa._loadings_at(psi, flipped, 2))
+
+    # Call 1 solves R itself; then come the starting point's scaled solve,
+    # the first Hessian's and the first trial's.
+    @pytest.mark.parametrize("failing_call", [2, 3, 4])
+    def test_lapack_failure_in_the_loop_is_typed(self, monkeypatch, failing_call):
+        calls = []
+        original = np.linalg.eigh
+
+        def eigh(a):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(DidNotConverge, match="eigh"):
+            fit_fa_ml(simulate_sweep(11, 2, seed=0), 2)
+        assert len(calls) == failing_call
 
 
 class TestChiSquareTail:

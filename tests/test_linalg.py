@@ -10,6 +10,8 @@ from riversep.linalg import (
     _ZERO_VAR_REL,
     _check_zero_variance,
     _column_moments,
+    _column_signs,
+    _sym_eigh,
     center_scale,
     correlation_matrix,
     covariance_matrix,
@@ -290,6 +292,28 @@ class TestSymEigen:
         values, vectors = sym_eigen(s)
         resid = s @ vectors - vectors * values
         assert np.abs(resid).max() <= 1e-8 * np.abs(s).max()
+
+
+class TestUnsignedCore:
+    """``_sym_eigh`` is ``sym_eigen`` without the sign rule."""
+
+    def test_sym_eigen_is_the_core_with_signs_fixed(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(11, 11))
+        s = (a + a.T) / 2
+        values, vectors = _sym_eigh(s)
+        signed = sym_eigen(s)
+        np.testing.assert_array_equal(values, signed.values)
+        np.testing.assert_array_equal(vectors * _column_signs(vectors), signed.vectors)
+
+    def test_keeps_lapack_orientation(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(7, 7))
+        s = (a + a.T) / 2
+        lapack_values, lapack_vectors = np.linalg.eigh(s)
+        values, vectors = _sym_eigh(s)
+        np.testing.assert_array_equal(values, lapack_values[::-1])
+        np.testing.assert_array_equal(vectors, lapack_vectors[:, ::-1])
 
 
 class TestSvd:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rows_layout
-from riversep import errors
+from riversep import errors, synth
 from riversep.ica import IcaConfig, fast_ica
 from riversep.pca import fit_pca, scores
 from riversep.synth import (
@@ -128,13 +128,31 @@ class TestEvaluateRecovery:
         recovered = sc.sources[:, order] * [2.0, -0.5, 3.0] + [1.0, -4.0, 0.0] + 0.5 * noise
         full = np.corrcoef(sc.sources, recovered, rowvar=False)
         expected = [abs(full[i, 3 + order.index(i)]) for i in range(3)]
-        assert_allclose(_greedy_match(sc.sources, recovered), expected, rtol=0, atol=1e-12)
+        got = _greedy_match(_centered_columns(sc.sources), recovered)
+        assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("constant", [0.0, 0.1, -3.7e5])
     def test_zero_variance_recovered_column_reads_zero(self, constant):
         sc = generate_scenario(["uniform", "uniform"], rows=5000, seed=12)
         recovered = np.column_stack([2.0 * sc.sources[:, 1] + 1.0, np.full(5000, constant)])
-        assert _greedy_match(sc.sources, recovered) == (0.0, pytest.approx(1.0))
+        assert _greedy_match(_centered_columns(sc.sources), recovered) == (0.0, pytest.approx(1.0))
+
+    def test_sources_are_centered_once_per_scenario(self, monkeypatch):
+        sc = generate_scenario(["uniform", "laplace"], rows=500, seed=15)
+        centered = []
+        original = synth._centered_columns
+
+        def counted(x):
+            centered.append(x is sc.sources)
+            return original(x)
+
+        monkeypatch.setattr(synth, "_centered_columns", counted)
+        ica_model = fast_ica(sc.observed, IcaConfig(n_components=2, seed=15))
+        first = evaluate_recovery(sc, ica_model)
+        evaluate_recovery(sc, fit_pca(sc.observed, center=True, scale=False))
+        assert evaluate_recovery(sc, ica_model) == first
+        assert centered.count(True) == 1
+        assert len(centered) == 4
 
     def test_wrong_model_type(self):
         sc = generate_scenario(["uniform"], rows=100, seed=11)
@@ -171,4 +189,5 @@ class TestRowsLayoutBitIdentity:
         for model in (ica_model, pca_model):
             report = evaluate_recovery(sc, model)
             oracle = recovered[report.method][1]
-            assert report.matched_correlations == _greedy_match(sc.sources, oracle)
+            truth = _centered_columns(sc.sources)
+            assert report.matched_correlations == _greedy_match(truth, oracle)
