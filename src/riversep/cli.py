@@ -10,8 +10,8 @@ which makes any stage inspectable in isolation.
 Outputs carry no timestamps and all randomness is seeded, so rerunning a
 command on identical inputs reproduces every file byte for byte.
 
-Exit codes: 0 on success, 2 when the config (or command line) is invalid,
-3 when a valid run fails while executing.
+Exit codes: 0 on success, 2 when the config (or command line, including a
+negative ``--seed``) is invalid, 3 when a valid run fails while executing.
 """
 
 from __future__ import annotations
@@ -28,20 +28,14 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .diagnostics import acf, mutual_information_matrix
-from .errors import ConfigError, MissingCells, RiversepError, RuleInapplicable
+from .errors import (
+    ConfigError, MissingCells, OutOfRange, RiversepError, RuleInapplicable
+)
 from .fa import fa_dof, fit_fa_ml, smallest_adequate_k
 from .ica import _ROWS_PER_COMPONENT, IcaConfig, fast_ica
-from .ingest import (
-    Table,
-    drop_incomplete_rows,
-    emit_csv,
-    fetch_remote,
-    filter_table,
-    parse_csv,
-    parse_rdb,
-)
+from .ingest import Table, emit_csv, fetch_remote, parse_csv, parse_rdb
 from .pca import explained_variance, fit_pca, kaiser_retain
-from .preprocess import annual_mean, difference, drop_na_columns, drop_redundant
+from .preprocess import STAGES
 from .report import (
     csv_field,
     csv_header,
@@ -83,9 +77,8 @@ class _Pipeline:
     the chain its outputs read, and runs it once.
     """
 
-    def __init__(self, cfg: RunConfig, seed_override=None, offline=False):
+    def __init__(self, cfg: RunConfig, offline=False):
         self.cfg = cfg
-        self.seed = cfg.ica.seed if seed_override is None else seed_override
         self.offline = offline
         # one manifest entry per stage: its name, the table's shape after
         # it, and the codes it dropped, in input order
@@ -132,21 +125,12 @@ class _Pipeline:
     @cached_property
     def table(self):
         """The record after the configured stages, applied in order."""
-        cfg = self.cfg
-        steps = {
-            "filter": lambda t: filter_table(t, cfg.filter_spec),
-            "drop_incomplete_rows": drop_incomplete_rows,
-            "annual_mean": annual_mean,
-            "drop_na_columns": drop_na_columns,
-            "drop_redundant": lambda t: drop_redundant(t, cfg.redundancy_rules),
-            "difference": lambda t: difference(t, cfg.difference_lag),
-        }
         table = self.raw
-        for name in cfg.pipeline:
+        for name in self.cfg.pipeline:
             # an overflowing stage is reported by the model-input check,
             # not by numpy warnings on stderr
             with _stage(name), np.errstate(over="ignore", invalid="ignore"):
-                staged = steps[name](table)
+                staged = STAGES[name].step(table, self.cfg)
             self._record(name, table, staged)
             table = staged
         return table
@@ -238,7 +222,7 @@ def _write_ica(pipe: _Pipeline) -> list:
     with _stage("ica"):
         if k is None:
             k = kaiser_retain(fit_pca(table.values, True, True, table.codes))
-        model = fast_ica(table.values, replace(cfg.ica, n_components=k, seed=pipe.seed))
+        model = fast_ica(table.values, replace(cfg.ica, n_components=k))
 
     codes = [f"IC{j + 1}" for j in range(k)]
     sources = Table(table.index_name, table.index, codes, model.sources)
@@ -248,7 +232,7 @@ def _write_ica(pipe: _Pipeline) -> list:
         "converged": model.converged,
         "iterations": model.iterations,
         "final_delta": model.delta_history[-1] if model.delta_history else None,
-        "seed": pipe.seed,
+        "seed": cfg.ica.seed,
         "contrast": cfg.ica.contrast,
         "tol": cfg.ica.tol,
         "max_iter": cfg.ica.max_iter,
@@ -344,7 +328,7 @@ def _write_manifest(pipe: _Pipeline, outputs: list) -> None:
     manifest = {
         "tool_version": __version__,
         "config_sha256": pipe.cfg.config_sha256,
-        "seed": pipe.seed,
+        "seed": pipe.cfg.ica.seed,
         "offline": pipe.offline,
         "stages": pipe.stages,
         "outputs": sorted(set(outputs) | {"manifest.json"}),
@@ -490,18 +474,26 @@ def _bench_argument_error(args) -> str | None:
     return None
 
 
+def _command_line_error(problem: str) -> int:
+    print(f"riversep: command-line error: {problem}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "synth-bench":
             problem = _bench_argument_error(args)
             if problem is not None:
-                print(f"riversep: command-line error: {problem}", file=sys.stderr)
-                return 2
+                return _command_line_error(problem)
             return _synth_bench(args.out, args.rows, args.seed, args.replicates)
         cfg = load_config(args.config)
-        pipe = _Pipeline(cfg, seed_override=args.seed, offline=args.offline)
-        return _execute(pipe, args.command)
+        if args.seed is not None:
+            try:
+                cfg = replace(cfg, ica=replace(cfg.ica, seed=args.seed))
+            except OutOfRange as exc:
+                return _command_line_error(f"--seed {args.seed}: {exc}")
+        return _execute(_Pipeline(cfg, offline=args.offline), args.command)
     except ConfigError as exc:
         print(f"riversep: config error: {exc}", file=sys.stderr)
         return 2

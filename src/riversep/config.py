@@ -3,9 +3,13 @@
 The file holds nested sections — input, filter, redundancy rules, the
 ordered stage list, model settings, output directory.  Everything is
 validated up front: unknown keys anywhere are rejected (they are almost
-always typos), stage names must be known, and the stage order must be
-type-correct (stages that operate on dated observations come before
-``annual_mean``, stages that operate on annual tables after it).
+always typos), numbers must be finite (not ``1e400`` or ``NaN``), and
+stage names must be known.  Each stage must take the index (date or year)
+that the one before it returns, as :data:`riversep.preprocess.STAGES`
+declares; the record is dated, so date stages precede ``annual_mean``.
+One reader, :func:`_section`, reads every object section.  A range rule
+that ``FilterSpec`` or ``IcaConfig`` owns is checked there alone, and the
+CLI's ``--seed`` meets the same ``IcaConfig`` rule before any stage runs.
 
 All relative paths are resolved against the directory containing the
 config file, so a config travels with its data.
@@ -16,21 +20,16 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, OutOfRange, RuleInapplicable
 from .ica import IcaConfig
 from .ingest import FilterSpec
-from .preprocess import RedundancyRule
-
-# Stages that act on the dated observation table, the aggregation pivot,
-# and stages that act on the annual table.
-_TIME_STAGES = ("filter", "drop_incomplete_rows")
-_PIVOT_STAGE = "annual_mean"
-_ANNUAL_STAGES = ("drop_na_columns", "drop_redundant", "difference")
-STAGES = _TIME_STAGES + (_PIVOT_STAGE,) + _ANNUAL_STAGES
+from .preprocess import STAGES, RedundancyRule
 
 
 class RemoteSpec(NamedTuple):
@@ -52,11 +51,10 @@ class RunConfig:
     ``ica_components`` of None means "decide from the data" (the
     eigenvalue-above-one count of a scaled PCA).  ``ica`` holds the
     validated FastICA settings; the run replaces its ``n_components`` with
-    the resolved count and its ``seed`` with any ``--seed`` override.
+    the resolved count, and the CLI its ``seed`` with any ``--seed``.
     ``acf_max_lag`` is clamped at run time to the series length minus two.
     """
 
-    base_dir: Path
     config_sha256: str
     input_path: Path | None
     remote: RemoteSpec | None
@@ -102,15 +100,25 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
 
 
 def _as_float(value, where: str) -> float:
-    if type(value) is bool or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    if type(value) is not bool and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _as_str(value, where: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{where} must be a string, got {value!r}")
     return value
+
+
+def _as_strs(value, where: str) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{where} must be a list of strings")
+    return tuple(value)
 
 
 def _as_date(value, where: str) -> datetime.date:
@@ -120,63 +128,85 @@ def _as_date(value, where: str) -> datetime.date:
         raise ConfigError(f"{where} must be an ISO date, got {value!r}") from None
 
 
-def _parse_input(section, base: Path):
-    if not isinstance(section, dict):
-        raise ConfigError("'input' must be an object")
-    if "path" in section:
-        _reject_unknown(section, ("path",), "'input'")
-        return base / _as_str(section["path"], "input.path"), None
-    if "site" in section:
-        _reject_unknown(
-            section,
-            ("site", "codes", "start", "end", "url_template", "cache_dir", "medium_code"),
-            "'input'",
-        )
-        codes = _require(section, "codes", "'input'")
-        if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
-            raise ConfigError("input.codes must be a list of strings")
-        remote = RemoteSpec(
-            site=_as_str(section["site"], "input.site"),
-            codes=tuple(codes),
-            start=_as_str(_require(section, "start", "'input'"), "input.start"),
-            end=_as_str(_require(section, "end", "'input'"), "input.end"),
-            url_template=_as_str(
-                _require(section, "url_template", "'input'"), "input.url_template"
-            ),
-            cache_dir=base / _as_str(section.get("cache_dir", "cache"), "input.cache_dir"),
-            medium_code=(
-                _as_str(section["medium_code"], "input.medium_code")
-                if "medium_code" in section
-                else None
-            ),
-        )
-        return None, remote
-    raise ConfigError("'input' needs either a 'path' or a 'site'")
+def _as_level(value, where: str) -> float:
+    level = _as_float(value, where)
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"{where} must lie in (0, 1), got {level}")
+    return level
 
 
-def _parse_filter(section) -> FilterSpec:
+def _section(doc: dict, name: str, readers: dict) -> dict:
+    """The object ``doc[name]`` (empty when absent), each key read by its
+    reader under the dotted name ``name.key``; unknown keys are rejected."""
+    section = doc.get(name, {})
     if not isinstance(section, dict):
-        raise ConfigError("'filter' must be an object")
-    _reject_unknown(
-        section,
-        ("min_count", "start", "end", "required_variable"),
-        "'filter'",
-    )
-    kwargs = {}
-    if "min_count" in section:
-        kwargs["min_count"] = _as_int(section["min_count"], "filter.min_count", 1)
-    if "start" in section:
-        kwargs["start"] = _as_date(section["start"], "filter.start")
-    if "end" in section:
-        kwargs["end"] = _as_date(section["end"], "filter.end")
-    if "required_variable" in section:
-        kwargs["required_variable"] = _as_str(
-            section["required_variable"], "filter.required_variable"
-        )
+        raise ConfigError(f"'{name}' must be an object")
+    _reject_unknown(section, readers, f"'{name}'")
+    return {
+        key: read(section[key], f"{name}.{key}")
+        for key, read in readers.items()
+        if key in section
+    }
+
+
+def _build(kind, name: str, **settings):
+    """``kind(**settings)``; the type's own range rules fail as config errors."""
     try:
-        return FilterSpec(**kwargs)
+        return kind(**settings)
     except OutOfRange as exc:
-        raise ConfigError(f"invalid 'filter' section: {exc}") from None
+        raise ConfigError(f"invalid {name!r} section: {exc}") from None
+
+
+# The object sections other than 'input': each key with its reader.
+_SECTIONS = {
+    "filter": {
+        "min_count": _as_int,
+        "start": _as_date,
+        "end": _as_date,
+        "required_variable": _as_str,
+    },
+    "pca": {"center": _as_bool, "scale": _as_bool},
+    "ica": {
+        # null, like an absent key, means "decide from the data"
+        "n_components": lambda v, where: v if v is None else _as_int(v, where),
+        "max_iter": _as_int,
+        "tol": _as_float,
+        "contrast": _as_str,
+        "logcosh_alpha": _as_float,
+        "seed": _as_int,
+    },
+    "fa": {"k_max": partial(_as_int, minimum=1), "alpha": _as_level},
+    "diagnostics": {
+        "max_lag": partial(_as_int, minimum=1),
+        "bins": partial(_as_int, minimum=2),
+    },
+}
+_ROOT_KEYS = (
+    "input", "redundancy_rules", "pipeline", "difference_lag", "output_dir", *_SECTIONS
+)
+
+_REMOTE_READERS = {
+    "site": _as_str,
+    "codes": _as_strs,
+    "start": _as_str,
+    "end": _as_str,
+    "url_template": _as_str,
+    "cache_dir": _as_str,
+    "medium_code": _as_str,
+}
+
+
+def _parse_input(doc: dict, base: Path):
+    section = _require(doc, "input", "the config root")
+    if isinstance(section, dict) and "path" in section:
+        return base / _section(doc, "input", {"path": _as_str})["path"], None
+    remote = _section(doc, "input", _REMOTE_READERS)
+    if "site" not in remote:
+        raise ConfigError("'input' needs either a 'path' or a 'site'")
+    for key in ("codes", "start", "end", "url_template"):
+        _require(remote, key, "'input'")
+    remote["cache_dir"] = base / remote.get("cache_dir", "cache")
+    return None, RemoteSpec(**{"medium_code": None, **remote})
 
 
 def _parse_rules(items) -> tuple:
@@ -189,11 +219,9 @@ def _parse_rules(items) -> tuple:
             raise ConfigError(f"{where} must be an object")
         _reject_unknown(item, ("composite", "parts"), where)
         composite = _as_str(_require(item, "composite", where), f"{where}.composite")
-        parts = _require(item, "parts", where)
-        if not isinstance(parts, list) or not all(isinstance(p, str) for p in parts):
-            raise ConfigError(f"{where}.parts must be a list of strings")
+        parts = _as_strs(_require(item, "parts", where), f"{where}.parts")
         try:
-            rules.append(RedundancyRule(composite, tuple(parts)))
+            rules.append(RedundancyRule(composite, parts))
         except RuleInapplicable as exc:
             raise ConfigError(f"invalid {where}: {exc}") from None
     return tuple(rules)
@@ -202,34 +230,20 @@ def _parse_rules(items) -> tuple:
 def _validate_pipeline(stages, have_filter: bool, have_rules: bool) -> tuple:
     if not isinstance(stages, list) or not stages:
         raise ConfigError("'pipeline' must be a non-empty list of stage names")
-    for s in stages:
-        if s not in STAGES:
+    index = "date"  # the parsed record's; each stage takes what the last returned
+    for i, s in enumerate(stages):
+        if not isinstance(s, str) or s not in STAGES:
             raise ConfigError(f"unknown pipeline stage {s!r}")
-    seen = set()
-    for s in stages:
-        if s in seen:
+        if s in stages[:i]:
             raise ConfigError(f"pipeline stage {s!r} appears more than once")
-        seen.add(s)
-    if _PIVOT_STAGE in stages:
-        pivot = stages.index(_PIVOT_STAGE)
-        for s in stages[:pivot]:
-            if s in _ANNUAL_STAGES:
-                raise ConfigError(
-                    f"stage {s!r} operates on annual data and must come after "
-                    f"'{_PIVOT_STAGE}'"
-                )
-        for s in stages[pivot + 1 :]:
-            if s in _TIME_STAGES:
-                raise ConfigError(
-                    f"stage {s!r} operates on dated observations and must come "
-                    f"before '{_PIVOT_STAGE}'"
-                )
-    else:
-        for s in stages:
-            if s in _ANNUAL_STAGES:
-                raise ConfigError(
-                    f"stage {s!r} requires '{_PIVOT_STAGE}' earlier in the pipeline"
-                )
+        if STAGES[s].takes != index:
+            pivot = next(n for n, st in STAGES.items() if st.takes != st.returns)
+            side = "before" if pivot in stages[:i] else "after"
+            raise ConfigError(
+                f"stage {s!r} takes a {STAGES[s].takes}-indexed table and must "
+                f"come {side} {pivot!r}"
+            )
+        index = STAGES[s].returns
     if "filter" in stages and not have_filter:
         raise ConfigError("pipeline uses 'filter' but no 'filter' section is given")
     if "drop_redundant" in stages and not have_rules:
@@ -245,8 +259,8 @@ def load_config(path) -> RunConfig:
     Raises
     ------
     ConfigError
-        On unreadable/unparseable files, unknown keys, bad types, or an
-        invalid stage order.
+        On unreadable/unparseable files, unknown keys, bad types,
+        non-finite numbers, or an invalid stage order.
     """
     path = Path(path)
     try:
@@ -260,97 +274,40 @@ def load_config(path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
 
-    _reject_unknown(
-        doc,
-        (
-            "input",
-            "filter",
-            "redundancy_rules",
-            "pipeline",
-            "difference_lag",
-            "pca",
-            "ica",
-            "fa",
-            "diagnostics",
-            "output_dir",
-        ),
-        "the config root",
-    )
+    _reject_unknown(doc, _ROOT_KEYS, "the config root")
     base = path.resolve().parent
-    input_path, remote = _parse_input(_require(doc, "input", "the config root"), base)
-
-    filter_spec = _parse_filter(doc["filter"]) if "filter" in doc else None
+    input_path, remote = _parse_input(doc, base)
+    read = {name: _section(doc, name, readers) for name, readers in _SECTIONS.items()}
+    filter_spec = (
+        _build(FilterSpec, "filter", **read["filter"]) if "filter" in doc else None
+    )
     rules = _parse_rules(doc.get("redundancy_rules", []))
     pipeline = _validate_pipeline(
         _require(doc, "pipeline", "the config root"),
         have_filter=filter_spec is not None,
         have_rules=bool(rules),
     )
-    difference_lag = _as_int(doc.get("difference_lag", 1), "difference_lag", 1)
-
-    pca = doc.get("pca", {})
-    if not isinstance(pca, dict):
-        raise ConfigError("'pca' must be an object")
-    _reject_unknown(pca, ("center", "scale"), "'pca'")
-    pca_center = _as_bool(pca.get("center", True), "pca.center")
-    pca_scale = _as_bool(pca.get("scale", True), "pca.scale")
-
-    ica = doc.get("ica", {})
-    if not isinstance(ica, dict):
-        raise ConfigError("'ica' must be an object")
-    _reject_unknown(
-        ica,
-        ("n_components", "max_iter", "tol", "contrast", "logcosh_alpha", "seed"),
-        "'ica'",
+    n_comp = read["ica"].pop("n_components", None)
+    # A count decided from the data is not known yet; 1 stands in.
+    ica_cfg = _build(
+        IcaConfig, "ica", **read["ica"], n_components=1 if n_comp is None else n_comp
     )
-    n_comp = ica.get("n_components")
-    if n_comp is not None:
-        n_comp = _as_int(n_comp, "ica.n_components")
-    kwargs = {}
-    for key, as_type in (
-        ("max_iter", _as_int),
-        ("tol", _as_float),
-        ("contrast", _as_str),
-        ("logcosh_alpha", _as_float),
-        ("seed", _as_int),
-    ):
-        if key in ica:
-            kwargs[key] = as_type(ica[key], f"ica.{key}")
-    try:
-        # A count decided from the data is not known yet; 1 stands in.
-        ica_cfg = IcaConfig(n_components=1 if n_comp is None else n_comp, **kwargs)
-    except OutOfRange as exc:
-        raise ConfigError(f"invalid 'ica' section: {exc}") from None
-
-    fa = doc.get("fa", {})
-    if not isinstance(fa, dict):
-        raise ConfigError("'fa' must be an object")
-    _reject_unknown(fa, ("k_max", "alpha"), "'fa'")
-    fa_alpha = _as_float(fa.get("alpha", 0.05), "fa.alpha")
-    if not 0.0 < fa_alpha < 1.0:
-        raise ConfigError(f"fa.alpha must lie in (0, 1), got {fa_alpha}")
-
-    diag = doc.get("diagnostics", {})
-    if not isinstance(diag, dict):
-        raise ConfigError("'diagnostics' must be an object")
-    _reject_unknown(diag, ("max_lag", "bins"), "'diagnostics'")
 
     return RunConfig(
-        base_dir=base,
         config_sha256=hashlib.sha256(raw).hexdigest(),
         input_path=input_path,
         remote=remote,
         filter_spec=filter_spec,
         redundancy_rules=rules,
         pipeline=pipeline,
-        difference_lag=difference_lag,
-        pca_center=pca_center,
-        pca_scale=pca_scale,
+        difference_lag=_as_int(doc.get("difference_lag", 1), "difference_lag", 1),
+        pca_center=read["pca"].get("center", True),
+        pca_scale=read["pca"].get("scale", True),
         ica_components=n_comp,
         ica=ica_cfg,
-        fa_k_max=_as_int(fa.get("k_max", 5), "fa.k_max", 1),
-        fa_alpha=fa_alpha,
-        acf_max_lag=_as_int(diag.get("max_lag", 10), "diagnostics.max_lag", 1),
-        mi_bins=_as_int(diag.get("bins", 8), "diagnostics.bins", 2),
+        fa_k_max=read["fa"].get("k_max", 5),
+        fa_alpha=read["fa"].get("alpha", 0.05),
+        acf_max_lag=read["diagnostics"].get("max_lag", 10),
+        mi_bins=read["diagnostics"].get("bins", 8),
         output_dir=base / _as_str(_require(doc, "output_dir", "the config root"), "output_dir"),
     )

@@ -4,12 +4,13 @@ The workflow mirrors common practice for sparse, irregular monitoring
 records: collapse each calendar year to the mean of whatever samples it
 holds, drop variables that still have year gaps, delete composite variables
 whose constituents are all present, and finally difference consecutive
-years to strip trends.
+years to strip trends.  :data:`STAGES` declares every pipeline stage once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     RuleInapplicable,
     TooShort,
 )
-from .ingest import Table
+from .ingest import Table, drop_incomplete_rows, filter_table
 
 
 @dataclass(frozen=True)
@@ -126,3 +127,28 @@ def difference(table: Table, lag: int = 1) -> Table:
         list(table.codes),
         table.values[lag:] - table.values[:-lag],
     )
+
+
+class Stage(NamedTuple):
+    """One pipeline stage: the ``Table.index_name`` it takes and the one it
+    returns, and its step on (table, run settings)."""
+
+    takes: str
+    returns: str
+    step: Callable
+
+
+STAGES = {
+    "filter": Stage("date", "date", lambda t, cfg: filter_table(t, cfg.filter_spec)),
+    "drop_incomplete_rows": Stage(
+        "date", "date", lambda t, cfg: drop_incomplete_rows(t)
+    ),
+    "annual_mean": Stage("date", "year", lambda t, cfg: annual_mean(t)),
+    "drop_na_columns": Stage("year", "year", lambda t, cfg: drop_na_columns(t)),
+    "drop_redundant": Stage(
+        "year", "year", lambda t, cfg: drop_redundant(t, cfg.redundancy_rules)
+    ),
+    "difference": Stage(
+        "year", "year", lambda t, cfg: difference(t, cfg.difference_lag)
+    ),
+}

@@ -238,7 +238,10 @@ class TestExitCodes:
         assert main(["run", str(bad)]) == 3
         assert "ingest" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("tol", 0), ("logcosh_alpha", 3), ("seed", -1)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tol", 0), ("logcosh_alpha", 3), ("seed", -1), ("n_components", 0)],
+    )
     def test_invalid_ica_setting_is_a_config_error(self, workdir, capsys, key, value):
         doc = json.loads((workdir / "pipeline.json").read_text())
         doc["ica"][key] = value
@@ -248,6 +251,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err
         assert key in err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "number",
+        ["1e400", "-1e400", "NaN", pytest.param("1" + "0" * 400, id="401-digit-int")],
+    )
+    @pytest.mark.parametrize(
+        "section, key", [("ica", "tol"), ("ica", "logcosh_alpha"), ("fa", "alpha")]
+    )
+    def test_non_finite_number_is_a_config_error(
+        self, workdir, capsys, section, key, number
+    ):
+        # json reads 1e400 as inf and NaN as nan; a 401-digit integer has no
+        # float at all
+        doc = json.loads((workdir / "pipeline.json").read_text())
+        doc[section][key] = "@"
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"@"', number))
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"config error: {section}.{key} must be a finite number" in err[0]
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command", ["ingest", "preprocess", "pca", "ica", "fa", "diagnose", "run"]
+    )
+    def test_negative_seed_is_a_command_line_error(self, workdir, capsys, command):
+        assert main([command, str(workdir / "pipeline.json"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "riversep: command-line error: --seed -1: seed must be non-negative"
+        ]
         assert not (workdir / "out").exists()
 
     def test_non_finite_cells_do_not_escape_as_a_traceback(self, workdir):

@@ -66,31 +66,56 @@ def test_unknown_nested_key(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
-def test_unknown_stage(tmp_path):
-    doc = dict(MINIMAL, pipeline=["normalize"])
-    with pytest.raises(ConfigError, match="normalize"):
+@pytest.mark.parametrize("stage", ["normalize", ["annual_mean"]])
+def test_unknown_stage(tmp_path, stage):
+    doc = dict(MINIMAL, pipeline=[stage])
+    with pytest.raises(ConfigError, match=re.escape(f"unknown pipeline stage {stage!r}")):
         load_config(write_config(tmp_path, doc))
 
 
-def test_difference_before_annual_mean(tmp_path):
-    doc = dict(MINIMAL, pipeline=["difference", "annual_mean"])
-    with pytest.raises(ConfigError, match="annual_mean"):
-        load_config(write_config(tmp_path, doc))
+DATED_STAGES = ("filter", "drop_incomplete_rows")
+ANNUAL_STAGES = ("drop_na_columns", "drop_redundant", "difference")
+FULL_PIPELINE = [*DATED_STAGES, "annual_mean", *ANNUAL_STAGES]
 
 
-def test_annual_stage_without_pivot(tmp_path):
-    doc = dict(MINIMAL, pipeline=["drop_na_columns"])
-    with pytest.raises(ConfigError, match="annual_mean"):
-        load_config(write_config(tmp_path, doc))
+def misplaced_pipelines():
+    """(pipeline, stage): ``stage`` on the wrong side of ``annual_mean``."""
+    yield ["difference", "annual_mean"], "difference"
+    yield ["annual_mean", "drop_incomplete_rows"], "drop_incomplete_rows"
+    for stage in FULL_PIPELINE:
+        if stage == "annual_mean":
+            continue
+        rest = [s for s in FULL_PIPELINE if s != stage]
+        pivot = rest.index("annual_mean")
+        if stage in DATED_STAGES:
+            wrong = range(pivot + 1, len(rest) + 1)
+        else:
+            wrong = range(pivot + 1)
+        for i in wrong:
+            yield rest[:i] + [stage] + rest[i:], stage
+    # an annual stage with no annual_mean at all
+    for stage in ANNUAL_STAGES:
+        yield [stage], stage
+        yield [*DATED_STAGES, stage], stage
 
 
-def test_time_stage_after_pivot(tmp_path):
+@pytest.mark.parametrize(
+    "pipeline, stage",
+    list(misplaced_pipelines()),
+    ids=lambda p: ">".join(p) if isinstance(p, list) else None,
+)
+def test_misplaced_stage(tmp_path, pipeline, stage):
     doc = dict(
         MINIMAL,
-        pipeline=["annual_mean", "drop_incomplete_rows"],
+        pipeline=pipeline,
+        filter={},
+        redundancy_rules=[{"composite": "00600", "parts": ["00605"]}],
     )
-    with pytest.raises(ConfigError, match="drop_incomplete_rows"):
+    with pytest.raises(ConfigError) as info:
         load_config(write_config(tmp_path, doc))
+    side = "before" if stage in DATED_STAGES else "after"
+    assert f"stage {stage!r}" in str(info.value)
+    assert f"must come {side} 'annual_mean'" in str(info.value)
 
 
 def test_duplicate_stage(tmp_path):
@@ -128,6 +153,19 @@ def test_filter_section_parses(tmp_path):
     assert cfg.filter_spec.required_variable == "00618"
 
 
+@pytest.mark.parametrize(
+    "section, match",
+    [
+        ({"min_count": 0}, "min_count must be at least 1"),
+        ({"start": "2000-01-02", "end": "2000-01-01"}, "start date is after end date"),
+    ],
+)
+def test_filter_range_rules_are_config_errors(tmp_path, section, match):
+    doc = dict(MINIMAL, pipeline=["filter", "annual_mean"], filter=section)
+    with pytest.raises(ConfigError, match=f"invalid 'filter' section: .*{match}"):
+        load_config(write_config(tmp_path, doc))
+
+
 def test_bad_date_rejected(tmp_path):
     doc = dict(
         MINIMAL,
@@ -142,6 +180,11 @@ def test_bool_is_not_an_integer(tmp_path):
     doc = dict(MINIMAL, ica={"n_components": True})
     with pytest.raises(ConfigError, match="n_components"):
         load_config(write_config(tmp_path, doc))
+
+
+def test_null_ica_components_decides_from_the_data(tmp_path):
+    cfg = load_config(write_config(tmp_path, dict(MINIMAL, ica={"n_components": None})))
+    assert cfg.ica_components is None
 
 
 def test_non_bool_flag_rejected(tmp_path):

@@ -1,14 +1,18 @@
 import csv
 import datetime
 import io
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from riversep import errors
-from riversep.ingest import Table, emit_csv
+from riversep.config import load_config
+from riversep.ingest import Table, emit_csv, parse_rdb
 from riversep.preprocess import (
+    STAGES,
     RedundancyRule,
     annual_mean,
     difference,
@@ -221,3 +225,29 @@ class TestAnnualCsv:
         assert [int(r[0]) for r in rows] == a.index
         again = [[float("nan") if c == "NA" else float(c) for c in r[1:]] for r in rows]
         assert_allclose(again, a.values, equal_nan=True)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [
+        None,  # the fixture config's own
+        # years with no complete row leave gaps, so no difference here
+        ("filter", "drop_incomplete_rows", "annual_mean", "drop_na_columns",
+         "drop_redundant"),
+    ],
+    ids=["fixture", "drop_incomplete_rows"],
+)
+def test_stage_table_declares_the_index_each_stage_returns(pipeline):
+    cfg = load_config(FIXTURES / "pipeline.json")
+    if pipeline is not None:
+        cfg = replace(cfg, pipeline=pipeline)
+    table = parse_rdb((FIXTURES / "station_fixture.rdb").read_bytes())
+    assert table.index_name == "date"
+    for name in cfg.pipeline:
+        assert table.index_name == STAGES[name].takes, name
+        table = STAGES[name].step(table, cfg)
+        assert table.index_name == STAGES[name].returns, name
+    assert table.n_rows > 0
