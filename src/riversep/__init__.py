@@ -40,7 +40,6 @@ from .ingest import (
 from .linalg import (
     EigenDecomposition,
     SvdDecomposition,
-    center_scale,
     correlation_matrix,
     covariance_matrix,
     svd,
@@ -67,7 +66,6 @@ __all__ = [
     # dense matrix primitives
     "EigenDecomposition",
     "SvdDecomposition",
-    "center_scale",
     "correlation_matrix",
     "covariance_matrix",
     "svd",

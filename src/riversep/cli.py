@@ -184,7 +184,7 @@ def _write_pca(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     with _stage("pca"):
-        model = fit_pca(matrix, cfg.pca_center, cfg.pca_scale, labels)
+        model = fit_pca(matrix, scale=cfg.pca_scale)
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
     text = _table_csv(header, [*labels, "stdev"], _loading_lines(rows))
@@ -201,7 +201,7 @@ def _write_pca(pipe: _Pipeline) -> list:
     eigenvalues = model.stdevs**2
     smallest = float(eigenvalues[-1])
     summary = {
-        "center": model.centered,
+        "center": True,  # PCA always centers
         "scale": model.scaled,
         "n_rows": int(matrix.shape[0]),
         "stdevs": [float(s) for s in model.stdevs],
@@ -221,7 +221,7 @@ def _write_ica(pipe: _Pipeline) -> list:
     k = cfg.ica_components
     with _stage("ica"):
         if k is None:
-            k = kaiser_retain(fit_pca(table.values, True, True, table.codes))
+            k = kaiser_retain(fit_pca(table.values, scale=True))
         model = fast_ica(table.values, replace(cfg.ica, n_components=k))
 
     codes = [f"IC{j + 1}" for j in range(k)]
@@ -260,7 +260,7 @@ def _write_fa(pipe: _Pipeline) -> list:
     fits = []
     for k in range(1, k_used + 1):
         with _stage("fa"):
-            m = fit_fa_ml(matrix, k, variable_labels=labels)
+            m = fit_fa_ml(matrix, k)
         fits.append(m)
         header = ["variable"] + [f"F{j + 1}" for j in range(k)] + ["uniqueness"]
         rows = np.column_stack([m.loadings, m.uniquenesses])
@@ -395,7 +395,7 @@ def _synth_bench(out_dir: Path, rows: int, base_seed: int, replicates: int) -> i
                 scenario.observed,
                 IcaConfig(n_components=len(dists), seed=seed),
             )
-            pca_model = fit_pca(scenario.observed, center=True, scale=False)
+            pca_model = fit_pca(scenario.observed, scale=False)
             for method, model in (("ica", ica_model), ("pca", pca_model)):
                 report = evaluate_recovery(scenario, model)
                 corr = float(np.mean(report.matched_correlations))

@@ -62,7 +62,6 @@ class RunConfig:
     redundancy_rules: tuple
     pipeline: tuple
     difference_lag: int
-    pca_center: bool
     pca_scale: bool
     ica_components: int | None
     ica: IcaConfig
@@ -96,6 +95,13 @@ def _as_int(value, where: str, minimum: int | None = None) -> int:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be at least {minimum}, got {value}")
+    return value
+
+
+def _as_true(value, where: str) -> bool:
+    # PCA always centers; pca.center stays so that configs which say so load
+    if not _as_bool(value, where):
+        raise ConfigError(f"{where} must be true: PCA always centers its input")
     return value
 
 
@@ -165,7 +171,7 @@ _SECTIONS = {
         "end": _as_date,
         "required_variable": _as_str,
     },
-    "pca": {"center": _as_bool, "scale": _as_bool},
+    "pca": {"center": _as_true, "scale": _as_bool},
     "ica": {
         # null, like an absent key, means "decide from the data"
         "n_components": lambda v, where: v if v is None else _as_int(v, where),
@@ -267,9 +273,10 @@ def load_config(path) -> RunConfig:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    # bad UTF-8, bad JSON and an integer too long to convert are ValueErrors
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -301,7 +308,6 @@ def load_config(path) -> RunConfig:
         redundancy_rules=rules,
         pipeline=pipeline,
         difference_lag=_as_int(doc.get("difference_lag", 1), "difference_lag", 1),
-        pca_center=read["pca"].get("center", True),
         pca_scale=read["pca"].get("scale", True),
         ica_components=n_comp,
         ica=ica_cfg,

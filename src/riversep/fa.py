@@ -96,8 +96,6 @@ class FaModel:
         where ``S`` is the fitted matrix; decreases as ``k`` grows.
     n_obs : int
         Sample size the fit (and its statistic) assumed.
-    variable_labels : tuple of str, or None
-        Optional column names carried through for reporting.
     """
 
     loadings: np.ndarray
@@ -111,7 +109,6 @@ class FaModel:
     heywood: bool
     discrepancy: float
     n_obs: int
-    variable_labels: tuple | None = None
 
     def fitted(self) -> np.ndarray:
         """Model correlation matrix ``loadings @ loadings.T + diag(psi)``."""
@@ -286,7 +283,7 @@ def _validate_correlation(r) -> np.ndarray:
     return (r + r.T) / 2.0
 
 
-def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
+def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
     """Fit the k-factor model directly to a correlation matrix.
 
     This is the population-input mode: ``r`` is taken as the sample
@@ -302,8 +299,6 @@ def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
         nonnegative degrees of freedom.
     n_obs : int
         Nominal sample size; enters only the likelihood-ratio statistic.
-    variable_labels : sequence of str, optional
-        Names carried into the model for reporting.
 
     Raises
     ------
@@ -354,7 +349,6 @@ def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
 
     stat, p_value = _bartlett_test(discrepancy, n_obs, p, k, dof)
 
-    labels = tuple(variable_labels) if variable_labels is not None else None
     return FaModel(
         loadings=loadings,
         uniquenesses=psi,
@@ -367,7 +361,6 @@ def fit_fa_ml_corr(r, k: int, n_obs: int, variable_labels=None) -> FaModel:
         heywood=heywood,
         discrepancy=discrepancy,
         n_obs=int(n_obs),
-        variable_labels=labels,
     )
 
 
@@ -402,7 +395,7 @@ def _chi2_upper_tail(x: float, dof: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-def fit_fa_ml(x, k: int, variable_labels=None) -> FaModel:
+def fit_fa_ml(x, k: int) -> FaModel:
     """Fit the k-factor model to a data matrix (rows are observations).
 
     The sample correlation matrix is computed with the n-1 convention and
@@ -418,7 +411,7 @@ def fit_fa_ml(x, k: int, variable_labels=None) -> FaModel:
     if n <= p:
         raise TooFewRows(n, p + 1)
     r = correlation_matrix(x)
-    return fit_fa_ml_corr(r, k, n, variable_labels=variable_labels)
+    return fit_fa_ml_corr(r, k, n)
 
 
 def smallest_adequate_k(p_values: Sequence[float], alpha: float = 0.05) -> FactorSelection:

@@ -53,6 +53,9 @@ _NAN = float("nan")
 # Column-format tokens in the line after an RDB header, e.g. "10d" or "12n".
 _FORMAT_TOKEN = re.compile(r"\d+[A-Za-z]")
 
+# Seconds fetch_remote waits on the network before giving up.
+_FETCH_TIMEOUT_S = 30.0
+
 
 @dataclass
 class Table:
@@ -305,7 +308,6 @@ def fetch_remote(
     url_template: str,
     medium_code: str | None = None,
     offline: bool = False,
-    timeout: float = 30.0,
 ) -> bytes:
     """Fetch a monitoring record over HTTP with a content cache.
 
@@ -330,7 +332,7 @@ def fetch_remote(
         medium=medium_code or "",
     )
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT_S) as resp:
             status = getattr(resp, "status", 200)
             if status != 200:
                 raise HttpStatus(status)

@@ -122,25 +122,6 @@ def _column_moments(
     return mean, sd, (c + c.T) / 2.0
 
 
-def center_scale(x, center: bool = True, scale: bool = False) -> np.ndarray:
-    """Return a copy of ``x`` with columns centered and/or scaled.
-
-    Scaling divides by the sample (n-1) standard deviation.  A column whose
-    sample deviation vanishes relative to its own magnitude raises
-    :class:`ZeroVarianceColumn` when ``scale`` is requested.
-    """
-    m = as_matrix(x)
-    xc = m - _column_mean(m)
-    out = xc if center else m.copy()
-    if scale:
-        if m.shape[0] < 2:
-            raise TooFewRows(m.shape[0], 2)
-        sd = np.sqrt(np.ones(m.shape[0]) @ (xc * xc) / (m.shape[0] - 1))
-        _check_zero_variance(m, sd)
-        out /= sd
-    return out
-
-
 def covariance_matrix(x) -> np.ndarray:
     """Sample covariance (n-1 normalization) of the columns of ``x``."""
     return _column_moments(as_matrix(x), standardize=False)[2]

@@ -1,10 +1,10 @@
 """Principal component analysis over preprocessed annual tables.
 
 Components come from the symmetric eigendecomposition of the sample
-covariance matrix of the (optionally centered/scaled) input — not from an
-SVD of the data — so the loadings inherit the eigensolver's deterministic
-sign convention.  The model keeps all components; retention rules are views
-on the spectrum, never refits.
+covariance matrix of the always-centered input (its correlation matrix when
+scaled) — not from an SVD of the data — so the loadings inherit the
+eigensolver's deterministic sign convention.  The model keeps all
+components; retention rules are views on the spectrum, never refits.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ class PcaModel:
 
     loadings: np.ndarray
     stdevs: np.ndarray
-    centered: bool
     scaled: bool
-    variable_labels: tuple[str, ...]
     mean: np.ndarray | None = None
     sd: np.ndarray | None = None
 
@@ -43,13 +41,8 @@ class PcaModel:
         return len(self.stdevs)
 
 
-def fit_pca(
-    x,
-    center: bool = True,
-    scale: bool = True,
-    variable_labels: tuple[str, ...] | None = None,
-) -> PcaModel:
-    """Fit a PCA with as many components as variables.
+def fit_pca(x, *, scale: bool = True) -> PcaModel:
+    """Fit a PCA of the centered input with as many components as variables.
 
     With ``scale=True`` the decomposition runs on the correlation structure
     (every variable weighted equally); without it, on raw covariances.
@@ -60,12 +53,6 @@ def fit_pca(
         raise TooFewRows(n, 3)
     if p < 2:
         raise OutOfRange("need at least two variables")
-    if variable_labels is None:
-        variable_labels = tuple(f"x{j}" for j in range(p))
-    elif len(variable_labels) != p:
-        raise OutOfRange(
-            f"{len(variable_labels)} labels for {p} variables"
-        )
     # Centering does not change a covariance, so only scaling shapes the fit.
     mean, sd, c = _column_moments(m, standardize=scale)
     values, vectors = sym_eigen(c)
@@ -73,9 +60,7 @@ def fit_pca(
     return PcaModel(
         loadings=vectors,
         stdevs=stdevs,
-        centered=center,
         scaled=scale,
-        variable_labels=tuple(variable_labels),
         mean=mean,
         sd=sd,
     )
@@ -104,11 +89,12 @@ def explained_variance(model: PcaModel, k: int) -> float:
 def scores(model: PcaModel, x) -> np.ndarray:
     """Project ``x`` onto the components.
 
-    The input is centered/scaled as the model's fit was, with the training
-    mean and sd, then rotated by the loadings.  On the training data the
-    score columns are uncorrelated with variances equal to ``stdevs**2``.
-    The centering and scaling run on a variables x rows copy; the scores
-    come back C-ordered, rows x components.
+    The input is centered with the training mean and, if the fit was
+    scaled, divided by the training sd, then rotated by the loadings.  On
+    the training data the score columns are uncorrelated with variances
+    equal to ``stdevs**2``.
+    The centering and scaling run on a variables x rows copy, as in
+    whitening; the scores come back C-ordered, rows x components.
     """
     m = as_matrix(x)
     if m.shape[1] != model.loadings.shape[0]:
@@ -117,9 +103,7 @@ def scores(model: PcaModel, x) -> np.ndarray:
         )
     if model.mean is None or model.sd is None:
         raise RuleInapplicable("scores need the training mean and sd of a fit_pca model")
-    pre = np.ascontiguousarray(m.T)  # variables x rows, as in whiten
-    if model.centered:
-        pre = pre - model.mean[:, None]
+    pre = np.ascontiguousarray(m.T) - model.mean[:, None]
     if model.scaled:
         pre = pre / model.sd[:, None]
     return pre.T @ model.loadings  # fast for an F-ordered left operand

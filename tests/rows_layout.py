@@ -108,7 +108,7 @@ def column_moments(m, standardize):
 
 
 def scores(model, x):
-    pre = x - model.mean if model.centered else x
+    pre = x - model.mean
     if model.scaled:
         pre = pre / model.sd
     return pre @ model.loadings

@@ -44,9 +44,7 @@ def reference_model() -> PcaModel:
     return PcaModel(
         loadings=np.eye(11),
         stdevs=stdevs,
-        centered=True,
         scaled=True,
-        variable_labels=tuple(f"x{j}" for j in range(11)),
     )
 
 
@@ -69,7 +67,7 @@ def test_criterion_03_pca_invariants_hold_over_random_tables():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(40, 11)) @ rng.normal(size=(11, 11))
-        m = fit_pca(x, center=True, scale=True)
+        m = fit_pca(x, scale=True)
         # scaled fit: total variance equals the variable count
         assert abs(float(np.sum(m.stdevs**2)) - 11.0) <= 1e-8
         # loadings form an orthonormal basis

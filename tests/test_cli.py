@@ -485,8 +485,8 @@ class TestSubcommands:
     ):
         fit = riversep.cli.fit_pca
 
-        def singular(*args):
-            model = fit(*args)
+        def singular(*args, **kwargs):
+            model = fit(*args, **kwargs)
             return replace(model, stdevs=np.append(model.stdevs[:-1], 0.0))
 
         monkeypatch.setattr(riversep.cli, "fit_pca", singular)

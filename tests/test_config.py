@@ -34,7 +34,7 @@ def test_minimal_config_loads(tmp_path):
     assert cfg.input_path == tmp_path / "data.rdb"
     assert cfg.output_dir == tmp_path / "out"
     assert cfg.pipeline == ("annual_mean",)
-    assert cfg.pca_center and cfg.pca_scale
+    assert cfg.pca_scale
     assert cfg.ica_components is None
     assert cfg.fa_k_max == 5
     assert cfg.fa_alpha == 0.05
@@ -191,6 +191,49 @@ def test_non_bool_flag_rejected(tmp_path):
     doc = dict(MINIMAL, pca={"center": 1})
     with pytest.raises(ConfigError, match="center"):
         load_config(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_center_true_loads(tmp_path, scale):
+    # an absent pca.center loads as in test_minimal_config_loads
+    doc = dict(MINIMAL, pca={"center": True, "scale": scale})
+    assert load_config(write_config(tmp_path, doc)).pca_scale is scale
+
+
+def fixture_config(tmp_path, old, new):
+    """The fixture config with ``old`` replaced by ``new``, beside its record."""
+    shutil.copy(FIXTURES / "station_fixture.rdb", tmp_path)
+    text = (FIXTURES / "pipeline.json").read_text()
+    assert old in text
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command", ["ingest", "preprocess", "pca", "ica", "fa", "diagnose", "run"]
+)
+def test_uncentered_pca_is_a_config_error(tmp_path, capsys, command):
+    # PCA always centers, so a config that asks for no centering is refused
+    # before any stage runs or any file is written
+    path = fixture_config(tmp_path, '"center": true', '"center": false')
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "riversep: config error: pca.center must be true: PCA always centers its input"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
+    # past 4300 digits json raises a plain ValueError, not a JSONDecodeError
+    path = fixture_config(tmp_path, '"max_iter": 200', '"max_iter": ' + "1" * 5001)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(path)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("riversep: config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_filter_medium_code_is_an_unknown_key(tmp_path):

@@ -536,9 +536,3 @@ class TestInputValidation:
         bad = compound_symmetry(4, 0.3) * 2.0
         with pytest.raises(OutOfRange):
             fit_fa_ml_corr(bad, 1, 100)
-
-    def test_labels_carried_through(self):
-        x, _ = simulate_two_factor()
-        labels = tuple(f"v{i}" for i in range(6))
-        m = fit_fa_ml(x, 2, variable_labels=labels)
-        assert m.variable_labels == labels

@@ -428,6 +428,19 @@ class TestFetchRemote:
         assert fetch_remote(*args, url, medium_code="WS") == water
         assert fetch_remote(*args, url, medium_code="SB") == sediment
 
+    def test_download_waits_thirty_seconds(self, tmp_path, monkeypatch):
+        import riversep.ingest as ingest_mod
+
+        calls = []
+
+        def download(url, **kwargs):
+            calls.append(kwargs)
+            return _FakeResponse(b"body")
+
+        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", download)
+        fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", tmp_path, self.URL)
+        assert calls == [{"timeout": 30.0}]
+
     def test_offline_without_cache(self, tmp_path):
         with pytest.raises(errors.NetworkUnavailable):
             fetch_remote(

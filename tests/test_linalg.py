@@ -12,7 +12,6 @@ from riversep.linalg import (
     _column_moments,
     _column_signs,
     _sym_eigh,
-    center_scale,
     correlation_matrix,
     covariance_matrix,
     svd,
@@ -35,48 +34,6 @@ def brute_force_covariance(x):
     return c
 
 
-class TestCenterScale:
-    def test_two_point_column(self):
-        # mean 2, sample sd sqrt(2) under the n-1 convention
-        out = center_scale([[1.0], [3.0]], center=True, scale=True)
-        assert_allclose(out[:, 0], [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
-
-    def test_center_only_leaves_scale(self):
-        out = center_scale([[1.0, 10.0], [3.0, 30.0]], center=True, scale=False)
-        assert_allclose(out, [[-1.0, -10.0], [1.0, 10.0]])
-
-    def test_no_op(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert_allclose(center_scale(x, center=False, scale=False), x)
-
-    def test_constant_column_raises_on_scale(self):
-        with pytest.raises(errors.ZeroVarianceColumn) as exc:
-            center_scale([[5.0], [5.0]], scale=True)
-        assert exc.value.col == 0
-
-    def test_nearly_constant_column_raises(self):
-        # equal up to representation error; must still be flagged
-        col = [0.1, 0.1, 0.1]
-        with pytest.raises(errors.ZeroVarianceColumn):
-            center_scale(np.array([col]).T, scale=True)
-
-    def test_scaled_columns_have_unit_variance(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(40, 5)) * [1, 10, 100, 0.1, 3] + [0, 5, -2, 1, 9]
-        out = center_scale(x, center=True, scale=True)
-        assert_allclose(out.std(axis=0, ddof=1), np.ones(5), atol=1e-12)
-        assert_allclose(out.mean(axis=0), np.zeros(5), atol=1e-12)
-
-    def test_rejects_nan(self):
-        with pytest.raises(errors.OutOfRange):
-            center_scale([[1.0], [np.nan]])
-
-    @pytest.mark.parametrize("x", [[1.0, 2.0], np.empty((0, 3)), np.ones((2, 2, 2))])
-    def test_rejects_a_non_matrix(self, x):
-        with pytest.raises(errors.ShapeMismatch):
-            center_scale(x)
-
-
 class TestColumnStatistics:
     """The column mean is a product with a ones vector, not ``np.mean``; the
     two differ only in summation order, on either memory layout."""
@@ -93,17 +50,14 @@ class TestColumnStatistics:
         assert_allclose(mean, np.mean(x, axis=0), rtol=1e-14, atol=0)
         assert_allclose(sd, np.std(x, axis=0, ddof=1), rtol=1e-14, atol=0)
         assert_allclose(c, np.cov(x, rowvar=False), rtol=1e-12, atol=1e-13)
-        scaled = center_scale(x, center=True, scale=True)
-        assert_allclose(scaled * sd + mean, x, rtol=1e-13, atol=1e-13)
+        r = _column_moments(x, standardize=True)[2]
+        assert_allclose(r, np.corrcoef(x, rowvar=False), rtol=1e-12, atol=1e-13)
 
     def test_constant_column_of_a_tall_matrix_has_zero_variance(self):
         # 0.1 is inexact in binary, so the column's computed mean may miss it
         # in the last bit; the column must still read as constant.
         rng = np.random.default_rng(6)
         x = np.column_stack([rng.normal(size=5000), np.full(5000, 0.1), rng.normal(size=5000)])
-        with pytest.raises(errors.ZeroVarianceColumn) as exc:
-            center_scale(x, scale=True)
-        assert exc.value.col == 1
         with pytest.raises(errors.ZeroVarianceColumn) as exc:
             correlation_matrix(x)
         assert exc.value.col == 1
@@ -196,8 +150,8 @@ class TestCorrelation:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(15, 4)) * [2, 5, 0.3, 1]
         r = correlation_matrix(x)
-        oracle = covariance_matrix(center_scale(x, center=True, scale=True))
-        assert_allclose(r, oracle, atol=1e-12)
+        z = (x - np.mean(x, axis=0)) / np.std(x, axis=0, ddof=1)
+        assert_allclose(r, np.cov(z, rowvar=False), atol=1e-12)
 
     def test_unit_diagonal_and_bounds(self):
         rng = np.random.default_rng(12)
@@ -210,6 +164,19 @@ class TestCorrelation:
         with pytest.raises(errors.ZeroVarianceColumn) as exc:
             correlation_matrix([[1.0, 2.0], [1.0, 3.0]])
         assert exc.value.col == 0
+        # equal up to representation error; must still be flagged
+        with pytest.raises(errors.ZeroVarianceColumn) as exc:
+            correlation_matrix([[1.0, 0.1], [2.0, 0.1], [4.0, 0.1]])
+        assert exc.value.col == 1
+
+    def test_rejects_nan(self):
+        with pytest.raises(errors.OutOfRange):
+            correlation_matrix([[1.0, 2.0], [np.nan, 3.0]])
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0], np.empty((0, 3)), np.ones((2, 2, 2))])
+    def test_rejects_a_non_matrix(self, x):
+        with pytest.raises(errors.ShapeMismatch):
+            correlation_matrix(x)
 
 
 class TestSymEigen:

@@ -20,9 +20,7 @@ def model_from_stdevs(stdevs, scaled=True):
     return PcaModel(
         loadings=np.eye(p),
         stdevs=np.asarray(stdevs, dtype=float),
-        centered=True,
         scaled=scaled,
-        variable_labels=tuple(f"x{j}" for j in range(p)),
     )
 
 
@@ -31,7 +29,7 @@ class TestFitPca:
         rng = np.random.default_rng(0)
         a = rng.normal(size=40)
         x = np.column_stack([a, 2 * a + 1])
-        m = fit_pca(x, center=True, scale=True)
+        m = fit_pca(x, scale=True)
         # scaled collinear pair: correlation [[1,1],[1,1]], eigenvalues 2, 0
         assert_allclose(m.stdevs, [np.sqrt(2), 0.0], atol=1e-8)
 
@@ -39,7 +37,7 @@ class TestFitPca:
         # near-identity covariance: all component deviations close to 1
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2000, 5))
-        m = fit_pca(x, center=True, scale=True)
+        m = fit_pca(x, scale=True)
         assert np.all(np.abs(m.stdevs - 1.0) < 0.15)
 
     def test_total_variance_equals_variable_count_when_scaled(self):
@@ -60,8 +58,8 @@ class TestFitPca:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 5)) * [3, 2, 1, 0.5, 0.1]
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-        m1 = fit_pca(x, center=True, scale=False)
-        m2 = fit_pca(x @ q, center=True, scale=False)
+        m1 = fit_pca(x, scale=False)
+        m2 = fit_pca(x @ q, scale=False)
         assert_allclose(m1.stdevs, m2.stdevs, atol=1e-8)
 
     def test_deterministic_reruns(self):
@@ -74,6 +72,12 @@ class TestFitPca:
     def test_too_few_rows(self):
         with pytest.raises(errors.TooFewRows):
             fit_pca(np.ones((2, 3)))
+
+    def test_scale_is_keyword_only(self):
+        # the first positional flag was once center: one must fail, not scale
+        x = np.random.default_rng(10).normal(size=(10, 3))
+        with pytest.raises(TypeError):
+            fit_pca(x, False)
 
     def test_constant_column_with_scaling(self):
         x = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
@@ -134,7 +138,7 @@ class TestScores:
     def test_training_score_covariance_is_spectrum(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(40, 5)) @ rng.normal(size=(5, 5))
-        m = fit_pca(x, center=True, scale=True)
+        m = fit_pca(x, scale=True)
         s = scores(m, x)
         c = covariance_matrix(s)
         assert_allclose(np.diag(c), m.stdevs**2, atol=1e-8)
@@ -146,14 +150,14 @@ class TestScores:
         base = np.array(
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.5], [0.0, -0.5]]
         ) * [4.0, 1.0]
-        m = fit_pca(base, center=True, scale=False)
+        m = fit_pca(base, scale=False)
         assert_allclose(m.loadings, np.eye(2), atol=1e-12)
         assert_allclose(scores(m, base), base - base.mean(axis=0), atol=1e-12)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(30, 4))
-        m = fit_pca(x, center=True, scale=True)
+        m = fit_pca(x, scale=True)
         s = scores(m, x)
         pre = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
         assert_allclose(s @ m.loadings.T, pre, atol=1e-8)
@@ -163,7 +167,7 @@ class TestScores:
         x = rng.normal(size=(30, 3)) * [1.0, 2.0, 5.0]
         shift = np.array([3.0, -1.0, 10.0])
         for scale in (True, False):
-            m = fit_pca(x, center=True, scale=scale)
+            m = fit_pca(x, scale=scale)
             moved = scores(m, x + shift)
             assert not np.allclose(moved, scores(m, x))
             spread = x.std(axis=0, ddof=1) if scale else 1.0
@@ -189,7 +193,7 @@ class TestRowsLayoutBitIdentity:
     @pytest.mark.parametrize("scale", [True, False])
     def test_fit_and_scores_match_the_rows_layout(self, scale):
         for x in rows_layout.tables():
-            model = fit_pca(x, center=True, scale=scale)
+            model = fit_pca(x, scale=scale)
             mean, sd, c = rows_layout.column_moments(x, standardize=scale)
             values, vectors = sym_eigen(c)
             assert_array_equal(model.mean, mean)

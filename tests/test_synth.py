@@ -88,7 +88,7 @@ class TestEvaluateRecovery:
         sc = generate_scenario(["uniform", "uniform"], rows=5000,
                                mixing_condition_max=10.0, seed=42)
         assert np.linalg.cond(sc.mixing) > 1.5
-        model = fit_pca(sc.observed, center=True, scale=False)
+        model = fit_pca(sc.observed, scale=False)
         report = evaluate_recovery(sc, model)
         assert report.method == "pca"
         assert report.amari > 0.1
@@ -149,7 +149,7 @@ class TestEvaluateRecovery:
         monkeypatch.setattr(synth, "_centered_columns", counted)
         ica_model = fast_ica(sc.observed, IcaConfig(n_components=2, seed=15))
         first = evaluate_recovery(sc, ica_model)
-        evaluate_recovery(sc, fit_pca(sc.observed, center=True, scale=False))
+        evaluate_recovery(sc, fit_pca(sc.observed, scale=False))
         assert evaluate_recovery(sc, ica_model) == first
         assert centered.count(True) == 1
         assert len(centered) == 4
@@ -175,7 +175,7 @@ class TestRowsLayoutBitIdentity:
         assert_array_equal(sc.observed, rows_layout.mixing_product(sc.sources, sc.mixing))
         cfg = IcaConfig(n_components=k, seed=seed)
         ica_model = fast_ica(sc.observed, cfg)
-        pca_model = fit_pca(sc.observed, center=True, scale=False)
+        pca_model = fit_pca(sc.observed, scale=False)
         recovered = {
             "ica": (ica_model.sources, rows_layout.fast_ica(sc.observed, cfg).sources),
             "pca": (scores(pca_model, sc.observed)[:, :k],
