@@ -39,7 +39,6 @@ from .preprocess import STAGES
 from .report import (
     csv_field,
     csv_header,
-    format_loading,
     format_number,
     format_rows,
     keyed_lines,
@@ -168,8 +167,10 @@ def _table_csv(header, keys, lines) -> str:
 
 
 def _loading_lines(rows):
-    """Rows of a loading table, each cell formatted by :func:`format_loading`."""
-    return (",".join(map(format_loading, row)) for row in rows)
+    """Rows of a loading table, one ``%`` per row: ``%.7f`` writes a cell as
+    :func:`~riversep.report.format_loading` does."""
+    row_format = ",".join(["%.7f"] * rows.shape[1])
+    return (row_format % tuple(row) for row in rows.tolist())
 
 
 def _write_ingested(pipe: _Pipeline) -> list:
@@ -306,15 +307,12 @@ def _write_diagnostics(pipe: _Pipeline) -> list:
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     n = matrix.shape[0]
     max_lag = min(cfg.acf_max_lag, n - 2)
-    rows = []
     with _stage("diagnose"):
-        for j in range(len(labels)):
-            result = acf(matrix[:, j], max_lag)
-            band = np.full(max_lag + 1, result.conf_band)
-            rows.append(np.column_stack([result.lags, result.values, band]))
+        result = acf(matrix, max_lag)
+    rows = np.stack(np.broadcast_arrays(result.lags, result.values, result.conf_band), -1)
     keys = [code for code in labels for _ in range(max_lag + 1)]
     header = ["variable", "lag", "value", "conf_band"]
-    text = _table_csv(header, keys, format_rows(np.vstack(rows)))
+    text = _table_csv(header, keys, format_rows(rows.reshape(-1, 3)))
     files = [_write(cfg.output_dir, "acf.csv", text)]
 
     with _stage("diagnose"):
@@ -427,18 +425,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
+    # the config subcommands' arguments, declared once and shared
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", type=Path, help="path to the JSON run config")
+    common.add_argument(
+        "--seed", type=int, default=None, help="override the configured seed"
+    )
+    common.add_argument(
+        "--offline",
+        action="store_true",
+        help="forbid network access; remote inputs must be cached",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        p.add_argument("config", type=Path, help="path to the JSON run config")
-        p.add_argument(
-            "--seed", type=int, default=None, help="override the configured seed"
-        )
-        p.add_argument(
-            "--offline",
-            action="store_true",
-            help="forbid network access; remote inputs must be cached",
-        )
+        sub.add_parser(name, help=text, parents=[common])
     bench = sub.add_parser(
         "synth-bench", help="recovery benchmark on synthetic mixing scenarios"
     )

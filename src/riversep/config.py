@@ -21,6 +21,7 @@ import datetime
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -273,11 +274,15 @@ def load_config(path) -> RunConfig:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    # bad UTF-8, bad JSON and an integer too long to convert are ValueErrors
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except ValueError:  # json's one other: an integer too long to convert
+        raise ConfigError(
+            f"config file {path} holds an integer too long to read "
+            f"(over {sys.get_int_max_str_digits()} digits)"
+        ) from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
 

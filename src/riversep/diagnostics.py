@@ -1,10 +1,10 @@
 """Statistical screening checks used around the decomposition models.
 
-Three diagnostics: temporal autocorrelation of a single series, a
-histogram estimate of mutual information between two series or between
-every pair of columns (the independence measure the separation models aim
-to drive toward zero), and Moran's I for spatial dependence across sites.
-All are pure functions of their inputs.
+Three diagnostics: temporal autocorrelation of a series or of every column
+of a table, a histogram estimate of mutual information between two series
+or between every pair of columns (the independence measure the separation
+models aim to drive toward zero), and Moran's I for spatial dependence
+across sites.  All are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class SpatialWeights:
 
 
 def acf(series, max_lag: int) -> AcfResult:
-    """Sample autocorrelation function of one series.
+    """Sample autocorrelation function of one series, or of every column of
+    a table.
 
     Uses the biased estimator: every lag's cross-sum is divided by the
     full-series sum of squares about the full-series mean.  This keeps
@@ -74,8 +75,9 @@ def acf(series, max_lag: int) -> AcfResult:
 
     Parameters
     ----------
-    series : array_like, shape (n,)
-        The observations, in time order.
+    series : array_like, shape (n,) or (n, p)
+        The observations, in time order; the columns of a table are
+        separate series.
     max_lag : int
         Largest lag to evaluate; the series must have at least
         ``max_lag + 2`` points.
@@ -83,33 +85,41 @@ def acf(series, max_lag: int) -> AcfResult:
     Returns
     -------
     AcfResult
-        Values at lags 0..max_lag; the lag-0 value is exactly 1.
+        Values at lags 0..max_lag, shape (max_lag + 1,) for a series and
+        (p, max_lag + 1) for a table, whose row j is the ACF of column j
+        bit for bit; every lag-0 value is exactly 1.  A table raises what
+        its columns, passed one at a time in order, raise first.
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ShapeMismatch(f"series must be 1-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if x.ndim not in (1, 2):
+        raise ShapeMismatch(f"series must be 1-D or 2-D, got shape {x.shape}")
+    # columns x rows: each sum below is pairwise along a row, as for a series
+    rows = np.ascontiguousarray(np.atleast_2d(x.T))
+    if not np.isfinite(rows[:1]).all():
         raise OutOfRange("series must be finite")
     if max_lag < 0:
         raise OutOfRange(f"max_lag must be non-negative, got {max_lag}")
-    n = x.shape[0]
+    n = rows.shape[1]
     if n < max_lag + 2:
         raise TooShort(n, max_lag + 2)
     # a sum of squares past the largest float is rejected, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = x - x.mean()
-        denom = float(np.sum(centered**2))
-    if not np.isfinite(denom):
-        raise OutOfRange("series' sum of squares overflows")
-    if denom == 0.0:
+        centered = rows - (np.add.reduce(rows, axis=1) / n)[:, None]
+        denom = np.add.reduce(centered**2, axis=1)
+    failing = ~np.isfinite(denom) | (denom == 0.0)  # NaN if a cell is not finite
+    if failing.any():
+        j = int(np.argmax(failing))
+        if not np.isfinite(rows[j]).all():
+            raise OutOfRange("series must be finite")
+        if not np.isfinite(denom[j]):
+            raise OutOfRange("series' sum of squares overflows")
         raise ConstantSeries("series has no variation")
-    values = np.empty(max_lag + 1)
-    values[0] = 1.0
+    values = np.ones((rows.shape[0], max_lag + 1))
     for h in range(1, max_lag + 1):
-        values[h] = float(np.sum(centered[:-h] * centered[h:])) / denom
+        values[:, h] = np.add.reduce(centered[:, :-h] * centered[:, h:], axis=1) / denom
     return AcfResult(
         lags=np.arange(max_lag + 1),
-        values=values,
+        values=values if x.ndim == 2 else values[0],
         n=n,
         conf_band=1.96 / np.sqrt(n),
     )
@@ -172,31 +182,40 @@ def mutual_information_matrix(x, bins: int = 8) -> np.ndarray:
     hi = x.max(axis=0)
     if np.any(lo == hi):
         raise DegenerateRange("cannot bin a range of zero width")
-    codes = np.empty((p, n), dtype=np.intp)
-    for j in range(p):
-        with np.errstate(over="ignore", invalid="ignore"):
-            edges = np.linspace(lo[j], hi[j], bins + 1)
-        if not np.all(np.isfinite(edges)):
-            raise OutOfRange(f"column {j} spans {lo[j]:g} to {hi[j]:g}, too wide to bin")
-        codes[j] = np.searchsorted(edges, x[:, j], side="right") - 1
-        codes[j][x[:, j] == edges[-1]] -= 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        # edges[:, j] is np.linspace(lo[j], hi[j], bins + 1); linspace of the
+        # arrays divides first in every column once one step underflows to 0
+        step = (hi - lo) / bins
+        k = np.arange(bins + 1.0)[:, None]
+        edges = np.where(step == 0.0, k / bins * (hi - lo), k * step) + lo
+    edges[-1] = hi
+    too_wide = ~np.isfinite(edges).all(axis=0)
+    if too_wide.any():
+        j = int(np.argmax(too_wide))
+        raise OutOfRange(f"column {j} spans {lo[j]:g} to {hi[j]:g}, too wide to bin")
+    # searchsorted(side="right") - 1, as the count of edges at or below a
+    # cell; a cell on the last edge falls in the last bin
+    codes = (edges[:, None, :] <= x).sum(axis=0) - 1 - (x == hi)
+    # one bincount per chunk of pairs i <= j (of at most 2**20 cells: one chunk
+    # unless bins is large), pair k's cells from k * bins**2 on
+    first, second = np.triu_indices(p)
+    chunk = max(1, 2**20 // bins**2)
+    pair_mi = []
+    for at in range(0, len(first), chunk):
+        i, j = first[at : at + chunk], second[at : at + chunk]
+        cells = codes[:, i] * bins + codes[:, j] + np.arange(len(i)) * bins**2
+        counts = np.bincount(cells.ravel(), minlength=len(i) * bins**2)
+        joint = counts.reshape(-1, bins, bins) / n
+        marginals = joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+        nonzero = joint > 0.0
+        ratio = joint[nonzero] / marginals[nonzero]
+        terms = joint[nonzero] * np.log2(ratio)
+        # each pair's sum over its own run of terms, to the bits of a sum alone
+        stops = np.cumsum(nonzero.sum(axis=(1, 2))).tolist()
+        pair_mi += [np.add.reduce(terms[a:b]) for a, b in zip([0, *stops], stops)]
     mi = np.empty((p, p))
-    for i in range(p):
-        rows = codes[i] * bins
-        for j in range(i, p):
-            counts = np.bincount(rows + codes[j], minlength=bins * bins)
-            mi[i, j] = mi[j, i] = _plugin_mi(counts.reshape(bins, bins).astype(float))
+    mi[first, second] = mi[second, first] = pair_mi
     return mi
-
-
-def _plugin_mi(counts: np.ndarray) -> float:
-    """Mutual information, in bits, of a joint histogram of counts."""
-    joint = counts / counts.sum()
-    px = joint.sum(axis=1)
-    py = joint.sum(axis=0)
-    nonzero = joint > 0.0
-    ratio = joint[nonzero] / np.outer(px, py)[nonzero]
-    return float(np.sum(joint[nonzero] * np.log2(ratio)))
 
 
 def morans_i(values, w: SpatialWeights) -> float:

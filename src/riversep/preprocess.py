@@ -52,25 +52,33 @@ def annual_mean(table: Table) -> Table:
         If a mean is not finite: the year's samples overflow when summed,
         or some are infinite.
     """
-    years = sorted({d.year for d in table.index})
-    values = np.full((len(years), table.n_vars), np.nan)
-    row_years = np.array([d.year for d in table.index])
-    for i, year in enumerate(years):
-        block = table.values[row_years == year]
-        present = ~np.isnan(block)
-        counts = present.sum(axis=0)
-        with np.errstate(over="ignore"):  # reported below as an error
-            sums = np.where(present, block, 0.0).sum(axis=0)
-        has_any = counts > 0
-        values[i, has_any] = sums[has_any] / counts[has_any]
-        bad = has_any & ~np.isfinite(values[i])
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise OutOfRange(
-                f"annual mean of {table.codes[j]} in {year} is "
-                f"{values[i, j]:g}: its samples overflow or are infinite"
-            )
-    return Table("year", years, list(table.codes), values)
+    row_years = np.array([d.year for d in table.index], dtype=np.intp)
+    # each year one run of rows, in table order (a table may be unsorted)
+    order = np.argsort(row_years, kind="stable")
+    years, starts = np.unique(row_years[order], return_index=True)
+    block = table.values[order]
+    present = ~np.isnan(block)
+    np.copyto(block, 0.0, where=~present)
+    counts = np.empty((len(years), table.n_vars), dtype=np.intp)
+    sums = np.empty(counts.shape)
+    with np.errstate(over="ignore"):  # reported below as an error
+        for i, (a, b) in enumerate(zip(starts, [*starts[1:], len(block)])):
+            counts[i] = np.add.reduce(present[a:b], axis=0, dtype=np.intp)
+            # numpy sums a run of several columns row by row and of one
+            # column pairwise, as it summed each year's masked copy
+            sums[i] = np.add.reduce(block[a:b], axis=0)
+    values = np.full(counts.shape, np.nan)
+    has_any = counts > 0
+    values[has_any] = sums[has_any] / counts[has_any]
+    bad = has_any & ~np.isfinite(values)
+    if bad.any():
+        # the first year in ascending order, then its first column
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise OutOfRange(
+            f"annual mean of {table.codes[j]} in {years[i]} is "
+            f"{values[i, j]:g}: its samples overflow or are infinite"
+        )
+    return Table("year", years.tolist(), list(table.codes), values)
 
 
 def drop_na_columns(table: Table) -> Table:

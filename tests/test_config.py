@@ -227,7 +227,9 @@ def test_uncentered_pca_is_a_config_error(tmp_path, capsys, command):
 def test_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
     # past 4300 digits json raises a plain ValueError, not a JSONDecodeError
     path = fixture_config(tmp_path, '"max_iter": 200', '"max_iter": ' + "1" * 5001)
-    with pytest.raises(ConfigError, match="not valid JSON"):
+    with pytest.raises(
+        ConfigError, match=r"holds an integer too long to read \(over 4300 digits\)$"
+    ):
         load_config(path)
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -321,6 +323,16 @@ def test_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("data", [b"{not json", b'{"output_dir": "\xff"}'])
+def test_undecodable_config_is_not_valid_json(tmp_path, data):
+    # bad JSON and bad UTF-8, unlike an over-long integer, are reported as
+    # not valid JSON, with the decoder's own reason
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=r"broken\.json is not valid JSON: \S"):
         load_config(path)
 
 

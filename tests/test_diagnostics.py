@@ -46,6 +46,17 @@ def reference_mi_table(x, bins):
     return mi
 
 
+def per_lag_acf(x, max_lag):
+    """ACF values of one series as they were first computed: the mean and
+    each lag's cross-sum by ``np.sum`` over 1-D arrays, one lag at a time."""
+    centered = x - x.mean()
+    denom = float(np.sum(centered**2))
+    values = [1.0]
+    for h in range(1, max_lag + 1):
+        values.append(float(np.sum(centered[:-h] * centered[h:])) / denom)
+    return np.array(values)
+
+
 def random_sizes(rng, count):
     """``count`` (rows, columns, bins) draws from 10-400, 2-12 and 2-12,
     led by the smallest and the largest."""
@@ -146,6 +157,64 @@ class TestAcf:
         np.testing.assert_array_equal(r.lags, np.arange(5))
         assert r.n == 30
 
+    def test_table_rows_are_each_columns_acf_bit_for_bit(self):
+        # and each column's ACF is the per-lag 1-D computation's, bit for bit
+        rng = np.random.default_rng(20261019)
+        for _ in range(60):
+            n = int(rng.integers(2, 700))
+            p = int(rng.integers(1, 14))
+            max_lag = int(rng.integers(0, min(n - 1, 25)))
+            x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
+            x += rng.normal(scale=100.0, size=p)
+            r = acf(x, max_lag)
+            assert r.values.shape == (p, max_lag + 1)
+            assert r.n == n
+            for j in range(p):
+                one = acf(x[:, j], max_lag)
+                np.testing.assert_array_equal(r.values[j], one.values)
+                np.testing.assert_array_equal(one.values, per_lag_acf(x[:, j], max_lag))
+                assert r.conf_band == one.conf_band
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("constant", "overflow"),
+            ("overflow", "constant"),
+            ("fine", "square_overflow", "constant"),
+            ("non_finite", "constant"),
+            ("constant", "non_finite"),
+        ],
+    )
+    @pytest.mark.parametrize("max_lag", [5, 40])
+    def test_table_raises_what_the_first_failing_column_raises(self, kinds, max_lag):
+        x = np.random.default_rng(12).normal(size=(30, len(kinds)))
+        for j, kind in enumerate(kinds):
+            if kind == "constant":
+                x[:, j] = 2.0
+            elif kind == "overflow":
+                x[3:5, j] = 1.7e308
+            elif kind == "square_overflow":
+                x[3, j] = 1.5e155
+            elif kind == "non_finite":
+                x[4, j] = np.nan
+
+        def column_by_column():
+            for j in range(x.shape[1]):
+                acf(x[:, j], max_lag)
+
+        with pytest.raises(Exception) as want:
+            column_by_column()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Exception) as got:
+                acf(x, max_lag)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_not_one_or_two_dimensional(self):
+        with pytest.raises(ShapeMismatch):
+            acf(np.zeros((10, 2, 2)), max_lag=3)
+
 
 class TestMutualInformation:
     def test_exact_independence_is_zero(self):
@@ -239,6 +308,29 @@ class TestMutualInformationMatrix:
                 mutual_information_matrix(x)
             with pytest.raises(OutOfRange, match="too wide to bin"):
                 mutual_information_discrete(x[:, 0], x[:, 1])
+
+    def test_large_bins_count_the_pairs_in_chunks(self):
+        # 300 bins: a bincount takes 11 pairs of 300**2 cells, so the 21
+        # pairs of 6 columns take two
+        rng = np.random.default_rng(44)
+        x = random_table(rng, 400, 6, 300)
+        got = mutual_information_matrix(x, 300)
+        upper = np.triu_indices(6)
+        np.testing.assert_array_equal(got[upper], reference_mi_table(x, 300)[upper])
+        np.testing.assert_array_equal(got, got.T)
+
+    def test_underflowing_step_leaves_other_columns_bins_alone(self):
+        # column 1's range is two subnormals wide, so its step (range / bins)
+        # underflows to zero; np.linspace then divides before multiplying,
+        # and column 0's edges must not follow it there
+        bins = 6
+        edges_0 = np.linspace(0.0, 1.0, bins + 1)
+        col_0 = np.concatenate([edges_0, np.arange(bins + 1) / bins, np.linspace(0, 1, 9)])
+        col_1 = np.resize([0.0, 1e-323, 5e-324], col_0.shape[0])
+        x = np.column_stack([col_0, col_1, col_0[::-1]])
+        got = mutual_information_matrix(x, bins)
+        upper = np.triu_indices(3)
+        np.testing.assert_array_equal(got[upper], reference_mi_table(x, bins)[upper])
 
     def test_not_two_dimensional(self):
         with pytest.raises(ShapeMismatch):

@@ -41,7 +41,99 @@ def brute_force_annual(table):
     return {k: sum(v) / len(v) for k, v in out.items()}
 
 
+def per_year_mask_annual(table):
+    """annual_mean as it was first written: one mask over every row per
+    year, each year's block summed with missing cells set to 0."""
+    years = sorted({d.year for d in table.index})
+    values = np.full((len(years), table.n_vars), np.nan)
+    row_years = np.array([d.year for d in table.index])
+    for i, year in enumerate(years):
+        block = table.values[row_years == year]
+        present = ~np.isnan(block)
+        counts = present.sum(axis=0)
+        with np.errstate(over="ignore"):
+            sums = np.where(present, block, 0.0).sum(axis=0)
+        has_any = counts > 0
+        values[i, has_any] = sums[has_any] / counts[has_any]
+        bad = has_any & ~np.isfinite(values[i])
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise errors.OutOfRange(
+                f"annual mean of {table.codes[j]} in {year} is "
+                f"{values[i, j]:g}: its samples overflow or are infinite"
+            )
+    return Table("year", years, list(table.codes), values)
+
+
+def random_dated_table(rng, n_rows, n_cols):
+    """A seeded table over 1950-1961, rows in random date order, with
+    magnitudes spread over six decades, NaN and -0.0 cells, years of up to
+    ~40 rows and, given two or more columns, one column empty for a year."""
+    years = rng.integers(1950, 1962, size=n_rows)
+    dates = [
+        datetime.date(int(y), int(m), int(d))
+        for y, m, d in zip(years, rng.integers(1, 13, n_rows), rng.integers(1, 29, n_rows))
+    ]
+    values = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.uniform(-3, 3, (n_rows, n_cols))
+    values[rng.random(values.shape) < 0.3] = np.nan
+    values[rng.random(values.shape) < 0.1] = -0.0
+    if n_cols > 1 and n_rows:
+        values[years == years[0], 1] = np.nan
+    return Table("date", dates, [f"v{j}" for j in range(n_cols)], values)
+
+
+def assert_same_bits(got, want):
+    assert got.index == want.index
+    assert all(type(year) is int for year in got.index)
+    assert got.codes == want.codes
+    assert got.values.shape == want.values.shape
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(np.signbit(got.values), np.signbit(want.values))
+
+
 class TestAnnualMean:
+    @pytest.mark.parametrize("n_cols", [1, 2, 3, 24])
+    def test_bit_identical_to_per_year_masks(self, n_cols):
+        # numpy sums one column pairwise and several row by row; both
+        # orders must come out as they did from each year's masked block
+        rng = np.random.default_rng(1000 + n_cols)
+        for n_rows in [0, 1, 7, 9, 60, *rng.integers(2, 480, size=40)]:
+            t = random_dated_table(rng, int(n_rows), n_cols)
+            assert_same_bits(annual_mean(t), per_year_mask_annual(t))
+
+    def test_negative_zero_cells(self):
+        # a year of only -0.0 samples, one of -0.0 and +0.0, one of -0.0
+        # and a missing cell
+        for n_cols in (1, 2):
+            t = make_table(
+                ["1990-01-01", "1990-06-01", "1991-01-01", "1991-06-01",
+                 "1992-01-01", "1992-06-01"],
+                [f"v{j}" for j in range(n_cols)],
+                np.repeat([[-0.0], [-0.0], [-0.0], [0.0], [-0.0], [np.nan]], n_cols, axis=1),
+            )
+            assert_same_bits(annual_mean(t), per_year_mask_annual(t))
+
+    def test_empty_table(self):
+        t = Table("date", [], ["a", "b"], np.empty((0, 2)))
+        a = annual_mean(t)
+        assert a.index == [] and a.codes == ["a", "b"] and a.values.shape == (0, 2)
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed"])
+    def test_overflow_names_the_same_year_and_code(self, order):
+        # 1991 overflows in b and c and 1990 in c only: 1990 and c are named
+        dates = ["1990-02-01", "1990-05-01", "1991-02-01", "1991-05-01"]
+        values = [[1.0, 2.0, 1.7e308], [1.0, 3.0, 1.7e308],
+                  [1.0, 1.7e308, 1.7e308], [1.0, 1.7e308, 1.7e308]]
+        if order == "reversed":
+            dates, values = dates[::-1], values[::-1]
+        t = make_table(dates, ["a", "b", "c"], values)
+        with pytest.raises(errors.OutOfRange) as want:
+            per_year_mask_annual(t)
+        with pytest.raises(errors.OutOfRange) as got:
+            annual_mean(t)
+        assert str(got.value) == str(want.value)
+        assert "of c in 1990" in str(got.value)
+
     def test_two_samples_average(self):
         t = make_table(["1990-03-01", "1990-09-01"], ["a"], [[2.0], [4.0]])
         a = annual_mean(t)

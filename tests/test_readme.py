@@ -32,3 +32,4 @@ def test_python_example_runs_on_the_fixture_model_input(tmp_path, monkeypatch):
     assert namespace["ica"].sources.shape == (50, 3)
     assert [m.k for m in namespace["fits"]] == [1, 2, 3]
     assert np.isfinite([m.p_value for m in namespace["fits"]]).all()
+    assert namespace["autocorrelation"].values.shape == (11, 9)
