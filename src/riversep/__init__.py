@@ -39,10 +39,8 @@ from .ingest import (
 )
 from .linalg import (
     EigenDecomposition,
-    SvdDecomposition,
     correlation_matrix,
     covariance_matrix,
-    svd,
     sym_eigen,
 )
 from .pca import PcaModel, explained_variance, fit_pca, kaiser_retain, scores
@@ -65,10 +63,8 @@ __all__ = [
     "errors",
     # dense matrix primitives
     "EigenDecomposition",
-    "SvdDecomposition",
     "correlation_matrix",
     "covariance_matrix",
-    "svd",
     "sym_eigen",
     # ingestion
     "FilterSpec",

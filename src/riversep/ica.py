@@ -1,9 +1,10 @@
 """FastICA with symmetric (parallel) extraction.
 
-Whitening runs through the package SVD so that the whitened data has unit
-sample covariance under the n-1 convention.  The fixed-point update uses
-the logcosh contrast by default; symmetric decorrelation replaces the
-unmixing matrix by its polar factor after every iteration.  A run that
+Whitening scales the centered data by its singular values and right
+singular vectors alone, so that the whitened data has unit sample
+covariance under the n-1 convention.  The fixed-point update uses the
+logcosh contrast by default; symmetric decorrelation replaces the unmixing
+matrix by its polar factor after every iteration.  A run that
 exhausts its iteration budget is returned with ``converged=False`` rather
 than raised: non-convergence is a reportable outcome, not a failure.
 
@@ -19,17 +20,19 @@ in another order, so every fitted model would move in its last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    DidNotConverge,
     OutOfRange,
     RankDeficient,
     RiversepError,
     Singular,
     TooFewRows,
 )
-from .linalg import _column_mean, as_matrix, svd
+from .linalg import _column_mean, _column_signs, as_matrix
 
 # Singular values below this fraction of the largest do not count toward
 # the usable rank when whitening.
@@ -71,19 +74,23 @@ class IcaModel:
     """Fitted independent components.
 
     ``sources = xc @ whitening.T @ unmixing.T`` where ``xc`` is the
-    centered input; ``mixing`` is the pseudo-inverse of
-    ``unmixing @ whitening`` and reconstructs the data from the sources.
-    ``delta_history`` holds the per-iteration convergence measure.
+    centered input.  ``delta_history`` holds the per-iteration
+    convergence measure.
     """
 
     sources: np.ndarray
-    mixing: np.ndarray
     unmixing: np.ndarray
     whitening: np.ndarray
     converged: bool
     iterations: int
     delta_history: tuple[float, ...]
     config: IcaConfig
+
+    @cached_property
+    def mixing(self) -> np.ndarray:
+        """``pinv(unmixing @ whitening)``, which reconstructs the centered
+        data from the sources; computed on first read."""
+        return np.linalg.pinv(self.unmixing @ self.whitening)
 
 
 def whiten(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +102,8 @@ def whiten(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
     components x rows product ``k @ xc.T``: its values are those of
     ``xc @ k.T``, and ``z.T`` is C-contiguous.  Raises
     :class:`RankDeficient` when the request exceeds the numerical rank of
-    the centered data.
+    the centered data, :class:`OutOfRange` when the centering overflows
+    and :class:`DidNotConverge` when LAPACK's SVD fails.
     """
     m = as_matrix(x)
     if m.shape[0] < 2:
@@ -105,8 +113,22 @@ def whiten(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
     # center a components x rows copy: a row of means broadcast down a
     # tall, narrow matrix costs several times as much
     xct = np.ascontiguousarray(m.T) - _column_mean(m)[:, None]
-    n = m.shape[0]
-    _, sigma, v = svd(xct.T)  # the same matrix to LAPACK
+    n, p = m.shape
+    a = xct.T  # the same matrix to LAPACK
+    # from n >= floor(11p/6) on, LAPACK's dgesdd takes the SVD of R from its
+    # own QR, so R gives its sigma and v bits without the n x p left factor;
+    # below that it works on the matrix itself, and R would move the bits
+    if n >= 11 * p // 6:
+        a = np.linalg.qr(a, mode="r")
+    # a centering that overflowed leaves a, and so R, non-finite
+    if not np.isfinite(a).all():
+        raise OutOfRange("x contains non-finite entries")
+    try:
+        _, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise DidNotConverge("svd") from exc
+    # the sym_eigen sign rule, so v matches the eigenvectors of xc.T @ xc
+    v = vt.T * _column_signs(vt.T)
     effective_rank = int(np.sum(sigma > _RANK_RTOL * max(sigma[0], 1e-300)))
     if n_components > effective_rank:
         raise RankDeficient(effective_rank)
@@ -123,11 +145,13 @@ def _contrast(u: np.ndarray, cfg: IcaConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     if cfg.contrast == "logcosh":
         a = cfg.logcosh_alpha
-        u *= a
+        if a != 1.0:  # a product with the default 1.0 is exact: skip it
+            u *= a
         gu = np.tanh(u, out=u)
         gprime = gu * gu
         np.subtract(1.0, gprime, out=gprime)
-        gprime *= a
+        if a != 1.0:
+            gprime *= a
         return gu, gprime
     # cube: u * u * u skips numpy's generic pow loop, within about an ulp of u**3
     return u * u * u, 3.0 * u**2
@@ -182,7 +206,8 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
         w_new = _sym_decorrelate(gu @ z / n - mean_gprime[:, None] * w)
         if np.abs(w_new @ w_new.T - eye).max() >= 1e-8:
             raise RiversepError("FastICA lost orthonormality in decorrelation")
-        delta = float(np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1)))))
+        # the reductions of np.sum and np.max, without their wrappers
+        delta = float(np.abs(1.0 - np.abs(np.add.reduce(w_new * w, axis=1))).max())
         converged = delta < cfg.tol and bool(deltas) and delta <= deltas[-1]
         deltas.append(delta)
         w = w_new
@@ -192,10 +217,8 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     # C-ordered, so sums over its columns keep their order; fast, as z is
     # F-ordered
     sources = z @ w.T
-    mixing = np.linalg.pinv(w @ whitening)
     return IcaModel(
         sources=sources,
-        mixing=mixing,
         unmixing=w,
         whitening=whitening,
         converged=converged,

@@ -2,11 +2,12 @@
 
 All routines accept anything ``np.asarray`` turns into a 2-D float array and
 are deterministic: two calls on the same input return bit-identical results
-on the same numpy/BLAS build.  The eigensolver and the SVD are thin wrappers
-over LAPACK (``np.linalg.eigh`` and ``np.linalg.svd``) that fix the order
-and the sign of their vectors, so downstream fits do not depend on LAPACK's
-arbitrary orientation.  Factor analysis alone takes the eigensolver's
-private core, which fixes the order but not the sign.
+on the same numpy/BLAS build.  The eigensolver is a thin wrapper over
+LAPACK's ``np.linalg.eigh`` that fixes the order and the sign of its
+vectors, so downstream fits do not depend on LAPACK's arbitrary
+orientation; FastICA's whitening applies the same sign rule to its singular
+vectors.  Factor analysis alone takes the eigensolver's private core, which
+fixes the order but not the sign.
 
 Sample statistics use the n-1 (unbiased) normalization throughout.
 """
@@ -37,14 +38,6 @@ class EigenDecomposition(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-class SvdDecomposition(NamedTuple):
-    """Thin SVD ``x = u @ diag(sigma) @ v.T`` with sigma descending."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:
@@ -182,26 +175,3 @@ def sym_eigen(s) -> EigenDecomposition:
     """
     values, vectors = _sym_eigh(s)
     return EigenDecomposition(values, vectors * _column_signs(vectors))
-
-
-def svd(x) -> SvdDecomposition:
-    """Thin singular value decomposition by LAPACK.
-
-    Singular values are descending.  Columns of ``v`` follow the
-    :func:`sym_eigen` sign rule, so ``v`` matches the eigenvectors of
-    ``x.T @ x`` for a well-separated spectrum; ``u`` is flipped to match.
-
-    Raises
-    ------
-    DidNotConverge
-        If LAPACK fails to converge.
-    """
-    a = as_matrix(x)
-    try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DidNotConverge("svd") from exc
-    signs = _column_signs(vt.T)
-    if (signs < 0.0).any():  # flipping the tall u is a broadcast
-        u = u * signs
-    return SvdDecomposition(u, sigma, vt.T * signs)

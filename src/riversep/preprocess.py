@@ -53,20 +53,24 @@ def annual_mean(table: Table) -> Table:
         or some are infinite.
     """
     row_years = np.array([d.year for d in table.index], dtype=np.intp)
-    # each year one run of rows, in table order (a table may be unsorted)
-    order = np.argsort(row_years, kind="stable")
-    years, starts = np.unique(row_years[order], return_index=True)
-    block = table.values[order]
-    present = ~np.isnan(block)
-    np.copyto(block, 0.0, where=~present)
+    values = table.values
+    # each year one run of rows, in table order; parsed tables are sorted,
+    # so only an unsorted one pays for a sorted copy
+    if (row_years[1:] < row_years[:-1]).any():
+        order = np.argsort(row_years, kind="stable")
+        row_years, values = row_years[order], values[order]
+    years, starts = np.unique(row_years, return_index=True)
+    present = ~np.isnan(values)
     counts = np.empty((len(years), table.n_vars), dtype=np.intp)
     sums = np.empty(counts.shape)
     with np.errstate(over="ignore"):  # reported below as an error
-        for i, (a, b) in enumerate(zip(starts, [*starts[1:], len(block)])):
+        for i, (a, b) in enumerate(zip(starts, [*starts[1:], len(values)])):
             counts[i] = np.add.reduce(present[a:b], axis=0, dtype=np.intp)
-            # numpy sums a run of several columns row by row and of one
-            # column pairwise, as it summed each year's masked copy
-            sums[i] = np.add.reduce(block[a:b], axis=0)
+            # zero-filled and C-ordered in any layout: numpy sums several
+            # columns row by row and one pairwise, as in the sorted copy
+            run = np.zeros((b - a, table.n_vars))
+            np.copyto(run, values[a:b], where=present[a:b])
+            sums[i] = np.add.reduce(run, axis=0)
     values = np.full(counts.shape, np.nan)
     has_any = counts > 0
     values[has_any] = sums[has_any] / counts[has_any]

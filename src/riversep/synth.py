@@ -69,8 +69,10 @@ def _draw_source(rng: np.random.Generator, distribution: str, rows: int) -> np.n
         s = rng.standard_normal(rows)
     else:
         raise OutOfRange(f"unknown source distribution {distribution!r}")
-    # empirical standardization so every column is exactly zero-mean, unit-sd
-    return (s - s.mean()) / s.std(ddof=1)
+    # exactly zero-mean, unit-sd: the arithmetic of (s - s.mean()) /
+    # s.std(ddof=1), centering once
+    d = s - np.add.reduce(s) / rows
+    return d / np.sqrt(np.add.reduce(d * d) / (rows - 1))
 
 
 def generate_scenario(
@@ -148,10 +150,14 @@ def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     This stays rows x columns, unlike the fits: the means, the sums of
     squares and :func:`_greedy_match`'s cross product sum in an order set
     by the layout, and a columns x rows copy moves written correlations.
+    The centering runs column by column in ``x``'s layout: a difference
+    has the same bits in any order, and a broadcast row is twice as slow.
     """
     n = x.shape[0]
     mean = _column_mean(x)
-    xc = x - mean
+    xc = np.empty_like(x)
+    for j, m in enumerate(mean):
+        np.subtract(x[:, j], m, out=xc[:, j])
     ss = np.ones(n) @ (xc * xc)
     # the column's own sum of squares is ss + n * mean**2
     live = ss > _ZERO_VAR_REL**2 * (ss + n * mean**2)

@@ -85,7 +85,6 @@ def fast_ica(x, cfg):
             break
     return IcaModel(
         sources=z @ w.T,
-        mixing=np.linalg.pinv(w @ whitening),
         unmixing=w,
         whitening=whitening,
         converged=converged,

@@ -12,7 +12,7 @@ from riversep.ica import (
     fast_ica,
     whiten,
 )
-from riversep.linalg import covariance_matrix
+from riversep.linalg import covariance_matrix, sym_eigen
 from riversep.synth import generate_scenario
 
 
@@ -50,6 +50,63 @@ class TestWhiten:
         assert z.shape == (300, 2)
         assert k.shape == (2, 6)
         assert_allclose(covariance_matrix(z), np.eye(2), atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(40, 4), (5, 4), (6, 9)], ids=str)
+    def test_whitening_rows_are_the_scaled_covariance_eigenvectors(self, shape):
+        # descending variance, each row oriented by the sym_eigen sign rule;
+        # the tall shape takes the QR route, the short and wide ones not
+        rng = np.random.default_rng(7)
+        n, p = shape
+        x = rng.normal(size=shape) @ np.diag([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.2, 0.1, 0.05][:p])
+        m = min(3, n - 1)
+        values, vectors = sym_eigen(covariance_matrix(x))
+        assert np.all(np.diff(values[:m]) < -0.1)
+        _, k = whiten(x, m)
+        assert_allclose(k, (vectors[:, :m] / np.sqrt(values[:m])).T, rtol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(40, 3), (4, 3)], ids=str)
+    def test_lapack_failure_is_did_not_converge(self, monkeypatch, shape):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        x = np.random.default_rng(8).normal(size=shape)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(errors.DidNotConverge, match="svd"):
+            whiten(x, 1)
+
+    @pytest.mark.parametrize("shape", [(40, 2), (3, 2)], ids=str)
+    def test_overflowing_centering_is_out_of_range(self, shape):
+        # finite cells whose difference from the column mean overflows
+        x = np.random.default_rng(9).normal(size=shape)
+        x[:, 0] = -1.0e308
+        x[0, 0] = 1.7e308
+        with np.errstate(over="ignore"), pytest.raises(errors.OutOfRange, match="non-finite"):
+            whiten(x, 1)
+
+    @pytest.mark.parametrize("p", [3, 11, 24])
+    def test_tall_input_is_whitened_from_its_r_factor(self, monkeypatch, p):
+        # from n = floor(11p/6) rows on, the SVD sees only the p x p R
+        # factor, so no n x p left factor is formed; one row fewer, it sees
+        # the data, as LAPACK would
+        svd_shapes, qr_shapes = [], []
+        svd, qr = np.linalg.svd, np.linalg.qr
+
+        def logged_svd(a, *args, **kwargs):
+            svd_shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        def logged_qr(a, *args, **kwargs):
+            qr_shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", logged_svd)
+        monkeypatch.setattr(np.linalg, "qr", logged_qr)
+        n = 11 * p // 6
+        rng = np.random.default_rng(p)
+        whiten(rng.normal(size=(n, p)), 1)
+        whiten(rng.normal(size=(n - 1, p)), 1)
+        assert qr_shapes == [(n, p)]
+        assert svd_shapes == [(p, p), (n - 1, p)]
 
 
 class TestFastIca:
@@ -211,9 +268,44 @@ def assert_models_identical(model, oracle):
     assert model.delta_history == oracle.delta_history
 
 
+def seeded_table(seed, n, p):
+    """A seeded n x p table with correlated columns on unequal scales and
+    offsets."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
+    return x * rng.uniform(0.1, 100.0, p) + rng.uniform(-50.0, 50.0, p)
+
+
 class TestRowsLayoutBitIdentity:
     """Whitening and FastICA run on components x rows arrays; every model
     field must carry the bits of the rows x components computation."""
+
+    # either side of LAPACK's QR crossover n = floor(11p/6), which for one
+    # column is a single row, below whitening's two; and one wide table
+    @pytest.mark.parametrize(
+        "shape,k",
+        [((2, 1), 1), ((3, 1), 1)]
+        + [(shape, k) for shape in [(4, 3), (5, 3), (19, 11), (20, 11),
+                                    (43, 24), (44, 24), (30, 40)] for k in (1, 3)],
+        ids=str,
+    )
+    def test_fit_at_the_qr_crossover_keeps_the_full_svd_bits(self, monkeypatch, shape, k):
+        n, p = shape
+        for seed in range(5):
+            x = seeded_table(seed, n, p)
+            cfg = paper_defaults(k, seed=seed)
+            z, whitening = whiten(x, k)
+            model = fast_ica(x, cfg) if n >= 10 * k else None
+            assert_array_equal(whitening, rows_layout.whiten(x, k)[1])
+            # with the QR step made the identity, whiten takes LAPACK's SVD
+            # of the centered data itself, left factor and all; z and the
+            # fit keep its bits (the rows x columns products round
+            # differently at some of these shapes, so they are no oracle)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "qr", lambda a, mode: a)
+                assert_array_equal(z, whiten(x, k)[0])
+                if model is not None:
+                    assert_models_identical(model, fast_ica(x, cfg))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("dists", rows_layout.SCENARIOS, ids="+".join)
@@ -243,13 +335,23 @@ class TestRowsLayoutBitIdentity:
         x = generate_scenario(rows_layout.SCENARIOS[0], rows=500, seed=5).observed
         assert fast_ica(x, paper_defaults(2, seed=5)).sources.flags.c_contiguous
 
+    def test_mixing_is_the_pinv_of_the_unmixing_and_whitening(self):
+        x = generate_scenario(rows_layout.SCENARIOS[1], rows=500, seed=7).observed
+        model = fast_ica(x, paper_defaults(3, seed=7))
+        expected = np.linalg.pinv(model.unmixing @ model.whitening)
+        assert_array_equal(model.mixing, expected)
+        assert model.mixing is model.mixing
+
     def test_logcosh_contrast_consumes_its_argument(self):
-        u = np.random.default_rng(6).standard_normal((3, 5000))
-        expected = rows_layout.contrast(u.copy(), paper_defaults(3, logcosh_alpha=1.5))
-        gu, gprime = ica._contrast(u, paper_defaults(3, logcosh_alpha=1.5))
-        assert gu is u
-        assert_array_equal(gu, expected[0])
-        assert_array_equal(gprime, expected[1])
+        # the default alpha of 1.0 skips its products, which are exact
+        for alpha in (1.0, 1.5):
+            u = np.random.default_rng(6).standard_normal((3, 5000))
+            cfg = paper_defaults(3, logcosh_alpha=alpha)
+            expected = rows_layout.contrast(u.copy(), cfg)
+            gu, gprime = ica._contrast(u, cfg)
+            assert gu is u
+            assert_array_equal(gu, expected[0])
+            assert_array_equal(gprime, expected[1])
 
 
 class TestAmariIndex:

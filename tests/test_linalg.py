@@ -14,7 +14,6 @@ from riversep.linalg import (
     _sym_eigh,
     correlation_matrix,
     covariance_matrix,
-    svd,
     sym_eigen,
 )
 
@@ -283,74 +282,6 @@ class TestUnsignedCore:
         np.testing.assert_array_equal(vectors, lapack_vectors[:, ::-1])
 
 
-class TestSvd:
-    def test_identity(self):
-        u, sigma, v = svd(np.eye(2))
-        assert_allclose(sigma, [1.0, 1.0], atol=0)
-        assert_allclose(u @ np.diag(sigma) @ v.T, np.eye(2), atol=1e-12)
-
-    def test_rank_deficient_known(self):
-        u, sigma, v = svd([[3.0, 0.0], [0.0, 0.0]])
-        assert_allclose(sigma, [3.0, 0.0], atol=1e-12)
-        assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
-        assert_allclose(v.T @ v, np.eye(2), atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (10, 10), (50, 20), (20, 50)])
-    def test_reconstruction_random(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        a = rng.normal(size=shape)
-        u, sigma, v = svd(a)
-        recon = u @ np.diag(sigma) @ v.T
-        assert np.abs(recon - a).max() <= 1e-8 * np.abs(a).max()
-        r = min(shape)
-        assert_allclose(u.T @ u, np.eye(r), atol=1e-8)
-        assert_allclose(v.T @ v, np.eye(r), atol=1e-8)
-        assert np.all(np.diff(sigma) <= 1e-12)
-
-    def test_sigma_squared_matches_gram_eigenvalues(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(12, 4))
-        _, sigma, _ = svd(a)
-        gram_values, _ = sym_eigen(a.T @ a)
-        assert_allclose(sigma**2, gram_values, rtol=1e-8, atol=1e-10)
-
-    def test_rank_one_tall(self):
-        a = np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0])
-        u, sigma, v = svd(a)
-        assert sigma[0] > 0
-        assert_allclose(sigma[1:], [0.0, 0.0], atol=1e-10)
-        assert_allclose(u @ np.diag(sigma) @ v.T, a, atol=1e-10)
-        assert_allclose(u.T @ u, np.eye(3), atol=1e-10)
-
-    def test_matches_lapack_singular_values(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(9, 5))
-        _, sigma, _ = svd(a)
-        assert_allclose(sigma, np.linalg.svd(a, compute_uv=False), atol=1e-10)
-
-    def test_v_follows_the_sym_eigen_sign_convention(self):
-        # Whitening uses v, so its orientation must match the eigenvectors
-        # of the Gram matrix that sym_eigen would return.
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(40, 4)) @ np.diag([8.0, 4.0, 2.0, 1.0])
-        u, sigma, v = svd(a)
-        gram_values, gram_vectors = sym_eigen(a.T @ a)
-        assert np.all(np.diff(gram_values) < -1.0)
-        assert_allclose(v, gram_vectors, atol=1e-10)
-        assert_allclose(u @ np.diag(sigma) @ v.T, a, atol=1e-10)
-
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_u_is_flipped_with_v(self, seed):
-        # u is only multiplied by the signs when one of them is negative
-        a = np.random.default_rng(seed).normal(size=(200, 3))
-        u, sigma, v = svd(a)
-        u_lapack, sigma_lapack, vt = np.linalg.svd(a, full_matrices=False)
-        signs = np.sign(v[0] / vt.T[0])
-        np.testing.assert_array_equal(u, u_lapack * signs)
-        np.testing.assert_array_equal(v, vt.T * signs)
-
-
 class TestLapackFailure:
     @staticmethod
     def _fail(*args, **kwargs):
@@ -360,8 +291,3 @@ class TestLapackFailure:
         monkeypatch.setattr(np.linalg, "eigh", self._fail)
         with pytest.raises(errors.DidNotConverge, match="eigh"):
             sym_eigen(np.eye(3))
-
-    def test_svd_raises_did_not_converge(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "svd", self._fail)
-        with pytest.raises(errors.DidNotConverge, match="svd"):
-            svd(np.eye(3))

@@ -101,6 +101,28 @@ class TestAnnualMean:
             t = random_dated_table(rng, int(n_rows), n_cols)
             assert_same_bits(annual_mean(t), per_year_mask_annual(t))
 
+    @pytest.mark.parametrize("n_cols", [1, 2, 3, 24])
+    @pytest.mark.parametrize("layout", ["shuffled", "sorted", "sorted, column-masked"])
+    def test_any_row_order_and_layout_matches_per_year_masks(self, layout, n_cols):
+        # parsed tables come sorted and are summed without a sorted copy;
+        # filter_table's column mask leaves their values F-ordered, and
+        # each year's run must still sum in the masked block's order
+        rng = np.random.default_rng(2000 + n_cols)
+        for n_rows in [0, 1, 7, 9, 60, *rng.integers(2, 480, size=20)]:
+            t = random_dated_table(rng, int(n_rows), n_cols + 1)
+            if layout != "shuffled":
+                order = sorted(range(t.n_rows), key=t.index.__getitem__)
+                t = Table("date", [t.index[i] for i in order], t.codes, t.values[order])
+            if layout == "sorted, column-masked":
+                t = t.take(cols=[False] + [True] * n_cols)
+                assert n_rows < 2 or n_cols < 2 or not t.values.flags.c_contiguous
+            else:
+                t = Table("date", t.index, t.codes[1:], np.ascontiguousarray(t.values[:, 1:]))
+            before = t.values.copy()
+            assert_same_bits(annual_mean(t), per_year_mask_annual(t))
+            np.testing.assert_array_equal(t.values, before)
+            np.testing.assert_array_equal(np.signbit(t.values), np.signbit(before))
+
     def test_negative_zero_cells(self):
         # a year of only -0.0 samples, one of -0.0 and +0.0, one of -0.0
         # and a missing cell

@@ -14,7 +14,28 @@ from riversep.synth import (
 )
 
 
+def draw_source_oracle(seed, distribution, rows):
+    """``synth._draw_source`` standardized by numpy's mean and sample sd."""
+    rng = np.random.default_rng(seed)
+    if distribution == "uniform":
+        s = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=rows)
+    elif distribution == "laplace":
+        u = rng.uniform(0.0, 1.0, size=rows) - 0.5
+        b = 1.0 / np.sqrt(2.0)
+        s = -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    else:
+        s = rng.standard_normal(rows)
+    return (s - s.mean()) / s.std(ddof=1)
+
+
 class TestGenerateScenario:
+    @pytest.mark.parametrize("distribution", ["uniform", "laplace", "gaussian"])
+    def test_standardization_matches_numpy_mean_and_std(self, distribution):
+        for rows in [3, 4, 7, 8, 9, 16, 17, 100, 129, 1000, 4999, 5000, 8000]:
+            for seed in range(3):
+                got = synth._draw_source(np.random.default_rng(seed), distribution, rows)
+                assert_array_equal(got, draw_source_oracle(seed, distribution, rows))
+
     def test_noise_free_blend_is_exact(self):
         sc = generate_scenario(["uniform", "laplace"], rows=500, seed=1)
         assert_allclose(sc.observed, sc.sources @ sc.mixing.T, atol=0)
