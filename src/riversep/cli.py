@@ -20,7 +20,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -417,7 +417,10 @@ def _synth_bench(out_dir: Path, rows: int, base_seed: int, replicates: int) -> i
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: parsing
+    keeps no state in it, and help text is laid out when it is printed."""
     parser = argparse.ArgumentParser(
         prog="riversep",
         description="Source-apportionment pipeline for river water-quality records.",

@@ -41,7 +41,9 @@ from .errors import (
     SingularCorrelation,
     TooFewRows,
 )
-from .linalg import _column_signs, _sym_eigh, as_matrix, correlation_matrix, sym_eigen
+from .linalg import (
+    _column_signs, _eigh_descending, _sym_eigh, as_matrix, correlation_matrix, sym_eigen
+)
 
 # Lower bound on uniquenesses: a communality may not exceed 0.995, so a
 # boundary (Heywood) solution is flagged instead of producing a degenerate
@@ -137,13 +139,20 @@ def fa_dof(p: int, k: int) -> int:
     return ((p - k) ** 2 - p - k) // 2
 
 
+def _scaled(psi, r):
+    """``diag(psi)^(-1/2) R diag(psi)^(-1/2)``.  Each entry is
+    ``r_ij * (d_i * d_j)``, so the result is exactly symmetric where ``r``
+    is."""
+    d = 1.0 / np.sqrt(psi)
+    return r * np.outer(d, d)
+
+
 def _scaled_eigen(psi, r):
     """Eigenpairs of ``diag(psi)^(-1/2) R diag(psi)^(-1/2)``, descending,
     with LAPACK's signs: the discrepancy, gradient and Hessian read each
     vector only through ``v**2`` or products holding its sign twice, and
     :func:`_loadings_at` orients what it returns."""
-    d = 1.0 / np.sqrt(psi)
-    return _sym_eigh(r * np.outer(d, d))
+    return _sym_eigh(_scaled(psi, r))
 
 
 def profiled_discrepancy(psi, r, k: int):
@@ -187,9 +196,12 @@ def _profiled(psi, eig, k):
 
 def _objective_log(rho, r, k):
     """Profiled discrepancy over log-uniquenesses (chain rule absorbs psi),
-    its gradient, and the scaled eigenpairs both were computed from."""
+    its gradient, and the scaled eigenpairs both were computed from.
+    With ``r`` validated and ``rho`` in the box, the scaled matrix is
+    finite and exactly symmetric, so :func:`_scaled_eigen`'s checks could
+    not fail and its symmetrization would change no bit: they are skipped."""
     psi = np.exp(rho)
-    eig = _scaled_eigen(psi, r)
+    eig = _eigh_descending(_scaled(psi, r))
     value, grad_psi = _profiled(psi, eig, k)
     return value, grad_psi * psi, eig
 

@@ -23,9 +23,6 @@ import io
 import math
 import os
 import re
-import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -315,6 +312,9 @@ def fetch_remote(
     url_template), everything that shapes the request; a hit never touches
     the network.  Downloads are written to a temporary file and
     renamed into place so a crash cannot leave a truncated cache entry.
+    The network stack (:mod:`urllib.request`, and with it :mod:`ssl` and
+    :mod:`http.client`) is imported only when a download runs, so a
+    process that never fetches never loads it.
     """
     cache_dir = Path(cache_dir)
     key = "|".join([site, ",".join(codes), start, end, medium_code or "", url_template])
@@ -331,6 +331,10 @@ def fetch_remote(
         end=end,
         medium=medium_code or "",
     )
+    import tempfile
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT_S) as resp:
             status = getattr(resp, "status", 200)

@@ -7,7 +7,8 @@ LAPACK's ``np.linalg.eigh`` that fixes the order and the sign of its
 vectors, so downstream fits do not depend on LAPACK's arbitrary
 orientation; FastICA's whitening applies the same sign rule to its singular
 vectors.  Factor analysis alone takes the eigensolver's private core, which
-fixes the order but not the sign.
+fixes the order but not the sign; its Newton loop, whose matrices are
+exactly symmetric by construction, takes that core without its checks.
 
 Sample statistics use the n-1 (unbiased) normalization throughout.
 """
@@ -151,8 +152,15 @@ def _sym_eigh(s) -> EigenDecomposition:
     asym = float(np.max(np.abs(a - a.T)))
     if asym > 1e-10 * scale:
         raise NotSymmetric(asym)
+    return _eigh_descending((a + a.T) / 2.0)
+
+
+def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
+    """:func:`_sym_eigh` without its checks, for a float matrix its caller
+    builds finite and exactly symmetric: LAPACK's eigenpairs, reordered to
+    descending eigenvalues (ties keep LAPACK's ascending order)."""
     try:
-        values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+        values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise DidNotConverge("eigh") from exc
     order = np.argsort(-values, kind="stable")

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -612,6 +613,90 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+NETWORK_MODULES = ("urllib.request", "http.client", "ssl", "email")
+
+
+def test_importing_the_cli_loads_no_network_module_until_a_fetch_runs(tmp_path):
+    # one fresh interpreter: the import leaves the network stack unloaded,
+    # then a download (urlopen patched) loads it, returns and caches the body
+    code = f"""
+import sys
+import riversep.cli
+from riversep.ingest import fetch_remote
+print([m for m in {NETWORK_MODULES!r} if m in sys.modules])
+
+import urllib.request
+
+class Response:
+    status = 200
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def read(self):
+        return b"body"
+
+urllib.request.urlopen = lambda url, **kwargs: Response()
+print(fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", sys.argv[1], "u/{{site}}"))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "b'body'"]
+    assert [p.read_bytes() for p in tmp_path.glob("*.rdb")] == [b"body"]
+
+
+# Every help text, the version, and two command-line errors argparse
+# reports itself (a non-integer --rows and an unknown subcommand).
+PARSER_OUTPUT_ARGS = [
+    ["-h"],
+    ["--version"],
+    *([name, "-h"] for name in [*riversep.cli._SUBCOMMANDS, "synth-bench"]),
+    ["synth-bench", "--out", "out", "--rows", "many"],
+    ["no-such-command"],
+]
+
+
+@pytest.fixture(scope="module")
+def fresh_parser_output():
+    """(exit code, stdout, stderr) of each PARSER_OUTPUT_ARGS entry in a
+    fresh interpreter, keyed by terminal width and arguments."""
+    env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+
+    def fresh(key):
+        columns, args = key
+        proc = subprocess.run(
+            [sys.executable, "-m", "riversep.cli", *args],
+            env={**env, "COLUMNS": str(columns)}, capture_output=True,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    keys = [(columns, tuple(args)) for columns in (80, 50) for args in PARSER_OUTPUT_ARGS]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(keys, pool.map(fresh, keys)))
+
+
+@pytest.mark.parametrize("widths", [(80, 50), (50, 80)])
+def test_the_cached_parser_prints_what_a_fresh_one_does(
+    widths, fresh_parser_output, monkeypatch, capsysbinary
+):
+    # The parser is built once, at the first width, and reused at the
+    # second: subcommand usage lines (whose prog add_subparsers fixes when
+    # the parser is built) and help wrapping must follow the width at
+    # print time, on the first call at a width and on the next.
+    riversep.cli._build_parser.cache_clear()
+    for columns in widths:
+        monkeypatch.setenv("COLUMNS", str(columns))
+        for args in PARSER_OUTPUT_ARGS:
+            for _ in range(2):
+                with pytest.raises(SystemExit) as exc:
+                    main(args)
+                out, err = capsysbinary.readouterr()
+                got = (exc.value.code, out, err)
+                assert got == fresh_parser_output[columns, tuple(args)], (columns, args)
+    assert riversep.cli._build_parser.cache_info().misses == 1
 
 
 def test_every_exported_name_resolves():

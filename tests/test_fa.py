@@ -337,7 +337,7 @@ class TestOneEigensolvePerPoint:
     def test_fixture_fits_solve_once_per_evaluation(self, monkeypatch):
         x = fixture_model_input()
         evals = self.count_calls(monkeypatch, "_objective_log")
-        solves = self.count_calls(monkeypatch, "_sym_eigh")
+        solves = self.count_calls(monkeypatch, "_eigh_descending")
         got = []
         for k in (1, 2, 3):
             evals.clear()
@@ -391,6 +391,25 @@ class TestOneEigensolvePerPoint:
             assert_same_bits(
                 fa._loadings_at(psi, eig, k), fa._loadings_at(psi, flipped, k)
             )
+
+    @pytest.mark.parametrize("source", ["fixture", "sweep"])
+    def test_unchecked_loop_solve_returns_the_checked_bits(self, source):
+        # Inside the box the loop's scaled matrices are finite and exactly
+        # symmetric, so skipping _sym_eigh's checks and symmetrization
+        # changes no bit of the eigenpairs.
+        x = fixture_model_input() if source == "fixture" else simulate_sweep(30, 2, seed=2)
+        r = fa._validate_correlation(correlation_matrix(x))
+        lb, ub = np.log(fa._PSI_FLOOR), np.log(fa._PSI_CEIL)
+        p = r.shape[0]
+        points = np.random.default_rng(7).uniform(lb, ub, size=(20, p))
+        for rho in [np.full(p, lb), np.full(p, ub), *points]:
+            psi = np.exp(rho)
+            scaled = fa._scaled(psi, r)
+            assert_same_bits(scaled, scaled.T)
+            values, vectors = _objective_log(rho, r, 2)[2]
+            checked = fa._scaled_eigen(psi, r)
+            assert_same_bits(values, checked.values)
+            assert_same_bits(vectors, checked.vectors)
 
     def test_zero_loading_columns_keep_their_signs(self):
         # With every scaled eigenvalue at 1 the loadings are signed zeros;

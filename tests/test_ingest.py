@@ -378,12 +378,12 @@ class TestFetchRemote:
     URL = "https://example.invalid/data?site={site}&codes={codes}&start={start}&end={end}"
 
     def test_cache_hit_skips_network(self, tmp_path, monkeypatch):
-        import riversep.ingest as ingest_mod
+        import urllib.request
 
         payload = (FIXTURES / "small.rdb").read_bytes()
         # warm the cache through a stubbed download, then poison the network
         monkeypatch.setattr(
-            ingest_mod.urllib.request,
+            urllib.request,
             "urlopen",
             lambda *a, **k: _FakeResponse(payload),
         )
@@ -395,7 +395,7 @@ class TestFetchRemote:
         def explode(*a, **k):
             raise AssertionError("network touched despite cache hit")
 
-        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", explode)
+        monkeypatch.setattr(urllib.request, "urlopen", explode)
         second = fetch_remote(
             "TEST-0001", ["00618"], "1995-01-01", "1996-12-31", tmp_path, self.URL
         )
@@ -403,7 +403,7 @@ class TestFetchRemote:
         assert parse_rdb(second).n_rows == 20
 
     def test_medium_and_url_template_key_the_cache(self, tmp_path, monkeypatch):
-        import riversep.ingest as ingest_mod
+        import urllib.request
 
         requested = []
 
@@ -411,7 +411,7 @@ class TestFetchRemote:
             requested.append(url)
             return _FakeResponse(url.encode("utf-8"))
 
-        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", download)
+        monkeypatch.setattr(urllib.request, "urlopen", download)
         args = ("TEST-0001", ["00618"], "1995-01-01", "1996-12-31", tmp_path)
         url = self.URL + "&medium={medium}"
         water = fetch_remote(*args, url, medium_code="WS")
@@ -424,12 +424,12 @@ class TestFetchRemote:
         def explode(*a, **k):
             raise AssertionError("network touched despite cache hit")
 
-        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", explode)
+        monkeypatch.setattr(urllib.request, "urlopen", explode)
         assert fetch_remote(*args, url, medium_code="WS") == water
         assert fetch_remote(*args, url, medium_code="SB") == sediment
 
     def test_download_waits_thirty_seconds(self, tmp_path, monkeypatch):
-        import riversep.ingest as ingest_mod
+        import urllib.request
 
         calls = []
 
@@ -437,7 +437,7 @@ class TestFetchRemote:
             calls.append(kwargs)
             return _FakeResponse(b"body")
 
-        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", download)
+        monkeypatch.setattr(urllib.request, "urlopen", download)
         fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", tmp_path, self.URL)
         assert calls == [{"timeout": 30.0}]
 
@@ -450,26 +450,24 @@ class TestFetchRemote:
 
     def test_http_error_status(self, tmp_path, monkeypatch):
         import urllib.error
-
-        import riversep.ingest as ingest_mod
+        import urllib.request
 
         def raise_404(*a, **k):
             raise urllib.error.HTTPError(self.URL, 404, "not found", None, None)
 
-        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", raise_404)
+        monkeypatch.setattr(urllib.request, "urlopen", raise_404)
         with pytest.raises(errors.HttpStatus) as exc:
             fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", tmp_path, self.URL)
         assert exc.value.status == 404
 
     def test_network_down(self, tmp_path, monkeypatch):
         import urllib.error
-
-        import riversep.ingest as ingest_mod
+        import urllib.request
 
         def raise_urlerror(*a, **k):
             raise urllib.error.URLError("no route to host")
 
-        monkeypatch.setattr(ingest_mod.urllib.request, "urlopen", raise_urlerror)
+        monkeypatch.setattr(urllib.request, "urlopen", raise_urlerror)
         with pytest.raises(errors.NetworkUnavailable):
             fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", tmp_path, self.URL)
 
