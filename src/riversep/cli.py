@@ -29,11 +29,12 @@ from . import __version__
 from .config import RunConfig, load_config
 from .diagnostics import acf, mutual_information_matrix
 from .errors import (
-    ConfigError, MissingCells, OutOfRange, RiversepError, RuleInapplicable
+    ConfigError, MissingCells, OutOfRange, RiversepError, RuleInapplicable, TooFewRows
 )
-from .fa import fa_dof, fit_fa_ml, smallest_adequate_k
+from .fa import fa_dof, fit_fa_ml_corr, smallest_adequate_k
 from .ica import _ROWS_PER_COMPONENT, IcaConfig, fast_ica
 from .ingest import Table, emit_csv, fetch_remote, parse_csv, parse_rdb
+from .linalg import correlation_matrix
 from .pca import explained_variance, fit_pca, kaiser_retain
 from .preprocess import STAGES
 from .report import (
@@ -151,6 +152,11 @@ class _Pipeline:
             )
         return table
 
+    @cached_property
+    def scaled_pca(self):
+        """The model input's correlation PCA, read by ``pca`` and ICA's Kaiser count."""
+        return fit_pca(self.model_input.values, scale=True)
+
 
 def _write(out_dir: Path, name: str, text: str) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,7 +191,7 @@ def _write_pca(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     with _stage("pca"):
-        model = fit_pca(matrix, scale=cfg.pca_scale)
+        model = pipe.scaled_pca if cfg.pca_scale else fit_pca(matrix, scale=False)
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
     text = _table_csv(header, [*labels, "stdev"], _loading_lines(rows))
@@ -222,7 +228,7 @@ def _write_ica(pipe: _Pipeline) -> list:
     k = cfg.ica_components
     with _stage("ica"):
         if k is None:
-            k = kaiser_retain(fit_pca(table.values, scale=True))
+            k = kaiser_retain(pipe.scaled_pca)
         model = fast_ica(table.values, replace(cfg.ica, n_components=k))
 
     codes = [f"IC{j + 1}" for j in range(k)]
@@ -246,7 +252,7 @@ def _write_ica(pipe: _Pipeline) -> list:
 def _write_fa(pipe: _Pipeline) -> list:
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
-    p = len(labels)
+    n, p = matrix.shape
     k_used = 0
     for k in range(1, cfg.fa_k_max + 1):
         if fa_dof(p, k) < 0:
@@ -259,9 +265,13 @@ def _write_fa(pipe: _Pipeline) -> list:
 
     files = []
     fits = []
+    with _stage("fa"):
+        if n <= p:  # as fit_fa_ml checks, before the correlation can fail
+            raise TooFewRows(n, p + 1)
+        r = correlation_matrix(matrix)
     for k in range(1, k_used + 1):
         with _stage("fa"):
-            m = fit_fa_ml(matrix, k)
+            m = fit_fa_ml_corr(r, k, n)
         fits.append(m)
         header = ["variable"] + [f"F{j + 1}" for j in range(k)] + ["uniqueness"]
         rows = np.column_stack([m.loadings, m.uniquenesses])

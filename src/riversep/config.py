@@ -49,11 +49,11 @@ class RemoteSpec(NamedTuple):
 class RunConfig:
     """Validated, path-resolved run settings.
 
-    ``ica_components`` of None means "decide from the data" (the
-    eigenvalue-above-one count of a scaled PCA).  ``ica`` holds the
-    validated FastICA settings; the run replaces its ``n_components`` with
-    the resolved count, and the CLI its ``seed`` with any ``--seed``.
-    ``acf_max_lag`` is clamped at run time to the series length minus two.
+    ``ica_components`` of None means Kaiser's count of the correlation PCA,
+    whatever ``pca_scale`` says.  ``ica`` holds the validated FastICA
+    settings; the run replaces its ``n_components`` with the resolved count,
+    and the CLI its ``seed`` with any ``--seed``.  ``acf_max_lag`` is
+    clamped at run time to the series length minus two.
     """
 
     config_sha256: str

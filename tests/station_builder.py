@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+SEED = 18670214
 YEARS = range(1950, 2001)
 QUARTER_DAYS = ((1, 15), (4, 15), (7, 15), (10, 15))
 
@@ -123,18 +124,23 @@ def _dates():
     ]
 
 
-def build() -> str:
-    """Return the fixture file content (tab-delimited, '#' comments)."""
-    rng = np.random.default_rng(18670214)
-    dates = _dates()
-    n = len(dates)
-
-    # Three latent annual drivers, standardized random walks.
+def latent_drivers(rng) -> np.ndarray:
+    """The three latent annual drivers, standardized random walks: one row
+    per year of ``YEARS``, one column per driver.  They are the first draws
+    :func:`build` takes from its generator, so a generator seeded with
+    ``SEED`` gives the fixture's own drivers."""
     latents = []
     for _ in range(3):
         walk = np.cumsum(rng.normal(size=len(YEARS)))
         latents.append((walk - walk.mean()) / walk.std(ddof=1))
-    z = {y: np.array([latents[j][i] for j in range(3)]) for i, y in enumerate(YEARS)}
+    return np.column_stack(latents)
+
+
+def build() -> str:
+    """Return the fixture file content (tab-delimited, '#' comments)."""
+    rng = np.random.default_rng(SEED)
+    z = dict(zip(YEARS, latent_drivers(rng)))
+    dates = _dates()
 
     columns: dict[str, dict] = {}
 

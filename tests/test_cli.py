@@ -21,9 +21,12 @@ import pytest
 
 import riversep
 import riversep.cli
+import riversep.linalg
+import riversep.pca
 import station_builder
 from riversep.cli import main
 from riversep.config import load_config
+from riversep.pca import scores
 from riversep.report import format_loading, format_rows
 from test_diagnostics import reference_mi_table
 
@@ -78,11 +81,45 @@ def set_00300_cells(workdir, year, cells):
     record.write_text("".join(lines))
 
 
-def run_in_subprocess(workdir, command="run"):
-    """``riversep <command>`` on the workdir's config in a fresh interpreter."""
+def edit_00300_cells(workdir, edit):
+    """Replace every non-empty cell of column 00300 with ``edit(cell)``."""
+    record = workdir / "station_fixture.rdb"
+    lines = record.read_text().splitlines(keepends=True)
+    column = lines[3].split("\t").index("00300")
+    for row in range(5, len(lines)):
+        fields = lines[row].split("\t")
+        if fields[column].strip():
+            fields[column] = edit(fields[column])
+            lines[row] = "\t".join(fields)
+    record.write_text("".join(lines))
+
+
+def write_config(workdir, variant="committed") -> Path:
+    """The config of ``variant`` in ``workdir``, which holds the fixture's.
+
+    "committed" is the fixture's config as shipped.  "kaiser" drops
+    ``ica.n_components``, so ICA extracts Kaiser's count of the correlation
+    PCA; "kaiser_unscaled" also sets ``pca.scale`` false, so ``pca`` writes
+    the covariance fit.  Each variant writes to its own ``out_<variant>``.
+    """
+    config = workdir / "pipeline.json"
+    if variant == "committed":
+        return config
+    doc = json.loads(config.read_text())
+    del doc["ica"]["n_components"]
+    doc["pca"]["scale"] = variant != "kaiser_unscaled"
+    doc["output_dir"] = f"out_{variant}"
+    target = workdir / f"{variant}.json"
+    target.write_text(json.dumps(doc))
+    return target
+
+
+def run_in_subprocess(workdir, command="run", config="pipeline.json"):
+    """``riversep <command>`` on a config in the workdir, in a fresh
+    interpreter that turns every warning into an error."""
     env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "riversep.cli", command, str(workdir / "pipeline.json")],
+        [sys.executable, "-W", "error", "-m", "riversep.cli", command, str(workdir / config)],
         env=env, capture_output=True, text=True,
     )
 
@@ -104,6 +141,50 @@ def test_fixture_file_matches_its_builder():
     # the stage counts asserted below are traceable to the build recipe.
     committed = (FIXTURES / "station_fixture.rdb").read_text()
     assert committed == station_builder.build()
+
+
+def canonical_correlations(a, b):
+    """Canonical correlations between the column spaces of ``a`` and ``b``
+    (same rows), largest first."""
+    qa = np.linalg.qr(a - a.mean(axis=0))[0]
+    qb = np.linalg.qr(b - b.mean(axis=0))[0]
+    return np.linalg.svd(qa.T @ qb, compute_uv=False)
+
+
+def test_top_principal_components_recover_two_of_the_fixtures_drivers():
+    # The fixture blends three latent random walks; after the difference
+    # stage, the drivers of the model input's rows are their yearly steps.
+    pipe = riversep.cli._Pipeline(load_config(FIXTURES / "pipeline.json"))
+    rng = np.random.default_rng(station_builder.SEED)
+    drivers = np.diff(station_builder.latent_drivers(rng), axis=0)
+    assert list(pipe.model_input.index) == list(station_builder.YEARS)[1:]
+    top = scores(pipe.scaled_pca, pipe.model_input.values)[:, :3]
+    correlations = canonical_correlations(top, drivers)
+    assert (correlations[:2] > 0.9).all(), correlations
+
+
+@pytest.mark.parametrize("variant", ["committed", "kaiser"])
+def test_run_computes_the_model_input_moments_once_for_pca_and_once_for_fa(
+    workdir, monkeypatch, variant
+):
+    # PCA and ICA's Kaiser count share one correlation PCA, and every FA
+    # fit reads one correlation matrix.
+    calls = {"_column_moments": 0, "fit_pca": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(riversep.linalg, "_column_moments")
+    count(riversep.pca, "_column_moments")
+    count(riversep.cli, "fit_pca")
+    assert main(["run", str(write_config(workdir, variant))]) == 0
+    assert calls == {"_column_moments": 2, "fit_pca": 1}
 
 
 class TestRun:
@@ -353,6 +434,68 @@ class TestExitCodes:
             "riversep: error in stage 'pca': column sums of squares overflow"
         ]
 
+    def test_fa_on_no_more_rows_than_variables_names_the_rows_it_needs(
+        self, workdir, capsys
+    ):
+        # the years 1999-2000 leave one differenced row of 24 variables: the
+        # message names FA's p + 1 rows, not the two a correlation needs
+        doc = json.loads((workdir / "pipeline.json").read_text())
+        doc["filter"].update(start="1999-01-01", min_count=4)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["fa", str(bad)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "riversep: error in stage 'fa': need at least 25 rows, got 1"
+        ]
+
+    # Value-level edits of column 00300, and the stage in which each command
+    # fails (None: it succeeds).  run reads the committed config; ica and fa
+    # read the "kaiser" variant, so ICA counts components by Kaiser's rule.
+    VALUE_MUTANTS = {
+        # the one kept 1960 sample: its column's sum of squares overflows
+        "1e154_in_1960": (
+            lambda workdir: set_00300_cells(workdir, "1960", ["1e154", "", "", ""]),
+            {"run": "pca", "ica": "ica", "fa": "fa"},
+        ),
+        # the sum of squares is finite, but whitening sees rank 1
+        "1e153_in_1960": (
+            lambda workdir: set_00300_cells(workdir, "1960", ["1e153", "", "", ""]),
+            {"run": "ica", "ica": "ica", "fa": None},
+        ),
+        # the column varies, but its squares underflow
+        "times_1e-300": (
+            lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-300"),
+            {"run": "pca", "ica": "ica", "fa": "fa"},
+        ),
+        "plus_1e12": (
+            lambda workdir: edit_00300_cells(
+                workdir, lambda cell: f"{float(cell) + 1e12:.3f}"
+            ),
+            {"run": None, "ica": None, "fa": None},
+        ),
+        "constant": (
+            lambda workdir: edit_00300_cells(workdir, lambda cell: "9.500"),
+            {"run": "pca", "ica": "ica", "fa": "fa"},
+        ),
+    }
+
+    @pytest.mark.parametrize("mutant", sorted(VALUE_MUTANTS))
+    def test_value_level_mutants_keep_the_exit_code_contract(self, workdir, mutant):
+        edit, stages = self.VALUE_MUTANTS[mutant]
+        edit(workdir)
+        kaiser = write_config(workdir, "kaiser").name
+        commands = [("run", "pipeline.json"), ("ica", kaiser), ("fa", kaiser)]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            procs = list(pool.map(lambda c: run_in_subprocess(workdir, *c), commands))
+        for (command, _), proc in zip(commands, procs):
+            stage, lines = stages[command], proc.stderr.splitlines()
+            if stage is None:
+                assert (proc.returncode, lines) == (0, []), (command, proc.stderr)
+            else:
+                assert proc.returncode == 3, (command, proc.stderr)
+                assert len(lines) == 1, (command, proc.stderr)
+                assert lines[0].startswith(f"riversep: error in stage '{stage}': "), command
+
     def test_offline_without_cache_is_a_runtime_error(self, workdir, capsys):
         doc = json.loads((workdir / "pipeline.json").read_text())
         doc["input"] = {
@@ -430,12 +573,27 @@ SUBCOMMAND_OUTPUTS = {
 
 
 @pytest.fixture(scope="module")
-def run_outputs(tmp_path_factory):
-    work = tmp_path_factory.mktemp("full_run")
-    shutil.copy(FIXTURES / "station_fixture.rdb", work)
-    shutil.copy(FIXTURES / "pipeline.json", work)
-    assert main(["run", str(work / "pipeline.json")]) == 0
-    return work / "out"
+def run_outputs_of(tmp_path_factory):
+    """The output directory of a fixture ``run`` on a config variant (see
+    :func:`write_config`), each variant run once per module."""
+    outputs = {}
+
+    def run(variant):
+        if variant not in outputs:
+            work = tmp_path_factory.mktemp(f"{variant}_run")
+            shutil.copy(FIXTURES / "station_fixture.rdb", work)
+            shutil.copy(FIXTURES / "pipeline.json", work)
+            config = write_config(work, variant)
+            assert main(["run", str(config)]) == 0
+            outputs[variant] = load_config(config).output_dir
+        return outputs[variant]
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def run_outputs(run_outputs_of):
+    return run_outputs_of("committed")
 
 
 class TestSubcommands:
@@ -444,13 +602,25 @@ class TestSubcommands:
         on_disk = sorted(p.name for p in run_outputs.iterdir())
         assert on_disk == sorted(expected | {"manifest.json"})
 
+    @pytest.mark.parametrize("variant", ["committed", "kaiser_unscaled"])
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OUTPUTS))
-    def test_subcommand_writes_its_files_as_run_does(self, workdir, run_outputs, command):
-        assert main([command, str(workdir / "pipeline.json")]) == 0
-        out = workdir / "out"
+    def test_subcommand_writes_its_files_as_run_does(
+        self, workdir, run_outputs_of, command, variant
+    ):
+        config = write_config(workdir, variant)
+        assert main([command, str(config)]) == 0
+        out, expected = load_config(config).output_dir, run_outputs_of(variant)
         assert sorted(p.name for p in out.iterdir()) == sorted(SUBCOMMAND_OUTPUTS[command])
         for name in SUBCOMMAND_OUTPUTS[command]:
-            assert (out / name).read_bytes() == (run_outputs / name).read_bytes(), name
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    def test_ica_extracts_kaiser_count_of_the_correlation_pca_whatever_pca_scale_says(
+        self, run_outputs_of
+    ):
+        out = run_outputs_of("kaiser_unscaled")
+        assert json.loads((out / "ica_summary.json").read_text())["n_components"] == 3
+        # the unscaled fit pca writes has no Kaiser count
+        assert json.loads((out / "pca_summary.json").read_text())["kaiser_components"] is None
 
     def test_preprocess_writes_reparseable_table(self, workdir):
         assert main(["preprocess", str(workdir / "pipeline.json")]) == 0
