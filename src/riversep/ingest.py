@@ -10,8 +10,15 @@ missing (NaN) when it is empty or ``NA``/``na`` after stripping whitespace,
 when ``float`` rejects it, or when the number is not finite (``nan``,
 ``inf``, ``-inf``, or a value such as ``1e400`` that overflows), since no
 model can take it.  :func:`_parse_cell` is that rule for one cell; the
-parsers read a row at a time and fall back to it for a row that ``float``
+row loops read a row at a time and fall back to it for a row that ``float``
 rejects, then map non-finite values to NaN over the whole array.
+
+An RDB body is first read in one pass of numpy's C reader
+(:func:`_bulk_read`), which reads every number it takes to the bits
+``float`` gives.  A body holding anything it does not take (a cell such as
+``NA`` or text, a wrong field count, a bad date) goes to the row loop
+(:func:`_read_lines`), the one arbiter of the cell rule and of errors, so
+both paths give the same table or the same first error.
 """
 
 from __future__ import annotations
@@ -81,13 +88,18 @@ class Table:
 
     def take(self, rows=None, cols=None) -> Table:
         """The table restricted by boolean masks over rows and over columns;
-        ``None`` keeps every row or column."""
+        ``None`` keeps every row or column.  With both masks the values are
+        taken in one C-ordered copy."""
         index, codes, values = self.index, self.codes, self.values
         if rows is not None:
             index = [x for x, keep in zip(index, rows) if keep]
-            values = values[rows]
         if cols is not None:
             codes = [c for c, keep in zip(codes, cols) if keep]
+        if rows is not None and cols is not None:
+            values = values[np.ix_(rows, cols)]
+        elif rows is not None:
+            values = values[rows]
+        elif cols is not None:
             values = values[:, cols]
         return Table(self.index_name, list(index), list(codes), values)
 
@@ -151,9 +163,10 @@ def _read_row(cells: Sequence[str]) -> list[float]:
 def _assemble(
     header: Sequence[str],
     dates: Sequence[datetime.date],
-    rows: Sequence[list[float]],
+    values: np.ndarray,
 ) -> Table:
-    """Merge parsed records into a date-sorted table.
+    """Merge parsed records (``values`` holds one row of cells per date) into
+    a date-sorted table.
 
     Non-finite cells become NaN first.  Records sharing a date are then
     merged; two non-missing values for the same (date, variable) raise
@@ -168,7 +181,6 @@ def _assemble(
     if len(set(var_codes)) != len(var_codes):
         raise MalformedHeader("header repeats a variable code")
 
-    values = np.array(rows, dtype=float).reshape(len(rows), len(var_codes))
     values[~np.isfinite(values)] = np.nan
     first: dict[datetime.date, int] = {}
     for i, date in enumerate(dates):
@@ -182,19 +194,72 @@ def _assemble(
         values[j, present] = values[i, present]
 
     order = sorted(first)
+    if order == dates:  # strictly increasing already: no reorder copy
+        return Table("date", order, var_codes, values)
     return Table("date", order, var_codes, values[[first[d] for d in order]])
+
+
+def _read_lines(lines: Sequence[str], first: int, n_fields: int):
+    """Dates and cells of the RDB records in ``lines[first:]``, one line at a
+    time; raises the first error in file order with its line number."""
+    dates: list[datetime.date] = []
+    rows: list[list[float]] = []
+    for line_no, raw in enumerate(lines[first:], start=first + 1):
+        if raw.startswith("#") or raw.strip() == "":
+            continue
+        fields = raw.split("\t")
+        if len(fields) != n_fields:
+            raise RaggedRow(line_no, n_fields, len(fields))
+        dates.append(_parse_date(fields[0], line_no))
+        rows.append(_read_row(fields[1:]))
+    return dates, np.array(rows, dtype=float).reshape(len(rows), n_fields - 1)
+
+
+def _bulk_read(lines: Sequence[str], first: int, n_fields: int):
+    """Dates and cells of the RDB records in ``lines[first:]`` from one pass
+    of numpy's C reader, or ``None`` to leave the body to :func:`_read_lines`:
+    for a wrong field count, a date ``fromisoformat`` rejects, or a cell the
+    C reader refuses (``NA``, whitespace only, text, ``1_000``).  A cell it
+    takes reads to the bits ``float`` gives; an empty cell is written
+    ``nan`` first."""
+    records = [
+        raw for raw in lines[first:]
+        if raw and not raw.isspace() and not raw.startswith("#")
+    ]
+    # the C reader ignores fields past the last used column but rejects a
+    # record with too few, so the total count pins every record's count
+    if not records or "\n".join(records).count("\t") != (n_fields - 1) * len(records):
+        return None
+    try:
+        dates = [datetime.date.fromisoformat(raw[: raw.index("\t")].strip()) for raw in records]
+        filled = (
+            raw.replace("\t\t", "\tnan\t").replace("\t\t", "\tnan\t")
+            + ("nan" if raw[-1] == "\t" else "")
+            for raw in records
+        )
+        values = np.loadtxt(
+            filled,
+            delimiter="\t",
+            comments=None,
+            quotechar=None,
+            usecols=range(1, n_fields),
+            dtype=float,
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    return dates, values
 
 
 def parse_rdb(data: bytes | str) -> Table:
     """Parse USGS RDB text: ``#`` comments, tab-delimited header, a
     column-format line (``5s	10d	12n`` style) that is validated for arity
-    and discarded, then one record per line."""
-    text = _text(data)
+    and discarded, then one record per line.  A body :func:`_bulk_read`
+    leaves is read by :func:`_read_lines`, the arbiter of the cell rule and
+    of errors."""
+    lines = _text(data).splitlines()
     header: list[str] | None = None
-    format_seen = False
-    dates: list[datetime.date] = []
-    rows: list[list[float]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(lines):
         if raw.startswith("#"):
             continue
         if raw.strip() == "" and header is None:
@@ -205,28 +270,21 @@ def parse_rdb(data: bytes | str) -> Table:
             if len(header) < 2:
                 raise MalformedHeader("RDB header must have at least two columns")
             continue
-        if not format_seen:
-            if len(fields) != len(header):
-                raise MalformedHeader(
-                    f"format line has {len(fields)} fields, header has {len(header)}"
-                )
-            # RDB column formats look like "10d", "12n", "5s"; anything else
-            # means the format line is missing and this is already data.
-            if not all(_FORMAT_TOKEN.fullmatch(f.strip()) for f in fields):
-                raise MalformedHeader("line after header is not a column-format line")
-            format_seen = True
-            continue
-        if raw.strip() == "":
-            continue
         if len(fields) != len(header):
-            raise RaggedRow(line_no, len(header), len(fields))
-        dates.append(_parse_date(fields[0], line_no))
-        rows.append(_read_row(fields[1:]))
-    if header is None:
-        raise MalformedHeader("no header line found")
-    if not format_seen:
+            raise MalformedHeader(
+                f"format line has {len(fields)} fields, header has {len(header)}"
+            )
+        # RDB column formats look like "10d", "12n", "5s"; anything else
+        # means the format line is missing and this is already data.
+        if not all(_FORMAT_TOKEN.fullmatch(f.strip()) for f in fields):
+            raise MalformedHeader("line after header is not a column-format line")
+        break
+    else:
+        if header is None:
+            raise MalformedHeader("no header line found")
         raise MalformedHeader("no column-format line found")
-    return _assemble(header, dates, rows)
+    body = _bulk_read(lines, i + 1, len(header)) or _read_lines(lines, i + 1, len(header))
+    return _assemble(header, *body)
 
 
 def parse_csv(data: bytes | str) -> Table:
@@ -253,7 +311,8 @@ def parse_csv(data: bytes | str) -> Table:
         rows.append(_read_row(fields[1:]))
     if header is None:
         raise MalformedHeader("no header line found")
-    return _assemble(header, dates, rows)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    return _assemble(header, dates, values)
 
 
 def emit_csv(table: Table) -> str:
@@ -281,7 +340,7 @@ def filter_table(table: Table, spec: FilterSpec) -> Table:
     if required is not None:
         row_mask &= ~np.isnan(table.values[:, table.codes.index(required)])
 
-    counts = np.sum(~np.isnan(table.values[row_mask]), axis=0)
+    counts = np.sum(~np.isnan(table.values)[row_mask], axis=0)
     col_mask = counts >= spec.min_count
     if required is not None:
         col_mask[table.codes.index(required)] = True

@@ -22,6 +22,9 @@ _PLAIN_HI = 1e6
 
 MISSING_TOKEN = "NA"
 
+# Rows :func:`format_rows` converts to Python floats at a time.
+_ROW_BLOCK = 4096
+
 
 def format_number(x: float) -> str:
     """Format ``x`` with 12 significant digits.
@@ -47,22 +50,25 @@ def format_rows(values) -> Iterator[str]:
     A row of only zeros, NaNs and plain-window cells is one ``%`` call:
     ``%.12g`` writes a double as ``f"{x:.12g}"`` does, NaN as ``nan`` (then
     replaced by the missing token), and zero as ``0`` once adding 0.0 has
-    turned -0.0 into 0.0.  Other rows go cell by cell.  The test runs once
-    over the whole array; rows are made one at a time.
+    turned -0.0 into 0.0.  Other rows go cell by cell.  Rows are turned
+    into Python floats ``_ROW_BLOCK`` at a time, so a large table never
+    holds all its cells as Python objects at once.
     """
-    values = np.asarray(values, dtype=float) + 0.0
-    magnitude = np.abs(values)
-    simple = (
-        ((magnitude >= _PLAIN_LO) & (magnitude < _PLAIN_HI))
-        | (values == 0.0)
-        | np.isnan(values)
-    ).all(axis=1)
+    values = np.asarray(values, dtype=float)
     row_format = ",".join(["%.12g"] * values.shape[1])
-    for row, row_simple in zip(values.tolist(), simple.tolist()):
-        if row_simple:
-            yield (row_format % tuple(row)).replace("nan", MISSING_TOKEN)
-        else:
-            yield ",".join(map(format_number, row))
+    for start in range(0, len(values), _ROW_BLOCK):
+        block = values[start : start + _ROW_BLOCK] + 0.0
+        magnitude = np.abs(block)
+        simple = (
+            ((magnitude >= _PLAIN_LO) & (magnitude < _PLAIN_HI))
+            | (block == 0.0)
+            | np.isnan(block)
+        ).all(axis=1)
+        for row, row_simple in zip(block.tolist(), simple.tolist()):
+            if row_simple:
+                yield (row_format % tuple(row)).replace("nan", MISSING_TOKEN)
+            else:
+                yield ",".join(map(format_number, row))
 
 
 def keyed_lines(keys, lines) -> str:

@@ -467,6 +467,11 @@ class TestExitCodes:
             lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-300"),
             {"run": "pca", "ica": "ica", "fa": "fa"},
         ),
+        # subnormal cells: as above, the squares underflow
+        "subnormal": (
+            lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-310"),
+            {"run": "pca", "ica": "ica", "fa": "fa"},
+        ),
         "plus_1e12": (
             lambda workdir: edit_00300_cells(
                 workdir, lambda cell: f"{float(cell) + 1e12:.3f}"

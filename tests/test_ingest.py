@@ -1,11 +1,13 @@
 import datetime
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from riversep import errors, report
+from riversep import errors, ingest, report
 from riversep.ingest import (
     FilterSpec,
     Table,
@@ -197,6 +199,226 @@ class TestRowWiseCells:
         assert t.values.tolist() == [[4.0, 5.0]]
 
 
+# Numeric spellings the C reader takes; each must read as _parse_cell
+# reads it.  Subnormals, overflow and underflow, signed zeros, a leading
+# "+", whitespace padding (ASCII, no-break space, the unit separator that
+# float() itself refuses) and the spellings of inf and nan.
+NUMERIC_SPELLINGS = [
+    "5e-324", "2.4703282292062328e-324", "2.225073858507201e-308", "-4.9e-324",
+    "1e-400", "1e400", "-1e400", "inf", "-Infinity", "nan", "-nan", "-0", "-0.0",
+    "+0", "+3.5", "+.5", "5.", "1.7976931348623157e308", " 1.5", "1.5 ", "\u20032\u3000",
+    "\xa01\xa0", "\x1f7", "0.001",
+]
+# Spellings the C reader refuses, so the row loop reads the record.
+DEFERRED_SPELLINGS = [
+    "NA", "na", " ", "\xa0", "abc", "1_000", "<0.01", "١٢", "0x1p3", "1e",
+    "nan(1)", "1,5",
+]
+
+
+def _random_number(rng) -> str:
+    kind = int(rng.integers(0, 5))
+    if kind == 0:  # a double's shortest repr, over a wide range of magnitudes
+        return repr(float(rng.standard_normal() * 10.0 ** rng.uniform(-300, 300)))
+    if kind == 1:  # a subnormal
+        return repr(float(rng.integers(1, 2**52)) * 5e-324)
+    if kind == 2:  # a 17-40 digit mantissa, maybe with an exponent
+        digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(17, 41)))))
+        point = int(rng.integers(0, len(digits) + 1))
+        text = digits[:point] + "." + digits[point:]
+        return text + (f"e{int(rng.integers(-330, 310))}" if rng.random() < 0.5 else "")
+    if kind == 3:  # three decimals, as USGS records write them
+        return f"{rng.uniform(-1000, 1000):.3f}"
+    return str(rng.choice(NUMERIC_SPELLINGS))
+
+
+def random_rdb(rng, deferred=0.0) -> tuple[str, int]:
+    """A seeded RDB text and its variable count: increasing dates, 20% empty
+    cells (some in runs, some ending a row), and a ``deferred`` share of
+    cells the C reader refuses."""
+    p = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 60))
+    lines = ["\t".join(["datetime", *(f"v{j}" for j in range(p))]), "\t".join(["10d"] + ["12n"] * p)]
+    day = d("1990-01-01")
+    for _ in range(n):
+        day += datetime.timedelta(days=int(rng.integers(1, 40)))
+        cells = []
+        for _ in range(p):
+            u = rng.random()
+            if u < 0.2:
+                cells.append("")
+            elif u < 0.2 + deferred:
+                cells.append(str(rng.choice(DEFERRED_SPELLINGS)))
+            else:
+                cells.append(_random_number(rng))
+        lines.append("\t".join([day.isoformat(), *cells]))
+    return "\n".join(lines) + "\n", p
+
+
+def per_cell_oracle(text, p):
+    """Dates and values of a :func:`random_rdb` text, one _parse_cell per cell."""
+    records = [r.split("\t") for r in text.splitlines()[2:] if not r.startswith("#") and r.strip()]
+    values = np.array([[_parse_cell(c) for c in r[1:]] for r in records], dtype=float)
+    return [d(r[0].strip()) for r in records], values.reshape(len(records), p)
+
+
+def same_bits(a, b):
+    """Equal arrays, NaN equal to NaN and -0.0 told apart from 0.0."""
+    return a.shape == b.shape and np.array_equal(
+        np.where(np.isnan(a), np.nan, a).view(np.int64),
+        np.where(np.isnan(b), np.nan, b).view(np.int64),
+    )
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: the table, or the error's type and
+    message (which carries its line number)."""
+    try:
+        t = parse(text)
+    except errors.RiversepError as exc:
+        return type(exc), str(exc)
+    return t.index, t.codes, t.values.shape, t.values.tobytes()
+
+
+@pytest.fixture
+def row_loop_calls(monkeypatch):
+    """Count the records :func:`riversep.ingest._read_lines` reads; zero
+    means the bulk read took the body."""
+    calls = []
+    read_row = ingest._read_row
+    monkeypatch.setattr(ingest, "_read_row", lambda cells: calls.append(1) or read_row(cells))
+    return calls
+
+
+def parse_line_by_line(text):
+    """:func:`parse_rdb` with the bulk read switched off: the row loop alone."""
+    bulk = ingest._bulk_read
+    ingest._bulk_read = lambda *args: None
+    try:
+        return parse_rdb(text)
+    finally:
+        ingest._bulk_read = bulk
+
+
+class TestBulkRead:
+    """The bulk read either gives the row loop's table bit for bit, or
+    defers to the row loop, which raises the first error in file order."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_numeric_body_is_read_in_bulk_to_the_per_cell_bits(self, seed, row_loop_calls):
+        text, p = random_rdb(np.random.default_rng(seed))
+        t = parse_rdb(text)
+        assert row_loop_calls == []
+        dates, values = per_cell_oracle(text, p)
+        assert t.index == dates
+        assert same_bits(t.values, values)
+        assert outcome(parse_line_by_line, text) == outcome(parse_rdb, text)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_body_with_refused_cells_is_read_by_the_row_loop(self, seed, row_loop_calls):
+        text, p = random_rdb(np.random.default_rng(1000 + seed), deferred=0.05)
+        t = parse_rdb(text)
+        dates, values = per_cell_oracle(text, p)
+        assert t.index == dates
+        assert same_bits(t.values, values)
+        assert outcome(parse_line_by_line, text) == outcome(parse_rdb, text)
+
+    @pytest.mark.parametrize("cell", NUMERIC_SPELLINGS)
+    def test_each_numeric_spelling_is_read_in_bulk(self, cell, row_loop_calls):
+        text = f"datetime\ta\tb\n10d\t12n\t12n\n1990-01-01\t{cell}\t1\n1990-01-02\t2\t{cell}\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == []
+        assert same_bits(t.values, np.array([[_parse_cell(cell), 1.0], [2.0, _parse_cell(cell)]]))
+
+    @pytest.mark.parametrize("cell", DEFERRED_SPELLINGS)
+    def test_each_refused_spelling_is_read_by_the_row_loop(self, cell, row_loop_calls):
+        text = f"datetime\ta\tb\n10d\t12n\t12n\n1990-01-01\t{cell}\t1\n1990-01-02\t2\t3\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == [1, 1]
+        assert same_bits(t.values, np.array([[_parse_cell(cell), 1.0], [2.0, 3.0]]))
+
+    @pytest.mark.parametrize(
+        "row", ["\t\t\t", "\t1\t\t", "\t\t1\t", "\t\t\t1", "\t1\t\t2", "\t\t2\t"]
+    )
+    def test_empty_cells_in_runs_and_at_the_end_of_a_row(self, row, row_loop_calls):
+        text = f"datetime\ta\tb\tc\n10d\t12n\t12n\t12n\n1990-01-01{row}\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == []
+        assert same_bits(t.values, np.array([[_parse_cell(c) for c in row.split("\t")[1:]]]))
+
+    def test_a_row_with_one_extra_field_is_ragged(self):
+        text = "datetime\ta\tb\n10d\t12n\t12n\n1990-01-01\t1\t2\n1990-01-02\t3\t4\t5\n"
+        with pytest.raises(errors.RaggedRow) as exc:
+            parse_rdb(text)
+        assert (exc.value.line, exc.value.expected, exc.value.got) == (4, 3, 4)
+
+    def test_an_extra_field_and_a_missing_one_that_balance_are_ragged(self):
+        # the records' total field count is right; the first wrong one is
+        # still reported
+        text = "datetime\ta\tb\n10d\t12n\t12n\n1990-01-01\t1\t2\t3\n1990-01-02\t4\n"
+        with pytest.raises(errors.RaggedRow) as exc:
+            parse_rdb(text)
+        assert (exc.value.line, exc.value.got) == (3, 4)
+
+    @pytest.mark.parametrize(
+        "records, error, line",
+        [
+            (["01/02/1990\t1\t2", "1990-01-02\t3\t4\t5"], errors.InvalidDate, 3),
+            (["1990-01-01\t1\t2\t3", "01/02/1990\t3\t4"], errors.RaggedRow, 3),
+            (["1990-01-01\tNA\t2", "1990-01-02\t3\t4\t5", "1990-13-01\t1\t2"], errors.RaggedRow, 4),
+            (["1990-01-01\t1\t2", "1990-13-01\t1\t2", "1990-01-02\t3\t4\t5"], errors.InvalidDate, 4),
+        ],
+    )
+    def test_the_first_error_in_file_order_wins(self, records, error, line):
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        with pytest.raises(error) as exc:
+            parse_rdb(text)
+        assert exc.value.line == line
+        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
+
+    def test_comment_and_blank_lines_inside_the_body(self, row_loop_calls):
+        body = ["1990-01-01\t1\t", "# a note", "", "   ", "\t\t", "1990-01-02\t\t2.5", "#"]
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(body) + "\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == []
+        assert t.index == [d("1990-01-01"), d("1990-01-02")]
+        assert same_bits(t.values, np.array([[1.0, np.nan], [np.nan, 2.5]]))
+        with pytest.raises(errors.RaggedRow) as exc:
+            parse_rdb(text + "1990-01-03\t1\n")
+        assert exc.value.line == 10
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings(self, newline, row_loop_calls):
+        text = "datetime\ta\tb\n10d\t12n\t12n\n1990-01-01\t1\t\n1990-01-02\t\t2\n"
+        t = parse_rdb(text.replace("\n", newline))
+        assert row_loop_calls == []
+        assert outcome(parse_rdb, text.replace("\n", newline)) == outcome(parse_rdb, text)
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x85", " "])
+    @pytest.mark.parametrize(
+        "record",
+        ["1990-01-01\t1{c}2\t3", "1990-01-01\t1\t{c}", "1990-01-01{c}\t1\t2", "{c}1990-01-01\t1\t2"],
+    )
+    def test_line_boundaries_inside_a_record_split_it_as_the_row_loop_does(self, char, record):
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + record.format(c=char) + "\n1990-01-02\t3\t4\n"
+        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
+
+    def test_unsorted_records_come_out_sorted(self, row_loop_calls):
+        text = "datetime\ta\n10d\t12n\n1990-01-03\t3\n1990-01-01\t1\n1990-01-02\t\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == []
+        assert t.index == [d("1990-01-01"), d("1990-01-02"), d("1990-01-03")]
+        assert same_bits(t.values, np.array([[1.0], [np.nan], [3.0]]))
+
+    @pytest.mark.parametrize("body", ["", "# only a comment\n", "\n\n  \n"])
+    def test_empty_body_is_an_empty_table_without_a_warning(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = parse_rdb("datetime\ta\tb\n10d\t12n\t12n\n" + body)
+        assert t.index == [] and t.codes == ["a", "b"]
+        assert t.values.shape == (0, 2)
+
+
 @pytest.mark.parametrize("parse", [parse_rdb, parse_csv])
 def test_bytes_that_are_not_utf8_are_a_typed_error(parse):
     data = RDB_MINIMAL.encode()
@@ -260,6 +482,10 @@ ROW_PATH_CASES = {
         5,
     ),
     "seeded_wide_range": (_seeded_wide_range(), None),
+    # more rows than one block of format_rows' float conversion
+    "seeded_wide_range_blocks": (
+        _seeded_wide_range(rows=2 * report._ROW_BLOCK + 7, cols=3, seed=4), None
+    ),
     "no_variables": (np.empty((3, 0)), 0),
     "no_rows": (np.empty((0, 4)), 0),
 }
@@ -289,6 +515,23 @@ def test_emit_equals_per_cell_format_number(case, monkeypatch):
         assert 0 < len(calls) < values.size
     else:
         assert len(calls) == fallback_rows * p
+
+
+def test_format_rows_holds_one_block_of_cells_as_python_floats():
+    # 20000 x 24 cells are 11.5 MB as Python floats; one block of rows at a
+    # time keeps the peak near 5 MB (24.5 MB when the whole table was
+    # converted at once)
+    rng = np.random.default_rng(23)
+    values = rng.uniform(0.0, 100.0, size=(20000, 24))
+    values[rng.random(values.shape) < 0.3] = np.nan
+    tracemalloc.start()
+    try:
+        for _ in report.format_rows(values):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def make_table(dates, codes, values):
@@ -349,6 +592,19 @@ class TestFilterTable:
         assert twice.index == once.index
         assert twice.codes == once.codes
         assert_allclose(twice.values, once.values, equal_nan=True)
+
+    def test_row_and_column_masks_take_one_c_ordered_copy(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(40, 6))
+        values[rng.random(values.shape) < 0.5] = np.nan
+        t = make_table([f"1990-02-{i % 28 + 1:02d}" for i in range(40)], list("abcdef"), values)
+        spec = FilterSpec(min_count=18, required_variable="b")
+        out = filter_table(t, spec)
+        assert 0 < out.n_rows < t.n_rows and 0 < out.n_vars < t.n_vars
+        assert out.values.flags.c_contiguous
+        rows = ~np.isnan(values[:, 1])
+        cols = np.isin(t.codes, out.codes)
+        np.testing.assert_array_equal(out.values, values[rows][:, cols])
 
     def test_bad_spec_rejected(self):
         with pytest.raises(errors.OutOfRange):

@@ -102,11 +102,14 @@ class TestAnnualMean:
             assert_same_bits(annual_mean(t), per_year_mask_annual(t))
 
     @pytest.mark.parametrize("n_cols", [1, 2, 3, 24])
-    @pytest.mark.parametrize("layout", ["shuffled", "sorted", "sorted, column-masked"])
+    @pytest.mark.parametrize(
+        "layout", ["shuffled", "sorted", "sorted, column-masked", "sorted, row- and column-masked"]
+    )
     def test_any_row_order_and_layout_matches_per_year_masks(self, layout, n_cols):
         # parsed tables come sorted and are summed without a sorted copy;
-        # filter_table's column mask leaves their values F-ordered, and
-        # each year's run must still sum in the masked block's order
+        # a column mask alone leaves their values F-ordered, filter_table's
+        # row and column masks C-ordered, and each year's run must still
+        # sum in the masked block's order
         rng = np.random.default_rng(2000 + n_cols)
         for n_rows in [0, 1, 7, 9, 60, *rng.integers(2, 480, size=20)]:
             t = random_dated_table(rng, int(n_rows), n_cols + 1)
@@ -116,6 +119,11 @@ class TestAnnualMean:
             if layout == "sorted, column-masked":
                 t = t.take(cols=[False] + [True] * n_cols)
                 assert n_rows < 2 or n_cols < 2 or not t.values.flags.c_contiguous
+            elif layout == "sorted, row- and column-masked":
+                # filter_table's take of rows and columns at once
+                rows = rng.random(t.n_rows) < 0.9
+                t = t.take(rows, [False] + [True] * n_cols)
+                assert t.values.flags.c_contiguous
             else:
                 t = Table("date", t.index, t.codes[1:], np.ascontiguousarray(t.values[:, 1:]))
             before = t.values.copy()
