@@ -13,12 +13,13 @@ model can take it.  :func:`_parse_cell` is that rule for one cell; the
 row loops read a row at a time and fall back to it for a row that ``float``
 rejects, then map non-finite values to NaN over the whole array.
 
-An RDB body is first read in one pass of numpy's C reader
-(:func:`_bulk_read`), which reads every number it takes to the bits
-``float`` gives.  A body holding anything it does not take (a cell such as
-``NA`` or text, a wrong field count, a bad date) goes to the row loop
-(:func:`_read_lines`), the one arbiter of the cell rule and of errors, so
-both paths give the same table or the same first error.
+An RDB body is read a block of lines at a time, each in one pass of
+numpy's C reader (:func:`_bulk_read`), which reads every number it takes
+to the bits ``float`` gives.  From the first block holding anything it
+does not take (a cell such as ``NA`` or text, a wrong field count, a bad
+date) the row loop (:func:`_read_lines`) reads the rest of the body: it is
+the one arbiter of the cell rule and of errors, so both paths give the same
+table or the same first error.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ _NAN = float("nan")
 
 # Column-format tokens in the line after an RDB header, e.g. "10d" or "12n".
 _FORMAT_TOKEN = re.compile(r"\d+[A-Za-z]")
+
+# Lines of an RDB body per pass of numpy's C reader: the most it reads of a
+# body that the row loop then reads again.
+_BODY_BLOCK = 4096
 
 # Seconds fetch_remote waits on the network before giving up.
 _FETCH_TIMEOUT_S = 30.0
@@ -199,12 +204,13 @@ def _assemble(
     return Table("date", order, var_codes, values[[first[d] for d in order]])
 
 
-def _read_lines(lines: Sequence[str], first: int, n_fields: int):
-    """Dates and cells of the RDB records in ``lines[first:]``, one line at a
-    time; raises the first error in file order with its line number."""
+def _read_lines(lines: Sequence[str], start: int, n_fields: int):
+    """Dates and cell rows of the RDB records in ``lines``, the first of
+    which is line ``start`` of the file, one line at a time; raises the first
+    error in file order with its line number."""
     dates: list[datetime.date] = []
     rows: list[list[float]] = []
-    for line_no, raw in enumerate(lines[first:], start=first + 1):
+    for line_no, raw in enumerate(lines, start=start):
         if raw.startswith("#") or raw.strip() == "":
             continue
         fields = raw.split("\t")
@@ -212,26 +218,21 @@ def _read_lines(lines: Sequence[str], first: int, n_fields: int):
             raise RaggedRow(line_no, n_fields, len(fields))
         dates.append(_parse_date(fields[0], line_no))
         rows.append(_read_row(fields[1:]))
-    return dates, np.array(rows, dtype=float).reshape(len(rows), n_fields - 1)
+    return dates, rows
 
 
-def _bulk_read(lines: Sequence[str], first: int, n_fields: int):
-    """Dates and cells of the RDB records in ``lines[first:]`` from one pass
-    of numpy's C reader, or ``None`` to leave the body to :func:`_read_lines`:
-    for a wrong field count, a date ``fromisoformat`` rejects, or a cell the
-    C reader refuses (``NA``, whitespace only, text, ``1_000``).  A cell it
-    takes reads to the bits ``float`` gives; an empty cell is written
-    ``nan`` first."""
-    records = [
-        raw for raw in lines[first:]
-        if raw and not raw.isspace() and not raw.startswith("#")
-    ]
+def _bulk_read(records: Sequence[str], n_fields: int):
+    """Dates and cells of the RDB ``records`` (no comment or blank line, at
+    least one record) from one pass of numpy's C reader, or ``None`` to leave
+    them to :func:`_read_lines`: for a wrong field count, a date
+    ``fromisoformat`` rejects, or a cell the C reader refuses (``NA``,
+    whitespace only, text, ``1_000``).  A cell it takes reads to the bits
+    ``float`` gives; an empty cell is written ``nan`` first."""
     # the C reader ignores fields past the last used column but rejects a
     # record with too few, so the total count pins every record's count
-    if not records or "\n".join(records).count("\t") != (n_fields - 1) * len(records):
+    if sum(raw.count("\t") for raw in records) != (n_fields - 1) * len(records):
         return None
     try:
-        dates = [datetime.date.fromisoformat(raw[: raw.index("\t")].strip()) for raw in records]
         filled = (
             raw.replace("\t\t", "\tnan\t").replace("\t\t", "\tnan\t")
             + ("nan" if raw[-1] == "\t" else "")
@@ -246,17 +247,45 @@ def _bulk_read(lines: Sequence[str], first: int, n_fields: int):
             dtype=float,
             ndmin=2,
         )
+        # dates last: the C reader stops at the first record it refuses, so
+        # a block refused early costs little
+        dates = [datetime.date.fromisoformat(raw[: raw.index("\t")].strip()) for raw in records]
     except ValueError:
         return None
+    return dates, values
+
+
+def _read_body(lines: Sequence[str], first: int, n_fields: int):
+    """Dates and cells of the RDB records in ``lines[first:]``, read
+    ``_BODY_BLOCK`` lines at a time by :func:`_bulk_read` until it leaves a
+    block; :func:`_read_lines` reads from that block on, so a body the row
+    loop must read costs at most one block more than the row loop alone.
+    Every earlier block was read without error, so the row loop's first
+    error is the file's first."""
+    starts = range(first, len(lines), _BODY_BLOCK)
+    blocks = [
+        [raw for raw in lines[a : a + _BODY_BLOCK] if raw and not raw.isspace() and not raw.startswith("#")]
+        for a in starts
+    ]
+    dates: list[datetime.date] = []
+    values = np.empty((sum(map(len, blocks)), n_fields - 1))
+    for a, records in zip(starts, blocks):
+        if not records:  # loadtxt warns on no lines
+            continue
+        block = _bulk_read(records, n_fields)
+        if block is None:
+            rest, rows = _read_lines(lines[a:], a + 1, n_fields)
+            values[len(dates) :] = rows
+            return dates + rest, values
+        values[len(dates) : len(dates) + len(records)] = block[1]
+        dates += block[0]
     return dates, values
 
 
 def parse_rdb(data: bytes | str) -> Table:
     """Parse USGS RDB text: ``#`` comments, tab-delimited header, a
     column-format line (``5s	10d	12n`` style) that is validated for arity
-    and discarded, then one record per line.  A body :func:`_bulk_read`
-    leaves is read by :func:`_read_lines`, the arbiter of the cell rule and
-    of errors."""
+    and discarded, then one record per line, read by :func:`_read_body`."""
     lines = _text(data).splitlines()
     header: list[str] | None = None
     for i, raw in enumerate(lines):
@@ -283,8 +312,7 @@ def parse_rdb(data: bytes | str) -> Table:
         if header is None:
             raise MalformedHeader("no header line found")
         raise MalformedHeader("no column-format line found")
-    body = _bulk_read(lines, i + 1, len(header)) or _read_lines(lines, i + 1, len(header))
-    return _assemble(header, *body)
+    return _assemble(header, *_read_body(lines, i + 1, len(header)))
 
 
 def parse_csv(data: bytes | str) -> Table:

@@ -161,6 +161,7 @@ def same_cell(a, b):
     return a == b and np.signbit(a) == np.signbit(b)
 
 
+@pytest.mark.filterwarnings("error")
 class TestRowWiseCells:
     """The row-at-a-time readers agree with the one-cell rule, cell by cell.
 
@@ -300,12 +301,22 @@ def parse_line_by_line(text):
         ingest._bulk_read = bulk
 
 
+@pytest.fixture(params=[ingest._BODY_BLOCK, 3], ids=["default_block", "block3"])
+def body_block(request, monkeypatch):
+    """Read RDB bodies ``param`` lines at a time."""
+    monkeypatch.setattr(ingest, "_BODY_BLOCK", request.param)
+    return request.param
+
+
+@pytest.mark.filterwarnings("error")
 class TestBulkRead:
     """The bulk read either gives the row loop's table bit for bit, or
-    defers to the row loop, which raises the first error in file order."""
+    defers a block to the row loop, which raises the first error in file
+    order.  Warnings are errors: numpy's C reader must not warn on any
+    numpy this package admits."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_numeric_body_is_read_in_bulk_to_the_per_cell_bits(self, seed, row_loop_calls):
+    def test_numeric_body_is_read_in_bulk_to_the_per_cell_bits(self, seed, row_loop_calls, body_block):
         text, p = random_rdb(np.random.default_rng(seed))
         t = parse_rdb(text)
         assert row_loop_calls == []
@@ -315,7 +326,7 @@ class TestBulkRead:
         assert outcome(parse_line_by_line, text) == outcome(parse_rdb, text)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_body_with_refused_cells_is_read_by_the_row_loop(self, seed, row_loop_calls):
+    def test_body_with_refused_cells_is_read_by_the_row_loop(self, seed, body_block):
         text, p = random_rdb(np.random.default_rng(1000 + seed), deferred=0.05)
         t = parse_rdb(text)
         dates, values = per_cell_oracle(text, p)
@@ -367,16 +378,26 @@ class TestBulkRead:
             (["1990-01-01\t1\t2\t3", "01/02/1990\t3\t4"], errors.RaggedRow, 3),
             (["1990-01-01\tNA\t2", "1990-01-02\t3\t4\t5", "1990-13-01\t1\t2"], errors.RaggedRow, 4),
             (["1990-01-01\t1\t2", "1990-13-01\t1\t2", "1990-01-02\t3\t4\t5"], errors.InvalidDate, 4),
+            (
+                ["1990-01-01\t1\t2", "#", "1990-01-02\tNA\t2", "1990-01-03\t1", "1990-13-01\t1\t2"],
+                errors.RaggedRow,
+                6,
+            ),
+            (
+                ["1990-01-01\t1\t2", "1990-01-02\t1\t2", "", "1990-01-03\t1\t2", "1990-13-01\t1\t2", "x\t1"],
+                errors.InvalidDate,
+                7,
+            ),
         ],
     )
-    def test_the_first_error_in_file_order_wins(self, records, error, line):
+    def test_the_first_error_in_file_order_wins(self, records, error, line, body_block):
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
         with pytest.raises(error) as exc:
             parse_rdb(text)
         assert exc.value.line == line
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
-    def test_comment_and_blank_lines_inside_the_body(self, row_loop_calls):
+    def test_comment_and_blank_lines_inside_the_body(self, row_loop_calls, body_block):
         body = ["1990-01-01\t1\t", "# a note", "", "   ", "\t\t", "1990-01-02\t\t2.5", "#"]
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(body) + "\n"
         t = parse_rdb(text)
@@ -403,6 +424,22 @@ class TestBulkRead:
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + record.format(c=char) + "\n1990-01-02\t3\t4\n"
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
+    # records 0-3 are file lines 3-6, the first block of four lines; records
+    # 4-7 the second, records 8-9 the third
+    @pytest.mark.parametrize("refused, row_loop_reads", [(9, 2), (8, 2), (5, 6), (4, 6), (0, 10)])
+    def test_the_row_loop_reads_from_the_block_with_a_refused_cell_on(
+        self, refused, row_loop_reads, row_loop_calls, monkeypatch
+    ):
+        monkeypatch.setattr(ingest, "_BODY_BLOCK", 4)
+        records = [f"1990-01-{i + 1:02d}\t{i}\t{i}.5" for i in range(10)]
+        records[refused] = records[refused].replace(f"\t{refused}\t", "\tNA\t")
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == [1] * row_loop_reads
+        dates, values = per_cell_oracle(text, 2)
+        assert t.index == dates
+        assert same_bits(t.values, values)
+
     def test_unsorted_records_come_out_sorted(self, row_loop_calls):
         text = "datetime\ta\n10d\t12n\n1990-01-03\t3\n1990-01-01\t1\n1990-01-02\t\n"
         t = parse_rdb(text)
@@ -411,7 +448,7 @@ class TestBulkRead:
         assert same_bits(t.values, np.array([[1.0], [np.nan], [3.0]]))
 
     @pytest.mark.parametrize("body", ["", "# only a comment\n", "\n\n  \n"])
-    def test_empty_body_is_an_empty_table_without_a_warning(self, body):
+    def test_empty_body_is_an_empty_table_without_a_warning(self, body, body_block):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = parse_rdb("datetime\ta\tb\n10d\t12n\t12n\n" + body)
