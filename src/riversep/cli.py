@@ -174,7 +174,7 @@ def _table_csv(header, keys, lines) -> str:
 
 def _loading_lines(rows):
     """Rows of a loading table, one ``%`` per row: ``%.7f`` writes a cell as
-    :func:`~riversep.report.format_loading` does."""
+    ``f"{x:.7f}"`` does."""
     row_format = ",".join(["%.7f"] * rows.shape[1])
     return (row_format % tuple(row) for row in rows.tolist())
 

@@ -42,7 +42,7 @@ from .errors import (
     TooFewRows,
 )
 from .linalg import (
-    _column_signs, _eigh_descending, _sym_eigh, as_matrix, correlation_matrix, sym_eigen
+    _column_signs, _eigh_descending, as_matrix, correlation_matrix, sym_eigen
 )
 
 # Lower bound on uniquenesses: a communality may not exceed 0.995, so a
@@ -126,7 +126,6 @@ class FactorSelection(NamedTuple):
 
     k: int
     adequate: bool
-    p_values: tuple
 
 
 def fa_dof(p: int, k: int) -> int:
@@ -145,14 +144,6 @@ def _scaled(psi, r):
     is."""
     d = 1.0 / np.sqrt(psi)
     return r * np.outer(d, d)
-
-
-def _scaled_eigen(psi, r):
-    """Eigenpairs of ``diag(psi)^(-1/2) R diag(psi)^(-1/2)``, descending,
-    with LAPACK's signs: the discrepancy, gradient and Hessian read each
-    vector only through ``v**2`` or products holding its sign twice, and
-    :func:`_loadings_at` orients what it returns."""
-    return _sym_eigh(_scaled(psi, r))
 
 
 def profiled_discrepancy(psi, r, k: int):
@@ -182,7 +173,7 @@ def profiled_discrepancy(psi, r, k: int):
         ``g_i = (1 / psi_i) * sum_{j>k} (1 - lam_j) * v_ij**2``.
     """
     psi = np.asarray(psi, dtype=float)
-    return _profiled(psi, _scaled_eigen(psi, np.asarray(r, dtype=float)), k)
+    return _profiled(psi, sym_eigen(_scaled(psi, np.asarray(r, dtype=float))), k)
 
 
 def _profiled(psi, eig, k):
@@ -198,8 +189,9 @@ def _objective_log(rho, r, k):
     """Profiled discrepancy over log-uniquenesses (chain rule absorbs psi),
     its gradient, and the scaled eigenpairs both were computed from.
     With ``r`` validated and ``rho`` in the box, the scaled matrix is
-    finite and exactly symmetric, so :func:`_scaled_eigen`'s checks could
-    not fail and its symmetrization would change no bit: they are skipped."""
+    finite and exactly symmetric, so :func:`_eigh_descending` solves it
+    unchecked, with LAPACK's signs: each reader of the vectors is sign-free
+    or, as :func:`_loadings_at` does, orients them first."""
     psi = np.exp(rho)
     eig = _eigh_descending(_scaled(psi, r))
     value, grad_psi = _profiled(psi, eig, k)
@@ -328,7 +320,7 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
         raise DofNegative(k, dof)
     if n_obs <= p:
         raise TooFewRows(n_obs, p + 1)
-    r_values, r_vectors = sym_eigen(r)
+    r_values, r_vectors = _eigh_descending(r)
     if r_values[-1] <= _SINGULAR_EIG:
         raise SingularCorrelation(
             f"correlation matrix is singular (min eigenvalue {r_values[-1]:.3g})"
@@ -352,7 +344,7 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
 
     # Discrepancy in its definitional form (equals the profiled value at
     # the optimum, up to the rounding of the two eigensolves).
-    s_values, s_vectors = sym_eigen((sigma + sigma.T) / 2.0)
+    s_values, s_vectors = _eigh_descending((sigma + sigma.T) / 2.0)
     sigma_inv = (s_vectors / s_values) @ s_vectors.T
     discrepancy = float(
         np.sum(np.log(s_values)) - np.sum(np.log(r_values))
@@ -440,5 +432,5 @@ def smallest_adequate_k(p_values: Sequence[float], alpha: float = 0.05) -> Facto
         raise EmptyResult("no p-values to select from")
     for i, p in enumerate(p_values):
         if p > alpha:
-            return FactorSelection(i + 1, True, p_values)
-    return FactorSelection(len(p_values), False, p_values)
+            return FactorSelection(i + 1, True)
+    return FactorSelection(len(p_values), False)

@@ -10,16 +10,17 @@ missing (NaN) when it is empty or ``NA``/``na`` after stripping whitespace,
 when ``float`` rejects it, or when the number is not finite (``nan``,
 ``inf``, ``-inf``, or a value such as ``1e400`` that overflows), since no
 model can take it.  :func:`_parse_cell` is that rule for one cell; the
-row loops read a row at a time and fall back to it for a row that ``float``
-rejects, then map non-finite values to NaN over the whole array.
+row loop (:func:`_read_records`, for both layouts) reads a row at a time
+and falls back to it for a row that ``float`` rejects, then non-finite
+values are mapped to NaN over the whole array.
 
 An RDB body is read a block of lines at a time, each in one pass of
 numpy's C reader (:func:`_bulk_read`), which reads every number it takes
 to the bits ``float`` gives.  From the first block holding anything it
 does not take (a cell such as ``NA`` or text, a wrong field count, a bad
-date) the row loop (:func:`_read_lines`) reads the rest of the body: it is
-the one arbiter of the cell rule and of errors, so both paths give the same
-table or the same first error.
+date) the row loop reads the rest of the body: it is the one arbiter of the
+cell rule and of errors, so both paths give the same table or the same
+first error.
 """
 
 from __future__ import annotations
@@ -204,16 +205,13 @@ def _assemble(
     return Table("date", order, var_codes, values[[first[d] for d in order]])
 
 
-def _read_lines(lines: Sequence[str], start: int, n_fields: int):
-    """Dates and cell rows of the RDB records in ``lines``, the first of
-    which is line ``start`` of the file, one line at a time; raises the first
-    error in file order with its line number."""
+def _read_records(records, n_fields: int):
+    """Dates and cell rows of ``records``, ``(line number, fields)`` pairs in
+    file order, one at a time; raises the first error with its line
+    number."""
     dates: list[datetime.date] = []
     rows: list[list[float]] = []
-    for line_no, raw in enumerate(lines, start=start):
-        if raw.startswith("#") or raw.strip() == "":
-            continue
-        fields = raw.split("\t")
+    for line_no, fields in records:
         if len(fields) != n_fields:
             raise RaggedRow(line_no, n_fields, len(fields))
         dates.append(_parse_date(fields[0], line_no))
@@ -224,7 +222,7 @@ def _read_lines(lines: Sequence[str], start: int, n_fields: int):
 def _bulk_read(records: Sequence[str], n_fields: int):
     """Dates and cells of the RDB ``records`` (no comment or blank line, at
     least one record) from one pass of numpy's C reader, or ``None`` to leave
-    them to :func:`_read_lines`: for a wrong field count, a date
+    them to :func:`_read_records`: for a wrong field count, a date
     ``fromisoformat`` rejects, or a cell the C reader refuses (``NA``,
     whitespace only, text, ``1_000``).  A cell it takes reads to the bits
     ``float`` gives; an empty cell is written ``nan`` first."""
@@ -258,7 +256,7 @@ def _bulk_read(records: Sequence[str], n_fields: int):
 def _read_body(lines: Sequence[str], first: int, n_fields: int):
     """Dates and cells of the RDB records in ``lines[first:]``, read
     ``_BODY_BLOCK`` lines at a time by :func:`_bulk_read` until it leaves a
-    block; :func:`_read_lines` reads from that block on, so a body the row
+    block; :func:`_read_records` reads from that block on, so a body the row
     loop must read costs at most one block more than the row loop alone.
     Every earlier block was read without error, so the row loop's first
     error is the file's first."""
@@ -274,7 +272,12 @@ def _read_body(lines: Sequence[str], first: int, n_fields: int):
             continue
         block = _bulk_read(records, n_fields)
         if block is None:
-            rest, rows = _read_lines(lines[a:], a + 1, n_fields)
+            remaining = (
+                (line_no, raw.split("\t"))
+                for line_no, raw in enumerate(lines[a:], start=a + 1)
+                if not (raw.startswith("#") or raw.strip() == "")
+            )
+            rest, rows = _read_records(remaining, n_fields)
             values[len(dates) :] = rows
             return dates + rest, values
         values[len(dates) : len(dates) + len(records)] = block[1]
@@ -317,28 +320,14 @@ def parse_rdb(data: bytes | str) -> Table:
 
 def parse_csv(data: bytes | str) -> Table:
     """Parse an RFC-4180 CSV with a single header row (date column first)."""
-    text = _text(data)
-    reader = csv.reader(io.StringIO(text))
-    header: list[str] | None = None
-    dates: list[datetime.date] = []
-    rows: list[list[float]] = []
-    for fields in reader:
-        line_no = reader.line_num
-        if header is None:
-            if not fields:
-                continue
-            header = fields
-            if len(header) < 2:
-                raise MalformedHeader("CSV header must have at least two columns")
-            continue
-        if not fields:
-            continue
-        if len(fields) != len(header):
-            raise RaggedRow(line_no, len(header), len(fields))
-        dates.append(_parse_date(fields[0], line_no))
-        rows.append(_read_row(fields[1:]))
+    reader = csv.reader(io.StringIO(_text(data)))
+    header = next((fields for fields in reader if fields), None)
     if header is None:
         raise MalformedHeader("no header line found")
+    if len(header) < 2:
+        raise MalformedHeader("CSV header must have at least two columns")
+    records = ((reader.line_num, fields) for fields in reader if fields)
+    dates, rows = _read_records(records, len(header))
     values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
     return _assemble(header, dates, values)
 

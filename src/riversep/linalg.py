@@ -2,13 +2,13 @@
 
 All routines accept anything ``np.asarray`` turns into a 2-D float array and
 are deterministic: two calls on the same input return bit-identical results
-on the same numpy/BLAS build.  The eigensolver is a thin wrapper over
-LAPACK's ``np.linalg.eigh`` that fixes the order and the sign of its
-vectors, so downstream fits do not depend on LAPACK's arbitrary
-orientation; FastICA's whitening applies the same sign rule to its singular
-vectors.  Factor analysis alone takes the eigensolver's private core, which
-fixes the order but not the sign; its Newton loop, whose matrices are
-exactly symmetric by construction, takes that core without its checks.
+on the same numpy/BLAS build.  Symmetric eigensolves, by LAPACK's
+``np.linalg.eigh`` with eigenvalues descending, have two entries:
+:func:`sym_eigen` checks a matrix a caller hands in and orients each
+eigenvector by a sign rule, so fits do not depend on LAPACK's arbitrary
+orientation (FastICA's whitening orients its singular vectors alike);
+:func:`_eigh_descending` takes a matrix the package has just built, finite
+and exactly symmetric, unchecked and with LAPACK's signs.
 
 Sample statistics use the n-1 (unbiased) normalization throughout.
 """
@@ -140,25 +140,10 @@ def _column_signs(vectors: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _sym_eigh(s) -> EigenDecomposition:
-    """:func:`sym_eigen` without its sign rule: LAPACK's orientation of each
-    eigenvector is kept.  For callers whose results depend on the vectors
-    only through sign-invariant products; raises as :func:`sym_eigen`."""
-    a = as_matrix(s, "s")
-    n, m = a.shape
-    if n != m:
-        raise NotSymmetric(float("inf"))
-    scale = max(1.0, float(np.max(np.abs(a))))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-10 * scale:
-        raise NotSymmetric(asym)
-    return _eigh_descending((a + a.T) / 2.0)
-
-
 def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
-    """:func:`_sym_eigh` without its checks, for a float matrix its caller
-    builds finite and exactly symmetric: LAPACK's eigenpairs, reordered to
-    descending eigenvalues (ties keep LAPACK's ascending order)."""
+    """LAPACK's eigenpairs of ``a``, reordered to descending eigenvalues (ties
+    keep LAPACK's ascending order), with LAPACK's signs.  Unchecked: for a
+    float matrix its caller builds finite and exactly symmetric."""
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -181,5 +166,13 @@ def sym_eigen(s) -> EigenDecomposition:
     DidNotConverge
         If LAPACK fails to converge.
     """
-    values, vectors = _sym_eigh(s)
+    a = as_matrix(s, "s")
+    n, m = a.shape
+    if n != m:
+        raise NotSymmetric(float("inf"))
+    scale = max(1.0, float(np.max(np.abs(a))))
+    asym = float(np.max(np.abs(a - a.T)))
+    if asym > 1e-10 * scale:
+        raise NotSymmetric(asym)
+    values, vectors = _eigh_descending((a + a.T) / 2.0)
     return EigenDecomposition(values, vectors * _column_signs(vectors))

@@ -91,11 +91,6 @@ def csv_field(text: str) -> str:
     return csv_header([text])[:-1]
 
 
-def format_loading(x: float) -> str:
-    """Fixed 7-decimal formatting used for loading tables."""
-    return f"{float(x):.7f}"
-
-
 def write_json(path: Path, obj) -> None:
     """Write ``obj`` as canonical JSON (sorted keys, stable separators)."""
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -27,7 +27,7 @@ import station_builder
 from riversep.cli import main
 from riversep.config import load_config
 from riversep.pca import scores
-from riversep.report import format_loading, format_rows
+from riversep.report import format_rows
 from test_diagnostics import reference_mi_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -881,10 +881,10 @@ def test_every_exported_name_resolves():
     assert set(riversep.__all__) <= set(namespace)
 
 
-def test_loading_lines_write_each_cell_as_format_loading_does():
+def test_loading_lines_write_each_cell_with_seven_decimals():
     rng = np.random.default_rng(21)
     rows = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-9, 9, size=(40, 5))
     rows[0] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
     rows[1] = [0.00000005, -0.00000005, 0.12345675, 2.5e-8, 1e300]
-    want = [",".join(map(format_loading, row)) for row in rows]
+    want = [",".join(f"{x:.7f}" for x in row) for row in rows]
     assert list(riversep.cli._loading_lines(rows)) == want

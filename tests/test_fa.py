@@ -36,7 +36,7 @@ from riversep.fa import (
     profiled_discrepancy,
     smallest_adequate_k,
 )
-from riversep.linalg import correlation_matrix
+from riversep.linalg import _column_signs, _eigh_descending, correlation_matrix, sym_eigen
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -335,21 +335,25 @@ class TestOneEigensolvePerPoint:
         return calls
 
     def test_fixture_fits_solve_once_per_evaluation(self, monkeypatch):
+        # one solve per evaluated point, plus R's and the fitted matrix's;
+        # none of them through sym_eigen's checks and sign rule
         x = fixture_model_input()
         evals = self.count_calls(monkeypatch, "_objective_log")
         solves = self.count_calls(monkeypatch, "_eigh_descending")
+        checked = self.count_calls(monkeypatch, "sym_eigen")
         got = []
         for k in (1, 2, 3):
             evals.clear()
             solves.clear()
             assert fit_fa_ml(x, k).converged
             got.append((len(evals), len(solves)))
-        assert got == [(8, 8), (6, 6), (10, 10)]
+        assert got == [(8, 10), (6, 8), (10, 12)]
+        assert checked == []
 
     def refit_loadings(self, m, x):
         r = correlation_matrix(x)
         psi = m.uniquenesses
-        return fa._loadings_at(psi, fa._scaled_eigen(psi, r), m.k)
+        return fa._loadings_at(psi, _eigh_descending(fa._scaled(psi, r)), m.k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_iteration_cap_returns_the_loadings_of_its_point(self, monkeypatch, k):
@@ -379,7 +383,7 @@ class TestOneEigensolvePerPoint:
         r = correlation_matrix(simulate_sweep(11, 2, seed=5))
         rng = np.random.default_rng(k)
         psi = rng.uniform(0.2, 0.9, size=11)
-        values, vectors = eig = fa._scaled_eigen(psi, r)
+        values, vectors = eig = _eigh_descending(fa._scaled(psi, r))
         for _ in range(5):
             signs = rng.choice([-1.0, 1.0], size=11)
             flipped = (values, vectors * signs)
@@ -395,8 +399,8 @@ class TestOneEigensolvePerPoint:
     @pytest.mark.parametrize("source", ["fixture", "sweep"])
     def test_unchecked_loop_solve_returns_the_checked_bits(self, source):
         # Inside the box the loop's scaled matrices are finite and exactly
-        # symmetric, so skipping _sym_eigh's checks and symmetrization
-        # changes no bit of the eigenpairs.
+        # symmetric, so skipping sym_eigen's checks and symmetrization
+        # changes no bit of the eigenpairs; only its sign rule differs.
         x = fixture_model_input() if source == "fixture" else simulate_sweep(30, 2, seed=2)
         r = fa._validate_correlation(correlation_matrix(x))
         lb, ub = np.log(fa._PSI_FLOOR), np.log(fa._PSI_CEIL)
@@ -406,16 +410,19 @@ class TestOneEigensolvePerPoint:
             psi = np.exp(rho)
             scaled = fa._scaled(psi, r)
             assert_same_bits(scaled, scaled.T)
-            values, vectors = _objective_log(rho, r, 2)[2]
-            checked = fa._scaled_eigen(psi, r)
+            values, vectors = _eigh_descending(scaled)
+            loop = _objective_log(rho, r, 2)[2]
+            assert_same_bits(values, loop.values)
+            assert_same_bits(vectors, loop.vectors)
+            checked = sym_eigen(scaled)
             assert_same_bits(values, checked.values)
-            assert_same_bits(vectors, checked.vectors)
+            assert_same_bits(vectors * _column_signs(vectors), checked.vectors)
 
     def test_zero_loading_columns_keep_their_signs(self):
         # With every scaled eigenvalue at 1 the loadings are signed zeros;
         # their signs follow the vectors' sign rule, not LAPACK's.
         psi = np.ones(6)
-        values, vectors = eig = fa._scaled_eigen(psi, np.eye(6))
+        values, vectors = eig = _eigh_descending(fa._scaled(psi, np.eye(6)))
         flipped = (values, -vectors)
         assert_same_bits(fa._loadings_at(psi, eig, 2), fa._loadings_at(psi, flipped, 2))
 

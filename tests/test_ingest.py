@@ -136,6 +136,27 @@ class TestParseCsv:
         with pytest.raises(errors.RaggedRow):
             parse_csv("date,a,b\n1990-01-01,1\n")
 
+    # line numbers count the file's lines: blank lines and the second line
+    # of a quoted field included
+    @pytest.mark.parametrize(
+        "text, error, line",
+        [
+            ("date,a,b\n1990-01-01,1,2\n\n1990-01-03,1\n", errors.RaggedRow, 4),
+            (
+                'date,a,b\n1990-01-01,1,2\n1990-01-02,"3\n4",5\n1990-01-03,1,2\n1990-01-04,1\n',
+                errors.RaggedRow,
+                6,
+            ),
+            ("date,a\n1990-01-01,1\n01/02/1990,2\n", errors.InvalidDate, 3),
+        ],
+        ids=["after_blank_line", "after_two_line_field", "bad_date"],
+    )
+    def test_error_reports_line(self, text, error, line):
+        with pytest.raises(error) as exc:
+            parse_csv(text)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
+
     def test_round_trip_identity(self):
         t = parse_rdb((FIXTURES / "small.rdb").read_bytes())
         text = emit_csv(t)
@@ -283,7 +304,7 @@ def outcome(parse, text):
 
 @pytest.fixture
 def row_loop_calls(monkeypatch):
-    """Count the records :func:`riversep.ingest._read_lines` reads; zero
+    """Count the records :func:`riversep.ingest._read_records` reads; zero
     means the bulk read took the body."""
     calls = []
     read_row = ingest._read_row

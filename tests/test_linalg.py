@@ -11,7 +11,7 @@ from riversep.linalg import (
     _check_zero_variance,
     _column_moments,
     _column_signs,
-    _sym_eigh,
+    _eigh_descending,
     correlation_matrix,
     covariance_matrix,
     sym_eigen,
@@ -261,13 +261,15 @@ class TestSymEigen:
 
 
 class TestUnsignedCore:
-    """``_sym_eigh`` is ``sym_eigen`` without the sign rule."""
+    """``_eigh_descending`` is ``sym_eigen`` without its checks and its sign
+    rule: on an exactly symmetric matrix it gives the same values, and
+    LAPACK's vectors."""
 
     def test_sym_eigen_is_the_core_with_signs_fixed(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(11, 11))
         s = (a + a.T) / 2
-        values, vectors = _sym_eigh(s)
+        values, vectors = _eigh_descending(s)
         signed = sym_eigen(s)
         np.testing.assert_array_equal(values, signed.values)
         np.testing.assert_array_equal(vectors * _column_signs(vectors), signed.vectors)
@@ -277,7 +279,7 @@ class TestUnsignedCore:
         a = rng.normal(size=(7, 7))
         s = (a + a.T) / 2
         lapack_values, lapack_vectors = np.linalg.eigh(s)
-        values, vectors = _sym_eigh(s)
+        values, vectors = _eigh_descending(s)
         np.testing.assert_array_equal(values, lapack_values[::-1])
         np.testing.assert_array_equal(vectors, lapack_vectors[:, ::-1])
 
