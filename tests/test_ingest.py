@@ -592,6 +592,156 @@ def test_format_rows_holds_one_block_of_cells_as_python_floats():
     assert peak < 8e6, peak
 
 
+def test_format_rows_holds_one_block_of_decimal_cells():
+    # the integer path for fixed-decimal blocks keeps the same bound
+    rng = np.random.default_rng(25)
+    values = np.round(rng.uniform(0.0, 500.0, size=(20000, 24)), 3)
+    values[rng.random(values.shape) < 0.3] = np.nan
+    assert report._decimal_scale(values[: report._ROW_BLOCK].ravel())[0] == 3
+    tracemalloc.start()
+    try:
+        for _ in report.format_rows(values):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def per_cell_lines(values):
+    return [",".join(map(format_number, row)) for row in np.asarray(values).tolist()]
+
+
+@pytest.fixture
+def decimal_path(monkeypatch):
+    """Whether each block took the integer path (True) or the row loop."""
+    outcomes = []
+    real = report._decimal_lines
+
+    def spy(block):
+        lines = real(block)
+        # format_rows falls back on None, and on an empty list
+        outcomes.append(bool(lines))
+        return lines
+
+    monkeypatch.setattr(report, "_decimal_lines", spy)
+    return outcomes
+
+
+def fixed_decimals(places, shape, seed):
+    """Seeded cells of ``places`` decimals in the plain window, both signs,
+    10% NaN, with one cell whose last decimal is nonzero."""
+    rng = np.random.default_rng(seed)
+    lo = 10 ** max(places - 4, 0)
+    hi = min(10**12, 10 ** (6 + places)) - 1
+    k = rng.integers(lo, hi, size=shape, endpoint=True)
+    k.flat[0] = k.flat[0] // 10 * 10 + 7
+    values = k / 10.0**places * rng.choice([-1.0, 1.0], size=shape)
+    missing = rng.random(shape) < 0.1
+    missing.flat[0] = False
+    values[missing] = np.nan
+    return values
+
+
+@pytest.mark.filterwarnings("error")
+class TestDecimalBlocks:
+    """Fixed-decimal blocks are written from integer digits, with the bytes
+    per-cell format_number writes; any other block goes to the row loop."""
+
+    @pytest.mark.parametrize("places", range(13))
+    def test_every_scale_both_signs(self, places, decimal_path):
+        values = fixed_decimals(places, (300, 7), seed=places)
+        assert report._decimal_scale(values.ravel())[0] == places
+        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert decimal_path == [True]
+
+    @pytest.mark.parametrize(
+        "cell, taken",
+        [
+            (0.999999999999, True),  # k = 10**12 - 1 at D = 12
+            # k = 10**12 + 1 at D = 12: 13 digits, which %.12g rounds to "1"
+            (1.000000000001, False),
+            (0.9999999999999, False),
+            (1e-4, True),
+            (0.0001, True),
+            (np.nextafter(1e-4, 0.0), False),
+            (999999.999999, True),
+            (123456.789012, True),
+            (1e6, False),
+            (np.nextafter(1e6, 0.0), False),
+            (0.0, True),
+            (-0.0, True),
+            (-1e-4, True),
+            (-999999.999999, True),
+            (0.1 + 0.2, False),
+            (np.inf, False),
+            (5e-324, False),
+        ],
+    )
+    @pytest.mark.parametrize("position", ["first", "after_probe"])
+    def test_single_cell(self, cell, taken, position, decimal_path):
+        # the cell alone, and after more cells than the repr probe reads
+        values = np.array([[cell]]) if position == "first" else np.full((3, 4), 0.5)
+        values.flat[-1] = cell
+        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert decimal_path == [taken]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # a nonzero cell below 1e-4, exact at the scale of the first cells
+            [[0.12345] * 9 + [0.00009]],
+            [[0.12345] * 9 + [-0.00009]],
+            # a 13-digit cell that is exact at D = 12
+            [[0.123456789012] * 9 + [1.000000000001]],
+            [[96.644] * 9 + [1e6]],
+            [[96.644] * 9 + [np.inf]],
+        ],
+        ids=["below_window", "below_window_negative", "thirteen_digits", "1e6", "inf"],
+    )
+    def test_refused_past_the_probe(self, values, decimal_path):
+        values = np.array(values)
+        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert decimal_path == [False]
+
+    def test_refused_cells_set_a_finer_scale(self, decimal_path):
+        # the first cells show 3 decimals, a later one 5
+        values = np.full((4, 5), 96.644)
+        values[3, 4] = 1.23457
+        assert report._decimal_scale(values.ravel())[0] == 5
+        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert decimal_path == [True]
+
+    @pytest.mark.parametrize(
+        "values, taken",
+        [
+            ([[1.5, nan, 2.25], [nan, nan, nan], [nan, -3.0, 0.0]], [True]),
+            ([[nan, nan], [nan, nan]], [True]),
+            ([[1.5], [nan], [-0.0], [123.25]], [True]),
+            (np.empty((3, 0)), [False]),
+            (np.empty((0, 4)), []),
+        ],
+        ids=["nan_row", "all_nan", "one_column", "no_columns", "no_rows"],
+    )
+    def test_shapes(self, values, taken, decimal_path):
+        values = np.array(values, dtype=float)
+        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert decimal_path == taken
+
+    @pytest.mark.parametrize("refused_block", [0, 1])
+    def test_blocks_across_the_row_block_boundary(self, refused_block, decimal_path):
+        values = fixed_decimals(3, (report._ROW_BLOCK + 10, 4), seed=11)
+        rows = slice(None, report._ROW_BLOCK) if refused_block == 0 else slice(report._ROW_BLOCK, None)
+        values[rows][-1, -1] = 0.1 + 0.2
+        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert decimal_path == [refused_block != 0, refused_block == 0]
+
+    def test_fixture_record(self, decimal_path):
+        t = parse_rdb((FIXTURES / "station_fixture.rdb").read_bytes())
+        assert list(report.format_rows(t.values)) == per_cell_lines(t.values)
+        assert decimal_path == [True]
+
+
 def make_table(dates, codes, values):
     return Table("date", [d(x) for x in dates], list(codes), np.asarray(values, dtype=float))
 
