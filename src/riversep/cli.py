@@ -41,8 +41,9 @@ from .report import (
     csv_field,
     csv_header,
     format_number,
-    format_rows,
     keyed_lines,
+    keyed_rows,
+    text_keys,
     write_json,
 )
 from .synth import evaluate_recovery, generate_scenario
@@ -164,12 +165,23 @@ def _write(out_dir: Path, name: str, text: str) -> str:
     return name
 
 
-def _table_csv(header, keys, lines) -> str:
-    """CSV text: the header, then per key a line of the key followed by that
-    row's formatted ``lines`` entry.  Header fields and keys (variable
-    codes) are quoted where :mod:`csv` needs to, each distinct key once."""
+def _csv_keys(keys) -> list[str]:
+    """Keys (variable codes) as CSV fields, quoted where :mod:`csv` needs
+    to, each distinct key once."""
     quoted = {key: csv_field(key) for key in dict.fromkeys(keys)}
-    return csv_header(header) + keyed_lines(map(quoted.get, keys), lines)
+    return [quoted[key] for key in keys]
+
+
+def _table_csv(header, keys, values) -> str:
+    """CSV text: the header, then per key a line of the key followed by that
+    row of ``values`` in :func:`~riversep.report.format_number`'s cells.
+    Header fields and keys are quoted where :mod:`csv` needs to."""
+    return csv_header(header) + "".join(keyed_rows(text_keys(_csv_keys(keys)), values))
+
+
+def _loading_csv(header, keys, rows) -> str:
+    """:func:`_table_csv` for a loading table, whose cells have 7 decimals."""
+    return csv_header(header) + keyed_lines(_csv_keys(keys), _loading_lines(rows))
 
 
 def _loading_lines(rows):
@@ -194,7 +206,7 @@ def _write_pca(pipe: _Pipeline) -> list:
         model = pipe.scaled_pca if cfg.pca_scale else fit_pca(matrix, scale=False)
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
-    text = _table_csv(header, [*labels, "stdev"], _loading_lines(rows))
+    text = _loading_csv(header, [*labels, "stdev"], rows)
     files = [_write(cfg.output_dir, "pca_loadings.csv", text)]
 
     try:
@@ -275,9 +287,9 @@ def _write_fa(pipe: _Pipeline) -> list:
         fits.append(m)
         header = ["variable"] + [f"F{j + 1}" for j in range(k)] + ["uniqueness"]
         rows = np.column_stack([m.loadings, m.uniquenesses])
-        text = _table_csv(header, labels, _loading_lines(rows))
+        text = _loading_csv(header, labels, rows)
         files.append(_write(cfg.output_dir, f"fa_k{k}_loadings.csv", text))
-        text = _table_csv(["variable", *labels], labels, format_rows(m.residual))
+        text = _table_csv(["variable", *labels], labels, m.residual)
         files.append(_write(cfg.output_dir, f"fa_k{k}_residual.csv", text))
 
     selection = smallest_adequate_k([m.p_value for m in fits], cfg.fa_alpha)
@@ -322,12 +334,12 @@ def _write_diagnostics(pipe: _Pipeline) -> list:
     rows = np.stack(np.broadcast_arrays(result.lags, result.values, result.conf_band), -1)
     keys = [code for code in labels for _ in range(max_lag + 1)]
     header = ["variable", "lag", "value", "conf_band"]
-    text = _table_csv(header, keys, format_rows(rows.reshape(-1, 3)))
+    text = _table_csv(header, keys, rows.reshape(-1, 3))
     files = [_write(cfg.output_dir, "acf.csv", text)]
 
     with _stage("diagnose"):
         mi = mutual_information_matrix(matrix, bins=cfg.mi_bins)
-    text = _table_csv(["variable", *labels], labels, format_rows(mi))
+    text = _table_csv(["variable", *labels], labels, mi)
     files.append(_write(cfg.output_dir, "mi.csv", text))
     return files
 

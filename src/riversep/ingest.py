@@ -30,9 +30,11 @@ import datetime
 import hashlib
 import io
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -51,7 +53,7 @@ from .errors import (
     RaggedRow,
     UnknownVariable,
 )
-from .report import csv_header, format_rows, keyed_lines
+from .report import csv_header, date_keys, keyed_rows, text_keys
 
 _MISSING_TOKENS = {"", "na"}
 _NAN = float("nan")
@@ -96,18 +98,16 @@ class Table:
         """The table restricted by boolean masks over rows and over columns;
         ``None`` keeps every row or column.  With both masks the values are
         taken in one C-ordered copy."""
-        index, codes, values = self.index, self.codes, self.values
-        if rows is not None:
-            index = [x for x, keep in zip(index, rows) if keep]
-        if cols is not None:
-            codes = [c for c, keep in zip(codes, cols) if keep]
+        values = self.values
+        index = list(self.index if rows is None else compress(self.index, rows))
+        codes = list(self.codes if cols is None else compress(self.codes, cols))
         if rows is not None and cols is not None:
             values = values[np.ix_(rows, cols)]
         elif rows is not None:
             values = values[rows]
         elif cols is not None:
             values = values[:, cols]
-        return Table(self.index_name, list(index), list(codes), values)
+        return Table(self.index_name, index, codes, values)
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def _read_row(cells: Sequence[str]) -> list[float]:
 
 def _assemble(
     header: Sequence[str],
-    dates: Sequence[datetime.date],
+    dates: list[datetime.date],
     values: np.ndarray,
 ) -> Table:
     """Merge parsed records (``values`` holds one row of cells per date) into
@@ -188,6 +188,8 @@ def _assemble(
         raise MalformedHeader("header repeats a variable code")
 
     values[~np.isfinite(values)] = np.nan
+    if all(map(operator.lt, dates, dates[1:])):  # sorted, no date repeated
+        return Table("date", dates, var_codes, values)
     first: dict[datetime.date, int] = {}
     for i, date in enumerate(dates):
         j = first.setdefault(date, i)
@@ -200,8 +202,6 @@ def _assemble(
         values[j, present] = values[i, present]
 
     order = sorted(first)
-    if order == dates:  # strictly increasing already: no reorder copy
-        return Table("date", order, var_codes, values)
     return Table("date", order, var_codes, values[[first[d] for d in order]])
 
 
@@ -334,10 +334,16 @@ def parse_csv(data: bytes | str) -> Table:
 
 def emit_csv(table: Table) -> str:
     """Serialize a table to CSV; inverse of :func:`parse_csv` up to the
-    12-significant-digit number formatting.  Its index (ISO dates or years)
-    never needs quoting."""
+    12-significant-digit number formatting.  Each row's key is written in
+    the same bytes as its cells (:func:`~riversep.report.keyed_rows`): a
+    date index as ISO ``YYYY-MM-DD`` from each date's day number, a year
+    index as its digits.  Neither needs quoting."""
+    if table.index_name == "date":
+        keys = date_keys(table.index)
+    else:
+        keys = text_keys(map(str, table.index))
     header = csv_header([table.index_name, *table.codes])
-    return header + keyed_lines(map(str, table.index), format_rows(table.values))
+    return header + "".join(keyed_rows(keys, table.values))
 
 
 def filter_table(table: Table, spec: FilterSpec) -> Table:
@@ -353,7 +359,11 @@ def filter_table(table: Table, spec: FilterSpec) -> Table:
     if required is not None and required not in table.codes:
         raise UnknownVariable(required)
 
-    row_mask = np.array([spec.start <= d <= spec.end for d in table.index], dtype=bool)
+    index = table.index
+    if not index or (spec.start <= min(index) and max(index) <= spec.end):
+        row_mask = np.ones(len(index), dtype=bool)
+    else:
+        row_mask = np.array([spec.start <= d <= spec.end for d in index], dtype=bool)
     if required is not None:
         row_mask &= ~np.isnan(table.values[:, table.codes.index(required)])
 

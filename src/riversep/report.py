@@ -1,13 +1,19 @@
 """Deterministic text formatting for CLI output files.
 
 All numeric output follows :func:`format_number`'s rule so that reruns on
-identical inputs produce byte-identical files.  :func:`format_rows` writes
-a table's fixed-decimal blocks from integer digits, with the same bytes.
+identical inputs produce byte-identical files.  :func:`keyed_rows` writes a
+table's rows, each after its key.  Keys are fixed-width bytes with a mask of
+the bytes to keep: :func:`text_keys` holds the UTF-8 bytes of text (years,
+variable codes), and :func:`date_keys` writes ISO ``YYYY-MM-DD`` dates, as
+``str`` writes them, from each date's day number.  A block of fixed-decimal
+cells is written from integer digits into the same bytes as its keys,
+compacted once and decoded once, with the bytes per-cell formatting writes.
 """
 
 from __future__ import annotations
 
 import csv
+import datetime
 import functools
 import io
 import json
@@ -24,7 +30,7 @@ _PLAIN_HI = 1e6
 
 MISSING_TOKEN = "NA"
 
-# Rows :func:`format_rows` converts to Python floats at a time.
+# Rows :func:`keyed_rows` writes at a time.
 _ROW_BLOCK = 4096
 
 
@@ -45,25 +51,84 @@ def format_number(x: float) -> str:
     return f"{x:.11e}"
 
 
-def format_rows(values) -> Iterator[str]:
-    """Yield each row of a 2-D array as one line of :func:`format_number`
-    cells joined by commas.
+def keyed_rows(keys, values) -> Iterator[str]:
+    """Yield the CSV text of the rows of a 2-D array, each row's
+    :func:`format_number` cells after its key and a comma.  ``keys`` is a
+    ``(field, keep)`` pair with one key per row, as :func:`text_keys` and
+    :func:`date_keys` make.  An array with no columns writes each key alone,
+    as :mod:`csv` writes such a row.
 
-    Rows go ``_ROW_BLOCK`` at a time.  A block whose cells are all NaN,
-    zero or fixed decimals takes :func:`_decimal_lines`, an exact integer
-    path with the same bytes.  In any other block a row of only zeros,
-    NaNs and plain-window cells is one ``%`` call: ``%.12g`` writes a
-    double as ``f"{x:.12g}"`` does, NaN as ``nan`` (then replaced by the
-    missing token), and zero as ``0`` once adding 0.0 has turned -0.0 into
-    0.0.  Other rows go cell by cell.  Only one block of cells is turned
-    into Python floats at a time, so a large table never holds all its
-    cells as Python objects at once.
+    Rows go ``_ROW_BLOCK`` at a time.  A block whose cells are all NaN, zero
+    or fixed decimals takes :func:`_decimal_text`, an exact integer path
+    with the same bytes, and is yielded as one text.  Any other block goes
+    to :func:`_row_lines`, its keys decoded for its rows, and is yielded a
+    row at a time.  There a row of only zeros, NaNs and plain-window cells
+    is one ``%`` call: ``%.12g`` writes a double as ``f"{x:.12g}"`` does,
+    NaN as ``nan`` (then replaced by the missing token), and zero as ``0``
+    once adding 0.0 has turned -0.0 into 0.0.  Other rows go cell by cell.
+    Only one block of cells is turned into Python floats at a time, so a
+    large table never holds all its cells as Python objects at once.
     """
     values = np.asarray(values, dtype=float)
+    field, keep = keys
+    if values.shape[1]:  # each key's comma is part of its field
+        field = np.column_stack([field, np.full(len(field), ord(","), np.uint8)])
+        keep = np.column_stack([keep, np.ones(len(keep), bool)])
     row_format = ",".join(["%.12g"] * values.shape[1])
     for start in range(0, len(values), _ROW_BLOCK):
-        block = values[start : start + _ROW_BLOCK] + 0.0
-        yield from _decimal_lines(block) or _row_lines(block, row_format)
+        rows = slice(start, start + _ROW_BLOCK)
+        block = values[rows] + 0.0
+        text = _decimal_text(block, field[rows], keep[rows])
+        if text is not None:
+            yield text
+        else:
+            texts = _key_texts(field[rows], keep[rows])
+            yield from map("{}{}\n".format, texts, _row_lines(block, row_format))
+
+
+def text_keys(texts) -> tuple[np.ndarray, np.ndarray]:
+    """``texts`` as row keys for :func:`keyed_rows`: the UTF-8 bytes of
+    each, left-aligned in a field as wide as the widest, and a mask that
+    keeps each key's own bytes."""
+    encoded = [text.encode("utf-8") for text in texts]
+    lengths = np.array([len(key) for key in encoded], dtype=np.intp)
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    field = np.zeros(keep.shape, np.uint8)
+    field[keep] = np.frombuffer(b"".join(encoded), np.uint8)
+    return field, keep
+
+
+# The day number (``date.toordinal``) of 1970-01-01, day 0 of datetime64.
+_EPOCH_ORDINAL = 719163
+
+
+def date_keys(dates) -> tuple[np.ndarray, np.ndarray]:
+    """``dates`` (a sequence of :class:`datetime.date`) as row keys for
+    :func:`keyed_rows`: ISO ``YYYY-MM-DD``, as ``str`` writes a date,
+    from each date's day number."""
+    ordinals = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(dates))
+    days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+    months = days.astype("datetime64[M]")
+    year = months.astype("datetime64[Y]").astype(np.intp) + 1970
+    month = months.astype(np.intp) % 12 + 1
+    day = (days - months).astype(np.intp) + 1
+    field = np.empty((len(ordinals), 10), np.uint8)
+    field[:, 4] = field[:, 7] = ord("-")
+    # (column, part, the power of ten whose digit it holds)
+    for column, part, power in [
+        (0, year, 3), (1, year, 2), (2, year, 1), (3, year, 0),
+        (5, month, 1), (6, month, 0),
+        (8, day, 1), (9, day, 0),
+    ]:
+        field[:, column] = _digit_table()[power][part]
+    return field, np.ones(field.shape, bool)
+
+
+def _key_texts(field, keep) -> list[str]:
+    """The text of each key of a ``(field, keep)`` pair."""
+    data = field[keep].tobytes()
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [data[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
 
 
 def _row_lines(block, row_format) -> Iterator[str]:
@@ -116,14 +181,16 @@ def _digit_table() -> np.ndarray:
     return table
 
 
-def _decimal_lines(block) -> list[str] | None:
-    """The lines :func:`format_number` writes for ``block`` (2-D, no -0.0),
-    built from integer digits; None unless :func:`_decimal_scale` finds
-    one scale for every cell.
+def _decimal_text(block, key_field, key_keep) -> str | None:
+    """The text of ``block`` (2-D, no -0.0) after its keys (a ``(field,
+    keep)`` pair of one key and its comma per row), built from integer
+    digits; None unless :func:`_decimal_scale` finds one scale for every
+    cell.
 
     Each cell is written into a fixed-width field of bytes (sign, whole
-    digits, point, decimals, separator) with a mask of the bytes to keep,
-    and the fields are compacted once.
+    digits, point, decimals, separator) with a mask of the bytes to keep.
+    Each row's cell fields follow its key's, and the whole block is
+    compacted once and decoded once.
     """
     cells = block.ravel()
     scaled = _decimal_scale(cells) if cells.size else None
@@ -166,9 +233,10 @@ def _decimal_lines(block) -> list[str] | None:
     field.reshape(*block.shape, -1)[:, -1, -1] = ord("\n")
     keep[:, -1] = True
 
-    lines = str(field[keep], "ascii").split("\n")
-    lines.pop()  # after the last newline
-    return lines
+    rows = len(block)
+    field = np.concatenate([key_field, field.reshape(rows, -1)], axis=1)
+    keep = np.concatenate([key_keep, keep.reshape(rows, -1)], axis=1)
+    return str(field[keep], "utf-8")
 
 
 def _decimal_scale(cells) -> tuple[int, np.ndarray] | None:

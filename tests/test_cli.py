@@ -7,6 +7,7 @@ in advance; the tests here pin those counts and the determinism contract
 
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -27,7 +28,7 @@ import station_builder
 from riversep.cli import main
 from riversep.config import load_config
 from riversep.pca import scores
-from riversep.report import format_rows
+from riversep.report import format_number
 from test_diagnostics import reference_mi_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -244,15 +245,47 @@ class TestRun:
         }
 
     def test_table_csv_quotes_repeated_keys_alike(self):
-        # Repeated, empty and comma-holding keys, and a key with no cells;
-        # a key is quoted as csv writes it alone in a row.
-        keys = ["00,618", "", "00618", "00,618", "", 'a"b', "x\ny", "00618"]
-        lines = ["1,2", "3,4", "5,6", "7,8", "", "9,10", "11,12", "13,14"]
-        got = riversep.cli._table_csv(["variable", "a", "b"], keys, lines)
+        # Repeated, empty, comma-holding and non-ASCII keys; a key is quoted
+        # as csv writes it alone in a row, and with no cells it is the row.
+        keys = ["00,618", "", "00618", "00,618", "", 'a"b', "x\ny", "µ618"]
+        values = np.arange(1.0, 17.0).reshape(8, 2)
+        got = riversep.cli._table_csv(["variable", "a", "b"], keys, values)
         assert got == (
-            'variable,a,b\n"00,618",1,2\n"",3,4\n00618,5,6\n"00,618",7,8\n""\n'
-            '"a""b",9,10\n"x\ny",11,12\n00618,13,14\n'
+            'variable,a,b\n"00,618",1,2\n"",3,4\n00618,5,6\n"00,618",7,8\n"",9,10\n'
+            '"a""b",11,12\n"x\ny",13,14\nµ618,15,16\n'
         )
+        got = riversep.cli._table_csv(["variable"], keys, np.empty((8, 0)))
+        assert got == 'variable\n"00,618"\n""\n00618\n"00,618"\n""\n"a""b"\n"x\ny"\nµ618\n'
+
+    def test_tables_keyed_by_code_write_each_code_as_csv_does(self, workdir):
+        # Renaming "00010" to "00,010" (which csv quotes) and "00660" to a
+        # non-ASCII code changes only their keys and header fields in every
+        # table keyed by variable code.
+        assert main(["ingest", str(workdir / "pipeline.json")]) == 0
+        header, *rows = read_csv(workdir / "out" / "ingested.csv")
+        names = {"00010": "00,010", "00660": "Nitrat-µg"}
+        for variant, codes in [("plain", header), ("renamed", [names.get(c, c) for c in header])]:
+            with open(workdir / f"{variant}.csv", "w", newline="", encoding="utf-8") as handle:
+                csv.writer(handle, lineterminator="\n").writerows([codes, *rows])
+            doc = json.loads((workdir / "pipeline.json").read_text())
+            doc["input"] = {"path": f"{variant}.csv"}
+            doc["output_dir"] = f"out_{variant}"
+            (workdir / f"{variant}.json").write_text(json.dumps(doc))
+            assert main(["run", str(workdir / f"{variant}.json")]) == 0
+
+        def csv_line(fields):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow(fields)
+            return out.getvalue()
+
+        for name in ["mi.csv", "acf.csv", *(f"fa_k{k}_residual.csv" for k in (1, 2, 3))]:
+            first, *lines = (workdir / "out_plain" / name).read_text(encoding="utf-8").splitlines()
+            want = csv_line([names.get(c, c) for c in first.split(",")])
+            for line in lines:
+                key, cells = line.split(",", 1)
+                want += csv_line([names.get(key, key)])[:-1] + "," + cells + "\n"
+            assert names["00010"] in want and names["00660"] in want
+            assert (workdir / "out_renamed" / name).read_text(encoding="utf-8") == want, name
 
     def test_manifest_lists_exactly_the_files_written(self, workdir):
         main(["run", str(workdir / "pipeline.json")])
@@ -716,7 +749,7 @@ class TestSubcommands:
         lines = (run_outputs / "mi.csv").read_text().splitlines()
         assert lines[0] == ",".join(["variable", *FINAL_CODES])
         assert lines[1:] == [
-            f"{code},{line}" for code, line in zip(FINAL_CODES, format_rows(table))
+            ",".join([code, *map(format_number, row)]) for code, row in zip(FINAL_CODES, table)
         ]
 
 

@@ -501,6 +501,10 @@ def per_cell_csv(index_name, index, codes, values):
     return "\n".join(lines) + "\n"
 
 
+def consecutive_dates(n, first="1990-01-01"):
+    return [d(first) + datetime.timedelta(days=i) for i in range(n)]
+
+
 def _seeded_wide_range(rows=2000, cols=8, seed=3):
     """Magnitudes log-uniform over 1e-8..1e8, random signs, 20% NaN and
     some signed zeros."""
@@ -540,7 +544,7 @@ ROW_PATH_CASES = {
         5,
     ),
     "seeded_wide_range": (_seeded_wide_range(), None),
-    # more rows than one block of format_rows' float conversion
+    # more rows than one block of keyed_rows' float conversion
     "seeded_wide_range_blocks": (
         _seeded_wide_range(rows=2 * report._ROW_BLOCK + 7, cols=3, seed=4), None
     ),
@@ -557,7 +561,7 @@ def test_emit_equals_per_cell_format_number(case, monkeypatch):
     values = np.array(values, dtype=float)
     n, p = values.shape
     codes = [f"v{j}" for j in range(p)]
-    dates = [d("1990-01-01") + datetime.timedelta(days=i) for i in range(n)]
+    dates = consecutive_dates(n)
     years = list(range(1900, 1900 + n))
     dated = Table("date", dates, codes, values)
     annual = Table("year", years, codes, values)
@@ -568,23 +572,64 @@ def test_emit_equals_per_cell_format_number(case, monkeypatch):
 
     calls = []
     monkeypatch.setattr(report, "format_number", lambda x: calls.append(x) or "")
-    list(report.format_rows(values))
+    written(values)
     if fallback_rows is None:
         assert 0 < len(calls) < values.size
     else:
         assert len(calls) == fallback_rows * p
 
 
-def test_format_rows_holds_one_block_of_cells_as_python_floats():
+# Dates whose ISO text is written from their day numbers: the first and
+# last dates Python has, a three-digit year, and both sides of 1900's
+# missing and 2000's present leap day.
+EDGE_DATES = ["0001-01-01", "0999-12-31", "1900-02-28", "1900-03-01", "2000-02-29", "9999-12-31"]
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["decimal", "refused"])
+def test_emit_writes_edge_dates_as_str_does(refused):
+    dates = [d(x) for x in EDGE_DATES]
+    values = np.array(
+        [[1.5, nan], [-2.25, 3.0], [nan, nan], [0.0, 96.644], [7.0, 1e-4], [8.5, -0.5]]
+    )
+    if refused:
+        values[-1, -1] = 0.1 + 0.2
+    t = Table("date", dates, ["a", "b"], values)
+    assert emit_csv(t) == per_cell_csv("date", [str(x) for x in dates], t.codes, values)
+
+
+@pytest.mark.parametrize("refused_block", [0, 1])
+def test_emit_keys_line_up_across_a_refused_block(refused_block):
+    # one block written from integer digits and one by the row loop, on
+    # dates that cross a century's missing leap day
+    values = fixed_decimals(3, (report._ROW_BLOCK + 10, 3), seed=12)
+    block = slice(None, report._ROW_BLOCK) if refused_block == 0 else slice(report._ROW_BLOCK, None)
+    values[block][-1, -1] = 0.1 + 0.2
+    dates = consecutive_dates(len(values), first="1890-06-01")
+    t = Table("date", dates, ["a", "b", "c"], values)
+    assert emit_csv(t) == per_cell_csv("date", [str(x) for x in dates], t.codes, values)
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["decimal", "refused"])
+def test_emit_writes_year_keys_of_each_width(refused):
+    years = [7, 998, 999, 1000, 1001, 2024]
+    values = np.array([[1.5], [nan], [-2.25], [0.0], [3.125], [nan]])
+    if refused:
+        values[0, 0] = 0.1 + 0.2
+    t = Table("year", years, ["a"], values)
+    assert emit_csv(t) == per_cell_csv("year", [str(y) for y in years], t.codes, values)
+
+
+def test_keyed_rows_holds_one_block_of_cells_as_python_floats():
     # 20000 x 24 cells are 11.5 MB as Python floats; one block of rows at a
     # time keeps the peak near 5 MB (24.5 MB when the whole table was
     # converted at once)
     rng = np.random.default_rng(23)
     values = rng.uniform(0.0, 100.0, size=(20000, 24))
     values[rng.random(values.shape) < 0.3] = np.nan
+    keys = report.date_keys(consecutive_dates(len(values)))
     tracemalloc.start()
     try:
-        for _ in report.format_rows(values):
+        for _ in report.keyed_rows(keys, values):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -592,15 +637,16 @@ def test_format_rows_holds_one_block_of_cells_as_python_floats():
     assert peak < 8e6, peak
 
 
-def test_format_rows_holds_one_block_of_decimal_cells():
+def test_keyed_rows_holds_one_block_of_decimal_cells():
     # the integer path for fixed-decimal blocks keeps the same bound
     rng = np.random.default_rng(25)
     values = np.round(rng.uniform(0.0, 500.0, size=(20000, 24)), 3)
     values[rng.random(values.shape) < 0.3] = np.nan
     assert report._decimal_scale(values[: report._ROW_BLOCK].ravel())[0] == 3
+    keys = report.date_keys(consecutive_dates(len(values)))
     tracemalloc.start()
     try:
-        for _ in report.format_rows(values):
+        for _ in report.keyed_rows(keys, values):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -608,23 +654,32 @@ def test_format_rows_holds_one_block_of_decimal_cells():
     assert peak < 8e6, peak
 
 
-def per_cell_lines(values):
-    return [",".join(map(format_number, row)) for row in np.asarray(values).tolist()]
+def written(values):
+    """:func:`report.keyed_rows`' text of ``values``, each row keyed by its
+    number."""
+    keys = report.text_keys([str(i) for i in range(len(values))])
+    return "".join(report.keyed_rows(keys, values))
+
+
+def per_cell_text(values):
+    """``values`` written by per-cell format_number, each row keyed by its
+    number."""
+    rows = enumerate(np.asarray(values).tolist())
+    return "".join(",".join([str(i), *map(format_number, row)]) + "\n" for i, row in rows)
 
 
 @pytest.fixture
 def decimal_path(monkeypatch):
     """Whether each block took the integer path (True) or the row loop."""
     outcomes = []
-    real = report._decimal_lines
+    real = report._decimal_text
 
-    def spy(block):
-        lines = real(block)
-        # format_rows falls back on None, and on an empty list
-        outcomes.append(bool(lines))
-        return lines
+    def spy(block, key_field, key_keep):
+        text = real(block, key_field, key_keep)
+        outcomes.append(text is not None)
+        return text
 
-    monkeypatch.setattr(report, "_decimal_lines", spy)
+    monkeypatch.setattr(report, "_decimal_text", spy)
     return outcomes
 
 
@@ -646,13 +701,14 @@ def fixed_decimals(places, shape, seed):
 @pytest.mark.filterwarnings("error")
 class TestDecimalBlocks:
     """Fixed-decimal blocks are written from integer digits, with the bytes
-    per-cell format_number writes; any other block goes to the row loop."""
+    per-cell format_number writes; any other block goes to the row loop.
+    Each row is written after its key either way."""
 
     @pytest.mark.parametrize("places", range(13))
     def test_every_scale_both_signs(self, places, decimal_path):
         values = fixed_decimals(places, (300, 7), seed=places)
         assert report._decimal_scale(values.ravel())[0] == places
-        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert written(values) == per_cell_text(values)
         assert decimal_path == [True]
 
     @pytest.mark.parametrize(
@@ -683,7 +739,7 @@ class TestDecimalBlocks:
         # the cell alone, and after more cells than the repr probe reads
         values = np.array([[cell]]) if position == "first" else np.full((3, 4), 0.5)
         values.flat[-1] = cell
-        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert written(values) == per_cell_text(values)
         assert decimal_path == [taken]
 
     @pytest.mark.parametrize(
@@ -701,7 +757,7 @@ class TestDecimalBlocks:
     )
     def test_refused_past_the_probe(self, values, decimal_path):
         values = np.array(values)
-        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert written(values) == per_cell_text(values)
         assert decimal_path == [False]
 
     def test_refused_cells_set_a_finer_scale(self, decimal_path):
@@ -709,7 +765,7 @@ class TestDecimalBlocks:
         values = np.full((4, 5), 96.644)
         values[3, 4] = 1.23457
         assert report._decimal_scale(values.ravel())[0] == 5
-        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert written(values) == per_cell_text(values)
         assert decimal_path == [True]
 
     @pytest.mark.parametrize(
@@ -725,7 +781,7 @@ class TestDecimalBlocks:
     )
     def test_shapes(self, values, taken, decimal_path):
         values = np.array(values, dtype=float)
-        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert written(values) == per_cell_text(values)
         assert decimal_path == taken
 
     @pytest.mark.parametrize("refused_block", [0, 1])
@@ -733,12 +789,12 @@ class TestDecimalBlocks:
         values = fixed_decimals(3, (report._ROW_BLOCK + 10, 4), seed=11)
         rows = slice(None, report._ROW_BLOCK) if refused_block == 0 else slice(report._ROW_BLOCK, None)
         values[rows][-1, -1] = 0.1 + 0.2
-        assert list(report.format_rows(values)) == per_cell_lines(values)
+        assert written(values) == per_cell_text(values)
         assert decimal_path == [refused_block != 0, refused_block == 0]
 
     def test_fixture_record(self, decimal_path):
         t = parse_rdb((FIXTURES / "station_fixture.rdb").read_bytes())
-        assert list(report.format_rows(t.values)) == per_cell_lines(t.values)
+        assert written(t.values) == per_cell_text(t.values)
         assert decimal_path == [True]
 
 
