@@ -5,7 +5,9 @@ preprocessing stages in order, fits the three decomposition models, writes
 the diagnostics tables, and finishes with a manifest recording the config
 hash, every stage's row/column counts, and the tool version.  The other
 subcommands stop earlier in that chain and write only their own outputs,
-which makes any stage inspectable in isolation.
+which makes any stage inspectable in isolation.  Each subcommand's writers
+yield ``(file name, text)`` pairs, and :func:`_write_files` writes each file
+as it is yielded, so a failing stage leaves the files written before it.
 
 Outputs carry no timestamps and all randomness is seeded, so rerunning a
 command on identical inputs reproduces every file byte for byte.
@@ -37,15 +39,7 @@ from .ingest import Table, emit_csv, fetch_remote, parse_csv, parse_rdb
 from .linalg import correlation_matrix
 from .pca import explained_variance, fit_pca, kaiser_retain
 from .preprocess import STAGES
-from .report import (
-    csv_field,
-    csv_header,
-    format_number,
-    keyed_lines,
-    keyed_rows,
-    text_keys,
-    write_json,
-)
+from .report import format_number, json_text, loading_csv, table_csv
 from .synth import evaluate_recovery, generate_scenario
 
 # Off-diagonal residuals at or below this make an FA fit "adequate".
@@ -159,55 +153,34 @@ class _Pipeline:
         return fit_pca(self.model_input.values, scale=True)
 
 
-def _write(out_dir: Path, name: str, text: str) -> str:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
-    return name
+def _write_files(out_dir: Path, files) -> list[str]:
+    """Write each ``(name, text)`` of ``files`` under ``out_dir`` as it is
+    yielded, making the directory before the first; the names written."""
+    names = []
+    for name, text in files:
+        if not names:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(text)
+        names.append(name)
+    return names
 
 
-def _csv_keys(keys) -> list[str]:
-    """Keys (variable codes) as CSV fields, quoted where :mod:`csv` needs
-    to, each distinct key once."""
-    quoted = {key: csv_field(key) for key in dict.fromkeys(keys)}
-    return [quoted[key] for key in keys]
+def _write_ingested(pipe: _Pipeline):
+    yield "ingested.csv", emit_csv(pipe.raw)
 
 
-def _table_csv(header, keys, values) -> str:
-    """CSV text: the header, then per key a line of the key followed by that
-    row of ``values`` in :func:`~riversep.report.format_number`'s cells.
-    Header fields and keys are quoted where :mod:`csv` needs to."""
-    return csv_header(header) + "".join(keyed_rows(text_keys(_csv_keys(keys)), values))
+def _write_preprocessed(pipe: _Pipeline):
+    yield "preprocessed.csv", emit_csv(pipe.table)
 
 
-def _loading_csv(header, keys, rows) -> str:
-    """:func:`_table_csv` for a loading table, whose cells have 7 decimals."""
-    return csv_header(header) + keyed_lines(_csv_keys(keys), _loading_lines(rows))
-
-
-def _loading_lines(rows):
-    """Rows of a loading table, one ``%`` per row: ``%.7f`` writes a cell as
-    ``f"{x:.7f}"`` does."""
-    row_format = ",".join(["%.7f"] * rows.shape[1])
-    return (row_format % tuple(row) for row in rows.tolist())
-
-
-def _write_ingested(pipe: _Pipeline) -> list:
-    return [_write(pipe.cfg.output_dir, "ingested.csv", emit_csv(pipe.raw))]
-
-
-def _write_preprocessed(pipe: _Pipeline) -> list:
-    return [_write(pipe.cfg.output_dir, "preprocessed.csv", emit_csv(pipe.table))]
-
-
-def _write_pca(pipe: _Pipeline) -> list:
+def _write_pca(pipe: _Pipeline):
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     with _stage("pca"):
         model = pipe.scaled_pca if cfg.pca_scale else fit_pca(matrix, scale=False)
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
-    text = _loading_csv(header, [*labels, "stdev"], rows)
-    files = [_write(cfg.output_dir, "pca_loadings.csv", text)]
+    yield "pca_loadings.csv", loading_csv(header, [*labels, "stdev"], rows)
 
     try:
         kaiser = kaiser_retain(model)
@@ -229,12 +202,10 @@ def _write_pca(pipe: _Pipeline) -> list:
         "min_eigenvalue": smallest,
         "condition_number": float(eigenvalues[0]) / smallest if smallest > 0 else None,
     }
-    write_json(cfg.output_dir / "pca_summary.json", summary)
-    files.append("pca_summary.json")
-    return files
+    yield "pca_summary.json", json_text(summary)
 
 
-def _write_ica(pipe: _Pipeline) -> list:
+def _write_ica(pipe: _Pipeline):
     cfg = pipe.cfg
     table = pipe.model_input
     k = cfg.ica_components
@@ -245,7 +216,7 @@ def _write_ica(pipe: _Pipeline) -> list:
 
     codes = [f"IC{j + 1}" for j in range(k)]
     sources = Table(table.index_name, table.index, codes, model.sources)
-    files = [_write(cfg.output_dir, "ica_sources.csv", emit_csv(sources))]
+    yield "ica_sources.csv", emit_csv(sources)
     summary = {
         "n_components": k,
         "converged": model.converged,
@@ -256,12 +227,10 @@ def _write_ica(pipe: _Pipeline) -> list:
         "tol": cfg.ica.tol,
         "max_iter": cfg.ica.max_iter,
     }
-    write_json(cfg.output_dir / "ica_summary.json", summary)
-    files.append("ica_summary.json")
-    return files
+    yield "ica_summary.json", json_text(summary)
 
 
-def _write_fa(pipe: _Pipeline) -> list:
+def _write_fa(pipe: _Pipeline):
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     n, p = matrix.shape
@@ -275,7 +244,6 @@ def _write_fa(pipe: _Pipeline) -> list:
             "fa", RiversepError(f"no factor count is estimable for {p} variables")
         )
 
-    files = []
     fits = []
     with _stage("fa"):
         if n <= p:  # as fit_fa_ml checks, before the correlation can fail
@@ -287,10 +255,8 @@ def _write_fa(pipe: _Pipeline) -> list:
         fits.append(m)
         header = ["variable"] + [f"F{j + 1}" for j in range(k)] + ["uniqueness"]
         rows = np.column_stack([m.loadings, m.uniquenesses])
-        text = _loading_csv(header, labels, rows)
-        files.append(_write(cfg.output_dir, f"fa_k{k}_loadings.csv", text))
-        text = _table_csv(["variable", *labels], labels, m.residual)
-        files.append(_write(cfg.output_dir, f"fa_k{k}_residual.csv", text))
+        yield f"fa_k{k}_loadings.csv", loading_csv(header, labels, rows)
+        yield f"fa_k{k}_residual.csv", table_csv(["variable", *labels], labels, m.residual)
 
     selection = smallest_adequate_k([m.p_value for m in fits], cfg.fa_alpha)
     entries = []
@@ -319,12 +285,10 @@ def _write_fa(pipe: _Pipeline) -> list:
         "selected_k": selection.k,
         "selection_adequate": selection.adequate,
     }
-    write_json(cfg.output_dir / "fa_summary.json", summary)
-    files.append("fa_summary.json")
-    return files
+    yield "fa_summary.json", json_text(summary)
 
 
-def _write_diagnostics(pipe: _Pipeline) -> list:
+def _write_diagnostics(pipe: _Pipeline):
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     n = matrix.shape[0]
@@ -334,17 +298,14 @@ def _write_diagnostics(pipe: _Pipeline) -> list:
     rows = np.stack(np.broadcast_arrays(result.lags, result.values, result.conf_band), -1)
     keys = [code for code in labels for _ in range(max_lag + 1)]
     header = ["variable", "lag", "value", "conf_band"]
-    text = _table_csv(header, keys, rows.reshape(-1, 3))
-    files = [_write(cfg.output_dir, "acf.csv", text)]
+    yield "acf.csv", table_csv(header, keys, rows.reshape(-1, 3))
 
     with _stage("diagnose"):
         mi = mutual_information_matrix(matrix, bins=cfg.mi_bins)
-    text = _table_csv(["variable", *labels], labels, mi)
-    files.append(_write(cfg.output_dir, "mi.csv", text))
-    return files
+    yield "mi.csv", table_csv(["variable", *labels], labels, mi)
 
 
-def _write_manifest(pipe: _Pipeline, outputs: list) -> None:
+def _write_manifest(pipe: _Pipeline, outputs: list):
     manifest = {
         "tool_version": __version__,
         "config_sha256": pipe.cfg.config_sha256,
@@ -353,7 +314,7 @@ def _write_manifest(pipe: _Pipeline, outputs: list) -> None:
         "stages": pipe.stages,
         "outputs": sorted(set(outputs) | {"manifest.json"}),
     }
-    write_json(pipe.cfg.output_dir / "manifest.json", manifest)
+    yield "manifest.json", json_text(manifest)
 
 
 # Each config-driven subcommand: its help text and its output writers, in
@@ -387,9 +348,10 @@ _SUBCOMMANDS = {
 
 def _execute(pipe: _Pipeline, command: str) -> int:
     _, writers = _SUBCOMMANDS[command]
-    outputs = [name for write in writers for name in write(pipe)]
+    out_dir = pipe.cfg.output_dir
+    outputs = _write_files(out_dir, (file for write in writers for file in write(pipe)))
     if command == "run":
-        _write_manifest(pipe, outputs)
+        _write_files(out_dir, _write_manifest(pipe, outputs))
     return 0
 
 
@@ -403,7 +365,7 @@ _BENCH_SCENARIOS = (
 _BENCH_MIN_ROWS = _ROWS_PER_COMPONENT * max(len(d) for _, d in _BENCH_SCENARIOS)
 
 
-def _synth_bench(out_dir: Path, rows: int, base_seed: int, replicates: int) -> int:
+def _synth_bench(rows: int, base_seed: int, replicates: int):
     """Recovery benchmark over known mixing scenarios, ICA versus PCA."""
     lines = ["scenario,distributions,method,seed,amari,mean_abs_corr"]
     aggregate = {}
@@ -424,8 +386,7 @@ def _synth_bench(out_dir: Path, rows: int, base_seed: int, replicates: int) -> i
                     f"{format_number(report.amari)},{format_number(corr)}"
                 )
                 aggregate.setdefault((name, method), []).append(report.amari)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "synth_bench.csv").write_text("\n".join(lines) + "\n")
+    yield "synth_bench.csv", "\n".join(lines) + "\n"
     summary = {
         "rows": rows,
         "seed": base_seed,
@@ -435,8 +396,7 @@ def _synth_bench(out_dir: Path, rows: int, base_seed: int, replicates: int) -> i
             for (name, method), vals in sorted(aggregate.items())
         },
     }
-    write_json(out_dir / "synth_summary.json", summary)
-    return 0
+    yield "synth_summary.json", json_text(summary)
 
 
 @cache
@@ -511,7 +471,8 @@ def main(argv=None) -> int:
             problem = _bench_argument_error(args)
             if problem is not None:
                 return _command_line_error(problem)
-            return _synth_bench(args.out, args.rows, args.seed, args.replicates)
+            _write_files(args.out, _synth_bench(args.rows, args.seed, args.replicates))
+            return 0
         cfg = load_config(args.config)
         if args.seed is not None:
             try:

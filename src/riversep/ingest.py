@@ -53,7 +53,7 @@ from .errors import (
     RaggedRow,
     UnknownVariable,
 )
-from .report import csv_header, date_keys, keyed_rows, text_keys
+from .report import table_csv
 
 _MISSING_TOKENS = {"", "na"}
 _NAN = float("nan")
@@ -253,6 +253,11 @@ def _bulk_read(records: Sequence[str], n_fields: int):
     return dates, values
 
 
+def _is_record(raw: str) -> bool:
+    """Whether an RDB body line is a record: neither blank nor a ``#`` comment."""
+    return raw != "" and not raw.isspace() and not raw.startswith("#")
+
+
 def _read_body(lines: Sequence[str], first: int, n_fields: int):
     """Dates and cells of the RDB records in ``lines[first:]``, read
     ``_BODY_BLOCK`` lines at a time by :func:`_bulk_read` until it leaves a
@@ -261,10 +266,7 @@ def _read_body(lines: Sequence[str], first: int, n_fields: int):
     Every earlier block was read without error, so the row loop's first
     error is the file's first."""
     starts = range(first, len(lines), _BODY_BLOCK)
-    blocks = [
-        [raw for raw in lines[a : a + _BODY_BLOCK] if raw and not raw.isspace() and not raw.startswith("#")]
-        for a in starts
-    ]
+    blocks = [list(filter(_is_record, lines[a : a + _BODY_BLOCK])) for a in starts]
     dates: list[datetime.date] = []
     values = np.empty((sum(map(len, blocks)), n_fields - 1))
     for a, records in zip(starts, blocks):
@@ -275,7 +277,7 @@ def _read_body(lines: Sequence[str], first: int, n_fields: int):
             remaining = (
                 (line_no, raw.split("\t"))
                 for line_no, raw in enumerate(lines[a:], start=a + 1)
-                if not (raw.startswith("#") or raw.strip() == "")
+                if _is_record(raw)
             )
             rest, rows = _read_records(remaining, n_fields)
             values[len(dates) :] = rows
@@ -333,17 +335,10 @@ def parse_csv(data: bytes | str) -> Table:
 
 
 def emit_csv(table: Table) -> str:
-    """Serialize a table to CSV; inverse of :func:`parse_csv` up to the
-    12-significant-digit number formatting.  Each row's key is written in
-    the same bytes as its cells (:func:`~riversep.report.keyed_rows`): a
-    date index as ISO ``YYYY-MM-DD`` from each date's day number, a year
-    index as its digits.  Neither needs quoting."""
-    if table.index_name == "date":
-        keys = date_keys(table.index)
-    else:
-        keys = text_keys(map(str, table.index))
-    header = csv_header([table.index_name, *table.codes])
-    return header + "".join(keyed_rows(keys, table.values))
+    """Serialize a table to CSV (:func:`~riversep.report.table_csv`); inverse
+    of :func:`parse_csv` up to the 12-significant-digit number formatting.
+    A date index is written as ISO ``YYYY-MM-DD``, a year index as digits."""
+    return table_csv([table.index_name, *table.codes], table.index, table.values)
 
 
 def filter_table(table: Table, spec: FilterSpec) -> Table:

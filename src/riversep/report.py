@@ -1,4 +1,6 @@
-"""Deterministic text formatting for CLI output files.
+"""Deterministic text of every output file: CSV tables (:func:`table_csv`,
+and :func:`loading_csv` for 7-decimal loadings), quoted here and nowhere
+else where :mod:`csv` needs to, and canonical JSON (:func:`json_text`).
 
 All numeric output follows :func:`format_number`'s rule so that reruns on
 identical inputs produce byte-identical files.  :func:`keyed_rows` writes a
@@ -18,7 +20,6 @@ import functools
 import io
 import json
 import math
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -276,26 +277,39 @@ def _decimal_scale(cells) -> tuple[int, np.ndarray] | None:
     return None
 
 
-def keyed_lines(keys, lines) -> str:
-    """Text of one ``key,line`` line per row.  An empty line (a table with
-    no columns) leaves the key alone, as :mod:`csv` writes such a row."""
-    return "".join(
-        f"{key},{line}\n" if line else f"{key}\n" for key, line in zip(keys, lines)
-    )
+def table_csv(header, keys, values) -> str:
+    """CSV text of a table: the header, then each row's key (from a list of
+    one per row) and its cells (:func:`keyed_rows`).  Dates are written as
+    ISO dates (:func:`date_keys`), which need no quoting; any other key as
+    :mod:`csv` writes it alone in a row, each distinct key quoted once."""
+    if keys and isinstance(keys[0], datetime.date):
+        fields = date_keys(keys)
+    else:
+        fields = text_keys(_quoted_keys(keys))
+    return _csv_line(header) + "".join(keyed_rows(fields, values))
 
 
-def csv_header(fields) -> str:
+def loading_csv(header, codes, rows) -> str:
+    """:func:`table_csv` for a loading table, whose cells have 7 decimals:
+    ``%.7f`` writes a cell as ``f"{x:.7f}"`` does, one ``%`` per row."""
+    row_format = ",".join(["%s"] + ["%.7f"] * rows.shape[1]) + "\n"
+    lines = zip(_quoted_keys(codes), rows.tolist())
+    return _csv_line(header) + "".join(row_format % (key, *row) for key, row in lines)
+
+
+def _csv_line(fields) -> str:
     """One CSV line of ``fields``, quoted where :mod:`csv` needs to."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(fields)
     return out.getvalue()
 
 
-def csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted where :mod:`csv` needs to."""
-    return csv_header([text])[:-1]
+def _quoted_keys(keys) -> list[str]:
+    """Each key as :mod:`csv` writes it alone in a row, each distinct one once."""
+    quoted = {key: _csv_line([key])[:-1] for key in dict.fromkeys(keys)}
+    return [quoted[key] for key in keys]
 
 
-def write_json(path: Path, obj) -> None:
-    """Write ``obj`` as canonical JSON (sorted keys, stable separators)."""
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def json_text(obj) -> str:
+    """``obj`` as canonical JSON text (sorted keys, stable separators)."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -22,8 +22,10 @@ import pytest
 
 import riversep
 import riversep.cli
+import riversep.errors
 import riversep.linalg
 import riversep.pca
+import riversep.report
 import station_builder
 from riversep.cli import main
 from riversep.config import load_config
@@ -249,12 +251,12 @@ class TestRun:
         # as csv writes it alone in a row, and with no cells it is the row.
         keys = ["00,618", "", "00618", "00,618", "", 'a"b', "x\ny", "µ618"]
         values = np.arange(1.0, 17.0).reshape(8, 2)
-        got = riversep.cli._table_csv(["variable", "a", "b"], keys, values)
+        got = riversep.report.table_csv(["variable", "a", "b"], keys, values)
         assert got == (
             'variable,a,b\n"00,618",1,2\n"",3,4\n00618,5,6\n"00,618",7,8\n"",9,10\n'
             '"a""b",11,12\n"x\ny",13,14\nµ618,15,16\n'
         )
-        got = riversep.cli._table_csv(["variable"], keys, np.empty((8, 0)))
+        got = riversep.report.table_csv(["variable"], keys, np.empty((8, 0)))
         assert got == 'variable\n"00,618"\n""\n00618\n"00,618"\n""\n"a""b"\n"x\ny"\nµ618\n'
 
     def test_tables_keyed_by_code_write_each_code_as_csv_does(self, workdir):
@@ -479,6 +481,34 @@ class TestExitCodes:
         assert main(["fa", str(bad)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "riversep: error in stage 'fa': need at least 25 rows, got 1"
+        ]
+
+    def test_a_failing_writer_keeps_the_files_it_already_wrote(
+        self, workdir, capsys, monkeypatch
+    ):
+        # each file is written as its writer yields it, so the files of the
+        # stages before the failure, and FA's k = 1 files, stay on disk
+        fit = riversep.cli.fit_fa_ml_corr
+
+        def fail_at_k2(r, k, n):
+            if k == 2:
+                raise riversep.errors.RiversepError("k = 2 failed")
+            return fit(r, k, n)
+
+        monkeypatch.setattr(riversep.cli, "fit_fa_ml_corr", fail_at_k2)
+        assert main(["run", str(workdir / "pipeline.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "riversep: error in stage 'fa': k = 2 failed"
+        ]
+        assert sorted(path.name for path in (workdir / "out").iterdir()) == [
+            "fa_k1_loadings.csv",
+            "fa_k1_residual.csv",
+            "ica_sources.csv",
+            "ica_summary.json",
+            "ingested.csv",
+            "pca_loadings.csv",
+            "pca_summary.json",
+            "preprocessed.csv",
         ]
 
     # Value-level edits of column 00300, and the stage in which each command
@@ -914,10 +944,13 @@ def test_every_exported_name_resolves():
     assert set(riversep.__all__) <= set(namespace)
 
 
-def test_loading_lines_write_each_cell_with_seven_decimals():
+def test_loading_csv_writes_each_cell_with_seven_decimals():
     rng = np.random.default_rng(21)
     rows = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-9, 9, size=(40, 5))
     rows[0] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
     rows[1] = [0.00000005, -0.00000005, 0.12345675, 2.5e-8, 1e300]
-    want = [",".join(f"{x:.7f}" for x in row) for row in rows]
-    assert list(riversep.cli._loading_lines(rows)) == want
+    codes = [f"v{i}" for i in range(len(rows))]
+    want = [",".join([code, *(f"{x:.7f}" for x in row)]) for code, row in zip(codes, rows)]
+    header = ["variable", *(f"F{j + 1}" for j in range(5))]
+    got = riversep.report.loading_csv(header, codes, rows)
+    assert got == "\n".join([",".join(header), *want]) + "\n"

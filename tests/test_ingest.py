@@ -501,6 +501,20 @@ def per_cell_csv(index_name, index, codes, values):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got, want):
+    """Fail unless ``got == want``, naming the first line that differs (or
+    the line counts) instead of diffing the whole texts, which can take
+    minutes on a table of thousands of rows.  Lines keep their ends, so a
+    missing final newline differs too."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for number, (a, b) in enumerate(zip(got_lines, want_lines), start=1):
+        if a != b:
+            pytest.fail(f"line {number} differs:\n  got  {a!r}\n  want {b!r}")
+    pytest.fail(f"{len(got_lines)} lines written, {len(want_lines)} wanted")
+
+
 def consecutive_dates(n, first="1990-01-01"):
     return [d(first) + datetime.timedelta(days=i) for i in range(n)]
 
@@ -566,9 +580,9 @@ def test_emit_equals_per_cell_format_number(case, monkeypatch):
     dated = Table("date", dates, codes, values)
     annual = Table("year", years, codes, values)
     expected_dated = per_cell_csv("date", [x.isoformat() for x in dates], codes, values)
-    assert emit_csv(dated) == expected_dated
+    assert_same_text(emit_csv(dated), expected_dated)
     expected_annual = per_cell_csv("year", [str(y) for y in years], codes, values)
-    assert emit_csv(annual) == expected_annual
+    assert_same_text(emit_csv(annual), expected_annual)
 
     calls = []
     monkeypatch.setattr(report, "format_number", lambda x: calls.append(x) or "")
@@ -594,7 +608,7 @@ def test_emit_writes_edge_dates_as_str_does(refused):
     if refused:
         values[-1, -1] = 0.1 + 0.2
     t = Table("date", dates, ["a", "b"], values)
-    assert emit_csv(t) == per_cell_csv("date", [str(x) for x in dates], t.codes, values)
+    assert_same_text(emit_csv(t), per_cell_csv("date", [str(x) for x in dates], t.codes, values))
 
 
 @pytest.mark.parametrize("refused_block", [0, 1])
@@ -606,7 +620,7 @@ def test_emit_keys_line_up_across_a_refused_block(refused_block):
     values[block][-1, -1] = 0.1 + 0.2
     dates = consecutive_dates(len(values), first="1890-06-01")
     t = Table("date", dates, ["a", "b", "c"], values)
-    assert emit_csv(t) == per_cell_csv("date", [str(x) for x in dates], t.codes, values)
+    assert_same_text(emit_csv(t), per_cell_csv("date", [str(x) for x in dates], t.codes, values))
 
 
 @pytest.mark.parametrize("refused", [False, True], ids=["decimal", "refused"])
@@ -616,7 +630,7 @@ def test_emit_writes_year_keys_of_each_width(refused):
     if refused:
         values[0, 0] = 0.1 + 0.2
     t = Table("year", years, ["a"], values)
-    assert emit_csv(t) == per_cell_csv("year", [str(y) for y in years], t.codes, values)
+    assert_same_text(emit_csv(t), per_cell_csv("year", [str(y) for y in years], t.codes, values))
 
 
 def test_keyed_rows_holds_one_block_of_cells_as_python_floats():
@@ -708,7 +722,7 @@ class TestDecimalBlocks:
     def test_every_scale_both_signs(self, places, decimal_path):
         values = fixed_decimals(places, (300, 7), seed=places)
         assert report._decimal_scale(values.ravel())[0] == places
-        assert written(values) == per_cell_text(values)
+        assert_same_text(written(values), per_cell_text(values))
         assert decimal_path == [True]
 
     @pytest.mark.parametrize(
@@ -739,7 +753,7 @@ class TestDecimalBlocks:
         # the cell alone, and after more cells than the repr probe reads
         values = np.array([[cell]]) if position == "first" else np.full((3, 4), 0.5)
         values.flat[-1] = cell
-        assert written(values) == per_cell_text(values)
+        assert_same_text(written(values), per_cell_text(values))
         assert decimal_path == [taken]
 
     @pytest.mark.parametrize(
@@ -757,7 +771,7 @@ class TestDecimalBlocks:
     )
     def test_refused_past_the_probe(self, values, decimal_path):
         values = np.array(values)
-        assert written(values) == per_cell_text(values)
+        assert_same_text(written(values), per_cell_text(values))
         assert decimal_path == [False]
 
     def test_refused_cells_set_a_finer_scale(self, decimal_path):
@@ -765,7 +779,7 @@ class TestDecimalBlocks:
         values = np.full((4, 5), 96.644)
         values[3, 4] = 1.23457
         assert report._decimal_scale(values.ravel())[0] == 5
-        assert written(values) == per_cell_text(values)
+        assert_same_text(written(values), per_cell_text(values))
         assert decimal_path == [True]
 
     @pytest.mark.parametrize(
@@ -781,7 +795,7 @@ class TestDecimalBlocks:
     )
     def test_shapes(self, values, taken, decimal_path):
         values = np.array(values, dtype=float)
-        assert written(values) == per_cell_text(values)
+        assert_same_text(written(values), per_cell_text(values))
         assert decimal_path == taken
 
     @pytest.mark.parametrize("refused_block", [0, 1])
@@ -789,12 +803,12 @@ class TestDecimalBlocks:
         values = fixed_decimals(3, (report._ROW_BLOCK + 10, 4), seed=11)
         rows = slice(None, report._ROW_BLOCK) if refused_block == 0 else slice(report._ROW_BLOCK, None)
         values[rows][-1, -1] = 0.1 + 0.2
-        assert written(values) == per_cell_text(values)
+        assert_same_text(written(values), per_cell_text(values))
         assert decimal_path == [refused_block != 0, refused_block == 0]
 
     def test_fixture_record(self, decimal_path):
         t = parse_rdb((FIXTURES / "station_fixture.rdb").read_bytes())
-        assert written(t.values) == per_cell_text(t.values)
+        assert_same_text(written(t.values), per_cell_text(t.values))
         assert decimal_path == [True]
 
 
