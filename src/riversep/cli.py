@@ -5,9 +5,10 @@ preprocessing stages in order, fits the three decomposition models, writes
 the diagnostics tables, and finishes with a manifest recording the config
 hash, every stage's row/column counts, and the tool version.  The other
 subcommands stop earlier in that chain and write only their own outputs,
-which makes any stage inspectable in isolation.  Each subcommand's writers
-yield ``(file name, text)`` pairs, and :func:`_write_files` writes each file
-as it is yielded, so a failing stage leaves the files written before it.
+which makes any stage inspectable in isolation.  Each stage has one writer,
+which yields ``(file name, text)`` pairs; :func:`_execute` writes each file
+as it is yielded, inside one boundary that names the stage in any error, so
+a failing stage leaves the files written before it.
 
 Outputs carry no timestamps and all randomness is seeded, so rerunning a
 command on identical inputs reproduces every file byte for byte.
@@ -23,6 +24,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache, cached_property
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -93,27 +95,14 @@ class _Pipeline:
     @cached_property
     def raw(self):
         """The input record as parsed."""
-        cfg = self.cfg
+        path = self.cfg.input_path
+        csv_input = path is not None and path.suffix.lower() != ".rdb"
         with _stage("ingest", (RiversepError, OSError)):
-            if cfg.input_path is not None:
-                data = cfg.input_path.read_bytes()
-                if cfg.input_path.suffix.lower() == ".rdb":
-                    raw = parse_rdb(data)
-                else:
-                    raw = parse_csv(data)
+            if path is None:
+                data = fetch_remote(**self.cfg.remote._asdict(), offline=self.offline)
             else:
-                r = cfg.remote
-                data = fetch_remote(
-                    r.site,
-                    r.codes,
-                    r.start,
-                    r.end,
-                    r.cache_dir,
-                    r.url_template,
-                    medium_code=r.medium_code,
-                    offline=self.offline,
-                )
-                raw = parse_rdb(data)
+                data = path.read_bytes()
+            raw = (parse_csv if csv_input else parse_rdb)(data)
         self._record("ingest", raw, raw)
         return raw
 
@@ -176,19 +165,15 @@ def _write_preprocessed(pipe: _Pipeline):
 def _write_pca(pipe: _Pipeline):
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
-    with _stage("pca"):
-        model = pipe.scaled_pca if cfg.pca_scale else fit_pca(matrix, scale=False)
+    model = pipe.scaled_pca if cfg.pca_scale else fit_pca(matrix, scale=False)
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
     yield "pca_loadings.csv", loading_csv(header, [*labels, "stdev"], rows)
 
-    try:
-        kaiser = kaiser_retain(model)
-        explained = explained_variance(model, kaiser)
-    except RuleInapplicable:
-        # eigenvalue-above-one reasoning needs the correlation scale
-        kaiser = None
-        explained = None
+    # eigenvalue-above-one reasoning needs the correlation scale, and a
+    # share of the variance needs at least one component
+    kaiser = kaiser_retain(model) if model.scaled else None
+    explained = explained_variance(model, kaiser) if kaiser else None
     # eigenvalues as the model holds them, so a negative rounding one reads 0
     eigenvalues = model.stdevs**2
     smallest = float(eigenvalues[-1])
@@ -209,10 +194,11 @@ def _write_ica(pipe: _Pipeline):
     cfg = pipe.cfg
     table = pipe.model_input
     k = cfg.ica_components
-    with _stage("ica"):
-        if k is None:
-            k = kaiser_retain(pipe.scaled_pca)
-        model = fast_ica(table.values, replace(cfg.ica, n_components=k))
+    if k is None:
+        k = kaiser_retain(pipe.scaled_pca)
+    if k == 0:  # the config admits no count below 1
+        raise RuleInapplicable("Kaiser's rule keeps no component: no eigenvalue exceeds 1")
+    model = fast_ica(table.values, replace(cfg.ica, n_components=k))
 
     codes = [f"IC{j + 1}" for j in range(k)]
     sources = Table(table.index_name, table.index, codes, model.sources)
@@ -234,24 +220,17 @@ def _write_fa(pipe: _Pipeline):
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     n, p = matrix.shape
-    k_used = 0
-    for k in range(1, cfg.fa_k_max + 1):
-        if fa_dof(p, k) < 0:
-            break
-        k_used = k
-    if k_used == 0:
-        raise _StageFailure(
-            "fa", RiversepError(f"no factor count is estimable for {p} variables")
-        )
-
+    # the counts before the first with negative degrees of freedom: for
+    # p = 3 the dof is 0 again at k = 6
+    ks = list(takewhile(lambda k: fa_dof(p, k) >= 0, range(1, cfg.fa_k_max + 1)))
+    if not ks:
+        raise RiversepError(f"no factor count is estimable for {p} variables")
+    if n <= p:  # as fit_fa_ml checks, before the correlation can fail
+        raise TooFewRows(n, p + 1)
+    r = correlation_matrix(matrix)
     fits = []
-    with _stage("fa"):
-        if n <= p:  # as fit_fa_ml checks, before the correlation can fail
-            raise TooFewRows(n, p + 1)
-        r = correlation_matrix(matrix)
-    for k in range(1, k_used + 1):
-        with _stage("fa"):
-            m = fit_fa_ml_corr(r, k, n)
+    for k in ks:
+        m = fit_fa_ml_corr(r, k, n)
         fits.append(m)
         header = ["variable"] + [f"F{j + 1}" for j in range(k)] + ["uniqueness"]
         rows = np.column_stack([m.loadings, m.uniquenesses])
@@ -280,7 +259,7 @@ def _write_fa(pipe: _Pipeline):
     summary = {
         "alpha": cfg.fa_alpha,
         "k_max_requested": cfg.fa_k_max,
-        "k_max_used": k_used,
+        "k_max_used": len(ks),
         "fits": entries,
         "selected_k": selection.k,
         "selection_adequate": selection.adequate,
@@ -293,15 +272,13 @@ def _write_diagnostics(pipe: _Pipeline):
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     n = matrix.shape[0]
     max_lag = min(cfg.acf_max_lag, n - 2)
-    with _stage("diagnose"):
-        result = acf(matrix, max_lag)
+    result = acf(matrix, max_lag)
     rows = np.stack(np.broadcast_arrays(result.lags, result.values, result.conf_band), -1)
     keys = [code for code in labels for _ in range(max_lag + 1)]
     header = ["variable", "lag", "value", "conf_band"]
     yield "acf.csv", table_csv(header, keys, rows.reshape(-1, 3))
 
-    with _stage("diagnose"):
-        mi = mutual_information_matrix(matrix, bins=cfg.mi_bins)
+    mi = mutual_information_matrix(matrix, bins=cfg.mi_bins)
     yield "mi.csv", table_csv(["variable", *labels], labels, mi)
 
 
@@ -317,39 +294,40 @@ def _write_manifest(pipe: _Pipeline, outputs: list):
     yield "manifest.json", json_text(manifest)
 
 
-# Each config-driven subcommand: its help text and its output writers, in
-# the order they run.  Only ``run`` also writes manifest.json.
+# Each stage's writer, in the order ``run`` runs them.
+_WRITERS = {
+    "ingest": _write_ingested,
+    "preprocess": _write_preprocessed,
+    "pca": _write_pca,
+    "ica": _write_ica,
+    "fa": _write_fa,
+    "diagnose": _write_diagnostics,
+}
+
+# Each config-driven subcommand: its help text and the stages it runs, in
+# order.  Only ``run`` also writes manifest.json.
 _SUBCOMMANDS = {
-    "ingest": ("parse the input record and write ingested.csv", (_write_ingested,)),
+    "ingest": ("parse the input record and write ingested.csv", ("ingest",)),
     "preprocess": (
         "run the configured stages and write preprocessed.csv",
-        (_write_ingested, _write_preprocessed),
+        ("ingest", "preprocess"),
     ),
-    "pca": ("fit principal components on the preprocessed table", (_write_pca,)),
-    "ica": ("extract independent components on the preprocessed table", (_write_ica,)),
-    "fa": ("fit maximum-likelihood factor models for k = 1..k_max", (_write_fa,)),
-    "diagnose": (
-        "write autocorrelation and mutual-information tables",
-        (_write_diagnostics,),
-    ),
-    "run": (
-        "full pipeline: all outputs plus manifest.json",
-        (
-            _write_ingested,
-            _write_preprocessed,
-            _write_pca,
-            _write_ica,
-            _write_fa,
-            _write_diagnostics,
-        ),
-    ),
+    "pca": ("fit principal components on the preprocessed table", ("pca",)),
+    "ica": ("extract independent components on the preprocessed table", ("ica",)),
+    "fa": ("fit maximum-likelihood factor models for k = 1..k_max", ("fa",)),
+    "diagnose": ("write autocorrelation and mutual-information tables", ("diagnose",)),
+    "run": ("full pipeline: all outputs plus manifest.json", tuple(_WRITERS)),
 }
 
 
 def _execute(pipe: _Pipeline, command: str) -> int:
-    _, writers = _SUBCOMMANDS[command]
+    _, stages = _SUBCOMMANDS[command]
     out_dir = pipe.cfg.output_dir
-    outputs = _write_files(out_dir, (file for write in writers for file in write(pipe)))
+    outputs = []
+    for stage in stages:
+        # the boundary wraps the writer's consumer, so no yield sits in a with
+        with _stage(stage):
+            outputs += _write_files(out_dir, _WRITERS[stage](pipe))
     if command == "run":
         _write_files(out_dir, _write_manifest(pipe, outputs))
     return 0
@@ -471,7 +449,8 @@ def main(argv=None) -> int:
             problem = _bench_argument_error(args)
             if problem is not None:
                 return _command_line_error(problem)
-            _write_files(args.out, _synth_bench(args.rows, args.seed, args.replicates))
+            with _stage("synth-bench"):
+                _write_files(args.out, _synth_bench(args.rows, args.seed, args.replicates))
             return 0
         cfg = load_config(args.config)
         if args.seed is not None:

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -117,14 +118,67 @@ def write_config(workdir, variant="committed") -> Path:
     return target
 
 
-def run_in_subprocess(workdir, command="run", config="pipeline.json"):
+def run_in_subprocess(workdir, command="run", config="pipeline.json", patch=None):
     """``riversep <command>`` on a config in the workdir, in a fresh
-    interpreter that turns every warning into an error."""
+    interpreter that turns every warning into an error (see
+    :func:`riversep_in_subprocess` for ``patch``)."""
+    return riversep_in_subprocess(command, workdir / config, patch=patch)
+
+
+def riversep_in_subprocess(*args, patch=None):
+    """``riversep <args>`` in a fresh interpreter that turns every warning
+    into an error.  ``patch``, Python source run first with ``cli`` bound to
+    :mod:`riversep.cli`, can replace a part of the program."""
     env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+    if patch is None:
+        launch = ["-m", "riversep.cli"]
+    else:
+        launch = ["-c", f"import sys\nimport riversep.cli as cli\n{patch}\nsys.exit(cli.main())"]
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "riversep.cli", command, str(workdir / config)],
+        [sys.executable, "-W", "error", *launch, *map(str, args)],
         env=env, capture_output=True, text=True,
     )
+
+
+def write_kaiser_zero_record(workdir) -> Path:
+    """A 16-year record of three variables whose correlation matrix is the
+    identity, and a config that runs it through ``annual_mean`` alone.
+
+    The variables are columns 1, 2 and 4 (counting from 0) of the 16 x 16
+    Sylvester-Hadamard matrix, scaled by 3, 0.5 and 7 and shifted by 10, 20
+    and 30: orthogonal, zero-sum sign patterns, so every centered cell and
+    cross product is exact.  No eigenvalue exceeds 1, and Kaiser's rule
+    keeps no component.  The config has no ``ica.n_components``, so ICA
+    reads that count.
+    """
+    hadamard = np.ones((1, 1))
+    for _ in range(4):
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    cells = hadamard[:, [1, 2, 4]] * [3.0, 0.5, 7.0] + [10.0, 20.0, 30.0]
+    rows = [f"{1980 + i}-06-01," + ",".join(map(str, row)) for i, row in enumerate(cells)]
+    (workdir / "kaiser_zero.csv").write_text("\n".join(["date,00300,00618,00660", *rows]) + "\n")
+    doc = json.loads((FIXTURES / "pipeline.json").read_text())
+    del doc["filter"], doc["ica"]["n_components"]
+    doc.update(input={"path": "kaiser_zero.csv"}, redundancy_rules=[], pipeline=["annual_mean"])
+    config = workdir / "kaiser_zero.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
+def remote_input(workdir, **overrides) -> Path:
+    """The fixture's config with a remote input in place of its path."""
+    doc = json.loads((workdir / "pipeline.json").read_text())
+    doc["input"] = {
+        "site": "11447650",
+        "codes": ["00618"],
+        "start": "1950-01-01",
+        "end": "2000-12-31",
+        "url_template": "https://example.invalid/{site}",
+        **overrides,
+    }
+    config = workdir / "remote.json"
+    config.write_text(json.dumps(doc))
+    return config
 
 
 def read_csv(path: Path) -> list:
@@ -565,18 +619,51 @@ class TestExitCodes:
                 assert lines[0].startswith(f"riversep: error in stage '{stage}': "), command
 
     def test_offline_without_cache_is_a_runtime_error(self, workdir, capsys):
-        doc = json.loads((workdir / "pipeline.json").read_text())
-        doc["input"] = {
-            "site": "11447650",
-            "codes": ["00618"],
-            "start": "1950-01-01",
-            "end": "2000-12-31",
-            "url_template": "https://example.invalid/{site}",
-        }
-        bad = workdir / "bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["ingest", str(bad), "--offline"]) == 3
+        assert main(["ingest", str(remote_input(workdir)), "--offline"]) == 3
         assert "ingest" in capsys.readouterr().err
+
+    def test_a_record_where_kaiser_keeps_no_component(self, workdir):
+        # pca reports the count of 0 with no explained share; ica, which
+        # reads that count, fails in its own stage, and run keeps the files
+        # of the stages before it
+        config = write_kaiser_zero_record(workdir).name
+        proc = run_in_subprocess(workdir, "pca", config)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        summary = json.loads((workdir / "out" / "pca_summary.json").read_text())
+        assert summary["kaiser_components"] == 0
+        assert summary["explained_variance_kaiser"] is None
+        shutil.rmtree(workdir / "out")
+        for command in ("ica", "run"):
+            proc = run_in_subprocess(workdir, command, config)
+            assert proc.returncode == 3, (command, proc.stderr)
+            [line] = proc.stderr.splitlines()
+            assert line.startswith("riversep: error in stage 'ica': "), command
+            assert "Kaiser" in line, command
+        assert sorted(p.name for p in (workdir / "out").iterdir()) == [
+            "ingested.csv",
+            "pca_loadings.csv",
+            "pca_summary.json",
+            "preprocessed.csv",
+        ]
+
+    @pytest.mark.parametrize("stage", list(riversep.cli._WRITERS))
+    def test_a_writer_failure_is_reported_in_its_stage(self, workdir, stage):
+        # the stage's writer yields one file and then raises: run names the
+        # stage, and keeps that file and those of the stages before it
+        patch = (
+            "from riversep.errors import RiversepError\n"
+            "def fail(pipe):\n"
+            f"    yield {stage + '.txt'!r}, 'written before the failure'\n"
+            "    raise RiversepError('injected')\n"
+            f"cli._WRITERS[{stage!r}] = fail"
+        )
+        proc = run_in_subprocess(workdir, patch=patch)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [f"riversep: error in stage '{stage}': injected"]
+        stages = list(riversep.cli._WRITERS)
+        before = [name for s in stages[: stages.index(stage)] for name in SUBCOMMAND_OUTPUTS[s]]
+        on_disk = sorted(p.name for p in (workdir / "out").iterdir())
+        assert on_disk == sorted({*before, stage + ".txt"})
 
 
 def mutate(data: bytes, rng, first_op: int) -> bytes:
@@ -834,12 +921,73 @@ class TestSynthBench:
         ]
         assert not (tmp_path / "bench").exists()
 
+    def test_a_failing_scenario_is_reported_in_the_synth_bench_stage(self, tmp_path):
+        patch = (
+            "from riversep.errors import ConditioningFailed\n"
+            "def fail(*args, **kwargs):\n"
+            "    raise ConditioningFailed(50, 1e9)\n"
+            "cli.generate_scenario = fail"
+        )
+        out = tmp_path / "bench"
+        proc = riversep_in_subprocess("synth-bench", "--out", out, "--rows", "300", patch=patch)
+        assert proc.returncode == 3
+        cause = riversep.errors.ConditioningFailed(50, 1e9)
+        assert proc.stderr.splitlines() == [f"riversep: error in stage 'synth-bench': {cause}"]
+        assert not out.exists()
+
     def test_ica_separates_where_pca_cannot(self, tmp_path):
         main(["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "2000"])
         summary = json.loads((tmp_path / "bench" / "synth_summary.json").read_text())
         means = summary["mean_amari"]
         assert means["two_uniform/ica"] < 0.1
         assert means["two_uniform/pca"] > means["two_uniform/ica"]
+
+
+class _Served:
+    """What a patched ``urlopen`` returns: a 200 response with ``body``."""
+
+    status = 200
+
+    def __init__(self, body):
+        self.body = body
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.body
+
+
+def test_remote_input_is_downloaded_once_and_ingested_as_the_path_input_is(
+    workdir, monkeypatch
+):
+    # urlopen serves the fixture: a download, and then a cache hit with
+    # --offline, each write the ingested.csv that the path input does
+    assert main(["ingest", str(workdir / "pipeline.json")]) == 0
+    want = (workdir / "out" / "ingested.csv").read_bytes()
+    shutil.rmtree(workdir / "out")
+    body = (workdir / "station_fixture.rdb").read_bytes()
+    urls = []
+
+    def serve(url, **kwargs):
+        urls.append(url)
+        return _Served(body)
+
+    monkeypatch.setattr(urllib.request, "urlopen", serve)
+    config = remote_input(workdir, medium_code="WS")
+    for flags in ([], ["--offline"]):
+        assert main(["ingest", str(config), *flags]) == 0
+        assert (workdir / "out" / "ingested.csv").read_bytes() == want, flags
+        shutil.rmtree(workdir / "out")
+    assert urls == ["https://example.invalid/11447650"]
+    # the cache name hashes site, codes, dates, medium and template; pinned
+    # so that a cache written by an earlier version is still hit
+    assert [p.name for p in (workdir / "cache").iterdir()] == [
+        "17c965ba0f40fe06ee74d9fccc4a3c202c4733aa15045f9bfd60a6b12b40cd83.rdb"
+    ]
 
 
 def test_importing_the_cli_loads_no_scipy():
