@@ -15,12 +15,15 @@ and falls back to it for a row that ``float`` rejects, then non-finite
 values are mapped to NaN over the whole array.
 
 An RDB body is read a block of lines at a time, each in one pass of
-numpy's C reader (:func:`_bulk_read`), which reads every number it takes
-to the bits ``float`` gives.  From the first block holding anything it
-does not take (a cell such as ``NA`` or text, a wrong field count, a bad
-date) the row loop reads the rest of the body: it is the one arbiter of the
-cell rule and of errors, so both paths give the same table or the same
-first error.
+numpy's C reader (:func:`_bulk_read`) into records of a date field and the
+cells: the reader refuses a record with any other field count and reads
+every number it takes to the bits ``float`` gives.  A date spelled exactly
+``YYYY-MM-DD`` is read from its bytes (:func:`_iso_dates`); a block holding
+any other spelling reads its dates with ``fromisoformat``.  From the first
+block holding anything it does not take (a cell such as ``NA`` or text, a
+wrong field count, a bad date) the row loop reads the rest of the body: it
+is the one arbiter of the cell rule and of errors, so both paths give the
+same table or the same first error.
 """
 
 from __future__ import annotations
@@ -219,38 +222,58 @@ def _read_records(records, n_fields: int):
     return dates, rows
 
 
-def _bulk_read(records: Sequence[str], n_fields: int):
+def _iso_dates(fields: np.ndarray) -> list[datetime.date] | None:
+    """The dates of ``S11`` date fields when each is exactly ``YYYY-MM-DD``
+    and names a day of the proleptic Gregorian calendar from year 1, else
+    ``None``.  Byte 10 is NUL only in a field of at most 10 bytes, since
+    ``S11`` keeps the 11th byte of a longer one."""
+    b = np.ascontiguousarray(fields).view(np.uint8).reshape(len(fields), 11)
+    digits = b[:, [0, 1, 2, 3, 5, 6, 8, 9]] - np.uint8(48)  # a non-digit wraps past 9
+    if b[:, 10].any() or (b[:, [4, 7]] != 45).any() or (digits > 9).any():
+        return None
+    d = digits.astype(np.int64)
+    year = ((d[:, 0] * 10 + d[:, 1]) * 10 + d[:, 2]) * 10 + d[:, 3]
+    month, day = d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
+    if (year < 1).any() or (month < 1).any() or (month > 12).any():
+        return None
+    months = (12 * (year - 1970) + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)
+    if (days.astype("datetime64[M]") != months).any():  # day 0, or past the month's end
+        return None
+    return days.tolist()
+
+
+def _bulk_read(records: Sequence[str], n_fields: int, byte_dates: bool):
     """Dates and cells of the RDB ``records`` (no comment or blank line, at
     least one record) from one pass of numpy's C reader, or ``None`` to leave
-    them to :func:`_read_records`: for a wrong field count, a date
-    ``fromisoformat`` rejects, or a cell the C reader refuses (``NA``,
-    whitespace only, text, ``1_000``).  A cell it takes reads to the bits
-    ``float`` gives; an empty cell is written ``nan`` first."""
-    # the C reader ignores fields past the last used column but rejects a
-    # record with too few, so the total count pins every record's count
-    if sum(raw.count("\t") for raw in records) != (n_fields - 1) * len(records):
-        return None
+    them to :func:`_read_records`: for a wrong field count (the record dtype
+    has exactly ``n_fields`` columns), a date ``fromisoformat`` rejects, or
+    a cell the C reader refuses (``NA``, whitespace only, text, ``1_000``).
+    A cell it takes reads to the bits ``float`` gives; an empty cell is
+    written ``nan`` first.  Dates are read from their bytes by
+    :func:`_iso_dates` when ``byte_dates`` (the text holds no NUL, which an
+    ``S`` field would drop), and by ``fromisoformat`` when it is false or a
+    date is spelled otherwise."""
     try:
         filled = (
             raw.replace("\t\t", "\tnan\t").replace("\t\t", "\tnan\t")
             + ("nan" if raw[-1] == "\t" else "")
             for raw in records
         )
-        values = np.loadtxt(
+        block = np.loadtxt(
             filled,
             delimiter="\t",
             comments=None,
             quotechar=None,
-            usecols=range(1, n_fields),
-            dtype=float,
-            ndmin=2,
+            dtype=[("date", "S11"), ("cells", float, (n_fields - 1,))],
+            ndmin=1,
         )
-        # dates last: the C reader stops at the first record it refuses, so
-        # a block refused early costs little
-        dates = [datetime.date.fromisoformat(raw[: raw.index("\t")].strip()) for raw in records]
+        dates = _iso_dates(block["date"]) if byte_dates else None
+        if dates is None:
+            dates = [datetime.date.fromisoformat(raw[: raw.index("\t")].strip()) for raw in records]
     except ValueError:
         return None
-    return dates, values
+    return dates, block["cells"]
 
 
 def _is_record(raw: str) -> bool:
@@ -258,13 +281,13 @@ def _is_record(raw: str) -> bool:
     return raw != "" and not raw.isspace() and not raw.startswith("#")
 
 
-def _read_body(lines: Sequence[str], first: int, n_fields: int):
+def _read_body(lines: Sequence[str], first: int, n_fields: int, byte_dates: bool):
     """Dates and cells of the RDB records in ``lines[first:]``, read
-    ``_BODY_BLOCK`` lines at a time by :func:`_bulk_read` until it leaves a
-    block; :func:`_read_records` reads from that block on, so a body the row
-    loop must read costs at most one block more than the row loop alone.
-    Every earlier block was read without error, so the row loop's first
-    error is the file's first."""
+    ``_BODY_BLOCK`` lines at a time by :func:`_bulk_read` (dates from their
+    bytes when ``byte_dates``) until it leaves a block; :func:`_read_records`
+    reads from that block on, so a body the row loop must read costs at most
+    one block more than the row loop alone.  Every earlier block was read
+    without error, so the row loop's first error is the file's first."""
     starts = range(first, len(lines), _BODY_BLOCK)
     blocks = [list(filter(_is_record, lines[a : a + _BODY_BLOCK])) for a in starts]
     dates: list[datetime.date] = []
@@ -272,7 +295,7 @@ def _read_body(lines: Sequence[str], first: int, n_fields: int):
     for a, records in zip(starts, blocks):
         if not records:  # loadtxt warns on no lines
             continue
-        block = _bulk_read(records, n_fields)
+        block = _bulk_read(records, n_fields, byte_dates)
         if block is None:
             remaining = (
                 (line_no, raw.split("\t"))
@@ -290,8 +313,13 @@ def _read_body(lines: Sequence[str], first: int, n_fields: int):
 def parse_rdb(data: bytes | str) -> Table:
     """Parse USGS RDB text: ``#`` comments, tab-delimited header, a
     column-format line (``5s	10d	12n`` style) that is validated for arity
-    and discarded, then one record per line, read by :func:`_read_body`."""
-    lines = _text(data).splitlines()
+    and discarded, then one record per line, read by :func:`_read_body`.
+    The decoded text is dropped once split, so it is not held while the
+    body is read."""
+    text = _text(data)
+    byte_dates = "\0" not in text
+    lines = text.splitlines()
+    del text
     header: list[str] | None = None
     for i, raw in enumerate(lines):
         if raw.startswith("#"):
@@ -317,7 +345,7 @@ def parse_rdb(data: bytes | str) -> Table:
         if header is None:
             raise MalformedHeader("no header line found")
         raise MalformedHeader("no column-format line found")
-    return _assemble(header, *_read_body(lines, i + 1, len(header)))
+    return _assemble(header, *_read_body(lines, i + 1, len(header), byte_dates))
 
 
 def parse_csv(data: bytes | str) -> Table:
