@@ -144,12 +144,13 @@ class _Pipeline:
 
 def _write_files(out_dir: Path, files) -> list[str]:
     """Write each ``(name, text)`` of ``files`` under ``out_dir`` as it is
-    yielded, making the directory before the first; the names written."""
+    yielded, as UTF-8 bytes whatever the locale, making the directory before
+    the first; the names written."""
     names = []
     for name, text in files:
         if not names:
             out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text)
+        (out_dir / name).write_bytes(text.encode("utf-8"))
         names.append(name)
     return names
 

@@ -12,12 +12,15 @@ when ``float`` rejects it, or when the number is not finite (``nan``,
 model can take it.  :func:`_parse_cell` is that rule for one cell; the
 row loop (:func:`_read_records`, for both layouts) reads a row at a time
 and falls back to it for a row that ``float`` rejects, then non-finite
-values are mapped to NaN over the whole array.
+values are mapped to NaN over the whole array, a pass made only when a
+cell is infinite or a NaN with its sign bit set (:func:`_assemble`).
 
-An RDB body is read a block of lines at a time, each in one pass of
-numpy's C reader (:func:`_bulk_read`) into records of a date field and the
-cells: the reader refuses a record with any other field count and reads
-every number it takes to the bits ``float`` gives.  A date spelled exactly
+An RDB body is read a block of lines at a time.  One test of the whole
+block (:func:`_all_records`) finds whether it holds a comment or blank
+line to drop, and the block's records go in one pass of numpy's C reader
+(:func:`_bulk_read`) into records of a date field and the cells: the
+reader refuses a record with any other field count and reads every number
+it takes to the bits ``float`` gives.  A date spelled exactly
 ``YYYY-MM-DD`` is read from its bytes (:func:`_iso_dates`); a block holding
 any other spelling reads its dates with ``fromisoformat``.  From the first
 block holding anything it does not take (a cell such as ``NA`` or text, a
@@ -37,7 +40,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -177,9 +180,10 @@ def _assemble(
     """Merge parsed records (``values`` holds one row of cells per date) into
     a date-sorted table.
 
-    Non-finite cells become NaN first.  Records sharing a date are then
-    merged; two non-missing values for the same (date, variable) raise
-    :class:`DuplicateTimestampVariable`.
+    Non-finite cells become NaN first, with the bits of ``np.nan``; the
+    pass runs only when :func:`_needs_nan_rewrite` finds a cell to change.
+    Records sharing a date are then merged; two non-missing values for the
+    same (date, variable) raise :class:`DuplicateTimestampVariable`.
     """
     codes = [c.strip() for c in header]
     if len(codes) < 2:
@@ -190,7 +194,8 @@ def _assemble(
     if len(set(var_codes)) != len(var_codes):
         raise MalformedHeader("header repeats a variable code")
 
-    values[~np.isfinite(values)] = np.nan
+    if _needs_nan_rewrite(values):
+        values[~np.isfinite(values)] = np.nan
     if all(map(operator.lt, dates, dates[1:])):  # sorted, no date repeated
         return Table("date", dates, var_codes, values)
     first: dict[datetime.date, int] = {}
@@ -206,6 +211,23 @@ def _assemble(
 
     order = sorted(first)
     return Table("date", order, var_codes, values[[first[d] for d in order]])
+
+
+# The bits of ``-inf`` read as an unsigned integer: the least of those of
+# any value with the sign bit set that is not finite.
+_NEGATIVE_NON_FINITE = np.float64(-np.inf).view(np.uint64)
+
+
+def _needs_nan_rewrite(values: np.ndarray) -> bool:
+    """Whether some non-finite cell of ``values`` lacks the bits of
+    ``np.nan``: an infinite cell, or a NaN with its sign bit set.  Text
+    spells no other NaN, since ``float`` and numpy's C reader read ``nan``
+    to the bits of ``np.nan`` and ``-nan`` to those with the sign bit set.
+    As unsigned integers, the bits of ``-inf`` and of each NaN with its sign
+    bit set are the largest of any double, so two reductions test the
+    whole array, with no mask."""
+    bits = values.view(np.uint64)
+    return bool(np.isinf(values).any() or bits.max(initial=0) >= _NEGATIVE_NON_FINITE)
 
 
 def _read_records(records, n_fields: int):
@@ -276,9 +298,36 @@ def _bulk_read(records: Sequence[str], n_fields: int, byte_dates: bool):
     return dates, block["cells"]
 
 
+def _all_records(lines: Sequence[str]) -> bool:
+    """Whether every one of RDB body ``lines`` is a record: neither blank
+    (empty or whitespace only) nor a ``#`` comment.  Each of the three tests
+    runs over all the lines in C (``all``, and ``any`` over ``map`` of a
+    ``str`` method), with no Python function call per line."""
+    return (
+        all(lines)
+        and not any(map(str.isspace, lines))
+        and not any(map(str.startswith, lines, repeat("#")))
+    )
+
+
 def _is_record(raw: str) -> bool:
-    """Whether an RDB body line is a record: neither blank nor a ``#`` comment."""
-    return raw != "" and not raw.isspace() and not raw.startswith("#")
+    """Whether one RDB body line is a record, by :func:`_all_records`."""
+    return _all_records((raw,))
+
+
+def _records(lines: list[str]) -> list[str]:
+    """The records among ``lines``: the list itself when every line is one."""
+    return lines if _all_records(lines) else list(filter(_is_record, lines))
+
+
+def _numbered_records(lines: Sequence[str], first: int):
+    """``(line number, record)`` of each record in ``lines[first:]``, in file
+    order, tested a ``_BODY_BLOCK`` of lines at a time as :func:`_records`
+    tests them."""
+    for a in range(first, len(lines), _BODY_BLOCK):
+        block = lines[a : a + _BODY_BLOCK]
+        numbered = enumerate(block, start=a + 1)
+        yield from numbered if _all_records(block) else (n for n in numbered if _is_record(n[1]))
 
 
 def _read_body(lines: Sequence[str], first: int, n_fields: int, byte_dates: bool):
@@ -289,7 +338,7 @@ def _read_body(lines: Sequence[str], first: int, n_fields: int, byte_dates: bool
     one block more than the row loop alone.  Every earlier block was read
     without error, so the row loop's first error is the file's first."""
     starts = range(first, len(lines), _BODY_BLOCK)
-    blocks = [list(filter(_is_record, lines[a : a + _BODY_BLOCK])) for a in starts]
+    blocks = [_records(lines[a : a + _BODY_BLOCK]) for a in starts]
     dates: list[datetime.date] = []
     values = np.empty((sum(map(len, blocks)), n_fields - 1))
     for a, records in zip(starts, blocks):
@@ -297,11 +346,7 @@ def _read_body(lines: Sequence[str], first: int, n_fields: int, byte_dates: bool
             continue
         block = _bulk_read(records, n_fields, byte_dates)
         if block is None:
-            remaining = (
-                (line_no, raw.split("\t"))
-                for line_no, raw in enumerate(lines[a:], start=a + 1)
-                if _is_record(raw)
-            )
+            remaining = ((line_no, raw.split("\t")) for line_no, raw in _numbered_records(lines, a))
             rest, rows = _read_records(remaining, n_fields)
             values[len(dates) :] = rows
             return dates + rest, values

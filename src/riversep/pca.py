@@ -67,15 +67,22 @@ def fit_pca(x, *, scale: bool = True) -> PcaModel:
 
 
 def kaiser_retain(model: PcaModel) -> int:
-    """Number of components with standard deviation strictly above 1.
+    """Number of components whose standard deviation exceeds 1 by more than
+    rounding: by more than ``p * eps`` for ``p`` components (``eps`` the
+    spacing of doubles at 1).
 
     Only meaningful for scaled fits, where each input variable contributes
     unit variance; a component above 1 explains more than any single
-    variable does.
+    variable does.  Uncorrelated variables have stdevs of exactly 1, but
+    the computed correlation diagonal is 1 only to a few ``eps``, and a
+    symmetric eigensolver moves the eigenvalues of a matrix of norm 1 by a
+    small multiple of ``p * eps`` (half that in their square roots), so a
+    strict ``> 1`` would count such a tie by its last bit.
     """
     if not model.scaled:
         raise RuleInapplicable("Kaiser rule requires a variance-scaled fit")
-    return int(np.sum(model.stdevs > 1.0))
+    tolerance = model.n_components * np.finfo(float).eps
+    return int(np.sum(model.stdevs > 1.0 + tolerance))
 
 
 def explained_variance(model: PcaModel, k: int) -> float:

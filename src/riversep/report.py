@@ -8,8 +8,9 @@ table's rows, each after its key.  Keys are fixed-width bytes with a mask of
 the bytes to keep: :func:`text_keys` holds the UTF-8 bytes of text (years,
 variable codes), and :func:`date_keys` writes ISO ``YYYY-MM-DD`` dates, as
 ``str`` writes them, from each date's day number.  A block of fixed-decimal
-cells is written from integer digits into the same bytes as its keys,
-compacted once and decoded once, with the bytes per-cell formatting writes.
+cells is written from integer digits into the same bytes as its keys, and
+its kept bytes are taken a bounded slice at a time and decoded once, with
+the bytes per-cell formatting writes.
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ def _decimal_text(block, key_field, key_keep) -> str | None:
 
     Each cell is written into a fixed-width field of bytes (sign, whole
     digits, point, decimals, separator) with a mask of the bytes to keep.
-    Each row's cell fields follow its key's, and the whole block is
-    compacted once and decoded once.
+    Each row's cell fields follow its key's, and :func:`_kept_text` makes
+    the block's text from the kept bytes, decoded once.
     """
     cells = block.ravel()
     scaled = _decimal_scale(cells) if cells.size else None
@@ -237,7 +238,26 @@ def _decimal_text(block, key_field, key_keep) -> str | None:
     rows = len(block)
     field = np.concatenate([key_field, field.reshape(rows, -1)], axis=1)
     keep = np.concatenate([key_keep, keep.reshape(rows, -1)], axis=1)
-    return str(field[keep], "utf-8")
+    return _kept_text(field, keep)
+
+
+# Bytes of a field :func:`_kept_text` compacts at a time.
+_SLICE_BYTES = 1 << 17
+
+
+def _kept_text(field, keep) -> str:
+    """The UTF-8 text of the bytes of ``field`` (C-ordered ``uint8``) that
+    ``keep`` marks, in order: the text ``field[keep]`` holds.
+
+    ``np.compress`` takes the kept bytes ``_SLICE_BYTES`` of the flattened
+    field at a time, so its index array stays within 8 times that at any
+    table width, and the pieces are joined and decoded once (a slice may
+    end inside a row or inside a character).  The pieces are dropped before
+    the decode, so the peak is the kept bytes twice, as for ``field[keep]``.
+    """
+    data, mask = field.reshape(-1), keep.reshape(-1)
+    slices = (slice(a, a + _SLICE_BYTES) for a in range(0, data.size, _SLICE_BYTES))
+    return b"".join([np.compress(mask[s], data[s]).tobytes() for s in slices]).decode("utf-8")
 
 
 def _decimal_scale(cells) -> tuple[int, np.ndarray] | None:

@@ -125,11 +125,12 @@ def run_in_subprocess(workdir, command="run", config="pipeline.json", patch=None
     return riversep_in_subprocess(command, workdir / config, patch=patch)
 
 
-def riversep_in_subprocess(*args, patch=None):
+def riversep_in_subprocess(*args, patch=None, env=None):
     """``riversep <args>`` in a fresh interpreter that turns every warning
     into an error.  ``patch``, Python source run first with ``cli`` bound to
-    :mod:`riversep.cli`, can replace a part of the program."""
-    env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+    :mod:`riversep.cli`, can replace a part of the program; ``env`` adds to
+    or overrides the environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1]), **(env or {})}
     if patch is None:
         launch = ["-m", "riversep.cli"]
     else:
@@ -140,21 +141,26 @@ def riversep_in_subprocess(*args, patch=None):
     )
 
 
-def write_kaiser_zero_record(workdir) -> Path:
-    """A 16-year record of three variables whose correlation matrix is the
-    identity, and a config that runs it through ``annual_mean`` alone.
-
-    The variables are columns 1, 2 and 4 (counting from 0) of the 16 x 16
-    Sylvester-Hadamard matrix, scaled by 3, 0.5 and 7 and shifted by 10, 20
+def kaiser_zero_cells(columns=(1, 2, 4), scales=(3.0, 0.5, 7.0)) -> np.ndarray:
+    """Columns ``columns`` (counting from 0) of the 16 x 16
+    Sylvester-Hadamard matrix, scaled by ``scales`` and shifted by 10, 20
     and 30: orthogonal, zero-sum sign patterns, so every centered cell and
-    cross product is exact.  No eigenvalue exceeds 1, and Kaiser's rule
-    keeps no component.  The config has no ``ica.n_components``, so ICA
-    reads that count.
-    """
+    cross product is exact, and the correlation matrix is the identity."""
     hadamard = np.ones((1, 1))
     for _ in range(4):
         hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
-    cells = hadamard[:, [1, 2, 4]] * [3.0, 0.5, 7.0] + [10.0, 20.0, 30.0]
+    return hadamard[:, list(columns)] * scales + [10.0, 20.0, 30.0]
+
+
+def write_kaiser_zero_record(workdir, cells=None) -> Path:
+    """A 16-year record of three variables whose correlation matrix is the
+    identity (``cells``, by default :func:`kaiser_zero_cells`' own), and a
+    config that runs it through ``annual_mean`` alone.
+
+    No eigenvalue exceeds 1, and Kaiser's rule keeps no component.  The
+    config has no ``ica.n_components``, so ICA reads that count.
+    """
+    cells = kaiser_zero_cells() if cells is None else cells
     rows = [f"{1980 + i}-06-01," + ",".join(map(str, row)) for i, row in enumerate(cells)]
     (workdir / "kaiser_zero.csv").write_text("\n".join(["date,00300,00618,00660", *rows]) + "\n")
     doc = json.loads((FIXTURES / "pipeline.json").read_text())
@@ -354,6 +360,27 @@ class TestRun:
         first = hash_tree(workdir / "out")
         main(["run", str(workdir / "pipeline.json")])
         assert hash_tree(workdir / "out") == first
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_outputs_are_utf8_under_any_locale(self, workdir, command):
+        # a variable code outside ASCII, written under the C locale with
+        # neither UTF-8 mode nor locale coercion, where Python's default
+        # text encoding is ASCII: the files hold the bytes of a run under
+        # the inherited locale
+        record = workdir / "station_fixture.rdb"
+        header = "datetime\t00010\t".encode()
+        assert header in record.read_bytes()
+        record.write_bytes(record.read_bytes().replace(header, "datetime\tnitraté\t".encode()))
+        config = workdir / "pipeline.json"
+        proc = riversep_in_subprocess(command, config)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        inherited = hash_tree(workdir / "out")
+        assert "nitraté".encode() in (workdir / "out" / "ingested.csv").read_bytes()
+        shutil.rmtree(workdir / "out")
+        c_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        proc = riversep_in_subprocess(command, config, env=c_locale)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hash_tree(workdir / "out") == inherited
 
     def test_manifest_records_config_hash_and_version(self, workdir):
         main(["run", str(workdir / "pipeline.json")])
@@ -645,6 +672,21 @@ class TestExitCodes:
             "pca_summary.json",
             "preprocessed.csv",
         ]
+
+    def test_kaiser_keeps_no_component_whose_stdev_is_1_up_to_rounding(self, workdir):
+        # another orthogonal record, whose scales 1.7 and 0.1 are not exact
+        # in binary: its largest stdev rounds to the double just above 1
+        # (1 + 2.2e-16 with numpy 2.4 on OpenBLAS 0.3.31; another BLAS may
+        # sum in another order, still within a few eps of 1), which a count
+        # of stdevs strictly above 1 would keep
+        cells = kaiser_zero_cells(columns=(1, 2, 5), scales=(1.7, 0.1, 7.0))
+        config = write_kaiser_zero_record(workdir, cells).name
+        proc = run_in_subprocess(workdir, "pca", config)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        summary = json.loads((workdir / "out" / "pca_summary.json").read_text())
+        assert abs(summary["stdevs"][0] - 1.0) <= 4 * np.finfo(float).eps
+        assert summary["kaiser_components"] == 0
+        assert summary["explained_variance_kaiser"] is None
 
     @pytest.mark.parametrize("stage", list(riversep.cli._WRITERS))
     def test_a_writer_failure_is_reported_in_its_stage(self, workdir, stage):

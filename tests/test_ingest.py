@@ -529,6 +529,112 @@ class TestBulkRead:
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
 
+def one_line_is_record(raw):
+    """The record rule as one Python test per line: neither blank nor a
+    ``#`` comment."""
+    return raw != "" and not raw.isspace() and not raw.startswith("#")
+
+
+# Lines that are not records (empty, whitespace only, comments), and lines
+# that are: a comment mark after whitespace does not make a comment.
+SKIPPED_LINES = ["", " ", "\t", "\x1c", "\u3000", "\x0c \x85", "#", "# a note", "#\t1\t2"]
+RECORD_LINES = [" #", "\t#", "\u3000#", "1990-01-01\t1\t2", "x"]
+
+
+class TestRecordTest:
+    """One test of a whole block of body lines finds its records as a test
+    of each line does."""
+
+    @pytest.mark.parametrize("line", SKIPPED_LINES + RECORD_LINES)
+    def test_each_line_alone(self, line):
+        assert ingest._is_record(line) == one_line_is_record(line) == (line in RECORD_LINES)
+        assert ingest._all_records([line]) == one_line_is_record(line)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_mixes_of_lines(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = SKIPPED_LINES + RECORD_LINES * 3
+        lines = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 12))]
+        assert ingest._all_records(lines) == all(map(one_line_is_record, lines))
+        assert ingest._records(lines) == list(filter(one_line_is_record, lines))
+
+    def test_a_block_of_records_is_kept_as_it_is(self):
+        lines = RECORD_LINES * 2
+        assert ingest._records(lines) is lines
+
+    @pytest.mark.parametrize("line", ["", " ", "\x1c", "\u3000", "#", " #"])
+    @pytest.mark.parametrize("where", ["first", "block_end", "block_start", "last"])
+    @pytest.mark.parametrize("reader", ["bulk", "row_loop"])
+    def test_lines_at_block_edges_read_as_the_line_by_line_rule_reads_them(
+        self, line, where, reader, body_block, monkeypatch
+    ):
+        # with an NA cell in the first record the row loop reads the body
+        records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(2 * body_block + 1))]
+        if reader == "row_loop":
+            records[0] = records[0].replace("\t0\t", "\tNA\t")
+        at = {"first": 0, "block_end": body_block - 1, "block_start": body_block, "last": len(records)}[where]
+        records.insert(at, line)
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        got = outcome(parse_rdb, text)
+        with monkeypatch.context() as patched:
+            patched.setattr(ingest, "_all_records", lambda lines: all(map(one_line_is_record, lines)))
+            patched.setattr(ingest, "_is_record", one_line_is_record)
+            assert got == outcome(parse_rdb, text)
+        assert got == outcome(parse_line_by_line, text)
+
+
+# The bits of each non-finite cell text can spell.
+NON_FINITE = {"inf": np.inf, "-inf": -np.inf, "nan": float("nan"), "-nan": float("-nan")}
+
+
+def nan_rewritten(values):
+    """``values`` with every non-finite cell set to ``np.nan``."""
+    values = values.copy()
+    values[~np.isfinite(values)] = np.nan
+    return values
+
+
+def non_finite_mixes():
+    names = list(NON_FINITE)
+    return [[name] for name in names] + [list(pair) for pair in zip(names, names[1:] + names[:1])] + [names]
+
+
+class TestNonFiniteCells:
+    """Every non-finite cell becomes NaN with the bits of ``np.nan``; the
+    pass that writes them runs only when some cell lacks those bits."""
+
+    def test_nan_reads_to_the_bits_of_np_nan_and_minus_nan_to_their_negation(self):
+        nan_bits = np.float64(np.nan).view(np.uint64)
+        read = np.loadtxt(["nan", "-nan"], ndmin=1)
+        by_float = np.array([float("nan"), float("-nan")])
+        for cells in (read, by_float):
+            assert cells.view(np.uint64).tolist() == [nan_bits, nan_bits | np.uint64(1 << 63)]
+
+    @pytest.mark.parametrize("mix", non_finite_mixes(), ids="+".join)
+    def test_assemble_writes_the_bits_of_the_whole_array_rewrite(self, mix):
+        values = np.array([[1.5, np.nan, -2.0], [0.0, -0.0, 3.25], [np.nan, 4.0, np.nan]])
+        for i, name in enumerate(mix):
+            values.flat[2 * i + 1] = NON_FINITE[name]
+        dates = consecutive_dates(3)
+        t = ingest._assemble(["date", "a", "b", "c"], dates, values.copy())
+        assert t.values.tobytes() == nan_rewritten(values).tobytes()
+        assert ingest._needs_nan_rewrite(values) == (set(mix) != {"nan"})
+
+    @pytest.mark.parametrize("mix", non_finite_mixes(), ids="+".join)
+    def test_parsed_cells_have_the_bits_of_the_whole_array_rewrite(self, mix, monkeypatch):
+        cells = [*mix, "", "1.5"]
+        rows = zip(consecutive_dates(len(cells)), cells, cells[::-1])
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "".join(f"{day}\t{a}\t{b}\n" for day, a, b in rows)
+        got = parse_rdb(text).values.tobytes()
+        monkeypatch.setattr(ingest, "_needs_nan_rewrite", lambda values: True)
+        assert got == parse_rdb(text).values.tobytes()
+        assert got == parse_line_by_line(text).values.tobytes()
+        assert got == parse_csv(text.replace("\t", ",").replace("10d,12n,12n\n", "")).values.tobytes()
+
+    def test_no_cells(self):
+        assert not ingest._needs_nan_rewrite(np.empty((0, 3)))
+
+
 @pytest.mark.parametrize("parse", [parse_rdb, parse_csv])
 def test_bytes_that_are_not_utf8_are_a_typed_error(parse):
     data = RDB_MINIMAL.encode()
@@ -883,6 +989,94 @@ class TestDecimalBlocks:
         t = parse_rdb((FIXTURES / "station_fixture.rdb").read_bytes())
         assert_same_text(written(t.values), per_cell_text(t.values))
         assert decimal_path == [True]
+
+
+@pytest.fixture
+def compacted(monkeypatch):
+    """Check each :func:`report._kept_text` call against ``field[keep]``,
+    one compaction of the whole block; the calls' texts."""
+    texts = []
+    real = report._kept_text
+
+    def checked(field, keep):
+        text = real(field, keep)
+        assert text == str(field[keep], "utf-8")
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(report, "_kept_text", checked)
+    return texts
+
+
+# Codes whose UTF-8 bytes number 2, 3 and 4 per character.
+WIDE_CODES = ["nitraté", "硝酸盐", "\U0001d4dd\U0001d4de", "ö", "00618"]
+
+
+@pytest.mark.filterwarnings("error")
+class TestKeptText:
+    """A block's kept bytes are compacted a bounded slice at a time, with
+    the text that one compaction of the whole block gives."""
+
+    @pytest.mark.parametrize("slice_bytes", [1, 2, 3, 7, 13, 64, report._SLICE_BYTES])
+    def test_slices_shorter_than_a_row_and_rows_across_slices(self, slice_bytes, compacted, monkeypatch):
+        # rows of 11 + 4 * 8 bytes: a slice of up to 13 bytes is shorter
+        # than a row, and rows straddle every slice boundary that is not a
+        # multiple of a row
+        monkeypatch.setattr(report, "_SLICE_BYTES", slice_bytes)
+        values = fixed_decimals(3, (150, 4), seed=slice_bytes)
+        assert_same_text(written(values), per_cell_text(values))
+        dates = consecutive_dates(len(values))
+        t = Table("date", dates, ["a", "b", "c", "d"], values)
+        assert_same_text(emit_csv(t), per_cell_csv("date", [str(x) for x in dates], t.codes, values))
+        assert len(compacted) == 2
+
+    @pytest.mark.parametrize("slice_bytes", [1, 2, 3, 5, 11])
+    def test_a_multibyte_code_split_by_a_slice(self, slice_bytes, compacted, monkeypatch):
+        monkeypatch.setattr(report, "_SLICE_BYTES", slice_bytes)
+        values = fixed_decimals(2, (len(WIDE_CODES), 3), seed=7)
+        header = ["variable", "x", "y", "z"]
+        got = report.table_csv(header, WIDE_CODES, values)
+        want = per_cell_csv("variable", WIDE_CODES, header[1:], values)
+        assert_same_text(got, want)
+        assert compacted == [want.split("\n", 1)[1]]
+
+    @pytest.mark.parametrize("slice_bytes", [1, 4, report._SLICE_BYTES])
+    @pytest.mark.parametrize("rows", [1, 0], ids=["one_row", "header_only"])
+    def test_one_row_and_header_only_tables(self, rows, slice_bytes, compacted, monkeypatch):
+        monkeypatch.setattr(report, "_SLICE_BYTES", slice_bytes)
+        values = np.array([[96.644, np.nan, -0.5]])[:rows]
+        for keys, index_name in [(consecutive_dates(rows), "date"), (WIDE_CODES[:rows], "variable")]:
+            got = report.table_csv([index_name, "a", "b", "c"], keys, values)
+            want = per_cell_csv(index_name, [str(key) for key in keys], ["a", "b", "c"], values)
+            assert_same_text(got, want)
+        assert len(compacted) == 2 * rows
+
+    @pytest.mark.parametrize("shape", [(4096, 500), (4, 500_000)], ids=["4096x500", "4x500000"])
+    def test_the_compaction_holds_the_kept_bytes_twice_at_any_width(self, shape, monkeypatch):
+        # One block of 2M one-decimal cells, ~8 MB of text.  Like one
+        # compaction of the whole block it holds the kept bytes and their
+        # text, and at most a slice's index (1 MB) more; np.compress of the
+        # whole block holds an 8-byte index per kept byte (~63 MB), and so
+        # does a slice of any count of rows on the 4-row table.
+        values = np.random.default_rng(31).integers(0, 100, size=shape) / 10.0
+        peaks = []
+        real = report._kept_text
+
+        def measured(field, keep):
+            tracemalloc.start()
+            try:
+                text = real(field, keep)
+                peaks.append((tracemalloc.get_traced_memory()[1], len(text)))
+            finally:
+                tracemalloc.stop()
+            return text
+
+        monkeypatch.setattr(report, "_kept_text", measured)
+        for _ in report.keyed_rows(report.date_keys(consecutive_dates(shape[0])), values):
+            pass
+        [(peak, size)] = peaks
+        assert size > 7.5e6
+        assert peak < 2 * size + 2e6, (peak, size)
 
 
 def make_table(dates, codes, values):

@@ -102,6 +102,17 @@ class TestKaiserRetain:
     def test_all_unit(self):
         assert kaiser_retain(model_from_stdevs([1.0, 1.0])) == 0
 
+    @pytest.mark.parametrize("p", [2, 3, 11, 40])
+    def test_an_excess_within_p_eps_of_1_is_rounding(self, p):
+        # a tie at 1 may round to the doubles just above it; an excess of
+        # more than p * eps counts
+        eps = np.finfo(float).eps
+        rest = [1.0] * (p - 1)
+        assert kaiser_retain(model_from_stdevs([np.nextafter(1.0, 2.0), *rest])) == 0
+        assert kaiser_retain(model_from_stdevs([1.0 + p * eps, *rest])) == 0
+        above = np.nextafter(1.0 + p * eps, 2.0)
+        assert kaiser_retain(model_from_stdevs([above, *rest])) == 1
+
     def test_requires_scaled_fit(self):
         m = model_from_stdevs([2.0, 0.5], scaled=False)
         with pytest.raises(errors.RuleInapplicable):
