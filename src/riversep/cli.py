@@ -124,16 +124,14 @@ class _Pipeline:
         """The staged table, checked to be dense and finite."""
         table = self.table
         values = table.values
-        missing = int(np.isnan(values).sum())
-        if missing:
-            raise _StageFailure("model input", MissingCells(missing))
-        # parsed cells are finite, but a stage's arithmetic can overflow
-        infinite = int(np.isinf(values).sum())
-        if infinite:
-            raise _StageFailure(
-                "model input",
-                RiversepError(f"table has {infinite} infinite cells; a stage overflowed"),
-            )
+        with _stage("model input"):
+            missing = int(np.isnan(values).sum())
+            if missing:
+                raise MissingCells(missing)
+            # parsed cells are finite, but a stage's arithmetic can overflow
+            infinite = int(np.isinf(values).sum())
+            if infinite:
+                raise RiversepError(f"table has {infinite} infinite cells; a stage overflowed")
         return table
 
     @cached_property

@@ -20,13 +20,14 @@ block (:func:`_all_records`) finds whether it holds a comment or blank
 line to drop, and the block's records go in one pass of numpy's C reader
 (:func:`_bulk_read`) into records of a date field and the cells: the
 reader refuses a record with any other field count and reads every number
-it takes to the bits ``float`` gives.  A date spelled exactly
-``YYYY-MM-DD`` is read from its bytes (:func:`_iso_dates`); a block holding
-any other spelling reads its dates with ``fromisoformat``.  From the first
-block holding anything it does not take (a cell such as ``NA`` or text, a
-wrong field count, a bad date) the row loop reads the rest of the body: it
-is the one arbiter of the cell rule and of errors, so both paths give the
-same table or the same first error.
+it takes to the bits ``float`` gives.  Its dates are read from their bytes
+(:func:`_iso_dates`), and only when each is spelled exactly ``YYYY-MM-DD``.
+From the first block holding anything it does not take (a cell such as
+``NA`` or text, a wrong field count, a date spelled any other way, a bad
+date) the row loop reads the records of the rest of the body, and it reads
+every record of a text holding a NUL.  The row loop is the one arbiter of
+the cell rule, of dates (:func:`_parse_date`) and of errors, so both paths
+give the same table or the same first error.
 """
 
 from __future__ import annotations
@@ -186,8 +187,6 @@ def _assemble(
     same (date, variable) raise :class:`DuplicateTimestampVariable`.
     """
     codes = [c.strip() for c in header]
-    if len(codes) < 2:
-        raise MalformedHeader("header must name a date column and at least one variable")
     if any(not c for c in codes):
         raise MalformedHeader("header contains an empty column name")
     var_codes = codes[1:]
@@ -265,17 +264,14 @@ def _iso_dates(fields: np.ndarray) -> list[datetime.date] | None:
     return days.tolist()
 
 
-def _bulk_read(records: Sequence[str], n_fields: int, byte_dates: bool):
+def _bulk_read(records: Sequence[str], n_fields: int):
     """Dates and cells of the RDB ``records`` (no comment or blank line, at
-    least one record) from one pass of numpy's C reader, or ``None`` to leave
-    them to :func:`_read_records`: for a wrong field count (the record dtype
-    has exactly ``n_fields`` columns), a date ``fromisoformat`` rejects, or
-    a cell the C reader refuses (``NA``, whitespace only, text, ``1_000``).
-    A cell it takes reads to the bits ``float`` gives; an empty cell is
-    written ``nan`` first.  Dates are read from their bytes by
-    :func:`_iso_dates` when ``byte_dates`` (the text holds no NUL, which an
-    ``S`` field would drop), and by ``fromisoformat`` when it is false or a
-    date is spelled otherwise."""
+    least one record, no NUL) from one pass of numpy's C reader, or ``None``
+    to leave them to :func:`_read_records`: for a wrong field count (the
+    record dtype has exactly ``n_fields`` columns), a date :func:`_iso_dates`
+    does not take, or a cell the C reader refuses (``NA``, whitespace only,
+    text, ``1_000``).  A cell it takes reads to the bits ``float`` gives; an
+    empty cell is written ``nan`` first."""
     try:
         filled = (
             raw.replace("\t\t", "\tnan\t").replace("\t\t", "\tnan\t")
@@ -290,12 +286,10 @@ def _bulk_read(records: Sequence[str], n_fields: int, byte_dates: bool):
             dtype=[("date", "S11"), ("cells", float, (n_fields - 1,))],
             ndmin=1,
         )
-        dates = _iso_dates(block["date"]) if byte_dates else None
-        if dates is None:
-            dates = [datetime.date.fromisoformat(raw[: raw.index("\t")].strip()) for raw in records]
     except ValueError:
         return None
-    return dates, block["cells"]
+    dates = _iso_dates(block["date"])
+    return None if dates is None else (dates, block["cells"])
 
 
 def _all_records(lines: Sequence[str]) -> bool:
@@ -310,43 +304,38 @@ def _all_records(lines: Sequence[str]) -> bool:
     )
 
 
-def _is_record(raw: str) -> bool:
-    """Whether one RDB body line is a record, by :func:`_all_records`."""
-    return _all_records((raw,))
+def _records(lines: list[str], start: int):
+    """The line numbers and records among RDB body ``lines``, the first of
+    which is file line ``start``: a ``range`` and the list itself when every
+    line is a record, else the lines :func:`_all_records` takes one by one."""
+    if _all_records(lines):
+        return range(start, start + len(lines)), lines
+    numbers = [n for n, raw in enumerate(lines, start) if _all_records((raw,))]
+    return numbers, [lines[n - start] for n in numbers]
 
 
-def _records(lines: list[str]) -> list[str]:
-    """The records among ``lines``: the list itself when every line is one."""
-    return lines if _all_records(lines) else list(filter(_is_record, lines))
-
-
-def _numbered_records(lines: Sequence[str], first: int):
-    """``(line number, record)`` of each record in ``lines[first:]``, in file
-    order, tested a ``_BODY_BLOCK`` of lines at a time as :func:`_records`
-    tests them."""
-    for a in range(first, len(lines), _BODY_BLOCK):
-        block = lines[a : a + _BODY_BLOCK]
-        numbered = enumerate(block, start=a + 1)
-        yield from numbered if _all_records(block) else (n for n in numbered if _is_record(n[1]))
-
-
-def _read_body(lines: Sequence[str], first: int, n_fields: int, byte_dates: bool):
-    """Dates and cells of the RDB records in ``lines[first:]``, read
-    ``_BODY_BLOCK`` lines at a time by :func:`_bulk_read` (dates from their
-    bytes when ``byte_dates``) until it leaves a block; :func:`_read_records`
-    reads from that block on, so a body the row loop must read costs at most
-    one block more than the row loop alone.  Every earlier block was read
-    without error, so the row loop's first error is the file's first."""
+def _read_body(lines: Sequence[str], first: int, n_fields: int, bulk: bool):
+    """Dates and cells of the RDB records in ``lines[first:]``, filtered
+    ``_BODY_BLOCK`` lines at a time by :func:`_records`.  When ``bulk``,
+    :func:`_bulk_read` reads each block until it leaves one, and
+    :func:`_read_records` reads the records of that block and of every later
+    one, so a body the row loop must read costs at most one block more than
+    the row loop alone.  Every earlier block was read without error, so the
+    row loop's first error is the file's first."""
     starts = range(first, len(lines), _BODY_BLOCK)
-    blocks = [_records(lines[a : a + _BODY_BLOCK]) for a in starts]
+    blocks = [_records(lines[a : a + _BODY_BLOCK], a + 1) for a in starts]
     dates: list[datetime.date] = []
-    values = np.empty((sum(map(len, blocks)), n_fields - 1))
-    for a, records in zip(starts, blocks):
+    values = np.empty((sum(len(records) for _, records in blocks), n_fields - 1))
+    for i, (_, records) in enumerate(blocks):
         if not records:  # loadtxt warns on no lines
             continue
-        block = _bulk_read(records, n_fields, byte_dates)
+        block = _bulk_read(records, n_fields) if bulk else None
         if block is None:
-            remaining = ((line_no, raw.split("\t")) for line_no, raw in _numbered_records(lines, a))
+            remaining = (
+                (line_no, raw.split("\t"))
+                for numbers, later in blocks[i:]
+                for line_no, raw in zip(numbers, later)
+            )
             rest, rows = _read_records(remaining, n_fields)
             values[len(dates) :] = rows
             return dates + rest, values
@@ -362,7 +351,7 @@ def parse_rdb(data: bytes | str) -> Table:
     The decoded text is dropped once split, so it is not held while the
     body is read."""
     text = _text(data)
-    byte_dates = "\0" not in text
+    bulk = "\0" not in text  # an ``S11`` date field drops a trailing NUL
     lines = text.splitlines()
     del text
     header: list[str] | None = None
@@ -390,7 +379,7 @@ def parse_rdb(data: bytes | str) -> Table:
         if header is None:
             raise MalformedHeader("no header line found")
         raise MalformedHeader("no column-format line found")
-    return _assemble(header, *_read_body(lines, i + 1, len(header), byte_dates))
+    return _assemble(header, *_read_body(lines, i + 1, len(header), bulk))
 
 
 def parse_csv(data: bytes | str) -> Table:

@@ -19,8 +19,6 @@ from .ica import IcaModel, amari_index
 from .linalg import _ZERO_VAR_REL, _column_mean
 from .pca import PcaModel, scores
 
-_DISTRIBUTIONS = ("uniform", "laplace", "gaussian")
-
 # How many mixing matrices to draw before giving up on the condition bound.
 _MAX_MIXING_DRAWS = 50
 

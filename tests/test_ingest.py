@@ -528,6 +528,63 @@ class TestBulkRead:
         assert (exc.value.line, exc.value.got) == (body_block + 2, 2)
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
+    def test_a_ragged_row_after_comments_in_bulk_read_blocks_has_its_file_line(
+        self, row_loop_calls, body_block
+    ):
+        # the first two blocks each hold a comment line and are read in bulk;
+        # the third holds a record, then one a field short
+        body = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(3 * body_block))]
+        for at in (body_block + 1, 1):
+            body.insert(at, "# a note")
+        ragged = 2 * body_block + 1
+        body[ragged] = body[ragged].rsplit("\t", 1)[0]
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(body) + "\n"
+        with pytest.raises(errors.RaggedRow) as exc:
+            parse_rdb(text)
+        assert row_loop_calls == [1]
+        assert (exc.value.line, exc.value.got) == (ragged + 3, 2)
+        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
+
+    def test_a_leading_space_date_hands_its_block_and_every_later_one_to_the_row_loop(
+        self, row_loop_calls, body_block
+    ):
+        days = [day.isoformat() for day in consecutive_dates(2 * body_block + 1)]
+        canonical = "datetime\ta\tb\n10d\t12n\t12n\n" + "".join(
+            f"{day}\t{i}\t{i}.5\n" for i, day in enumerate(days)
+        )
+        # a record inside the second block, which starts at record body_block
+        text = canonical.replace(f"\n{days[body_block + 1]}\t", f"\n {days[body_block + 1]}\t")
+        assert text != canonical
+        parse_rdb(text)
+        assert row_loop_calls == [1] * (len(days) - body_block)
+        assert outcome(parse_rdb, text) == outcome(parse_rdb, canonical)
+
+    @pytest.mark.parametrize("where", ["comment", "cell"])
+    def test_a_text_holding_a_nul_is_read_by_the_row_loop_alone(self, where, row_loop_calls, body_block):
+        # an S11 date field drops a trailing NUL, so no block of a text
+        # holding one goes to the C reader; here the NUL is in the second
+        # block, after a first that alone would be read in bulk
+        records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(body_block + 1))]
+        if where == "comment":
+            records.insert(body_block, "# a\0note")
+        else:
+            records[body_block] = records[body_block].replace("\t", "\t1\0", 1)
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == [1] * (body_block + 1)
+        dates, values = per_cell_oracle(text, 2)
+        assert t.index == dates
+        assert same_bits(t.values, values)
+        assert np.isnan(t.values[-1, 0]) == (where == "cell")
+
+    def test_a_date_with_a_trailing_nul_is_invalid_where_the_row_loop_reads_it(self, row_loop_calls, body_block):
+        records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(body_block + 1))]
+        records[body_block] = records[body_block].replace("\t", "\0\t", 1)
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        date = records[body_block].split("\t")[0]
+        assert outcome(parse_rdb, text) == (errors.InvalidDate, f"line {body_block + 3}: cannot parse date {date!r}")
+        assert row_loop_calls == [1] * body_block
+
 
 def one_line_is_record(raw):
     """The record rule as one Python test per line: neither blank nor a
@@ -542,25 +599,34 @@ RECORD_LINES = [" #", "\t#", "\u3000#", "1990-01-01\t1\t2", "x"]
 
 
 class TestRecordTest:
-    """One test of a whole block of body lines finds its records as a test
-    of each line does."""
+    """One test of a whole block of body lines finds its records, and their
+    line numbers, as a test of each line does."""
 
     @pytest.mark.parametrize("line", SKIPPED_LINES + RECORD_LINES)
     def test_each_line_alone(self, line):
-        assert ingest._is_record(line) == one_line_is_record(line) == (line in RECORD_LINES)
-        assert ingest._all_records([line]) == one_line_is_record(line)
+        numbers, records = ingest._records([line], 7)
+        kept = one_line_is_record(line)
+        assert kept == (line in RECORD_LINES)
+        assert (list(numbers), records) == (([7], [line]) if kept else ([], []))
+        assert ingest._all_records([line]) == kept
 
     @pytest.mark.parametrize("seed", range(20))
     def test_seeded_mixes_of_lines(self, seed):
         rng = np.random.default_rng(seed)
         pool = SKIPPED_LINES + RECORD_LINES * 3
         lines = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 12))]
+        start = int(rng.integers(1, 10_000))
+        oracle = [(n, raw) for n, raw in enumerate(lines, start) if one_line_is_record(raw)]
+        numbers, records = ingest._records(lines, start)
         assert ingest._all_records(lines) == all(map(one_line_is_record, lines))
-        assert ingest._records(lines) == list(filter(one_line_is_record, lines))
+        assert list(numbers) == [n for n, _ in oracle]
+        assert records == [raw for _, raw in oracle]
 
     def test_a_block_of_records_is_kept_as_it_is(self):
         lines = RECORD_LINES * 2
-        assert ingest._records(lines) is lines
+        numbers, records = ingest._records(lines, 5)
+        assert records is lines
+        assert numbers == range(5, 5 + len(lines))
 
     @pytest.mark.parametrize("line", ["", " ", "\x1c", "\u3000", "#", " #"])
     @pytest.mark.parametrize("where", ["first", "block_end", "block_start", "last"])
@@ -578,7 +644,6 @@ class TestRecordTest:
         got = outcome(parse_rdb, text)
         with monkeypatch.context() as patched:
             patched.setattr(ingest, "_all_records", lambda lines: all(map(one_line_is_record, lines)))
-            patched.setattr(ingest, "_is_record", one_line_is_record)
             assert got == outcome(parse_rdb, text)
         assert got == outcome(parse_line_by_line, text)
 
