@@ -27,6 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
+from .diagnostics import _MAX_BINS
 from .errors import ConfigError, OutOfRange, RuleInapplicable
 from .ica import IcaConfig
 from .ingest import FilterSpec
@@ -91,11 +92,15 @@ def _as_bool(value, where: str) -> bool:
     return value
 
 
-def _as_int(value, where: str, minimum: int | None = None) -> int:
+def _as_int(
+    value, where: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     if type(value) is not int:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where} must be at most {maximum}, got {value}")
     return value
 
 
@@ -185,7 +190,7 @@ _SECTIONS = {
     "fa": {"k_max": partial(_as_int, minimum=1), "alpha": _as_level},
     "diagnostics": {
         "max_lag": partial(_as_int, minimum=1),
-        "bins": partial(_as_int, minimum=2),
+        "bins": partial(_as_int, minimum=2, maximum=_MAX_BINS),
     },
 }
 _ROOT_KEYS = (

@@ -24,6 +24,10 @@ from .errors import (
     TooShort,
 )
 
+# Most bins per column: one pair's joint histogram then fills one bincount
+# of 2**20 cells, the chunk budget of mutual_information_matrix.
+_MAX_BINS = 1024
+
 
 class AcfResult(NamedTuple):
     """Autocorrelation values at lags 0..max_lag with a white-noise band.
@@ -161,7 +165,7 @@ def mutual_information_matrix(x, bins: int = 8) -> np.ndarray:
     in the last bin), and every pair's joint histogram is counted from the
     two columns' bin codes.  Entry (i, j) is
     :func:`mutual_information_discrete` of columns i and j; the diagonal is
-    each column's binned entropy.
+    each column's binned entropy.  ``bins`` lies in 2..1024.
 
     Returns
     -------
@@ -174,8 +178,8 @@ def mutual_information_matrix(x, bins: int = 8) -> np.ndarray:
     n, p = x.shape
     if n < 10:
         raise TooShort(n, 10)
-    if bins < 2:
-        raise OutOfRange(f"bins must be at least 2, got {bins}")
+    if not 2 <= bins <= _MAX_BINS:
+        raise OutOfRange(f"bins must lie in 2..{_MAX_BINS}, got {bins}")
     if not np.all(np.isfinite(x)):
         raise OutOfRange("series must be finite")
     lo = x.min(axis=0)
@@ -199,7 +203,7 @@ def mutual_information_matrix(x, bins: int = 8) -> np.ndarray:
     # one bincount per chunk of pairs i <= j (of at most 2**20 cells: one chunk
     # unless bins is large), pair k's cells from k * bins**2 on
     first, second = np.triu_indices(p)
-    chunk = max(1, 2**20 // bins**2)
+    chunk = 2**20 // bins**2
     pair_mi = []
     for at in range(0, len(first), chunk):
         i, j = first[at : at + chunk], second[at : at + chunk]

@@ -100,31 +100,27 @@ def whiten(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(z, k)`` with ``z = xc @ k.T`` and ``cov(z) = I`` under the
     n-1 convention.  ``z`` may be the F-ordered transpose of the
     components x rows product ``k @ xc.T``: its values are those of
-    ``xc @ k.T``, and ``z.T`` is C-contiguous.  Raises
+    ``xc @ k.T``, and ``z.T`` is C-contiguous.  At every shape, sigma and
+    v are those of the R factor of ``xc``'s QR, with no left factor.  Raises
     :class:`RankDeficient` when the request exceeds the numerical rank of
     the centered data, :class:`OutOfRange` when the centering overflows
     and :class:`DidNotConverge` when LAPACK's SVD fails.
     """
     m = as_matrix(x)
-    if m.shape[0] < 2:
-        raise TooFewRows(m.shape[0], 2)
+    n = m.shape[0]
+    if n < 2:
+        raise TooFewRows(n, 2)
     if n_components < 1:
         raise OutOfRange("n_components must be at least 1")
     # center a components x rows copy: a row of means broadcast down a
     # tall, narrow matrix costs several times as much
     xct = np.ascontiguousarray(m.T) - _column_mean(m)[:, None]
-    n, p = m.shape
-    a = xct.T  # the same matrix to LAPACK
-    # from n >= floor(11p/6) on, LAPACK's dgesdd takes the SVD of R from its
-    # own QR, so R gives its sigma and v bits without the n x p left factor;
-    # below that it works on the matrix itself, and R would move the bits
-    if n >= 11 * p // 6:
-        a = np.linalg.qr(a, mode="r")
-    # a centering that overflowed leaves a, and so R, non-finite
-    if not np.isfinite(a).all():
+    r = np.linalg.qr(xct.T, mode="r")
+    # a centering that overflowed leaves R non-finite
+    if not np.isfinite(r).all():
         raise OutOfRange("x contains non-finite entries")
     try:
-        _, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        _, sigma, vt = np.linalg.svd(r, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DidNotConverge("svd") from exc
     # the sym_eigen sign rule, so v matches the eigenvectors of xc.T @ xc

@@ -89,9 +89,10 @@ def _column_moments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(mean, sd, c)`` of the columns of a validated matrix, all from one
     centering: the means, the sample (n-1) standard deviations, and the
-    sample covariance, or with ``standardize`` the correlation, which
-    raises :class:`ZeroVarianceColumn` on a constant column.  The sds are
-    the square roots of the covariance diagonal.
+    sample covariance, or with ``standardize`` the correlation, clipped to
+    [-1, 1], which raises :class:`ZeroVarianceColumn` on a constant column.
+    The sds are the square roots of the covariance diagonal.  ``c`` is
+    exactly symmetric, so the package's eigensolves take it unchecked.
 
     The centering runs on a columns x rows copy ``xct``: a row of means
     broadcast down a tall, narrow ``m`` is several times slower.  The Gram
@@ -109,11 +110,12 @@ def _column_moments(
     if not np.isfinite(c).all():
         raise OutOfRange("column sums of squares overflow")
     sd = np.sqrt(np.diag(c))
-    if standardize:
-        _check_zero_variance(m, sd)
-        c /= np.outer(sd, sd)
-    # Force exact symmetry so the result feeds straight into sym_eigen.
-    return mean, sd, (c + c.T) / 2.0
+    if not standardize:
+        return mean, sd, (c + c.T) / 2.0
+    _check_zero_variance(m, sd)
+    c /= np.outer(sd, sd)
+    # rounding can leave a correlation, the diagonal's too, a few ulps past 1
+    return mean, sd, np.clip((c + c.T) / 2.0, -1.0, 1.0)
 
 
 def covariance_matrix(x) -> np.ndarray:
@@ -122,9 +124,9 @@ def covariance_matrix(x) -> np.ndarray:
 
 
 def correlation_matrix(x) -> np.ndarray:
-    """Sample correlation of the columns of ``x``; unit diagonal, entries in [-1, 1]."""
-    r = _column_moments(as_matrix(x), standardize=True)[2]
-    return np.clip(r, -1.0, 1.0)
+    """Sample correlation of the columns of ``x``, entries in [-1, 1]: the
+    matrix that PCA with ``scale=True`` and ML factor analysis decompose."""
+    return _column_moments(as_matrix(x), standardize=True)[2]
 
 
 def _column_signs(vectors: np.ndarray) -> np.ndarray:

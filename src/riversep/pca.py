@@ -2,8 +2,8 @@
 
 Components come from the symmetric eigendecomposition of the sample
 covariance matrix of the always-centered input (its correlation matrix when
-scaled) — not from an SVD of the data — so the loadings inherit the
-eigensolver's deterministic sign convention.  The model keeps all
+scaled) — not from an SVD of the data — so the loadings take the
+package's deterministic eigenvector sign rule.  The model keeps all
 components; retention rules are views on the spectrum, never refits.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, RuleInapplicable, TooFewRows
-from .linalg import _column_moments, as_matrix, sym_eigen
+from .linalg import _column_moments, _column_signs, _eigh_descending, as_matrix
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class PcaModel:
 def fit_pca(x, *, scale: bool = True) -> PcaModel:
     """Fit a PCA of the centered input with as many components as variables.
 
-    With ``scale=True`` the decomposition runs on the correlation structure
-    (every variable weighted equally); without it, on raw covariances.
+    With ``scale=True`` it decomposes the correlation that factor analysis
+    fits (every variable weighted equally); without it, raw covariances.
     """
     m = as_matrix(x)
     n, p = m.shape
@@ -55,10 +55,10 @@ def fit_pca(x, *, scale: bool = True) -> PcaModel:
         raise OutOfRange("need at least two variables")
     # Centering does not change a covariance, so only scaling shapes the fit.
     mean, sd, c = _column_moments(m, standardize=scale)
-    values, vectors = sym_eigen(c)
+    values, vectors = _eigh_descending(c)
     stdevs = np.sqrt(np.clip(values, 0.0, None))
     return PcaModel(
-        loadings=vectors,
+        loadings=vectors * _column_signs(vectors),
         stdevs=stdevs,
         scaled=scale,
         mean=mean,
@@ -74,10 +74,10 @@ def kaiser_retain(model: PcaModel) -> int:
     Only meaningful for scaled fits, where each input variable contributes
     unit variance; a component above 1 explains more than any single
     variable does.  Uncorrelated variables have stdevs of exactly 1, but
-    the computed correlation diagonal is 1 only to a few ``eps``, and a
-    symmetric eigensolver moves the eigenvalues of a matrix of norm 1 by a
-    small multiple of ``p * eps`` (half that in their square roots), so a
-    strict ``> 1`` would count such a tie by its last bit.
+    the computed (clipped) correlation diagonal is 1 only to a few ``eps``,
+    and a symmetric eigensolver moves the eigenvalues of a matrix of norm 1
+    by a small multiple of ``p * eps`` (half that in their square roots), so
+    a strict ``> 1`` would count such a tie by its last bit.
     """
     if not model.scaled:
         raise RuleInapplicable("Kaiser rule requires a variance-scaled fit")

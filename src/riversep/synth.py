@@ -104,7 +104,6 @@ def generate_scenario(
     # extending the source list leaves earlier streams untouched
     children = np.random.SeedSequence(seed).spawn(2 + k)
     mixing_rng = np.random.default_rng(children[0])
-    noise_rng = np.random.default_rng(children[1])
 
     cols = [
         _draw_source(np.random.default_rng(children[2 + i]), dist, rows)
@@ -128,6 +127,7 @@ def generate_scenario(
     # sources @ mixing.T, fast with the F-ordered left operand
     observed = np.stack(cols).T @ mixing.T
     if noise_sd > 0:
+        noise_rng = np.random.default_rng(children[1])
         observed = observed + noise_sd * noise_rng.standard_normal((rows, p))
 
     return SyntheticScenario(

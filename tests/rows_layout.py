@@ -95,7 +95,8 @@ def fast_ica(x, cfg):
 
 
 def column_moments(m, standardize):
-    """``(mean, sd, c)`` without the zero-variance check."""
+    """``(mean, sd, c)`` without the zero-variance check; a correlation is
+    clipped to [-1, 1]."""
     n = m.shape[0]
     mean = column_mean(m)
     xc = m - mean
@@ -103,6 +104,7 @@ def column_moments(m, standardize):
     sd = np.sqrt(np.diag(c))
     if standardize:
         c /= np.outer(sd, sd)
+        return mean, sd, np.clip((c + c.T) / 2.0, -1.0, 1.0)
     return mean, sd, (c + c.T) / 2.0
 
 

@@ -224,6 +224,20 @@ def test_uncentered_pca_is_a_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["diagnose", "run"])
+def test_bins_past_the_cap_are_a_config_error(tmp_path, capsys, command):
+    # mutual information caps bins at 1024; the config reader refuses more
+    # before any stage runs, not with a traceback from the allocation
+    at_cap = fixture_config(tmp_path, '"bins": 6', '"bins": 1024')
+    assert load_config(at_cap).mi_bins == 1024
+    path = fixture_config(tmp_path, '"bins": 6', '"bins": 100000')
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "riversep: config error: diagnostics.bins must be at most 1024, got 100000"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
     # past 4300 digits json raises a plain ValueError, not a JSONDecodeError
     path = fixture_config(tmp_path, '"max_iter": 200', '"max_iter": ' + "1" * 5001)

@@ -270,6 +270,12 @@ class TestMutualInformation:
         with pytest.raises(OutOfRange):
             mutual_information_discrete(np.arange(20.0), np.arange(20.0), bins=1)
 
+    def test_bins_past_the_cap(self):
+        # past 1024 bins one pair's joint histogram outgrows the 2**20-cell
+        # bincount budget
+        with pytest.raises(OutOfRange, match=r"2\.\.1024, got 1025"):
+            mutual_information_discrete(np.arange(20.0), np.arange(20.0), bins=1025)
+
 
 class TestMutualInformationMatrix:
     def test_matches_one_histogram2d_per_pair_bit_for_bit(self):

@@ -12,7 +12,7 @@ from riversep.ica import (
     fast_ica,
     whiten,
 )
-from riversep.linalg import covariance_matrix, sym_eigen
+from riversep.linalg import _column_signs, covariance_matrix, sym_eigen
 from riversep.synth import generate_scenario
 
 
@@ -53,8 +53,7 @@ class TestWhiten:
 
     @pytest.mark.parametrize("shape", [(40, 4), (5, 4), (6, 9)], ids=str)
     def test_whitening_rows_are_the_scaled_covariance_eigenvectors(self, shape):
-        # descending variance, each row oriented by the sym_eigen sign rule;
-        # the tall shape takes the QR route, the short and wide ones not
+        # descending variance, each row oriented by the sym_eigen sign rule
         rng = np.random.default_rng(7)
         n, p = shape
         x = rng.normal(size=shape) @ np.diag([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.2, 0.1, 0.05][:p])
@@ -83,30 +82,37 @@ class TestWhiten:
         with np.errstate(over="ignore"), pytest.raises(errors.OutOfRange, match="non-finite"):
             whiten(x, 1)
 
-    @pytest.mark.parametrize("p", [3, 11, 24])
-    def test_tall_input_is_whitened_from_its_r_factor(self, monkeypatch, p):
-        # from n = floor(11p/6) rows on, the SVD sees only the p x p R
-        # factor, so no n x p left factor is formed; one row fewer, it sees
-        # the data, as LAPACK would
-        svd_shapes, qr_shapes = [], []
-        svd, qr = np.linalg.svd, np.linalg.qr
-
-        def logged_svd(a, *args, **kwargs):
-            svd_shapes.append(a.shape)
-            return svd(a, *args, **kwargs)
+    # tall; one row short of LAPACK's own QR crossover floor(11p/6) for p =
+    # 3, 11 and 24, and further below it; wide; and one column
+    @pytest.mark.parametrize(
+        "shape,k",
+        [(shape, k) for shape in [(50, 11), (4, 3), (12, 11), (19, 11), (40, 24),
+                                  (43, 24), (30, 40)] for k in (1, 3)]
+        + [((2, 1), 1), ((3, 1), 1)],
+        ids=str,
+    )
+    def test_every_shape_is_whitened_from_its_r_factor(self, monkeypatch, shape, k):
+        # the SVD of R agrees with the full SVD of the centered data to
+        # rounding: within 1e-12 on these well-conditioned tables, a margin
+        # that grows with the ratio of the first to the k-th singular value
+        qr_shapes = []
+        qr = np.linalg.qr
 
         def logged_qr(a, *args, **kwargs):
             qr_shapes.append(a.shape)
             return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", logged_svd)
         monkeypatch.setattr(np.linalg, "qr", logged_qr)
-        n = 11 * p // 6
-        rng = np.random.default_rng(p)
-        whiten(rng.normal(size=(n, p)), 1)
-        whiten(rng.normal(size=(n - 1, p)), 1)
-        assert qr_shapes == [(n, p)]
-        assert svd_shapes == [(p, p), (n - 1, p)]
+        for seed in range(50):
+            x = np.random.default_rng(seed).normal(size=shape)
+            qr_shapes.clear()
+            z, w = whiten(x, k)
+            assert qr_shapes == [shape]
+            z_full, w_full = rows_layout.whiten(x, k)
+            assert_allclose(z, z_full, rtol=0, atol=1e-12 * np.abs(z_full).max())
+            assert_allclose(w, w_full, rtol=0, atol=1e-12 * np.abs(w_full).max())
+            assert_allclose(covariance_matrix(z), np.eye(k), rtol=0, atol=1e-12)
+            assert_array_equal(_column_signs(w.T), np.ones(k))
 
 
 class TestFastIca:
@@ -268,44 +274,9 @@ def assert_models_identical(model, oracle):
     assert model.delta_history == oracle.delta_history
 
 
-def seeded_table(seed, n, p):
-    """A seeded n x p table with correlated columns on unequal scales and
-    offsets."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, p)) @ rng.standard_normal((p, p))
-    return x * rng.uniform(0.1, 100.0, p) + rng.uniform(-50.0, 50.0, p)
-
-
 class TestRowsLayoutBitIdentity:
     """Whitening and FastICA run on components x rows arrays; every model
     field must carry the bits of the rows x components computation."""
-
-    # either side of LAPACK's QR crossover n = floor(11p/6), which for one
-    # column is a single row, below whitening's two; and one wide table
-    @pytest.mark.parametrize(
-        "shape,k",
-        [((2, 1), 1), ((3, 1), 1)]
-        + [(shape, k) for shape in [(4, 3), (5, 3), (19, 11), (20, 11),
-                                    (43, 24), (44, 24), (30, 40)] for k in (1, 3)],
-        ids=str,
-    )
-    def test_fit_at_the_qr_crossover_keeps_the_full_svd_bits(self, monkeypatch, shape, k):
-        n, p = shape
-        for seed in range(5):
-            x = seeded_table(seed, n, p)
-            cfg = paper_defaults(k, seed=seed)
-            z, whitening = whiten(x, k)
-            model = fast_ica(x, cfg) if n >= 10 * k else None
-            assert_array_equal(whitening, rows_layout.whiten(x, k)[1])
-            # with the QR step made the identity, whiten takes LAPACK's SVD
-            # of the centered data itself, left factor and all; z and the
-            # fit keep its bits (the rows x columns products round
-            # differently at some of these shapes, so they are no oracle)
-            with monkeypatch.context() as m:
-                m.setattr(np.linalg, "qr", lambda a, mode: a)
-                assert_array_equal(z, whiten(x, k)[0])
-                if model is not None:
-                    assert_models_identical(model, fast_ica(x, cfg))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("dists", rows_layout.SCENARIOS, ids="+".join)

@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from test_fa import fixture_model_input
 from riversep import errors
 from riversep.linalg import (
     _column_mean,
@@ -158,6 +159,14 @@ class TestCorrelation:
         r = correlation_matrix(x)
         assert_allclose(np.diag(r), np.ones(7), atol=1e-12)
         assert np.all(r <= 1.0) and np.all(r >= -1.0)
+
+    def test_moments_give_the_clipped_correlation(self):
+        # the fixture's model input has two diagonal cells that round to
+        # 1 + eps; PCA's moments and FA's correlation share one clip
+        x = fixture_model_input()
+        r = _column_moments(x, standardize=True)[2]
+        assert_array_equal(r, correlation_matrix(x))
+        assert np.abs(r).max() <= 1.0
 
     def test_zero_variance_column(self):
         with pytest.raises(errors.ZeroVarianceColumn) as exc:

@@ -3,8 +3,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rows_layout
-from riversep import errors
-from riversep.linalg import correlation_matrix, covariance_matrix, sym_eigen
+from test_fa import fixture_model_input
+from riversep import errors, pca
+from riversep.linalg import (
+    _eigh_descending,
+    correlation_matrix,
+    covariance_matrix,
+    sym_eigen,
+)
 from riversep.pca import (
     PcaModel,
     explained_variance,
@@ -83,6 +89,24 @@ class TestFitPca:
         x = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
         with pytest.raises(errors.ZeroVarianceColumn):
             fit_pca(x, scale=True)
+
+    def test_scaled_fit_decomposes_the_fa_correlation(self, monkeypatch):
+        # unclipped, two of the fixture's correlation diagonal cells round
+        # to 1 + eps; the fit solves FA's clipped matrix once, unchecked,
+        # and orients its vectors by sym_eigen's sign rule
+        x = fixture_model_input()
+        solves = []
+
+        def counted(a):
+            solves.append(a)
+            return _eigh_descending(a)
+
+        monkeypatch.setattr(pca, "_eigh_descending", counted)
+        model = fit_pca(x)
+        values, vectors = sym_eigen(correlation_matrix(x))
+        assert len(solves) == 1
+        assert_array_equal(model.loadings, vectors)
+        assert_array_equal(model.stdevs, np.sqrt(np.clip(values, 0.0, None)))
 
 
 class TestKaiserRetain:
@@ -218,7 +242,4 @@ class TestRowsLayoutBitIdentity:
     def test_covariance_and_correlation_match_the_rows_layout(self):
         for x in rows_layout.tables():
             assert_array_equal(covariance_matrix(x), rows_layout.column_moments(x, False)[2])
-            assert_array_equal(
-                correlation_matrix(x),
-                np.clip(rows_layout.column_moments(x, True)[2], -1.0, 1.0),
-            )
+            assert_array_equal(correlation_matrix(x), rows_layout.column_moments(x, True)[2])

@@ -52,6 +52,22 @@ class TestGenerateScenario:
         assert np.array_equal(a.mixing, b.mixing)
         assert np.array_equal(a.observed, b.observed)
 
+    @pytest.mark.parametrize("noise_sd,streams", [(0.0, [0, 2, 3]), (0.2, [0, 2, 3, 1])])
+    def test_noise_stream_is_built_only_when_noise_is_drawn(
+        self, monkeypatch, noise_sd, streams
+    ):
+        # child streams: 0 the mixing, 1 the noise, 2 + i source i
+        built = []
+        default_rng = np.random.default_rng
+
+        def logged(seed):
+            built.append(seed.spawn_key[-1])
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", logged)
+        generate_scenario(["uniform", "laplace"], rows=100, noise_sd=noise_sd, seed=5)
+        assert built == streams
+
     def test_adding_a_source_keeps_existing_columns(self):
         two = generate_scenario(["uniform", "laplace"], rows=400, seed=4)
         three = generate_scenario(["uniform", "laplace", "gaussian"], rows=400, seed=4)
