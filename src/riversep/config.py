@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .diagnostics import _MAX_BINS
 from .errors import ConfigError, OutOfRange, RuleInapplicable
 from .ica import IcaConfig
-from .ingest import FilterSpec
+from .ingest import FilterSpec, _iso_date
 from .preprocess import STAGES, RedundancyRule
 
 
@@ -135,7 +135,7 @@ def _as_strs(value, where: str) -> tuple:
 
 def _as_date(value, where: str) -> datetime.date:
     try:
-        return datetime.date.fromisoformat(_as_str(value, where))
+        return _iso_date(_as_str(value, where))
     except ValueError:
         raise ConfigError(f"{where} must be an ISO date, got {value!r}") from None
 

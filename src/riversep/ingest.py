@@ -21,13 +21,17 @@ line to drop, and the block's records go in one pass of numpy's C reader
 (:func:`_bulk_read`) into records of a date field and the cells: the
 reader refuses a record with any other field count and reads every number
 it takes to the bits ``float`` gives.  Its dates are read from their bytes
-(:func:`_iso_dates`), and only when each is spelled exactly ``YYYY-MM-DD``.
-From the first block holding anything it does not take (a cell such as
-``NA`` or text, a wrong field count, a date spelled any other way, a bad
-date) the row loop reads the records of the rest of the body, and it reads
-every record of a text holding a NUL.  The row loop is the one arbiter of
-the cell rule, of dates (:func:`_parse_date`) and of errors, so both paths
-give the same table or the same first error.
+to ``datetime64[D]`` days (:func:`_iso_dates`).  From the first block
+holding anything it does not take (a cell such as ``NA`` or text, a wrong
+field count, a date with surrounding whitespace, a bad date) the row loop
+reads the records of the rest of the body, and it reads every record of a
+text holding a NUL.  The row loop is the one arbiter of the cell rule and
+of errors, so both paths give the same table or the same first error.
+
+The date rule, for both paths, both layouts and the config's filter dates:
+a date is spelled exactly ``YYYY-MM-DD`` in ASCII digits and names a day of
+the proleptic Gregorian calendar from year 1; the row loop strips
+surrounding whitespace first (:func:`_parse_date`).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import datetime
 import hashlib
 import io
 import math
-import operator
 import os
 import re
 from dataclasses import dataclass
@@ -68,6 +71,9 @@ _NAN = float("nan")
 # Column-format tokens in the line after an RDB header, e.g. "10d" or "12n".
 _FORMAT_TOKEN = re.compile(r"\d+[A-Za-z]")
 
+# The one spelling of a date, the one :func:`_iso_dates` reads in bulk.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
 # Lines of an RDB body per pass of numpy's C reader: the most it reads of a
 # body that the row loop then reads again.
 _BODY_BLOCK = 4096
@@ -81,17 +87,23 @@ class Table:
     """Labelled observation table: one row per index entry, one column per
     variable code, through every stage of the pipeline.
 
-    Until :func:`~riversep.preprocess.annual_mean` the index is ``"date"``
-    and holds strictly increasing dates (the parser merges records that
-    share a date as long as their variables do not collide); after it the
-    index is ``"year"`` and holds ints.  ``values`` is a float array with
-    NaN marking missing cells.
+    Until :func:`~riversep.preprocess.annual_mean` the index is ``"date"``,
+    a ``datetime64[D]`` array of strictly increasing days (the parser
+    merges records that share a date as long as their variables do not
+    collide); after it the index is ``"year"``, an ``int64`` array.  An
+    index given as a list (of :class:`datetime.date` or of ints) is
+    converted on construction.  ``values`` is a float array with NaN
+    marking missing cells.
     """
 
     index_name: str
-    index: list
+    index: np.ndarray
     codes: list[str]
     values: np.ndarray
+
+    def __post_init__(self):
+        dtype = "datetime64[D]" if self.index_name == "date" else np.int64
+        self.index = np.asarray(self.index, dtype)
 
     @property
     def n_rows(self) -> int:
@@ -106,7 +118,7 @@ class Table:
         ``None`` keeps every row or column.  With both masks the values are
         taken in one C-ordered copy."""
         values = self.values
-        index = list(self.index if rows is None else compress(self.index, rows))
+        index = self.index if rows is None else self.index[rows]
         codes = list(self.codes if cols is None else compress(self.codes, cols))
         if rows is not None and cols is not None:
             values = values[np.ix_(rows, cols)]
@@ -143,9 +155,19 @@ def _text(data: bytes | str) -> str:
         raise NotUtf8(exc.start) from None
 
 
+def _iso_date(text: str) -> datetime.date:
+    """The date ``text`` spells as exactly ``YYYY-MM-DD`` in ASCII digits,
+    from year 1; raises ``ValueError`` for any other text."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return datetime.date.fromisoformat(text)
+
+
 def _parse_date(text: str, line_no: int) -> datetime.date:
+    """The date of a record's date field by :func:`_iso_date`, after
+    surrounding whitespace is stripped."""
     try:
-        return datetime.date.fromisoformat(text.strip())
+        return _iso_date(text.strip())
     except ValueError:
         raise InvalidDate(line_no, text) from None
 
@@ -173,11 +195,7 @@ def _read_row(cells: Sequence[str]) -> list[float]:
         return [_parse_cell(c) for c in cells]
 
 
-def _assemble(
-    header: Sequence[str],
-    dates: list[datetime.date],
-    values: np.ndarray,
-) -> Table:
+def _assemble(header: Sequence[str], dates: np.ndarray, values: np.ndarray) -> Table:
     """Merge parsed records (``values`` holds one row of cells per date) into
     a date-sorted table.
 
@@ -195,10 +213,10 @@ def _assemble(
 
     if _needs_nan_rewrite(values):
         values[~np.isfinite(values)] = np.nan
-    if all(map(operator.lt, dates, dates[1:])):  # sorted, no date repeated
+    if (dates[1:] > dates[:-1]).all():  # sorted, no date repeated
         return Table("date", dates, var_codes, values)
     first: dict[datetime.date, int] = {}
-    for i, date in enumerate(dates):
+    for i, date in enumerate(dates.tolist()):
         j = first.setdefault(date, i)
         if j == i:
             continue
@@ -230,9 +248,9 @@ def _needs_nan_rewrite(values: np.ndarray) -> bool:
 
 
 def _read_records(records, n_fields: int):
-    """Dates and cell rows of ``records``, ``(line number, fields)`` pairs in
-    file order, one at a time; raises the first error with its line
-    number."""
+    """Days (``datetime64[D]``) and cell rows of ``records``, ``(line
+    number, fields)`` pairs in file order, one at a time; raises the first
+    error with its line number."""
     dates: list[datetime.date] = []
     rows: list[list[float]] = []
     for line_no, fields in records:
@@ -240,14 +258,14 @@ def _read_records(records, n_fields: int):
             raise RaggedRow(line_no, n_fields, len(fields))
         dates.append(_parse_date(fields[0], line_no))
         rows.append(_read_row(fields[1:]))
-    return dates, rows
+    return np.array(dates, "datetime64[D]"), rows
 
 
-def _iso_dates(fields: np.ndarray) -> list[datetime.date] | None:
-    """The dates of ``S11`` date fields when each is exactly ``YYYY-MM-DD``
-    and names a day of the proleptic Gregorian calendar from year 1, else
-    ``None``.  Byte 10 is NUL only in a field of at most 10 bytes, since
-    ``S11`` keeps the 11th byte of a longer one."""
+def _iso_dates(fields: np.ndarray) -> np.ndarray | None:
+    """The ``datetime64[D]`` days of ``S11`` date fields when each is
+    exactly ``YYYY-MM-DD`` and names a day of the proleptic Gregorian
+    calendar from year 1, else ``None``.  Byte 10 is NUL only in a field of
+    at most 10 bytes, since ``S11`` keeps the 11th byte of a longer one."""
     b = np.ascontiguousarray(fields).view(np.uint8).reshape(len(fields), 11)
     digits = b[:, [0, 1, 2, 3, 5, 6, 8, 9]] - np.uint8(48)  # a non-digit wraps past 9
     if b[:, 10].any() or (b[:, [4, 7]] != 45).any() or (digits > 9).any():
@@ -261,7 +279,7 @@ def _iso_dates(fields: np.ndarray) -> list[datetime.date] | None:
     days = months.astype("datetime64[D]") + (day - 1)
     if (days.astype("datetime64[M]") != months).any():  # day 0, or past the month's end
         return None
-    return days.tolist()
+    return days
 
 
 def _bulk_read(records: Sequence[str], n_fields: int):
@@ -315,17 +333,19 @@ def _records(lines: list[str], start: int):
 
 
 def _read_body(lines: Sequence[str], first: int, n_fields: int, bulk: bool):
-    """Dates and cells of the RDB records in ``lines[first:]``, filtered
-    ``_BODY_BLOCK`` lines at a time by :func:`_records`.  When ``bulk``,
-    :func:`_bulk_read` reads each block until it leaves one, and
-    :func:`_read_records` reads the records of that block and of every later
-    one, so a body the row loop must read costs at most one block more than
-    the row loop alone.  Every earlier block was read without error, so the
-    row loop's first error is the file's first."""
+    """Days and cells of the RDB records in ``lines[first:]``, each in one
+    preallocated array, filtered ``_BODY_BLOCK`` lines at a time by
+    :func:`_records`.  When ``bulk``, :func:`_bulk_read` reads each block
+    until it leaves one, and :func:`_read_records` reads the records of
+    that block and of every later one, so a body the row loop must read
+    costs at most one block more than the row loop alone.  Every earlier
+    block was read without error, so the row loop's first error is the
+    file's first."""
     starts = range(first, len(lines), _BODY_BLOCK)
     blocks = [_records(lines[a : a + _BODY_BLOCK], a + 1) for a in starts]
-    dates: list[datetime.date] = []
-    values = np.empty((sum(len(records) for _, records in blocks), n_fields - 1))
+    n = sum(len(records) for _, records in blocks)
+    dates, values = np.empty(n, "datetime64[D]"), np.empty((n, n_fields - 1))
+    done = 0
     for i, (_, records) in enumerate(blocks):
         if not records:  # loadtxt warns on no lines
             continue
@@ -336,11 +356,10 @@ def _read_body(lines: Sequence[str], first: int, n_fields: int, bulk: bool):
                 for numbers, later in blocks[i:]
                 for line_no, raw in zip(numbers, later)
             )
-            rest, rows = _read_records(remaining, n_fields)
-            values[len(dates) :] = rows
-            return dates + rest, values
-        values[len(dates) : len(dates) + len(records)] = block[1]
-        dates += block[0]
+            dates[done:], values[done:] = _read_records(remaining, n_fields)
+            break
+        dates[done : done + len(records)], values[done : done + len(records)] = block
+        done += len(records)
     return dates, values
 
 
@@ -416,11 +435,9 @@ def filter_table(table: Table, spec: FilterSpec) -> Table:
     if required is not None and required not in table.codes:
         raise UnknownVariable(required)
 
-    index = table.index
-    if not index or (spec.start <= min(index) and max(index) <= spec.end):
-        row_mask = np.ones(len(index), dtype=bool)
-    else:
-        row_mask = np.array([spec.start <= d <= spec.end for d in index], dtype=bool)
+    # as days: numpy compares a datetime.date with each day as objects
+    start, end = np.array([spec.start, spec.end], "datetime64[D]")
+    row_mask = (start <= table.index) & (table.index <= end)
     if required is not None:
         row_mask &= ~np.isnan(table.values[:, table.codes.index(required)])
 

@@ -52,7 +52,7 @@ def annual_mean(table: Table) -> Table:
         If a mean is not finite: the year's samples overflow when summed,
         or some are infinite.
     """
-    row_years = np.array([d.year for d in table.index], dtype=np.intp)
+    row_years = table.index.astype("datetime64[Y]").astype(np.intp) + 1970
     values = table.values
     # each year one run of rows, in table order; parsed tables are sorted,
     # so only an unsorted one pays for a sorted copy
@@ -82,7 +82,7 @@ def annual_mean(table: Table) -> Table:
             f"annual mean of {table.codes[j]} in {years[i]} is "
             f"{values[i, j]:g}: its samples overflow or are infinite"
         )
-    return Table("year", years.tolist(), list(table.codes), values)
+    return Table("year", years, list(table.codes), values)
 
 
 def drop_na_columns(table: Table) -> Table:
@@ -128,16 +128,13 @@ def difference(table: Table, lag: int = 1) -> Table:
         raise MissingCells(n_missing)
     if table.n_rows <= lag:
         raise TooShort(table.n_rows, lag + 1)
-    years = np.asarray(table.index)
+    years = table.index
     gaps = np.diff(years)
     if np.any(gaps != 1):
         first_gap = int(np.argmax(gaps != 1))
         raise NonConsecutiveYears(int(years[first_gap]), int(years[first_gap + 1]))
     return Table(
-        "year",
-        [int(y) for y in years[lag:]],
-        list(table.codes),
-        table.values[lag:] - table.values[:-lag],
+        "year", years[lag:], list(table.codes), table.values[lag:] - table.values[:-lag]
     )
 
 

@@ -6,8 +6,8 @@ All numeric output follows :func:`format_number`'s rule so that reruns on
 identical inputs produce byte-identical files.  :func:`keyed_rows` writes a
 table's rows, each after its key.  Keys are fixed-width bytes with a mask of
 the bytes to keep: :func:`text_keys` holds the UTF-8 bytes of text (years,
-variable codes), and :func:`date_keys` writes ISO ``YYYY-MM-DD`` dates, as
-``str`` writes them, from each date's day number.  A block of fixed-decimal
+variable codes), and :func:`date_keys` writes ``datetime64[D]`` days as ISO
+``YYYY-MM-DD`` dates, as ``str`` writes them.  A block of fixed-decimal
 cells is written from integer digits into the same bytes as its keys, and
 its kept bytes are taken a bounded slice at a time and decoded once, with
 the bytes per-cell formatting writes.
@@ -16,7 +16,6 @@ the bytes per-cell formatting writes.
 from __future__ import annotations
 
 import csv
-import datetime
 import functools
 import io
 import json
@@ -100,21 +99,14 @@ def text_keys(texts) -> tuple[np.ndarray, np.ndarray]:
     return field, keep
 
 
-# The day number (``date.toordinal``) of 1970-01-01, day 0 of datetime64.
-_EPOCH_ORDINAL = 719163
-
-
-def date_keys(dates) -> tuple[np.ndarray, np.ndarray]:
-    """``dates`` (a sequence of :class:`datetime.date`) as row keys for
-    :func:`keyed_rows`: ISO ``YYYY-MM-DD``, as ``str`` writes a date,
-    from each date's day number."""
-    ordinals = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(dates))
-    days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+def date_keys(days) -> tuple[np.ndarray, np.ndarray]:
+    """``days`` (a ``datetime64[D]`` array, years 1 to 9999) as row keys
+    for :func:`keyed_rows`: ISO ``YYYY-MM-DD``, as ``str`` writes a date."""
     months = days.astype("datetime64[M]")
     year = months.astype("datetime64[Y]").astype(np.intp) + 1970
     month = months.astype(np.intp) % 12 + 1
     day = (days - months).astype(np.intp) + 1
-    field = np.empty((len(ordinals), 10), np.uint8)
+    field = np.empty((len(days), 10), np.uint8)
     field[:, 4] = field[:, 7] = ord("-")
     # (column, part, the power of ten whose digit it holds)
     for column, part, power in [
@@ -298,11 +290,12 @@ def _decimal_scale(cells) -> tuple[int, np.ndarray] | None:
 
 
 def table_csv(header, keys, values) -> str:
-    """CSV text of a table: the header, then each row's key (from a list of
-    one per row) and its cells (:func:`keyed_rows`).  Dates are written as
-    ISO dates (:func:`date_keys`), which need no quoting; any other key as
-    :mod:`csv` writes it alone in a row, each distinct key quoted once."""
-    if keys and isinstance(keys[0], datetime.date):
+    """CSV text of a table: the header, then each row's key (from a list or
+    array of one per row) and its cells (:func:`keyed_rows`).  A
+    ``datetime64[D]`` array of keys is written as ISO dates
+    (:func:`date_keys`), which need no quoting; any other key as :mod:`csv`
+    writes it alone in a row, each distinct key quoted once."""
+    if getattr(keys, "dtype", None) == "datetime64[D]":
         fields = date_keys(keys)
     else:
         fields = text_keys(_quoted_keys(keys))

@@ -176,6 +176,16 @@ def test_bad_date_rejected(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "start", ["19500101", "1950-W01-1", " 1950-01-01", "1950-1-01", "\uff11950-01-01", "0000-01-01"]
+)
+def test_a_date_not_spelled_yyyy_mm_dd_is_rejected(tmp_path, start):
+    # one rule on every Python: 3.11's fromisoformat reads the first two
+    doc = dict(MINIMAL, pipeline=["filter", "annual_mean"], filter={"start": start})
+    with pytest.raises(ConfigError, match="filter.start must be an ISO date"):
+        load_config(write_config(tmp_path, doc))
+
+
 def test_bool_is_not_an_integer(tmp_path):
     doc = dict(MINIMAL, ica={"n_components": True})
     with pytest.raises(ConfigError, match="n_components"):

@@ -41,7 +41,7 @@ class TestParseRdb:
     def test_minimal(self):
         t = parse_rdb(RDB_MINIMAL)
         assert t.codes == ["00618", "00300"]
-        assert t.index == [d("1990-03-01"), d("1990-03-02")]
+        assert t.index.tolist() == [d("1990-03-01"), d("1990-03-02")]
         assert_allclose(t.values[0], [0.5, 8.1])
         assert np.isnan(t.values[1, 0]) and t.values[1, 1] == 8.4
 
@@ -92,7 +92,7 @@ class TestParseRdb:
             "1990-01-02\t7\t\n"
         )
         t = parse_rdb(text)
-        assert t.index == [d("1990-01-01"), d("1990-01-02")]
+        assert t.index.tolist() == [d("1990-01-01"), d("1990-01-02")]
         assert_allclose(t.values, [[9, 8], [7, 5]])
 
     def test_unparseable_numeric_becomes_missing(self):
@@ -161,7 +161,7 @@ class TestParseCsv:
         t = parse_rdb((FIXTURES / "small.rdb").read_bytes())
         text = emit_csv(t)
         again = parse_csv(text)
-        assert again.index == t.index
+        assert again.index.tolist() == t.index.tolist()
         assert again.codes == t.codes
         assert_allclose(again.values, t.values, equal_nan=True)
         # a second emit is byte-stable
@@ -217,7 +217,7 @@ class TestRowWiseCells:
             "1990-01-01\t4\t5\n"
         )
         t = parse_rdb(text)
-        assert t.index == [d("1990-01-01")]
+        assert t.index.tolist() == [d("1990-01-01")]
         assert t.values.tolist() == [[4.0, 5.0]]
 
 
@@ -237,8 +237,8 @@ DEFERRED_SPELLINGS = [
     "nan(1)", "1,5",
 ]
 
-# Date spellings other than exactly YYYY-MM-DD, which fromisoformat takes
-# or refuses depending on the Python version.  The date field keeps 11
+# Date spellings other than exactly YYYY-MM-DD (Python 3.11's fromisoformat
+# reads the first two, 3.10's refuses them).  The date field keeps 11
 # bytes, so "1990-01-01xy" reads as "1990-01-01x", and it drops a trailing
 # NUL.
 OTHER_DATE_SPELLINGS = [
@@ -309,7 +309,7 @@ def outcome(parse, text):
         t = parse(text)
     except errors.RiversepError as exc:
         return type(exc), str(exc)
-    return t.index, t.codes, t.values.shape, t.values.tobytes()
+    return t.index.tolist(), t.codes, t.values.shape, t.values.tobytes()
 
 
 @pytest.fixture
@@ -352,7 +352,7 @@ class TestBulkRead:
         t = parse_rdb(text)
         assert row_loop_calls == []
         dates, values = per_cell_oracle(text, p)
-        assert t.index == dates
+        assert t.index.tolist() == dates
         assert same_bits(t.values, values)
         assert outcome(parse_line_by_line, text) == outcome(parse_rdb, text)
 
@@ -361,7 +361,7 @@ class TestBulkRead:
         text, p = random_rdb(np.random.default_rng(1000 + seed), deferred=0.05)
         t = parse_rdb(text)
         dates, values = per_cell_oracle(text, p)
-        assert t.index == dates
+        assert t.index.tolist() == dates
         assert same_bits(t.values, values)
         assert outcome(parse_line_by_line, text) == outcome(parse_rdb, text)
 
@@ -433,7 +433,7 @@ class TestBulkRead:
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(body) + "\n"
         t = parse_rdb(text)
         assert row_loop_calls == []
-        assert t.index == [d("1990-01-01"), d("1990-01-02")]
+        assert t.index.tolist() == [d("1990-01-01"), d("1990-01-02")]
         assert same_bits(t.values, np.array([[1.0, np.nan], [np.nan, 2.5]]))
         with pytest.raises(errors.RaggedRow) as exc:
             parse_rdb(text + "1990-01-03\t1\n")
@@ -468,14 +468,14 @@ class TestBulkRead:
         t = parse_rdb(text)
         assert row_loop_calls == [1] * row_loop_reads
         dates, values = per_cell_oracle(text, 2)
-        assert t.index == dates
+        assert t.index.tolist() == dates
         assert same_bits(t.values, values)
 
     def test_unsorted_records_come_out_sorted(self, row_loop_calls):
         text = "datetime\ta\n10d\t12n\n1990-01-03\t3\n1990-01-01\t1\n1990-01-02\t\n"
         t = parse_rdb(text)
         assert row_loop_calls == []
-        assert t.index == [d("1990-01-01"), d("1990-01-02"), d("1990-01-03")]
+        assert t.index.tolist() == [d("1990-01-01"), d("1990-01-02"), d("1990-01-03")]
         assert same_bits(t.values, np.array([[1.0], [np.nan], [3.0]]))
 
     @pytest.mark.parametrize("body", ["", "# only a comment\n", "\n\n  \n"])
@@ -483,7 +483,7 @@ class TestBulkRead:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = parse_rdb("datetime\ta\tb\n10d\t12n\t12n\n" + body)
-        assert t.index == [] and t.codes == ["a", "b"]
+        assert t.index.tolist() == [] and t.codes == ["a", "b"]
         assert t.values.shape == (0, 2)
 
     def test_plain_dates_are_read_from_their_bytes(self, row_loop_calls, body_block, monkeypatch):
@@ -497,16 +497,24 @@ class TestBulkRead:
         monkeypatch.setattr(ingest, "_iso_dates", lambda fields: read.append(iso_dates(fields)) or read[-1])
         t = parse_rdb(text)
         assert row_loop_calls == []
-        assert len(read) == 2 and None not in read
-        assert t.index == sorted(map(d, days))
+        assert len(read) == 2 and all(block is not None for block in read)
+        assert t.index.tolist() == sorted(map(d, days))
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
     @pytest.mark.parametrize("date", OTHER_DATE_SPELLINGS)
     def test_other_date_spellings_give_the_row_loops_outcome(self, date, body_block):
-        # the fourth record starts the second block of three lines
+        # the fourth record starts the second block of three lines; the row
+        # loop strips surrounding whitespace and then takes YYYY-MM-DD alone,
+        # on every Python (3.11's fromisoformat also reads 19900101 and
+        # 1990-W01-1)
         records = ["1989-12-29\t1\t2", "1989-12-30\t\t3", "1989-12-31\t4\t", f"{date}\t5\t6"]
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
-        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
+        got = outcome(parse_rdb, text)
+        assert got == outcome(parse_line_by_line, text)
+        if date.strip() == "1990-01-01":
+            assert got[0][-1] == d("1990-01-01")
+        else:
+            assert got == (errors.InvalidDate, str(errors.InvalidDate(6, date)))
 
     @pytest.mark.parametrize("date", [s for s in OTHER_DATE_SPELLINGS if s.isascii() and "\0" not in s])
     def test_a_date_spelled_otherwise_is_not_read_from_its_bytes(self, date):
@@ -573,7 +581,7 @@ class TestBulkRead:
         t = parse_rdb(text)
         assert row_loop_calls == [1] * (body_block + 1)
         dates, values = per_cell_oracle(text, 2)
-        assert t.index == dates
+        assert t.index.tolist() == dates
         assert same_bits(t.values, values)
         assert np.isnan(t.values[-1, 0]) == (where == "cell")
 
@@ -584,6 +592,74 @@ class TestBulkRead:
         date = records[body_block].split("\t")[0]
         assert outcome(parse_rdb, text) == (errors.InvalidDate, f"line {body_block + 3}: cannot parse date {date!r}")
         assert row_loop_calls == [1] * body_block
+
+
+@pytest.mark.parametrize("date", [s for s in OTHER_DATE_SPELLINGS if "\0" not in s])
+def test_a_csv_date_has_the_rdb_row_loops_rule(date):
+    # NUL is left out: Python 3.10's csv reader refuses a line holding one
+    text = f"date,a\n1989-12-31,1\n{date},2\n"
+    if date.strip() == "1990-01-01":
+        assert parse_csv(text).index.tolist() == [d("1989-12-31"), d("1990-01-01")]
+    else:
+        assert outcome(parse_csv, text) == (errors.InvalidDate, str(errors.InvalidDate(3, date)))
+
+
+class TestIndexContract:
+    """A date index is a ``datetime64[D]`` array and a year index an
+    integer one, from the parsers, the stages and a table built by hand."""
+
+    @pytest.mark.parametrize("late", [False, True], ids=["bulk", "row_loop_mid_body"])
+    def test_parsers_return_days(self, late, row_loop_calls, body_block):
+        days = consecutive_dates(2 * body_block + 1)
+        records = [f"{day}\t{i}" for i, day in enumerate(days)]
+        if late:  # the row loop takes over at the second block
+            records[body_block] = " " + records[body_block]
+        text = "datetime\ta\n10d\t12n\n" + "\n".join(records) + "\n"
+        t = parse_rdb(text)
+        assert (row_loop_calls != []) == late
+        assert t.index.dtype == np.dtype("datetime64[D]")
+        assert t.index.tolist() == days
+        back = parse_csv(emit_csv(t))
+        assert back.index.dtype == np.dtype("datetime64[D]")
+        assert back.index.tolist() == days
+
+    def test_a_table_built_from_lists_is_normalized(self):
+        dated = Table("date", [d("1990-01-02"), d("1991-03-04")], ["a"], np.zeros((2, 1)))
+        annual = Table("year", [1990, 1991], ["a"], np.zeros((2, 1)))
+        assert dated.index.dtype == np.dtype("datetime64[D]")
+        assert dated.index.tolist() == [d("1990-01-02"), d("1991-03-04")]
+        assert np.issubdtype(annual.index.dtype, np.integer)
+        assert annual.index.tolist() == [1990, 1991]
+        assert Table("date", [], ["a"], np.empty((0, 1))).index.dtype == np.dtype("datetime64[D]")
+
+    def test_take_keeps_the_dtype(self):
+        dated = Table("date", consecutive_dates(3), ["a", "b"], np.zeros((3, 2)))
+        annual = Table("year", [1990, 1991, 1992], ["a", "b"], np.zeros((3, 2)))
+        for t in (dated, annual):
+            for taken in (t.take(np.array([True, False, True])), t.take(cols=[True, False]), t.take()):
+                assert taken.index.dtype == t.index.dtype
+        assert dated.take(np.array([True, False, True])).index.tolist() == consecutive_dates(3)[::2]
+
+    def test_filter_keeps_both_inclusive_bounds(self):
+        days = consecutive_dates(5)
+        t = Table("date", days, ["a"], np.arange(5.0)[:, None])
+        out = filter_table(t, FilterSpec(start=days[1], end=days[3]))
+        assert out.index.dtype == np.dtype("datetime64[D]")
+        assert out.index.tolist() == days[1:4]
+        assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+    def test_filter_defaults_keep_every_date_from_year_1_to_9999(self):
+        days = [d("0001-01-01"), d("1990-01-01"), d("9999-12-31")]
+        t = Table("date", days, ["a"], np.ones((3, 1)))
+        spec = FilterSpec()
+        assert (spec.start, spec.end) == (datetime.date.min, datetime.date.max)
+        assert filter_table(t, spec).index.tolist() == days
+
+    def test_filter_of_an_empty_table(self):
+        t = Table("date", [], ["a", "b"], np.empty((0, 2)))
+        out = filter_table(t, FilterSpec(start=d("1990-01-01")))
+        assert out.index.dtype == np.dtype("datetime64[D]")
+        assert out.n_rows == 0 and out.codes == []
 
 
 def one_line_is_record(raw):
@@ -680,7 +756,7 @@ class TestNonFiniteCells:
         values = np.array([[1.5, np.nan, -2.0], [0.0, -0.0, 3.25], [np.nan, 4.0, np.nan]])
         for i, name in enumerate(mix):
             values.flat[2 * i + 1] = NON_FINITE[name]
-        dates = consecutive_dates(3)
+        dates = consecutive_days(3)
         t = ingest._assemble(["date", "a", "b", "c"], dates, values.copy())
         assert t.values.tobytes() == nan_rewritten(values).tobytes()
         assert ingest._needs_nan_rewrite(values) == (set(mix) != {"nan"})
@@ -740,6 +816,12 @@ def assert_same_text(got, want):
 
 def consecutive_dates(n, first="1990-01-01"):
     return [d(first) + datetime.timedelta(days=i) for i in range(n)]
+
+
+def consecutive_days(n, first="1990-01-01"):
+    """:func:`consecutive_dates` as a ``datetime64[D]`` array, as a table's
+    date index holds them."""
+    return np.array(consecutive_dates(n, first), "datetime64[D]")
 
 
 def _seeded_wide_range(rows=2000, cols=8, seed=3):
@@ -863,7 +945,7 @@ def test_keyed_rows_holds_one_block_of_cells_as_python_floats():
     rng = np.random.default_rng(23)
     values = rng.uniform(0.0, 100.0, size=(20000, 24))
     values[rng.random(values.shape) < 0.3] = np.nan
-    keys = report.date_keys(consecutive_dates(len(values)))
+    keys = report.date_keys(consecutive_days(len(values)))
     tracemalloc.start()
     try:
         for _ in report.keyed_rows(keys, values):
@@ -901,7 +983,7 @@ def test_keyed_rows_holds_one_block_of_decimal_cells():
     values = np.round(rng.uniform(0.0, 500.0, size=(20000, 24)), 3)
     values[rng.random(values.shape) < 0.3] = np.nan
     assert report._decimal_scale(values[: report._ROW_BLOCK].ravel())[0] == 3
-    keys = report.date_keys(consecutive_dates(len(values)))
+    keys = report.date_keys(consecutive_days(len(values)))
     tracemalloc.start()
     try:
         for _ in report.keyed_rows(keys, values):
@@ -1110,7 +1192,7 @@ class TestKeptText:
     def test_one_row_and_header_only_tables(self, rows, slice_bytes, compacted, monkeypatch):
         monkeypatch.setattr(report, "_SLICE_BYTES", slice_bytes)
         values = np.array([[96.644, np.nan, -0.5]])[:rows]
-        for keys, index_name in [(consecutive_dates(rows), "date"), (WIDE_CODES[:rows], "variable")]:
+        for keys, index_name in [(consecutive_days(rows), "date"), (WIDE_CODES[:rows], "variable")]:
             got = report.table_csv([index_name, "a", "b", "c"], keys, values)
             want = per_cell_csv(index_name, [str(key) for key in keys], ["a", "b", "c"], values)
             assert_same_text(got, want)
@@ -1137,7 +1219,7 @@ class TestKeptText:
             return text
 
         monkeypatch.setattr(report, "_kept_text", measured)
-        for _ in report.keyed_rows(report.date_keys(consecutive_dates(shape[0])), values):
+        for _ in report.keyed_rows(report.date_keys(consecutive_days(shape[0])), values):
             pass
         [(peak, size)] = peaks
         assert size > 7.5e6
@@ -1168,7 +1250,7 @@ class TestFilterTable:
         out = filter_table(
             t, FilterSpec(start=d("1990-01-01"), end=d("1991-01-01"))
         )
-        assert out.index == [d("1990-01-01"), d("1991-01-01")]
+        assert out.index.tolist() == [d("1990-01-01"), d("1991-01-01")]
 
     def test_required_variable_drops_rows(self):
         t = make_table(
@@ -1199,7 +1281,7 @@ class TestFilterTable:
         )
         once = filter_table(t, spec)
         twice = filter_table(once, spec)
-        assert twice.index == once.index
+        assert twice.index.tolist() == once.index.tolist()
         assert twice.codes == once.codes
         assert_allclose(twice.values, once.values, equal_nan=True)
 
