@@ -58,11 +58,12 @@ class _StageFailure(Exception):
 
 
 @contextmanager
-def _stage(name: str, errors=RiversepError):
-    """Report ``errors`` raised in the block as a failure of stage ``name``."""
+def _stage(name: str):
+    """Report a package error or an i/o error raised in the block as a
+    failure of stage ``name``."""
     try:
         yield
-    except errors as exc:
+    except (RiversepError, OSError) as exc:
         raise _StageFailure(name, exc) from exc
 
 
@@ -97,7 +98,7 @@ class _Pipeline:
         """The input record as parsed."""
         path = self.cfg.input_path
         csv_input = path is not None and path.suffix.lower() != ".rdb"
-        with _stage("ingest", (RiversepError, OSError)):
+        with _stage("ingest"):
             if path is None:
                 data = fetch_remote(**self.cfg.remote._asdict(), offline=self.offline)
             else:
@@ -206,7 +207,7 @@ def _write_ica(pipe: _Pipeline):
         "n_components": k,
         "converged": model.converged,
         "iterations": model.iterations,
-        "final_delta": model.delta_history[-1] if model.delta_history else None,
+        "final_delta": model.delta_history[-1],
         "seed": cfg.ica.seed,
         "contrast": cfg.ica.contrast,
         "tol": cfg.ica.tol,
@@ -270,7 +271,8 @@ def _write_diagnostics(pipe: _Pipeline):
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     n = matrix.shape[0]
-    max_lag = min(cfg.acf_max_lag, n - 2)
+    # one row leaves no lag to read: acf then names the two rows it needs
+    max_lag = max(0, min(cfg.acf_max_lag, n - 2))
     result = acf(matrix, max_lag)
     rows = np.stack(np.broadcast_arrays(result.lags, result.values, result.conf_band), -1)
     keys = [code for code in labels for _ in range(max_lag + 1)]
@@ -328,7 +330,8 @@ def _execute(pipe: _Pipeline, command: str) -> int:
         with _stage(stage):
             outputs += _write_files(out_dir, _WRITERS[stage](pipe))
     if command == "run":
-        _write_files(out_dir, _write_manifest(pipe, outputs))
+        with _stage("run"):
+            _write_files(out_dir, _write_manifest(pipe, outputs))
     return 0
 
 

@@ -79,7 +79,7 @@ class FaModel:
     uniquenesses : ndarray, shape (p,)
         Per-variable residual variances, in ``[0.005, 1]``.
     k : int
-        Number of factors (0 denotes the null model with no factors).
+        Number of factors, at least 1.
     log_likelihood_stat : float
         Bartlett-corrected likelihood-ratio statistic for the fit.
     dof : int
@@ -290,9 +290,9 @@ def _validate_correlation(r) -> np.ndarray:
 def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
     """Fit the k-factor model directly to a correlation matrix.
 
-    This is the population-input mode: ``r`` is taken as the sample
-    correlation of ``n_obs`` observations.  Exact-recovery checks use it to
-    hand the fitter a noise-free target.
+    ``r`` is taken as the sample correlation of ``n_obs`` observations.  The
+    CLI fits every factor count through it from one correlation matrix, and
+    exact-recovery checks hand it a noise-free target.
 
     Parameters
     ----------

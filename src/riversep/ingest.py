@@ -21,12 +21,12 @@ line to drop, and the block's records go in one pass of numpy's C reader
 (:func:`_bulk_read`) into records of a date field and the cells: the
 reader refuses a record with any other field count and reads every number
 it takes to the bits ``float`` gives.  Its dates are read from their bytes
-to ``datetime64[D]`` days (:func:`_iso_dates`).  From the first block
-holding anything it does not take (a cell such as ``NA`` or text, a wrong
-field count, a date with surrounding whitespace, a bad date) the row loop
-reads the records of the rest of the body, and it reads every record of a
-text holding a NUL.  The row loop is the one arbiter of the cell rule and
-of errors, so both paths give the same table or the same first error.
+to ``datetime64[D]`` days (:func:`_iso_dates`).  The row loop reads alone
+each block holding anything the reader does not take (a cell such as ``NA``
+or text, a wrong field count, a date with surrounding whitespace, a bad
+date), and every record of a text holding a NUL.  The row loop is the one
+arbiter of the cell rule and of errors, so both paths give the same table
+or the same first error.
 
 The date rule, for both paths, both layouts and the config's filter dates:
 a date is spelled exactly ``YYYY-MM-DD`` in ASCII digits and names a day of
@@ -74,8 +74,8 @@ _FORMAT_TOKEN = re.compile(r"\d+[A-Za-z]")
 # The one spelling of a date, the one :func:`_iso_dates` reads in bulk.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
-# Lines of an RDB body per pass of numpy's C reader: the most it reads of a
-# body that the row loop then reads again.
+# Lines of an RDB body per pass of numpy's C reader: the most the row loop
+# reads for one record the reader refuses.
 _BODY_BLOCK = 4096
 
 # Seconds fetch_remote waits on the network before giving up.
@@ -335,29 +335,22 @@ def _records(lines: list[str], start: int):
 def _read_body(lines: Sequence[str], first: int, n_fields: int, bulk: bool):
     """Days and cells of the RDB records in ``lines[first:]``, each in one
     preallocated array, filtered ``_BODY_BLOCK`` lines at a time by
-    :func:`_records`.  When ``bulk``, :func:`_bulk_read` reads each block
-    until it leaves one, and :func:`_read_records` reads the records of
-    that block and of every later one, so a body the row loop must read
-    costs at most one block more than the row loop alone.  Every earlier
-    block was read without error, so the row loop's first error is the
-    file's first."""
+    :func:`_records`.  When ``bulk``, :func:`_bulk_read` reads each block it
+    takes, and :func:`_read_records` reads each other block alone.  Blocks
+    are read in file order and the C reader raises no error, so the row
+    loop's first error is the file's first."""
     starts = range(first, len(lines), _BODY_BLOCK)
     blocks = [_records(lines[a : a + _BODY_BLOCK], a + 1) for a in starts]
     n = sum(len(records) for _, records in blocks)
     dates, values = np.empty(n, "datetime64[D]"), np.empty((n, n_fields - 1))
     done = 0
-    for i, (_, records) in enumerate(blocks):
+    for numbers, records in blocks:
         if not records:  # loadtxt warns on no lines
             continue
         block = _bulk_read(records, n_fields) if bulk else None
         if block is None:
-            remaining = (
-                (line_no, raw.split("\t"))
-                for numbers, later in blocks[i:]
-                for line_no, raw in zip(numbers, later)
-            )
-            dates[done:], values[done:] = _read_records(remaining, n_fields)
-            break
+            fields = (raw.split("\t") for raw in records)
+            block = _read_records(zip(numbers, fields), n_fields)
         dates[done : done + len(records)], values[done : done + len(records)] = block
         done += len(records)
     return dates, values

@@ -688,6 +688,44 @@ class TestExitCodes:
         assert summary["kaiser_components"] == 0
         assert summary["explained_variance_kaiser"] is None
 
+    @pytest.mark.parametrize("command", list(riversep.cli._SUBCOMMANDS))
+    def test_an_output_dir_that_is_a_file_fails_in_the_first_writing_stage(
+        self, workdir, capsys, command
+    ):
+        # the directory is made as the first file is written, inside the
+        # boundary of the stage that writes it
+        out = workdir / "out"
+        out.write_bytes(b"not a directory\n")
+        assert main([command, str(workdir / "pipeline.json")]) == 3
+        stage = riversep.cli._SUBCOMMANDS[command][1][0]
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"riversep: error in stage '{stage}': ")
+        assert str(out) in line
+        assert out.read_bytes() == b"not a directory\n"
+
+    def test_a_manifest_write_failure_is_reported_in_the_run_stage(self, workdir, capsys):
+        (workdir / "out" / "manifest.json").mkdir(parents=True)
+        assert main(["run", str(workdir / "pipeline.json")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("riversep: error in stage 'run': ")
+        assert "manifest.json" in line
+        assert (workdir / "out" / "fa_summary.json").exists()
+
+    def test_diagnose_on_one_model_row_names_the_rows_acf_needs(self, workdir):
+        # two years, annually averaged and differenced, leave one row
+        (workdir / "two_years.csv").write_text("date,00300,00618\n1990-06-01,1,2\n1991-06-01,3,5\n")
+        doc = json.loads((FIXTURES / "pipeline.json").read_text())
+        del doc["filter"]
+        doc.update(
+            input={"path": "two_years.csv"}, redundancy_rules=[], pipeline=["annual_mean", "difference"]
+        )
+        (workdir / "two_years.json").write_text(json.dumps(doc))
+        proc = run_in_subprocess(workdir, "diagnose", "two_years.json")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "riversep: error in stage 'diagnose': need at least 2 observations, got 1"
+        ]
+
     @pytest.mark.parametrize("stage", list(riversep.cli._WRITERS))
     def test_a_writer_failure_is_reported_in_its_stage(self, workdir, stage):
         # the stage's writer yields one file and then raises: run names the
@@ -976,6 +1014,15 @@ class TestSynthBench:
         cause = riversep.errors.ConditioningFailed(50, 1e9)
         assert proc.stderr.splitlines() == [f"riversep: error in stage 'synth-bench': {cause}"]
         assert not out.exists()
+
+    def test_an_out_path_that_is_a_file_is_reported_in_the_synth_bench_stage(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        out.write_bytes(b"not a directory\n")
+        assert main(["synth-bench", "--out", str(out), "--rows", "300", "--replicates", "1"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("riversep: error in stage 'synth-bench': ")
+        assert str(out) in line
+        assert out.read_bytes() == b"not a directory\n"
 
     def test_ica_separates_where_pca_cannot(self, tmp_path):
         main(["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "2000"])

@@ -322,6 +322,22 @@ def row_loop_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def bulk_reads(monkeypatch):
+    """For each block :func:`riversep.ingest._bulk_read` is handed, its
+    record count and whether it read the block."""
+    reads = []
+    bulk_read = ingest._bulk_read
+
+    def spy(records, n_fields):
+        block = bulk_read(records, n_fields)
+        reads.append((len(records), block is not None))
+        return block
+
+    monkeypatch.setattr(ingest, "_bulk_read", spy)
+    return reads
+
+
 def parse_line_by_line(text):
     """:func:`parse_rdb` with the bulk read switched off: the row loop alone."""
     bulk = ingest._bulk_read
@@ -357,9 +373,12 @@ class TestBulkRead:
         assert outcome(parse_line_by_line, text) == outcome(parse_rdb, text)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_body_with_refused_cells_is_read_by_the_row_loop(self, seed, body_block):
+    def test_body_with_refused_cells_is_read_by_the_row_loop(
+        self, seed, row_loop_calls, bulk_reads, body_block
+    ):
         text, p = random_rdb(np.random.default_rng(1000 + seed), deferred=0.05)
         t = parse_rdb(text)
+        assert len(row_loop_calls) == sum(n for n, taken in bulk_reads if not taken)
         dates, values = per_cell_oracle(text, p)
         assert t.index.tolist() == dates
         assert same_bits(t.values, values)
@@ -455,21 +474,57 @@ class TestBulkRead:
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + record.format(c=char) + "\n1990-01-02\t3\t4\n"
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
-    # records 0-3 are file lines 3-6, the first block of four lines; records
-    # 4-7 the second, records 8-9 the third
-    @pytest.mark.parametrize("refused, row_loop_reads", [(9, 2), (8, 2), (5, 6), (4, 6), (0, 10)])
-    def test_the_row_loop_reads_from_the_block_with_a_refused_cell_on(
-        self, refused, row_loop_reads, row_loop_calls, monkeypatch
+    # with b lines a block, records 0..b-1 are the first block, b..2b-1 the
+    # second, and 2b, 2b+1 the third
+    @pytest.mark.parametrize("block, offset", [(0, 0), (0, -1), (1, 0), (1, -1), (2, 0), (2, -1)])
+    def test_the_row_loop_reads_only_the_block_with_a_refused_cell(
+        self, block, offset, row_loop_calls, bulk_reads, body_block
     ):
-        monkeypatch.setattr(ingest, "_BODY_BLOCK", 4)
-        records = [f"1990-01-{i + 1:02d}\t{i}\t{i}.5" for i in range(10)]
-        records[refused] = records[refused].replace(f"\t{refused}\t", "\tNA\t")
+        records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(2 * body_block + 2))]
+        first = block * body_block
+        size = min(body_block, len(records) - first)
+        refused = first + offset % size
+        records[refused] = records[refused].replace("\t", "\tNA\t", 1).rsplit("\t", 1)[0]
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
         t = parse_rdb(text)
-        assert row_loop_calls == [1] * row_loop_reads
+        assert row_loop_calls == [1] * size
+        assert bulk_reads == [(n, i != block) for i, n in enumerate([body_block, body_block, 2])]
         dates, values = per_cell_oracle(text, 2)
         assert t.index.tolist() == dates
         assert same_bits(t.values, values)
+        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
+
+    def test_refused_blocks_apart_leave_the_blocks_between_them_to_the_bulk_read(
+        self, row_loop_calls, bulk_reads, body_block
+    ):
+        # "<0.01" in the first and third of four blocks: the second and fourth
+        # are read in bulk, and a record a field short in the fourth is still
+        # the row loop's error
+        records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(4 * body_block))]
+        for refused in (body_block - 1, 2 * body_block):
+            records[refused] = records[refused].replace("\t", "\t<0.01\t", 1).rsplit("\t", 1)[0]
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == [1] * (2 * body_block)
+        assert bulk_reads == [(body_block, taken) for taken in (False, True, False, True)]
+        assert np.isnan(t.values[[body_block - 1, 2 * body_block], 0]).all()
+        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
+        ragged = 3 * body_block + 1
+        records[ragged] = records[ragged].rsplit("\t", 1)[0]
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        assert outcome(parse_rdb, text) == (errors.RaggedRow, str(errors.RaggedRow(ragged + 3, 3, 2)))
+        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
+
+    def test_a_refused_last_line_in_every_block(self, row_loop_calls, bulk_reads, body_block):
+        records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(3 * body_block))]
+        for last in range(body_block - 1, len(records), body_block):
+            records[last] = records[last].rsplit("\t", 1)[0] + "\tNA"
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == [1] * len(records)
+        assert bulk_reads == [(body_block, False)] * 3
+        assert np.isnan(t.values[body_block - 1 :: body_block, 1]).all()
+        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
     def test_unsorted_records_come_out_sorted(self, row_loop_calls):
         text = "datetime\ta\n10d\t12n\n1990-01-03\t3\n1990-01-01\t1\n1990-01-02\t\n"
@@ -553,8 +608,8 @@ class TestBulkRead:
         assert (exc.value.line, exc.value.got) == (ragged + 3, 2)
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
-    def test_a_leading_space_date_hands_its_block_and_every_later_one_to_the_row_loop(
-        self, row_loop_calls, body_block
+    def test_a_leading_space_date_hands_only_its_block_to_the_row_loop(
+        self, row_loop_calls, bulk_reads, body_block
     ):
         days = [day.isoformat() for day in consecutive_dates(2 * body_block + 1)]
         canonical = "datetime\ta\tb\n10d\t12n\t12n\n" + "".join(
@@ -564,7 +619,8 @@ class TestBulkRead:
         text = canonical.replace(f"\n{days[body_block + 1]}\t", f"\n {days[body_block + 1]}\t")
         assert text != canonical
         parse_rdb(text)
-        assert row_loop_calls == [1] * (len(days) - body_block)
+        assert row_loop_calls == [1] * body_block
+        assert bulk_reads == [(body_block, True), (body_block, False), (1, True)]
         assert outcome(parse_rdb, text) == outcome(parse_rdb, canonical)
 
     @pytest.mark.parametrize("where", ["comment", "cell"])
@@ -975,6 +1031,29 @@ def test_parse_rdb_does_not_hold_the_decoded_text_while_reading_the_body():
         tracemalloc.stop()
     assert t.values.shape == (20000, 24)
     assert peak < 12.5e6, peak
+
+
+def test_parse_rdb_holds_one_block_of_row_loop_floats():
+    # the same body with NA for each empty cell: every block goes to the row
+    # loop, which peaks at ~12.1 MB holding one block of Python floats; a
+    # reader holding the rest of the body from the first refused block
+    # peaked at ~26.2 MB
+    rng = np.random.default_rng(29)
+    cells = np.round(rng.uniform(0.0, 500.0, size=(20000, 24)), 3).astype(str)
+    cells[rng.random(cells.shape) < 0.3] = "NA"
+    lines = ["\t".join(["datetime", *(f"v{j:02d}" for j in range(24))]), "\t".join(["10d"] + ["12n"] * 24)]
+    days = consecutive_dates(20000)
+    lines += ["\t".join([day.isoformat(), *row]) for day, row in zip(days, cells.tolist())]
+    data = ("\n".join(lines) + "\n").encode()
+    tracemalloc.start()
+    try:
+        t = parse_rdb(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.values.shape == (20000, 24)
+    assert same_bits(t.values, parse_line_by_line(data).values)
+    assert peak < 15e6, peak
 
 
 def test_keyed_rows_holds_one_block_of_decimal_cells():
