@@ -59,11 +59,11 @@ class _StageFailure(Exception):
 
 @contextmanager
 def _stage(name: str):
-    """Report a package error or an i/o error raised in the block as a
-    failure of stage ``name``."""
+    """Report a package error, an i/o error or an allocation failure raised
+    in the block as a failure of stage ``name``."""
     try:
         yield
-    except (RiversepError, OSError) as exc:
+    except (RiversepError, OSError, MemoryError) as exc:
         raise _StageFailure(name, exc) from exc
 
 
@@ -100,7 +100,7 @@ class _Pipeline:
         csv_input = path is not None and path.suffix.lower() != ".rdb"
         with _stage("ingest"):
             if path is None:
-                data = fetch_remote(**self.cfg.remote._asdict(), offline=self.offline)
+                data = fetch_remote(**self.cfg.remote, offline=self.offline)
             else:
                 data = path.read_bytes()
             raw = (parse_csv if csv_input else parse_rdb)(data)
@@ -465,7 +465,8 @@ def main(argv=None) -> int:
         print(f"riversep: config error: {exc}", file=sys.stderr)
         return 2
     except _StageFailure as exc:
-        print(f"riversep: error in stage '{exc.stage}': {exc.cause}", file=sys.stderr)
+        cause = str(exc.cause) or type(exc.cause).__name__  # a bare MemoryError
+        print(f"riversep: error in stage '{exc.stage}': {cause}", file=sys.stderr)
         return 3
     except RiversepError as exc:
         print(f"riversep: error: {exc}", file=sys.stderr)

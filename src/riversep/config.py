@@ -7,9 +7,9 @@ always typos), numbers must be finite (not ``1e400`` or ``NaN``), and
 stage names must be known.  Each stage must take the index (date or year)
 that the one before it returns, as :data:`riversep.preprocess.STAGES`
 declares; the record is dated, so date stages precede ``annual_mean``.
-One reader, :func:`_section`, reads every object section.  A range rule
-that ``FilterSpec`` or ``IcaConfig`` owns is checked there alone, and the
-CLI's ``--seed`` meets the same ``IcaConfig`` rule before any stage runs.
+One reader, :func:`_section`, reads every object section and rule item; a
+rule a settings type owns is checked there alone, through :func:`_build`,
+and the CLI's ``--seed`` meets the same ``IcaConfig`` rule before any stage runs.
 
 All relative paths are resolved against the directory containing the
 config file, so a config travels with its data.
@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
 
 from .diagnostics import _MAX_BINS
 from .errors import ConfigError, OutOfRange, RuleInapplicable
@@ -34,22 +33,11 @@ from .ingest import FilterSpec, _iso_date
 from .preprocess import STAGES, RedundancyRule
 
 
-class RemoteSpec(NamedTuple):
-    """Where to fetch a station record and how to cache it."""
-
-    site: str
-    codes: tuple
-    start: str
-    end: str
-    url_template: str
-    cache_dir: Path
-    medium_code: str | None
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, path-resolved run settings.
 
+    ``remote`` holds a remote input's ``fetch_remote`` arguments.
     ``ica_components`` of None means Kaiser's count of the correlation PCA,
     whatever ``pca_scale`` says.  ``ica`` holds the validated FastICA
     settings; the run replaces its ``n_components`` with the resolved count,
@@ -59,7 +47,7 @@ class RunConfig:
 
     config_sha256: str
     input_path: Path | None
-    remote: RemoteSpec | None
+    remote: dict | None
     filter_spec: FilterSpec | None
     redundancy_rules: tuple
     pipeline: tuple
@@ -147,10 +135,9 @@ def _as_level(value, where: str) -> float:
     return level
 
 
-def _section(doc: dict, name: str, readers: dict) -> dict:
-    """The object ``doc[name]`` (empty when absent), each key read by its
-    reader under the dotted name ``name.key``; unknown keys are rejected."""
-    section = doc.get(name, {})
+def _section(section, name: str, readers: dict) -> dict:
+    """The object ``section``, each key read by its reader under the dotted
+    name ``name.key``; unknown keys are rejected."""
     if not isinstance(section, dict):
         raise ConfigError(f"'{name}' must be an object")
     _reject_unknown(section, readers, f"'{name}'")
@@ -162,10 +149,10 @@ def _section(doc: dict, name: str, readers: dict) -> dict:
 
 
 def _build(kind, name: str, **settings):
-    """``kind(**settings)``; the type's own range rules fail as config errors."""
+    """``kind(**settings)``; the type's own rules fail as config errors."""
     try:
         return kind(**settings)
-    except OutOfRange as exc:
+    except (OutOfRange, RuleInapplicable) as exc:
         raise ConfigError(f"invalid {name!r} section: {exc}") from None
 
 
@@ -206,19 +193,20 @@ _REMOTE_READERS = {
     "cache_dir": _as_str,
     "medium_code": _as_str,
 }
+_RULE_READERS = {"composite": _as_str, "parts": _as_strs}
 
 
 def _parse_input(doc: dict, base: Path):
     section = _require(doc, "input", "the config root")
     if isinstance(section, dict) and "path" in section:
-        return base / _section(doc, "input", {"path": _as_str})["path"], None
-    remote = _section(doc, "input", _REMOTE_READERS)
+        return base / _section(section, "input", {"path": _as_str})["path"], None
+    remote = _section(section, "input", _REMOTE_READERS)
     if "site" not in remote:
         raise ConfigError("'input' needs either a 'path' or a 'site'")
     for key in ("codes", "start", "end", "url_template"):
         _require(remote, key, "'input'")
     remote["cache_dir"] = base / remote.get("cache_dir", "cache")
-    return None, RemoteSpec(**{"medium_code": None, **remote})
+    return None, remote
 
 
 def _parse_rules(items) -> tuple:
@@ -227,15 +215,10 @@ def _parse_rules(items) -> tuple:
     rules = []
     for i, item in enumerate(items):
         where = f"redundancy_rules[{i}]"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{where} must be an object")
-        _reject_unknown(item, ("composite", "parts"), where)
-        composite = _as_str(_require(item, "composite", where), f"{where}.composite")
-        parts = _as_strs(_require(item, "parts", where), f"{where}.parts")
-        try:
-            rules.append(RedundancyRule(composite, parts))
-        except RuleInapplicable as exc:
-            raise ConfigError(f"invalid {where}: {exc}") from None
+        rule = _section(item, where, _RULE_READERS)
+        for key in _RULE_READERS:
+            _require(rule, key, f"'{where}'")
+        rules.append(_build(RedundancyRule, where, **rule))
     return tuple(rules)
 
 
@@ -294,7 +277,7 @@ def load_config(path) -> RunConfig:
     _reject_unknown(doc, _ROOT_KEYS, "the config root")
     base = path.resolve().parent
     input_path, remote = _parse_input(doc, base)
-    read = {name: _section(doc, name, readers) for name, readers in _SECTIONS.items()}
+    read = {n: _section(doc.get(n, {}), n, r) for n, r in _SECTIONS.items()}
     filter_spec = (
         _build(FilterSpec, "filter", **read["filter"]) if "filter" in doc else None
     )

@@ -71,6 +71,13 @@ class RaggedRow(RiversepError):
         super().__init__(f"line {line}: expected {expected} fields, got {got}")
 
 
+class MalformedRecord(RiversepError):
+    def __init__(self, line: int, reason: str):
+        self.line = line
+        self.reason = reason
+        super().__init__(f"line {line}: {reason}")
+
+
 class InvalidDate(RiversepError):
     def __init__(self, line: int, text: str):
         self.line = line

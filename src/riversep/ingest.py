@@ -39,12 +39,11 @@ from __future__ import annotations
 import csv
 import datetime
 import hashlib
-import io
 import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -57,6 +56,7 @@ from .errors import (
     HttpStatus,
     InvalidDate,
     MalformedHeader,
+    MalformedRecord,
     NetworkUnavailable,
     NotUtf8,
     OutOfRange,
@@ -74,8 +74,8 @@ _FORMAT_TOKEN = re.compile(r"\d+[A-Za-z]")
 # The one spelling of a date, the one :func:`_iso_dates` reads in bulk.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
-# Lines of an RDB body per pass of numpy's C reader: the most the row loop
-# reads for one record the reader refuses.
+# Lines of an RDB body per pass of numpy's C reader, the most the row loop
+# reads for one record the reader refuses; records of a CSV body per array.
 _BODY_BLOCK = 4096
 
 # Seconds fetch_remote waits on the network before giving up.
@@ -248,9 +248,9 @@ def _needs_nan_rewrite(values: np.ndarray) -> bool:
 
 
 def _read_records(records, n_fields: int):
-    """Days (``datetime64[D]``) and cell rows of ``records``, ``(line
-    number, fields)`` pairs in file order, one at a time; raises the first
-    error with its line number."""
+    """Days (``datetime64[D]``) and cells (a float array) of ``records``,
+    ``(line number, fields)`` pairs in file order, one at a time; raises
+    the first error with its line number."""
     dates: list[datetime.date] = []
     rows: list[list[float]] = []
     for line_no, fields in records:
@@ -258,7 +258,7 @@ def _read_records(records, n_fields: int):
             raise RaggedRow(line_no, n_fields, len(fields))
         dates.append(_parse_date(fields[0], line_no))
         rows.append(_read_row(fields[1:]))
-    return np.array(dates, "datetime64[D]"), rows
+    return np.array(dates, "datetime64[D]"), np.reshape(rows, (-1, n_fields - 1))
 
 
 def _iso_dates(fields: np.ndarray) -> np.ndarray | None:
@@ -395,16 +395,24 @@ def parse_rdb(data: bytes | str) -> Table:
 
 
 def parse_csv(data: bytes | str) -> Table:
-    """Parse an RFC-4180 CSV with a single header row (date column first)."""
-    reader = csv.reader(io.StringIO(_text(data)))
-    header = next((fields for fields in reader if fields), None)
-    if header is None:
-        raise MalformedHeader("no header line found")
-    if len(header) < 2:
-        raise MalformedHeader("CSV header must have at least two columns")
-    records = ((reader.line_num, fields) for fields in reader if fields)
-    dates, rows = _read_records(records, len(header))
-    values = np.array(rows, dtype=float).reshape(len(rows), len(header) - 1)
+    """Parse an RFC-4180 CSV with a single header row (date column first); a
+    syntax error (an oversized cell, a bare ``\\r``) is a MalformedRecord."""
+    *lines, tail = _text(data).split("\n")  # lines as io.StringIO yields them
+    reader = csv.reader(chain((line + "\n" for line in lines), [tail] if tail else []))
+    try:
+        header = next((fields for fields in reader if fields), None)
+        if header is None:
+            raise MalformedHeader("no header line found")
+        if len(header) < 2:
+            raise MalformedHeader("CSV header must have at least two columns")
+        body = ((reader.line_num, fields) for fields in reader if fields)
+        blocks = [_read_records(islice(body, _BODY_BLOCK), len(header))]
+        while len(blocks[-1][0]) == _BODY_BLOCK:
+            blocks.append(_read_records(islice(body, _BODY_BLOCK), len(header)))
+    except csv.Error as exc:
+        raise MalformedRecord(reader.line_num, str(exc)) from None
+    del lines  # read, and not held beside the joined blocks
+    dates, values = (np.concatenate(parts) for parts in zip(*blocks))
     return _assemble(header, dates, values)
 
 

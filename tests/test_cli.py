@@ -407,6 +407,32 @@ class TestExitCodes:
         assert main(["run", str(bad)]) == 2
         assert "plots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            (
+                "date,00618,00300\n1990-01-01,1," + "9" * 200_000 + "\n",
+                2,
+                "field larger than field limit (131072)",
+            ),
+            ("date,00618,00300\r1990-01-01,1,2\r", 1, "new-line character seen in unquoted field"),
+            ("date,00618,00300\n1990-01-01,1\r2,3\n", 2, "new-line character seen in unquoted field"),
+        ],
+        ids=["oversized_cell", "bare_cr_line_ends", "cr_in_a_cell"],
+    )
+    def test_a_csv_syntax_error_names_its_line_in_the_ingest_stage(
+        self, workdir, capsys, text, line, reason
+    ):
+        (workdir / "station.csv").write_text(text, newline="")
+        config = workdir / "pipeline.json"
+        doc = json.loads(config.read_text())
+        doc["input"] = {"path": "station.csv"}
+        config.write_text(json.dumps(doc))
+        assert main(["ingest", str(config)]) == 3
+        [message] = capsys.readouterr().err.splitlines()
+        assert message.startswith(f"riversep: error in stage 'ingest': line {line}: {reason}")
+        assert not (workdir / "out").exists()
+
     def test_runtime_failure_names_its_stage(self, workdir, capsys):
         doc = json.loads((workdir / "pipeline.json").read_text())
         doc["filter"]["required_variable"] = "99999"
@@ -1013,6 +1039,29 @@ class TestSynthBench:
         assert proc.returncode == 3
         cause = riversep.errors.ConditioningFailed(50, 1e9)
         assert proc.stderr.splitlines() == [f"riversep: error in stage 'synth-bench': {cause}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error, cause",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_an_allocation_failure_is_reported_in_the_synth_bench_stage(
+        self, tmp_path, capsys, monkeypatch, error, cause
+    ):
+        # raised, never allocated: a test must not ask for the memory
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(riversep.cli, "generate_scenario", fail)
+        out = tmp_path / "bench"
+        assert main(["synth-bench", "--out", str(out), "--rows", "300", "--replicates", "1"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"riversep: error in stage 'synth-bench': {cause}"
+        ]
         assert not out.exists()
 
     def test_an_out_path_that_is_a_file_is_reported_in_the_synth_bench_stage(self, tmp_path, capsys):

@@ -319,6 +319,35 @@ def test_self_referential_rule_rejected(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("00600", "'redundancy_rules[0]' must be an object"),
+        ({"composite": "00600"}, "missing required key 'parts' in 'redundancy_rules[0]'"),
+        ({"parts": ["00605"]}, "missing required key 'composite' in 'redundancy_rules[0]'"),
+        (
+            {"composite": "00600", "parts": ["00605"], "extra": 1},
+            "unknown key 'extra' in 'redundancy_rules[0]'",
+        ),
+        ({"composite": "00600", "parts": "00605"}, "redundancy_rules[0].parts must be a list of strings"),
+        ({"composite": 600, "parts": ["00605"]}, "redundancy_rules[0].composite must be a string, got 600"),
+        (
+            {"composite": "00600", "parts": ["00600"]},
+            "invalid 'redundancy_rules[0]' section: a composite cannot be its own part",
+        ),
+        (
+            {"composite": "00600", "parts": []},
+            "invalid 'redundancy_rules[0]' section: a redundancy rule needs at least one part",
+        ),
+    ],
+)
+def test_a_rule_item_is_read_as_every_section_is(tmp_path, item, message):
+    doc = dict(MINIMAL, redundancy_rules=[item])
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path, doc))
+    assert str(info.value) == message
+
+
 def test_remote_input_parses(tmp_path):
     doc = dict(
         MINIMAL,
@@ -332,9 +361,9 @@ def test_remote_input_parses(tmp_path):
     )
     cfg = load_config(write_config(tmp_path, doc))
     assert cfg.input_path is None
-    assert cfg.remote.site == "11447650"
-    assert cfg.remote.codes == ("00618", "00608")
-    assert cfg.remote.cache_dir == tmp_path / "cache"
+    assert cfg.remote["site"] == "11447650"
+    assert cfg.remote["codes"] == ("00618", "00608")
+    assert cfg.remote["cache_dir"] == tmp_path / "cache"
 
 
 def test_input_needs_path_or_site(tmp_path):

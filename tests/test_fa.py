@@ -19,7 +19,9 @@ from riversep.errors import (
     DidNotConverge,
     DofNegative,
     EmptyResult,
+    NotSymmetric,
     OutOfRange,
+    ShapeMismatch,
     SingularCorrelation,
     TooFewRows,
 )
@@ -560,5 +562,23 @@ class TestInputValidation:
 
     def test_non_unit_diagonal_rejected(self):
         bad = compound_symmetry(4, 0.3) * 2.0
+        with pytest.raises(OutOfRange):
+            fit_fa_ml_corr(bad, 1, 100)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeMismatch, match="square"):
+            fit_fa_ml_corr(compound_symmetry(4, 0.3)[:, :3], 1, 100)
+
+    def test_asymmetric_rejected(self):
+        bad = compound_symmetry(4, 0.3)
+        bad[0, 1] += 1e-6
+        with pytest.raises(NotSymmetric) as info:
+            fit_fa_ml_corr(bad, 1, 100)
+        assert info.value.max_asym == pytest.approx(1e-6)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        bad = compound_symmetry(4, 0.3)
+        bad[1, 2] = bad[2, 1] = value
         with pytest.raises(OutOfRange):
             fit_fa_ml_corr(bad, 1, 100)

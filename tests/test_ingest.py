@@ -1,4 +1,6 @@
+import csv
 import datetime
+import io
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -660,6 +662,55 @@ def test_a_csv_date_has_the_rdb_row_loops_rule(date):
         assert outcome(parse_csv, text) == (errors.InvalidDate, str(errors.InvalidDate(3, date)))
 
 
+# Texts whose lines csv reads alike from io.StringIO and from parse_csv.
+CSV_LINE_EDGES = {
+    "crlf": "date,a,b\r\n1990-01-01,1,2\r\n1990-01-02,3,\r\n",
+    "quoted_newline_in_a_cell": 'date,a,b\n1990-01-01,"1\n",2\n1990-01-02,3,4\n',
+    "quoted_newline_in_a_code": 'date,"a\nx",b\n1990-01-01,1,2\n',
+    "unterminated_quote_at_the_end": 'date,a,b\n1990-01-01,1,"2',
+    "unterminated_quote_then_newline": 'date,a,b\n1990-01-01,1,"2\n',
+    "blank_lines": "\n\ndate,a,b\n\n1990-01-01,1,2\n\n\n1990-01-03,,5\n",
+    "other_line_breaks_in_cells": "date,a,b\n1990-01-01,1\x0c,2\u2028\n1990-01-02,\x1c3, 4\x0b\n",
+    "no_final_newline": "date,a,b\n1990-01-01,1,2",
+    "header_only": "date,a,b\n",
+    "header_only_without_newline": "date,a,b",
+}
+
+
+@pytest.mark.parametrize("text", list(CSV_LINE_EDGES.values()), ids=list(CSV_LINE_EDGES))
+def test_parse_csv_reads_the_records_csv_reads_from_io_stringio(text):
+    header, *rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    t = parse_csv(text)
+    assert t.codes == [code.strip() for code in header[1:]]
+    assert t.index.tolist() == [d(row[0]) for row in rows]
+    cells = np.array([[_parse_cell(c) for c in row[1:]] for row in rows]).reshape(len(rows), len(header) - 1)
+    assert same_bits(t.values, cells)
+
+
+def test_a_quote_left_open_at_the_end_ends_on_the_last_line():
+    # io.StringIO yields no line past a final newline, so the ragged
+    # record ends on line 2, not on a blank line 3
+    text = 'date,a,b\n1990-01-01,"1\n'
+    assert outcome(parse_csv, text) == (errors.RaggedRow, str(errors.RaggedRow(2, 3, 2)))
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("date,a," + "b" * 200_000 + "\n1990-01-01,1,2\n", 1),
+        ("date,a,b\n1990-01-01,1," + "9" * 200_000 + "\n", 2),
+        ("date,a,b\r1990-01-01,1,2\r", 1),
+        ('date,a,b\n1990-01-01,"1\n",2\n1990-01-02,3\r,4\n', 4),
+    ],
+    ids=["oversized_code", "oversized_cell", "bare_cr_line_ends", "cr_after_a_quoted_newline"],
+)
+def test_a_csv_syntax_error_is_a_malformed_record_on_the_readers_line(text, line):
+    with pytest.raises(errors.MalformedRecord) as info:
+        parse_csv(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {info.value.reason}"
+
+
 class TestIndexContract:
     """A date index is a ``datetime64[D]`` array and a year index an
     integer one, from the parsers, the stages and a table built by hand."""
@@ -1053,6 +1104,31 @@ def test_parse_rdb_holds_one_block_of_row_loop_floats():
         tracemalloc.stop()
     assert t.values.shape == (20000, 24)
     assert same_bits(t.values, parse_line_by_line(data).values)
+    assert peak < 15e6, peak
+
+
+@pytest.mark.parametrize("missing", ["", "NA"])
+def test_parse_csv_holds_one_block_of_row_loop_floats(missing):
+    # the same body as CSV peaks at ~10.7 MB (empty cells) and ~11.6 MB
+    # (NA); a reader that held the text as io.StringIO and every row as
+    # Python floats peaked at ~29.6 and ~34.2 MB
+    rng = np.random.default_rng(29)
+    cells = np.round(rng.uniform(0.0, 500.0, size=(20000, 24)), 3).astype(str)
+    cells[rng.random(cells.shape) < 0.3] = missing
+    days = consecutive_dates(20000)
+    lines = [",".join(["date", *(f"v{j:02d}" for j in range(24))])]
+    lines += [",".join([day.isoformat(), *row]) for day, row in zip(days, cells.tolist())]
+    data = ("\n".join(lines) + "\n").encode()
+    tracemalloc.start()
+    try:
+        t = parse_csv(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.values.shape == (20000, 24)
+    rdb = [lines[0].replace(",", "\t"), "\t".join(["10d"] + ["12n"] * 24)]
+    rdb += [line.replace(",", "\t") for line in lines[1:]]
+    assert same_bits(t.values, parse_rdb("\n".join(rdb) + "\n").values)
     assert peak < 15e6, peak
 
 
