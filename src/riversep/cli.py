@@ -5,10 +5,11 @@ preprocessing stages in order, fits the three decomposition models, writes
 the diagnostics tables, and finishes with a manifest recording the config
 hash, every stage's row/column counts, and the tool version.  The other
 subcommands stop earlier in that chain and write only their own outputs,
-which makes any stage inspectable in isolation.  Each stage has one writer,
-which yields ``(file name, text)`` pairs; :func:`_execute` writes each file
-as it is yielded, inside one boundary that names the stage in any error, so
-a failing stage leaves the files written before it.
+which makes any stage inspectable in isolation.  :class:`_Pipeline` makes
+each table and fit once; each stage's writer, the manifest being the ``run``
+stage's, formats them as ``(file name, text)`` pairs, and :func:`_execute`
+writes each file as it is yielded, inside one boundary that names the stage
+in any error, so a failing stage leaves the files written before it.
 
 Outputs carry no timestamps and all randomness is seeded, so rerunning a
 command on identical inputs reproduces every file byte for byte.
@@ -68,11 +69,11 @@ def _stage(name: str):
 
 
 class _Pipeline:
-    """The configured chain from input record to model input.
+    """The configured chain from input record to model fits.
 
-    Each link (the parsed record, the staged table, the dense matrix) is
-    computed on first use and kept, so a subcommand runs only the part of
-    the chain its outputs read, and runs it once.
+    Each link (the parsed record, the staged table, the dense matrix, each
+    model) is computed on first use and kept, so a subcommand runs only the
+    part of the chain its outputs read, and runs it once.
     """
 
     def __init__(self, cfg: RunConfig, offline=False):
@@ -81,6 +82,7 @@ class _Pipeline:
         # one manifest entry per stage: its name, the table's shape after
         # it, and the codes it dropped, in input order
         self.stages = []
+        self.outputs = []  # the files written so far, for the manifest
 
     def _record(self, name, before, after):
         kept = set(after.codes)
@@ -140,6 +142,32 @@ class _Pipeline:
         """The model input's correlation PCA, read by ``pca`` and ICA's Kaiser count."""
         return fit_pca(self.model_input.values, scale=True)
 
+    @cached_property
+    def ica(self):
+        """The model input's FastICA, of the configured count or else Kaiser's."""
+        k = self.cfg.ica_components
+        if k is None:
+            k = kaiser_retain(self.scaled_pca)
+        if k == 0:  # the config admits no count below 1
+            raise RuleInapplicable("Kaiser's rule keeps no component: no eigenvalue exceeds 1")
+        return fast_ica(self.model_input.values, replace(self.cfg.ica, n_components=k))
+
+    @cached_property
+    def fa(self):
+        """The model input's ML factor fits, one per estimable count, and the
+        smallest adequate count."""
+        n, p = self.model_input.values.shape
+        # the counts before the first with negative degrees of freedom: for
+        # p = 3 the dof is 0 again at k = 6
+        ks = list(takewhile(lambda k: fa_dof(p, k) >= 0, range(1, self.cfg.fa_k_max + 1)))
+        if not ks:
+            raise RiversepError(f"no factor count is estimable for {p} variables")
+        if n <= p:  # as fit_fa_ml checks, before the correlation can fail
+            raise TooFewRows(n, p + 1)
+        r = correlation_matrix(self.model_input.values)
+        fits = [fit_fa_ml_corr(r, k, n) for k in ks]
+        return fits, smallest_adequate_k([m.p_value for m in fits], self.cfg.fa_alpha)
+
 
 def _write_files(out_dir: Path, files) -> list[str]:
     """Write each ``(name, text)`` of ``files`` under ``out_dir`` as it is
@@ -191,55 +219,33 @@ def _write_pca(pipe: _Pipeline):
 
 
 def _write_ica(pipe: _Pipeline):
-    cfg = pipe.cfg
-    table = pipe.model_input
-    k = cfg.ica_components
-    if k is None:
-        k = kaiser_retain(pipe.scaled_pca)
-    if k == 0:  # the config admits no count below 1
-        raise RuleInapplicable("Kaiser's rule keeps no component: no eigenvalue exceeds 1")
-    model = fast_ica(table.values, replace(cfg.ica, n_components=k))
-
-    codes = [f"IC{j + 1}" for j in range(k)]
+    table, model = pipe.model_input, pipe.ica
+    settings = model.config  # as resolved, with the count extracted
+    codes = [f"IC{j + 1}" for j in range(settings.n_components)]
     sources = Table(table.index_name, table.index, codes, model.sources)
     yield "ica_sources.csv", emit_csv(sources)
     summary = {
-        "n_components": k,
+        "n_components": settings.n_components,
         "converged": model.converged,
         "iterations": model.iterations,
         "final_delta": model.delta_history[-1],
-        "seed": cfg.ica.seed,
-        "contrast": cfg.ica.contrast,
-        "tol": cfg.ica.tol,
-        "max_iter": cfg.ica.max_iter,
+        "seed": settings.seed,
+        "contrast": settings.contrast,
+        "tol": settings.tol,
+        "max_iter": settings.max_iter,
     }
     yield "ica_summary.json", json_text(summary)
 
 
 def _write_fa(pipe: _Pipeline):
-    cfg = pipe.cfg
-    matrix, labels = pipe.model_input.values, pipe.model_input.codes
-    n, p = matrix.shape
-    # the counts before the first with negative degrees of freedom: for
-    # p = 3 the dof is 0 again at k = 6
-    ks = list(takewhile(lambda k: fa_dof(p, k) >= 0, range(1, cfg.fa_k_max + 1)))
-    if not ks:
-        raise RiversepError(f"no factor count is estimable for {p} variables")
-    if n <= p:  # as fit_fa_ml checks, before the correlation can fail
-        raise TooFewRows(n, p + 1)
-    r = correlation_matrix(matrix)
-    fits = []
-    for k in ks:
-        m = fit_fa_ml_corr(r, k, n)
-        fits.append(m)
-        header = ["variable"] + [f"F{j + 1}" for j in range(k)] + ["uniqueness"]
-        rows = np.column_stack([m.loadings, m.uniquenesses])
-        yield f"fa_k{k}_loadings.csv", loading_csv(header, labels, rows)
-        yield f"fa_k{k}_residual.csv", table_csv(["variable", *labels], labels, m.residual)
-
-    selection = smallest_adequate_k([m.p_value for m in fits], cfg.fa_alpha)
+    labels = pipe.model_input.codes
+    fits, selection = pipe.fa
     entries = []
     for m in fits:
+        header = ["variable"] + [f"F{j + 1}" for j in range(m.k)] + ["uniqueness"]
+        rows = np.column_stack([m.loadings, m.uniquenesses])
+        yield f"fa_k{m.k}_loadings.csv", loading_csv(header, labels, rows)
+        yield f"fa_k{m.k}_residual.csv", table_csv(["variable", *labels], labels, m.residual)
         off = m.residual - np.diag(np.diag(m.residual))
         worst = float(np.abs(off).max())
         entries.append(
@@ -257,9 +263,9 @@ def _write_fa(pipe: _Pipeline):
             }
         )
     summary = {
-        "alpha": cfg.fa_alpha,
-        "k_max_requested": cfg.fa_k_max,
-        "k_max_used": len(ks),
+        "alpha": pipe.cfg.fa_alpha,
+        "k_max_requested": pipe.cfg.fa_k_max,
+        "k_max_used": len(fits),
         "fits": entries,
         "selected_k": selection.k,
         "selection_adequate": selection.adequate,
@@ -283,19 +289,19 @@ def _write_diagnostics(pipe: _Pipeline):
     yield "mi.csv", table_csv(["variable", *labels], labels, mi)
 
 
-def _write_manifest(pipe: _Pipeline, outputs: list):
+def _write_manifest(pipe: _Pipeline):
     manifest = {
         "tool_version": __version__,
         "config_sha256": pipe.cfg.config_sha256,
         "seed": pipe.cfg.ica.seed,
         "offline": pipe.offline,
         "stages": pipe.stages,
-        "outputs": sorted(set(outputs) | {"manifest.json"}),
+        "outputs": sorted({*pipe.outputs, "manifest.json"}),
     }
     yield "manifest.json", json_text(manifest)
 
 
-# Each stage's writer, in the order ``run`` runs them.
+# Each stage's writer, in the order ``run`` runs them, the manifest last.
 _WRITERS = {
     "ingest": _write_ingested,
     "preprocess": _write_preprocessed,
@@ -303,10 +309,10 @@ _WRITERS = {
     "ica": _write_ica,
     "fa": _write_fa,
     "diagnose": _write_diagnostics,
+    "run": _write_manifest,
 }
 
-# Each config-driven subcommand: its help text and the stages it runs, in
-# order.  Only ``run`` also writes manifest.json.
+# Each config subcommand: its help text and the stages it runs, in order.
 _SUBCOMMANDS = {
     "ingest": ("parse the input record and write ingested.csv", ("ingest",)),
     "preprocess": (
@@ -323,15 +329,10 @@ _SUBCOMMANDS = {
 
 def _execute(pipe: _Pipeline, command: str) -> int:
     _, stages = _SUBCOMMANDS[command]
-    out_dir = pipe.cfg.output_dir
-    outputs = []
     for stage in stages:
         # the boundary wraps the writer's consumer, so no yield sits in a with
         with _stage(stage):
-            outputs += _write_files(out_dir, _WRITERS[stage](pipe))
-    if command == "run":
-        with _stage("run"):
-            _write_files(out_dir, _write_manifest(pipe, outputs))
+            pipe.outputs += _write_files(pipe.cfg.output_dir, _WRITERS[stage](pipe))
     return 0
 
 

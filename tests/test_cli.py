@@ -230,9 +230,10 @@ def test_top_principal_components_recover_two_of_the_fixtures_drivers():
 def test_run_computes_the_model_input_moments_once_for_pca_and_once_for_fa(
     workdir, monkeypatch, variant
 ):
-    # PCA and ICA's Kaiser count share one correlation PCA, and every FA
-    # fit reads one correlation matrix.
-    calls = {"_column_moments": 0, "fit_pca": 0}
+    # PCA and ICA's Kaiser count share one correlation PCA, every FA fit
+    # reads one correlation matrix, and each model is fit once: one ICA,
+    # and one FA per count k = 1..3.
+    calls = {"_column_moments": 0, "fit_pca": 0, "fast_ica": 0, "fit_fa_ml_corr": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -246,8 +247,10 @@ def test_run_computes_the_model_input_moments_once_for_pca_and_once_for_fa(
     count(riversep.linalg, "_column_moments")
     count(riversep.pca, "_column_moments")
     count(riversep.cli, "fit_pca")
+    count(riversep.cli, "fast_ica")
+    count(riversep.cli, "fit_fa_ml_corr")
     assert main(["run", str(write_config(workdir, variant))]) == 0
-    assert calls == {"_column_moments": 2, "fit_pca": 1}
+    assert calls == {"_column_moments": 2, "fit_pca": 1, "fast_ica": 1, "fit_fa_ml_corr": 3}
 
 
 class TestRun:
@@ -590,11 +593,41 @@ class TestExitCodes:
             "riversep: error in stage 'fa': need at least 25 rows, got 1"
         ]
 
+    # On the one-row record above, the stage each command fails in and the
+    # rows its first check needs: PCA's three, ICA's ten for each of the
+    # config's three components, FA's p + 1 and acf's two.  With no
+    # ica.n_components, ICA first fits the correlation PCA for Kaiser's
+    # count, and fails on PCA's three.
+    ONE_ROW_FAILURES = {
+        "run": ("pca", "need at least 3 rows, got 1"),
+        "pca": ("pca", "need at least 3 rows, got 1"),
+        "ica": ("ica", "need at least 30 rows, got 1"),
+        "fa": ("fa", "need at least 25 rows, got 1"),
+        "diagnose": ("diagnose", "need at least 2 observations, got 1"),
+    }
+
+    @pytest.mark.parametrize("variant", ["committed", "kaiser"])
+    @pytest.mark.parametrize("command", list(ONE_ROW_FAILURES))
+    def test_each_command_on_one_model_row_fails_in_its_first_model_stage(
+        self, workdir, capsys, command, variant
+    ):
+        config = write_config(workdir, variant)
+        doc = json.loads(config.read_text())
+        doc["filter"].update(start="1999-01-01", min_count=4)
+        config.write_text(json.dumps(doc))
+        stage, message = self.ONE_ROW_FAILURES[command]
+        if (command, variant) == ("ica", "kaiser"):
+            message = "need at least 3 rows, got 1"
+        assert main([command, str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"riversep: error in stage '{stage}': {message}"
+        ]
+
     def test_a_failing_writer_keeps_the_files_it_already_wrote(
         self, workdir, capsys, monkeypatch
     ):
         # each file is written as its writer yields it, so the files of the
-        # stages before the failure, and FA's k = 1 files, stay on disk
+        # stages before the failure stay on disk
         fit = riversep.cli.fit_fa_ml_corr
 
         def fail_at_k2(r, k, n):
@@ -608,8 +641,6 @@ class TestExitCodes:
             "riversep: error in stage 'fa': k = 2 failed"
         ]
         assert sorted(path.name for path in (workdir / "out").iterdir()) == [
-            "fa_k1_loadings.csv",
-            "fa_k1_residual.csv",
             "ica_sources.csv",
             "ica_summary.json",
             "ingested.csv",
