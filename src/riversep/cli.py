@@ -73,27 +73,15 @@ class _Pipeline:
 
     Each link (the parsed record, the staged table, the dense matrix, each
     model) is computed on first use and kept, so a subcommand runs only the
-    part of the chain its outputs read, and runs it once.
+    part of the chain its outputs read, and runs it once.  ``tables`` holds
+    each stage's output by name, in run order, the parsed record as "ingest".
     """
 
     def __init__(self, cfg: RunConfig, offline=False):
         self.cfg = cfg
         self.offline = offline
-        # one manifest entry per stage: its name, the table's shape after
-        # it, and the codes it dropped, in input order
-        self.stages = []
+        self.tables = {}
         self.outputs = []  # the files written so far, for the manifest
-
-    def _record(self, name, before, after):
-        kept = set(after.codes)
-        self.stages.append(
-            {
-                "stage": name,
-                "rows": after.n_rows,
-                "columns": after.n_vars,
-                "dropped": [c for c in before.codes if c not in kept],
-            }
-        )
 
     @cached_property
     def raw(self):
@@ -105,8 +93,7 @@ class _Pipeline:
                 data = fetch_remote(**self.cfg.remote, offline=self.offline)
             else:
                 data = path.read_bytes()
-            raw = (parse_csv if csv_input else parse_rdb)(data)
-        self._record("ingest", raw, raw)
+            raw = self.tables["ingest"] = (parse_csv if csv_input else parse_rdb)(data)
         return raw
 
     @cached_property
@@ -117,9 +104,7 @@ class _Pipeline:
             # an overflowing stage is reported by the model-input check,
             # not by numpy warnings on stderr
             with _stage(name), np.errstate(over="ignore", invalid="ignore"):
-                staged = STAGES[name].step(table, self.cfg)
-            self._record(name, table, staged)
-            table = staged
+                table = self.tables[name] = STAGES[name].step(table, self.cfg)
         return table
 
     @cached_property
@@ -290,12 +275,19 @@ def _write_diagnostics(pipe: _Pipeline):
 
 
 def _write_manifest(pipe: _Pipeline):
+    # each stage's table shape, and the codes it dropped from the one before
+    tables = list(pipe.tables.items())
+    stages = []
+    for (_, before), (name, after) in zip(tables[:1] + tables, tables):
+        kept = set(after.codes)
+        dropped = [c for c in before.codes if c not in kept]
+        stages.append(dict(stage=name, rows=after.n_rows, columns=after.n_vars, dropped=dropped))
     manifest = {
         "tool_version": __version__,
         "config_sha256": pipe.cfg.config_sha256,
         "seed": pipe.cfg.ica.seed,
         "offline": pipe.offline,
-        "stages": pipe.stages,
+        "stages": stages,
         "outputs": sorted({*pipe.outputs, "manifest.json"}),
     }
     yield "manifest.json", json_text(manifest)

@@ -306,8 +306,14 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
 
     Raises
     ------
+    ShapeMismatch, NotSymmetric
+        If ``r`` is not square, or differs from its transpose by more than 1e-8.
+    OutOfRange
+        If ``k < 1``, or a diagonal entry of ``r`` is more than 1e-6 from 1.
     DofNegative
         If ``((p-k)**2 - p - k)/2 < 0``.
+    TooFewRows
+        If ``n_obs <= p``.
     SingularCorrelation
         If ``r`` has an eigenvalue at numerical zero.
     """

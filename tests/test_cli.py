@@ -253,6 +253,27 @@ def test_run_computes_the_model_input_moments_once_for_pca_and_once_for_fa(
     assert calls == {"_column_moments": 2, "fit_pca": 1, "fast_ica": 1, "fit_fa_ml_corr": 3}
 
 
+@pytest.mark.parametrize("variant", ["committed", "kaiser_unscaled"])
+def test_run_keeps_each_stages_table_by_name_and_the_manifest_reads_them(workdir, variant):
+    # the parsed record is "ingest", each configured stage's output is kept
+    # under its name, and each manifest entry is the shape of one table and
+    # the codes of the one before it that it lacks
+    cfg = load_config(write_config(workdir, variant))
+    pipe = riversep.cli._Pipeline(cfg)
+    assert riversep.cli._execute(pipe, "run") == 0
+    assert list(pipe.tables) == ["ingest", *cfg.pipeline]
+    assert pipe.tables["ingest"] is pipe.raw
+    assert pipe.tables[cfg.pipeline[-1]] is pipe.table
+    manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
+    tables = list(pipe.tables.values())
+    assert [entry["stage"] for entry in manifest["stages"]] == list(pipe.tables)
+    for entry, before, after in zip(manifest["stages"], [tables[0], *tables], tables):
+        assert (entry["rows"], entry["columns"]) == after.values.shape, entry["stage"]
+        dropped = [code for code in before.codes if code not in after.codes]
+        assert entry["dropped"] == dropped, entry["stage"]
+    assert [(s["stage"], s["rows"], s["columns"]) for s in manifest["stages"]] == EXPECTED_STAGES
+
+
 class TestRun:
     def test_exit_zero_and_manifest_counts(self, workdir):
         assert main(["run", str(workdir / "pipeline.json")]) == 0
@@ -781,6 +802,53 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "riversep: error in stage 'diagnose': need at least 2 observations, got 1"
+        ]
+
+    @pytest.mark.parametrize("command", ["run", "pca", "ica", "fa", "diagnose"])
+    def test_a_model_input_with_missing_cells_fails_in_the_model_input_stage(
+        self, workdir, capsys, command
+    ):
+        # with no drop_na_columns, each of the 13 variables that misses one
+        # year has one missing annual mean; run keeps the staged table
+        doc = json.loads((workdir / "pipeline.json").read_text())
+        doc["pipeline"] = ["filter", "annual_mean"]
+        config = workdir / "sparse.json"
+        config.write_text(json.dumps(doc))
+        assert main([command, str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "riversep: error in stage 'model input': "
+            "table has 13 missing cells; a dense table is required"
+        ]
+        out = workdir / "out"
+        on_disk = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert on_disk == (["ingested.csv", "preprocessed.csv"] if command == "run" else [])
+
+    def test_a_two_variable_record_has_no_estimable_factor_count(self, workdir, capsys):
+        # at p = 2 every factor count has negative degrees of freedom; run
+        # keeps the files of the stages before fa
+        rng = np.random.default_rng(0)
+        cells = rng.uniform(0.0, 1.0, (40, 2)) @ [[1.0, 1.0], [0.0, 1.0]]
+        rows = [f"{1960 + i}-06-01,{a:.3f},{b:.3f}" for i, (a, b) in enumerate(cells)]
+        (workdir / "two.csv").write_text("\n".join(["date,00300,00618", *rows]) + "\n")
+        doc = json.loads((FIXTURES / "pipeline.json").read_text())
+        del doc["filter"], doc["ica"]["n_components"]
+        doc.update(input={"path": "two.csv"}, redundancy_rules=[], pipeline=["annual_mean"])
+        config = workdir / "two.json"
+        config.write_text(json.dumps(doc))
+        for command in ("fa", "run"):
+            assert main([command, str(config)]) == 3, command
+            assert capsys.readouterr().err.splitlines() == [
+                "riversep: error in stage 'fa': no factor count is estimable for 2 variables"
+            ]
+            if command == "fa":
+                assert not (workdir / "out").exists()
+        assert sorted(p.name for p in (workdir / "out").iterdir()) == [
+            "ica_sources.csv",
+            "ica_summary.json",
+            "ingested.csv",
+            "pca_loadings.csv",
+            "pca_summary.json",
+            "preprocessed.csv",
         ]
 
     @pytest.mark.parametrize("stage", list(riversep.cli._WRITERS))

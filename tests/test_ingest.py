@@ -120,6 +120,43 @@ class TestParseRdb:
             parse_rdb("datetime\ta\n1990-01-01\t1\n")
 
 
+# Header outcomes of each reader, and the message of each MalformedHeader
+# (None: the record parses).
+HEADER_CASES = {
+    "rdb_comments_only": (parse_rdb, "# a comment\n# another\n", "no header line found"),
+    "rdb_header_then_end": (parse_rdb, "datetime\ta\tb\n", "no column-format line found"),
+    "rdb_one_column": (
+        parse_rdb,
+        "# c\ndatetime\n10d\n1990-01-01\n",
+        "RDB header must have at least two columns",
+    ),
+    "rdb_empty_code": (
+        parse_rdb,
+        "datetime\t\tb\n10d\t12n\t12n\n1990-01-01\t1\t2\n",
+        "header contains an empty column name",
+    ),
+    "rdb_blank_lines_before_header": (
+        parse_rdb, "\n  \n\t\ndatetime\ta\n10d\t12n\n1990-01-01\t1\n", None
+    ),
+    "csv_blank_lines": (parse_csv, "\n\n\n", "no header line found"),
+    "csv_one_column": (
+        parse_csv, "date\n1990-01-01\n", "CSV header must have at least two columns"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HEADER_CASES))
+def test_each_header_outcome_has_its_message(case):
+    parse, text, message = HEADER_CASES[case]
+    if message is None:
+        t = parse(text)
+        assert (t.codes, t.index.tolist(), t.values.tolist()) == (["a"], [d("1990-01-01")], [[1.0]])
+        return
+    with pytest.raises(errors.MalformedHeader) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 class TestParseCsv:
     def test_minimal(self):
         t = parse_csv("date,00618\n1990-01-01,1.5\n")
