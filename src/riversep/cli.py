@@ -6,10 +6,14 @@ the diagnostics tables, and finishes with a manifest recording the config
 hash, every stage's row/column counts, and the tool version.  The other
 subcommands stop earlier in that chain and write only their own outputs,
 which makes any stage inspectable in isolation.  :class:`_Pipeline` makes
-each table and fit once; each stage's writer, the manifest being the ``run``
-stage's, formats them as ``(file name, text)`` pairs, and :func:`_execute`
-writes each file as it is yielded, inside one boundary that names the stage
-in any error, so a failing stage leaves the files written before it.
+each table, the correlation PCA and the ICA and FA fits once.  Each stage's
+writer, the manifest being the ``run`` stage's, turns them into
+``(file name, text)`` pairs; two writers compute as well: the ``pca`` writer
+fits the covariance PCA when ``pca.scale`` is false, and the ``diagnose``
+writer computes the autocorrelations and the mutual-information table.
+:func:`_execute` writes each file as it is yielded, inside one boundary that
+names the stage in any error, so a failing stage leaves the files written
+before it.
 
 Outputs carry no timestamps and all randomness is seeded, so rerunning a
 command on identical inputs reproduces every file byte for byte.

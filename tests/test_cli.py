@@ -34,6 +34,9 @@ from riversep.pca import scores
 from riversep.report import format_number
 from test_diagnostics import reference_mi_table
 
+# every warning a run raises fails its test, as in a fresh `python -W error`
+pytestmark = pytest.mark.filterwarnings("error")
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 EXPECTED_STAGES = [
@@ -965,11 +968,12 @@ class TestSubcommands:
     @pytest.mark.parametrize("variant", ["committed", "kaiser_unscaled"])
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OUTPUTS))
     def test_subcommand_writes_its_files_as_run_does(
-        self, workdir, run_outputs_of, command, variant
+        self, workdir, capsys, run_outputs_of, command, variant
     ):
         config = write_config(workdir, variant)
         assert main([command, str(config)]) == 0
         out, expected = load_config(config).output_dir, run_outputs_of(variant)
+        assert capsys.readouterr().err == ""
         assert sorted(p.name for p in out.iterdir()) == sorted(SUBCOMMAND_OUTPUTS[command])
         for name in SUBCOMMAND_OUTPUTS[command]:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
@@ -1178,6 +1182,23 @@ class TestSynthBench:
         means = summary["mean_amari"]
         assert means["two_uniform/ica"] < 0.1
         assert means["two_uniform/pca"] > means["two_uniform/ica"]
+
+
+@pytest.mark.parametrize("command", ["run", "synth-bench"])
+def test_fresh_processes_with_other_hash_seeds_write_the_same_bytes(workdir, command):
+    # each interpreter salts str hashes with its own PYTHONHASHSEED, so an
+    # output that followed the order of a set of names would differ
+    args = {
+        "run": [workdir / "pipeline.json"],
+        "synth-bench": ["--rows", "300", "--replicates", "2", "--out", workdir / "out"],
+    }[command]
+    trees = []
+    for seed in ("1", "2"):
+        proc = riversep_in_subprocess(command, *args, env={"PYTHONHASHSEED": seed})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        trees.append(hash_tree(workdir / "out"))
+        shutil.rmtree(workdir / "out")
+    assert trees[0] == trees[1]
 
 
 class _Served:

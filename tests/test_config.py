@@ -13,6 +13,9 @@ from riversep.cli import main
 from riversep.config import RunConfig, load_config
 from riversep.errors import ConfigError
 
+# every warning a run raises fails its test, as in a fresh `python -W error`
+pytestmark = pytest.mark.filterwarnings("error")
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 MINIMAL = {
@@ -259,6 +262,37 @@ def test_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("riversep: config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "keys,value,message",
+    [
+        (["fa", "k_max"], 0, "fa.k_max must be at least 1, got 0"),
+        (["diagnostics", "max_lag"], 0, "diagnostics.max_lag must be at least 1, got 0"),
+        (["diagnostics", "bins"], 1, "diagnostics.bins must be at least 2, got 1"),
+        (["difference_lag"], 0, "difference_lag must be at least 1, got 0"),
+        (["filter", "start"], "19500101", "filter.start must be an ISO date, got '19500101'"),
+        (["redundancy_rules"], {}, "'redundancy_rules' must be a list"),
+        (["pipeline"], [], "'pipeline' must be a non-empty list of stage names"),
+        ([], [], "config root must be a JSON object"),
+    ],
+)
+def test_each_config_error_is_one_line_before_any_output(tmp_path, capsys, keys, value, message):
+    # the fixture config with the value at ``keys`` (the whole document for
+    # none) replaced
+    shutil.copy(FIXTURES / "station_fixture.rdb", tmp_path)
+    doc = json.loads((FIXTURES / "pipeline.json").read_text())
+    if keys:
+        *parents, last = keys
+        section = doc
+        for key in parents:
+            section = section[key]
+        section[last] = value
+    else:
+        doc = value
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"riversep: config error: {message}"]
     assert not (tmp_path / "out").exists()
 
 

@@ -549,6 +549,10 @@ class TestInputValidation:
         with pytest.raises(TooFewRows):
             fit_fa_ml(rng.normal(size=(5, 6)), 1)
 
+    def test_too_few_observations_for_the_correlation(self):
+        with pytest.raises(TooFewRows, match="^need at least 4 rows, got 3$"):
+            fit_fa_ml_corr(np.eye(3), 1, 3)
+
     def test_zero_factors_rejected(self):
         with pytest.raises(OutOfRange):
             fit_fa_ml_corr(compound_symmetry(4, 0.3), 0, 100)

@@ -79,6 +79,10 @@ class TestFitPca:
         with pytest.raises(errors.TooFewRows):
             fit_pca(np.ones((2, 3)))
 
+    def test_one_variable_rejected(self):
+        with pytest.raises(errors.OutOfRange, match="^need at least two variables$"):
+            fit_pca(np.arange(10.0).reshape(10, 1))
+
     def test_scale_is_keyword_only(self):
         # the first positional flag was once center: one must fail, not scale
         x = np.random.default_rng(10).normal(size=(10, 3))

@@ -289,6 +289,13 @@ class TestDropRedundant:
         out_rev = drop_redundant(a, tuple(reversed(self.RULES)))
         assert out_fwd.codes == out_rev.codes
 
+    def test_rules_that_remove_every_variable(self):
+        # each column is the other's composite, and both parts are present
+        a = make_annual([1990], ["A", "B"], [[1.0, 2.0]])
+        rules = (RedundancyRule("A", ("B",)), RedundancyRule("B", ("A",)))
+        with pytest.raises(errors.EmptyResult, match="^redundancy rules removed every variable$"):
+            drop_redundant(a, rules)
+
     def test_bad_rule_rejected(self):
         with pytest.raises(errors.RuleInapplicable):
             RedundancyRule("x", ())
