@@ -33,6 +33,7 @@ from riversep.config import load_config
 from riversep.pca import scores
 from riversep.report import format_number
 from test_diagnostics import reference_mi_table
+from test_ingest import daily, daily_records
 
 # every warning a run raises fails its test, as in a fresh `python -W error`
 pytestmark = pytest.mark.filterwarnings("error")
@@ -730,6 +731,16 @@ class TestExitCodes:
         assert main(["ingest", str(remote_input(workdir)), "--offline"]) == 3
         assert "ingest" in capsys.readouterr().err
 
+    def test_a_cache_dir_that_is_a_file_fails_in_the_ingest_stage(self, workdir, capsys, monkeypatch):
+        body = (workdir / "station_fixture.rdb").read_bytes()
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: _Served(body))
+        (workdir / "cache").write_bytes(b"not a directory\n")
+        assert main(["ingest", str(remote_input(workdir))]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("riversep: error in stage 'ingest': ")
+        assert str(workdir / "cache") in line
+        assert not (workdir / "out").exists()
+
     def test_a_record_where_kaiser_keeps_no_component(self, workdir):
         # pca reports the count of 0 with no explained share; ica, which
         # reads that count, fails in its own stage, and run keeps the files
@@ -1199,6 +1210,30 @@ def test_fresh_processes_with_other_hash_seeds_write_the_same_bytes(workdir, com
         trees.append(hash_tree(workdir / "out"))
         shutil.rmtree(workdir / "out")
     assert trees[0] == trees[1]
+
+
+def test_fresh_processes_with_other_hash_seeds_preprocess_the_daily_records_alike(workdir):
+    # the seed-5 daily record and its three variants, each in its own
+    # directory; one process per hash seed preprocesses all four, its main
+    # taking each config in turn
+    records = daily_records()
+    for name, text in records.items():
+        (workdir / name).mkdir()
+        (workdir / name / "record.rdb").write_text(text)
+        (workdir / name / "daily.json").write_text(daily.config_json("record.rdb", "out"))
+    configs = [workdir / name / "daily.json" for name in records]
+    patch = "main = cli.main\ncli.main = lambda: max(main([sys.argv[1], c]) for c in sys.argv[2:])"
+    trees = []
+    for seed in ("1", "2"):
+        proc = riversep_in_subprocess("preprocess", *configs, patch=patch, env={"PYTHONHASHSEED": seed})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        trees.append({name: hash_tree(workdir / name / "out") for name in records})
+        for name in records:
+            shutil.rmtree(workdir / name / "out")
+    assert trees[0] == trees[1]
+    # the row loop reads the late date's block to the C reader's table
+    for file in ("ingested.csv", "preprocessed.csv"):
+        assert trees[0]["late_date"][file] == trees[0]["record"][file]
 
 
 class _Served:

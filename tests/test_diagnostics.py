@@ -133,13 +133,19 @@ class TestAcf:
             r = acf(x, max_lag=5)
             assert np.all(np.abs(r.values) <= 1.0 + 1e-12)
 
-    def test_constant_series(self):
-        with pytest.raises(ConstantSeries):
-            acf(np.ones(30), max_lag=5)
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            acf(np.arange(6.0), max_lag=5)
+    @pytest.mark.parametrize(
+        "series, max_lag, error, message",
+        [
+            (np.ones(30), 5, ConstantSeries, "series has no variation"),
+            (np.arange(6.0), 5, TooShort, "need at least 7 observations, got 6"),
+            (np.zeros((10, 2, 2)), 3, ShapeMismatch, r"series must be 1-D or 2-D, got shape \(10, 2, 2\)"),
+            (np.arange(10.0), -1, OutOfRange, "max_lag must be non-negative, got -1"),
+        ],
+        ids=["constant", "too_short", "three_dimensional", "negative_max_lag"],
+    )
+    def test_bad_input_rejected(self, series, max_lag, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            acf(series, max_lag)
 
     @pytest.mark.parametrize("cells", [[1.5e155], [1.7e308, 1.7e308]])
     def test_overflowing_sum_of_squares_is_rejected_without_warnings(self, cells):
@@ -183,6 +189,7 @@ class TestAcf:
             ("fine", "square_overflow", "constant"),
             ("non_finite", "constant"),
             ("constant", "non_finite"),
+            ("fine", "infinite"),
         ],
     )
     @pytest.mark.parametrize("max_lag", [5, 40])
@@ -197,6 +204,8 @@ class TestAcf:
                 x[3, j] = 1.5e155
             elif kind == "non_finite":
                 x[4, j] = np.nan
+            elif kind == "infinite":
+                x[4, j] = np.inf
 
         def column_by_column():
             for j in range(x.shape[1]):
@@ -210,10 +219,6 @@ class TestAcf:
                 acf(x, max_lag)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
-
-    def test_not_one_or_two_dimensional(self):
-        with pytest.raises(ShapeMismatch):
-            acf(np.zeros((10, 2, 2)), max_lag=3)
 
 
 class TestMutualInformation:
@@ -254,27 +259,23 @@ class TestMutualInformation:
         free = mutual_information_discrete(x, rng.normal(size=500))
         assert coupled > free + 0.5
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            mutual_information_discrete(np.arange(12.0), np.arange(13.0))
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            mutual_information_discrete(np.arange(9.0), np.arange(9.0))
-
-    def test_degenerate_range(self):
-        with pytest.raises(DegenerateRange):
-            mutual_information_discrete(np.ones(20), np.arange(20.0))
-
-    def test_bad_bins(self):
-        with pytest.raises(OutOfRange):
-            mutual_information_discrete(np.arange(20.0), np.arange(20.0), bins=1)
-
-    def test_bins_past_the_cap(self):
-        # past 1024 bins one pair's joint histogram outgrows the 2**20-cell
-        # bincount budget
-        with pytest.raises(OutOfRange, match=r"2\.\.1024, got 1025"):
-            mutual_information_discrete(np.arange(20.0), np.arange(20.0), bins=1025)
+    @pytest.mark.parametrize(
+        "x, y, bins, error, message",
+        [
+            (np.arange(12.0), np.arange(13.0), 8, LengthMismatch, "length mismatch: 12 vs 13"),
+            (np.ones((10, 2)), np.ones((10, 2)), 8, ShapeMismatch, "inputs must be 1-D series"),
+            (np.arange(9.0), np.arange(9.0), 8, TooShort, "need at least 10 observations, got 9"),
+            (np.ones(20), np.arange(20.0), 8, DegenerateRange, "cannot bin a range of zero width"),
+            (np.arange(20.0), np.arange(20.0), 1, OutOfRange, r"bins must lie in 2\.\.1024, got 1"),
+            # past 1024 bins one pair's joint histogram outgrows the
+            # 2**20-cell bincount budget
+            (np.arange(20.0), np.arange(20.0), 1025, OutOfRange, r"bins must lie in 2\.\.1024, got 1025"),
+        ],
+        ids=["length_mismatch", "two_dimensional", "too_short", "degenerate_range", "one_bin", "bins_past_the_cap"],
+    )
+    def test_bad_input_rejected(self, x, y, bins, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            mutual_information_discrete(x, y, bins)
 
 
 class TestMutualInformationMatrix:
@@ -362,24 +363,28 @@ class TestMutualInformationMatrix:
             mutual_information_matrix(x)
 
 
+def one_weight(value):
+    """Three sites, one weight of ``value`` from the first to the second."""
+    w = np.zeros((3, 3))
+    w[0, 1] = value
+    return w
+
+
 class TestSpatialWeights:
-    def test_diagonal_must_be_zero(self):
-        with pytest.raises(OutOfRange):
-            SpatialWeights(np.eye(3))
-
-    def test_negative_rejected(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = -1.0
-        with pytest.raises(OutOfRange):
-            SpatialWeights(w)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(OutOfRange):
-            SpatialWeights(np.zeros((3, 3)))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            SpatialWeights(np.ones((2, 3)))
+    @pytest.mark.parametrize(
+        "weights, error, message",
+        [
+            (np.ones((2, 3)), ShapeMismatch, r"weights must be square, got \(2, 3\)"),
+            (one_weight(np.inf), OutOfRange, "weights must be finite"),
+            (one_weight(-1.0), OutOfRange, "weights must be non-negative"),
+            (np.eye(3), OutOfRange, "weight diagonal must be exactly zero"),
+            (np.zeros((3, 3)), OutOfRange, "weights must have at least one positive entry"),
+        ],
+        ids=["non_square", "infinite", "negative", "diagonal", "all_zero"],
+    )
+    def test_bad_weights_rejected(self, weights, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            SpatialWeights(weights)
 
 
 class TestMoransI:
@@ -420,6 +425,17 @@ class TestMoransI:
         with pytest.raises(ConstantField):
             morans_i(np.full(6, 2.0), ring_weights(6))
 
-    def test_length_vs_sites(self):
-        with pytest.raises(ShapeMismatch):
-            morans_i(np.arange(5.0), ring_weights(6))
+    @pytest.mark.parametrize(
+        "values, sites, error, message",
+        [
+            (np.arange(6.0).reshape(3, 2), 3, ShapeMismatch, r"values must be 1-D, got shape \(3, 2\)"),
+            (np.arange(5.0), 6, ShapeMismatch, "5 values for 6 sites"),
+            (np.arange(2.0), 2, TooShort, "need at least 3 observations, got 2"),
+            (np.array([1.0, np.nan, 2.0]), 3, OutOfRange, "values must be finite"),
+        ],
+        ids=["two_dimensional", "length_vs_sites", "two_sites", "nan"],
+    )
+    def test_bad_values_rejected(self, values, sites, error, message):
+        w = SpatialWeights(np.ones((sites, sites)) - np.eye(sites))
+        with pytest.raises(error, match=f"^{message}$"):
+            morans_i(values, w)

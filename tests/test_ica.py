@@ -35,6 +35,18 @@ class TestWhiten:
         xc = x - x.mean(axis=0)
         assert_allclose(z, xc @ k.T, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "rows, k, error, message",
+        [
+            (1, 1, errors.TooFewRows, "need at least 2 rows, got 1"),
+            (5, 0, errors.OutOfRange, "n_components must be at least 1"),
+        ],
+    )
+    def test_too_few_rows_or_components(self, rows, k, error, message):
+        x = np.random.default_rng(5).normal(size=(rows, 3))
+        with pytest.raises(error, match=f"^{message}$"):
+            whiten(x, k)
+
     def test_rank_deficient(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=100)
@@ -255,15 +267,19 @@ class TestFastIca:
         with pytest.raises(errors.TooFewRows):
             fast_ica(rng.normal(size=(25, 3)), IcaConfig(n_components=3))
 
-    def test_config_validation(self):
-        with pytest.raises(errors.OutOfRange):
-            IcaConfig(n_components=0)
-        with pytest.raises(errors.OutOfRange):
-            IcaConfig(n_components=2, contrast="kurtosis")
-        with pytest.raises(errors.OutOfRange):
-            IcaConfig(n_components=2, logcosh_alpha=3.0)
-        with pytest.raises(errors.OutOfRange):
-            IcaConfig(n_components=2, seed=-1)
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"n_components": 0}, "n_components must be at least 1"),
+            ({"max_iter": 0}, "max_iter must be at least 1"),
+            ({"contrast": "kurtosis"}, "unknown contrast 'kurtosis'"),
+            ({"logcosh_alpha": 3.0}, r"logcosh_alpha must lie in \[1, 2\]"),
+            ({"seed": -1}, "seed must be non-negative"),
+        ],
+    )
+    def test_config_validation(self, settings, message):
+        with pytest.raises(errors.OutOfRange, match=f"^{message}$"):
+            IcaConfig(**{"n_components": 2, **settings})
 
 
 def assert_models_identical(model, oracle):
@@ -334,6 +350,8 @@ class TestAmariIndex:
     def test_scaled_permutation_scores_zero(self):
         perm = np.array([[0.0, -2.5], [0.7, 0.0]])
         assert amari_index(perm, np.eye(2)) == pytest.approx(0.0, abs=1e-12)
+        # one source: no pair to normalize over
+        assert amari_index(np.array([[2.0]]), np.array([[-3.0]])) == 0.0
 
     def test_invariance_under_signed_permutation_and_uniform_scale(self):
         # The two-sided index normalizes rows *and* columns of |W A|, so it
@@ -362,11 +380,15 @@ class TestAmariIndex:
             v = amari_index(w, a)
             assert 0.0 <= v <= 1.0
 
-    def test_zero_row_raises(self):
-        w = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(errors.Singular):
-            amari_index(w, np.eye(2))
-
-    def test_shape_check(self):
-        with pytest.raises(errors.OutOfRange):
-            amari_index(np.ones((2, 3)), np.ones((2, 2)))
+    @pytest.mark.parametrize(
+        "w, a, error, message",
+        [
+            (np.ones((2, 3)), np.ones((2, 2)), errors.OutOfRange, "w_est has 3 columns, a_true has 2 rows"),
+            (np.ones((3, 2)), np.ones((2, 2)), errors.OutOfRange, "w_est @ a_true must be square"),
+            ([[1.0, 0.0], [0.0, 0.0]], np.eye(2), errors.Singular, "product matrix has an all-zero row or column"),
+        ],
+        ids=["inner_dimensions", "non_square_product", "zero_row"],
+    )
+    def test_bad_input_rejected(self, w, a, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            amari_index(w, a)

@@ -1,6 +1,9 @@
 import csv
 import datetime
+import functools
+import importlib.util
 import io
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1013,6 +1016,9 @@ ROW_PATH_CASES = {
     ),
     "no_variables": (np.empty((3, 0)), 0),
     "no_rows": (np.empty((0, 4)), 0),
+    # a third scale (0.125's, after 0.5's and 0.25's) is not tried: the
+    # block goes to the row path
+    "third_decimal_scale": ([[0.5]] * 8 + [[0.25]] * 8 + [[0.125]], 0),
 }
 
 
@@ -1080,6 +1086,78 @@ def test_emit_writes_year_keys_of_each_width(refused):
         values[0, 0] = 0.1 + 0.2
     t = Table("year", years, ["a"], values)
     assert_same_text(emit_csv(t), per_cell_csv("year", [str(y) for y in years], t.codes, values))
+
+
+# bench/daily.py, the benchmark's record generator, loaded by its path: the
+# bench/workload.py beside it imports scipy, which the package does without
+_spec = importlib.util.spec_from_file_location("daily", Path(__file__).parents[1] / "bench" / "daily.py")
+daily = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(daily)
+
+# name -> (records the row loop reads, the count of each DAILY_MARKS match)
+DAILY_RECORDS = {
+    "record": (0, [0, 0, 0, 0, 0, 0]),
+    "comments_nonfinite": (0, [6, 6, 1, 1, 0, 0]),
+    "late_date": (4096, [0, 0, 0, 0, 1, 0]),
+    "censored": (8192, [0, 0, 0, 0, 0, 2]),
+}
+DAILY_MARKS = [r"^# a comment inside the block\n", r"^\n", r"\t-nan\t", r"\tinf\t", r"^ \d", r"\t<0\.01\t"]
+
+
+@functools.cache
+def daily_records():
+    """Name -> text of the seed-5 record of ``bench/daily.py`` (six
+    4096-line blocks) and of three variants: ``comments_nonfinite`` with a
+    comment line and a blank line inside each block, and a ``-nan`` and an
+    ``inf`` cell in 00010; ``late_date`` with a leading space, which only
+    the row loop reads, on one date of the fourth block; ``censored`` with
+    ``<0.01`` in 00010 in the first and third blocks."""
+    lines = daily.generate(5)[0].decode().splitlines(keepends=True)
+    body = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 2
+    column = lines[body - 2].split("\t").index("00010")
+
+    def edited(cells):
+        out = list(lines)
+        for row, cell in cells:
+            fields = out[row].split("\t")
+            fields[column] = cell
+            out[row] = "\t".join(fields)
+        return out
+
+    nonfinite = edited([(body + 100, "-nan"), (body + 9000, "inf")])
+    for start in reversed(range(body + 1000, len(nonfinite), 4096)):
+        nonfinite[start:start] = ["# a comment inside the block\n", "\n"]
+    late = list(lines)
+    late[body + 3 * 4096 + 10] = " " + late[body + 3 * 4096 + 10]
+    censored = edited([(body + 50, "<0.01"), (body + 2 * 4096 + 50, "<0.01")])
+    return dict(zip(DAILY_RECORDS, ["".join(v) for v in (lines, nonfinite, late, censored)]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", DAILY_RECORDS)
+def test_a_daily_record_of_six_blocks_reads_alike_by_every_path(name, row_loop_calls):
+    # numpy's C reader takes each block but the ones a refused line sends to
+    # the row loop; the row loop alone reads the same table, ingested.csv's
+    # text is per-cell format_number, and parse_csv reads it back
+    text = daily_records()[name]
+    row_loop_reads, marks = DAILY_RECORDS[name]
+    assert [len(re.findall(mark, text, re.MULTILINE)) for mark in DAILY_MARKS] == marks
+    t = parse_rdb(text.encode())
+    assert t.n_rows > 5 * 4096 and len(row_loop_calls) == row_loop_reads
+    by_rows = parse_line_by_line(text.encode())
+    assert t.index.dtype == by_rows.index.dtype == "datetime64[D]"
+    assert (by_rows.index.tolist(), by_rows.codes) == (t.index.tolist(), t.codes)
+    assert by_rows.values.tobytes() == t.values.tobytes()
+    missing = np.isnan(t.values)
+    assert np.isfinite(t.values[~missing]).all()
+    assert (t.values[missing].view(np.int64) == np.float64(nan).view(np.int64)).all()
+    written_csv = emit_csv(t)
+    keys = [str(day) for day in t.index]
+    assert_same_text(written_csv, per_cell_csv(t.index_name, keys, t.codes, t.values.tolist()))
+    back = parse_csv(written_csv.encode())
+    assert back.index.dtype == "datetime64[D]"
+    assert (back.index.tolist(), back.codes) == (t.index.tolist(), t.codes)
+    assert same_bits(back.values, t.values)
 
 
 def test_keyed_rows_holds_one_block_of_cells_as_python_floats():
@@ -1284,8 +1362,10 @@ class TestDecimalBlocks:
             [[0.123456789012] * 9 + [1.000000000001]],
             [[96.644] * 9 + [1e6]],
             [[96.644] * 9 + [np.inf]],
+            # exact at a third scale, after two refinements
+            [[0.5] * 8 + [0.25] * 8 + [0.125]],
         ],
-        ids=["below_window", "below_window_negative", "thirteen_digits", "1e6", "inf"],
+        ids=["below_window", "below_window_negative", "thirteen_digits", "1e6", "inf", "third_scale"],
     )
     def test_refused_past_the_probe(self, values, decimal_path):
         values = np.array(values)
@@ -1611,14 +1691,47 @@ class TestFetchRemote:
         with pytest.raises(errors.NetworkUnavailable):
             fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", tmp_path, self.URL)
 
+    def test_a_status_other_than_200_without_http_error(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: _FakeResponse(b"", status=204))
+        with pytest.raises(errors.HttpStatus, match="^server returned HTTP status 204$") as exc:
+            fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", tmp_path, self.URL)
+        assert exc.value.status == 204
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_read_that_times_out(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        response = _FakeResponse(TimeoutError("timed out"))
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: response)
+        with pytest.raises(errors.NetworkUnavailable, match="^timed out$"):
+            fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", tmp_path, self.URL)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_cache_dir_that_is_a_file(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: _FakeResponse(b"body"))
+        cache = tmp_path / "cache"
+        cache.write_bytes(b"not a directory\n")
+        with pytest.raises(errors.CacheWriteFailed) as exc:
+            fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", cache, self.URL)
+        assert str(cache) in str(exc.value)
+        assert cache.read_bytes() == b"not a directory\n"
+
 
 class _FakeResponse:
-    status = 200
+    """A response of ``status`` whose ``read`` returns ``body``, or raises
+    it if it is an exception."""
 
-    def __init__(self, body):
+    def __init__(self, body, status=200):
         self._body = body
+        self.status = status
 
     def read(self):
+        if isinstance(self._body, BaseException):
+            raise self._body
         return self._body
 
     def __enter__(self):

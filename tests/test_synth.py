@@ -95,13 +95,31 @@ class TestGenerateScenario:
         assert sc.observed.shape == (100, 5)
         assert sc.mixing.shape == (5, 2)
 
-    def test_fewer_channels_rejected(self):
-        with pytest.raises(errors.ShapeMismatch):
-            generate_scenario(["uniform", "uniform"], rows=100, n_observed=1)
-
-    def test_unknown_distribution(self):
-        with pytest.raises(errors.OutOfRange):
-            generate_scenario(["cauchy"], rows=100)
+    @pytest.mark.parametrize(
+        "distributions, settings, error, message",
+        [
+            ([], {}, errors.OutOfRange, "need at least one source distribution"),
+            (["uniform"], {"rows": 2}, errors.OutOfRange, "need at least three rows"),
+            (["uniform"], {"noise_sd": -0.1}, errors.OutOfRange, "noise_sd must be non-negative"),
+            (
+                ["uniform"],
+                {"mixing_condition_max": 0.5},
+                errors.OutOfRange,
+                "a condition number bound below 1 is unsatisfiable",
+            ),
+            (
+                ["uniform", "uniform"],
+                {"n_observed": 1},
+                errors.ShapeMismatch,
+                "1 observed channels cannot carry 2 sources",
+            ),
+            (["cauchy"], {}, errors.OutOfRange, "unknown source distribution 'cauchy'"),
+        ],
+        ids=["no_sources", "two_rows", "negative_noise", "condition_below_1", "fewer_channels", "unknown"],
+    )
+    def test_bad_arguments_rejected(self, distributions, settings, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            generate_scenario(distributions, **{"rows": 100, **settings})
 
     def test_laplace_has_heavy_tails(self):
         sc = generate_scenario(["laplace"], rows=20000, seed=9)
@@ -191,10 +209,25 @@ class TestEvaluateRecovery:
         assert centered.count(True) == 1
         assert len(centered) == 4
 
-    def test_wrong_model_type(self):
-        sc = generate_scenario(["uniform"], rows=100, seed=11)
-        with pytest.raises(errors.ShapeMismatch):
-            evaluate_recovery(sc, object())
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("object", "cannot evaluate model of type object"),
+            ("ica_of_three", "model extracts 3 components, scenario has 2 sources"),
+            ("pca_of_three_channels", "model and scenario disagree on channel count"),
+        ],
+    )
+    def test_a_model_that_does_not_fit_the_scenario(self, model, message):
+        sc = generate_scenario(["uniform", "uniform"], rows=200, seed=11)
+        # two sources seen through three noisy channels: rank three
+        wider = generate_scenario(["uniform", "uniform"], rows=200, n_observed=3, noise_sd=0.2, seed=11)
+        model = {
+            "object": object,
+            "ica_of_three": lambda: fast_ica(wider.observed, IcaConfig(n_components=3, seed=11)),
+            "pca_of_three_channels": lambda: fit_pca(wider.observed, scale=False),
+        }[model]()
+        with pytest.raises(errors.ShapeMismatch, match=f"^{message}$"):
+            evaluate_recovery(sc, model)
 
 
 class TestRowsLayoutBitIdentity:
