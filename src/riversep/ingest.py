@@ -516,5 +516,7 @@ def fetch_remote(
             handle.write(body)
         os.replace(tmp_path, cached)
     except OSError as exc:
-        raise CacheWriteFailed(str(exc)) from exc
+        raise CacheWriteFailed(
+            f"download succeeded, but its cache file {cached} could not be written: {exc}"
+        ) from exc
     return body

@@ -122,13 +122,6 @@ def write_config(workdir, variant="committed") -> Path:
     return target
 
 
-def run_in_subprocess(workdir, command="run", config="pipeline.json", patch=None):
-    """``riversep <command>`` on a config in the workdir, in a fresh
-    interpreter that turns every warning into an error (see
-    :func:`riversep_in_subprocess` for ``patch``)."""
-    return riversep_in_subprocess(command, workdir / config, patch=patch)
-
-
 def riversep_in_subprocess(*args, patch=None, env=None):
     """``riversep <args>`` in a fresh interpreter that turns every warning
     into an error.  ``patch``, Python source run first with ``cli`` bound to
@@ -537,7 +530,7 @@ class TestExitCodes:
         ]
         assert not (workdir / "out").exists()
 
-    def test_non_finite_cells_do_not_escape_as_a_traceback(self, workdir):
+    def test_non_finite_cells_do_not_escape_as_a_traceback(self, workdir, capsys):
         record = workdir / "station_fixture.rdb"
         lines = record.read_text().splitlines(keepends=True)
         # one cell of a variable that survives to the models, in three rows
@@ -547,60 +540,58 @@ class TestExitCodes:
             fields[column] = token
             lines[row] = "\t".join(fields)
         record.write_text("".join(lines))
-        proc = run_in_subprocess(workdir)
-        assert proc.returncode in (0, 2, 3)
-        assert "Traceback" not in proc.stderr
-        messages = proc.stderr.splitlines()
-        assert len(messages) == (0 if proc.returncode == 0 else 1)
+        code = main(["run", str(workdir / "pipeline.json")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        messages = err.splitlines()
+        assert len(messages) == (0 if code == 0 else 1)
         assert all(m.startswith("riversep:") for m in messages)
 
-    def test_stage_overflow_is_a_runtime_error(self, workdir):
+    def test_stage_overflow_is_a_runtime_error(self, workdir, capsys):
         # one kept sample in each of two adjacent years: the annual means
         # are finite, but their difference overflows to -inf
         set_00300_cells(workdir, "1960", ["1.7e308", "", "", ""])
         set_00300_cells(workdir, "1961", ["-1.7e308", "", "", ""])
-        proc = run_in_subprocess(workdir)
-        assert proc.returncode == 3
-        assert proc.stderr.splitlines() == [
+        assert main(["run", str(workdir / "pipeline.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
             "riversep: error in stage 'model input': "
             "table has 1 infinite cells; a stage overflowed"
         ]
 
     @pytest.mark.parametrize("years", [("1960",), ("1960", "1961")])
-    def test_annual_mean_overflow_is_reported_where_it_happens(self, workdir, years):
+    def test_annual_mean_overflow_is_reported_where_it_happens(self, workdir, capsys, years):
         # two samples of a year sum past the largest float; in two adjacent
         # years inf - inf would reach the model input as a missing cell
         for year in years:
             set_00300_cells(workdir, year, ["1.7e308", "1.7e308"])
-        proc = run_in_subprocess(workdir)
-        assert proc.returncode == 3
-        assert proc.stderr.splitlines() == [
+        assert main(["run", str(workdir / "pipeline.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
             "riversep: error in stage 'annual_mean': annual mean of 00300 in "
             "1960 is inf: its samples overflow or are infinite"
         ]
 
     @pytest.mark.parametrize("cell", ["1.7e308", "1.5e155"])
-    def test_overflowing_diagnostic_is_a_runtime_error(self, workdir, cell):
+    def test_overflowing_diagnostic_is_a_runtime_error(self, workdir, capsys, cell):
         # the one kept 1960 sample of 00300 becomes that year's mean and
         # enters both of its differences: with 1.7e308 the column's range
         # overflows, with 1.5e155 only its sum of squares does; either way
         # the sum of squares fails first
         set_00300_cells(workdir, "1960", [cell, "", "", ""])
-        proc = run_in_subprocess(workdir, "diagnose")
-        assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines() == [
+        assert main(["diagnose", str(workdir / "pipeline.json")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
             "riversep: error in stage 'diagnose': series' sum of squares overflows"
         ]
 
     @pytest.mark.parametrize("cell", ["1.7e308", "1.5e155"])
-    def test_overflowing_model_input_is_a_runtime_error(self, workdir, cell):
+    def test_overflowing_model_input_is_a_runtime_error(self, workdir, capsys, cell):
         # the same one-sample year reaches the models: the sum of squares
         # of its column overflows in the first model's column moments
         set_00300_cells(workdir, "1960", [cell, "", "", ""])
-        proc = run_in_subprocess(workdir)
-        assert proc.returncode == 3
-        assert proc.stderr.splitlines() == [
+        assert main(["run", str(workdir / "pipeline.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
             "riversep: error in stage 'pca': column sums of squares overflow"
         ]
 
@@ -674,58 +665,83 @@ class TestExitCodes:
             "preprocessed.csv",
         ]
 
-    # Value-level edits of column 00300, and the stage in which each command
-    # fails (None: it succeeds).  run reads the committed config; ica and fa
-    # read the "kaiser" variant, so ICA counts components by Kaiser's rule.
+    # Value-level edits of column 00300, and the stage in which each config
+    # subcommand fails (None: it succeeds).  ica and fa read the "kaiser"
+    # variant, so ICA counts components by Kaiser's rule; the others read
+    # the committed config.  Every edit is a finite number, so ingest and
+    # preprocess, which fit no model, succeed on each.
     VALUE_MUTANTS = {
         # the one kept 1960 sample: its column's sum of squares overflows
         "1e154_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1e154", "", "", ""]),
-            {"run": "pca", "ica": "ica", "fa": "fa"},
+            {"pca": "pca", "ica": "ica", "fa": "fa", "diagnose": "diagnose", "run": "pca"},
         ),
         # the sum of squares is finite, but whitening sees rank 1
         "1e153_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1e153", "", "", ""]),
-            {"run": "ica", "ica": "ica", "fa": None},
+            {"pca": None, "ica": "ica", "fa": None, "diagnose": None, "run": "ica"},
         ),
         # the column varies, but its squares underflow
         "times_1e-300": (
             lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-300"),
-            {"run": "pca", "ica": "ica", "fa": "fa"},
+            {"pca": "pca", "ica": "ica", "fa": "fa", "diagnose": "diagnose", "run": "pca"},
         ),
         # subnormal cells: as above, the squares underflow
         "subnormal": (
             lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-310"),
-            {"run": "pca", "ica": "ica", "fa": "fa"},
+            {"pca": "pca", "ica": "ica", "fa": "fa", "diagnose": "diagnose", "run": "pca"},
         ),
         "plus_1e12": (
             lambda workdir: edit_00300_cells(
                 workdir, lambda cell: f"{float(cell) + 1e12:.3f}"
             ),
-            {"run": None, "ica": None, "fa": None},
+            {"pca": None, "ica": None, "fa": None, "diagnose": None, "run": None},
         ),
         "constant": (
             lambda workdir: edit_00300_cells(workdir, lambda cell: "9.500"),
-            {"run": "pca", "ica": "ica", "fa": "fa"},
+            {"pca": "pca", "ica": "ica", "fa": "fa", "diagnose": "diagnose", "run": "pca"},
         ),
     }
 
     @pytest.mark.parametrize("mutant", sorted(VALUE_MUTANTS))
-    def test_value_level_mutants_keep_the_exit_code_contract(self, workdir, mutant):
+    def test_value_level_mutants_keep_the_exit_code_contract(self, workdir, capsys, mutant):
         edit, stages = self.VALUE_MUTANTS[mutant]
+        stages = {"ingest": None, "preprocess": None, **stages}
+        assert list(stages) == list(riversep.cli._SUBCOMMANDS)
         edit(workdir)
-        kaiser = write_config(workdir, "kaiser").name
-        commands = [("run", "pipeline.json"), ("ica", kaiser), ("fa", kaiser)]
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            procs = list(pool.map(lambda c: run_in_subprocess(workdir, *c), commands))
-        for (command, _), proc in zip(commands, procs):
-            stage, lines = stages[command], proc.stderr.splitlines()
+        kaiser = write_config(workdir, "kaiser")
+        for command, stage in stages.items():
+            config = kaiser if command in ("ica", "fa") else workdir / "pipeline.json"
+            code = main([command, str(config)])
+            err = capsys.readouterr().err
+            lines = err.splitlines()
             if stage is None:
-                assert (proc.returncode, lines) == (0, []), (command, proc.stderr)
+                assert (code, lines) == (0, []), (command, err)
             else:
-                assert proc.returncode == 3, (command, proc.stderr)
-                assert len(lines) == 1, (command, proc.stderr)
+                assert code == 3, (command, err)
+                assert len(lines) == 1, (command, err)
                 assert lines[0].startswith(f"riversep: error in stage '{stage}': "), command
+
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (riversep.errors.RiversepError("injected"), "riversep: error: injected"),
+            (OSError(5, "Input/output error"), "riversep: i/o error: [Errno 5] Input/output error"),
+        ],
+        ids=["package_error", "os_error"],
+    )
+    def test_an_error_outside_every_stage_is_one_line(
+        self, workdir, capsys, monkeypatch, error, line
+    ):
+        # main's last-resort handlers: an error raised outside every stage
+        # boundary that is not a config error still exits 3 with one line
+        def fail(path):
+            raise error
+
+        monkeypatch.setattr(riversep.cli, "load_config", fail)
+        assert main(["run", str(workdir / "pipeline.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (workdir / "out").exists()
 
     def test_offline_without_cache_is_a_runtime_error(self, workdir, capsys):
         assert main(["ingest", str(remote_input(workdir)), "--offline"]) == 3
@@ -734,28 +750,32 @@ class TestExitCodes:
     def test_a_cache_dir_that_is_a_file_fails_in_the_ingest_stage(self, workdir, capsys, monkeypatch):
         body = (workdir / "station_fixture.rdb").read_bytes()
         monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: _Served(body))
-        (workdir / "cache").write_bytes(b"not a directory\n")
+        cache = workdir / "cache"
+        cache.write_bytes(b"not a directory\n")
         assert main(["ingest", str(remote_input(workdir))]) == 3
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("riversep: error in stage 'ingest': ")
-        assert str(workdir / "cache") in line
+        cached = cache / "89bd5704a094020a03911517ca2af4262c666e2c447aa5bae77a0345fff9f518.rdb"
+        assert capsys.readouterr().err.splitlines() == [
+            f"riversep: error in stage 'ingest': download succeeded, but its cache file "
+            f"{cached} could not be written: [Errno 17] File exists: '{cache}'"
+        ]
         assert not (workdir / "out").exists()
 
-    def test_a_record_where_kaiser_keeps_no_component(self, workdir):
+    def test_a_record_where_kaiser_keeps_no_component(self, workdir, capsys):
         # pca reports the count of 0 with no explained share; ica, which
         # reads that count, fails in its own stage, and run keeps the files
         # of the stages before it
-        config = write_kaiser_zero_record(workdir).name
-        proc = run_in_subprocess(workdir, "pca", config)
-        assert (proc.returncode, proc.stderr) == (0, "")
+        config = str(write_kaiser_zero_record(workdir))
+        assert main(["pca", config]) == 0
+        assert capsys.readouterr().err == ""
         summary = json.loads((workdir / "out" / "pca_summary.json").read_text())
         assert summary["kaiser_components"] == 0
         assert summary["explained_variance_kaiser"] is None
         shutil.rmtree(workdir / "out")
         for command in ("ica", "run"):
-            proc = run_in_subprocess(workdir, command, config)
-            assert proc.returncode == 3, (command, proc.stderr)
-            [line] = proc.stderr.splitlines()
+            code = main([command, config])
+            err = capsys.readouterr().err
+            assert code == 3, (command, err)
+            [line] = err.splitlines()
             assert line.startswith("riversep: error in stage 'ica': "), command
             assert "Kaiser" in line, command
         assert sorted(p.name for p in (workdir / "out").iterdir()) == [
@@ -765,16 +785,16 @@ class TestExitCodes:
             "preprocessed.csv",
         ]
 
-    def test_kaiser_keeps_no_component_whose_stdev_is_1_up_to_rounding(self, workdir):
+    def test_kaiser_keeps_no_component_whose_stdev_is_1_up_to_rounding(self, workdir, capsys):
         # another orthogonal record, whose scales 1.7 and 0.1 are not exact
         # in binary: its largest stdev rounds to the double just above 1
         # (1 + 2.2e-16 with numpy 2.4 on OpenBLAS 0.3.31; another BLAS may
         # sum in another order, still within a few eps of 1), which a count
         # of stdevs strictly above 1 would keep
         cells = kaiser_zero_cells(columns=(1, 2, 5), scales=(1.7, 0.1, 7.0))
-        config = write_kaiser_zero_record(workdir, cells).name
-        proc = run_in_subprocess(workdir, "pca", config)
-        assert (proc.returncode, proc.stderr) == (0, "")
+        config = write_kaiser_zero_record(workdir, cells)
+        assert main(["pca", str(config)]) == 0
+        assert capsys.readouterr().err == ""
         summary = json.loads((workdir / "out" / "pca_summary.json").read_text())
         assert abs(summary["stdevs"][0] - 1.0) <= 4 * np.finfo(float).eps
         assert summary["kaiser_components"] == 0
@@ -803,7 +823,7 @@ class TestExitCodes:
         assert "manifest.json" in line
         assert (workdir / "out" / "fa_summary.json").exists()
 
-    def test_diagnose_on_one_model_row_names_the_rows_acf_needs(self, workdir):
+    def test_diagnose_on_one_model_row_names_the_rows_acf_needs(self, workdir, capsys):
         # two years, annually averaged and differenced, leave one row
         (workdir / "two_years.csv").write_text("date,00300,00618\n1990-06-01,1,2\n1991-06-01,3,5\n")
         doc = json.loads((FIXTURES / "pipeline.json").read_text())
@@ -812,9 +832,8 @@ class TestExitCodes:
             input={"path": "two_years.csv"}, redundancy_rules=[], pipeline=["annual_mean", "difference"]
         )
         (workdir / "two_years.json").write_text(json.dumps(doc))
-        proc = run_in_subprocess(workdir, "diagnose", "two_years.json")
-        assert proc.returncode == 3
-        assert proc.stderr.splitlines() == [
+        assert main(["diagnose", str(workdir / "two_years.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
             "riversep: error in stage 'diagnose': need at least 2 observations, got 1"
         ]
 
@@ -866,19 +885,18 @@ class TestExitCodes:
         ]
 
     @pytest.mark.parametrize("stage", list(riversep.cli._WRITERS))
-    def test_a_writer_failure_is_reported_in_its_stage(self, workdir, stage):
+    def test_a_writer_failure_is_reported_in_its_stage(self, workdir, capsys, monkeypatch, stage):
         # the stage's writer yields one file and then raises: run names the
         # stage, and keeps that file and those of the stages before it
-        patch = (
-            "from riversep.errors import RiversepError\n"
-            "def fail(pipe):\n"
-            f"    yield {stage + '.txt'!r}, 'written before the failure'\n"
-            "    raise RiversepError('injected')\n"
-            f"cli._WRITERS[{stage!r}] = fail"
-        )
-        proc = run_in_subprocess(workdir, patch=patch)
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.splitlines() == [f"riversep: error in stage '{stage}': injected"]
+        def fail(pipe):
+            yield stage + ".txt", "written before the failure"
+            raise riversep.errors.RiversepError("injected")
+
+        monkeypatch.setitem(riversep.cli._WRITERS, stage, fail)
+        code = main(["run", str(workdir / "pipeline.json")])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.splitlines() == [f"riversep: error in stage '{stage}': injected"]
         stages = list(riversep.cli._WRITERS)
         before = [name for s in stages[: stages.index(stage)] for name in SUBCOMMAND_OUTPUTS[s]]
         on_disk = sorted(p.name for p in (workdir / "out").iterdir())
@@ -1141,18 +1159,19 @@ class TestSynthBench:
         ]
         assert not (tmp_path / "bench").exists()
 
-    def test_a_failing_scenario_is_reported_in_the_synth_bench_stage(self, tmp_path):
-        patch = (
-            "from riversep.errors import ConditioningFailed\n"
-            "def fail(*args, **kwargs):\n"
-            "    raise ConditioningFailed(50, 1e9)\n"
-            "cli.generate_scenario = fail"
-        )
+    def test_a_failing_scenario_is_reported_in_the_synth_bench_stage(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise riversep.errors.ConditioningFailed(50, 1e9)
+
+        monkeypatch.setattr(riversep.cli, "generate_scenario", fail)
         out = tmp_path / "bench"
-        proc = riversep_in_subprocess("synth-bench", "--out", out, "--rows", "300", patch=patch)
-        assert proc.returncode == 3
+        assert main(["synth-bench", "--out", str(out), "--rows", "300"]) == 3
         cause = riversep.errors.ConditioningFailed(50, 1e9)
-        assert proc.stderr.splitlines() == [f"riversep: error in stage 'synth-bench': {cause}"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"riversep: error in stage 'synth-bench': {cause}"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize(

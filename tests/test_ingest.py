@@ -1717,7 +1717,11 @@ class TestFetchRemote:
         cache.write_bytes(b"not a directory\n")
         with pytest.raises(errors.CacheWriteFailed) as exc:
             fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", cache, self.URL)
-        assert str(cache) in str(exc.value)
+        cached = cache / "b8a3427e935f3f4e6f632309923a4bdd211d86ecc8316b0779c29d4ec021d0a4.rdb"
+        assert str(exc.value) == (
+            f"download succeeded, but its cache file {cached} could not be written: "
+            f"[Errno 17] File exists: '{cache}'"
+        )
         assert cache.read_bytes() == b"not a directory\n"
 
 
