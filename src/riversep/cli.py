@@ -38,7 +38,8 @@ from . import __version__
 from .config import RunConfig, load_config
 from .diagnostics import acf, mutual_information_matrix
 from .errors import (
-    ConfigError, MissingCells, OutOfRange, RiversepError, RuleInapplicable, TooFewRows
+    ConfigError, MissingCells, OutOfRange, RiversepError, RuleInapplicable, TooFewRows,
+    ZeroVarianceColumn,
 )
 from .fa import fa_dof, fit_fa_ml_corr, smallest_adequate_k
 from .ica import _ROWS_PER_COMPONENT, IcaConfig, fast_ica
@@ -113,7 +114,9 @@ class _Pipeline:
 
     @cached_property
     def model_input(self) -> Table:
-        """The staged table, checked to be dense and finite."""
+        """The staged table, checked to be dense and finite and, from two rows
+        on, to have a correlation, kept as ``correlation``: no column constant
+        or with squares that underflow or overflow.  One row fails in each method."""
         table = self.table
         values = table.values
         with _stage("model input"):
@@ -124,6 +127,11 @@ class _Pipeline:
             infinite = int(np.isinf(values).sum())
             if infinite:
                 raise RiversepError(f"table has {infinite} infinite cells; a stage overflowed")
+            if table.n_rows > 1:
+                try:
+                    self.correlation = correlation_matrix(values)
+                except ZeroVarianceColumn as exc:
+                    raise ZeroVarianceColumn(table.codes[exc.col]) from exc
         return table
 
     @cached_property
@@ -151,10 +159,9 @@ class _Pipeline:
         ks = list(takewhile(lambda k: fa_dof(p, k) >= 0, range(1, self.cfg.fa_k_max + 1)))
         if not ks:
             raise RiversepError(f"no factor count is estimable for {p} variables")
-        if n <= p:  # as fit_fa_ml checks, before the correlation can fail
+        if n <= p:  # fit_fa_ml_corr's check, here as one row has no correlation
             raise TooFewRows(n, p + 1)
-        r = correlation_matrix(self.model_input.values)
-        fits = [fit_fa_ml_corr(r, k, n) for k in ks]
+        fits = [fit_fa_ml_corr(self.correlation, k, n) for k in ks]
         return fits, smallest_adequate_k([m.p_value for m in fits], self.cfg.fa_alpha)
 
 

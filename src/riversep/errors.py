@@ -1,8 +1,8 @@
 """Exception types raised across the package.
 
 Every error that callers may want to branch on carries its context as
-attributes (column index, line number, HTTP status, ...) rather than only
-a formatted message.
+attributes (column index or code, line number, HTTP status, ...) rather
+than only a formatted message.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ class RiversepError(Exception):
 
 
 class ZeroVarianceColumn(RiversepError):
-    def __init__(self, col: int):
+    """``col`` is an index from :mod:`linalg`, a variable code from the CLI's gate."""
+    def __init__(self, col: int | str):
         self.col = col
         super().__init__(f"column {col} has zero sample variance")
 

@@ -224,12 +224,12 @@ def test_top_principal_components_recover_two_of_the_fixtures_drivers():
 
 
 @pytest.mark.parametrize("variant", ["committed", "kaiser"])
-def test_run_computes_the_model_input_moments_once_for_pca_and_once_for_fa(
+def test_run_computes_the_model_input_moments_once_in_the_gate_and_once_for_pca(
     workdir, monkeypatch, variant
 ):
-    # PCA and ICA's Kaiser count share one correlation PCA, every FA fit
-    # reads one correlation matrix, and each model is fit once: one ICA,
-    # and one FA per count k = 1..3.
+    # the model-input gate makes the correlation every FA fit reads, PCA and
+    # ICA's Kaiser count share one correlation PCA, and each model is fit
+    # once: one ICA, and one FA per count k = 1..3.
     calls = {"_column_moments": 0, "fit_pca": 0, "fast_ica": 0, "fit_fa_ml_corr": 0}
 
     def count(module, name):
@@ -576,23 +576,24 @@ class TestExitCodes:
         # the one kept 1960 sample of 00300 becomes that year's mean and
         # enters both of its differences: with 1.7e308 the column's range
         # overflows, with 1.5e155 only its sum of squares does; either way
-        # the sum of squares fails first
+        # the model-input gate's sum of squares fails before acf's or the
+        # binning's
         set_00300_cells(workdir, "1960", [cell, "", "", ""])
         assert main(["diagnose", str(workdir / "pipeline.json")]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines() == [
-            "riversep: error in stage 'diagnose': series' sum of squares overflows"
+            "riversep: error in stage 'model input': column sums of squares overflow"
         ]
 
     @pytest.mark.parametrize("cell", ["1.7e308", "1.5e155"])
     def test_overflowing_model_input_is_a_runtime_error(self, workdir, capsys, cell):
         # the same one-sample year reaches the models: the sum of squares
-        # of its column overflows in the first model's column moments
+        # of its column overflows in the gate's column moments
         set_00300_cells(workdir, "1960", [cell, "", "", ""])
         assert main(["run", str(workdir / "pipeline.json")]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            "riversep: error in stage 'pca': column sums of squares overflow"
+            "riversep: error in stage 'model input': column sums of squares overflow"
         ]
 
     def test_fa_on_no_more_rows_than_variables_names_the_rows_it_needs(
@@ -665,62 +666,68 @@ class TestExitCodes:
             "preprocessed.csv",
         ]
 
-    # Value-level edits of column 00300, and the stage in which each config
-    # subcommand fails (None: it succeeds).  ica and fa read the "kaiser"
-    # variant, so ICA counts components by Kaiser's rule; the others read
-    # the committed config.  Every edit is a finite number, so ingest and
-    # preprocess, which fit no model, succeed on each.
+    # Value-level edits of column 00300, and how each config subcommand ends:
+    # None when it succeeds, else the stage it fails in and the message.  ica
+    # runs on the committed config, which extracts three components, and on
+    # the "kaiser" variant, which counts them by Kaiser's rule; fa reads the
+    # "kaiser" variant and the others the committed config.  Every edit is a
+    # finite number, so ingest and preprocess, which fit no model, succeed on
+    # each.  A column no method can analyse fails every model subcommand in
+    # the model-input gate, whichever method would have met it first.
+    _MODELS = ("pca", "ica", "fa", "diagnose", "run")
+    _OVERFLOW = ("model input", "column sums of squares overflow")
+    _ZERO_VARIANCE = ("model input", "column 00300 has zero sample variance")
+    _RANK_1 = ("ica", "effective rank is only 1")
     VALUE_MUTANTS = {
         # the one kept 1960 sample: its column's sum of squares overflows
         "1e154_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1e154", "", "", ""]),
-            {"pca": "pca", "ica": "ica", "fa": "fa", "diagnose": "diagnose", "run": "pca"},
+            dict.fromkeys(_MODELS, _OVERFLOW),
         ),
         # the sum of squares is finite, but whitening sees rank 1
         "1e153_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1e153", "", "", ""]),
-            {"pca": None, "ica": "ica", "fa": None, "diagnose": None, "run": "ica"},
+            {"pca": None, "ica": _RANK_1, "fa": None, "diagnose": None, "run": _RANK_1},
         ),
         # the column varies, but its squares underflow
         "times_1e-300": (
             lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-300"),
-            {"pca": "pca", "ica": "ica", "fa": "fa", "diagnose": "diagnose", "run": "pca"},
+            dict.fromkeys(_MODELS, _ZERO_VARIANCE),
         ),
         # subnormal cells: as above, the squares underflow
         "subnormal": (
             lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-310"),
-            {"pca": "pca", "ica": "ica", "fa": "fa", "diagnose": "diagnose", "run": "pca"},
+            dict.fromkeys(_MODELS, _ZERO_VARIANCE),
         ),
         "plus_1e12": (
             lambda workdir: edit_00300_cells(
                 workdir, lambda cell: f"{float(cell) + 1e12:.3f}"
             ),
-            {"pca": None, "ica": None, "fa": None, "diagnose": None, "run": None},
+            dict.fromkeys(_MODELS),
         ),
         "constant": (
             lambda workdir: edit_00300_cells(workdir, lambda cell: "9.500"),
-            {"pca": "pca", "ica": "ica", "fa": "fa", "diagnose": "diagnose", "run": "pca"},
+            dict.fromkeys(_MODELS, _ZERO_VARIANCE),
         ),
     }
 
     @pytest.mark.parametrize("mutant", sorted(VALUE_MUTANTS))
     def test_value_level_mutants_keep_the_exit_code_contract(self, workdir, capsys, mutant):
-        edit, stages = self.VALUE_MUTANTS[mutant]
-        stages = {"ingest": None, "preprocess": None, **stages}
-        assert list(stages) == list(riversep.cli._SUBCOMMANDS)
+        edit, outcomes = self.VALUE_MUTANTS[mutant]
+        outcomes = {"ingest": None, "preprocess": None, **outcomes}
+        assert list(outcomes) == list(riversep.cli._SUBCOMMANDS)
         edit(workdir)
-        kaiser = write_config(workdir, "kaiser")
-        for command, stage in stages.items():
-            config = kaiser if command in ("ica", "fa") else workdir / "pipeline.json"
+        committed, kaiser = workdir / "pipeline.json", write_config(workdir, "kaiser")
+        runs = [(c, kaiser if c == "fa" else committed) for c in outcomes] + [("ica", kaiser)]
+        for command, config in runs:
             code = main([command, str(config)])
             err = capsys.readouterr().err
-            lines = err.splitlines()
-            if stage is None:
-                assert (code, lines) == (0, []), (command, err)
+            if outcomes[command] is None:
+                assert (code, err) == (0, ""), (command, config.name, err)
             else:
-                assert code == 3, (command, err)
-                assert len(lines) == 1, (command, err)
-                assert lines[0].startswith(f"riversep: error in stage '{stage}': "), command
+                stage, message = outcomes[command]
+                line = f"riversep: error in stage '{stage}': {message}"
+                assert (code, err.splitlines()) == (3, [line]), (command, config.name, err)
 
     @pytest.mark.parametrize(
         "error, line",
