@@ -38,8 +38,7 @@ from . import __version__
 from .config import RunConfig, load_config
 from .diagnostics import acf, mutual_information_matrix
 from .errors import (
-    ConfigError, MissingCells, OutOfRange, RiversepError, RuleInapplicable, TooFewRows,
-    ZeroVarianceColumn,
+    ConfigError, MissingCells, OutOfRange, RiversepError, RuleInapplicable, ZeroVarianceColumn,
 )
 from .fa import fa_dof, fit_fa_ml_corr, smallest_adequate_k
 from .ica import _ROWS_PER_COMPONENT, IcaConfig, fast_ica
@@ -114,9 +113,9 @@ class _Pipeline:
 
     @cached_property
     def model_input(self) -> Table:
-        """The staged table, checked to be dense and finite and, from two rows
-        on, to have a correlation, kept as ``correlation``: no column constant
-        or with squares that underflow or overflow.  One row fails in each method."""
+        """The staged table, checked to be dense and finite and to have a
+        correlation, kept as ``correlation``: at least two rows, and no column
+        constant or with squares that underflow or overflow."""
         table = self.table
         values = table.values
         with _stage("model input"):
@@ -127,11 +126,10 @@ class _Pipeline:
             infinite = int(np.isinf(values).sum())
             if infinite:
                 raise RiversepError(f"table has {infinite} infinite cells; a stage overflowed")
-            if table.n_rows > 1:
-                try:
-                    self.correlation = correlation_matrix(values)
-                except ZeroVarianceColumn as exc:
-                    raise ZeroVarianceColumn(table.codes[exc.col]) from exc
+            try:
+                self.correlation = correlation_matrix(values)
+            except ZeroVarianceColumn as exc:
+                raise ZeroVarianceColumn(table.codes[exc.col]) from exc
         return table
 
     @cached_property
@@ -159,8 +157,6 @@ class _Pipeline:
         ks = list(takewhile(lambda k: fa_dof(p, k) >= 0, range(1, self.cfg.fa_k_max + 1)))
         if not ks:
             raise RiversepError(f"no factor count is estimable for {p} variables")
-        if n <= p:  # fit_fa_ml_corr's check, here as one row has no correlation
-            raise TooFewRows(n, p + 1)
         fits = [fit_fa_ml_corr(self.correlation, k, n) for k in ks]
         return fits, smallest_adequate_k([m.p_value for m in fits], self.cfg.fa_alpha)
 
@@ -272,9 +268,7 @@ def _write_fa(pipe: _Pipeline):
 def _write_diagnostics(pipe: _Pipeline):
     cfg = pipe.cfg
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
-    n = matrix.shape[0]
-    # one row leaves no lag to read: acf then names the two rows it needs
-    max_lag = max(0, min(cfg.acf_max_lag, n - 2))
+    max_lag = min(cfg.acf_max_lag, matrix.shape[0] - 2)
     result = acf(matrix, max_lag)
     rows = np.stack(np.broadcast_arrays(result.lags, result.values, result.conf_band), -1)
     keys = [code for code in labels for _ in range(max_lag + 1)]

@@ -596,49 +596,80 @@ class TestExitCodes:
             "riversep: error in stage 'model input': column sums of squares overflow"
         ]
 
-    def test_fa_on_no_more_rows_than_variables_names_the_rows_it_needs(
-        self, workdir, capsys
-    ):
-        # the years 1999-2000 leave one differenced row of 24 variables: the
-        # message names FA's p + 1 rows, not the two a correlation needs
-        doc = json.loads((workdir / "pipeline.json").read_text())
-        doc["filter"].update(start="1999-01-01", min_count=4)
-        bad = workdir / "bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["fa", str(bad)]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            "riversep: error in stage 'fa': need at least 25 rows, got 1"
-        ]
-
-    # On the one-row record above, the stage each command fails in and the
-    # rows its first check needs: PCA's three, ICA's ten for each of the
-    # config's three components, FA's p + 1 and acf's two.  With no
+    # The fixture's 1998-2000 window leaves two differenced rows of 24
+    # variables: the model-input gate passes them, and each command fails in
+    # its first model stage by the rows that method needs: PCA's three, ICA's
+    # ten for each of the config's three components, FA's p + 1 and the
+    # mutual-information table's ten (acf reads lag 0 of two rows).  With no
     # ica.n_components, ICA first fits the correlation PCA for Kaiser's
     # count, and fails on PCA's three.
-    ONE_ROW_FAILURES = {
-        "run": ("pca", "need at least 3 rows, got 1"),
-        "pca": ("pca", "need at least 3 rows, got 1"),
-        "ica": ("ica", "need at least 30 rows, got 1"),
-        "fa": ("fa", "need at least 25 rows, got 1"),
-        "diagnose": ("diagnose", "need at least 2 observations, got 1"),
+    TWO_ROW_FAILURES = {
+        "run": ("pca", "need at least 3 rows, got 2"),
+        "pca": ("pca", "need at least 3 rows, got 2"),
+        "ica": ("ica", "need at least 30 rows, got 2"),
+        "fa": ("fa", "need at least 25 rows, got 2"),
+        "diagnose": ("diagnose", "need at least 10 observations, got 2"),
     }
 
     @pytest.mark.parametrize("variant", ["committed", "kaiser"])
-    @pytest.mark.parametrize("command", list(ONE_ROW_FAILURES))
-    def test_each_command_on_one_model_row_fails_in_its_first_model_stage(
+    @pytest.mark.parametrize("command", list(TWO_ROW_FAILURES))
+    def test_each_command_on_two_model_rows_fails_in_its_first_model_stage(
         self, workdir, capsys, command, variant
     ):
         config = write_config(workdir, variant)
         doc = json.loads(config.read_text())
-        doc["filter"].update(start="1999-01-01", min_count=4)
+        doc["filter"].update(start="1998-01-01", min_count=4)
         config.write_text(json.dumps(doc))
-        stage, message = self.ONE_ROW_FAILURES[command]
+        stage, message = self.TWO_ROW_FAILURES[command]
         if (command, variant) == ("ica", "kaiser"):
-            message = "need at least 3 rows, got 1"
+            message = "need at least 3 rows, got 2"
         assert main([command, str(config)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"riversep: error in stage '{stage}': {message}"
         ]
+
+    @pytest.mark.parametrize(
+        "short, message",
+        [
+            ("one_row_window", "need at least 2 rows, got 1"),
+            ("two_year_csv", "need at least 2 rows, got 1"),
+            ("empty_window", "x must have at least one row and one column"),
+        ],
+    )
+    @pytest.mark.parametrize("variant", ["committed", "kaiser"])
+    @pytest.mark.parametrize("command", ["run", "pca", "ica", "fa", "diagnose"])
+    def test_a_model_input_of_fewer_than_two_rows_fails_in_the_model_input_stage(
+        self, workdir, capsys, command, variant, short, message
+    ):
+        # the fixture's 1999-2000 window leaves one differenced row of 24
+        # variables, two CSV years annually averaged and differenced leave
+        # one row of two, and a filter-only pipeline on a window with no
+        # sample leaves no row; no method sees any of them, and run keeps
+        # the staged table
+        config = write_config(workdir, variant)
+        doc = json.loads(config.read_text())
+        if short == "one_row_window":
+            doc["filter"].update(start="1999-01-01", min_count=4)
+        elif short == "two_year_csv":
+            (workdir / "two_years.csv").write_text(
+                "date,00300,00618\n1990-06-01,1,2\n1991-06-01,3,5\n"
+            )
+            del doc["filter"]
+            doc.update(
+                input={"path": "two_years.csv"}, redundancy_rules=[],
+                pipeline=["annual_mean", "difference"],
+            )
+        else:
+            doc["filter"].update(start="2001-01-01", end="2001-12-31")
+            doc["pipeline"] = ["filter"]
+        config.write_text(json.dumps(doc))
+        assert main([command, str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"riversep: error in stage 'model input': {message}"
+        ]
+        out = workdir / doc["output_dir"]
+        on_disk = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert on_disk == (["ingested.csv", "preprocessed.csv"] if command == "run" else [])
 
     def test_a_failing_writer_keeps_the_files_it_already_wrote(
         self, workdir, capsys, monkeypatch
@@ -829,20 +860,6 @@ class TestExitCodes:
         assert line.startswith("riversep: error in stage 'run': ")
         assert "manifest.json" in line
         assert (workdir / "out" / "fa_summary.json").exists()
-
-    def test_diagnose_on_one_model_row_names_the_rows_acf_needs(self, workdir, capsys):
-        # two years, annually averaged and differenced, leave one row
-        (workdir / "two_years.csv").write_text("date,00300,00618\n1990-06-01,1,2\n1991-06-01,3,5\n")
-        doc = json.loads((FIXTURES / "pipeline.json").read_text())
-        del doc["filter"]
-        doc.update(
-            input={"path": "two_years.csv"}, redundancy_rules=[], pipeline=["annual_mean", "difference"]
-        )
-        (workdir / "two_years.json").write_text(json.dumps(doc))
-        assert main(["diagnose", str(workdir / "two_years.json")]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            "riversep: error in stage 'diagnose': need at least 2 observations, got 1"
-        ]
 
     @pytest.mark.parametrize("command", ["run", "pca", "ica", "fa", "diagnose"])
     def test_a_model_input_with_missing_cells_fails_in_the_model_input_stage(
