@@ -37,12 +37,7 @@ from .ingest import (
     parse_csv,
     parse_rdb,
 )
-from .linalg import (
-    EigenDecomposition,
-    correlation_matrix,
-    covariance_matrix,
-    sym_eigen,
-)
+from .linalg import correlation_matrix, covariance_matrix
 from .pca import PcaModel, explained_variance, fit_pca, kaiser_retain, scores
 from .preprocess import (
     RedundancyRule,
@@ -62,10 +57,8 @@ __all__ = [
     "__version__",
     "errors",
     # dense matrix primitives
-    "EigenDecomposition",
     "correlation_matrix",
     "covariance_matrix",
-    "sym_eigen",
     # ingestion
     "FilterSpec",
     "Table",

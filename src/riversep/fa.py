@@ -41,9 +41,7 @@ from .errors import (
     SingularCorrelation,
     TooFewRows,
 )
-from .linalg import (
-    _column_signs, _eigh_descending, as_matrix, correlation_matrix, sym_eigen
-)
+from .linalg import _column_signs, _eigh_descending, as_matrix, correlation_matrix
 
 # Lower bound on uniquenesses: a communality may not exceed 0.995, so a
 # boundary (Heywood) solution is flagged instead of producing a degenerate
@@ -158,9 +156,9 @@ def profiled_discrepancy(psi, r, k: int):
     Parameters
     ----------
     psi : array_like, shape (p,)
-        Strictly positive uniquenesses.
+        Strictly positive, finite uniquenesses.
     r : array_like, shape (p, p)
-        Sample correlation matrix.
+        Sample correlation matrix, checked as :func:`fit_fa_ml_corr` checks it.
     k : int
         Number of factors profiled out.
 
@@ -171,9 +169,18 @@ def profiled_discrepancy(psi, r, k: int):
     gradient : ndarray, shape (p,)
         Analytic derivative with respect to ``psi``:
         ``g_i = (1 / psi_i) * sum_{j>k} (1 - lam_j) * v_ij**2``.
+
+    Raises
+    ------
+    ShapeMismatch, NotSymmetric, OutOfRange
+        As :func:`fit_fa_ml_corr` for ``r``; :class:`OutOfRange` also unless
+        ``psi`` holds p positive, finite values.
     """
+    r = _validate_correlation(r)
     psi = np.asarray(psi, dtype=float)
-    return _profiled(psi, sym_eigen(_scaled(psi, np.asarray(r, dtype=float))), k)
+    if psi.shape != r.shape[:1] or not np.all(np.isfinite(psi) & (psi > 0.0)):
+        raise OutOfRange(f"psi must hold {r.shape[0]} positive, finite values")
+    return _profiled(psi, _eigh_descending(_scaled(psi, r)), k)
 
 
 def _profiled(psi, eig, k):
@@ -224,7 +231,7 @@ def _loadings_at(psi, eig, k):
     """Optimal loadings for fixed uniquenesses (the profiling identity),
     from the scaled eigenpairs ``eig`` at ``psi``.
 
-    The top vectors take :func:`sym_eigen`'s sign rule first: where the
+    The top vectors take the :func:`_column_signs` rule first: where the
     clip zeroes a column, its zeros then carry that rule's signs, not
     LAPACK's.
     """
@@ -409,19 +416,11 @@ def fit_fa_ml(x, k: int) -> FaModel:
     """Fit the k-factor model to a data matrix (rows are observations).
 
     The sample correlation matrix is computed with the n-1 convention and
-    handed to :func:`fit_fa_ml_corr` with ``n_obs`` equal to the row count.
-
-    Raises
-    ------
-    TooFewRows
-        If the matrix has no more rows than columns.
+    handed to :func:`fit_fa_ml_corr` with ``n_obs`` equal to the row count,
+    so a matrix with no more rows than columns raises :class:`TooFewRows`.
     """
     x = as_matrix(x)
-    n, p = x.shape
-    if n <= p:
-        raise TooFewRows(n, p + 1)
-    r = correlation_matrix(x)
-    return fit_fa_ml_corr(r, k, n)
+    return fit_fa_ml_corr(correlation_matrix(x), k, x.shape[0])
 
 
 def smallest_adequate_k(p_values: Sequence[float], alpha: float = 0.05) -> FactorSelection:

@@ -123,7 +123,7 @@ def whiten(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
         _, sigma, vt = np.linalg.svd(r, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DidNotConverge("svd") from exc
-    # the sym_eigen sign rule, so v matches the eigenvectors of xc.T @ xc
+    # the _column_signs rule, as PCA orients the eigenvectors of xc.T @ xc
     v = vt.T * _column_signs(vt.T)
     effective_rank = int(np.sum(sigma > _RANK_RTOL * max(sigma[0], 1e-300)))
     if n_components > effective_rank:

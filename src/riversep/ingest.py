@@ -430,7 +430,8 @@ def filter_table(table: Table, spec: FilterSpec) -> Table:
 
     Counting on the surviving rows makes the operation idempotent.  The
     required variable itself is exempt from the count rule (every surviving
-    row has it by construction).
+    row has it by construction).  Raises :class:`EmptyResult` when no row
+    or no variable survives.
     """
     required = spec.required_variable
     if required is not None and required not in table.codes:
@@ -441,11 +442,15 @@ def filter_table(table: Table, spec: FilterSpec) -> Table:
     row_mask = (start <= table.index) & (table.index <= end)
     if required is not None:
         row_mask &= ~np.isnan(table.values[:, table.codes.index(required)])
+    if not row_mask.any():
+        raise EmptyResult("no rows remain")
 
     counts = np.sum(~np.isnan(table.values)[row_mask], axis=0)
     col_mask = counts >= spec.min_count
     if required is not None:
         col_mask[table.codes.index(required)] = True
+    if not col_mask.any():
+        raise EmptyResult(f"no variable has at least {spec.min_count} samples")
     return table.take(row_mask, col_mask)
 
 

@@ -2,26 +2,22 @@
 
 All routines accept anything ``np.asarray`` turns into a 2-D float array and
 are deterministic: two calls on the same input return bit-identical results
-on the same numpy/BLAS build.  Symmetric eigensolves, by LAPACK's
-``np.linalg.eigh`` with eigenvalues descending, have two entries:
-:func:`sym_eigen` checks a matrix a caller hands in and orients each
-eigenvector by a sign rule, so fits do not depend on LAPACK's arbitrary
-orientation (FastICA's whitening orients its singular vectors alike);
-:func:`_eigh_descending` takes a matrix the package has just built, finite
-and exactly symmetric, unchecked and with LAPACK's signs.
+on the same numpy/BLAS build.  Every symmetric eigensolve is
+:func:`_eigh_descending`: LAPACK's ``np.linalg.eigh`` with eigenvalues
+descending and LAPACK's signs, on a matrix its caller has built or checked
+finite and exactly symmetric.  A caller whose output depends on the
+orientation of a vector fixes it by :func:`_column_signs` (FastICA's
+whitening orients its singular vectors alike).
 
 Sample statistics use the n-1 (unbiased) normalization throughout.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
     DidNotConverge,
-    NotSymmetric,
     OutOfRange,
     ShapeMismatch,
     TooFewRows,
@@ -32,13 +28,6 @@ from .errors import (
 # against the column's own magnitude so that tiny-but-real variation in
 # small-scale data is not destroyed.
 _ZERO_VAR_REL = 1e-13
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:
@@ -142,7 +131,7 @@ def _column_signs(vectors: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
+def _eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK's eigenpairs of ``a``, reordered to descending eigenvalues (ties
     keep LAPACK's ascending order), with LAPACK's signs.  Unchecked: for a
     float matrix its caller builds finite and exactly symmetric."""
@@ -151,30 +140,4 @@ def _eigh_descending(a: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise DidNotConverge("eigh") from exc
     order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values[order], vectors[:, order])
-
-
-def sym_eigen(s) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by LAPACK.
-
-    Eigenvalues are returned in descending order (ties keep LAPACK's
-    ascending order) with orthonormal eigenvectors as columns.  Each
-    eigenvector is oriented so its largest-magnitude entry is positive.
-
-    Raises
-    ------
-    NotSymmetric
-        If ``max|s - s.T|`` exceeds 1e-10 (relative to the matrix scale).
-    DidNotConverge
-        If LAPACK fails to converge.
-    """
-    a = as_matrix(s, "s")
-    n, m = a.shape
-    if n != m:
-        raise NotSymmetric(float("inf"))
-    scale = max(1.0, float(np.max(np.abs(a))))
-    asym = float(np.max(np.abs(a - a.T)))
-    if asym > 1e-10 * scale:
-        raise NotSymmetric(asym)
-    values, vectors = _eigh_descending((a + a.T) / 2.0)
-    return EigenDecomposition(values, vectors * _column_signs(vectors))
+    return values[order], vectors[:, order]

@@ -8,7 +8,9 @@ that changed operand layout in the move are ``k @ xct`` in whitening,
 ``xct @ xct.T`` in the column moments, ``gu @ z`` and ``z @ w.T`` with an
 F-ordered ``z`` in FastICA, ``pre.T @ loadings`` in PCA scores and the
 scenario mixing product; each gives the same bits as its rows x columns
-form on the BLAS these tests run on.
+form on the BLAS these tests run on.  :func:`signed_eigh` is the signed
+symmetric eigensolve that PCA's loadings and whitening's rows are checked
+against.
 """
 
 import numpy as np
@@ -48,6 +50,15 @@ def svd(x):
     u, sigma, vt = np.linalg.svd(x, full_matrices=False)
     signs = _column_signs(vt.T)
     return u * signs, sigma, vt.T * signs
+
+
+def signed_eigh(s):
+    """LAPACK's eigenpairs of ``s``, eigenvalues descending (ties keep
+    LAPACK's order), each vector oriented by the ``_column_signs`` rule."""
+    values, vectors = np.linalg.eigh(s)
+    order = np.argsort(-values, kind="stable")
+    vectors = vectors[:, order]
+    return values[order], vectors * _column_signs(vectors)
 
 
 def whiten(x, n_components):

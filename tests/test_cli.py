@@ -633,7 +633,7 @@ class TestExitCodes:
         [
             ("one_row_window", "need at least 2 rows, got 1"),
             ("two_year_csv", "need at least 2 rows, got 1"),
-            ("empty_window", "x must have at least one row and one column"),
+            ("header_only_record", "x must have at least one row and one column"),
         ],
     )
     @pytest.mark.parametrize("variant", ["committed", "kaiser"])
@@ -643,9 +643,9 @@ class TestExitCodes:
     ):
         # the fixture's 1999-2000 window leaves one differenced row of 24
         # variables, two CSV years annually averaged and differenced leave
-        # one row of two, and a filter-only pipeline on a window with no
-        # sample leaves no row; no method sees any of them, and run keeps
-        # the staged table
+        # one row of two, and a record with no sample, annually averaged,
+        # leaves no row; no method sees any of them, and run keeps the
+        # staged table
         config = write_config(workdir, variant)
         doc = json.loads(config.read_text())
         if short == "one_row_window":
@@ -660,8 +660,9 @@ class TestExitCodes:
                 pipeline=["annual_mean", "difference"],
             )
         else:
-            doc["filter"].update(start="2001-01-01", end="2001-12-31")
-            doc["pipeline"] = ["filter"]
+            header = (workdir / "station_fixture.rdb").read_text().splitlines(keepends=True)[:5]
+            (workdir / "header_only.rdb").write_text("".join(header))
+            doc.update(input={"path": "header_only.rdb"}, pipeline=["annual_mean"])
         config.write_text(json.dumps(doc))
         assert main([command, str(config)]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -670,6 +671,35 @@ class TestExitCodes:
         out = workdir / doc["output_dir"]
         on_disk = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert on_disk == (["ingested.csv", "preprocessed.csv"] if command == "run" else [])
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (
+                {"start": "2001-01-01", "end": "2001-12-31", "required_variable": "00618"},
+                "no rows remain",
+            ),
+            ({"min_count": 10000}, "no variable has at least 10000 samples"),
+        ],
+        ids=["empty_window", "unmet_min_count"],
+    )
+    @pytest.mark.parametrize("command", ["preprocess", "run", "pca", "ica", "fa", "diagnose"])
+    def test_a_filter_that_empties_the_table_fails_in_the_filter_stage(
+        self, workdir, capsys, command, section, message
+    ):
+        # a window with no sample leaves no row, and a min_count above the
+        # record's length no variable; preprocess and run keep ingested.csv
+        doc = json.loads((workdir / "pipeline.json").read_text())
+        doc.update(filter=section, pipeline=["filter"])
+        config = workdir / "emptied.json"
+        config.write_text(json.dumps(doc))
+        assert main([command, str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"riversep: error in stage 'filter': {message}"
+        ]
+        out = workdir / "out"
+        on_disk = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert on_disk == (["ingested.csv"] if command in ("preprocess", "run") else [])
 
     def test_a_failing_writer_keeps_the_files_it_already_wrote(
         self, workdir, capsys, monkeypatch

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rows_layout
 import riversep.cli
 from riversep.config import load_config
 from riversep.errors import (
@@ -38,7 +39,7 @@ from riversep.fa import (
     profiled_discrepancy,
     smallest_adequate_k,
 )
-from riversep.linalg import _column_signs, _eigh_descending, correlation_matrix, sym_eigen
+from riversep.linalg import _column_signs, _eigh_descending, correlation_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -242,6 +243,45 @@ class TestGradient:
         assert np.abs(grad - fd).max() < 1e-8
 
 
+class TestProfiledDiscrepancy:
+    """The public profiled objective is the fitter's: the same checks on
+    ``r``, the same solve, and a check that ``psi`` is p uniquenesses."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_loop_objective_bit_for_bit(self, k):
+        r = correlation_matrix(simulate_two_factor()[0])
+        rng = np.random.default_rng(k)
+        for rho in rng.uniform(np.log(fa._PSI_FLOOR), 0.0, size=(5, 6)):
+            psi = np.exp(rho)
+            value, grad = profiled_discrepancy(psi, r, k)
+            loop_value, loop_grad, _ = _objective_log(rho, r, k)
+            assert value == loop_value
+            assert_same_bits(grad * psi, loop_grad)
+
+    @pytest.mark.parametrize(
+        "psi",
+        [np.full(5, 0.5), np.full(7, 0.5), np.full((6, 1), 0.5), [0.5] * 5 + [0.0],
+         np.full(6, -0.5), [0.5] * 5 + [np.inf], [0.5] * 5 + [np.nan]],
+        ids=["short", "long", "column", "zero", "negative", "inf", "nan"],
+    )
+    def test_rejects_psi_that_is_not_p_uniquenesses(self, psi):
+        r = correlation_matrix(simulate_two_factor()[0])
+        with pytest.raises(OutOfRange, match="^psi must hold 6 positive, finite values$"):
+            profiled_discrepancy(psi, r, 2)
+
+    def test_rejects_what_the_fitter_rejects(self):
+        r = correlation_matrix(simulate_two_factor()[0])
+        psi = np.full(6, 0.5)
+        with pytest.raises(OutOfRange, match="unit diagonal"):
+            profiled_discrepancy(psi, 2.0 * r, 2)
+        with pytest.raises(ShapeMismatch, match="square"):
+            profiled_discrepancy(psi, r[:, :5], 2)
+        bad = r.copy()
+        bad[0, 1] += 1e-6
+        with pytest.raises(NotSymmetric):
+            profiled_discrepancy(psi, bad, 2)
+
+
 class TestHessian:
     """The exact Hessian over log-uniquenesses versus central differences
     of the analytic gradient."""
@@ -337,12 +377,10 @@ class TestOneEigensolvePerPoint:
         return calls
 
     def test_fixture_fits_solve_once_per_evaluation(self, monkeypatch):
-        # one solve per evaluated point, plus R's and the fitted matrix's;
-        # none of them through sym_eigen's checks and sign rule
+        # one solve per evaluated point, plus R's and the fitted matrix's
         x = fixture_model_input()
         evals = self.count_calls(monkeypatch, "_objective_log")
         solves = self.count_calls(monkeypatch, "_eigh_descending")
-        checked = self.count_calls(monkeypatch, "sym_eigen")
         got = []
         for k in (1, 2, 3):
             evals.clear()
@@ -350,7 +388,6 @@ class TestOneEigensolvePerPoint:
             assert fit_fa_ml(x, k).converged
             got.append((len(evals), len(solves)))
         assert got == [(8, 10), (6, 8), (10, 12)]
-        assert checked == []
 
     def refit_loadings(self, m, x):
         r = correlation_matrix(x)
@@ -401,8 +438,8 @@ class TestOneEigensolvePerPoint:
     @pytest.mark.parametrize("source", ["fixture", "sweep"])
     def test_unchecked_loop_solve_returns_the_checked_bits(self, source):
         # Inside the box the loop's scaled matrices are finite and exactly
-        # symmetric, so skipping sym_eigen's checks and symmetrization
-        # changes no bit of the eigenpairs; only its sign rule differs.
+        # symmetric, so the loop's unchecked solve gives the bits of a
+        # signed solve; only the orientation of the vectors differs.
         x = fixture_model_input() if source == "fixture" else simulate_sweep(30, 2, seed=2)
         r = fa._validate_correlation(correlation_matrix(x))
         lb, ub = np.log(fa._PSI_FLOOR), np.log(fa._PSI_CEIL)
@@ -413,12 +450,12 @@ class TestOneEigensolvePerPoint:
             scaled = fa._scaled(psi, r)
             assert_same_bits(scaled, scaled.T)
             values, vectors = _eigh_descending(scaled)
-            loop = _objective_log(rho, r, 2)[2]
-            assert_same_bits(values, loop.values)
-            assert_same_bits(vectors, loop.vectors)
-            checked = sym_eigen(scaled)
-            assert_same_bits(values, checked.values)
-            assert_same_bits(vectors * _column_signs(vectors), checked.vectors)
+            loop_values, loop_vectors = _objective_log(rho, r, 2)[2]
+            assert_same_bits(values, loop_values)
+            assert_same_bits(vectors, loop_vectors)
+            signed_values, signed_vectors = rows_layout.signed_eigh(scaled)
+            assert_same_bits(values, signed_values)
+            assert_same_bits(vectors * _column_signs(vectors), signed_vectors)
 
     def test_zero_loading_columns_keep_their_signs(self):
         # With every scaled eigenvalue at 1 the loadings are signed zeros;

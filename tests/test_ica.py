@@ -12,7 +12,7 @@ from riversep.ica import (
     fast_ica,
     whiten,
 )
-from riversep.linalg import _column_signs, covariance_matrix, sym_eigen
+from riversep.linalg import _column_signs, covariance_matrix
 from riversep.synth import generate_scenario
 
 
@@ -65,12 +65,12 @@ class TestWhiten:
 
     @pytest.mark.parametrize("shape", [(40, 4), (5, 4), (6, 9)], ids=str)
     def test_whitening_rows_are_the_scaled_covariance_eigenvectors(self, shape):
-        # descending variance, each row oriented by the sym_eigen sign rule
+        # descending variance, each row oriented by the _column_signs rule
         rng = np.random.default_rng(7)
         n, p = shape
         x = rng.normal(size=shape) @ np.diag([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.2, 0.1, 0.05][:p])
         m = min(3, n - 1)
-        values, vectors = sym_eigen(covariance_matrix(x))
+        values, vectors = rows_layout.signed_eigh(covariance_matrix(x))
         assert np.all(np.diff(values[:m]) < -0.1)
         _, k = whiten(x, m)
         assert_allclose(k, (vectors[:, :m] / np.sqrt(values[:m])).T, rtol=1e-8)

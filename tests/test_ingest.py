@@ -804,9 +804,8 @@ class TestIndexContract:
 
     def test_filter_of_an_empty_table(self):
         t = Table("date", [], ["a", "b"], np.empty((0, 2)))
-        out = filter_table(t, FilterSpec(start=d("1990-01-01")))
-        assert out.index.dtype == np.dtype("datetime64[D]")
-        assert out.n_rows == 0 and out.codes == []
+        with pytest.raises(errors.EmptyResult, match="^no rows remain$"):
+            filter_table(t, FilterSpec(start=d("1990-01-01")))
 
 
 def one_line_is_record(raw):
@@ -1533,6 +1532,22 @@ class TestFilterTable:
         out = filter_table(t, FilterSpec(required_variable="a"))
         assert out.n_rows == 2
         assert_allclose(out.values, [[1, 5], [3, 7]])
+
+    def test_a_window_with_no_sample_leaves_no_rows(self):
+        t = make_table(["1990-01-01", "1990-02-01"], ["a", "b"], [[1, np.nan], [np.nan, 6]])
+        with pytest.raises(errors.EmptyResult, match="^no rows remain$"):
+            filter_table(t, FilterSpec(start=d("1991-01-01")))
+        # the required variable's missing cells take the remaining rows
+        with pytest.raises(errors.EmptyResult, match="^no rows remain$"):
+            filter_table(t, FilterSpec(end=d("1990-01-31"), required_variable="b"))
+
+    def test_a_min_count_no_variable_meets_leaves_no_variables(self):
+        t = make_table(["1990-01-01", "1990-02-01"], ["a", "b"], [[1, np.nan], [2, 6]])
+        with pytest.raises(errors.EmptyResult, match="^no variable has at least 3 samples$"):
+            filter_table(t, FilterSpec(min_count=3))
+        # the required variable is exempt from the count, so it survives alone
+        out = filter_table(t, FilterSpec(min_count=3, required_variable="b"))
+        assert (out.codes, out.n_rows) == (["b"], 1)
 
     def test_unknown_required_variable(self):
         t = make_table(["1990-01-01"], ["a"], [[1]])

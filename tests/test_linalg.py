@@ -15,7 +15,6 @@ from riversep.linalg import (
     _eigh_descending,
     correlation_matrix,
     covariance_matrix,
-    sym_eigen,
 )
 
 
@@ -132,8 +131,7 @@ class TestCovariance:
         x = rng.normal(size=(20, 6))
         c = covariance_matrix(x)
         assert_allclose(c, c.T, atol=0)
-        values, _ = sym_eigen(c)
-        assert values.min() > -1e-9
+        assert np.linalg.eigvalsh(c).min() > -1e-9
 
     def test_too_few_rows(self):
         with pytest.raises(errors.TooFewRows):
@@ -187,101 +185,9 @@ class TestCorrelation:
             correlation_matrix(x)
 
 
-class TestSymEigen:
-    def test_identity(self):
-        values, vectors = sym_eigen(np.eye(3))
-        assert_allclose(values, [1.0, 1.0, 1.0], atol=0)
-        assert_allclose(vectors, np.eye(3), atol=0)
-
-    def test_diagonal_sorted_descending(self):
-        values, vectors = sym_eigen(np.diag([1.0, 3.0, 2.0]))
-        assert_allclose(values, [3.0, 2.0, 1.0], atol=0)
-        # eigenvector for 3.0 is the second axis, oriented positive
-        assert_allclose(vectors[:, 0], [0.0, 1.0, 0.0], atol=0)
-
-    def test_known_2x2(self):
-        # eigenvalues of [[2,1],[1,2]] are 3 and 1
-        values, vectors = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
-        assert_allclose(values, [3.0, 1.0], atol=1e-12)
-        assert_allclose(np.abs(vectors[:, 0]), [1, 1] / np.sqrt(2), atol=1e-12)
-
-    def test_residual_trace_orthonormal(self):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(8, 8))
-        s = (a + a.T) / 2
-        values, vectors = sym_eigen(s)
-        scale = max(1.0, np.abs(s).max())
-        resid = s @ vectors - vectors * values
-        assert np.abs(resid).max() <= 1e-8 * scale
-        assert abs(values.sum() - np.trace(s)) <= 1e-8 * scale
-        assert_allclose(vectors.T @ vectors, np.eye(8), atol=1e-10)
-
-    def test_matches_lapack_eigenvalues(self):
-        rng = np.random.default_rng(9)
-        for n in (2, 5, 13):
-            a = rng.normal(size=(n, n))
-            s = (a + a.T) / 2
-            values, _ = sym_eigen(s)
-            oracle = np.linalg.eigvalsh(s)[::-1]
-            assert_allclose(values, oracle, atol=1e-10)
-
-    def test_repeated_eigenvalues_still_diagonalize(self):
-        # rotate diag(2, 1, 1) into a dense matrix with a repeated eigenvalue
-        rng = np.random.default_rng(10)
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        s = q @ np.diag([2.0, 1.0, 1.0]) @ q.T
-        s = (s + s.T) / 2
-        values, vectors = sym_eigen(s)
-        assert_allclose(values, [2.0, 1.0, 1.0], atol=1e-10)
-        resid = s @ vectors - vectors * values
-        assert np.abs(resid).max() < 1e-9
-
-    def test_sign_convention(self):
-        values, vectors = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
-        for j in range(2):
-            col = vectors[:, j]
-            assert col[np.argmax(np.abs(col))] > 0
-
-    def test_bit_identical_reruns(self):
-        rng = np.random.default_rng(21)
-        a = rng.normal(size=(9, 9))
-        s = (a + a.T) / 2
-        first = sym_eigen(s)
-        second = sym_eigen(s)
-        assert np.array_equal(first.values, second.values)
-        assert np.array_equal(first.vectors, second.vectors)
-
-    def test_not_symmetric(self):
-        with pytest.raises(errors.NotSymmetric):
-            sym_eigen([[1.0, 2.0], [0.0, 1.0]])
-
-    def test_rejects_rectangular(self):
-        with pytest.raises(errors.NotSymmetric):
-            sym_eigen(np.ones((2, 3)))
-
-    def test_scale_invariance_of_threshold(self):
-        # a matrix with huge entries must still converge
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(6, 6)) * 1e8
-        s = (a + a.T) / 2
-        values, vectors = sym_eigen(s)
-        resid = s @ vectors - vectors * values
-        assert np.abs(resid).max() <= 1e-8 * np.abs(s).max()
-
-
 class TestUnsignedCore:
-    """``_eigh_descending`` is ``sym_eigen`` without its checks and its sign
-    rule: on an exactly symmetric matrix it gives the same values, and
-    LAPACK's vectors."""
-
-    def test_sym_eigen_is_the_core_with_signs_fixed(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(11, 11))
-        s = (a + a.T) / 2
-        values, vectors = _eigh_descending(s)
-        signed = sym_eigen(s)
-        np.testing.assert_array_equal(values, signed.values)
-        np.testing.assert_array_equal(vectors * _column_signs(vectors), signed.vectors)
+    """``_eigh_descending`` is LAPACK's solve with eigenvalues descending and
+    LAPACK's orientation."""
 
     def test_keeps_lapack_orientation(self):
         rng = np.random.default_rng(5)
@@ -292,13 +198,24 @@ class TestUnsignedCore:
         np.testing.assert_array_equal(values, lapack_values[::-1])
         np.testing.assert_array_equal(vectors, lapack_vectors[:, ::-1])
 
+    def test_ties_keep_lapack_order(self):
+        values, vectors = _eigh_descending(np.diag([1.0, 3.0, 1.0]))
+        assert_array_equal(values, [3.0, 1.0, 1.0])
+        assert_array_equal(vectors, np.eye(3)[:, [1, 0, 2]])
+
+
+def test_column_signs_turn_each_largest_entry_positive():
+    # a tie in magnitude goes to the first row; a zero column keeps its sign
+    v = np.array([[0.6, -0.5, 0.0], [-0.8, 0.5, 0.0]])
+    assert_array_equal(_column_signs(v), [-1.0, -1.0, 1.0])
+
 
 class TestLapackFailure:
     @staticmethod
     def _fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    def test_sym_eigen_raises_did_not_converge(self, monkeypatch):
+    def test_eigh_failure_raises_did_not_converge(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", self._fail)
         with pytest.raises(errors.DidNotConverge, match="eigh"):
-            sym_eigen(np.eye(3))
+            _eigh_descending(np.eye(3))

@@ -5,12 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import rows_layout
 from test_fa import fixture_model_input
 from riversep import errors, pca
-from riversep.linalg import (
-    _eigh_descending,
-    correlation_matrix,
-    covariance_matrix,
-    sym_eigen,
-)
+from riversep.linalg import _eigh_descending, correlation_matrix, covariance_matrix
 from riversep.pca import (
     PcaModel,
     explained_variance,
@@ -97,7 +92,7 @@ class TestFitPca:
     def test_scaled_fit_decomposes_the_fa_correlation(self, monkeypatch):
         # unclipped, two of the fixture's correlation diagonal cells round
         # to 1 + eps; the fit solves FA's clipped matrix once, unchecked,
-        # and orients its vectors by sym_eigen's sign rule
+        # and orients its vectors by the _column_signs rule
         x = fixture_model_input()
         solves = []
 
@@ -107,7 +102,7 @@ class TestFitPca:
 
         monkeypatch.setattr(pca, "_eigh_descending", counted)
         model = fit_pca(x)
-        values, vectors = sym_eigen(correlation_matrix(x))
+        values, vectors = rows_layout.signed_eigh(correlation_matrix(x))
         assert len(solves) == 1
         assert_array_equal(model.loadings, vectors)
         assert_array_equal(model.stdevs, np.sqrt(np.clip(values, 0.0, None)))
@@ -234,7 +229,7 @@ class TestRowsLayoutBitIdentity:
         for x in rows_layout.tables():
             model = fit_pca(x, scale=scale)
             mean, sd, c = rows_layout.column_moments(x, standardize=scale)
-            values, vectors = sym_eigen(c)
+            values, vectors = rows_layout.signed_eigh(c)
             assert_array_equal(model.mean, mean)
             assert_array_equal(model.sd, sd)
             assert_array_equal(model.loadings, vectors)
