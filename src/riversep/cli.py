@@ -8,8 +8,7 @@ subcommands stop earlier in that chain and write only their own outputs,
 which makes any stage inspectable in isolation.  :class:`_Pipeline` makes
 each table, the correlation PCA and the ICA and FA fits once.  Each stage's
 writer, the manifest being the ``run`` stage's, turns them into
-``(file name, text)`` pairs; two writers compute as well: the ``pca`` writer
-fits the covariance PCA when ``pca.scale`` is false, and the ``diagnose``
+``(file name, text)`` pairs; one writer computes as well: the ``diagnose``
 writer computes the autocorrelations and the mutual-information table.
 :func:`_execute` writes each file as it is yielded, inside one boundary that
 names the stage in any error, so a failing stage leaves the files written
@@ -105,9 +104,7 @@ class _Pipeline:
         """The record after the configured stages, applied in order."""
         table = self.raw
         for name in self.cfg.pipeline:
-            # an overflowing stage is reported by the model-input check,
-            # not by numpy warnings on stderr
-            with _stage(name), np.errstate(over="ignore", invalid="ignore"):
+            with _stage(name):
                 table = self.tables[name] = STAGES[name].step(table, self.cfg)
         return table
 
@@ -122,10 +119,6 @@ class _Pipeline:
             missing = int(np.isnan(values).sum())
             if missing:
                 raise MissingCells(missing)
-            # parsed cells are finite, but a stage's arithmetic can overflow
-            infinite = int(np.isinf(values).sum())
-            if infinite:
-                raise RiversepError(f"table has {infinite} infinite cells; a stage overflowed")
             try:
                 self.correlation = correlation_matrix(values)
             except ZeroVarianceColumn as exc:
@@ -133,8 +126,9 @@ class _Pipeline:
         return table
 
     @cached_property
-    def scaled_pca(self):
-        """The model input's correlation PCA, read by ``pca`` and ICA's Kaiser count."""
+    def pca(self):
+        """The model input's correlation PCA, the run's one PCA, read by ``pca``
+        and ICA's Kaiser count."""
         return fit_pca(self.model_input.values, scale=True)
 
     @cached_property
@@ -142,7 +136,7 @@ class _Pipeline:
         """The model input's FastICA, of the configured count or else Kaiser's."""
         k = self.cfg.ica_components
         if k is None:
-            k = kaiser_retain(self.scaled_pca)
+            k = kaiser_retain(self.pca)
         if k == 0:  # the config admits no count below 1
             raise RuleInapplicable("Kaiser's rule keeps no component: no eigenvalue exceeds 1")
         return fast_ica(self.model_input.values, replace(self.cfg.ica, n_components=k))
@@ -183,23 +177,20 @@ def _write_preprocessed(pipe: _Pipeline):
 
 
 def _write_pca(pipe: _Pipeline):
-    cfg = pipe.cfg
-    matrix, labels = pipe.model_input.values, pipe.model_input.codes
-    model = pipe.scaled_pca if cfg.pca_scale else fit_pca(matrix, scale=False)
+    matrix, labels, model = pipe.model_input.values, pipe.model_input.codes, pipe.pca
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
     yield "pca_loadings.csv", loading_csv(header, [*labels, "stdev"], rows)
 
-    # eigenvalue-above-one reasoning needs the correlation scale, and a
-    # share of the variance needs at least one component
-    kaiser = kaiser_retain(model) if model.scaled else None
+    kaiser = kaiser_retain(model)
+    # a share of the variance needs at least one component
     explained = explained_variance(model, kaiser) if kaiser else None
     # eigenvalues as the model holds them, so a negative rounding one reads 0
     eigenvalues = model.stdevs**2
     smallest = float(eigenvalues[-1])
     summary = {
-        "center": True,  # PCA always centers
-        "scale": model.scaled,
+        "center": True,  # PCA always centers and scales
+        "scale": True,
         "n_rows": int(matrix.shape[0]),
         "stdevs": [float(s) for s in model.stdevs],
         "kaiser_components": kaiser,
@@ -222,7 +213,7 @@ def _write_ica(pipe: _Pipeline):
         "iterations": model.iterations,
         "final_delta": model.delta_history[-1],
         "seed": settings.seed,
-        "contrast": settings.contrast,
+        "contrast": "logcosh",  # FastICA's one contrast
         "tol": settings.tol,
         "max_iter": settings.max_iter,
     }

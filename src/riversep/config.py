@@ -37,11 +37,11 @@ from .preprocess import STAGES, RedundancyRule
 class RunConfig:
     """Validated, path-resolved run settings.
 
-    ``remote`` holds a remote input's ``fetch_remote`` arguments.
-    ``ica_components`` of None means Kaiser's count of the correlation PCA,
-    whatever ``pca_scale`` says.  ``ica`` holds the validated FastICA
-    settings; the run replaces its ``n_components`` with the resolved count,
-    and the CLI its ``seed`` with any ``--seed``.  ``acf_max_lag`` is
+    ``remote`` holds a remote input's ``fetch_remote`` arguments.  PCA is
+    always the correlation PCA, so no field says so.  ``ica_components`` of
+    None means Kaiser's count of that PCA.  ``ica`` holds the validated
+    FastICA settings; the run replaces its ``n_components`` with the resolved
+    count, and the CLI its ``seed`` with any ``--seed``.  ``acf_max_lag`` is
     clamped at run time to the series length minus two.
     """
 
@@ -52,7 +52,6 @@ class RunConfig:
     redundancy_rules: tuple
     pipeline: tuple
     difference_lag: int
-    pca_scale: bool
     ica_components: int | None
     ica: IcaConfig
     fa_k_max: int
@@ -74,12 +73,6 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _as_bool(value, where: str) -> bool:
-    if type(value) is not bool:
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
 def _as_int(
     value, where: str, minimum: int | None = None, maximum: int | None = None
 ) -> int:
@@ -92,10 +85,10 @@ def _as_int(
     return value
 
 
-def _as_true(value, where: str) -> bool:
-    # PCA always centers; pca.center stays so that configs which say so load
-    if not _as_bool(value, where):
-        raise ConfigError(f"{where} must be true: PCA always centers its input")
+def _as_only(value, where: str, only, why: str):
+    # a setting with one value left stays, so that configs which state it load
+    if type(value) is not type(only) or value != only:
+        raise ConfigError(f"{where} must be {json.dumps(only)}: {why}")
     return value
 
 
@@ -164,14 +157,16 @@ _SECTIONS = {
         "end": _as_date,
         "required_variable": _as_str,
     },
-    "pca": {"center": _as_true, "scale": _as_bool},
+    "pca": {
+        "center": partial(_as_only, only=True, why="PCA always centers its input"),
+        "scale": partial(_as_only, only=True, why="PCA always standardizes its input"),
+    },
     "ica": {
         # null, like an absent key, means "decide from the data"
         "n_components": lambda v, where: v if v is None else _as_int(v, where),
         "max_iter": _as_int,
         "tol": _as_float,
-        "contrast": _as_str,
-        "logcosh_alpha": _as_float,
+        "contrast": partial(_as_only, only="logcosh", why="FastICA's one contrast"),
         "seed": _as_int,
     },
     "fa": {"k_max": partial(_as_int, minimum=1), "alpha": _as_level},
@@ -287,6 +282,7 @@ def load_config(path) -> RunConfig:
         have_filter=filter_spec is not None,
         have_rules=bool(rules),
     )
+    read["ica"].pop("contrast", None)
     n_comp = read["ica"].pop("n_components", None)
     # A count decided from the data is not known yet; 1 stands in.
     ica_cfg = _build(
@@ -301,7 +297,6 @@ def load_config(path) -> RunConfig:
         redundancy_rules=rules,
         pipeline=pipeline,
         difference_lag=_as_int(doc.get("difference_lag", 1), "difference_lag", 1),
-        pca_scale=read["pca"].get("scale", True),
         ica_components=n_comp,
         ica=ica_cfg,
         fa_k_max=read["fa"].get("k_max", 5),

@@ -63,7 +63,7 @@ def annual_mean(table: Table) -> Table:
     present = ~np.isnan(values)
     counts = np.empty((len(years), table.n_vars), dtype=np.intp)
     sums = np.empty(counts.shape)
-    with np.errstate(over="ignore"):  # reported below as an error
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as an error
         for i, (a, b) in enumerate(zip(starts, [*starts[1:], len(values)])):
             counts[i] = np.add.reduce(present[a:b], axis=0, dtype=np.intp)
             # zero-filled and C-ordered in any layout: numpy sums several
@@ -119,7 +119,7 @@ def difference(table: Table, lag: int = 1) -> Table:
 
     Output rows are labeled by the later year of each pair; row count drops
     by ``lag``.  The years must be consecutive so every difference spans
-    exactly ``lag`` years.
+    exactly ``lag`` years.  An overflowing difference raises :class:`OutOfRange`.
     """
     if lag < 1:
         raise OutOfRange(f"lag must be at least 1, got {lag}")
@@ -133,9 +133,14 @@ def difference(table: Table, lag: int = 1) -> Table:
     if np.any(gaps != 1):
         first_gap = int(np.argmax(gaps != 1))
         raise NonConsecutiveYears(int(years[first_gap]), int(years[first_gap + 1]))
-    return Table(
-        "year", years[lag:], list(table.codes), table.values[lag:] - table.values[:-lag]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as an error
+        values = table.values[lag:] - table.values[:-lag]
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]  # the first year, then its first column
+        raise OutOfRange(
+            f"difference of {table.codes[j]} in {years[lag + i]} is {values[i, j]:g}: it overflows"
+        )
+    return Table("year", years[lag:], list(table.codes), values)
 
 
 class Stage(NamedTuple):

@@ -69,12 +69,9 @@ def whiten(x, n_components):
     return xc @ k.T, k
 
 
-def contrast(u, cfg):
-    if cfg.contrast == "logcosh":
-        a = cfg.logcosh_alpha
-        gu = np.tanh(a * u)
-        return gu, a * (1.0 - gu**2)
-    return u * u * u, 3.0 * u**2
+def contrast(u):
+    gu = np.tanh(u)
+    return gu, 1.0 - gu**2
 
 
 def fast_ica(x, cfg):
@@ -86,7 +83,7 @@ def fast_ica(x, cfg):
     deltas = []
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
-        gu, gprime = contrast(w @ zt, cfg)
+        gu, gprime = contrast(w @ zt)
         w_new = _sym_decorrelate(gu @ z / n - gprime.mean(axis=1)[:, None] * w)
         delta = float(np.max(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1)))))
         converged = delta < cfg.tol and bool(deltas) and delta <= deltas[-1]

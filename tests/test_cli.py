@@ -107,15 +107,13 @@ def write_config(workdir, variant="committed") -> Path:
 
     "committed" is the fixture's config as shipped.  "kaiser" drops
     ``ica.n_components``, so ICA extracts Kaiser's count of the correlation
-    PCA; "kaiser_unscaled" also sets ``pca.scale`` false, so ``pca`` writes
-    the covariance fit.  Each variant writes to its own ``out_<variant>``.
+    PCA.  Each variant writes to its own ``out_<variant>``.
     """
     config = workdir / "pipeline.json"
     if variant == "committed":
         return config
     doc = json.loads(config.read_text())
     del doc["ica"]["n_components"]
-    doc["pca"]["scale"] = variant != "kaiser_unscaled"
     doc["output_dir"] = f"out_{variant}"
     target = workdir / f"{variant}.json"
     target.write_text(json.dumps(doc))
@@ -218,7 +216,7 @@ def test_top_principal_components_recover_two_of_the_fixtures_drivers():
     rng = np.random.default_rng(station_builder.SEED)
     drivers = np.diff(station_builder.latent_drivers(rng), axis=0)
     assert list(pipe.model_input.index) == list(station_builder.YEARS)[1:]
-    top = scores(pipe.scaled_pca, pipe.model_input.values)[:, :3]
+    top = scores(pipe.pca, pipe.model_input.values)[:, :3]
     correlations = canonical_correlations(top, drivers)
     assert (correlations[:2] > 0.9).all(), correlations
 
@@ -250,7 +248,7 @@ def test_run_computes_the_model_input_moments_once_in_the_gate_and_once_for_pca(
     assert calls == {"_column_moments": 2, "fit_pca": 1, "fast_ica": 1, "fit_fa_ml_corr": 3}
 
 
-@pytest.mark.parametrize("variant", ["committed", "kaiser_unscaled"])
+@pytest.mark.parametrize("variant", ["committed", "kaiser"])
 def test_run_keeps_each_stages_table_by_name_and_the_manifest_reads_them(workdir, variant):
     # the parsed record is "ingest", each configured stage's output is kept
     # under its name, and each manifest entry is the shape of one table and
@@ -485,7 +483,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("tol", 0), ("logcosh_alpha", 3), ("seed", -1), ("n_components", 0)],
+        [("tol", 0), ("seed", -1), ("n_components", 0)],
     )
     def test_invalid_ica_setting_is_a_config_error(self, workdir, capsys, key, value):
         doc = json.loads((workdir / "pipeline.json").read_text())
@@ -499,12 +497,33 @@ class TestExitCodes:
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("pca", "scale", False, "pca.scale must be true: PCA always standardizes its input"),
+            ("pca", "scale", 1, "pca.scale must be true: PCA always standardizes its input"),
+            ("ica", "contrast", "cube", 'ica.contrast must be "logcosh": FastICA\'s one contrast'),
+            ("ica", "logcosh_alpha", 1.5, "unknown key 'logcosh_alpha' in 'ica'"),
+        ],
+        ids=["scale_false", "scale_1", "contrast_cube", "logcosh_alpha"],
+    )
+    def test_a_fixed_setting_admits_one_value(
+        self, workdir, capsys, section, key, value, message
+    ):
+        # PCA is always the correlation PCA and FastICA's contrast always
+        # logcosh; a config that asks for another is refused before any stage
+        doc = json.loads((workdir / "pipeline.json").read_text())
+        doc[section][key] = value
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"riversep: config error: {message}"]
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
         "number",
         ["1e400", "-1e400", "NaN", pytest.param("1" + "0" * 400, id="401-digit-int")],
     )
-    @pytest.mark.parametrize(
-        "section, key", [("ica", "tol"), ("ica", "logcosh_alpha"), ("fa", "alpha")]
-    )
+    @pytest.mark.parametrize("section, key", [("ica", "tol"), ("fa", "alpha")])
     def test_non_finite_number_is_a_config_error(
         self, workdir, capsys, section, key, number
     ):
@@ -555,8 +574,8 @@ class TestExitCodes:
         set_00300_cells(workdir, "1961", ["-1.7e308", "", "", ""])
         assert main(["run", str(workdir / "pipeline.json")]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            "riversep: error in stage 'model input': "
-            "table has 1 infinite cells; a stage overflowed"
+            "riversep: error in stage 'difference': "
+            "difference of 00300 in 1961 is -inf: it overflows"
         ]
 
     @pytest.mark.parametrize("years", [("1960",), ("1960", "1961")])
@@ -1048,7 +1067,7 @@ class TestSubcommands:
         on_disk = sorted(p.name for p in run_outputs.iterdir())
         assert on_disk == sorted(expected | {"manifest.json"})
 
-    @pytest.mark.parametrize("variant", ["committed", "kaiser_unscaled"])
+    @pytest.mark.parametrize("variant", ["committed", "kaiser"])
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OUTPUTS))
     def test_subcommand_writes_its_files_as_run_does(
         self, workdir, capsys, run_outputs_of, command, variant
@@ -1061,13 +1080,10 @@ class TestSubcommands:
         for name in SUBCOMMAND_OUTPUTS[command]:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
-    def test_ica_extracts_kaiser_count_of_the_correlation_pca_whatever_pca_scale_says(
-        self, run_outputs_of
-    ):
-        out = run_outputs_of("kaiser_unscaled")
+    def test_ica_extracts_kaiser_count_of_the_correlation_pca(self, run_outputs_of):
+        out = run_outputs_of("kaiser")
         assert json.loads((out / "ica_summary.json").read_text())["n_components"] == 3
-        # the unscaled fit pca writes has no Kaiser count
-        assert json.loads((out / "pca_summary.json").read_text())["kaiser_components"] is None
+        assert json.loads((out / "pca_summary.json").read_text())["kaiser_components"] == 3
 
     def test_preprocess_writes_reparseable_table(self, workdir):
         assert main(["preprocess", str(workdir / "pipeline.json")]) == 0

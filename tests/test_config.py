@@ -37,7 +37,6 @@ def test_minimal_config_loads(tmp_path):
     assert cfg.input_path == tmp_path / "data.rdb"
     assert cfg.output_dir == tmp_path / "out"
     assert cfg.pipeline == ("annual_mean",)
-    assert cfg.pca_scale
     assert cfg.ica_components is None
     assert cfg.fa_k_max == 5
     assert cfg.fa_alpha == 0.05
@@ -206,11 +205,12 @@ def test_non_bool_flag_rejected(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
-@pytest.mark.parametrize("scale", [True, False])
-def test_center_true_loads(tmp_path, scale):
-    # an absent pca.center loads as in test_minimal_config_loads
-    doc = dict(MINIMAL, pca={"center": True, "scale": scale})
-    assert load_config(write_config(tmp_path, doc)).pca_scale is scale
+def test_center_true_loads(tmp_path):
+    # an absent pca.center loads as in test_minimal_config_loads; so do
+    # pca.scale and ica.contrast at the one value each admits (other values
+    # are refused in test_cli's TestExitCodes)
+    doc = dict(MINIMAL, pca={"center": True, "scale": True}, ica={"contrast": "logcosh"})
+    assert isinstance(load_config(write_config(tmp_path, doc)), RunConfig)
 
 
 def fixture_config(tmp_path, old, new):

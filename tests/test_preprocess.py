@@ -196,6 +196,15 @@ class TestAnnualMean:
         with pytest.raises(errors.OutOfRange, match="annual mean of b in 1990 is inf"):
             annual_mean(t)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflows_that_cancel_are_rejected_without_warnings(self):
+        # numpy sums one column of 16 cells in 8 strided partial sums, here
+        # two +inf and two -inf, which add to nan
+        dates = [f"1990-01-{day:02d}" for day in range(1, 17)]
+        t = make_table(dates, ["a"], [[1.7e308], [1.7e308], [-1.7e308], [-1.7e308]] * 4)
+        with pytest.raises(errors.OutOfRange, match="annual mean of a in 1990 is nan"):
+            annual_mean(t)
+
     def test_year_with_no_samples_for_variable_stays_missing(self):
         t = make_table(
             ["1990-03-01", "1991-03-01"],
@@ -350,6 +359,20 @@ class TestDifference:
         a = make_annual([1990, 1991], ["a"], [[1.0], [2.0]])
         with pytest.raises(errors.OutOfRange):
             difference(a, lag=0)
+
+    def test_overflow_is_out_of_range(self):
+        a = make_annual([1990, 1991], ["a"], [[1.7e308], [-1.7e308]])
+        with pytest.raises(errors.OutOfRange) as exc:
+            difference(a)
+        assert str(exc.value) == "difference of a in 1991 is -inf: it overflows"
+
+    def test_overflow_names_the_first_year_then_its_first_column(self):
+        # a overflows in 1992, b and c in 1991: 1991 and b are named
+        values = [[0.0, 1.7e308, 1.7e308], [1.7e308, -1.7e308, -1.7e308], [-1.7e308, 0.0, 0.0]]
+        a = make_annual([1990, 1991, 1992], ["a", "b", "c"], values)
+        with pytest.raises(errors.OutOfRange) as exc:
+            difference(a)
+        assert str(exc.value) == "difference of b in 1991 is -inf: it overflows"
 
 
 class TestAnnualCsv:
