@@ -501,10 +501,13 @@ class TestExitCodes:
         [
             ("pca", "scale", False, "pca.scale must be true: PCA always standardizes its input"),
             ("pca", "scale", 1, "pca.scale must be true: PCA always standardizes its input"),
+            ("pca", "scale", None, "pca.scale must be true: PCA always standardizes its input"),
             ("ica", "contrast", "cube", 'ica.contrast must be "logcosh": FastICA\'s one contrast'),
+            ("ica", "contrast", None, 'ica.contrast must be "logcosh": FastICA\'s one contrast'),
             ("ica", "logcosh_alpha", 1.5, "unknown key 'logcosh_alpha' in 'ica'"),
         ],
-        ids=["scale_false", "scale_1", "contrast_cube", "logcosh_alpha"],
+        ids=["scale_false", "scale_1", "scale_null", "contrast_cube", "contrast_null",
+             "logcosh_alpha"],
     )
     def test_a_fixed_setting_admits_one_value(
         self, workdir, capsys, section, key, value, message

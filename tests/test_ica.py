@@ -259,12 +259,20 @@ class TestFastIca:
         [
             ({"n_components": 0}, "n_components must be at least 1"),
             ({"max_iter": 0}, "max_iter must be at least 1"),
+            ({"tol": 0.0}, "tol must be positive"),
+            ({"tol": float("nan")}, "tol must be positive"),
             ({"seed": -1}, "seed must be non-negative"),
         ],
     )
     def test_config_validation(self, settings, message):
         with pytest.raises(errors.OutOfRange, match=f"^{message}$"):
             IcaConfig(**{"n_components": 2, **settings})
+
+    def test_config_has_no_contrast_setting(self):
+        # the contrast is always logcosh with alpha = 1
+        assert list(IcaConfig.__dataclass_fields__) == ["n_components", "max_iter", "tol", "seed"]
+        with pytest.raises(TypeError, match="contrast"):
+            IcaConfig(n_components=2, contrast="cube")
 
 
 def assert_models_identical(model, oracle):

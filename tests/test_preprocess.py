@@ -374,6 +374,19 @@ class TestDifference:
             difference(a)
         assert str(exc.value) == "difference of b in 1991 is -inf: it overflows"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_upward_is_out_of_range_without_warnings(self):
+        a = make_annual([1990, 1991], ["a"], [[-1.7e308], [1.7e308]])
+        message = "^difference of a in 1991 is inf: it overflows$"
+        with pytest.raises(errors.OutOfRange, match=message):
+            difference(a)
+
+    def test_overflow_at_lag_two_names_the_later_year(self):
+        a = make_annual([1990, 1991, 1992], ["a"], [[1.7e308], [0.0], [-1.7e308]])
+        message = "^difference of a in 1992 is -inf: it overflows$"
+        with pytest.raises(errors.OutOfRange, match=message):
+            difference(a, lag=2)
+
 
 class TestAnnualCsv:
     def test_round_trip(self):
