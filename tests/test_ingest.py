@@ -263,20 +263,36 @@ class TestRowWiseCells:
         assert t.values.tolist() == [[4.0, 5.0]]
 
 
+# Plain decimals, which ingest._decimal_read reads from their bytes: 1 to
+# 15 digits, an optional leading "-", a point at either end or none, signed
+# zeros, the largest and the smallest 15-digit values, and two that lie
+# within 1e-5 of a double's spacing from the midpoint of two adjacent
+# doubles (a reader that multiplies by 10.0**-places rounds both wrongly).
+PLAIN_SPELLINGS = [
+    "7", "-7", ".5", "-.5", "5.", "-5.", "-0", "-0.0", "007", "-007.50",
+    "999999999999999", "-999999999999999", ".000000000000001", "-.000000000000001",
+    "0.00000000000001", "0.001", "454.851703611744", "-711447.038359528",
+]
+# Spellings with the bytes of a plain decimal that are not one, so
+# _decimal_read refuses their block: 16 digits and an 18-byte cell, which the
+# C reader takes, and misplaced signs and points, which it refuses too.
+LONG_DECIMALS = ["1234567890123456", "0.000000000000001", "-123456789012345.0"]
+MALFORMED_DECIMALS = ["1.2.3", "1-2", "-", ".", "--1", "-."]
+
 # Numeric spellings the C reader takes; each must read as _parse_cell
 # reads it.  Subnormals, overflow and underflow, signed zeros, a leading
 # "+", whitespace padding (ASCII, no-break space, the unit separator that
 # float() itself refuses) and the spellings of inf and nan.
 NUMERIC_SPELLINGS = [
     "5e-324", "2.4703282292062328e-324", "2.225073858507201e-308", "-4.9e-324",
-    "1e-400", "1e400", "-1e400", "inf", "-Infinity", "nan", "-nan", "-0", "-0.0",
-    "+0", "+3.5", "+.5", "5.", "1.7976931348623157e308", " 1.5", "1.5 ", "\u20032\u3000",
-    "\xa01\xa0", "\x1f7", "0.001",
+    "1e-400", "1e400", "-1e400", "inf", "-Infinity", "nan", "-nan",
+    "+0", "+3.5", "+.5", "1.7976931348623157e308", " 1.5", "1.5 ", "\u20032\u3000",
+    "\xa01\xa0", "\x1f7", *PLAIN_SPELLINGS, *LONG_DECIMALS,
 ]
 # Spellings the C reader refuses, so the row loop reads the record.
 DEFERRED_SPELLINGS = [
     "NA", "na", " ", "\xa0", "abc", "1_000", "<0.01", "١٢", "0x1p3", "1e",
-    "nan(1)", "1,5",
+    "nan(1)", "1,5", *MALFORMED_DECIMALS,
 ]
 
 # Date spellings other than exactly YYYY-MM-DD (Python 3.11's fromisoformat
@@ -306,10 +322,22 @@ def _random_number(rng) -> str:
     return str(rng.choice(NUMERIC_SPELLINGS))
 
 
-def random_rdb(rng, deferred=0.0) -> tuple[str, int]:
+def _plain_decimal(rng) -> str:
+    """A plain decimal: 1 to 15 random digits of either sign with a point
+    anywhere or none, or one of PLAIN_SPELLINGS."""
+    if rng.random() < 0.2:
+        return str(rng.choice(PLAIN_SPELLINGS))
+    digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 16)))))
+    point = int(rng.integers(0, len(digits) + 2))  # past the end: none
+    text = digits[:point] + "." + digits[point:] if point <= len(digits) else digits
+    return "-" + text if rng.random() < 0.5 else text
+
+
+def random_rdb(rng, deferred=0.0, plain=False) -> tuple[str, int]:
     """A seeded RDB text and its variable count: increasing dates, 20% empty
     cells (some in runs, some ending a row), and a ``deferred`` share of
-    cells the C reader refuses."""
+    cells the C reader refuses.  With ``plain`` every other cell is a
+    plain decimal."""
     p = int(rng.integers(1, 7))
     n = int(rng.integers(1, 60))
     lines = ["\t".join(["datetime", *(f"v{j}" for j in range(p))]), "\t".join(["10d"] + ["12n"] * p)]
@@ -324,7 +352,7 @@ def random_rdb(rng, deferred=0.0) -> tuple[str, int]:
             elif u < 0.2 + deferred:
                 cells.append(str(rng.choice(DEFERRED_SPELLINGS)))
             else:
-                cells.append(_random_number(rng))
+                cells.append(_plain_decimal(rng) if plain else _random_number(rng))
         lines.append("\t".join([day.isoformat(), *cells]))
     return "\n".join(lines) + "\n", p
 
@@ -380,6 +408,32 @@ def bulk_reads(monkeypatch):
     return reads
 
 
+@pytest.fixture
+def decimal_reads(monkeypatch):
+    """For each block :func:`riversep.ingest._decimal_read` is handed,
+    whether it read the block."""
+    reads = []
+    decimal_read = ingest._decimal_read
+
+    def spy(records, n_fields):
+        block = decimal_read(records, n_fields)
+        reads.append(block is not None)
+        return block
+
+    monkeypatch.setattr(ingest, "_decimal_read", spy)
+    return reads
+
+
+@pytest.fixture
+def cell_walks(monkeypatch):
+    """For each pass of :func:`riversep.ingest._decimal_cells` over a block's
+    records, whether it read them."""
+    walks = []
+    decimal_cells = ingest._decimal_cells
+    monkeypatch.setattr(ingest, "_decimal_cells", lambda *args: walks.append(decimal_cells(*args)) or walks[-1])
+    return walks
+
+
 def parse_line_by_line(text):
     """:func:`parse_rdb` with the bulk read switched off: the row loop alone."""
     bulk = ingest._bulk_read
@@ -427,18 +481,69 @@ class TestBulkRead:
         assert outcome(parse_line_by_line, text) == outcome(parse_rdb, text)
 
     @pytest.mark.parametrize("cell", NUMERIC_SPELLINGS)
-    def test_each_numeric_spelling_is_read_in_bulk(self, cell, row_loop_calls):
+    def test_each_numeric_spelling_is_read_in_bulk(self, cell, row_loop_calls, decimal_reads):
         text = f"datetime\ta\tb\n10d\t12n\t12n\n1990-01-01\t{cell}\t1\n1990-01-02\t2\t{cell}\n"
         t = parse_rdb(text)
-        assert row_loop_calls == []
+        assert row_loop_calls == [] and decimal_reads == [cell in PLAIN_SPELLINGS]
         assert same_bits(t.values, np.array([[_parse_cell(cell), 1.0], [2.0, _parse_cell(cell)]]))
 
     @pytest.mark.parametrize("cell", DEFERRED_SPELLINGS)
-    def test_each_refused_spelling_is_read_by_the_row_loop(self, cell, row_loop_calls):
+    def test_each_refused_spelling_is_read_by_the_row_loop(self, cell, row_loop_calls, decimal_reads):
         text = f"datetime\ta\tb\n10d\t12n\t12n\n1990-01-01\t{cell}\t1\n1990-01-02\t2\t3\n"
         t = parse_rdb(text)
-        assert row_loop_calls == [1, 1]
+        assert row_loop_calls == [1, 1] and decimal_reads == [False]
         assert same_bits(t.values, np.array([[_parse_cell(cell), 1.0], [2.0, 3.0]]))
+
+    @pytest.mark.parametrize("cell_rows", [ingest._CELL_ROWS, 2], ids=["default_pass", "pass2"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_plain_decimal_body_is_read_from_its_bytes_to_the_bits_of_float(
+        self, seed, cell_rows, row_loop_calls, decimal_reads, body_block, monkeypatch
+    ):
+        monkeypatch.setattr(ingest, "_CELL_ROWS", cell_rows)
+        text, p = random_rdb(np.random.default_rng(2000 + seed), plain=True)
+        t = parse_rdb(text)
+        assert row_loop_calls == [] and decimal_reads and all(decimal_reads)
+        dates, values = per_cell_oracle(text, p)
+        assert t.index.tolist() == dates
+        assert same_bits(t.values, values)
+
+    @pytest.mark.parametrize("cell", PLAIN_SPELLINGS)
+    def test_each_plain_spelling_is_read_from_its_bytes_as_the_c_reader_reads_it(self, cell, monkeypatch):
+        records = [f"1990-01-01\t{cell}\t1", f"1990-01-02\t\t{cell}"]
+        fields, cells = ingest._decimal_read(records, 3)
+        assert fields.tolist() == [b"1990-01-01", b"1990-01-02"]
+        assert same_bits(cells, np.array([[_parse_cell(cell), 1.0], [nan, _parse_cell(cell)]]))
+        monkeypatch.setattr(ingest, "_decimal_read", lambda *args: None)
+        days, by_c_reader = ingest._bulk_read(records, 3)
+        assert days.tolist() == [d("1990-01-01"), d("1990-01-02")]
+        assert same_bits(by_c_reader, cells)
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            ["1990-01-01\t1\t2", "1990-01-02\t3"],
+            ["1990-01-01\t1\t2\t3", "1990-01-02\t4"],  # the field counts balance
+            ["1990-01-01\t1\t2", "1990-1-02\t3\t4"],
+            ["1990-01-01\t1\t2", "1990-01-020\t3\t4"],
+            ["1990-01-01\t1\t2", "19900102\t\t3\t4"],
+        ],
+    )
+    def test_the_decimal_read_refuses_a_wrong_field_count_or_date_width(self, records):
+        assert ingest._decimal_read(records, 3) is None
+
+    def test_a_cell_refused_in_a_later_pass_refuses_the_block(
+        self, row_loop_calls, bulk_reads, cell_walks, monkeypatch
+    ):
+        # two records a pass: the first two passes read theirs, the third
+        # finds a 16-digit cell, and the C reader takes the block
+        monkeypatch.setattr(ingest, "_CELL_ROWS", 2)
+        records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(5))]
+        records[4] = records[4].replace("\t4\t", "\t1234567890123456\t")
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        t = parse_rdb(text)
+        assert cell_walks == [True, True, False]
+        assert bulk_reads == [(5, True)] and row_loop_calls == []
+        assert same_bits(t.values, per_cell_oracle(text, 2)[1])
 
     @pytest.mark.parametrize(
         "row", ["\t\t\t", "\t1\t\t", "\t\t1\t", "\t\t\t1", "\t1\t\t2", "\t\t2\t"]
@@ -557,7 +662,9 @@ class TestBulkRead:
         assert outcome(parse_rdb, text) == (errors.RaggedRow, str(errors.RaggedRow(ragged + 3, 3, 2)))
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
-    def test_a_refused_last_line_in_every_block(self, row_loop_calls, bulk_reads, body_block):
+    def test_a_refused_last_line_in_every_block(self, row_loop_calls, bulk_reads, cell_walks, body_block):
+        # the decimal read refuses each block on its bytes alone, before a
+        # pass over its cells
         records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(3 * body_block))]
         for last in range(body_block - 1, len(records), body_block):
             records[last] = records[last].rsplit("\t", 1)[0] + "\tNA"
@@ -565,6 +672,7 @@ class TestBulkRead:
         t = parse_rdb(text)
         assert row_loop_calls == [1] * len(records)
         assert bulk_reads == [(body_block, False)] * 3
+        assert cell_walks == []
         assert np.isnan(t.values[body_block - 1 :: body_block, 1]).all()
         assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
@@ -1093,12 +1201,13 @@ _spec = importlib.util.spec_from_file_location("daily", Path(__file__).parents[1
 daily = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(daily)
 
-# name -> (records the row loop reads, the count of each DAILY_MARKS match)
+# name -> (records the row loop reads, blocks of six the decimal read takes,
+# the count of each DAILY_MARKS match)
 DAILY_RECORDS = {
-    "record": (0, [0, 0, 0, 0, 0, 0]),
-    "comments_nonfinite": (0, [6, 6, 1, 1, 0, 0]),
-    "late_date": (4096, [0, 0, 0, 0, 1, 0]),
-    "censored": (8192, [0, 0, 0, 0, 0, 2]),
+    "record": (0, 6, [0, 0, 0, 0, 0, 0]),
+    "comments_nonfinite": (0, 4, [6, 6, 1, 1, 0, 0]),
+    "late_date": (4096, 5, [0, 0, 0, 0, 1, 0]),
+    "censored": (8192, 4, [0, 0, 0, 0, 0, 2]),
 }
 DAILY_MARKS = [r"^# a comment inside the block\n", r"^\n", r"\t-nan\t", r"\tinf\t", r"^ \d", r"\t<0\.01\t"]
 
@@ -1134,15 +1243,17 @@ def daily_records():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", DAILY_RECORDS)
-def test_a_daily_record_of_six_blocks_reads_alike_by_every_path(name, row_loop_calls):
-    # numpy's C reader takes each block but the ones a refused line sends to
-    # the row loop; the row loop alone reads the same table, ingested.csv's
-    # text is per-cell format_number, and parse_csv reads it back
+def test_a_daily_record_of_six_blocks_reads_alike_by_every_path(name, row_loop_calls, decimal_reads):
+    # the decimal read takes each block of plain decimals, numpy's C reader
+    # each other block but the ones a refused line sends to the row loop;
+    # the row loop alone reads the same table, ingested.csv's text is
+    # per-cell format_number, and parse_csv reads it back
     text = daily_records()[name]
-    row_loop_reads, marks = DAILY_RECORDS[name]
+    row_loop_reads, decimal_blocks, marks = DAILY_RECORDS[name]
     assert [len(re.findall(mark, text, re.MULTILINE)) for mark in DAILY_MARKS] == marks
     t = parse_rdb(text.encode())
     assert t.n_rows > 5 * 4096 and len(row_loop_calls) == row_loop_reads
+    assert len(decimal_reads) == 6 and sum(decimal_reads) == decimal_blocks
     by_rows = parse_line_by_line(text.encode())
     assert t.index.dtype == by_rows.index.dtype == "datetime64[D]"
     assert (by_rows.index.tolist(), by_rows.codes) == (t.index.tolist(), t.codes)
@@ -1178,9 +1289,11 @@ def test_keyed_rows_holds_one_block_of_cells_as_python_floats():
 
 
 def test_parse_rdb_does_not_hold_the_decoded_text_while_reading_the_body():
-    # a 2.9 MB body of 20000 x 24 cells peaks at ~10.9 MB, and at ~13.9 MB
-    # when the decoded text is held beside its lines; the bound is 1.2x the
-    # 10.4 MB of a reader that parsed every date from text
+    # a 2.9 MB body of 20000 x 24 cells peaks at ~11.5 MB read from its
+    # bytes in passes of 1024 records (~10.5 MB by the C reader, ~13.8 MB
+    # in one pass a block), and at ~13.9 MB when the decoded text is held
+    # beside its lines; the bound is 1.2x the 10.4 MB of a reader that
+    # parsed every date from text
     rng = np.random.default_rng(29)
     cells = np.round(rng.uniform(0.0, 500.0, size=(20000, 24)), 3).astype(str)
     cells[rng.random(cells.shape) < 0.3] = ""
