@@ -119,12 +119,12 @@ class Table:
     def take(self, rows=None, cols=None) -> Table:
         """The table restricted by boolean masks over rows and over columns;
         ``None`` keeps every row or column.  With both masks the values are
-        taken in one C-ordered copy."""
+        taken with one ``compress`` per axis, rows first, C-ordered."""
         values = self.values
         index = self.index if rows is None else self.index[rows]
         codes = list(self.codes if cols is None else compress(self.codes, cols))
         if rows is not None and cols is not None:
-            values = values[np.ix_(rows, cols)]
+            values = values.compress(rows, axis=0).compress(cols, axis=1)
         elif rows is not None:
             values = values[rows]
         elif cols is not None:

@@ -4,13 +4,13 @@ else where :mod:`csv` needs to, and canonical JSON (:func:`json_text`).
 
 All numeric output follows :func:`format_number`'s rule so that reruns on
 identical inputs produce byte-identical files.  :func:`keyed_rows` writes a
-table's rows, each after its key.  Keys are fixed-width bytes with a mask of
-the bytes to keep: :func:`text_keys` holds the UTF-8 bytes of text (years,
-variable codes), and :func:`date_keys` writes ``datetime64[D]`` days as ISO
-``YYYY-MM-DD`` dates, as ``str`` writes them.  A block of fixed-decimal
-cells is written from integer digits into the same bytes as its keys, and
-its kept bytes are taken a bounded slice at a time and decoded once, with
-the bytes per-cell formatting writes.
+table's rows, each after its key.  Keys are fixed-width bytes, each byte to
+drop 0xFF, which UTF-8 text never holds (RFC 3629): :func:`text_keys` holds
+the UTF-8 bytes of text (years, variable codes), and :func:`date_keys`
+writes ``datetime64[D]`` days as ISO ``YYYY-MM-DD`` dates, as ``str`` does.
+A block of fixed-decimal cells is written from integer digits into the
+same bytes as its keys, and decoded without its 0xFF bytes a bounded slice
+at a time, with the bytes per-cell formatting writes.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def format_number(x: float) -> str:
 
 def keyed_rows(keys, values) -> Iterator[str]:
     """Yield the CSV text of the rows of a 2-D array, each row's
-    :func:`format_number` cells after its key and a comma.  ``keys`` is a
-    ``(field, keep)`` pair with one key per row, as :func:`text_keys` and
+    :func:`format_number` cells after its key and a comma.  ``keys`` holds
+    one key per row, each byte to drop 0xFF, as :func:`text_keys` and
     :func:`date_keys` make.  An array with no columns writes each key alone,
     as :mod:`csv` writes such a row.
 
@@ -71,37 +71,36 @@ def keyed_rows(keys, values) -> Iterator[str]:
     large table never holds all its cells as Python objects at once.
     """
     values = np.asarray(values, dtype=float)
-    field, keep = keys
     if values.shape[1]:  # each key's comma is part of its field
-        field = np.column_stack([field, np.full(len(field), ord(","), np.uint8)])
-        keep = np.column_stack([keep, np.ones(len(keep), bool)])
+        keys = np.column_stack([keys, np.full(len(keys), ord(","), np.uint8)])
     row_format = ",".join(["%.12g"] * values.shape[1])
     for start in range(0, len(values), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         block = values[rows] + 0.0
-        text = _decimal_text(block, field[rows], keep[rows])
+        text = _decimal_text(block, keys[rows])
         if text is not None:
             yield text
         else:
-            texts = _key_texts(field[rows], keep[rows])
+            texts = _key_texts(keys[rows])
             yield from map("{}{}\n".format, texts, _row_lines(block, row_format))
 
 
-def text_keys(texts) -> tuple[np.ndarray, np.ndarray]:
+def text_keys(texts) -> np.ndarray:
     """``texts`` as row keys for :func:`keyed_rows`: the UTF-8 bytes of
-    each, left-aligned in a field as wide as the widest, and a mask that
-    keeps each key's own bytes."""
+    each, left-aligned in a field as wide as the widest and padded with
+    0xFF, which no UTF-8 text holds."""
     encoded = [text.encode("utf-8") for text in texts]
     lengths = np.array([len(key) for key in encoded], dtype=np.intp)
     keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    field = np.zeros(keep.shape, np.uint8)
+    field = np.full(keep.shape, 0xFF, np.uint8)
     field[keep] = np.frombuffer(b"".join(encoded), np.uint8)
-    return field, keep
+    return field
 
 
-def date_keys(days) -> tuple[np.ndarray, np.ndarray]:
+def date_keys(days) -> np.ndarray:
     """``days`` (a ``datetime64[D]`` array, years 1 to 9999) as row keys
-    for :func:`keyed_rows`: ISO ``YYYY-MM-DD``, as ``str`` writes a date."""
+    for :func:`keyed_rows`: ISO ``YYYY-MM-DD``, as ``str`` writes a date;
+    no byte is dropped."""
     months = days.astype("datetime64[M]")
     year = months.astype("datetime64[Y]").astype(np.intp) + 1970
     month = months.astype(np.intp) % 12 + 1
@@ -115,11 +114,12 @@ def date_keys(days) -> tuple[np.ndarray, np.ndarray]:
         (8, day, 1), (9, day, 0),
     ]:
         field[:, column] = _digit_table()[power][part]
-    return field, np.ones(field.shape, bool)
+    return field
 
 
-def _key_texts(field, keep) -> list[str]:
-    """The text of each key of a ``(field, keep)`` pair."""
+def _key_texts(field) -> list[str]:
+    """The text of each key of a field, its bytes other than 0xFF."""
+    keep = field != 0xFF
     data = field[keep].tobytes()
     ends = np.cumsum(keep.sum(axis=1)).tolist()
     return [data[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
@@ -175,16 +175,16 @@ def _digit_table() -> np.ndarray:
     return table
 
 
-def _decimal_text(block, key_field, key_keep) -> str | None:
-    """The text of ``block`` (2-D, no -0.0) after its keys (a ``(field,
-    keep)`` pair of one key and its comma per row), built from integer
-    digits; None unless :func:`_decimal_scale` finds one scale for every
-    cell.
+def _decimal_text(block, key_field) -> str | None:
+    """The text of ``block`` (2-D, no -0.0) after its keys (one key and
+    its comma per row, each byte to drop 0xFF), built from integer digits;
+    None unless :func:`_decimal_scale` finds one scale for every cell.
 
     Each cell is written into a fixed-width field of bytes (sign, whole
-    digits, point, decimals, separator) with a mask of the bytes to keep.
-    Each row's cell fields follow its key's, and :func:`_kept_text` makes
-    the block's text from the kept bytes, decoded once.
+    digits, point, decimals, separator) after its row's key, each byte to
+    drop 0xFF: the zeros before the units digit and after the last nonzero
+    decimal, a point with no decimal after it, and a sign that is not
+    ``-``.  :func:`_kept_text` decodes the other bytes.
     """
     cells = block.ravel()
     scaled = _decimal_scale(cells) if cells.size else None
@@ -194,62 +194,57 @@ def _decimal_text(block, key_field, key_keep) -> str | None:
     whole = len(str(int(k.max()) // 10**places))
     point = whole + 1
     field = np.empty((cells.size, whole + places + 3), np.uint8)
-    # the digits of k, right to left, four from each remainder by 10**4
+    drop = np.uint8(0xFF)
+    # NaN (k = 0) turns the "-" of its sign and the "0" of its units digit
+    # into the missing token
+    nan = np.isnan(cells).view(np.uint8)
+    # whether each cell's decimals from this one rightwards are all zero
+    no_decimal = np.ones(cells.size, bool)
+    # the digits of k, right to left, four from each remainder by 10**4;
+    # each column is marked while contiguous, before its one strided store
     rest = k.astype(np.intp)
     del k
     for i, column in enumerate([*range(point + places, point, -1), *range(whole, 0, -1)]):
         if i % 4 == 0:
             quad, rest = rest, rest // 10_000
             quad -= rest * 10_000
-        field[:, column] = _digit_table()[i % 4][quad]
-    del rest, quad
+            no_rest = rest == 0
+        digit = _digit_table()[i % 4].take(quad)
+        if i < places:
+            no_decimal &= digit == ord("0")
+            digit |= no_decimal.view(np.uint8) * drop
+        elif i > places:  # a leading zero (k < 10**i); the units digit shows
+            digit |= (no_rest & (quad < 10 ** (i % 4))).view(np.uint8) * drop
+        else:
+            digit += nan * np.uint8(ord(MISSING_TOKEN[1]) - ord("0"))
+        field[:, column] = digit
+    del rest, quad, no_rest, digit
 
-    keep = np.empty(field.shape, bool)
-    # whole digits from the first nonzero one, and always the units digit
-    # (the sign's and separator's slots seed the two scans)
-    keep[:, 0] = keep[:, -1] = False
-    for column in range(1, whole):
-        np.logical_or(keep[:, column - 1], field[:, column] != ord("0"), out=keep[:, column])
-    keep[:, whole] = True
-    # decimals up to the last nonzero one, and the point before any
-    for column in range(point + places, point, -1):
-        np.logical_or(keep[:, column + 1], field[:, column] != ord("0"), out=keep[:, column])
-    keep[:, point] = keep[:, point + 1]
-    field[:, point] = ord(".")
-    field[:, 0] = ord("-")
-    np.less(cells, 0.0, out=keep[:, 0])
-    # NaN (k = 0): the missing token in the sign and units slots
-    missing = np.flatnonzero(np.isnan(cells))
-    field[missing, 0] = ord(MISSING_TOKEN[0])
-    field[missing, whole] = ord(MISSING_TOKEN[1])
-    keep[missing, 0] = True
+    field[:, point] = no_decimal.view(np.uint8) * drop | np.uint8(ord("."))
+    sign = (cells >= 0.0).view(np.uint8) * drop | np.uint8(ord("-"))
+    field[:, 0] = sign + nan * np.uint8(ord(MISSING_TOKEN[0]) - ord("-"))
     field[:, -1] = ord(",")
     field.reshape(*block.shape, -1)[:, -1, -1] = ord("\n")
-    keep[:, -1] = True
-
-    rows = len(block)
-    field = np.concatenate([key_field, field.reshape(rows, -1)], axis=1)
-    keep = np.concatenate([key_keep, keep.reshape(rows, -1)], axis=1)
-    return _kept_text(field, keep)
+    return _kept_text(np.concatenate([key_field, field.reshape(len(block), -1)], axis=1))
 
 
 # Bytes of a field :func:`_kept_text` compacts at a time.
 _SLICE_BYTES = 1 << 17
 
 
-def _kept_text(field, keep) -> str:
-    """The UTF-8 text of the bytes of ``field`` (C-ordered ``uint8``) that
-    ``keep`` marks, in order: the text ``field[keep]`` holds.
+def _kept_text(field) -> str:
+    """The UTF-8 text of the bytes of ``field`` (C-ordered ``uint8``) other
+    than 0xFF, in order: the text ``field[field != 0xFF]`` holds.
 
-    ``np.compress`` takes the kept bytes ``_SLICE_BYTES`` of the flattened
-    field at a time, so its index array stays within 8 times that at any
-    table width, and the pieces are joined and decoded once (a slice may
-    end inside a row or inside a character).  The pieces are dropped before
-    the decode, so the peak is the kept bytes twice, as for ``field[keep]``.
+    ``bytes.translate`` deletes the 0xFF bytes of ``_SLICE_BYTES`` of the
+    flattened field at a time, and the pieces are joined and decoded once
+    (a slice may end inside a row or inside a character; 0xFF is never
+    part of one).  The pieces are dropped before the decode, so the peak
+    is the kept bytes twice, as for ``field[field != 0xFF]``.
     """
-    data, mask = field.reshape(-1), keep.reshape(-1)
-    slices = (slice(a, a + _SLICE_BYTES) for a in range(0, data.size, _SLICE_BYTES))
-    return b"".join([np.compress(mask[s], data[s]).tobytes() for s in slices]).decode("utf-8")
+    data = field.reshape(-1)
+    slices = (data[a : a + _SLICE_BYTES] for a in range(0, data.size, _SLICE_BYTES))
+    return b"".join([s.tobytes().translate(None, b"\xff") for s in slices]).decode("utf-8")
 
 
 def _decimal_scale(cells) -> tuple[int, np.ndarray] | None:

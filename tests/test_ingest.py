@@ -888,11 +888,17 @@ class TestIndexContract:
         assert Table("date", [], ["a"], np.empty((0, 1))).index.dtype == np.dtype("datetime64[D]")
 
     def test_take_keeps_the_dtype(self):
-        dated = Table("date", consecutive_dates(3), ["a", "b"], np.zeros((3, 2)))
-        annual = Table("year", [1990, 1991, 1992], ["a", "b"], np.zeros((3, 2)))
+        values = np.array([[1.5, -0.0, 7.0], [np.nan, 2.25, 8.0], [3.0, 1e-300, -np.inf]])
+        dated = Table("date", consecutive_dates(3), ["a", "b", "c"], values)
+        annual = Table("year", [1990, 1991, 1992], ["a", "b", "c"], values)
+        rows, cols = np.array([True, False, True]), np.array([False, True, True])
         for t in (dated, annual):
-            for taken in (t.take(np.array([True, False, True])), t.take(cols=[True, False]), t.take()):
+            for taken in (t.take(rows), t.take(cols=[True, False, True]), t.take(), t.take(rows, cols)):
                 assert taken.index.dtype == t.index.dtype
+            both = t.take(rows, cols)
+            assert both.values.flags.c_contiguous
+            assert same_bits(both.values, values[np.ix_(rows, cols)])
+            assert (both.index.tolist(), both.codes) == (t.index[rows].tolist(), ["b", "c"])
         assert dated.take(np.array([True, False, True])).index.tolist() == consecutive_dates(3)[::2]
 
     def test_filter_keeps_both_inclusive_bounds(self):
@@ -1396,8 +1402,8 @@ def decimal_path(monkeypatch):
     outcomes = []
     real = report._decimal_text
 
-    def spy(block, key_field, key_keep):
-        text = real(block, key_field, key_keep)
+    def spy(block, key_field):
+        text = real(block, key_field)
         outcomes.append(text is not None)
         return text
 
@@ -1451,6 +1457,15 @@ class TestDecimalBlocks:
             (-0.0, True),
             (-1e-4, True),
             (-999999.999999, True),
+            # 4 and 5 whole digits, 8 and 9 digits of k, and 8 and 9 whole
+            # digits (outside the plain window); beside the 0.5 cells,
+            # leading zeros cross a quad of digits
+            (1000.5, True),
+            (-10000.25, True),
+            (1234.5678, True),
+            (-12345.6789, True),
+            (12345678.0, False),
+            (-123456789.0, False),
             (0.1 + 0.2, False),
             (np.inf, False),
             (5e-324, False),
@@ -1498,10 +1513,18 @@ class TestDecimalBlocks:
             ([[1.5, nan, 2.25], [nan, nan, nan], [nan, -3.0, 0.0]], [True]),
             ([[nan, nan], [nan, nan]], [True]),
             ([[1.5], [nan], [-0.0], [123.25]], [True]),
+            # the largest cell has 4, 5, 8 and 9 digits: leading zeros of
+            # the smaller cells cross a quad of digits
+            ([[1000.5, 0.5, -3.0], [nan, -0.0, 12.0]], [True]),
+            ([[10000.5, 1.5, 0.5], [-99999.0, nan, -0.0]], [True]),
+            ([[1234.5678, 0.0001], [-5.0, nan], [0.0, 12.5]], [True]),
+            ([[-12345.6789, 0.0001, 7.0], [nan, 100.01, -0.0]], [True]),
             (np.empty((3, 0)), [False]),
             (np.empty((0, 4)), []),
         ],
-        ids=["nan_row", "all_nan", "one_column", "no_columns", "no_rows"],
+        ids=[
+            "nan_row", "all_nan", "one_column", "whole_4", "whole_5", "digits_8", "digits_9", "no_columns", "no_rows",
+        ],
     )
     def test_shapes(self, values, taken, decimal_path):
         values = np.array(values, dtype=float)
@@ -1524,14 +1547,15 @@ class TestDecimalBlocks:
 
 @pytest.fixture
 def compacted(monkeypatch):
-    """Check each :func:`report._kept_text` call against ``field[keep]``,
-    one compaction of the whole block; the calls' texts."""
+    """Check each :func:`report._kept_text` call against the bytes of
+    ``field`` other than 0xFF, taken from the whole block at once; the
+    calls' texts."""
     texts = []
     real = report._kept_text
 
-    def checked(field, keep):
-        text = real(field, keep)
-        assert text == str(field[keep], "utf-8")
+    def checked(field):
+        text = real(field)
+        assert text == str(field[field != 0xFF], "utf-8")
         texts.append(text)
         return text
 
@@ -1586,17 +1610,18 @@ class TestKeptText:
     def test_the_compaction_holds_the_kept_bytes_twice_at_any_width(self, shape, monkeypatch):
         # One block of 2M one-decimal cells, ~8 MB of text.  Like one
         # compaction of the whole block it holds the kept bytes and their
-        # text, and at most a slice's index (1 MB) more; np.compress of the
-        # whole block holds an 8-byte index per kept byte (~63 MB), and so
-        # does a slice of any count of rows on the 4-row table.
+        # text, and at most a slice's bytes more; one copy of the whole
+        # field's bytes to delete from would hold ~10 MB more on either
+        # table, and np.compress of the whole block an 8-byte index per
+        # kept byte (~63 MB).
         values = np.random.default_rng(31).integers(0, 100, size=shape) / 10.0
         peaks = []
         real = report._kept_text
 
-        def measured(field, keep):
+        def measured(field):
             tracemalloc.start()
             try:
-                text = real(field, keep)
+                text = real(field)
                 peaks.append((tracemalloc.get_traced_memory()[1], len(text)))
             finally:
                 tracemalloc.stop()
