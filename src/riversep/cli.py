@@ -134,7 +134,7 @@ class _Pipeline:
     @cached_property
     def ica(self):
         """The model input's FastICA, of the configured count or else Kaiser's."""
-        k = self.cfg.ica_components
+        k = self.cfg.ica.n_components
         if k is None:
             k = kaiser_retain(self.pca)
         if k == 0:  # the config admits no count below 1

@@ -38,11 +38,11 @@ class RunConfig:
     """Validated, path-resolved run settings.
 
     ``remote`` holds a remote input's ``fetch_remote`` arguments.  PCA is
-    always the correlation PCA, so no field says so.  ``ica_components`` of
-    None means Kaiser's count of that PCA.  ``ica`` holds the validated
-    FastICA settings; the run replaces its ``n_components`` with the resolved
-    count, and the CLI its ``seed`` with any ``--seed``.  ``acf_max_lag`` is
-    clamped at run time to the series length minus two.
+    always the correlation PCA, so no field says so.  ``ica`` holds the
+    FastICA settings as written, its ``n_components`` None when the count is
+    to be Kaiser's count of that PCA; the CLI replaces its ``seed`` with any
+    ``--seed``.  ``acf_max_lag`` is clamped at run time to the series length
+    minus two.
     """
 
     config_sha256: str
@@ -52,7 +52,6 @@ class RunConfig:
     redundancy_rules: tuple
     pipeline: tuple
     difference_lag: int
-    ica_components: int | None
     ica: IcaConfig
     fa_k_max: int
     fa_alpha: float
@@ -283,12 +282,6 @@ def load_config(path) -> RunConfig:
         have_rules=bool(rules),
     )
     read["ica"].pop("contrast", None)
-    n_comp = read["ica"].pop("n_components", None)
-    # A count decided from the data is not known yet; 1 stands in.
-    ica_cfg = _build(
-        IcaConfig, "ica", **read["ica"], n_components=1 if n_comp is None else n_comp
-    )
-
     return RunConfig(
         config_sha256=hashlib.sha256(raw).hexdigest(),
         input_path=input_path,
@@ -297,8 +290,7 @@ def load_config(path) -> RunConfig:
         redundancy_rules=rules,
         pipeline=pipeline,
         difference_lag=_as_int(doc.get("difference_lag", 1), "difference_lag", 1),
-        ica_components=n_comp,
-        ica=ica_cfg,
+        ica=_build(IcaConfig, "ica", **{"n_components": None, **read["ica"]}),
         fa_k_max=read["fa"].get("k_max", 5),
         fa_alpha=read["fa"].get("alpha", 0.05),
         acf_max_lag=read["diagnostics"].get("max_lag", 10),

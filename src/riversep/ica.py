@@ -46,15 +46,16 @@ _ROWS_PER_COMPONENT = 10
 class IcaConfig:
     """Extraction settings; the defaults match common practice for river
     records (200 iterations, 1e-4 tolerance).  The contrast is always
-    logcosh with α = 1, which storm outliers upset less than kurtosis."""
+    logcosh with α = 1, which storm outliers upset less than kurtosis.  An
+    ``n_components`` of None leaves the count to the caller."""
 
-    n_components: int
+    n_components: int | None
     max_iter: int = 200
     tol: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_components < 1:
+        if self.n_components is not None and self.n_components < 1:
             raise OutOfRange("n_components must be at least 1")
         if self.max_iter < 1:
             raise OutOfRange("max_iter must be at least 1")
@@ -161,11 +162,13 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     and ``max_iter=1`` always returns ``converged=False``.
 
     The iteration runs on the components x rows whitened data ``zt``;
-    ``sources`` is C-ordered, rows x components.
+    ``sources`` is C-ordered, rows x components.  A count of None is refused.
     """
+    k = cfg.n_components
+    if k is None:
+        raise OutOfRange("n_components must be a count, not None")
     m = as_matrix(x)
     n, p = m.shape
-    k = cfg.n_components
     if n < _ROWS_PER_COMPONENT * k:
         raise TooFewRows(n, _ROWS_PER_COMPONENT * k)
 

@@ -27,9 +27,9 @@ read every number they take to the bits ``float`` gives.  The dates are
 read from their bytes to ``datetime64[D]`` days (:func:`_iso_dates`).
 The row loop reads alone each block holding anything the C reader does
 not take (a cell such as ``NA`` or text, a wrong field count, a date with
-surrounding whitespace, a bad date), and every record of a text holding a
-NUL.  The row loop is the one arbiter of the cell rule and of errors, so
-every path gives the same table or the same first error.
+surrounding whitespace, a bad date) and a block holding a NUL.  The row
+loop is the one arbiter of the cell rule and of errors, so every path
+gives the same table or the same first error.
 
 The date rule, for both paths, both layouts and the config's filter dates:
 a date is spelled exactly ``YYYY-MM-DD`` in ASCII digits and names a day of
@@ -45,6 +45,7 @@ import hashlib
 import math
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -149,13 +150,15 @@ class FilterSpec:
 
 
 def _text(data: bytes | str) -> str:
-    """``data`` as text; bytes must be UTF-8."""
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise NotUtf8(exc.start) from None
+    """``data`` as text without one leading byte-order mark (U+FEFF); bytes
+    must be UTF-8.  The whole input is decoded before the mark is dropped,
+    so a :class:`NotUtf8` offset is the file's."""
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NotUtf8(exc.start) from None
+    return data[1:] if data.startswith("\ufeff") else data
 
 
 def _iso_date(text: str) -> datetime.date:
@@ -406,20 +409,23 @@ def _decimal_read(records: Sequence[str], n_fields: int):
 
 
 def _bulk_read(records: Sequence[str], n_fields: int):
-    """Dates and cells of the RDB ``records`` (no comment or blank line, at
-    least one record, no NUL) from :func:`_decimal_read` or else one pass of
-    numpy's C reader, or ``None`` to leave them to :func:`_read_records`:
-    for a wrong field count (the record dtype has exactly ``n_fields``
-    columns), a date :func:`_iso_dates` does not take, or a cell the C
-    reader refuses (``NA``, whitespace only, text, ``1_000``).  A cell it
-    takes reads to the bits ``float`` gives; for the C reader an empty cell
-    is written ``nan`` first.  A block of plain decimals, such as a USGS
-    record, takes no C pass and no fill.  The C reader takes every block
-    the decimal read takes, with the same bits, so which blocks the row
-    loop reads is the C reader's choice alone.  ``_iso_dates`` reads each
-    block's date fields once, from either reader."""
+    """Dates and cells of the RDB ``records`` (no comment or blank line)
+    from :func:`_decimal_read` or else one pass of numpy's C reader, or
+    ``None`` to leave them to :func:`_read_records`: for a NUL, which an
+    ``S11`` date field drops and the decimal read refuses, a wrong field
+    count (the record dtype has exactly ``n_fields`` columns), a date
+    :func:`_iso_dates` does not take, or a cell the C reader refuses
+    (``NA``, whitespace only, text, ``1_000``).  A cell it takes reads to
+    the bits ``float`` gives; for the C reader an empty cell is written
+    ``nan`` first.  A block of plain decimals, such as a USGS record,
+    takes no C pass and no fill.  The C reader takes every block the
+    decimal read takes, with the same bits, so the NUL test and the C
+    reader alone pick the blocks the row loop reads.  ``_iso_dates`` reads
+    each block's date fields once, from either reader."""
     block = _decimal_read(records, n_fields)
     if block is None:
+        if any(map(str.__contains__, records, repeat("\0"))):
+            return None
         try:
             filled = (
                 raw.replace("\t\t", "\tnan\t").replace("\t\t", "\tnan\t")
@@ -463,22 +469,20 @@ def _records(lines: list[str], start: int):
     return numbers, [lines[n - start] for n in numbers]
 
 
-def _read_body(lines: Sequence[str], first: int, n_fields: int, bulk: bool):
+def _read_body(lines: Sequence[str], first: int, n_fields: int):
     """Days and cells of the RDB records in ``lines[first:]``, each in one
     preallocated array, filtered ``_BODY_BLOCK`` lines at a time by
-    :func:`_records`.  When ``bulk``, :func:`_bulk_read` reads each block it
-    takes, and :func:`_read_records` reads each other block alone.  Blocks
-    are read in file order and the C reader raises no error, so the row
-    loop's first error is the file's first."""
+    :func:`_records`.  :func:`_bulk_read` reads each block it takes, one
+    of no records too, and :func:`_read_records` each other block alone.
+    Blocks are read in file order and the bulk read raises no error, so
+    the row loop's first error is the file's first."""
     starts = range(first, len(lines), _BODY_BLOCK)
     blocks = [_records(lines[a : a + _BODY_BLOCK], a + 1) for a in starts]
     n = sum(len(records) for _, records in blocks)
     dates, values = np.empty(n, "datetime64[D]"), np.empty((n, n_fields - 1))
     done = 0
     for numbers, records in blocks:
-        if not records:  # loadtxt warns on no lines
-            continue
-        block = _bulk_read(records, n_fields) if bulk else None
+        block = _bulk_read(records, n_fields)
         if block is None:
             fields = (raw.split("\t") for raw in records)
             block = _read_records(zip(numbers, fields), n_fields)
@@ -494,7 +498,6 @@ def parse_rdb(data: bytes | str) -> Table:
     The decoded text is dropped once split, so it is not held while the
     body is read."""
     text = _text(data)
-    bulk = "\0" not in text  # an ``S11`` date field drops a trailing NUL
     lines = text.splitlines()
     del text
     header: list[str] | None = None
@@ -522,7 +525,7 @@ def parse_rdb(data: bytes | str) -> Table:
         if header is None:
             raise MalformedHeader("no header line found")
         raise MalformedHeader("no column-format line found")
-    return _assemble(header, *_read_body(lines, i + 1, len(header), bulk))
+    return _assemble(header, *_read_body(lines, i + 1, len(header)))
 
 
 def parse_csv(data: bytes | str) -> Table:
@@ -607,8 +610,10 @@ def fetch_remote(
 
     The cache key is a hash of (site, codes, start, end, medium_code,
     url_template), everything that shapes the request; a hit never touches
-    the network.  Downloads are written to a temporary file and
-    renamed into place so a crash cannot leave a truncated cache entry.
+    the network.  A response with no HTTP status (a ``file:`` URL) reads
+    as a 200.  Downloads are written to a temporary file and renamed into
+    place so a crash cannot leave a truncated cache entry, and a failed
+    write removes its temporary file.
     The network stack (:mod:`urllib.request`, and with it :mod:`ssl` and
     :mod:`http.client`) is imported only when a download runs, so a
     process that never fetches never loads it.
@@ -634,8 +639,8 @@ def fetch_remote(
 
     try:
         with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT_S) as resp:
-            status = getattr(resp, "status", 200)
-            if status != 200:
+            status = getattr(resp, "status", None)
+            if status not in (None, 200):
                 raise HttpStatus(status)
             body = resp.read()
     except urllib.error.HTTPError as exc:
@@ -645,13 +650,17 @@ def fetch_remote(
     except OSError as exc:
         raise NetworkUnavailable(str(exc)) from exc
 
+    part = None
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=cache_dir, suffix=".part")
+        fd, part = tempfile.mkstemp(dir=cache_dir, suffix=".part")
         with os.fdopen(fd, "wb") as handle:
             handle.write(body)
-        os.replace(tmp_path, cached)
+        os.replace(part, cached)
     except OSError as exc:
+        if part is not None:
+            with suppress(OSError):
+                os.remove(part)
         raise CacheWriteFailed(
             f"download succeeded, but its cache file {cached} could not be written: {exc}"
         ) from exc

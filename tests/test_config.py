@@ -37,7 +37,7 @@ def test_minimal_config_loads(tmp_path):
     assert cfg.input_path == tmp_path / "data.rdb"
     assert cfg.output_dir == tmp_path / "out"
     assert cfg.pipeline == ("annual_mean",)
-    assert cfg.ica_components is None
+    assert cfg.ica.n_components is None
     assert cfg.fa_k_max == 5
     assert cfg.fa_alpha == 0.05
 
@@ -196,7 +196,14 @@ def test_bool_is_not_an_integer(tmp_path):
 
 def test_null_ica_components_decides_from_the_data(tmp_path):
     cfg = load_config(write_config(tmp_path, dict(MINIMAL, ica={"n_components": None})))
-    assert cfg.ica_components is None
+    assert cfg.ica.n_components is None
+
+
+def test_the_ica_count_has_one_home(tmp_path):
+    # the ICA section is kept as written; no field beside it carries the count
+    assert "ica_components" not in RunConfig.__dataclass_fields__
+    cfg = load_config(write_config(tmp_path, dict(MINIMAL, ica={"n_components": 3})))
+    assert cfg.ica.n_components == 3
 
 
 def test_non_bool_flag_rejected(tmp_path):
@@ -420,6 +427,14 @@ def test_undecodable_config_is_not_valid_json(tmp_path, data):
     path = tmp_path / "broken.json"
     path.write_bytes(data)
     with pytest.raises(ConfigError, match=r"broken\.json is not valid JSON: \S"):
+        load_config(path)
+
+
+def test_a_config_with_a_byte_order_mark_is_refused_by_name(tmp_path):
+    # unlike an input record, whose reader drops one leading mark
+    path = write_config(tmp_path, MINIMAL)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with pytest.raises(ConfigError, match=r"cfg\.json is not valid JSON: Unexpected UTF-8 BOM"):
         load_config(path)
 
 

@@ -268,6 +268,14 @@ class TestFastIca:
         with pytest.raises(errors.OutOfRange, match=f"^{message}$"):
             IcaConfig(**{"n_components": 2, **settings})
 
+    def test_a_count_left_to_the_caller_constructs_and_fast_ica_refuses_it(self):
+        # None means the caller decides the count from the data
+        cfg = IcaConfig(n_components=None, seed=3)
+        assert cfg.n_components is None
+        x = np.random.default_rng(0).standard_normal((100, 3))
+        with pytest.raises(errors.OutOfRange, match="^n_components must be a count, not None$"):
+            fast_ica(x, cfg)
+
     def test_config_has_no_contrast_setting(self):
         # the contrast is always logcosh with alpha = 1
         assert list(IcaConfig.__dataclass_fields__) == ["n_components", "max_iter", "tol", "seed"]

@@ -774,10 +774,11 @@ class TestBulkRead:
         assert outcome(parse_rdb, text) == outcome(parse_rdb, canonical)
 
     @pytest.mark.parametrize("where", ["comment", "cell"])
-    def test_a_text_holding_a_nul_is_read_by_the_row_loop_alone(self, where, row_loop_calls, body_block):
-        # an S11 date field drops a trailing NUL, so no block of a text
-        # holding one goes to the C reader; here the NUL is in the second
-        # block, after a first that alone would be read in bulk
+    def test_a_nul_sends_only_its_own_block_to_the_row_loop(self, where, row_loop_calls, bulk_reads, body_block):
+        # an S11 date field drops a trailing NUL, so no block holding one goes
+        # to the C reader; here the NUL is in the second block, after a first
+        # that is read in bulk.  A comment is dropped before a block is read,
+        # so a NUL in one sends no block to the row loop.
         records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(body_block + 1))]
         if where == "comment":
             records.insert(body_block, "# a\0note")
@@ -785,19 +786,52 @@ class TestBulkRead:
             records[body_block] = records[body_block].replace("\t", "\t1\0", 1)
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
         t = parse_rdb(text)
-        assert row_loop_calls == [1] * (body_block + 1)
+        assert row_loop_calls == ([1] if where == "cell" else [])
+        assert bulk_reads == [(body_block, True), (1, where == "comment")]
         dates, values = per_cell_oracle(text, 2)
         assert t.index.tolist() == dates
         assert same_bits(t.values, values)
         assert np.isnan(t.values[-1, 0]) == (where == "cell")
 
-    def test_a_date_with_a_trailing_nul_is_invalid_where_the_row_loop_reads_it(self, row_loop_calls, body_block):
+    def test_a_date_with_a_trailing_nul_is_invalid_where_the_row_loop_reads_it(
+        self, row_loop_calls, bulk_reads, body_block
+    ):
         records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(body_block + 1))]
         records[body_block] = records[body_block].replace("\t", "\0\t", 1)
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
         date = records[body_block].split("\t")[0]
         assert outcome(parse_rdb, text) == (errors.InvalidDate, f"line {body_block + 3}: cannot parse date {date!r}")
-        assert row_loop_calls == [1] * body_block
+        # the row loop raises on the date, before it reads the record's cells
+        assert row_loop_calls == []
+        assert bulk_reads == [(body_block, True), (1, False)]
+
+    @pytest.mark.parametrize("line", ["# a\0note", "# \0"])
+    def test_a_nul_in_a_header_comment_leaves_every_block_to_the_bulk_read(
+        self, line, row_loop_calls, bulk_reads, body_block
+    ):
+        records = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(consecutive_dates(2 * body_block + 1))]
+        body = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(records) + "\n"
+        got = outcome(parse_rdb, f"{line}\n{body}")
+        assert row_loop_calls == []
+        assert bulk_reads == [(body_block, True), (body_block, True), (1, True)]
+        assert got == outcome(parse_rdb, body)
+
+    def test_a_block_of_comment_lines_alone_is_the_decimal_reads(
+        self, row_loop_calls, bulk_reads, decimal_reads, body_block
+    ):
+        # the second block holds no record: the decimal read reads it to
+        # empty arrays, and the C reader is not handed it
+        days = consecutive_dates(body_block + 1)
+        lines = [f"{day}\t{i}\t{i}.5" for i, day in enumerate(days[:-1])]
+        lines += ["# a note"] * body_block + [f"{days[-1]}\t1\t"]
+        text = "datetime\ta\tb\n10d\t12n\t12n\n" + "\n".join(lines) + "\n"
+        t = parse_rdb(text)
+        assert row_loop_calls == []
+        assert bulk_reads == [(body_block, True), (0, True), (1, True)]
+        assert decimal_reads == [True, True, True]
+        assert ingest._decimal_read([], 3)[0].shape == (0,)
+        assert t.index.tolist() == list(days)
+        assert outcome(parse_rdb, text) == outcome(parse_line_by_line, text)
 
 
 @pytest.mark.parametrize("date", [s for s in OTHER_DATE_SPELLINGS if "\0" not in s])
@@ -1043,6 +1077,28 @@ def test_bytes_that_are_not_utf8_are_a_typed_error(parse):
     with pytest.raises(errors.NotUtf8) as exc:
         parse(bad)
     assert exc.value.offset == 40
+    # the whole input is decoded before a byte-order mark is dropped, so the
+    # offset stays the file's
+    with pytest.raises(errors.NotUtf8) as exc:
+        parse(b"\xef\xbb\xbf" + bad)
+    assert exc.value.offset == 43
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "str"])
+def test_a_byte_order_mark_is_dropped_before_either_parser_reads(as_bytes):
+    # the station fixture's first comment line would otherwise start with
+    # U+FEFF, not "#", and be read as a header of one column
+    rdb = (FIXTURES / "station_fixture.rdb").read_text()
+    for parse, text in ((parse_rdb, rdb), (parse_csv, emit_csv(parse_rdb(rdb)))):
+        marked = BOM + text
+        assert outcome(parse, marked.encode() if as_bytes else marked) == outcome(parse, text)
+        assert parse(text).n_rows == 204
+    # one mark is dropped, not two
+    with pytest.raises(errors.MalformedHeader, match="at least two columns"):
+        parse_rdb(BOM + BOM + rdb)
 
 
 # Values on both sides of format_number's plain-notation window and its
@@ -1274,6 +1330,16 @@ def test_a_daily_record_of_six_blocks_reads_alike_by_every_path(name, row_loop_c
     assert back.index.dtype == "datetime64[D]"
     assert (back.index.tolist(), back.codes) == (t.index.tolist(), t.codes)
     assert same_bits(back.values, t.values)
+
+
+def test_a_nul_in_the_daily_records_first_comment_leaves_every_block_to_the_decimal_read(
+    row_loop_calls, decimal_reads
+):
+    text = daily_records()["record"]
+    assert text.startswith("#") and "\0" not in text
+    got = outcome(parse_rdb, ("#\0" + text[1:]).encode())
+    assert row_loop_calls == [] and decimal_reads == [True] * 6
+    assert got == outcome(parse_rdb, text.encode())
 
 
 def test_keyed_rows_holds_one_block_of_cells_as_python_floats():
@@ -1876,6 +1942,31 @@ class TestFetchRemote:
             f"[Errno 17] File exists: '{cache}'"
         )
         assert cache.read_bytes() == b"not a directory\n"
+
+    def test_a_file_url_is_fetched_and_cached(self, tmp_path):
+        # a file: response has no HTTP status, and reads as a 200
+        payload = (FIXTURES / "small.rdb").read_bytes()
+        (tmp_path / "TEST-0001.rdb").write_bytes(payload)
+        args = ("TEST-0001", ["00618"], "1995-01-01", "1996-12-31", tmp_path / "cache")
+        template = tmp_path.as_uri() + "/{site}.rdb"
+        assert fetch_remote(*args, template) == payload
+        assert [p.read_bytes() for p in (tmp_path / "cache").iterdir()] == [payload]
+        (tmp_path / "TEST-0001.rdb").unlink()
+        assert fetch_remote(*args, template, offline=True) == payload
+        with pytest.raises(errors.NetworkUnavailable):
+            fetch_remote("TEST-0002", *args[1:], template)
+
+    def test_a_failed_cache_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **k: _FakeResponse(b"body"))
+        monkeypatch.setattr(ingest.os, "replace", refuse)
+        with pytest.raises(errors.CacheWriteFailed, match=r"could not be written: \[Errno 13\] Permission denied$"):
+            fetch_remote("X", ["a"], "1990-01-01", "1990-12-31", tmp_path, self.URL)
+        assert list(tmp_path.iterdir()) == []
 
 
 class _FakeResponse:
