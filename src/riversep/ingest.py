@@ -11,9 +11,11 @@ when ``float`` rejects it, or when the number is not finite (``nan``,
 ``inf``, ``-inf``, or a value such as ``1e400`` that overflows), since no
 model can take it.  :func:`_parse_cell` is that rule for one cell; the
 row loop (:func:`_read_records`, for both layouts) reads a row at a time
-and falls back to it for a row that ``float`` rejects, then non-finite
-values are mapped to NaN over the whole array, a pass made only when a
-cell is infinite or a NaN with its sign bit set (:func:`_assemble`).
+and falls back to it for a row that ``float`` rejects.  Each reader that
+can meet a non-finite cell maps it to NaN with the bits of ``np.nan``
+over its own block: the row loop, and the C-reader branch of
+:func:`_bulk_read`.  The decimal read makes none, so its blocks take no
+such pass.
 
 An RDB body is read a block of lines at a time.  One test of the whole
 block (:func:`_all_records`) finds whether it holds a comment or blank
@@ -69,6 +71,9 @@ from .errors import (
 )
 from .report import table_csv
 
+# Cells read as missing with no call to ``float``.  It refuses both, but
+# each refusal raises, and ``NA`` is how :func:`emit_csv` writes every
+# missing cell: reading its output back would raise once per such cell.
 _MISSING_TOKENS = {"", "na"}
 _NAN = float("nan")
 
@@ -193,8 +198,9 @@ def _parse_cell(text: str) -> float:
 
 def _read_row(cells: Sequence[str]) -> list[float]:
     """A record's cells as floats; non-finite values are left for
-    :func:`_assemble` to map.  A row holding a cell that ``float`` rejects
-    (``NA``, whitespace, text) is read cell by cell with :func:`_parse_cell`."""
+    :func:`_read_records` to map over its block.  A row holding a cell that
+    ``float`` rejects (``NA``, whitespace, text) is read cell by cell with
+    :func:`_parse_cell`."""
     try:
         return [float(c) if c else _NAN for c in cells]
     except ValueError:
@@ -202,12 +208,10 @@ def _read_row(cells: Sequence[str]) -> list[float]:
 
 
 def _assemble(header: Sequence[str], dates: np.ndarray, values: np.ndarray) -> Table:
-    """Merge parsed records (``values`` holds one row of cells per date) into
-    a date-sorted table.
+    """Merge parsed records (``values`` holds one row of cells per date,
+    each finite or NaN as its reader left it) into a date-sorted table.
 
-    Non-finite cells become NaN first, with the bits of ``np.nan``; the
-    pass runs only when :func:`_needs_nan_rewrite` finds a cell to change.
-    Records sharing a date are then merged; two non-missing values for the
+    Records sharing a date are merged; two non-missing values for the
     same (date, variable) raise :class:`DuplicateTimestampVariable`.
     """
     codes = [c.strip() for c in header]
@@ -217,8 +221,6 @@ def _assemble(header: Sequence[str], dates: np.ndarray, values: np.ndarray) -> T
     if len(set(var_codes)) != len(var_codes):
         raise MalformedHeader("header repeats a variable code")
 
-    if _needs_nan_rewrite(values):
-        values[~np.isfinite(values)] = np.nan
     if (dates[1:] > dates[:-1]).all():  # sorted, no date repeated
         return Table("date", dates, var_codes, values)
     first: dict[datetime.date, int] = {}
@@ -236,27 +238,11 @@ def _assemble(header: Sequence[str], dates: np.ndarray, values: np.ndarray) -> T
     return Table("date", order, var_codes, values[[first[d] for d in order]])
 
 
-# The bits of ``-inf`` read as an unsigned integer: the least of those of
-# any value with the sign bit set that is not finite.
-_NEGATIVE_NON_FINITE = np.float64(-np.inf).view(np.uint64)
-
-
-def _needs_nan_rewrite(values: np.ndarray) -> bool:
-    """Whether some non-finite cell of ``values`` lacks the bits of
-    ``np.nan``: an infinite cell, or a NaN with its sign bit set.  Text
-    spells no other NaN, since ``float`` and numpy's C reader read ``nan``
-    to the bits of ``np.nan`` and ``-nan`` to those with the sign bit set.
-    As unsigned integers, the bits of ``-inf`` and of each NaN with its sign
-    bit set are the largest of any double, so two reductions test the
-    whole array, with no mask."""
-    bits = values.view(np.uint64)
-    return bool(np.isinf(values).any() or bits.max(initial=0) >= _NEGATIVE_NON_FINITE)
-
-
 def _read_records(records, n_fields: int):
-    """Days (``datetime64[D]``) and cells (a float array) of ``records``,
-    ``(line number, fields)`` pairs in file order, one at a time; raises
-    the first error with its line number."""
+    """Days (``datetime64[D]``) and cells (a float array, each non-finite
+    one set to ``np.nan``) of ``records``, ``(line number, fields)`` pairs
+    in file order, one at a time; raises the first error with its line
+    number."""
     dates: list[datetime.date] = []
     rows: list[list[float]] = []
     for line_no, fields in records:
@@ -264,7 +250,9 @@ def _read_records(records, n_fields: int):
             raise RaggedRow(line_no, n_fields, len(fields))
         dates.append(_parse_date(fields[0], line_no))
         rows.append(_read_row(fields[1:]))
-    return np.array(dates, "datetime64[D]"), np.reshape(rows, (-1, n_fields - 1))
+    cells = np.reshape(rows, (-1, n_fields - 1))
+    np.copyto(cells, np.nan, where=~np.isfinite(cells))
+    return np.array(dates, "datetime64[D]"), cells
 
 
 def _iso_dates(fields: np.ndarray) -> np.ndarray | None:
@@ -417,34 +405,41 @@ def _bulk_read(records: Sequence[str], n_fields: int):
     :func:`_iso_dates` does not take, or a cell the C reader refuses
     (``NA``, whitespace only, text, ``1_000``).  A cell it takes reads to
     the bits ``float`` gives; for the C reader an empty cell is written
-    ``nan`` first.  A block of plain decimals, such as a USGS record,
-    takes no C pass and no fill.  The C reader takes every block the
-    decimal read takes, with the same bits, so the NUL test and the C
-    reader alone pick the blocks the row loop reads.  ``_iso_dates`` reads
-    each block's date fields once, from either reader."""
+    ``nan`` first, and once :func:`_iso_dates` takes the block's dates its
+    non-finite cells are set to ``np.nan``.  A block of plain decimals,
+    such as a USGS record, takes no C pass, no fill and no such pass: it
+    holds no ``i``, ``n`` or ``e``, and 15 digits do not overflow.  The C
+    reader takes every block the decimal read takes, with the same bits,
+    so the NUL test and the C reader alone pick the blocks the row loop
+    reads."""
     block = _decimal_read(records, n_fields)
-    if block is None:
-        if any(map(str.__contains__, records, repeat("\0"))):
-            return None
-        try:
-            filled = (
-                raw.replace("\t\t", "\tnan\t").replace("\t\t", "\tnan\t")
-                + ("nan" if raw[-1] == "\t" else "")
-                for raw in records
-            )
-            block = np.loadtxt(
-                filled,
-                delimiter="\t",
-                comments=None,
-                quotechar=None,
-                dtype=[("date", "S11"), ("cells", float, (n_fields - 1,))],
-                ndmin=1,
-            )
-        except ValueError:
-            return None
-        block = block["date"], block["cells"]
-    dates = _iso_dates(block[0])
-    return None if dates is None else (dates, block[1])
+    if block is not None:
+        dates = _iso_dates(block[0])
+        return None if dates is None else (dates, block[1])
+    if any(map(str.__contains__, records, repeat("\0"))):
+        return None
+    try:
+        filled = (
+            raw.replace("\t\t", "\tnan\t").replace("\t\t", "\tnan\t")
+            + ("nan" if raw[-1] == "\t" else "")
+            for raw in records
+        )
+        block = np.loadtxt(
+            filled,
+            delimiter="\t",
+            comments=None,
+            quotechar=None,
+            dtype=[("date", "S11"), ("cells", float, (n_fields - 1,))],
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    dates = _iso_dates(block["date"])
+    if dates is None:
+        return None
+    cells = block["cells"]
+    np.copyto(cells, np.nan, where=~np.isfinite(cells))
+    return dates, cells
 
 
 def _all_records(lines: Sequence[str]) -> bool:

@@ -1018,8 +1018,10 @@ class TestRecordTest:
         assert got == outcome(parse_line_by_line, text)
 
 
-# The bits of each non-finite cell text can spell.
-NON_FINITE = {"inf": np.inf, "-inf": -np.inf, "nan": float("nan"), "-nan": float("-nan")}
+# Text for each non-finite value, and every spelling of one these tests
+# read, overflowing ones among them.
+NON_FINITE = ["inf", "-inf", "nan", "-nan"]
+NON_FINITE_SPELLINGS = [*NON_FINITE, "Infinity", "1e400", "-1e400"]
 
 
 def nan_rewritten(values):
@@ -1035,8 +1037,9 @@ def non_finite_mixes():
 
 
 class TestNonFiniteCells:
-    """Every non-finite cell becomes NaN with the bits of ``np.nan``; the
-    pass that writes them runs only when some cell lacks those bits."""
+    """Every non-finite cell becomes NaN with the bits of ``np.nan``, set by
+    the reader that meets it: the row loop, or the C-reader branch of the
+    bulk read.  The decimal read meets none."""
 
     def test_nan_reads_to_the_bits_of_np_nan_and_minus_nan_to_their_negation(self):
         nan_bits = np.float64(np.nan).view(np.uint64)
@@ -1046,28 +1049,37 @@ class TestNonFiniteCells:
             assert cells.view(np.uint64).tolist() == [nan_bits, nan_bits | np.uint64(1 << 63)]
 
     @pytest.mark.parametrize("mix", non_finite_mixes(), ids="+".join)
-    def test_assemble_writes_the_bits_of_the_whole_array_rewrite(self, mix):
-        values = np.array([[1.5, np.nan, -2.0], [0.0, -0.0, 3.25], [np.nan, 4.0, np.nan]])
-        for i, name in enumerate(mix):
-            values.flat[2 * i + 1] = NON_FINITE[name]
-        dates = consecutive_days(3)
-        t = ingest._assemble(["date", "a", "b", "c"], dates, values.copy())
-        assert t.values.tobytes() == nan_rewritten(values).tobytes()
-        assert ingest._needs_nan_rewrite(values) == (set(mix) != {"nan"})
-
-    @pytest.mark.parametrize("mix", non_finite_mixes(), ids="+".join)
-    def test_parsed_cells_have_the_bits_of_the_whole_array_rewrite(self, mix, monkeypatch):
+    def test_parsed_cells_have_the_bits_of_the_whole_array_rewrite(self, mix):
         cells = [*mix, "", "1.5"]
         rows = zip(consecutive_dates(len(cells)), cells, cells[::-1])
         text = "datetime\ta\tb\n10d\t12n\t12n\n" + "".join(f"{day}\t{a}\t{b}\n" for day, a, b in rows)
         got = parse_rdb(text).values.tobytes()
-        monkeypatch.setattr(ingest, "_needs_nan_rewrite", lambda values: True)
-        assert got == parse_rdb(text).values.tobytes()
+        by_float = np.array([[float(a or "nan"), float(b or "nan")] for a, b in zip(cells, cells[::-1])])
+        assert got == nan_rewritten(by_float).tobytes()
         assert got == parse_line_by_line(text).values.tobytes()
         assert got == parse_csv(text.replace("\t", ",").replace("10d,12n,12n\n", "")).values.tobytes()
 
-    def test_no_cells(self):
-        assert not ingest._needs_nan_rewrite(np.empty((0, 3)))
+    @pytest.mark.parametrize("cell", NON_FINITE_SPELLINGS)
+    def test_the_decimal_read_refuses_every_non_finite_spelling(self, cell, decimal_reads, row_loop_calls):
+        text = f"datetime\ta\tb\n10d\t12n\t12n\n1990-01-01\t{cell}\t1\n1990-01-02\t2\t{cell}\n"
+        want = np.array([[nan, 1.0], [2.0, nan]]).tobytes()
+        assert parse_rdb(text).values.tobytes() == want
+        assert decimal_reads == [False] and row_loop_calls == []  # the C reader read it
+        assert parse_line_by_line(text).values.tobytes() == want
+
+    @pytest.mark.parametrize("cell", NON_FINITE_SPELLINGS)
+    def test_the_csv_row_loop_maps_every_non_finite_spelling(self, cell):
+        text = f"date,a,b\n1990-01-01,{cell},1\n1990-01-02,2,{cell}\n"
+        assert parse_csv(text).values.tobytes() == np.array([[nan, 1.0], [2.0, nan]]).tobytes()
+
+    def test_the_decimal_read_makes_only_finite_cells_and_np_nan(self):
+        extremes = ["999999999999999", "-999999999999999", ".000000000000001", "-0.0", ""]
+        pairs = list(zip(extremes, extremes[::-1]))
+        records = [f"1990-01-{i + 1:02}\t{a}\t{b}" for i, (a, b) in enumerate(pairs)]
+        _, cells = ingest._decimal_read(records, 3)
+        nan_bits = np.float64(np.nan).view(np.uint64)
+        assert (np.isfinite(cells) | (cells.view(np.uint64) == nan_bits)).all()
+        assert cells.tobytes() == np.array([[float(a or "nan"), float(b or "nan")] for a, b in pairs]).tobytes()
 
 
 @pytest.mark.parametrize("parse", [parse_rdb, parse_csv])
