@@ -546,9 +546,10 @@ def parse_csv(data: bytes | str) -> Table:
 
 
 def emit_csv(table: Table) -> str:
-    """Serialize a table to CSV (:func:`~riversep.report.table_csv`); inverse
-    of :func:`parse_csv` up to the 12-significant-digit number formatting.
-    A date index is written as ISO ``YYYY-MM-DD``, a year index as digits."""
+    """Serialize a table to CSV (:func:`~riversep.report.table_csv`).  A date
+    index is written as ISO ``YYYY-MM-DD``, and :func:`parse_csv` reads the
+    text back up to the 12-significant-digit number formatting; a year index
+    is written as digits, which :func:`parse_csv` refuses as dates."""
     return table_csv([table.index_name, *table.codes], table.index, table.values)
 
 

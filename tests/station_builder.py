@@ -15,11 +15,14 @@ Variable values are linear blends of three latent annual series plus
 seasonality and noise, so the decomposition models see genuine shared
 structure.  Composite columns are exact arithmetic combinations of their
 parts.  Regenerating the file always yields identical bytes.
+:func:`station` returns the text together with the drivers and loadings
+it drew, the one home of the fixture's truth.
 """
 
 from __future__ import annotations
 
 import datetime
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,29 +127,36 @@ def _dates():
     ]
 
 
-def latent_drivers(rng) -> np.ndarray:
-    """The three latent annual drivers, standardized random walks: one row
-    per year of ``YEARS``, one column per driver.  They are the first draws
-    :func:`build` takes from its generator, so a generator seeded with
-    ``SEED`` gives the fixture's own drivers."""
+@dataclass(frozen=True)
+class Station:
+    """What :func:`station` built: the record ``text`` (tab-delimited, '#'
+    comments); the three latent annual ``drivers``, standardized random
+    walks, row i the year ``YEARS[i]``; and each series' ``loadings`` on
+    them, ``amp`` times a unit direction, by variable code."""
+
+    text: str
+    drivers: np.ndarray
+    loadings: dict
+
+
+def station() -> Station:
+    """Build the fixture and the truth it was drawn from."""
+    rng = np.random.default_rng(SEED)
     latents = []
     for _ in range(3):
         walk = np.cumsum(rng.normal(size=len(YEARS)))
         latents.append((walk - walk.mean()) / walk.std(ddof=1))
-    return np.column_stack(latents)
-
-
-def build() -> str:
-    """Return the fixture file content (tab-delimited, '#' comments)."""
-    rng = np.random.default_rng(SEED)
-    z = dict(zip(YEARS, latent_drivers(rng)))
+    drivers = np.column_stack(latents)
+    z = dict(zip(YEARS, drivers))
     dates = _dates()
 
     columns: dict[str, dict] = {}
+    loadings = {}
 
     def series(code, base, amp, noise_sd, seasonal):
         load = rng.normal(size=3)
         load /= np.sqrt((load**2).sum())
+        loadings[code] = amp * load
         vals = {}
         for d in dates:
             q = (d.month - 1) // 3
@@ -198,12 +208,12 @@ def build() -> str:
             v = columns[code].get(d)
             cells.append("" if v is None else f"{v:.3f}")
         lines.append(d.isoformat() + "\t" + "\t".join(cells))
-    return "\n".join(lines) + "\n"
+    return Station("\n".join(lines) + "\n", drivers, loadings)
 
 
 def main():
     target = Path(__file__).parent / "fixtures" / "station_fixture.rdb"
-    target.write_text(build())
+    target.write_text(station().text)
     print(f"wrote {target}")
 
 

@@ -27,10 +27,10 @@ import riversep.errors
 import riversep.linalg
 import riversep.pca
 import riversep.report
+import scorecard
 import station_builder
 from riversep.cli import main
 from riversep.config import load_config
-from riversep.pca import scores
 from riversep.report import format_number
 from test_diagnostics import reference_mi_table
 from test_ingest import daily, daily_records
@@ -198,27 +198,58 @@ def test_fixture_file_matches_its_builder():
     # The committed record must be exactly what the builder produces, so
     # the stage counts asserted below are traceable to the build recipe.
     committed = (FIXTURES / "station_fixture.rdb").read_text()
-    assert committed == station_builder.build()
+    assert committed == station_builder.station().text
 
 
-def canonical_correlations(a, b):
-    """Canonical correlations between the column spaces of ``a`` and ``b``
-    (same rows), largest first."""
-    qa = np.linalg.qr(a - a.mean(axis=0))[0]
-    qb = np.linalg.qr(b - b.mean(axis=0))[0]
-    return np.linalg.svd(qa.T @ qb, compute_uv=False)
+# Lower bounds on the truth scorecard (tests/scorecard.py) of each variant:
+# per method its component count, then each value rounded down at the second
+# decimal: the series' canonical correlations with the drivers, the loading
+# cosines and, for ICA, the matched mean |r|.  A change that moves a value
+# moves its bound and says so in CHANGES.md.
+SCORECARD_BOUNDS = {
+    "committed": {
+        "PCA": (3, (0.98, 0.91, 0.05), (0.99, 0.97, 0.29)),
+        "FA": (3, (0.97, 0.91, 0.22), (0.99, 0.99, 0.36)),
+        "ICA": (3, (0.93, 0.66, 0.24), (0.99, 0.92, 0.38), 0.52),
+    },
+    "no required_variable": {
+        "PCA": (3, (0.97, 0.91, 0.58), (0.99, 0.97, 0.75)),
+        "FA": (2, (0.97, 0.91), (0.99, 0.98)),
+        "ICA": (3, (0.93, 0.63, 0.36), (0.99, 0.93, 0.60), 0.47),
+    },
+    "levels": {
+        "PCA": (3, (0.99, 0.98, 0.89), (0.99, 0.99, 0.95)),
+        "FA": (3, (0.99, 0.99, 0.95), (0.99, 0.99, 0.98)),
+        "ICA": (3, (0.99, 0.92, 0.69), (0.99, 0.99, 0.88), 0.69),
+    },
+    "levels, no required_variable": {
+        "PCA": (2, (0.99, 0.98), (0.99, 0.99)),
+        "FA": (3, (0.99, 0.99, 0.96), (0.99, 0.99, 0.99)),
+        "ICA": (3, (0.99, 0.93, 0.81), (0.99, 0.99, 0.96), 0.70),
+    },
+}
 
 
-def test_top_principal_components_recover_two_of_the_fixtures_drivers():
-    # The fixture blends three latent random walks; after the difference
-    # stage, the drivers of the model input's rows are their yearly steps.
-    pipe = riversep.cli._Pipeline(load_config(FIXTURES / "pipeline.json"))
-    rng = np.random.default_rng(station_builder.SEED)
-    drivers = np.diff(station_builder.latent_drivers(rng), axis=0)
-    assert list(pipe.model_input.index) == list(station_builder.YEARS)[1:]
-    top = scores(pipe.pca, pipe.model_input.values)[:, :3]
-    correlations = canonical_correlations(top, drivers)
-    assert (correlations[:2] > 0.9).all(), correlations
+def test_scorecard_recovers_the_fixtures_drivers_and_loadings():
+    # The fixture blends three known latent random walks; each variant's
+    # rows are the fixture's years, less the first when it differences.
+    configs = scorecard.variants()
+    assert list(configs) == list(SCORECARD_BOUNDS)
+    for name, cfg in configs.items():
+        card = scorecard.scorecard(cfg)
+        first = 1 if "difference" in cfg.pipeline else 0
+        assert card.years == list(station_builder.YEARS)[first:], name
+        assert list(card.rows) == list(SCORECARD_BOUNDS[name]), name
+        for method, (k, series, loadings, *matched) in SCORECARD_BOUNDS[name].items():
+            row = card.rows[method]
+            where = f"{name} {method}"
+            assert row.k == k, where
+            for got, bounds in ((row.series, series), (row.loadings, loadings)):
+                assert len(got) == len(bounds) and (got >= bounds).all(), (where, got)
+            if matched:
+                assert row.matched >= matched[0], (where, row.matched)
+            else:
+                assert row.matched is None, where
 
 
 @pytest.mark.parametrize("variant", ["committed", "kaiser"])

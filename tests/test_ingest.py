@@ -209,6 +209,21 @@ class TestParseCsv:
         # a second emit is byte-stable
         assert emit_csv(again) == text
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=errors.InvalidDate,
+        reason="parse_csv reads a date index only, so a year-indexed table such as "
+        "a run's preprocessed.csv does not read back (ROADMAP, 'Found at this re-anchor')",
+    )
+    def test_round_trip_of_a_year_indexed_table(self):
+        values = np.array([[1.5, np.nan], [2.0, 3.25], [-0.5, 4.0]])
+        t = Table("year", [1999, 2000, 2001], ["a", "b"], values)
+        again = parse_csv(emit_csv(t))
+        assert again.index_name == "year"
+        assert again.index.tolist() == t.index.tolist()
+        assert again.codes == t.codes
+        assert_allclose(again.values, t.values, equal_nan=True)
+
 
 # Cell spellings the row-wise parsers must read exactly as _parse_cell does.
 CELL_SPELLINGS = [

@@ -1,4 +1,5 @@
-"""The README's Python example runs as written."""
+"""The README's Python example runs as written, and its truth scorecard
+quotes what ``tests/scorecard.py`` computes."""
 
 import re
 import shutil
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+import scorecard
 from riversep.cli import main
 
 ROOT = Path(__file__).parents[1]
@@ -33,3 +35,20 @@ def test_python_example_runs_on_the_fixture_model_input(tmp_path, monkeypatch):
     assert [m.k for m in namespace["fits"]] == [1, 2, 3]
     assert np.isfinite([m.p_value for m in namespace["fits"]]).all()
     assert namespace["autocorrelation"].values.shape == (11, 9)
+
+
+def test_truth_scorecard_quotes_the_committed_configs_rows():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Truth scorecard") :].split("\n## ", 1)[0]
+    quoted = {
+        method: (int(k), values)
+        for method, k, values in re.findall(r"^\| (PCA|FA) \| (\d+) \| ([\d. /]+) \|$", section, re.M)
+    }
+    configs = scorecard.variants()
+    rows = scorecard.scorecard(configs["committed"]).rows
+    assert quoted == {
+        method: (rows[method].k, scorecard.cells(rows[method].series))
+        for method in ("PCA", "FA")
+    }
+    third = scorecard.scorecard(configs["no required_variable"]).rows["PCA"].series[2]
+    assert f"raises PCA's third correlation to {third:.3f}" in " ".join(section.split())
