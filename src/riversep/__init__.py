@@ -26,7 +26,7 @@ from .fa import (
     profiled_discrepancy,
     smallest_adequate_k,
 )
-from .ica import IcaConfig, IcaModel, amari_index, fast_ica, whiten
+from .ica import IcaConfig, IcaModel, amari_index, fast_ica
 from .ingest import (
     FilterSpec,
     Table,
@@ -85,7 +85,6 @@ __all__ = [
     "IcaModel",
     "amari_index",
     "fast_ica",
-    "whiten",
     # factor analysis
     "FaModel",
     "FactorSelection",

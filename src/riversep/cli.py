@@ -128,18 +128,19 @@ class _Pipeline:
     @cached_property
     def pca(self):
         """The model input's correlation PCA, the run's one PCA, read by ``pca``
-        and ICA's Kaiser count."""
+        and by ICA, which whitens from it and may take Kaiser's count of it."""
         return fit_pca(self.model_input.values, scale=True)
 
     @cached_property
     def ica(self):
-        """The model input's FastICA, of the configured count or else Kaiser's."""
+        """The model input's FastICA, whitened from the correlation PCA, of the
+        configured count or else Kaiser's."""
         k = self.cfg.ica.n_components
         if k is None:
             k = kaiser_retain(self.pca)
         if k == 0:  # the config admits no count below 1
             raise RuleInapplicable("Kaiser's rule keeps no component: no eigenvalue exceeds 1")
-        return fast_ica(self.model_input.values, replace(self.cfg.ica, n_components=k))
+        return fast_ica(self.model_input.values, self.pca, replace(self.cfg.ica, n_components=k))
 
     @cached_property
     def fa(self):
@@ -207,6 +208,9 @@ def _write_ica(pipe: _Pipeline):
     codes = [f"IC{j + 1}" for j in range(settings.n_components)]
     sources = Table(table.index_name, table.index, codes, model.sources)
     yield "ica_sources.csv", emit_csv(sources)
+    # in correlation units, as pca_loadings.csv
+    mixing = model.mixing / pipe.pca.sd[:, None]
+    yield "ica_mixing.csv", loading_csv(["variable", *codes], table.codes, mixing)
     summary = {
         "n_components": settings.n_components,
         "converged": model.converged,
@@ -342,11 +346,13 @@ def _synth_bench(rows: int, base_seed: int, replicates: int):
         for r in range(replicates):
             seed = base_seed + r
             scenario = generate_scenario(dists, rows=rows, seed=seed)
+            # ICA whitens from the covariance PCA that is scored beside it
+            pca_model = fit_pca(scenario.observed, scale=False)
             ica_model = fast_ica(
                 scenario.observed,
+                pca_model,
                 IcaConfig(n_components=len(dists), seed=seed),
             )
-            pca_model = fit_pca(scenario.observed, scale=False)
             for method, model in (("ica", ica_model), ("pca", pca_model)):
                 report = evaluate_recovery(scenario, model)
                 corr = float(np.mean(report.matched_correlations))

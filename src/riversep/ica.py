@@ -1,42 +1,30 @@
 """FastICA with symmetric (parallel) extraction.
 
-Whitening scales the centered data by its singular values and right
-singular vectors alone, so that the whitened data has unit sample
-covariance under the n-1 convention.  The fixed-point update uses the
-logcosh contrast G(u) = log cosh u; symmetric decorrelation replaces the
-unmixing matrix by its polar factor after every iteration.  A run that
-exhausts its iteration budget is returned with ``converged=False`` rather
-than raised: non-convergence is a reportable outcome, not a failure.
+FastICA rotates whitened principal-component scores, so it whitens from
+the PCA its caller has fitted to the same data: the top k scores over their
+standard deviations, which have unit sample covariance under the n-1
+convention.  A correlation PCA whitens the standardized input, a
+covariance PCA the centered one.  The fixed-point update uses the logcosh
+contrast G(u) = log cosh u; symmetric decorrelation replaces the unmixing
+matrix by its polar factor after every iteration.  A run that exhausts its
+iteration budget is returned with ``converged=False`` rather than raised:
+non-convergence is a reportable outcome, not a failure.
 
 The iteration runs on the whitened data in components x rows layout, a
 C-ordered (k, n) array, so that every per-component statistic is a
 contiguous pass over one row.  Callers still see rows x components:
-:func:`whiten` returns the F-ordered transpose of its (k, n) product, with
-the values of the rows x components product, and ``sources`` is C-ordered.
-Column means stay ``ones @ x`` on the C-ordered input: ``x.T @ ones`` sums
-in another order, so every fitted model would move in its last bits.
+``sources`` is C-ordered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DidNotConverge,
-    OutOfRange,
-    RankDeficient,
-    RiversepError,
-    Singular,
-    TooFewRows,
-)
-from .linalg import _column_mean, _column_signs, as_matrix
-
-# Singular values below this fraction of the largest do not count toward
-# the usable rank when whitening.
-_RANK_RTOL = 1e-10
+from .errors import OutOfRange, RankDeficient, RiversepError, Singular, TooFewRows
+from .linalg import _column_signs, as_matrix
+from .pca import PcaModel, _standardized_rows
 
 # Fewest rows per extracted component that FastICA accepts.
 _ROWS_PER_COMPONENT = 10
@@ -67,67 +55,25 @@ class IcaConfig:
 
 @dataclass(frozen=True)
 class IcaModel:
-    """Fitted independent components.
+    """Fitted independent components, ordered by the variance each explains
+    in the whitening PCA's units (correlation units for a scaled PCA),
+    largest first, and each oriented so that its mixing column's
+    largest-magnitude entry in those units is positive.
 
     ``sources = xc @ whitening.T @ unmixing.T`` where ``xc`` is the
-    centered input.  ``delta_history`` holds the per-iteration
-    convergence measure.
+    centered input, and ``sources @ mixing.T`` is the least-squares
+    reconstruction of ``xc`` from the unit-variance sources.
+    ``delta_history`` holds the per-iteration convergence measure.
     """
 
     sources: np.ndarray
     unmixing: np.ndarray
     whitening: np.ndarray
+    mixing: np.ndarray
     converged: bool
     iterations: int
     delta_history: tuple[float, ...]
     config: IcaConfig
-
-    @cached_property
-    def mixing(self) -> np.ndarray:
-        """``pinv(unmixing @ whitening)``, which reconstructs the centered
-        data from the sources; computed on first read."""
-        return np.linalg.pinv(self.unmixing @ self.whitening)
-
-
-def whiten(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Center ``x`` and project it to ``n_components`` unit-variance,
-    uncorrelated columns.
-
-    Returns ``(z, k)`` with ``z = xc @ k.T`` and ``cov(z) = I`` under the
-    n-1 convention.  ``z`` may be the F-ordered transpose of the
-    components x rows product ``k @ xc.T``: its values are those of
-    ``xc @ k.T``, and ``z.T`` is C-contiguous.  At every shape, sigma and
-    v are those of the R factor of ``xc``'s QR, with no left factor.  Raises
-    :class:`RankDeficient` when the request exceeds the numerical rank of
-    the centered data, :class:`OutOfRange` when the centering overflows
-    and :class:`DidNotConverge` when LAPACK's SVD fails.
-    """
-    m = as_matrix(x)
-    n = m.shape[0]
-    if n < 2:
-        raise TooFewRows(n, 2)
-    if n_components < 1:
-        raise OutOfRange("n_components must be at least 1")
-    # center a components x rows copy: a row of means broadcast down a
-    # tall, narrow matrix costs several times as much
-    xct = np.ascontiguousarray(m.T) - _column_mean(m)[:, None]
-    r = np.linalg.qr(xct.T, mode="r")
-    # a centering that overflowed leaves R non-finite
-    if not np.isfinite(r).all():
-        raise OutOfRange("x contains non-finite entries")
-    try:
-        _, sigma, vt = np.linalg.svd(r, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DidNotConverge("svd") from exc
-    # the _column_signs rule, as PCA orients the eigenvectors of xc.T @ xc
-    v = vt.T * _column_signs(vt.T)
-    effective_rank = int(np.sum(sigma > _RANK_RTOL * max(sigma[0], 1e-300)))
-    if n_components > effective_rank:
-        raise RankDeficient(effective_rank)
-    top = sigma[:n_components]
-    # scale so the n-1 sample covariance of z is exactly the identity
-    k = np.sqrt(n - 1) * (v[:, :n_components] / top).T
-    return (k @ xct).T, k
 
 
 def _contrast(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +94,15 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def fast_ica(x, cfg: IcaConfig) -> IcaModel:
-    """Extract independent components from ``x`` (rows are observations).
+def fast_ica(x, pca: PcaModel, cfg: IcaConfig) -> IcaModel:
+    """Extract independent components from ``x`` (rows are observations),
+    whitened from ``pca``, the :func:`~riversep.pca.fit_pca` model of ``x``.
 
-    The input is centered, not scaled.  All components are estimated
-    simultaneously from a seeded random orthonormal start, so the same
-    data and seed give bit-identical models.
+    All components are estimated simultaneously from a seeded random
+    orthonormal start, so the same data and seed give bit-identical models.
+    Raises :class:`RankDeficient` when the count exceeds the PCA's numerical
+    rank: its eigenvalues above ``p * eps`` times the largest, the tolerance
+    of ``np.linalg.matrix_rank`` for a symmetric matrix.
 
     A step counts as a fixed point only when its delta is below ``tol``
     and no larger than the previous step's: a start near a saddle of the
@@ -168,12 +117,18 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
     if k is None:
         raise OutOfRange("n_components must be a count, not None")
     m = as_matrix(x)
-    n, p = m.shape
+    n = m.shape[0]
     if n < _ROWS_PER_COMPONENT * k:
         raise TooFewRows(n, _ROWS_PER_COMPONENT * k)
+    variances = pca.stdevs**2
+    rank = int(np.sum(variances > len(variances) * np.finfo(float).eps * variances[0]))
+    if k > rank:
+        raise RankDeficient(rank)
 
-    z, whitening = whiten(m, k)
-    zt = z.T  # C-ordered (k, n)
+    loadings, stdevs = pca.loadings[:, :k], pca.stdevs[:k]
+    whitening = (loadings / stdevs).T
+    zt = whitening @ _standardized_rows(pca, m)  # C-ordered (k, n)
+    z = zt.T
 
     rng = np.random.default_rng(cfg.seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
@@ -197,6 +152,16 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
         if converged:
             break
 
+    # the mixing in the PCA's units; its column sums of squares are the
+    # variance each component explains
+    mixing = (loadings * stdevs) @ w.T
+    order = np.argsort(-np.add.reduce(mixing * mixing, axis=0), kind="stable")
+    signs = _column_signs(mixing[:, order])
+    mixing = mixing[:, order] * signs
+    w = w[order] * signs[:, None]
+    if pca.scaled:
+        whitening = whitening / pca.sd
+        mixing = pca.sd[:, None] * mixing
     # C-ordered, so sums over its columns keep their order; fast, as z is
     # F-ordered
     sources = z @ w.T
@@ -204,6 +169,7 @@ def fast_ica(x, cfg: IcaConfig) -> IcaModel:
         sources=sources,
         unmixing=w,
         whitening=whitening,
+        mixing=mixing,
         converged=converged,
         iterations=iterations,
         delta_history=tuple(deltas),

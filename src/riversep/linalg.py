@@ -6,8 +6,8 @@ on the same numpy/BLAS build.  Every symmetric eigensolve is
 :func:`_eigh_descending`: LAPACK's ``np.linalg.eigh`` with eigenvalues
 descending and LAPACK's signs, on a matrix its caller has built or checked
 finite and exactly symmetric.  A caller whose output depends on the
-orientation of a vector fixes it by :func:`_column_signs` (FastICA's
-whitening orients its singular vectors alike).
+orientation of a vector fixes it by :func:`_column_signs` (FastICA
+orients each component by its mixing column alike).
 
 Sample statistics use the n-1 (unbiased) normalization throughout.
 """

@@ -4,13 +4,13 @@ arrays, before the package moved its hot paths to columns x rows copies.
 
 Every function here repeats the older arithmetic operation for operation,
 so the package must reproduce its results bit for bit.  The BLAS products
-that changed operand layout in the move are ``k @ xct`` in whitening,
+that changed operand layout in the move are ``k @ pre`` in whitening,
 ``xct @ xct.T`` in the column moments, ``gu @ z`` and ``z @ w.T`` with an
 F-ordered ``z`` in FastICA, ``pre.T @ loadings`` in PCA scores and the
 scenario mixing product; each gives the same bits as its rows x columns
 form on the BLAS these tests run on.  :func:`signed_eigh` is the signed
-symmetric eigensolve that PCA's loadings and whitening's rows are checked
-against.
+symmetric eigensolve that PCA's loadings, and so whitening's rows, come
+from and are checked against.
 """
 
 import numpy as np
@@ -46,12 +46,6 @@ def column_mean(x):
     return np.ones(n) @ x / n
 
 
-def svd(x):
-    u, sigma, vt = np.linalg.svd(x, full_matrices=False)
-    signs = _column_signs(vt.T)
-    return u * signs, sigma, vt.T * signs
-
-
 def signed_eigh(s):
     """LAPACK's eigenpairs of ``s``, eigenvalues descending (ties keep
     LAPACK's order), each vector oriented by the ``_column_signs`` rule."""
@@ -61,12 +55,21 @@ def signed_eigh(s):
     return values[order], vectors * _column_signs(vectors)
 
 
-def whiten(x, n_components):
-    n = x.shape[0]
-    xc = x - column_mean(x)
-    _, sigma, v = svd(xc)
-    k = np.sqrt(n - 1) * (v[:, :n_components] / sigma[:n_components]).T
-    return xc @ k.T, k
+def whiten(x, n_components, standardize):
+    """``(z, k, a, sd)``: the whitened rows ``z`` of the centered input,
+    standardized when asked, from the signed eigenpairs of its column
+    moments; the rotation ``k`` of the centered, standardized or not,
+    input; ``a``, the stdev-scaled eigenvectors that map unit-variance
+    sources back; and the column sds."""
+    mean, sd, c = column_moments(x, standardize)
+    values, vectors = signed_eigh(c)
+    stdevs = np.sqrt(np.clip(values, 0.0, None))[:n_components]
+    vectors = vectors[:, :n_components]
+    k = (vectors / stdevs).T
+    pre = x - mean
+    if standardize:
+        pre = pre / sd
+    return pre @ k.T, k, vectors * stdevs, sd
 
 
 def contrast(u):
@@ -74,10 +77,10 @@ def contrast(u):
     return gu, 1.0 - gu**2
 
 
-def fast_ica(x, cfg):
+def fast_ica(x, cfg, standardize):
     n = x.shape[0]
     k = cfg.n_components
-    z, whitening = whiten(x, k)
+    z, whitening, a, sd = whiten(x, k, standardize)
     zt = np.ascontiguousarray(z.T)
     w = _sym_decorrelate(np.random.default_rng(cfg.seed).standard_normal((k, k)))
     deltas = []
@@ -91,10 +94,19 @@ def fast_ica(x, cfg):
         w = w_new
         if converged:
             break
+    mixing = a @ w.T
+    order = np.argsort(-np.sum(mixing**2, axis=0), kind="stable")
+    signs = _column_signs(mixing[:, order])
+    mixing = mixing[:, order] * signs
+    w = w[order] * signs[:, None]
+    if standardize:
+        whitening = whitening / sd
+        mixing = sd[:, None] * mixing
     return IcaModel(
         sources=z @ w.T,
         unmixing=w,
         whitening=whitening,
+        mixing=mixing,
         converged=converged,
         iterations=iterations,
         delta_history=tuple(deltas),

@@ -210,22 +210,22 @@ SCORECARD_BOUNDS = {
     "committed": {
         "PCA": (3, (0.98, 0.91, 0.05), (0.99, 0.97, 0.29)),
         "FA": (3, (0.97, 0.91, 0.22), (0.99, 0.99, 0.36)),
-        "ICA": (3, (0.93, 0.66, 0.24), (0.99, 0.92, 0.38), 0.52),
+        "ICA": (3, (0.98, 0.91, 0.05), (0.99, 0.97, 0.29), 0.56),
     },
     "no required_variable": {
         "PCA": (3, (0.97, 0.91, 0.58), (0.99, 0.97, 0.75)),
         "FA": (2, (0.97, 0.91), (0.99, 0.98)),
-        "ICA": (3, (0.93, 0.63, 0.36), (0.99, 0.93, 0.60), 0.47),
+        "ICA": (3, (0.97, 0.91, 0.58), (0.99, 0.97, 0.75), 0.74),
     },
     "levels": {
         "PCA": (3, (0.99, 0.98, 0.89), (0.99, 0.99, 0.95)),
         "FA": (3, (0.99, 0.99, 0.95), (0.99, 0.99, 0.98)),
-        "ICA": (3, (0.99, 0.92, 0.69), (0.99, 0.99, 0.88), 0.69),
+        "ICA": (3, (0.99, 0.98, 0.89), (0.99, 0.99, 0.95), 0.73),
     },
     "levels, no required_variable": {
         "PCA": (2, (0.99, 0.98), (0.99, 0.99)),
         "FA": (3, (0.99, 0.99, 0.96), (0.99, 0.99, 0.99)),
-        "ICA": (3, (0.99, 0.93, 0.81), (0.99, 0.99, 0.96), 0.70),
+        "ICA": (3, (0.99, 0.98, 0.95), (0.99, 0.99, 0.99), 0.81),
     },
 }
 
@@ -257,9 +257,12 @@ def test_run_computes_the_model_input_moments_once_in_the_gate_and_once_for_pca(
     workdir, monkeypatch, variant
 ):
     # the model-input gate makes the correlation every FA fit reads, PCA and
-    # ICA's Kaiser count share one correlation PCA, and each model is fit
-    # once: one ICA, and one FA per count k = 1..3.
+    # ICA share one correlation PCA, which ICA whitens from and may take
+    # Kaiser's count of, and each model is fit once: one ICA, and one FA per
+    # count k = 1..3.  No QR or SVD of the model input is made: the one SVD
+    # is FastICA's decorrelation of its 3 x 3 unmixing.
     calls = {"_column_moments": 0, "fit_pca": 0, "fast_ica": 0, "fit_fa_ml_corr": 0}
+    factored = {"qr": set(), "svd": set()}
 
     def count(module, name):
         original = getattr(module, name)
@@ -270,13 +273,25 @@ def test_run_computes_the_model_input_moments_once_in_the_gate_and_once_for_pca(
 
         monkeypatch.setattr(module, name, counted)
 
+    def log_shapes(name):
+        original = getattr(np.linalg, name)
+
+        def logged(a, *args, **kwargs):
+            factored[name].add(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, logged)
+
     count(riversep.linalg, "_column_moments")
     count(riversep.pca, "_column_moments")
     count(riversep.cli, "fit_pca")
     count(riversep.cli, "fast_ica")
     count(riversep.cli, "fit_fa_ml_corr")
+    log_shapes("qr")
+    log_shapes("svd")
     assert main(["run", str(write_config(workdir, variant))]) == 0
     assert calls == {"_column_moments": 2, "fit_pca": 1, "fast_ica": 1, "fit_fa_ml_corr": 3}
+    assert factored == {"qr": set(), "svd": {(3, 3)}}
 
 
 @pytest.mark.parametrize("variant", ["committed", "kaiser"])
@@ -351,6 +366,7 @@ class TestRun:
             "ingested.csv",
             "preprocessed.csv",
             "pca_loadings.csv",
+            "ica_mixing.csv",
             "mi.csv",
             "acf.csv",
             *(f"fa_k{k}_{kind}.csv" for k in (1, 2, 3) for kind in ("loadings", "residual")),
@@ -651,15 +667,13 @@ class TestExitCodes:
 
     # The fixture's 1998-2000 window leaves two differenced rows of 24
     # variables: the model-input gate passes them, and each command fails in
-    # its first model stage by the rows that method needs: PCA's three, ICA's
-    # ten for each of the config's three components, FA's p + 1 and the
-    # mutual-information table's ten (acf reads lag 0 of two rows).  With no
-    # ica.n_components, ICA first fits the correlation PCA for Kaiser's
-    # count, and fails on PCA's three.
+    # its first model stage by the rows that method needs: PCA's three, which
+    # ICA meets first in the correlation PCA it whitens from, FA's p + 1 and
+    # the mutual-information table's ten (acf reads lag 0 of two rows).
     TWO_ROW_FAILURES = {
         "run": ("pca", "need at least 3 rows, got 2"),
         "pca": ("pca", "need at least 3 rows, got 2"),
-        "ica": ("ica", "need at least 30 rows, got 2"),
+        "ica": ("ica", "need at least 3 rows, got 2"),
         "fa": ("fa", "need at least 25 rows, got 2"),
         "diagnose": ("diagnose", "need at least 10 observations, got 2"),
     }
@@ -674,8 +688,6 @@ class TestExitCodes:
         doc["filter"].update(start="1998-01-01", min_count=4)
         config.write_text(json.dumps(doc))
         stage, message = self.TWO_ROW_FAILURES[command]
-        if (command, variant) == ("ica", "kaiser"):
-            message = "need at least 3 rows, got 2"
         assert main([command, str(config)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"riversep: error in stage '{stage}': {message}"
@@ -772,6 +784,7 @@ class TestExitCodes:
             "riversep: error in stage 'fa': k = 2 failed"
         ]
         assert sorted(path.name for path in (workdir / "out").iterdir()) == [
+            "ica_mixing.csv",
             "ica_sources.csv",
             "ica_summary.json",
             "ingested.csv",
@@ -791,17 +804,17 @@ class TestExitCodes:
     _MODELS = ("pca", "ica", "fa", "diagnose", "run")
     _OVERFLOW = ("model input", "column sums of squares overflow")
     _ZERO_VARIANCE = ("model input", "column 00300 has zero sample variance")
-    _RANK_1 = ("ica", "effective rank is only 1")
     VALUE_MUTANTS = {
         # the one kept 1960 sample: its column's sum of squares overflows
         "1e154_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1e154", "", "", ""]),
             dict.fromkeys(_MODELS, _OVERFLOW),
         ),
-        # the sum of squares is finite, but whitening sees rank 1
+        # the sum of squares is finite, and the column has full rank in
+        # correlation units, which every model reads
         "1e153_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1e153", "", "", ""]),
-            {"pca": None, "ica": _RANK_1, "fa": None, "diagnose": None, "run": _RANK_1},
+            dict.fromkeys(_MODELS),
         ),
         # the column varies, but its squares underflow
         "times_1e-300": (
@@ -983,6 +996,7 @@ class TestExitCodes:
             if command == "fa":
                 assert not (workdir / "out").exists()
         assert sorted(p.name for p in (workdir / "out").iterdir()) == [
+            "ica_mixing.csv",
             "ica_sources.csv",
             "ica_summary.json",
             "ingested.csv",
@@ -1064,7 +1078,7 @@ SUBCOMMAND_OUTPUTS = {
     "ingest": ["ingested.csv"],
     "preprocess": ["ingested.csv", "preprocessed.csv"],
     "pca": ["pca_loadings.csv", "pca_summary.json"],
-    "ica": ["ica_sources.csv", "ica_summary.json"],
+    "ica": ["ica_sources.csv", "ica_mixing.csv", "ica_summary.json"],
     "fa": [f"fa_k{k}_{kind}.csv" for k in (1, 2, 3) for kind in ("loadings", "residual")]
     + ["fa_summary.json"],
     "diagnose": ["acf.csv", "mi.csv"],
@@ -1175,6 +1189,46 @@ class TestSubcommands:
         assert main(["ica", str(workdir / "pipeline.json"), "--seed", "99"]) == 0
         summary = json.loads((workdir / "out" / "ica_summary.json").read_text())
         assert summary["seed"] == 99
+
+    def test_ica_mixing_is_each_variables_correlation_with_each_source(self, run_outputs):
+        # the least-squares mixing of the standardized input by unit-variance
+        # sources; its columns descend in sum of squares, each with its
+        # largest-magnitude entry positive
+        header, *rows = read_csv(run_outputs / "ica_mixing.csv")
+        assert header == ["variable", "IC1", "IC2", "IC3"]
+        assert [row[0] for row in rows] == FINAL_CODES
+        mixing = np.array([[float(cell) for cell in row[1:]] for row in rows])
+        model_input = np.array([row[1:] for row in read_csv(run_outputs / "preprocessed.csv")[1:]], float)
+        sources = np.array([row[1:] for row in read_csv(run_outputs / "ica_sources.csv")[1:]], float)
+        r = np.corrcoef(model_input, sources, rowvar=False)[:11, 11:]
+        np.testing.assert_allclose(mixing, r, rtol=0, atol=1e-6)
+        assert np.all(np.diff(np.sum(mixing**2, axis=0)) < 0)
+        assert (mixing[np.abs(mixing).argmax(axis=0), range(3)] > 0).all()
+
+    def test_every_seed_writes_the_sources_in_one_order_and_sign(self, workdir):
+        # over seeds 0-19 FastICA reaches one solution; the order and sign
+        # rule writes each of its components in the same column, one way up
+        config = str(workdir / "pipeline.json")
+        first = None
+        for seed in range(20):
+            assert main(["ica", config, "--seed", str(seed)]) == 0
+            rows = read_csv(workdir / "out" / "ica_sources.csv")[1:]
+            sources = np.array([row[1:] for row in rows], float)
+            if first is None:
+                first = sources
+            r = np.corrcoef(first, sources, rowvar=False)[:3, 3:]
+            assert (np.diag(r) >= 0.999).all(), (seed, r)
+
+    def test_ica_sources_do_not_depend_on_a_columns_units(self, workdir, run_outputs):
+        # ICA whitens from the correlation PCA, so 00300 in thousandths
+        # leaves every source as the committed run writes it
+        edit_00300_cells(workdir, lambda cell: repr(float(cell) * 1000.0))
+        assert main(["ica", str(workdir / "pipeline.json")]) == 0
+        got, want = (
+            np.array([row[1:] for row in read_csv(out / "ica_sources.csv")[1:]], float)
+            for out in (workdir / "out", run_outputs)
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_fa_outputs(self, workdir):
         assert main(["fa", str(workdir / "pipeline.json")]) == 0

@@ -4,15 +4,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import rows_layout
 from riversep import errors, ica
-from riversep.ica import (
-    IcaConfig,
-    IcaModel,
-    _sym_decorrelate,
-    amari_index,
-    fast_ica,
-    whiten,
-)
-from riversep.linalg import _column_signs, covariance_matrix
+from riversep.ica import IcaConfig, IcaModel, _sym_decorrelate, amari_index
+from riversep.linalg import _column_signs, correlation_matrix, covariance_matrix
+from riversep.pca import fit_pca
 from riversep.synth import generate_scenario
 
 
@@ -20,70 +14,80 @@ def paper_defaults(k, seed=0):
     return IcaConfig(n_components=k, max_iter=200, tol=1e-4, seed=seed)
 
 
+def fast_ica(x, cfg, scale=False):
+    """FastICA of ``x`` whitened from its PCA: the covariance PCA that
+    synth-bench fits, or with ``scale`` the correlation PCA of a run."""
+    return ica.fast_ica(x, fit_pca(x, scale=scale), cfg)
+
+
+def whitened(x, k, scale=False):
+    """The whitening FastICA takes from the PCA, and ``x`` centered."""
+    model = fast_ica(x, IcaConfig(n_components=k, max_iter=1), scale)
+    return model.whitening, x - x.mean(axis=0)
+
+
 class TestWhiten:
-    def test_identity_covariance(self):
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_identity_covariance(self, scale):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(500, 4)) @ rng.normal(size=(4, 4))
-        z, k = whiten(x, 4)
-        assert z.shape == (500, 4)
-        assert_allclose(covariance_matrix(z), np.eye(4), atol=1e-8)
+        k, xc = whitened(x, 4, scale)
+        assert_allclose(covariance_matrix(xc @ k.T), np.eye(4), atol=1e-8)
 
-    def test_projection_matches_transform(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(200, 5))
-        z, k = whiten(x, 3)
-        xc = x - x.mean(axis=0)
-        assert_allclose(z, xc @ k.T, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "rows, k, error, message",
-        [
-            (1, 1, errors.TooFewRows, "need at least 2 rows, got 1"),
-            (5, 0, errors.OutOfRange, "n_components must be at least 1"),
-        ],
-    )
-    def test_too_few_rows_or_components(self, rows, k, error, message):
-        x = np.random.default_rng(5).normal(size=(rows, 3))
-        with pytest.raises(error, match=f"^{message}$"):
-            whiten(x, k)
-
-    def test_rank_deficient(self):
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_rank_deficient(self, scale):
         rng = np.random.default_rng(2)
         a = rng.normal(size=100)
         x = np.column_stack([a, 2 * a, 3 * a])
         with pytest.raises(errors.RankDeficient) as exc:
-            whiten(x, 2)
+            whitened(x, 2, scale)
         assert exc.value.effective_rank == 1
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rank_is_matrix_ranks_count_on_the_pca_eigenvalues(self, rank):
+        # eigenvalues above p * eps times the largest count, as
+        # np.linalg.matrix_rank counts them for a symmetric matrix
+        rng = np.random.default_rng(rank)
+        x = rng.normal(size=(200, rank)) @ rng.normal(size=(rank, 6))
+        pca = fit_pca(x, scale=False)
+        assert np.linalg.matrix_rank(covariance_matrix(x), hermitian=True) == rank
+        ica.fast_ica(x, pca, IcaConfig(n_components=rank, max_iter=1))
+        with pytest.raises(errors.RankDeficient) as exc:
+            ica.fast_ica(x, pca, IcaConfig(n_components=rank + 1, max_iter=1))
+        assert exc.value.effective_rank == rank
 
     def test_reduced_components(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(300, 6))
-        z, k = whiten(x, 2)
-        assert z.shape == (300, 2)
+        k, xc = whitened(x, 2)
         assert k.shape == (2, 6)
-        assert_allclose(covariance_matrix(z), np.eye(2), atol=1e-8)
+        assert_allclose(covariance_matrix(xc @ k.T), np.eye(2), atol=1e-8)
 
-    @pytest.mark.parametrize("shape", [(40, 4), (5, 4), (6, 9)], ids=str)
-    def test_whitening_rows_are_the_scaled_covariance_eigenvectors(self, shape):
-        # descending variance, each row oriented by the _column_signs rule
+    @pytest.mark.parametrize("scale", [False, True])
+    @pytest.mark.parametrize("shape", [(40, 4), (30, 9)], ids=str)
+    def test_whitening_rows_are_the_scaled_covariance_eigenvectors(self, shape, scale):
+        # descending variance, each row oriented by the _column_signs rule,
+        # and divided by the column sds for a correlation PCA
         rng = np.random.default_rng(7)
-        n, p = shape
-        x = rng.normal(size=shape) @ np.diag([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.2, 0.1, 0.05][:p])
-        m = min(3, n - 1)
-        values, vectors = rows_layout.signed_eigh(covariance_matrix(x))
-        assert np.all(np.diff(values[:m]) < -0.1)
-        _, k = whiten(x, m)
-        assert_allclose(k, (vectors[:, :m] / np.sqrt(values[:m])).T, rtol=1e-8)
+        p = shape[1]
+        spread = np.diag([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.2, 0.1, 0.05][:p])
+        x = rng.normal(size=shape) @ spread @ np.linalg.qr(rng.normal(size=(p, p)))[0]
+        moments = correlation_matrix(x) if scale else covariance_matrix(x)
+        values, vectors = rows_layout.signed_eigh(moments)
+        assert np.all(np.diff(values[:3]) < -0.1)
+        expected = (vectors[:, :3] / np.sqrt(values[:3])).T
+        if scale:
+            expected /= x.std(axis=0, ddof=1)
+        assert_allclose(whitened(x, 3, scale)[0], expected, rtol=1e-8)
 
-    @pytest.mark.parametrize("shape", [(40, 3), (4, 3)], ids=str)
-    def test_lapack_failure_is_did_not_converge(self, monkeypatch, shape):
+    def test_lapack_failure_is_did_not_converge(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
-        x = np.random.default_rng(8).normal(size=shape)
-        monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(errors.DidNotConverge, match="svd"):
-            whiten(x, 1)
+        x = np.random.default_rng(8).normal(size=(40, 3))
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(errors.DidNotConverge, match="eigh"):
+            whitened(x, 1)
 
     @pytest.mark.parametrize("shape", [(40, 2), (3, 2)], ids=str)
     def test_overflowing_centering_is_out_of_range(self, shape):
@@ -91,40 +95,8 @@ class TestWhiten:
         x = np.random.default_rng(9).normal(size=shape)
         x[:, 0] = -1.0e308
         x[0, 0] = 1.7e308
-        with np.errstate(over="ignore"), pytest.raises(errors.OutOfRange, match="non-finite"):
-            whiten(x, 1)
-
-    # tall; one row short of LAPACK's own QR crossover floor(11p/6) for p =
-    # 3, 11 and 24, and further below it; wide; and one column
-    @pytest.mark.parametrize(
-        "shape,k",
-        [(shape, k) for shape in [(50, 11), (4, 3), (12, 11), (19, 11), (40, 24),
-                                  (43, 24), (30, 40)] for k in (1, 3)]
-        + [((2, 1), 1), ((3, 1), 1)],
-        ids=str,
-    )
-    def test_every_shape_is_whitened_from_its_r_factor(self, monkeypatch, shape, k):
-        # the SVD of R agrees with the full SVD of the centered data to
-        # rounding: within 1e-12 on these well-conditioned tables, a margin
-        # that grows with the ratio of the first to the k-th singular value
-        qr_shapes = []
-        qr = np.linalg.qr
-
-        def logged_qr(a, *args, **kwargs):
-            qr_shapes.append(a.shape)
-            return qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", logged_qr)
-        for seed in range(50):
-            x = np.random.default_rng(seed).normal(size=shape)
-            qr_shapes.clear()
-            z, w = whiten(x, k)
-            assert qr_shapes == [shape]
-            z_full, w_full = rows_layout.whiten(x, k)
-            assert_allclose(z, z_full, rtol=0, atol=1e-12 * np.abs(z_full).max())
-            assert_allclose(w, w_full, rtol=0, atol=1e-12 * np.abs(w_full).max())
-            assert_allclose(covariance_matrix(z), np.eye(k), rtol=0, atol=1e-12)
-            assert_array_equal(_column_signs(w.T), np.ones(k))
+        with pytest.raises(errors.OutOfRange, match="^column sums of squares overflow$"):
+            whitened(x, 1)
 
 
 class TestFastIca:
@@ -205,11 +177,13 @@ class TestFastIca:
     def test_update_matches_the_row_major_formula(self):
         # The fit iterates in components x rows layout; this is the same
         # fixed point written rows x components, as the update was first
-        # implemented, replayed for the fit's own number of iterations.
+        # implemented, replayed for the fit's own number of iterations.  The
+        # fit then orders and orients its rows, so the two agree up to a
+        # signed permutation.
         sc = generate_scenario(["uniform", "laplace", "uniform"], rows=4000, seed=23)
         cfg = paper_defaults(3, seed=23)
         model = fast_ica(sc.observed, cfg)
-        z, _ = whiten(sc.observed, 3)
+        z = rows_layout.whiten(sc.observed, 3, False)[0]
         n = z.shape[0]
         w = _sym_decorrelate(np.random.default_rng(cfg.seed).standard_normal((3, 3)))
         for _ in range(model.iterations):
@@ -217,7 +191,9 @@ class TestFastIca:
             gprime = 1.0 - gu**2
             w = _sym_decorrelate((gu.T @ z) / n - np.diag(gprime.mean(axis=0)) @ w)
         assert model.iterations > 2
-        assert_allclose(model.unmixing, w, rtol=0, atol=1e-12)
+        signed_permutation = np.round(model.unmixing @ w.T)
+        assert_array_equal(np.sort(np.abs(signed_permutation), axis=0), [[0] * 3] * 2 + [[1] * 3])
+        assert_allclose(model.unmixing, signed_permutation @ w, rtol=0, atol=1e-12)
 
     def test_slow_first_step_near_a_saddle_is_not_a_fixed_point(self):
         # This start sits near a saddle of the contrast: its first step moves
@@ -313,29 +289,19 @@ class TestRowsLayoutBitIdentity:
     def test_scenario_fit_matches_the_rows_layout(self, dists, seed):
         x = generate_scenario(dists, rows=5000, seed=seed).observed
         cfg = paper_defaults(len(dists), seed=seed)
-        z, k = whiten(x, len(dists))
-        z_oracle, k_oracle = rows_layout.whiten(x, len(dists))
-        assert_array_equal(z, z_oracle)
-        assert_array_equal(k, k_oracle)
-        assert_models_identical(fast_ica(x, cfg), rows_layout.fast_ica(x, cfg))
+        assert_models_identical(fast_ica(x, cfg), rows_layout.fast_ica(x, cfg, False))
 
+    @pytest.mark.parametrize("scale", [False, True])
     @pytest.mark.parametrize("seed", range(5))
-    def test_fifty_by_eleven_fit_matches_the_rows_layout(self, seed):
+    def test_fifty_by_eleven_fit_matches_the_rows_layout(self, seed, scale):
         x = rows_layout.fifty_by_eleven(seed)
         cfg = paper_defaults(3, seed=seed)
-        assert_models_identical(fast_ica(x, cfg), rows_layout.fast_ica(x, cfg))
+        assert_models_identical(fast_ica(x, cfg, scale), rows_layout.fast_ica(x, cfg, scale))
 
     def test_sources_stay_c_ordered(self):
         # the recovery scores sum the sources' columns in a layout-bound order
         x = generate_scenario(rows_layout.SCENARIOS[0], rows=500, seed=5).observed
         assert fast_ica(x, paper_defaults(2, seed=5)).sources.flags.c_contiguous
-
-    def test_mixing_is_the_pinv_of_the_unmixing_and_whitening(self):
-        x = generate_scenario(rows_layout.SCENARIOS[1], rows=500, seed=7).observed
-        model = fast_ica(x, paper_defaults(3, seed=7))
-        expected = np.linalg.pinv(model.unmixing @ model.whitening)
-        assert_array_equal(model.mixing, expected)
-        assert model.mixing is model.mixing
 
     def test_logcosh_contrast_consumes_its_argument(self):
         u = np.random.default_rng(6).standard_normal((3, 5000))
@@ -344,6 +310,34 @@ class TestRowsLayoutBitIdentity:
         assert gu is u
         assert_array_equal(gu, expected[0])
         assert_array_equal(gprime, expected[1])
+
+
+class TestMixingOrderAndScale:
+    @pytest.mark.parametrize("scale", [False, True])
+    def test_mixing_is_the_least_squares_reconstruction(self, scale):
+        # the regression of the centered input on the unit-variance sources
+        x = rows_layout.fifty_by_eleven(3)
+        model = fast_ica(x, paper_defaults(3, seed=3), scale)
+        xc = x - x.mean(axis=0)
+        expected = xc.T @ model.sources / (x.shape[0] - 1)
+        assert_allclose(model.mixing, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    def test_a_covariance_pcas_mixing_is_the_pinv_of_the_unmixing_and_whitening(self):
+        x = generate_scenario(rows_layout.SCENARIOS[1], rows=500, seed=7).observed
+        model = fast_ica(x, paper_defaults(3, seed=7))
+        expected = np.linalg.pinv(model.unmixing @ model.whitening)
+        assert_allclose(model.mixing, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("scale", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_components_are_ordered_by_variance_and_oriented_by_their_mixing(self, seed, scale):
+        # in the PCA's units: the column sums of squares of the mixing
+        # descend, and each column's largest-magnitude entry is positive
+        x = rows_layout.fifty_by_eleven(seed)
+        model = fast_ica(x, paper_defaults(3, seed=seed), scale)
+        mixing = model.mixing / x.std(axis=0, ddof=1)[:, None] if scale else model.mixing
+        assert np.all(np.diff(np.sum(mixing**2, axis=0)) <= 0)
+        assert_array_equal(_column_signs(mixing), np.ones(3))
 
 
 class TestAmariIndex:

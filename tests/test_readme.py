@@ -42,13 +42,13 @@ def test_truth_scorecard_quotes_the_committed_configs_rows():
     section = text[text.index("## Truth scorecard") :].split("\n## ", 1)[0]
     quoted = {
         method: (int(k), values)
-        for method, k, values in re.findall(r"^\| (PCA|FA) \| (\d+) \| ([\d. /]+) \|$", section, re.M)
+        for method, k, values in re.findall(r"^\| (PCA|FA|ICA) \| (\d+) \| ([\d. /]+) \|$", section, re.M)
     }
     configs = scorecard.variants()
     rows = scorecard.scorecard(configs["committed"]).rows
     assert quoted == {
         method: (rows[method].k, scorecard.cells(rows[method].series))
-        for method in ("PCA", "FA")
+        for method in ("PCA", "FA", "ICA")
     }
     third = scorecard.scorecard(configs["no required_variable"]).rows["PCA"].series[2]
     assert f"raises PCA's third correlation to {third:.3f}" in " ".join(section.split())

@@ -14,6 +14,12 @@ from riversep.synth import (
 )
 
 
+def synth_ica(x, cfg):
+    """FastICA of ``x`` whitened from its covariance PCA, as synth-bench
+    fits it."""
+    return fast_ica(x, fit_pca(x, scale=False), cfg)
+
+
 def draw_source_oracle(seed, distribution, rows):
     """``synth._draw_source`` standardized by numpy's mean and sample sd."""
     rng = np.random.default_rng(seed)
@@ -132,7 +138,7 @@ class TestEvaluateRecovery:
     def test_ica_on_clean_uniform_mixture(self):
         sc = generate_scenario(["uniform", "uniform"], rows=5000,
                                mixing_condition_max=10.0, seed=10)
-        model = fast_ica(sc.observed, IcaConfig(n_components=2, seed=10))
+        model = synth_ica(sc.observed, IcaConfig(n_components=2, seed=10))
         report = evaluate_recovery(sc, model)
         assert report.method == "ica"
         assert report.amari < 0.05
@@ -157,7 +163,7 @@ class TestEvaluateRecovery:
         quality = []
         for seed in range(12):
             sc = generate_scenario(["gaussian", "gaussian"], rows=100, seed=seed)
-            model = fast_ica(sc.observed, IcaConfig(n_components=2, seed=seed))
+            model = synth_ica(sc.observed, IcaConfig(n_components=2, seed=seed))
             report = evaluate_recovery(sc, model)
             quality.extend(report.matched_correlations)
         assert max(quality) - min(quality) > 0.3
@@ -170,7 +176,7 @@ class TestEvaluateRecovery:
                 sc = generate_scenario(["uniform", "uniform"], rows=3000,
                                        noise_sd=noise,
                                        mixing_condition_max=10.0, seed=100 + seed)
-                model = fast_ica(sc.observed, IcaConfig(n_components=2, seed=seed))
+                model = synth_ica(sc.observed, IcaConfig(n_components=2, seed=seed))
                 vals.append(evaluate_recovery(sc, model).amari)
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
@@ -202,7 +208,7 @@ class TestEvaluateRecovery:
             return original(x)
 
         monkeypatch.setattr(synth, "_centered_columns", counted)
-        ica_model = fast_ica(sc.observed, IcaConfig(n_components=2, seed=15))
+        ica_model = synth_ica(sc.observed, IcaConfig(n_components=2, seed=15))
         first = evaluate_recovery(sc, ica_model)
         evaluate_recovery(sc, fit_pca(sc.observed, scale=False))
         assert evaluate_recovery(sc, ica_model) == first
@@ -223,7 +229,7 @@ class TestEvaluateRecovery:
         wider = generate_scenario(["uniform", "uniform"], rows=200, n_observed=3, noise_sd=0.2, seed=11)
         model = {
             "object": object,
-            "ica_of_three": lambda: fast_ica(wider.observed, IcaConfig(n_components=3, seed=11)),
+            "ica_of_three": lambda: synth_ica(wider.observed, IcaConfig(n_components=3, seed=11)),
             "pca_of_three_channels": lambda: fit_pca(wider.observed, scale=False),
         }[model]()
         with pytest.raises(errors.ShapeMismatch, match=f"^{message}$"):
@@ -244,10 +250,10 @@ class TestRowsLayoutBitIdentity:
         assert sc.observed.flags.c_contiguous
         assert_array_equal(sc.observed, rows_layout.mixing_product(sc.sources, sc.mixing))
         cfg = IcaConfig(n_components=k, seed=seed)
-        ica_model = fast_ica(sc.observed, cfg)
         pca_model = fit_pca(sc.observed, scale=False)
+        ica_model = fast_ica(sc.observed, pca_model, cfg)
         recovered = {
-            "ica": (ica_model.sources, rows_layout.fast_ica(sc.observed, cfg).sources),
+            "ica": (ica_model.sources, rows_layout.fast_ica(sc.observed, cfg, False).sources),
             "pca": (scores(pca_model, sc.observed)[:, :k],
                     rows_layout.scores(pca_model, sc.observed)[:, :k]),
         }
