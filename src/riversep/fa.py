@@ -13,9 +13,9 @@ eigenpairs of ``Psi^(-1/2) R Psi^(-1/2)``, which reduces the search to the
 uniquenesses alone.  One projected Newton method over log-uniquenesses,
 started at Joreskog's point, minimizes that profiled discrepancy on its
 exact Hessian (Jennrich & Robinson 1969), to near machine precision at an
-interior optimum.  It eigensolves each point it evaluates once, without a
-sign rule, and reuses those pairs for the Hessian and the final loadings.
-No rotation is applied to the result.
+interior optimum.  Each fit eigensolves ``R`` once and each evaluated
+point once, without a sign rule; the Hessian, the final loadings and the
+discrepancy are read from those pairs.  No rotation is applied.
 
 Uniquenesses are kept in ``[0.005, 1]``; solutions pinned at the lower
 bound are flagged (``heywood``) rather than rejected.  Model fit is judged
@@ -92,8 +92,9 @@ class FaModel:
     heywood : bool
         True when any uniqueness finished at the lower bound.
     discrepancy : float
-        Minimized ML discrepancy ``ln det(S) - ln det(R) + tr(R S^-1) - p``
-        where ``S`` is the fitted matrix; decreases as ``k`` grows.
+        ML discrepancy ``ln det(S) - ln det(R) + tr(R S^-1) - p`` of the
+        returned (clipped) loadings, ``S`` the fitted matrix: the minimized
+        value unless a head scaled eigenvalue ends below 1.  Decreases in k.
     n_obs : int
         Sample size the fit (and its statistic) assumed.
     """
@@ -249,8 +250,8 @@ def _projected_newton(rho, r, k, lb, ub):
     the free block takes a Newton step on the exact Hessian, its
     eigenvalues made positive (``|w|``, floored), projected onto the box
     and shortened by Armijo backtracking with an allowance for the
-    rounding of ``F``.  Returns the final point, its gradient, its free set
-    and its scaled eigenpairs.  Each evaluated point is eigensolved once:
+    rounding of ``F``.  Returns the final point, its ``F``, gradient, free
+    set and scaled eigenpairs.  Each evaluated point is eigensolved once:
     the Hessian and the caller's loadings reuse the accepted point's pairs.
     """
     value, grad, eig = _objective_log(rho, r, k)
@@ -278,7 +279,7 @@ def _projected_newton(rho, r, k, lb, ub):
         else:
             break
         rho, value, grad, eig = trial, trial_value, trial_grad, trial_eig
-    return rho, grad, free, eig
+    return rho, value, grad, free, eig
 
 
 def _validate_correlation(r) -> np.ndarray:
@@ -344,7 +345,7 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
     psi0 = np.clip((1.0 - k / (2.0 * p)) / inv_diag, _PSI_FLOOR * 2, _PSI_CEIL)
 
     lb, ub = np.log(_PSI_FLOOR), np.log(_PSI_CEIL)
-    rho, grad, free, eig = _projected_newton(np.log(psi0), r, k, lb, ub)
+    rho, value, grad, free, eig = _projected_newton(np.log(psi0), r, k, lb, ub)
 
     # Coordinates held at a bound meet their one-sided condition already.
     psi = np.exp(rho)
@@ -352,17 +353,12 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
     heywood = bool(np.any(rho <= lb))
 
     loadings = _loadings_at(psi, eig, k)
-    sigma = loadings @ loadings.T + np.diag(psi)
-    residual = r - sigma
+    residual = r - (loadings @ loadings.T + np.diag(psi))
 
-    # Discrepancy in its definitional form (equals the profiled value at
-    # the optimum, up to the rounding of the two eigensolves).
-    s_values, s_vectors = _eigh_descending((sigma + sigma.T) / 2.0)
-    sigma_inv = (s_vectors / s_values) @ s_vectors.T
-    discrepancy = float(
-        np.sum(np.log(s_values)) - np.sum(np.log(r_values))
-        + np.sum(r * sigma_inv) - p
-    )
+    # Scaled, the fitted matrix has eig's vectors and eigenvalues max(lam_j, 1)
+    # for j <= k, 1 beyond: its discrepancy is F plus lam - ln lam - 1 per head lam < 1.
+    head = np.minimum(eig[0][:k], 1.0)
+    discrepancy = value + float(np.sum(head - np.log(head) - 1.0))
 
     stat, p_value = _bartlett_test(discrepancy, n_obs, p, k, dof)
 

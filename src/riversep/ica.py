@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, RankDeficient, RiversepError, Singular, TooFewRows
+from .errors import DidNotConverge, OutOfRange, RankDeficient, RiversepError, Singular, TooFewRows
 from .linalg import _column_signs, as_matrix
 from .pca import PcaModel, _standardized_rows
 
@@ -90,7 +90,10 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
     That is the polar factor ``u @ vt`` of ``w = u @ diag(s) @ vt``, which
     stays orthonormal even when ``w`` is near-singular.
     """
-    u, _, vt = np.linalg.svd(w)
+    try:
+        u, _, vt = np.linalg.svd(w)
+    except np.linalg.LinAlgError as exc:
+        raise DidNotConverge("svd") from exc
     return u @ vt
 
 

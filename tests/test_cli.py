@@ -509,16 +509,26 @@ class TestExitCodes:
         assert "filter" in err
         assert "99999" in err
 
-    def test_lapack_failure_is_a_runtime_error(self, workdir, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "routine, command, stage",
+        [("eigh", "run", "pca"), ("svd", "ica", "ica"),
+         ("eigh", "synth-bench", "synth-bench"), ("svd", "synth-bench", "synth-bench")],
+    )
+    def test_lapack_failure_is_a_runtime_error(
+        self, workdir, capsys, monkeypatch, routine, command, stage
+    ):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        assert main(["run", str(workdir / "pipeline.json")]) == 3
-        err = capsys.readouterr().err
-        assert "error in stage" in err
-        assert "did not converge" in err
-        assert len(err.strip().splitlines()) == 1
+        monkeypatch.setattr(np.linalg, routine, fail)
+        if command == "synth-bench":
+            args = ["--out", str(workdir / "bench"), "--rows", "300", "--replicates", "1"]
+        else:
+            args = [str(workdir / "pipeline.json")]
+        assert main([command, *args]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"riversep: error in stage '{stage}': LAPACK {routine} did not converge"
+        ]
 
     def test_missing_input_file_is_a_runtime_error(self, workdir, capsys):
         doc = json.loads((workdir / "pipeline.json").read_text())

@@ -312,9 +312,19 @@ class TestHessian:
         assert m.discrepancy == pytest.approx(0.0, abs=1e-12)
 
 
+def definitional_discrepancy(m, r):
+    """``ln det S - ln det R + tr(S^-1 R) - p`` of the fitted matrix ``S``."""
+    sigma = m.fitted()
+    return (
+        np.linalg.slogdet(sigma)[1] - np.linalg.slogdet(r)[1]
+        + np.trace(np.linalg.solve(sigma, r)) - r.shape[0]
+    )
+
+
 class TestNewtonSweep:
     """Every fit of a seeded sweep ends at a KKT point within the evaluation
-    budget of the projected Newton."""
+    budget of the projected Newton, and reports the definitional discrepancy
+    of its loadings."""
 
     def check_fits(self, monkeypatch, x, ks):
         # Count the evaluation the Newton loop calls, not the public wrapper.
@@ -337,6 +347,8 @@ class TestNewtonSweep:
             _, grad, _ = original(rho, r, k)
             held = ((rho <= lb) & (grad > 0)) | ((rho >= 0.0) & (grad < 0))
             assert np.abs(grad[~held]).max() <= 1e-10
+            expected = definitional_discrepancy(m, r)
+            assert m.discrepancy == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("p", [11, 30, 60])
     @pytest.mark.parametrize("n_factors", [1, 2, 3])
@@ -377,7 +389,8 @@ class TestOneEigensolvePerPoint:
         return calls
 
     def test_fixture_fits_solve_once_per_evaluation(self, monkeypatch):
-        # one solve per evaluated point, plus R's and the fitted matrix's
+        # one solve per evaluated point, plus R's; the discrepancy is read
+        # from the final point's pairs, so the fitted matrix is not solved
         x = fixture_model_input()
         evals = self.count_calls(monkeypatch, "_objective_log")
         solves = self.count_calls(monkeypatch, "_eigh_descending")
@@ -387,7 +400,7 @@ class TestOneEigensolvePerPoint:
             solves.clear()
             assert fit_fa_ml(x, k).converged
             got.append((len(evals), len(solves)))
-        assert got == [(8, 10), (6, 8), (10, 12)]
+        assert got == [(8, 9), (6, 7), (10, 11)]
 
     def refit_loadings(self, m, x):
         r = correlation_matrix(x)
@@ -482,6 +495,42 @@ class TestOneEigensolvePerPoint:
         with pytest.raises(DidNotConverge, match="eigh"):
             fit_fa_ml(simulate_sweep(11, 2, seed=0), 2)
         assert len(calls) == failing_call
+
+
+class TestDiscrepancy:
+    """The discrepancy read from the final scaled eigenpairs is the
+    definitional one of the returned loadings (the sweep's fits are
+    checked in :class:`TestNewtonSweep`)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fixture_fits(self, k):
+        x = fixture_model_input()
+        r, m = correlation_matrix(x), fit_fa_ml(x, k)
+        expected = definitional_discrepancy(m, r)
+        assert m.discrepancy == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        # every head eigenvalue ends above 1: the optimizer's own value
+        values = _eigh_descending(fa._scaled(m.uniquenesses, r))[0]
+        assert values[k - 1] > 1.0
+        assert m.discrepancy == profiled_discrepancy(m.uniquenesses, r, k)[0]
+
+    def test_head_eigenvalue_below_one(self, monkeypatch):
+        # At psi = 1 the scaled matrix is R itself, with eigenvalues 2.5 and
+        # 0.7 (five times): the second loading column is clipped to zero,
+        # so the fitted matrix's discrepancy exceeds F by g(0.7).
+        def stop_at_one(rho, r, k, lb, ub):
+            rho = np.zeros(r.shape[0])
+            value, grad, eig = _objective_log(rho, r, k)
+            return rho, value, grad, np.ones(rho.size, dtype=bool), eig
+
+        monkeypatch.setattr(fa, "_projected_newton", stop_at_one)
+        r = compound_symmetry(6, 0.3)
+        m = fit_fa_ml_corr(r, 2, n_obs=200)
+        np.testing.assert_array_equal(m.uniquenesses, np.ones(6))
+        assert np.all(m.loadings[:, 1] == 0.0)
+        f = profiled_discrepancy(np.ones(6), r, 2)[0]
+        assert m.discrepancy - f == pytest.approx(0.7 - math.log(0.7) - 1.0, rel=1e-12)
+        expected = definitional_discrepancy(m, r)
+        assert m.discrepancy == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestChiSquareTail:
