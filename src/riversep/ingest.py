@@ -198,11 +198,12 @@ def _parse_cell(text: str) -> float:
 
 def _read_row(cells: Sequence[str]) -> list[float]:
     """A record's cells as floats; non-finite values are left for
-    :func:`_read_records` to map over its block.  A row holding a cell that
-    ``float`` rejects (``NA``, whitespace, text) is read cell by cell with
-    :func:`_parse_cell`."""
+    :func:`_read_records` to map over its block.  An empty cell and an
+    exact ``NA`` (as :func:`emit_csv` writes a missing one) read as NaN.
+    A row holding any other cell that ``float`` rejects (`` NA``, ``na``,
+    text) is read cell by cell with :func:`_parse_cell`."""
     try:
-        return [float(c) if c else _NAN for c in cells]
+        return [float(c) if c and c != "NA" else _NAN for c in cells]
     except ValueError:
         return [_parse_cell(c) for c in cells]
 

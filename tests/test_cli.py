@@ -1565,11 +1565,16 @@ def test_the_cached_parser_prints_what_a_fresh_one_does(
     assert riversep.cli._build_parser.cache_info().misses == 1
 
 
-def test_every_exported_name_resolves():
-    assert [name for name in riversep.__all__ if not hasattr(riversep, name)] == []
-    namespace = {}
-    exec("from riversep import *", namespace)
-    assert set(riversep.__all__) <= set(namespace)
+def test_the_package_root_binds_only_its_version_and_loads_no_numpy():
+    code = (
+        "import sys, riversep; "
+        "print([n for n in vars(riversep) if not n.startswith('_')], riversep.__version__, "
+        "'numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(riversep.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[] 0.1.0 False"
 
 
 def test_loading_csv_writes_each_cell_with_seven_decimals():

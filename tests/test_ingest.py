@@ -174,6 +174,24 @@ class TestParseCsv:
         t = parse_csv("date,a,b\n1990-01-01,,NA\n")
         assert np.isnan(t.values).all()
 
+    def test_a_row_of_na_and_decimals_is_read_without_the_one_cell_rule(self, monkeypatch):
+        # emit_csv writes every missing cell as NA, so its rows must not
+        # fall back to _parse_cell; other spellings of missing still do
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return _parse_cell(text)
+
+        monkeypatch.setattr(ingest, "_parse_cell", spy)
+        row = ["NA", "1.5", "", "-0", "NA", "2.25"]
+        t = parse_csv("date,a,b,c,d,e,f\n1990-01-01," + ",".join(row) + "\n")
+        assert calls == []
+        want = np.array([[_parse_cell(c) for c in row]])
+        assert t.values.tobytes() == want.tobytes()
+        parse_csv("date,a,b\n1990-01-01,NA, NA\n")
+        assert calls == ["NA", " NA"]
+
     def test_ragged(self):
         with pytest.raises(errors.RaggedRow):
             parse_csv("date,a,b\n1990-01-01,1\n")
