@@ -354,13 +354,13 @@ def _synth_bench(rows: int, base_seed: int, replicates: int):
                 IcaConfig(n_components=len(dists), seed=seed),
             )
             for method, model in (("ica", ica_model), ("pca", pca_model)):
-                report = evaluate_recovery(scenario, model)
-                corr = float(np.mean(report.matched_correlations))
+                amari, matched = evaluate_recovery(scenario, model)
+                corr = float(np.mean(matched))
                 lines.append(
                     f"{name},{'+'.join(dists)},{method},{seed},"
-                    f"{format_number(report.amari)},{format_number(corr)}"
+                    f"{format_number(amari)},{format_number(corr)}"
                 )
-                aggregate.setdefault((name, method), []).append(report.amari)
+                aggregate.setdefault((name, method), []).append(amari)
     yield "synth_bench.csv", "\n".join(lines) + "\n"
     summary = {
         "rows": rows,

@@ -95,8 +95,6 @@ class FaModel:
         ML discrepancy ``ln det(S) - ln det(R) + tr(R S^-1) - p`` of the
         returned (clipped) loadings, ``S`` the fitted matrix: the minimized
         value unless a head scaled eigenvalue ends below 1.  Decreases in k.
-    n_obs : int
-        Sample size the fit (and its statistic) assumed.
     """
 
     loadings: np.ndarray
@@ -109,7 +107,6 @@ class FaModel:
     converged: bool
     heywood: bool
     discrepancy: float
-    n_obs: int
 
     def fitted(self) -> np.ndarray:
         """Model correlation matrix ``loadings @ loadings.T + diag(psi)``."""
@@ -373,7 +370,6 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
         converged=converged,
         heywood=heywood,
         discrepancy=discrepancy,
-        n_obs=int(n_obs),
     )
 
 

@@ -30,28 +30,12 @@ class SyntheticScenario:
     sources: np.ndarray
     mixing: np.ndarray
     observed: np.ndarray
-    distributions: tuple[str, ...]
-    noise_sd: float
-    seed: int
-
-    @property
-    def n_sources(self) -> int:
-        return self.sources.shape[1]
 
     @cached_property
     def _centered_sources(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_centered_columns` of the sources, computed once for every
         model scored against them."""
         return _centered_columns(self.sources)
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    """How well a fitted model recovered a scenario's sources."""
-
-    method: str
-    amari: float
-    matched_correlations: tuple[float, ...]
 
 
 def _draw_source(rng: np.random.Generator, distribution: str, rows: int) -> np.ndarray:
@@ -130,14 +114,7 @@ def generate_scenario(
         noise_rng = np.random.default_rng(children[1])
         observed = observed + noise_sd * noise_rng.standard_normal((rows, p))
 
-    return SyntheticScenario(
-        sources=sources,
-        mixing=mixing,
-        observed=observed,
-        distributions=tuple(distributions),
-        noise_sd=float(noise_sd),
-        seed=int(seed),
-    )
+    return SyntheticScenario(sources=sources, mixing=mixing, observed=observed)
 
 
 def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,14 +159,16 @@ def _greedy_match(truth, recovered: np.ndarray) -> tuple[float, ...]:
     return tuple(out[i] for i in range(k))
 
 
-def evaluate_recovery(scenario: SyntheticScenario, model) -> RecoveryReport:
+def evaluate_recovery(
+    scenario: SyntheticScenario, model
+) -> tuple[float, tuple[float, ...]]:
     """Score a fitted :class:`IcaModel` or :class:`PcaModel` against truth.
 
-    The Amari index compares the model's effective unmixing with the true
-    mixing; the matched correlations pair recovered components to true
-    sources greedily by absolute correlation.
+    Returns ``(amari, matched_correlations)``: the Amari index of the
+    model's effective unmixing against the true mixing, and per true source
+    the |correlation| of the recovered component paired to it greedily.
     """
-    k = scenario.n_sources
+    k = scenario.mixing.shape[1]
     if isinstance(model, IcaModel):
         if model.unmixing.shape[0] != k:
             raise ShapeMismatch(
@@ -198,19 +177,16 @@ def evaluate_recovery(scenario: SyntheticScenario, model) -> RecoveryReport:
             )
         w_full = model.unmixing @ model.whitening
         recovered = model.sources
-        method = "ica"
     elif isinstance(model, PcaModel):
         if model.loadings.shape[0] != scenario.mixing.shape[0]:
             raise ShapeMismatch("model and scenario disagree on channel count")
         # the transposed loadings act as the unmixing of the leading subspace
         w_full = model.loadings[:, :k].T
         recovered = scores(model, scenario.observed)[:, :k]
-        method = "pca"
     else:
         raise ShapeMismatch(f"cannot evaluate model of type {type(model).__name__}")
 
-    return RecoveryReport(
-        method=method,
-        amari=amari_index(w_full, scenario.mixing),
-        matched_correlations=_greedy_match(scenario._centered_sources, recovered),
+    return (
+        amari_index(w_full, scenario.mixing),
+        _greedy_match(scenario._centered_sources, recovered),
     )

@@ -31,7 +31,10 @@ import scorecard
 import station_builder
 from riversep.cli import main
 from riversep.config import load_config
+from riversep.ica import IcaConfig, fast_ica
+from riversep.pca import fit_pca
 from riversep.report import format_number
+from riversep.synth import evaluate_recovery, generate_scenario
 from test_diagnostics import reference_mi_table
 from test_ingest import daily, daily_records
 
@@ -1295,6 +1298,40 @@ class TestSynthBench:
         assert len(lines) == 1 + 16
         summary = json.loads((tmp_path / "bench" / "synth_summary.json").read_text())
         assert len(summary["mean_amari"]) == 8
+
+    def test_bench_writes_the_scores_of_the_library_calls(self, tmp_path):
+        out = tmp_path / "bench"
+        assert main(["synth-bench", "--out", str(out), "--rows", "300",
+                     "--replicates", "2", "--seed", "3"]) == 0
+        expected = []
+        amaris = {}
+        for name, dists in [
+            ("two_uniform", ["uniform", "uniform"]),
+            ("three_uniform", ["uniform", "uniform", "uniform"]),
+            ("two_laplace", ["laplace", "laplace"]),
+            ("two_gaussian", ["gaussian", "gaussian"]),
+        ]:
+            for seed in (3, 4):
+                sc = generate_scenario(dists, rows=300, seed=seed)
+                pca_model = fit_pca(sc.observed, scale=False)
+                ica_model = fast_ica(sc.observed, pca_model,
+                                     IcaConfig(n_components=len(dists), seed=seed))
+                for method, model in (("ica", ica_model), ("pca", pca_model)):
+                    amari, matched = evaluate_recovery(sc, model)
+                    expected.append([name, "+".join(dists), method, str(seed),
+                                     format_number(amari), format_number(np.mean(matched))])
+                    amaris.setdefault(f"{name}/{method}", []).append(amari)
+        with open(out / "synth_bench.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["scenario", "distributions", "method", "seed", "amari", "mean_abs_corr"]
+        assert rows[1:] == expected
+        summary = json.loads((out / "synth_summary.json").read_text())
+        assert summary == {
+            "rows": 300,
+            "seed": 3,
+            "replicates": 2,
+            "mean_amari": {key: float(np.mean(vals)) for key, vals in amaris.items()},
+        }
 
     def test_bench_is_deterministic(self, tmp_path):
         args = ["synth-bench", "--rows", "300", "--replicates", "2"]

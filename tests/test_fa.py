@@ -623,7 +623,6 @@ class TestResidualMatrix:
             converged=True,
             heywood=False,
             discrepancy=0.0,
-            n_obs=100,
         )
         np.testing.assert_array_equal(null.fitted(), np.eye(4))
         np.testing.assert_allclose(r - null.fitted(), null.residual)

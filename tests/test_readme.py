@@ -15,14 +15,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_python_example_runs_on_the_fixture_model_input(tmp_path, monkeypatch):
-    # the example reads a header line and then plain numeric rows: the
-    # fixture's preprocessed table without its year column
+    # the example reads the preprocessed table as `riversep preprocess`
+    # writes it, year column and all
     shutil.copy(FIXTURES / "station_fixture.rdb", tmp_path)
     shutil.copy(FIXTURES / "pipeline.json", tmp_path)
     assert main(["preprocess", str(tmp_path / "pipeline.json")]) == 0
-    lines = (tmp_path / "out" / "preprocessed.csv").read_text().splitlines()
-    table = "".join(line.split(",", 1)[1] + "\n" for line in lines)
-    (tmp_path / "annual_table.csv").write_text(table)
 
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
