@@ -203,16 +203,16 @@ def _write_pca(pipe: _Pipeline):
 
 
 def _write_ica(pipe: _Pipeline):
-    table, model = pipe.model_input, pipe.ica
-    settings = model.config  # as resolved, with the count extracted
-    codes = [f"IC{j + 1}" for j in range(settings.n_components)]
+    table, model, settings = pipe.model_input, pipe.ica, pipe.cfg.ica
+    k = model.unmixing.shape[0]  # the configured count or else Kaiser's
+    codes = [f"IC{j + 1}" for j in range(k)]
     sources = Table(table.index_name, table.index, codes, model.sources)
     yield "ica_sources.csv", emit_csv(sources)
     # in correlation units, as pca_loadings.csv
     mixing = model.mixing / pipe.pca.sd[:, None]
     yield "ica_mixing.csv", loading_csv(["variable", *codes], table.codes, mixing)
     summary = {
-        "n_components": settings.n_components,
+        "n_components": k,
         "converged": model.converged,
         "iterations": model.iterations,
         "final_delta": model.delta_history[-1],
@@ -239,7 +239,7 @@ def _write_fa(pipe: _Pipeline):
             {
                 "k": m.k,
                 "stat": m.log_likelihood_stat,
-                "dof": m.dof,
+                "dof": fa_dof(len(labels), m.k),
                 "p_value": m.p_value,
                 "converged": m.converged,
                 "heywood": m.heywood,
@@ -265,7 +265,8 @@ def _write_diagnostics(pipe: _Pipeline):
     matrix, labels = pipe.model_input.values, pipe.model_input.codes
     max_lag = min(cfg.acf_max_lag, matrix.shape[0] - 2)
     result = acf(matrix, max_lag)
-    rows = np.stack(np.broadcast_arrays(result.lags, result.values, result.conf_band), -1)
+    lags = np.arange(max_lag + 1)
+    rows = np.stack(np.broadcast_arrays(lags, result.values, result.conf_band), -1)
     keys = [code for code in labels for _ in range(max_lag + 1)]
     header = ["variable", "lag", "value", "conf_band"]
     yield "acf.csv", table_csv(header, keys, rows.reshape(-1, 3))

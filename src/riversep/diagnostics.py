@@ -9,7 +9,7 @@ across sites.  All are pure functions of their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,14 +32,12 @@ _MAX_BINS = 1024
 class AcfResult(NamedTuple):
     """Autocorrelation values at lags 0..max_lag with a white-noise band.
 
-    ``conf_band`` is the approximate 95% threshold ``1.96 / sqrt(n)``; a
-    white-noise series keeps roughly 95% of its nonzero-lag values inside
-    ``±conf_band``.
+    ``conf_band`` is the approximate 95% threshold ``1.96 / sqrt(n)`` for a
+    series of ``n`` points; a white-noise series keeps roughly 95% of its
+    nonzero-lag values inside ``±conf_band``.
     """
 
-    lags: np.ndarray
     values: np.ndarray
-    n: int
     conf_band: float
 
 
@@ -47,7 +45,7 @@ class AcfResult(NamedTuple):
 class SpatialWeights:
     """Non-negative site-to-site weights with an exactly zero diagonal."""
 
-    weights: np.ndarray = field()
+    weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -122,9 +120,7 @@ def acf(series, max_lag: int) -> AcfResult:
     for h in range(1, max_lag + 1):
         values[:, h] = np.add.reduce(centered[:, :-h] * centered[:, h:], axis=1) / denom
     return AcfResult(
-        lags=np.arange(max_lag + 1),
         values=values if x.ndim == 2 else values[0],
-        n=n,
         conf_band=1.96 / np.sqrt(n),
     )
 

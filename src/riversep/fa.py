@@ -80,8 +80,6 @@ class FaModel:
         Number of factors, at least 1.
     log_likelihood_stat : float
         Bartlett-corrected likelihood-ratio statistic for the fit.
-    dof : int
-        Degrees of freedom ``((p - k)**2 - p - k) // 2``.
     p_value : float
         Upper-tail chi-square probability of the statistic.
     residual : ndarray, shape (p, p)
@@ -101,7 +99,6 @@ class FaModel:
     uniquenesses: np.ndarray
     k: int
     log_likelihood_stat: float
-    dof: int
     p_value: float
     residual: np.ndarray
     converged: bool
@@ -364,7 +361,6 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
         uniquenesses=psi,
         k=k,
         log_likelihood_stat=stat,
-        dof=dof,
         p_value=p_value,
         residual=residual,
         converged=converged,

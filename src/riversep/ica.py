@@ -73,7 +73,6 @@ class IcaModel:
     converged: bool
     iterations: int
     delta_history: tuple[float, ...]
-    config: IcaConfig
 
 
 def _contrast(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +175,6 @@ def fast_ica(x, pca: PcaModel, cfg: IcaConfig) -> IcaModel:
         converged=converged,
         iterations=iterations,
         delta_history=tuple(deltas),
-        config=cfg,
     )
 
 

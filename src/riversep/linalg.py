@@ -2,10 +2,12 @@
 
 All routines accept anything ``np.asarray`` turns into a 2-D float array and
 are deterministic: two calls on the same input return bit-identical results
-on the same numpy/BLAS build.  Every symmetric eigensolve is
-:func:`_eigh_descending`: LAPACK's ``np.linalg.eigh`` with eigenvalues
-descending and LAPACK's signs, on a matrix its caller has built or checked
-finite and exactly symmetric.  A caller whose output depends on the
+on the same numpy/BLAS build.  Every eigensolve of a covariance or
+correlation, FA's scaled one too, is :func:`_eigh_descending`: LAPACK's
+``np.linalg.eigh`` with eigenvalues descending and LAPACK's signs, on a
+matrix its caller has built or checked finite and exactly symmetric.  FA's
+Newton step, which needs neither order nor signs, solves its Hessian's free
+block with ``np.linalg.eigh`` itself.  A caller whose output depends on the
 orientation of a vector fixes it by :func:`_column_signs` (FastICA
 orients each component by its mixing column alike).
 

@@ -110,7 +110,6 @@ def fast_ica(x, cfg, standardize):
         converged=converged,
         iterations=iterations,
         delta_history=tuple(deltas),
-        config=cfg,
     )
 
 

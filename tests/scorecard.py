@@ -12,8 +12,8 @@ For each method :func:`scorecard` gives two measures:
   sd.
 
 ICA also gets the best one-to-one matched mean |r| of its sources with the
-drivers.  Run as a script, it prints the table of :func:`variants` as
-markdown::
+drivers, and whether FastICA converged.  Run as a script, it prints the
+table of :func:`variants` as markdown, marking an unconverged ICA row::
 
     PYTHONPATH=src:tests python tests/scorecard.py
 """
@@ -40,12 +40,13 @@ class Row:
     """One method's score: its component count ``k``, the canonical
     correlations of its series with the drivers and the principal-angle
     cosines of its loadings against the true ones, each largest first, and
-    for ICA the matched mean |r|."""
+    for ICA the matched mean |r| and whether the fit converged."""
 
     k: int
     series: np.ndarray
     loadings: np.ndarray
     matched: float | None = None
+    converged: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,7 @@ def scorecard(cfg) -> Card:
         canonical_correlations(ica.sources, drivers),
         cosines(ica.mixing / sd[:, None], truth),
         float(matched),
+        ica.converged,
     )
     return Card(years, {"PCA": pca, "FA": fa_row, "ICA": ica_row})
 
@@ -138,6 +140,8 @@ def main():
     for name, cfg in variants().items():
         for method, row in scorecard(cfg).rows.items():
             matched = "" if row.matched is None else f"{row.matched:.3f}"
+            if row.converged is False:
+                matched += " (not converged)"
             print(
                 f"| {name} | {method} | {row.k} | {cells(row.series)} "
                 f"| {cells(row.loadings)} | {matched} |"

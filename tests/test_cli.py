@@ -7,6 +7,7 @@ in advance; the tests here pin those counts and the determinism contract
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -24,6 +25,7 @@ import pytest
 import riversep
 import riversep.cli
 import riversep.errors
+import riversep.ingest
 import riversep.linalg
 import riversep.pca
 import riversep.report
@@ -232,6 +234,15 @@ SCORECARD_BOUNDS = {
     },
 }
 
+# Whether each variant's ICA fit converges.  Without required_variable it
+# runs out its 200 iterations, so its row scores the 200th iterate.
+SCORECARD_ICA_CONVERGED = {
+    "committed": True,
+    "no required_variable": False,
+    "levels": True,
+    "levels, no required_variable": True,
+}
+
 
 def test_scorecard_recovers_the_fixtures_drivers_and_loadings():
     # The fixture blends three known latent random walks; each variant's
@@ -251,8 +262,9 @@ def test_scorecard_recovers_the_fixtures_drivers_and_loadings():
                 assert len(got) == len(bounds) and (got >= bounds).all(), (where, got)
             if matched:
                 assert row.matched >= matched[0], (where, row.matched)
+                assert row.converged is SCORECARD_ICA_CONVERGED[name], where
             else:
-                assert row.matched is None, where
+                assert row.matched is None and row.converged is None, where
 
 
 @pytest.mark.parametrize("variant", ["committed", "kaiser"])
@@ -1624,3 +1636,27 @@ def test_loading_csv_writes_each_cell_with_seven_decimals():
     header = ["variable", *(f"F{j + 1}" for j in range(5))]
     got = riversep.report.loading_csv(header, codes, rows)
     assert got == "\n".join([",".join(header), *want]) + "\n"
+
+
+def test_every_result_field_the_benchmark_tracer_probes_still_exists():
+    # bench/tracer.py reads work counts off these functions' results in a
+    # traced benchmark run, which no other test starts
+    spec = importlib.util.spec_from_file_location("tracer", FIXTURES.parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    rdb = (FIXTURES / "station_fixture.rdb").read_bytes()
+    table = riversep.ingest.parse_rdb(rdb)
+    x = np.random.default_rng(5).laplace(size=(200, 3))
+    calls = {
+        "ingest.parse_rdb": (rdb,),
+        "ingest.parse_csv": (riversep.ingest.emit_csv(table).encode(),),
+        "ingest.emit_csv": (table,),
+        "fa.fit_fa_ml": (x, 1),
+        "ica.fast_ica": (x, fit_pca(x, scale=True), IcaConfig(n_components=2)),
+    }
+    assert set(tracer.PROBES) == set(calls)
+    for key, probe in tracer.PROBES.items():
+        layer, name = key.split(".")
+        fn = getattr(importlib.import_module(f"riversep.{layer}"), name)
+        attrs = probe(calls[key], {}, fn(*calls[key]))
+        assert attrs and None not in attrs.values(), key

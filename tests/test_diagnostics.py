@@ -160,8 +160,10 @@ class TestAcf:
     def test_result_fields(self):
         r = acf(np.sin(np.arange(30.0)), max_lag=4)
         assert isinstance(r, AcfResult)
-        np.testing.assert_array_equal(r.lags, np.arange(5))
-        assert r.n == 30
+        # the lags are 0..max_lag and n the series' length, both the caller's
+        assert AcfResult._fields == ("values", "conf_band")
+        assert r.values.shape == (5,)
+        assert r.conf_band == 1.96 / np.sqrt(30)
 
     def test_table_rows_are_each_columns_acf_bit_for_bit(self):
         # and each column's ACF is the per-lag 1-D computation's, bit for bit
@@ -174,7 +176,7 @@ class TestAcf:
             x += rng.normal(scale=100.0, size=p)
             r = acf(x, max_lag)
             assert r.values.shape == (p, max_lag + 1)
-            assert r.n == n
+            assert r.conf_band == 1.96 / np.sqrt(n)
             for j in range(p):
                 one = acf(x[:, j], max_lag)
                 np.testing.assert_array_equal(r.values[j], one.values)

@@ -106,6 +106,22 @@ class TestDof:
         assert exc.value.dof < 0
 
 
+class TestModelFields:
+    def test_a_fit_holds_what_it_found(self):
+        # the degrees of freedom are fa_dof(p, k), a function of the inputs
+        assert list(FaModel.__dataclass_fields__) == [
+            "loadings",
+            "uniquenesses",
+            "k",
+            "log_likelihood_stat",
+            "p_value",
+            "residual",
+            "converged",
+            "heywood",
+            "discrepancy",
+        ]
+
+
 class TestCompoundSymmetry:
     """rho = 0.64 everywhere is fit exactly by loadings 0.8, psi 0.36."""
 
@@ -119,8 +135,8 @@ class TestCompoundSymmetry:
     def test_saturated_model_accepted(self):
         # p=3, k=1 has zero degrees of freedom: the statistic collapses
         # and the p-value is pinned to 1.
+        assert fa_dof(3, 1) == 0
         m = fit_fa_ml_corr(compound_symmetry(3, 0.64), 1, n_obs=100)
-        assert m.dof == 0
         assert m.log_likelihood_stat == pytest.approx(0.0, abs=1e-6)
         assert m.p_value == 1.0
 
@@ -145,8 +161,7 @@ class TestExactRecovery:
         m = fit_fa_ml(x, 1)
         stat = (n - 1 - (2 * p + 5) / 6 - 2 / 3) * m.discrepancy
         assert m.log_likelihood_stat == pytest.approx(stat, rel=1e-12)
-        assert m.dof == fa_dof(p, 1)
-        assert m.p_value == _chi2_upper_tail(m.log_likelihood_stat, m.dof)
+        assert m.p_value == _chi2_upper_tail(m.log_likelihood_stat, fa_dof(p, 1))
         assert m.p_value < 1e-6
 
     def test_rounding_negative_statistic_reads_as_perfect_fit(self):
@@ -617,7 +632,6 @@ class TestResidualMatrix:
             uniquenesses=np.ones(4),
             k=0,
             log_likelihood_stat=0.0,
-            dof=fa_dof(4, 0),
             p_value=1.0,
             residual=r - np.eye(4),
             converged=True,

@@ -271,6 +271,18 @@ class TestFastIca:
         with pytest.raises(TypeError, match="contrast"):
             IcaConfig(n_components=2, contrast="cube")
 
+    def test_model_holds_what_the_fit_found(self):
+        # the settings are the caller's, and the count is unmixing.shape[0]
+        assert list(IcaModel.__dataclass_fields__) == [
+            "sources",
+            "unmixing",
+            "whitening",
+            "mixing",
+            "converged",
+            "iterations",
+            "delta_history",
+        ]
+
 
 def assert_models_identical(model, oracle):
     for field in ("sources", "mixing", "unmixing", "whitening"):
