@@ -48,10 +48,14 @@ def annual_mean(table: Table) -> Table:
 
     Raises
     ------
+    EmptyResult
+        If the table has no rows.
     OutOfRange
         If a mean is not finite: the year's samples overflow when summed,
         or some are infinite.
     """
+    if not table.n_rows:
+        raise EmptyResult("the table has no rows to average")
     row_years = table.index.astype("datetime64[Y]").astype(np.intp) + 1970
     values = table.values
     # each year one run of rows, in table order; parsed tables are sorted,

@@ -1,19 +1,21 @@
 """Truth scorecard: how well PCA, FA and ICA recover the bundled fixture's
 drivers and loadings, which :func:`station_builder.station` returns.
 
-For each method :func:`scorecard` gives two measures:
+Every method's components are PCA's scores at Kaiser's count, FA's Bartlett
+scores at the selected count and ICA's sources.  :func:`scorecard` gives
+each method the :func:`matched` mean |r| of its components with the
+drivers, and PCA and FA two subspace measures:
 
 - the canonical correlations of the method's series with the drivers
-  (Hotelling 1936, *Biometrika* 28:321): PCA's scores at Kaiser's count,
-  FA's Bartlett scores at the selected count, ICA's sources;
+  (Hotelling 1936, *Biometrika* 28:321);
 - the cosines of the principal angles between the method's loadings and the
   true loadings in correlation units (Björck & Golub 1973, *Math. Comp.*
-  27:579): PCA's eigenvectors, FA's loadings, ICA's mixing over the column
-  sd.
+  27:579): PCA's eigenvectors, FA's loadings.
 
-ICA also gets the best one-to-one matched mean |r| of its sources with the
-drivers, and whether FastICA converged.  Run as a script, it prints the
-table of :func:`variants` as markdown, marking an unconverged ICA row::
+ICA rotates PCA's top k scores, so its subspace measures are PCA's at its
+k, which ``tests/test_cli.py`` pins; it gets whether FastICA converged
+instead.  Run as a script, it prints the table of :func:`variants` as
+markdown, marking an unconverged ICA row::
 
     PYTHONPATH=src:tests python tests/scorecard.py
 """
@@ -37,15 +39,15 @@ STATION = station()
 
 @dataclass(frozen=True)
 class Row:
-    """One method's score: its component count ``k``, the canonical
-    correlations of its series with the drivers and the principal-angle
-    cosines of its loadings against the true ones, each largest first, and
-    for ICA the matched mean |r| and whether the fit converged."""
+    """One method's score: its component count ``k`` and matched mean |r|;
+    for PCA and FA the canonical correlations of its series with the
+    drivers and the principal-angle cosines of its loadings against the
+    true ones, each largest first; for ICA whether the fit converged."""
 
     k: int
-    series: np.ndarray
-    loadings: np.ndarray
-    matched: float | None = None
+    matched: float
+    series: np.ndarray | None = None
+    loadings: np.ndarray | None = None
     converged: bool | None = None
 
 
@@ -69,6 +71,19 @@ def canonical_correlations(a, b) -> np.ndarray:
     return cosines(a - a.mean(axis=0), b - b.mean(axis=0))
 
 
+def matched(series, drivers) -> float:
+    """Mean over the drivers of the |r| of the component paired with each,
+    under the one-to-one pairing of components (the columns of ``series``)
+    and drivers with the largest total |r|.  Components are identified only
+    up to order and sign (Comon 1994, *Signal Process.* 36:287); a driver
+    left without a component counts as 0, so a small k does not flatter."""
+    k, d = series.shape[1], drivers.shape[1]
+    n = max(k, d)
+    r = np.zeros((n, n))  # padded square: an absent component or driver reads 0
+    r[:k, :d] = np.abs(np.corrcoef(series, drivers, rowvar=False)[:k, k:])
+    return float(max(r[list(p), range(n)].sum() for p in permutations(range(n))) / d)
+
+
 def scorecard(cfg) -> Card:
     """Run ``cfg`` on the fixture and score each method against the truth;
     the drivers are differenced at the config's lag when its stages
@@ -86,9 +101,11 @@ def scorecard(cfg) -> Card:
     truth = np.array([STATION.loadings[code] for code in table.codes]) / sd[:, None]
 
     k = kaiser_retain(pipe.pca)
+    pca_scores = scores(pipe.pca, x)[:, :k]
     pca = Row(
         k,
-        canonical_correlations(scores(pipe.pca, x)[:, :k], drivers),
+        matched(pca_scores, drivers),
+        canonical_correlations(pca_scores, drivers),
         cosines(pipe.pca.loadings[:, :k], truth),
     )
 
@@ -97,19 +114,16 @@ def scorecard(cfg) -> Card:
     z = (x - x.mean(axis=0)) / sd
     weights = fa.loadings / fa.uniquenesses[:, None]  # Psi^-1 Lambda
     bartlett = np.linalg.solve(fa.loadings.T @ weights, (z @ weights).T).T
-    fa_row = Row(fa.k, canonical_correlations(bartlett, drivers), cosines(fa.loadings, truth))
+    fa_row = Row(
+        fa.k,
+        matched(bartlett, drivers),
+        canonical_correlations(bartlett, drivers),
+        cosines(fa.loadings, truth),
+    )
 
     ica = pipe.ica
-    k = ica.sources.shape[1]
-    r = np.abs(np.corrcoef(ica.sources, drivers, rowvar=False)[:k, k:])
-    # each driver its own source
-    matched = max(r[list(p), range(r.shape[1])].mean() for p in permutations(range(k), r.shape[1]))
     ica_row = Row(
-        k,
-        canonical_correlations(ica.sources, drivers),
-        cosines(ica.mixing / sd[:, None], truth),
-        float(matched),
-        ica.converged,
+        ica.sources.shape[1], matched(ica.sources, drivers), converged=ica.converged
     )
     return Card(years, {"PCA": pca, "FA": fa_row, "ICA": ica_row})
 
@@ -130,8 +144,9 @@ def variants() -> dict:
 
 
 def cells(values) -> str:
-    """Values to three decimals, as the table and the README write them."""
-    return " / ".join(f"{v:.3f}" for v in values)
+    """Values to three decimals, as the table and the README write them;
+    none (ICA's subspace measures) as an empty cell."""
+    return "" if values is None else " / ".join(f"{v:.3f}" for v in values)
 
 
 def main():
@@ -139,12 +154,12 @@ def main():
     print("| --- | --- | ---: | --- | --- | ---: |")
     for name, cfg in variants().items():
         for method, row in scorecard(cfg).rows.items():
-            matched = "" if row.matched is None else f"{row.matched:.3f}"
+            score = f"{row.matched:.3f}"
             if row.converged is False:
-                matched += " (not converged)"
+                score += " (not converged)"
             print(
                 f"| {name} | {method} | {row.k} | {cells(row.series)} "
-                f"| {cells(row.loadings)} | {matched} |"
+                f"| {cells(row.loadings)} | {score} |"
             )
 
 

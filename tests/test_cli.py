@@ -208,29 +208,29 @@ def test_fixture_file_matches_its_builder():
 
 # Lower bounds on the truth scorecard (tests/scorecard.py) of each variant:
 # per method its component count, then each value rounded down at the second
-# decimal: the series' canonical correlations with the drivers, the loading
-# cosines and, for ICA, the matched mean |r|.  A change that moves a value
-# moves its bound and says so in CHANGES.md.
+# decimal: the matched mean |r| and, for PCA and FA, the series' canonical
+# correlations with the drivers and the loading cosines.  A change that
+# moves a value moves its bound and says so in CHANGES.md.
 SCORECARD_BOUNDS = {
     "committed": {
-        "PCA": (3, (0.98, 0.91, 0.05), (0.99, 0.97, 0.29)),
-        "FA": (3, (0.97, 0.91, 0.22), (0.99, 0.99, 0.36)),
-        "ICA": (3, (0.98, 0.91, 0.05), (0.99, 0.97, 0.29), 0.56),
+        "PCA": (3, 0.62, (0.98, 0.91, 0.05), (0.99, 0.97, 0.29)),
+        "FA": (3, 0.67, (0.97, 0.91, 0.22), (0.99, 0.99, 0.36)),
+        "ICA": (3, 0.56),
     },
     "no required_variable": {
-        "PCA": (3, (0.97, 0.91, 0.58), (0.99, 0.97, 0.75)),
-        "FA": (2, (0.97, 0.91), (0.99, 0.98)),
-        "ICA": (3, (0.97, 0.91, 0.58), (0.99, 0.97, 0.75), 0.74),
+        "PCA": (3, 0.75, (0.97, 0.91, 0.58), (0.99, 0.97, 0.75)),
+        "FA": (2, 0.62, (0.97, 0.91), (0.99, 0.98)),
+        "ICA": (3, 0.74),
     },
     "levels": {
-        "PCA": (3, (0.99, 0.98, 0.89), (0.99, 0.99, 0.95)),
-        "FA": (3, (0.99, 0.99, 0.95), (0.99, 0.99, 0.98)),
-        "ICA": (3, (0.99, 0.98, 0.89), (0.99, 0.99, 0.95), 0.73),
+        "PCA": (3, 0.59, (0.99, 0.98, 0.89), (0.99, 0.99, 0.95)),
+        "FA": (3, 0.60, (0.99, 0.99, 0.95), (0.99, 0.99, 0.98)),
+        "ICA": (3, 0.73),
     },
     "levels, no required_variable": {
-        "PCA": (2, (0.99, 0.98), (0.99, 0.99)),
-        "FA": (3, (0.99, 0.99, 0.96), (0.99, 0.99, 0.99)),
-        "ICA": (3, (0.99, 0.98, 0.95), (0.99, 0.99, 0.99), 0.81),
+        "PCA": (2, 0.50, (0.99, 0.98), (0.99, 0.99)),
+        "FA": (3, 0.58, (0.99, 0.99, 0.96), (0.99, 0.99, 0.99)),
+        "ICA": (3, 0.81),
     },
 }
 
@@ -254,17 +254,52 @@ def test_scorecard_recovers_the_fixtures_drivers_and_loadings():
         first = 1 if "difference" in cfg.pipeline else 0
         assert card.years == list(station_builder.YEARS)[first:], name
         assert list(card.rows) == list(SCORECARD_BOUNDS[name]), name
-        for method, (k, series, loadings, *matched) in SCORECARD_BOUNDS[name].items():
+        for method, (k, matched, *subspace) in SCORECARD_BOUNDS[name].items():
             row = card.rows[method]
             where = f"{name} {method}"
             assert row.k == k, where
-            for got, bounds in ((row.series, series), (row.loadings, loadings)):
-                assert len(got) == len(bounds) and (got >= bounds).all(), (where, got)
-            if matched:
-                assert row.matched >= matched[0], (where, row.matched)
+            assert row.matched >= matched, (where, row.matched)
+            if method == "ICA":
+                assert row.series is None and row.loadings is None, where
                 assert row.converged is SCORECARD_ICA_CONVERGED[name], where
-            else:
-                assert row.matched is None and row.converged is None, where
+                continue
+            for got, bounds in zip((row.series, row.loadings), subspace):
+                assert len(got) == len(bounds) and (got >= bounds).all(), (where, got)
+            assert row.converged is None, where
+
+
+@pytest.mark.parametrize("name", list(SCORECARD_BOUNDS))
+def test_ica_spans_pcas_top_k_scores_and_loadings(name):
+    # FastICA rotates the correlation PCA's top k scores, so the scorecard's
+    # subspace measures of ICA would be PCA's at ICA's k: its sources span
+    # those scores, and its mixing over the column sd those loadings
+    pipe = riversep.cli._Pipeline(scorecard.variants()[name])
+    x = pipe.model_input.values
+    ica = pipe.ica
+    k = ica.sources.shape[1]
+    sd = x.std(axis=0, ddof=1)
+    for got in (
+        scorecard.cosines(ica.sources, riversep.pca.scores(pipe.pca, x)[:, :k]),
+        scorecard.cosines(ica.mixing / sd[:, None], pipe.pca.loadings[:, :k]),
+    ):
+        np.testing.assert_allclose(got, np.ones(k), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "drivers_to_series, want",
+    [
+        # a permuted, sign-flipped copy of the drivers
+        (lambda d: d[:, [2, 0, 1]] * [-1, 1, -1], 1.0),
+        # exact copies of two of the three drivers: the third counts as 0
+        (lambda d: d[:, [1, 2]], 2 / 3),
+        # the drivers and a fourth component unrelated to any of them
+        (lambda d: np.column_stack([d, np.random.default_rng(1).normal(size=len(d))]), 1.0),
+    ],
+    ids=["k3_permuted_and_flipped", "k2_two_copies", "k4_one_unrelated"],
+)
+def test_matched_pairs_each_driver_with_one_component(drivers_to_series, want):
+    drivers = np.random.default_rng(0).normal(size=(60, 3))
+    assert scorecard.matched(drivers_to_series(drivers), drivers) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["committed", "kaiser"])
@@ -723,7 +758,6 @@ class TestExitCodes:
         [
             ("one_row_window", "need at least 2 rows, got 1"),
             ("two_year_csv", "need at least 2 rows, got 1"),
-            ("header_only_record", "x must have at least one row and one column"),
         ],
     )
     @pytest.mark.parametrize("variant", ["committed", "kaiser"])
@@ -732,15 +766,14 @@ class TestExitCodes:
         self, workdir, capsys, command, variant, short, message
     ):
         # the fixture's 1999-2000 window leaves one differenced row of 24
-        # variables, two CSV years annually averaged and differenced leave
-        # one row of two, and a record with no sample, annually averaged,
-        # leaves no row; no method sees any of them, and run keeps the
+        # variables, and two CSV years annually averaged and differenced
+        # leave one row of two; no method sees either, and run keeps the
         # staged table
         config = write_config(workdir, variant)
         doc = json.loads(config.read_text())
         if short == "one_row_window":
             doc["filter"].update(start="1999-01-01", min_count=4)
-        elif short == "two_year_csv":
+        else:
             (workdir / "two_years.csv").write_text(
                 "date,00300,00618\n1990-06-01,1,2\n1991-06-01,3,5\n"
             )
@@ -749,10 +782,6 @@ class TestExitCodes:
                 input={"path": "two_years.csv"}, redundancy_rules=[],
                 pipeline=["annual_mean", "difference"],
             )
-        else:
-            header = (workdir / "station_fixture.rdb").read_text().splitlines(keepends=True)[:5]
-            (workdir / "header_only.rdb").write_text("".join(header))
-            doc.update(input={"path": "header_only.rdb"}, pipeline=["annual_mean"])
         config.write_text(json.dumps(doc))
         assert main([command, str(config)]) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -761,6 +790,27 @@ class TestExitCodes:
         out = workdir / doc["output_dir"]
         on_disk = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert on_disk == (["ingested.csv", "preprocessed.csv"] if command == "run" else [])
+
+    @pytest.mark.parametrize("command", ["preprocess", "run", "pca", "ica", "fa", "diagnose"])
+    def test_a_record_with_no_sample_fails_in_the_annual_mean_stage(
+        self, workdir, capsys, command
+    ):
+        # the fixture's comment, header and format lines alone parse to a
+        # table of no row, which annual_mean refuses before drop_na_columns
+        # could keep every column of it; preprocess and run keep ingested.csv
+        header = (workdir / "station_fixture.rdb").read_text().splitlines(keepends=True)[:5]
+        (workdir / "header_only.rdb").write_text("".join(header))
+        doc = json.loads((workdir / "pipeline.json").read_text())
+        doc.update(input={"path": "header_only.rdb"}, pipeline=["annual_mean", "drop_na_columns"])
+        config = workdir / "header_only.json"
+        config.write_text(json.dumps(doc))
+        assert main([command, str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "riversep: error in stage 'annual_mean': the table has no rows to average"
+        ]
+        out = workdir / "out"
+        on_disk = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert on_disk == (["ingested.csv"] if command in ("preprocess", "run") else [])
 
     @pytest.mark.parametrize(
         "section, message",

@@ -38,13 +38,19 @@ def test_truth_scorecard_quotes_the_committed_configs_rows():
     text = (ROOT / "README.md").read_text()
     section = text[text.index("## Truth scorecard") :].split("\n## ", 1)[0]
     quoted = {
-        method: (int(k), values)
-        for method, k, values in re.findall(r"^\| (PCA|FA|ICA) \| (\d+) \| ([\d. /]+) \|$", section, re.M)
+        method: (int(k), series, matched)
+        for method, k, series, matched in re.findall(
+            r"^\| (PCA|FA|ICA) \| (\d+) \| ([\w.' /]+) \| ([\d.]+) \|$", section, re.M
+        )
     }
     configs = scorecard.variants()
     rows = scorecard.scorecard(configs["committed"]).rows
     assert quoted == {
-        method: (rows[method].k, scorecard.cells(rows[method].series))
+        method: (
+            rows[method].k,
+            scorecard.cells(rows[method].series) or "as PCA's",
+            f"{rows[method].matched:.3f}",
+        )
         for method in ("PCA", "FA", "ICA")
     }
     third = scorecard.scorecard(configs["no required_variable"]).rows["PCA"].series[2]
