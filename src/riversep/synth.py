@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -123,7 +124,7 @@ def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     length (zero variance) gets ``inv`` 0, so its correlations read 0.
 
     This stays rows x columns, unlike the fits: the means, the sums of
-    squares and :func:`_greedy_match`'s cross product sum in an order set
+    squares and :func:`_best_match`'s cross product sum in an order set
     by the layout, and a columns x rows copy moves written correlations.
     The centering runs column by column in ``x``'s layout: a difference
     has the same bits in any order, and a broadcast row is twice as slow.
@@ -141,22 +142,20 @@ def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xc, inv
 
 
-def _greedy_match(truth, recovered: np.ndarray) -> tuple[float, ...]:
-    """Pair each true source with its best remaining recovered column by
-    absolute correlation; returns per-true-source |corr| in source order.
-    ``truth`` is the :func:`_centered_columns` pair of the true sources."""
+def _best_match(truth, recovered: np.ndarray) -> tuple[float, ...]:
+    """Per true column, the |r| of the recovered column paired with it under
+    the one-to-one pairing with the largest total |r|, searched over the
+    P(max(k, d), d) pairings of the zero-padded ``d`` x ``k`` table, so a
+    true column left without a component reads 0.  ``truth`` is the
+    :func:`_centered_columns` pair of the true columns."""
     a, inv_a = truth
-    k = a.shape[1]
     b, inv_b = _centered_columns(recovered)
-    corr = np.minimum(np.abs(a.T @ b) * np.outer(inv_a, inv_b), 1.0)
-    out = {}
-    remaining = corr.copy()
-    for _ in range(k):
-        i, j = np.unravel_index(np.argmax(remaining), remaining.shape)
-        out[int(i)] = float(corr[i, j])
-        remaining[i, :] = -1.0
-        remaining[:, j] = -1.0
-    return tuple(out[i] for i in range(k))
+    d, k = a.shape[1], b.shape[1]
+    corr = np.zeros((d, max(k, d)))
+    corr[:, :k] = np.minimum(np.abs(a.T @ b) * np.outer(inv_a, inv_b), 1.0)
+    pairings = np.array(list(permutations(range(max(k, d)), d)))
+    best = pairings[np.argmax(corr[range(d), pairings].sum(axis=1))]
+    return tuple(corr[range(d), best].tolist())
 
 
 def evaluate_recovery(
@@ -166,7 +165,9 @@ def evaluate_recovery(
 
     Returns ``(amari, matched_correlations)``: the Amari index of the
     model's effective unmixing against the true mixing, and per true source
-    the |correlation| of the recovered component paired to it greedily.
+    the |correlation| of the recovered component :func:`_best_match` pairs
+    with it: components are identified only up to order and sign (Comon
+    1994, *Signal Process.* 36:287).
     """
     k = scenario.mixing.shape[1]
     if isinstance(model, IcaModel):
@@ -180,13 +181,14 @@ def evaluate_recovery(
     elif isinstance(model, PcaModel):
         if model.loadings.shape[0] != scenario.mixing.shape[0]:
             raise ShapeMismatch("model and scenario disagree on channel count")
-        # the transposed loadings act as the unmixing of the leading subspace
-        w_full = model.loadings[:, :k].T
         recovered = scores(model, scenario.observed)[:, :k]
+        # the transposed loadings unmix the leading subspace of the input
+        # as scores sees it: over the training sd when the fit was scaled
+        w_full = model.loadings[:, :k].T / (model.sd if model.scaled else 1.0)
     else:
         raise ShapeMismatch(f"cannot evaluate model of type {type(model).__name__}")
 
     return (
         amari_index(w_full, scenario.mixing),
-        _greedy_match(scenario._centered_sources, recovered),
+        _best_match(scenario._centered_sources, recovered),
     )

@@ -3,8 +3,9 @@ drivers and loadings, which :func:`station_builder.station` returns.
 
 Every method's components are PCA's scores at Kaiser's count, FA's Bartlett
 scores at the selected count and ICA's sources.  :func:`scorecard` gives
-each method the :func:`matched` mean |r| of its components with the
-drivers, and PCA and FA two subspace measures:
+each method the matched mean |r| of its components with the drivers, the
+mean of :func:`riversep.synth._best_match`'s per-driver |r| under the
+best one-to-one pairing, and PCA and FA two subspace measures:
 
 - the canonical correlations of the method's series with the drivers
   (Hotelling 1936, *Biometrika* 28:321);
@@ -23,7 +24,6 @@ markdown, marking an unconverged ICA row::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from riversep.cli import _Pipeline
 from riversep.config import load_config
 from riversep.pca import kaiser_retain, scores
+from riversep.synth import _best_match, _centered_columns
 from station_builder import YEARS, station
 
 CONFIG = Path(__file__).parent / "fixtures" / "pipeline.json"
@@ -71,19 +72,6 @@ def canonical_correlations(a, b) -> np.ndarray:
     return cosines(a - a.mean(axis=0), b - b.mean(axis=0))
 
 
-def matched(series, drivers) -> float:
-    """Mean over the drivers of the |r| of the component paired with each,
-    under the one-to-one pairing of components (the columns of ``series``)
-    and drivers with the largest total |r|.  Components are identified only
-    up to order and sign (Comon 1994, *Signal Process.* 36:287); a driver
-    left without a component counts as 0, so a small k does not flatter."""
-    k, d = series.shape[1], drivers.shape[1]
-    n = max(k, d)
-    r = np.zeros((n, n))  # padded square: an absent component or driver reads 0
-    r[:k, :d] = np.abs(np.corrcoef(series, drivers, rowvar=False)[:k, k:])
-    return float(max(r[list(p), range(n)].sum() for p in permutations(range(n))) / d)
-
-
 def scorecard(cfg) -> Card:
     """Run ``cfg`` on the fixture and score each method against the truth;
     the drivers are differenced at the config's lag when its stages
@@ -97,6 +85,11 @@ def scorecard(cfg) -> Card:
         lag = cfg.difference_lag
         drivers, driver_years = drivers[lag:] - drivers[:-lag], driver_years[lag:]
     drivers = drivers[[driver_years.index(year) for year in years]]
+    centered = _centered_columns(drivers)
+
+    def matched(series) -> float:
+        return float(np.mean(_best_match(centered, series)))
+
     sd = x.std(axis=0, ddof=1)
     truth = np.array([STATION.loadings[code] for code in table.codes]) / sd[:, None]
 
@@ -104,7 +97,7 @@ def scorecard(cfg) -> Card:
     pca_scores = scores(pipe.pca, x)[:, :k]
     pca = Row(
         k,
-        matched(pca_scores, drivers),
+        matched(pca_scores),
         canonical_correlations(pca_scores, drivers),
         cosines(pipe.pca.loadings[:, :k], truth),
     )
@@ -116,14 +109,14 @@ def scorecard(cfg) -> Card:
     bartlett = np.linalg.solve(fa.loadings.T @ weights, (z @ weights).T).T
     fa_row = Row(
         fa.k,
-        matched(bartlett, drivers),
+        matched(bartlett),
         canonical_correlations(bartlett, drivers),
         cosines(fa.loadings, truth),
     )
 
     ica = pipe.ica
     ica_row = Row(
-        ica.sources.shape[1], matched(ica.sources, drivers), converged=ica.converged
+        ica.sources.shape[1], matched(ica.sources), converged=ica.converged
     )
     return Card(years, {"PCA": pca, "FA": fa_row, "ICA": ica_row})
 

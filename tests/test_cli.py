@@ -285,23 +285,6 @@ def test_ica_spans_pcas_top_k_scores_and_loadings(name):
         np.testing.assert_allclose(got, np.ones(k), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "drivers_to_series, want",
-    [
-        # a permuted, sign-flipped copy of the drivers
-        (lambda d: d[:, [2, 0, 1]] * [-1, 1, -1], 1.0),
-        # exact copies of two of the three drivers: the third counts as 0
-        (lambda d: d[:, [1, 2]], 2 / 3),
-        # the drivers and a fourth component unrelated to any of them
-        (lambda d: np.column_stack([d, np.random.default_rng(1).normal(size=len(d))]), 1.0),
-    ],
-    ids=["k3_permuted_and_flipped", "k2_two_copies", "k4_one_unrelated"],
-)
-def test_matched_pairs_each_driver_with_one_component(drivers_to_series, want):
-    drivers = np.random.default_rng(0).normal(size=(60, 3))
-    assert scorecard.matched(drivers_to_series(drivers), drivers) == pytest.approx(want, abs=1e-12)
-
-
 @pytest.mark.parametrize("variant", ["committed", "kaiser"])
 def test_run_computes_the_model_input_moments_once_in_the_gate_and_once_for_pca(
     workdir, monkeypatch, variant

@@ -1,14 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import rows_layout
 from riversep import errors, synth
-from riversep.ica import IcaConfig, fast_ica
+from riversep.ica import IcaConfig, amari_index, fast_ica
 from riversep.pca import fit_pca, scores
 from riversep.synth import (
     _centered_columns,
-    _greedy_match,
+    _best_match,
     evaluate_recovery,
     generate_scenario,
 )
@@ -180,22 +182,64 @@ class TestEvaluateRecovery:
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
 
-    def test_matching_agrees_with_corrcoef(self):
+    @pytest.mark.parametrize(
+        "recover",
+        [
+            # each source, permuted, scaled, shifted and noisy
+            lambda s, noise: s[:, [2, 0, 1]] * [2.0, -0.5, 3.0] + [1.0, -4.0, 0.0] + 0.5 * noise[:, :3],
+            # copies of two sources, the second sign-flipped: the third reads 0
+            lambda s, noise: s[:, [2, 0]] * [1.0, -1.0],
+            # the sources and a fourth column unrelated to any of them
+            lambda s, noise: np.column_stack([s, noise[:, 0]]),
+            # eleven noisy blends of the sources: P(11, 3) = 990 pairings
+            lambda s, noise: s @ noise[:3, :11] + 2.0 * noise[:, :11],
+        ],
+        ids=["k3_permuted", "k2_two_copies", "k4_one_unrelated", "k11_blends"],
+    )
+    def test_matching_agrees_with_corrcoef(self, recover):
         sc = generate_scenario(["uniform", "laplace", "uniform"], rows=3000, seed=14)
-        noise = np.random.default_rng(14).normal(size=(3000, 3))
-        # recovered column j carries source order[j], scaled, shifted and noisy
-        order = [2, 0, 1]
-        recovered = sc.sources[:, order] * [2.0, -0.5, 3.0] + [1.0, -4.0, 0.0] + 0.5 * noise
-        full = np.corrcoef(sc.sources, recovered, rowvar=False)
-        expected = [abs(full[i, 3 + order.index(i)]) for i in range(3)]
-        got = _greedy_match(_centered_columns(sc.sources), recovered)
-        assert_allclose(got, expected, rtol=0, atol=1e-12)
+        recovered = recover(sc.sources, np.random.default_rng(14).normal(size=(3000, 11)))
+        k = recovered.shape[1]
+        # brute force over every injective map of the sources to the
+        # recovered columns, a padded column reading 0
+        r = np.zeros((3, max(k, 3)))
+        r[:, :k] = np.abs(np.corrcoef(sc.sources, recovered, rowvar=False)[:3, 3:])
+        maps = [m for m in product(range(max(k, 3)), repeat=3) if len(set(m)) == 3]
+        best = max(maps, key=lambda m: sum(r[i, j] for i, j in enumerate(m)))
+        got = _best_match(_centered_columns(sc.sources), recovered)
+        assert_allclose(got, [r[i, j] for i, j in enumerate(best)], rtol=0, atol=1e-12)
+        if k < 3:
+            assert got[1] == 0.0
+
+    def test_best_pairing_beats_the_largest_entry_first(self):
+        # exactly orthonormal centered columns: each |r| is a coefficient
+        q = np.linalg.qr(_centered_columns(np.random.default_rng(3).normal(size=(500, 4)))[0])[0]
+        truth = q[:, :2]
+        recovered = np.column_stack([
+            0.80 * q[:, 0] + 0.55 * q[:, 1] + np.sqrt(1 - 0.80**2 - 0.55**2) * q[:, 2],
+            0.70 * q[:, 0] + 0.10 * q[:, 1] + np.sqrt(1 - 0.70**2 - 0.10**2) * q[:, 3],
+        ])
+        # taking 0.80 first would leave truth 1 its 0.10: (0.80, 0.10), mean 0.45
+        got = _best_match(_centered_columns(truth), recovered)
+        assert_allclose(got, [0.70, 0.55], rtol=0, atol=1e-12)
+        assert np.mean(got) == pytest.approx(0.625, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaled_pca_is_scored_on_the_unmixing_of_its_scores(self, seed):
+        sc = generate_scenario(["uniform", "uniform"], rows=5000, seed=seed)
+        model = fit_pca(sc.observed)
+        assert model.scaled
+        # the unmixing that maps the centered observations to the scores
+        xc = sc.observed - sc.observed.mean(axis=0)
+        w = np.linalg.lstsq(xc, scores(model, sc.observed)[:, :2], rcond=None)[0].T
+        amari, _ = evaluate_recovery(sc, model)
+        assert amari == pytest.approx(amari_index(w, sc.mixing), abs=1e-12)
 
     @pytest.mark.parametrize("constant", [0.0, 0.1, -3.7e5])
     def test_zero_variance_recovered_column_reads_zero(self, constant):
         sc = generate_scenario(["uniform", "uniform"], rows=5000, seed=12)
         recovered = np.column_stack([2.0 * sc.sources[:, 1] + 1.0, np.full(5000, constant)])
-        assert _greedy_match(_centered_columns(sc.sources), recovered) == (0.0, pytest.approx(1.0))
+        assert _best_match(_centered_columns(sc.sources), recovered) == (0.0, pytest.approx(1.0))
 
     def test_sources_are_centered_once_per_scenario(self, monkeypatch):
         sc = generate_scenario(["uniform", "laplace"], rows=500, seed=15)
@@ -264,4 +308,4 @@ class TestRowsLayoutBitIdentity:
         truth = _centered_columns(sc.sources)
         for method, model in (("ica", ica_model), ("pca", pca_model)):
             _, matched = evaluate_recovery(sc, model)
-            assert matched == _greedy_match(truth, recovered[method][1])
+            assert matched == _best_match(truth, recovered[method][1])
