@@ -101,10 +101,18 @@ class _Pipeline:
 
     @cached_property
     def table(self):
-        """The record after the configured stages, applied in order."""
+        """The record after the configured stages, applied in order.  The
+        config orders them from a dated record, so a year-indexed CSV input
+        fails its first stage."""
         table = self.raw
         for name in self.cfg.pipeline:
             with _stage(name):
+                takes = STAGES[name].takes
+                if table.index_name != takes:
+                    raise RuleInapplicable(
+                        f"the table is indexed by {table.index_name}; "
+                        f"this stage takes one indexed by {takes}"
+                    )
                 table = self.tables[name] = STAGES[name].step(table, self.cfg)
         return table
 

@@ -51,7 +51,6 @@ class RunConfig:
     filter_spec: FilterSpec | None
     redundancy_rules: tuple
     pipeline: tuple
-    difference_lag: int
     ica: IcaConfig
     fa_k_max: int
     fa_alpha: float
@@ -174,9 +173,7 @@ _SECTIONS = {
         "bins": partial(_as_int, minimum=2, maximum=_MAX_BINS),
     },
 }
-_ROOT_KEYS = (
-    "input", "redundancy_rules", "pipeline", "difference_lag", "output_dir", *_SECTIONS
-)
+_ROOT_KEYS = ("input", "redundancy_rules", "pipeline", "output_dir", *_SECTIONS)
 
 _REMOTE_READERS = {
     "site": _as_str,
@@ -289,7 +286,6 @@ def load_config(path) -> RunConfig:
         filter_spec=filter_spec,
         redundancy_rules=rules,
         pipeline=pipeline,
-        difference_lag=_as_int(doc.get("difference_lag", 1), "difference_lag", 1),
         ica=_build(IcaConfig, "ica", **{"n_components": None, **read["ica"]}),
         fa_k_max=read["fa"].get("k_max", 5),
         fa_alpha=read["fa"].get("alpha", 0.05),

@@ -15,10 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ConstantField,
     ConstantSeries,
-    DegenerateRange,
-    LengthMismatch,
     OutOfRange,
     ShapeMismatch,
     TooShort,
@@ -149,7 +146,7 @@ def mutual_information_discrete(x, y, bins: int = 8) -> float:
     if x.ndim != 1 or y.ndim != 1:
         raise ShapeMismatch("inputs must be 1-D series")
     if x.shape[0] != y.shape[0]:
-        raise LengthMismatch(x.shape[0], y.shape[0])
+        raise ShapeMismatch(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     return float(mutual_information_matrix(np.column_stack([x, y]), bins)[0, 1])
 
 
@@ -181,7 +178,7 @@ def mutual_information_matrix(x, bins: int = 8) -> np.ndarray:
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     if np.any(lo == hi):
-        raise DegenerateRange("cannot bin a range of zero width")
+        raise ConstantSeries("cannot bin a range of zero width")
     with np.errstate(over="ignore", invalid="ignore"):
         # edges[:, j] is np.linspace(lo[j], hi[j], bins + 1); linspace of the
         # arrays divides first in every column once one step underflows to 0
@@ -238,6 +235,6 @@ def morans_i(values, w: SpatialWeights) -> float:
     centered = x - x.mean()
     denom = float(np.sum(centered**2))
     if denom == 0.0:
-        raise ConstantField("field has no variation")
+        raise ConstantSeries("field has no variation")
     cross = float(centered @ w.weights @ centered)
     return (w.n / float(w.weights.sum())) * cross / denom

@@ -1,5 +1,12 @@
 """Exception types raised across the package.
 
+:class:`RiversepError` is the base class of every one.  The command line
+exits 2 on a :class:`ConfigError` (as on a bad command-line value) and 3
+on any other, reported as ``error in stage '<name>'``.  A failure gets a
+type of its own only where a caller can act on the difference; otherwise
+it is raised as the type of the failure it restates, with its own message
+(a constant field, or a column of zero range to bin, is a
+:class:`ConstantSeries`).
 Every error that callers may want to branch on carries its context as
 attributes (column index or code, line number, HTTP status, ...) rather
 than only a formatted message.
@@ -87,10 +94,11 @@ class InvalidDate(RiversepError):
 
 
 class DuplicateTimestampVariable(RiversepError):
-    def __init__(self, date: "datetime.date", code: str):
+    """``date`` is the row's key: a date, or a year in a year-indexed table."""
+    def __init__(self, date: datetime.date | int, code: str):
         self.date = date
         self.code = code
-        super().__init__(f"duplicate value for variable {code} on {date.isoformat()}")
+        super().__init__(f"duplicate value for variable {code} on {date}")
 
 
 class UnknownVariable(RiversepError):
@@ -164,10 +172,6 @@ class DofNegative(RiversepError):
         super().__init__(f"{k} factors leave {dof} degrees of freedom")
 
 
-class SingularCorrelation(RiversepError):
-    pass
-
-
 class OutOfRange(RiversepError):
     def __init__(self, detail: str):
         self.detail = detail
@@ -183,21 +187,6 @@ class RuleInapplicable(RiversepError):
 
 
 class ConstantSeries(RiversepError):
-    pass
-
-
-class LengthMismatch(RiversepError):
-    def __init__(self, n_x: int, n_y: int):
-        self.n_x = n_x
-        self.n_y = n_y
-        super().__init__(f"length mismatch: {n_x} vs {n_y}")
-
-
-class DegenerateRange(RiversepError):
-    pass
-
-
-class ConstantField(RiversepError):
     pass
 
 

@@ -38,7 +38,7 @@ from .errors import (
     NotSymmetric,
     OutOfRange,
     ShapeMismatch,
-    SingularCorrelation,
+    Singular,
     TooFewRows,
 )
 from .linalg import _column_signs, _eigh_descending, as_matrix, correlation_matrix
@@ -316,7 +316,7 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
         If ``((p-k)**2 - p - k)/2 < 0``.
     TooFewRows
         If ``n_obs <= p``.
-    SingularCorrelation
+    Singular
         If ``r`` has an eigenvalue at numerical zero.
     """
     r = _validate_correlation(r)
@@ -330,7 +330,7 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
         raise TooFewRows(n_obs, p + 1)
     r_values, r_vectors = _eigh_descending(r)
     if r_values[-1] <= _SINGULAR_EIG:
-        raise SingularCorrelation(
+        raise Singular(
             f"correlation matrix is singular (min eigenvalue {r_values[-1]:.3g})"
         )
 

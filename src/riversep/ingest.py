@@ -3,7 +3,10 @@
 Two on-disk layouts are supported: USGS RDB (tab-delimited with ``#``
 comment lines and a column-format line after the header) and RFC-4180 CSV.
 Both are wide tables: the first column holds calendar dates, every other
-column one monitored variable.
+column one monitored variable.  A CSV whose first header field is ``year``
+is year-indexed instead, as :func:`emit_csv` writes an annual table: each
+key is 1 to 4 ASCII digits, after surrounding whitespace is stripped, and
+any other key is a :class:`MalformedRecord`.
 
 The cell rule: a cell reads as the number ``float`` makes of it, and as
 missing (NaN) when it is empty or ``NA``/``na`` after stripping whitespace,
@@ -82,6 +85,9 @@ _FORMAT_TOKEN = re.compile(r"\d+[A-Za-z]")
 
 # The one spelling of a date, the one :func:`_iso_dates` reads in bulk.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+# A year key, as a date spells its year or as emit_csv writes one.
+_YEAR = re.compile(r"[0-9]{1,4}")
 
 # Lines of an RDB body per bulk read, the most the row loop reads for one
 # record the bulk read refuses; records of a CSV body per array.
@@ -183,6 +189,18 @@ def _parse_date(text: str, line_no: int) -> datetime.date:
         raise InvalidDate(line_no, text) from None
 
 
+def _parse_year(text: str, line_no: int) -> int:
+    """The year of a year-indexed record's key field, after surrounding
+    whitespace is stripped."""
+    if not _YEAR.fullmatch(text.strip()):
+        raise MalformedRecord(line_no, f"cannot parse year {text!r}")
+    return int(text)
+
+
+# Each index a record's first field can hold: its reader and its dtype.
+_KEYS = {"date": (_parse_date, "datetime64[D]"), "year": (_parse_year, np.int64)}
+
+
 def _parse_cell(text: str) -> float:
     """One cell by the module's cell rule."""
     text = text.strip()
@@ -208,12 +226,15 @@ def _read_row(cells: Sequence[str]) -> list[float]:
         return [_parse_cell(c) for c in cells]
 
 
-def _assemble(header: Sequence[str], dates: np.ndarray, values: np.ndarray) -> Table:
-    """Merge parsed records (``values`` holds one row of cells per date,
-    each finite or NaN as its reader left it) into a date-sorted table.
+def _assemble(
+    header: Sequence[str], dates: np.ndarray, values: np.ndarray, index_name: str = "date"
+) -> Table:
+    """Merge parsed records (``values`` holds one row of cells per key,
+    each finite or NaN as its reader left it) into a key-sorted table
+    indexed by ``index_name``.
 
-    Records sharing a date are merged; two non-missing values for the
-    same (date, variable) raise :class:`DuplicateTimestampVariable`.
+    Records sharing a key are merged; two non-missing values for the
+    same (key, variable) raise :class:`DuplicateTimestampVariable`.
     """
     codes = [c.strip() for c in header]
     if any(not c for c in codes):
@@ -222,9 +243,9 @@ def _assemble(header: Sequence[str], dates: np.ndarray, values: np.ndarray) -> T
     if len(set(var_codes)) != len(var_codes):
         raise MalformedHeader("header repeats a variable code")
 
-    if (dates[1:] > dates[:-1]).all():  # sorted, no date repeated
-        return Table("date", dates, var_codes, values)
-    first: dict[datetime.date, int] = {}
+    if (dates[1:] > dates[:-1]).all():  # sorted, no key repeated
+        return Table(index_name, dates, var_codes, values)
+    first: dict[datetime.date | int, int] = {}
     for i, date in enumerate(dates.tolist()):
         j = first.setdefault(date, i)
         if j == i:
@@ -236,24 +257,25 @@ def _assemble(header: Sequence[str], dates: np.ndarray, values: np.ndarray) -> T
         values[j, present] = values[i, present]
 
     order = sorted(first)
-    return Table("date", order, var_codes, values[[first[d] for d in order]])
+    return Table(index_name, order, var_codes, values[[first[d] for d in order]])
 
 
-def _read_records(records, n_fields: int):
-    """Days (``datetime64[D]``) and cells (a float array, each non-finite
-    one set to ``np.nan``) of ``records``, ``(line number, fields)`` pairs
-    in file order, one at a time; raises the first error with its line
-    number."""
-    dates: list[datetime.date] = []
+def _read_records(records, n_fields: int, index_name: str = "date"):
+    """Keys (days as ``datetime64[D]``, or years) and cells (a float array,
+    each non-finite one set to ``np.nan``) of ``records``, ``(line number,
+    fields)`` pairs in file order, one at a time; raises the first error
+    with its line number."""
+    parse_key, dtype = _KEYS[index_name]
+    keys: list = []
     rows: list[list[float]] = []
     for line_no, fields in records:
         if len(fields) != n_fields:
             raise RaggedRow(line_no, n_fields, len(fields))
-        dates.append(_parse_date(fields[0], line_no))
+        keys.append(parse_key(fields[0], line_no))
         rows.append(_read_row(fields[1:]))
     cells = np.reshape(rows, (-1, n_fields - 1))
     np.copyto(cells, np.nan, where=~np.isfinite(cells))
-    return np.array(dates, "datetime64[D]"), cells
+    return np.array(keys, dtype), cells
 
 
 def _iso_dates(fields: np.ndarray) -> np.ndarray | None:
@@ -525,8 +547,9 @@ def parse_rdb(data: bytes | str) -> Table:
 
 
 def parse_csv(data: bytes | str) -> Table:
-    """Parse an RFC-4180 CSV with a single header row (date column first); a
-    syntax error (an oversized cell, a bare ``\\r``) is a MalformedRecord."""
+    """Parse an RFC-4180 CSV with a single header row (date column first, or
+    a ``year`` column for a year-indexed table); a syntax error (an
+    oversized cell, a bare ``\\r``) is a MalformedRecord."""
     *lines, tail = _text(data).split("\n")  # lines as io.StringIO yields them
     reader = csv.reader(chain((line + "\n" for line in lines), [tail] if tail else []))
     try:
@@ -535,22 +558,23 @@ def parse_csv(data: bytes | str) -> Table:
             raise MalformedHeader("no header line found")
         if len(header) < 2:
             raise MalformedHeader("CSV header must have at least two columns")
+        index_name = "year" if header[0].strip() == "year" else "date"
         body = ((reader.line_num, fields) for fields in reader if fields)
-        blocks = [_read_records(islice(body, _BODY_BLOCK), len(header))]
+        blocks = [_read_records(islice(body, _BODY_BLOCK), len(header), index_name)]
         while len(blocks[-1][0]) == _BODY_BLOCK:
-            blocks.append(_read_records(islice(body, _BODY_BLOCK), len(header)))
+            blocks.append(_read_records(islice(body, _BODY_BLOCK), len(header), index_name))
     except csv.Error as exc:
         raise MalformedRecord(reader.line_num, str(exc)) from None
     del lines  # read, and not held beside the joined blocks
     dates, values = (np.concatenate(parts) for parts in zip(*blocks))
-    return _assemble(header, dates, values)
+    return _assemble(header, dates, values, index_name)
 
 
 def emit_csv(table: Table) -> str:
     """Serialize a table to CSV (:func:`~riversep.report.table_csv`).  A date
-    index is written as ISO ``YYYY-MM-DD``, and :func:`parse_csv` reads the
-    text back up to the 12-significant-digit number formatting; a year index
-    is written as digits, which :func:`parse_csv` refuses as dates."""
+    index is written as ISO ``YYYY-MM-DD`` and a year index as digits under
+    a ``year`` header, and :func:`parse_csv` reads either back up to the
+    12-significant-digit number formatting."""
     return table_csv([table.index_name, *table.codes], table.index, table.values)
 
 

@@ -118,33 +118,31 @@ def drop_redundant(
     return table.take(cols=keep)
 
 
-def difference(table: Table, lag: int = 1) -> Table:
-    """Difference a dense annual table at the given lag.
+def difference(table: Table) -> Table:
+    """Difference consecutive years of a dense annual table.
 
     Output rows are labeled by the later year of each pair; row count drops
-    by ``lag``.  The years must be consecutive so every difference spans
-    exactly ``lag`` years.  An overflowing difference raises :class:`OutOfRange`.
+    by one.  The years must be consecutive so every difference spans
+    exactly one year.  An overflowing difference raises :class:`OutOfRange`.
     """
-    if lag < 1:
-        raise OutOfRange(f"lag must be at least 1, got {lag}")
     n_missing = int(np.isnan(table.values).sum())
     if n_missing:
         raise MissingCells(n_missing)
-    if table.n_rows <= lag:
-        raise TooShort(table.n_rows, lag + 1)
+    if table.n_rows <= 1:
+        raise TooShort(table.n_rows, 2)
     years = table.index
     gaps = np.diff(years)
     if np.any(gaps != 1):
         first_gap = int(np.argmax(gaps != 1))
         raise NonConsecutiveYears(int(years[first_gap]), int(years[first_gap + 1]))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as an error
-        values = table.values[lag:] - table.values[:-lag]
+        values = table.values[1:] - table.values[:-1]
     if not np.isfinite(values).all():
         i, j = np.argwhere(~np.isfinite(values))[0]  # the first year, then its first column
         raise OutOfRange(
-            f"difference of {table.codes[j]} in {years[lag + i]} is {values[i, j]:g}: it overflows"
+            f"difference of {table.codes[j]} in {years[1 + i]} is {values[i, j]:g}: it overflows"
         )
-    return Table("year", years[lag:], list(table.codes), values)
+    return Table("year", years[1:], list(table.codes), values)
 
 
 class Stage(NamedTuple):
@@ -166,7 +164,5 @@ STAGES = {
     "drop_redundant": Stage(
         "year", "year", lambda t, cfg: drop_redundant(t, cfg.redundancy_rules)
     ),
-    "difference": Stage(
-        "year", "year", lambda t, cfg: difference(t, cfg.difference_lag)
-    ),
+    "difference": Stage("year", "year", lambda t, cfg: difference(t)),
 }

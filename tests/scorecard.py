@@ -74,16 +74,15 @@ def canonical_correlations(a, b) -> np.ndarray:
 
 def scorecard(cfg) -> Card:
     """Run ``cfg`` on the fixture and score each method against the truth;
-    the drivers are differenced at the config's lag when its stages
-    difference, and aligned to the model input's rows by year."""
+    the drivers are differenced year over year when its stages difference,
+    and aligned to the model input's rows by year."""
     pipe = _Pipeline(cfg)
     table = pipe.model_input
     x = table.values
     years = table.index.tolist()
     drivers, driver_years = STATION.drivers, list(YEARS)
     if "difference" in cfg.pipeline:
-        lag = cfg.difference_lag
-        drivers, driver_years = drivers[lag:] - drivers[:-lag], driver_years[lag:]
+        drivers, driver_years = drivers[1:] - drivers[:-1], driver_years[1:]
     drivers = drivers[[driver_years.index(year) for year in years]]
     centered = _centered_columns(drivers)
 

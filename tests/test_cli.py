@@ -736,6 +736,20 @@ class TestExitCodes:
             f"riversep: error in stage '{stage}': {message}"
         ]
 
+    def test_ica_needs_ten_rows_per_component_past_pca(self, workdir, capsys):
+        # the fixture's 1975-2000 window leaves 25 differenced rows of 11
+        # variables: enough for PCA's 3, FA's 12 and the MI table's 10, not
+        # for the 30 of FastICA's 3 components
+        config = write_config(workdir)
+        doc = json.loads(config.read_text())
+        doc["filter"].update(start="1975-01-01")
+        config.write_text(json.dumps(doc))
+        assert main(["pca", str(config)]) == 0
+        assert main(["ica", str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "riversep: error in stage 'ica': need at least 30 rows, got 25"
+        ]
+
     @pytest.mark.parametrize(
         "short, message",
         [
@@ -823,6 +837,28 @@ class TestExitCodes:
         out = workdir / "out"
         on_disk = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert on_disk == (["ingested.csv"] if command in ("preprocess", "run") else [])
+
+    def test_a_preprocessed_table_as_input_reads_back_but_fails_the_first_stage(
+        self, workdir, capsys
+    ):
+        # a run's preprocessed.csv is year-indexed: ingest writes it back byte
+        # for byte, and the configured stages, which start from a dated
+        # record, refuse it in the first one
+        assert main(["preprocess", str(workdir / "pipeline.json")]) == 0
+        annual = (workdir / "out" / "preprocessed.csv").read_bytes()
+        (workdir / "annual.csv").write_bytes(annual)
+        doc = json.loads((workdir / "pipeline.json").read_text())
+        doc.update(input={"path": "annual.csv"}, output_dir="annual_out")
+        config = workdir / "annual.json"
+        config.write_text(json.dumps(doc))
+        assert main(["ingest", str(config)]) == 0
+        assert (workdir / "annual_out" / "ingested.csv").read_bytes() == annual
+        for command in ("preprocess", "run"):
+            assert main([command, str(config)]) == 3
+            assert capsys.readouterr().err.splitlines() == [
+                "riversep: error in stage 'filter': the table is indexed by year; "
+                "this stage takes one indexed by date"
+            ]
 
     def test_a_failing_writer_keeps_the_files_it_already_wrote(
         self, workdir, capsys, monkeypatch

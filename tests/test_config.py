@@ -278,7 +278,7 @@ def test_integer_too_long_to_convert_is_a_config_error(tmp_path, capsys):
         (["fa", "k_max"], 0, "fa.k_max must be at least 1, got 0"),
         (["diagnostics", "max_lag"], 0, "diagnostics.max_lag must be at least 1, got 0"),
         (["diagnostics", "bins"], 1, "diagnostics.bins must be at least 2, got 1"),
-        (["difference_lag"], 0, "difference_lag must be at least 1, got 0"),
+        (["difference_lag"], 1, "unknown key 'difference_lag' in the config root"),
         (["filter", "start"], "19500101", "filter.start must be an ISO date, got '19500101'"),
         (["redundancy_rules"], {}, "'redundancy_rules' must be a list"),
         (["pipeline"], [], "'pipeline' must be a non-empty list of stage names"),

@@ -23,7 +23,7 @@ from riversep.errors import (
     NotSymmetric,
     OutOfRange,
     ShapeMismatch,
-    SingularCorrelation,
+    Singular,
     TooFewRows,
 )
 from riversep import fa
@@ -660,7 +660,7 @@ class TestInputValidation:
         rng = np.random.default_rng(1)
         col = rng.normal(size=100)
         x = np.column_stack([col, 2.0 * col, rng.normal(size=100), rng.normal(size=100)])
-        with pytest.raises(SingularCorrelation):
+        with pytest.raises(Singular):
             fit_fa_ml(x, 1)
 
     def test_non_unit_diagonal_rejected(self):

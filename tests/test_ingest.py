@@ -227,20 +227,41 @@ class TestParseCsv:
         # a second emit is byte-stable
         assert emit_csv(again) == text
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=errors.InvalidDate,
-        reason="parse_csv reads a date index only, so a year-indexed table such as "
-        "a run's preprocessed.csv does not read back (ROADMAP, 'Found at this re-anchor')",
-    )
     def test_round_trip_of_a_year_indexed_table(self):
         values = np.array([[1.5, np.nan], [2.0, 3.25], [-0.5, 4.0]])
         t = Table("year", [1999, 2000, 2001], ["a", "b"], values)
-        again = parse_csv(emit_csv(t))
+        text = emit_csv(t)
+        again = parse_csv(text)
         assert again.index_name == "year"
+        assert again.index.dtype == np.int64
         assert again.index.tolist() == t.index.tolist()
         assert again.codes == t.codes
         assert_allclose(again.values, t.values, equal_nan=True)
+        # a second emit is byte-stable
+        assert emit_csv(again) == text
+
+    def test_year_records_merge_and_sort_as_date_records_do(self):
+        t = parse_csv("year,a,b\n2001,1,\n 1999 ,2,3\n2001,,4\n")
+        assert t.index.tolist() == [1999, 2001]
+        assert t.values.tolist() == [[2.0, 3.0], [1.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("year,a\n1999,1\n19x9,2\n", errors.MalformedRecord, "line 3: cannot parse year '19x9'"),
+            ("year,a\n1999-01-01,1\n", errors.MalformedRecord, "line 2: cannot parse year '1999-01-01'"),
+            ("year,a\n12345,1\n", errors.MalformedRecord, "line 2: cannot parse year '12345'"),
+            ("year,a\n,1\n", errors.MalformedRecord, "line 2: cannot parse year ''"),
+            ("year,a\n1999,1\n1999,2\n", errors.DuplicateTimestampVariable,
+             "duplicate value for variable a on 1999"),
+            ("date,a\n1999,1\n", errors.InvalidDate, "line 2: cannot parse date '1999'"),
+        ],
+        ids=["letter", "date", "five_digits", "empty", "duplicate", "year_under_date"],
+    )
+    def test_a_year_key_is_one_to_four_digits(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_csv(text)
+        assert str(exc.value) == message
 
 
 # Cell spellings the row-wise parsers must read exactly as _parse_cell does.

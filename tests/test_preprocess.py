@@ -333,15 +333,8 @@ class TestDifference:
 
     def test_doubling_series(self):
         a = make_annual([1990, 1991, 1992, 1993], ["a"], [[1.0], [2.0], [4.0], [8.0]])
-        out = difference(a, lag=1)
+        out = difference(a)
         assert_allclose(out.values[:, 0], [1.0, 2.0, 4.0])
-
-    def test_lag_two(self):
-        a = make_annual([1990, 1991, 1992, 1993], ["a"], [[1.0], [2.0], [4.0], [8.0]])
-        out = difference(a, lag=2)
-        assert np.issubdtype(out.index.dtype, np.integer)
-        assert out.index.tolist() == [1992, 1993]
-        assert_allclose(out.values[:, 0], [3.0, 6.0])
 
     def test_cumsum_reconstructs(self):
         rng = np.random.default_rng(19)
@@ -367,11 +360,6 @@ class TestDifference:
         with pytest.raises(errors.MissingCells):
             difference(a)
 
-    def test_lag_below_one_rejected(self):
-        a = make_annual([1990, 1991], ["a"], [[1.0], [2.0]])
-        with pytest.raises(errors.OutOfRange):
-            difference(a, lag=0)
-
     def test_overflow_is_out_of_range(self):
         a = make_annual([1990, 1991], ["a"], [[1.7e308], [-1.7e308]])
         with pytest.raises(errors.OutOfRange) as exc:
@@ -392,12 +380,6 @@ class TestDifference:
         message = "^difference of a in 1991 is inf: it overflows$"
         with pytest.raises(errors.OutOfRange, match=message):
             difference(a)
-
-    def test_overflow_at_lag_two_names_the_later_year(self):
-        a = make_annual([1990, 1991, 1992], ["a"], [[1.7e308], [0.0], [-1.7e308]])
-        message = "^difference of a in 1992 is -inf: it overflows$"
-        with pytest.raises(errors.OutOfRange, match=message):
-            difference(a, lag=2)
 
 
 class TestAnnualCsv:
