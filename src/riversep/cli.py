@@ -345,6 +345,8 @@ _BENCH_SCENARIOS = (
 )
 # FastICA extracts one component per source of every scenario.
 _BENCH_MIN_ROWS = _ROWS_PER_COMPONENT * max(len(d) for _, d in _BENCH_SCENARIOS)
+# The longest float64 array numpy can hold: a source column has one cell a row.
+_BENCH_MAX_ROWS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 def _synth_bench(rows: int, base_seed: int, replicates: int):
@@ -440,6 +442,8 @@ def _bench_argument_error(args) -> str | None:
     ):
         if value < least:
             return f"{flag} must be at least {least}, got {value}"
+    if args.rows > _BENCH_MAX_ROWS:
+        return f"--rows must be at most {_BENCH_MAX_ROWS}, got {args.rows}"
     return None
 
 

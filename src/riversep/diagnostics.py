@@ -14,12 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConstantSeries,
-    OutOfRange,
-    ShapeMismatch,
-    TooShort,
-)
+from .errors import ConstantSeries, OutOfRange, ShapeMismatch, TooFewRows
 
 # Most bins per column: one pair's joint histogram then fills one bincount
 # of 2**20 cells, the chunk budget of mutual_information_matrix.
@@ -100,7 +95,7 @@ def acf(series, max_lag: int) -> AcfResult:
         raise OutOfRange(f"max_lag must be non-negative, got {max_lag}")
     n = rows.shape[1]
     if n < max_lag + 2:
-        raise TooShort(n, max_lag + 2)
+        raise TooFewRows(n, max_lag + 2)
     # a sum of squares past the largest float is rejected, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         centered = rows - (np.add.reduce(rows, axis=1) / n)[:, None]
@@ -170,7 +165,7 @@ def mutual_information_matrix(x, bins: int = 8) -> np.ndarray:
         raise ShapeMismatch(f"x must be 2-D, got shape {x.shape}")
     n, p = x.shape
     if n < 10:
-        raise TooShort(n, 10)
+        raise TooFewRows(n, 10)
     if not 2 <= bins <= _MAX_BINS:
         raise OutOfRange(f"bins must lie in 2..{_MAX_BINS}, got {bins}")
     if not np.all(np.isfinite(x)):
@@ -229,7 +224,7 @@ def morans_i(values, w: SpatialWeights) -> float:
     if x.shape[0] != w.n:
         raise ShapeMismatch(f"{x.shape[0]} values for {w.n} sites")
     if x.shape[0] < 3:
-        raise TooShort(x.shape[0], 3)
+        raise TooFewRows(x.shape[0], 3)
     if not np.all(np.isfinite(x)):
         raise OutOfRange("values must be finite")
     centered = x - x.mean()

@@ -6,7 +6,8 @@ on any other, reported as ``error in stage '<name>'``.  A failure gets a
 type of its own only where a caller can act on the difference; otherwise
 it is raised as the type of the failure it restates, with its own message
 (a constant field, or a column of zero range to bin, is a
-:class:`ConstantSeries`).
+:class:`ConstantSeries`; a bad date or year key, or a row with the wrong
+field count, is a :class:`MalformedRecord`).
 Every error that callers may want to branch on carries its context as
 attributes (column index or code, line number, HTTP status, ...) rather
 than only a formatted message.
@@ -39,12 +40,6 @@ class TooFewRows(RiversepError):
         super().__init__(f"need at least {required} rows, got {rows}")
 
 
-class NotSymmetric(RiversepError):
-    def __init__(self, max_asym: float):
-        self.max_asym = max_asym
-        super().__init__(f"matrix is not symmetric (max |s - s.T| = {max_asym:g})")
-
-
 class DidNotConverge(RiversepError):
     def __init__(self, routine: str):
         self.routine = routine
@@ -71,26 +66,11 @@ class MalformedHeader(RiversepError):
     pass
 
 
-class RaggedRow(RiversepError):
-    def __init__(self, line: int, expected: int, got: int):
-        self.line = line
-        self.expected = expected
-        self.got = got
-        super().__init__(f"line {line}: expected {expected} fields, got {got}")
-
-
 class MalformedRecord(RiversepError):
     def __init__(self, line: int, reason: str):
         self.line = line
         self.reason = reason
         super().__init__(f"line {line}: {reason}")
-
-
-class InvalidDate(RiversepError):
-    def __init__(self, line: int, text: str):
-        self.line = line
-        self.text = text
-        super().__init__(f"line {line}: cannot parse date {text!r}")
 
 
 class DuplicateTimestampVariable(RiversepError):
@@ -138,13 +118,6 @@ class NonConsecutiveYears(RiversepError):
         )
 
 
-class TooShort(RiversepError):
-    def __init__(self, length: int, required: int):
-        self.length = length
-        self.required = required
-        super().__init__(f"need at least {required} observations, got {length}")
-
-
 class MissingCells(RiversepError):
     def __init__(self, count: int):
         self.count = count
@@ -163,13 +136,6 @@ class RankDeficient(RiversepError):
 
 class Singular(RiversepError):
     pass
-
-
-class DofNegative(RiversepError):
-    def __init__(self, k: int, dof: int):
-        self.k = k
-        self.dof = dof
-        super().__init__(f"{k} factors leave {dof} degrees of freedom")
 
 
 class OutOfRange(RiversepError):

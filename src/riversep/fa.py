@@ -33,9 +33,7 @@ import numpy as np
 
 from .errors import (
     DidNotConverge,
-    DofNegative,
     EmptyResult,
-    NotSymmetric,
     OutOfRange,
     ShapeMismatch,
     Singular,
@@ -167,7 +165,7 @@ def profiled_discrepancy(psi, r, k: int):
 
     Raises
     ------
-    ShapeMismatch, NotSymmetric, OutOfRange
+    ShapeMismatch, OutOfRange
         As :func:`fit_fa_ml_corr` for ``r``; :class:`OutOfRange` also unless
         ``psi`` holds p positive, finite values.
     """
@@ -283,7 +281,7 @@ def _validate_correlation(r) -> np.ndarray:
         raise ShapeMismatch(f"correlation matrix must be square, got {p}x{q}")
     asym = float(np.max(np.abs(r - r.T)))
     if asym > 1e-8:
-        raise NotSymmetric(asym)
+        raise OutOfRange(f"matrix is not symmetric (max |s - s.T| = {asym:g})")
     if np.max(np.abs(np.diag(r) - 1.0)) > 1e-6:
         raise OutOfRange("correlation matrix must have unit diagonal")
     return (r + r.T) / 2.0
@@ -308,12 +306,12 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
 
     Raises
     ------
-    ShapeMismatch, NotSymmetric
-        If ``r`` is not square, or differs from its transpose by more than 1e-8.
+    ShapeMismatch
+        If ``r`` is not square.
     OutOfRange
-        If ``k < 1``, or a diagonal entry of ``r`` is more than 1e-6 from 1.
-    DofNegative
-        If ``((p-k)**2 - p - k)/2 < 0``.
+        If ``r`` differs from its transpose by more than 1e-8, a diagonal
+        entry of ``r`` is more than 1e-6 from 1, ``k < 1``, or
+        ``((p-k)**2 - p - k)/2 < 0``.
     TooFewRows
         If ``n_obs <= p``.
     Singular
@@ -325,7 +323,7 @@ def fit_fa_ml_corr(r, k: int, n_obs: int) -> FaModel:
         raise OutOfRange(f"factor count must be at least 1, got {k}")
     dof = fa_dof(p, k)
     if dof < 0:
-        raise DofNegative(k, dof)
+        raise OutOfRange(f"{k} factors leave {dof} degrees of freedom")
     if n_obs <= p:
         raise TooFewRows(n_obs, p + 1)
     r_values, r_vectors = _eigh_descending(r)

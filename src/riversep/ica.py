@@ -60,15 +60,15 @@ class IcaModel:
     largest first, and each oriented so that its mixing column's
     largest-magnitude entry in those units is positive.
 
-    ``sources = xc @ whitening.T @ unmixing.T`` where ``xc`` is the
-    centered input, and ``sources @ mixing.T`` is the least-squares
-    reconstruction of ``xc`` from the unit-variance sources.
+    ``unmixing`` is the k x p matrix that maps the centered input ``xc``
+    to the sources, ``sources = xc @ unmixing.T``: the rotation FastICA
+    found times the PCA's whitening.  ``sources @ mixing.T`` is the
+    least-squares reconstruction of ``xc`` from the unit-variance sources.
     ``delta_history`` holds the per-iteration convergence measure.
     """
 
     sources: np.ndarray
     unmixing: np.ndarray
-    whitening: np.ndarray
     mixing: np.ndarray
     converged: bool
     iterations: int
@@ -169,8 +169,7 @@ def fast_ica(x, pca: PcaModel, cfg: IcaConfig) -> IcaModel:
     sources = z @ w.T
     return IcaModel(
         sources=sources,
-        unmixing=w,
-        whitening=whitening,
+        unmixing=w @ whitening,
         mixing=mixing,
         converged=converged,
         iterations=iterations,

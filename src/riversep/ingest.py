@@ -5,8 +5,9 @@ comment lines and a column-format line after the header) and RFC-4180 CSV.
 Both are wide tables: the first column holds calendar dates, every other
 column one monitored variable.  A CSV whose first header field is ``year``
 is year-indexed instead, as :func:`emit_csv` writes an annual table: each
-key is 1 to 4 ASCII digits, after surrounding whitespace is stripped, and
-any other key is a :class:`MalformedRecord`.
+key is 1 to 4 ASCII digits, after surrounding whitespace is stripped.  A
+key that breaks its rule, a date's (below) or a year's, is a
+:class:`MalformedRecord`, as is a record with the wrong field count.
 
 The cell rule: a cell reads as the number ``float`` makes of it, and as
 missing (NaN) when it is empty or ``NA``/``na`` after stripping whitespace,
@@ -63,13 +64,11 @@ from .errors import (
     DuplicateTimestampVariable,
     EmptyResult,
     HttpStatus,
-    InvalidDate,
     MalformedHeader,
     MalformedRecord,
     NetworkUnavailable,
     NotUtf8,
     OutOfRange,
-    RaggedRow,
     UnknownVariable,
 )
 from .report import table_csv
@@ -186,7 +185,7 @@ def _parse_date(text: str, line_no: int) -> datetime.date:
     try:
         return _iso_date(text.strip())
     except ValueError:
-        raise InvalidDate(line_no, text) from None
+        raise MalformedRecord(line_no, f"cannot parse date {text!r}") from None
 
 
 def _parse_year(text: str, line_no: int) -> int:
@@ -270,7 +269,7 @@ def _read_records(records, n_fields: int, index_name: str = "date"):
     rows: list[list[float]] = []
     for line_no, fields in records:
         if len(fields) != n_fields:
-            raise RaggedRow(line_no, n_fields, len(fields))
+            raise MalformedRecord(line_no, f"expected {n_fields} fields, got {len(fields)}")
         keys.append(parse_key(fields[0], line_no))
         rows.append(_read_row(fields[1:]))
     cells = np.reshape(rows, (-1, n_fields - 1))

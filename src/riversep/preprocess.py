@@ -20,7 +20,7 @@ from .errors import (
     NonConsecutiveYears,
     OutOfRange,
     RuleInapplicable,
-    TooShort,
+    TooFewRows,
 )
 from .ingest import Table, drop_incomplete_rows, filter_table
 
@@ -129,7 +129,7 @@ def difference(table: Table) -> Table:
     if n_missing:
         raise MissingCells(n_missing)
     if table.n_rows <= 1:
-        raise TooShort(table.n_rows, 2)
+        raise TooFewRows(table.n_rows, 2)
     years = table.index
     gaps = np.diff(years)
     if np.any(gaps != 1):

@@ -176,7 +176,7 @@ def evaluate_recovery(
                 f"model extracts {model.unmixing.shape[0]} components, "
                 f"scenario has {k} sources"
             )
-        w_full = model.unmixing @ model.whitening
+        w_full = model.unmixing
         recovered = model.sources
     elif isinstance(model, PcaModel):
         if model.loadings.shape[0] != scenario.mixing.shape[0]:

@@ -104,8 +104,7 @@ def fast_ica(x, cfg, standardize):
         mixing = sd[:, None] * mixing
     return IcaModel(
         sources=z @ w.T,
-        unmixing=w,
-        whitening=whitening,
+        unmixing=w @ whitening,
         mixing=mixing,
         converged=converged,
         iterations=iterations,

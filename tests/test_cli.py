@@ -718,7 +718,7 @@ class TestExitCodes:
         "pca": ("pca", "need at least 3 rows, got 2"),
         "ica": ("ica", "need at least 3 rows, got 2"),
         "fa": ("fa", "need at least 25 rows, got 2"),
-        "diagnose": ("diagnose", "need at least 10 observations, got 2"),
+        "diagnose": ("diagnose", "need at least 10 rows, got 2"),
     }
 
     @pytest.mark.parametrize("variant", ["committed", "kaiser"])
@@ -734,6 +734,17 @@ class TestExitCodes:
         assert main([command, str(config)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"riversep: error in stage '{stage}': {message}"
+        ]
+
+    def test_one_annual_row_fails_in_the_difference_stage(self, workdir, capsys):
+        # the fixture's last year alone leaves one annual mean to difference
+        config = workdir / "pipeline.json"
+        doc = json.loads(config.read_text())
+        doc["filter"].update(start="2000-01-01", min_count=1)
+        config.write_text(json.dumps(doc))
+        assert main(["preprocess", str(config)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "riversep: error in stage 'difference': need at least 2 rows, got 1"
         ]
 
     def test_ica_needs_ten_rows_per_component_past_pca(self, workdir, capsys):
@@ -1428,22 +1439,34 @@ class TestSynthBench:
         assert main(args) == 0
 
     @pytest.mark.parametrize(
-        "flag,value,least",
+        "flag,value,bound",
         [
-            ("--seed", -1, 0),
-            ("--rows", 2, 30),
-            ("--rows", 29, 30),
-            ("--replicates", 0, 1),
+            ("--seed", -1, "at least 0"),
+            ("--rows", 2, "at least 30"),
+            ("--rows", 29, "at least 30"),
+            # past the longest float64 array, where numpy raises "array is
+            # too big" or, from 2**63, "Maximum allowed dimension exceeded"
+            ("--rows", 2**60, f"at most {2**60 - 1}"),
+            ("--rows", 2**63, f"at most {2**60 - 1}"),
+            ("--replicates", 0, "at least 1"),
         ],
     )
-    def test_bad_argument_is_a_command_line_error(self, tmp_path, capsys, flag, value, least):
+    def test_bad_argument_is_a_command_line_error(self, tmp_path, capsys, flag, value, bound):
         args = ["synth-bench", "--out", str(tmp_path / "bench"), "--rows", "300",
                 "--replicates", "1", flag, str(value)]
         assert main(args) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"riversep: command-line error: {flag} must be at least {least}, got {value}"
+            f"riversep: command-line error: {flag} must be {bound}, got {value}"
         ]
         assert not (tmp_path / "bench").exists()
+
+    def test_the_longest_float64_array_is_a_row_count_the_arguments_accept(self):
+        # accepted here, refused by the allocation in the synth-bench stage;
+        # checked without running, so the test asks for no memory
+        args = riversep.cli._build_parser().parse_args(
+            ["synth-bench", "--out", "unused", "--rows", str(2**60 - 1)]
+        )
+        assert riversep.cli._bench_argument_error(args) is None
 
     def test_a_failing_scenario_is_reported_in_the_synth_bench_stage(
         self, tmp_path, capsys, monkeypatch

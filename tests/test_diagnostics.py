@@ -22,7 +22,7 @@ from riversep.errors import (
     ConstantSeries,
     OutOfRange,
     ShapeMismatch,
-    TooShort,
+    TooFewRows,
 )
 
 
@@ -134,7 +134,7 @@ class TestAcf:
         "series, max_lag, error, message",
         [
             (np.ones(30), 5, ConstantSeries, "series has no variation"),
-            (np.arange(6.0), 5, TooShort, "need at least 7 observations, got 6"),
+            (np.arange(6.0), 5, TooFewRows, "need at least 7 rows, got 6"),
             (np.zeros((10, 2, 2)), 3, ShapeMismatch, r"series must be 1-D or 2-D, got shape \(10, 2, 2\)"),
             (np.arange(10.0), -1, OutOfRange, "max_lag must be non-negative, got -1"),
         ],
@@ -263,7 +263,7 @@ class TestMutualInformation:
         [
             (np.arange(12.0), np.arange(13.0), 8, ShapeMismatch, "length mismatch: 12 vs 13"),
             (np.ones((10, 2)), np.ones((10, 2)), 8, ShapeMismatch, "inputs must be 1-D series"),
-            (np.arange(9.0), np.arange(9.0), 8, TooShort, "need at least 10 observations, got 9"),
+            (np.arange(9.0), np.arange(9.0), 8, TooFewRows, "need at least 10 rows, got 9"),
             (np.ones(20), np.arange(20.0), 8, ConstantSeries, "cannot bin a range of zero width"),
             (np.arange(20.0), np.arange(20.0), 1, OutOfRange, r"bins must lie in 2\.\.1024, got 1"),
             # past 1024 bins one pair's joint histogram outgrows the
@@ -343,7 +343,7 @@ class TestMutualInformationMatrix:
             mutual_information_matrix(np.arange(20.0))
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
+        with pytest.raises(TooFewRows, match="^need at least 10 rows, got 9$"):
             mutual_information_matrix(np.arange(18.0).reshape(9, 2))
 
     def test_bad_bins(self):
@@ -429,7 +429,7 @@ class TestMoransI:
         [
             (np.arange(6.0).reshape(3, 2), 3, ShapeMismatch, r"values must be 1-D, got shape \(3, 2\)"),
             (np.arange(5.0), 6, ShapeMismatch, "5 values for 6 sites"),
-            (np.arange(2.0), 2, TooShort, "need at least 3 observations, got 2"),
+            (np.arange(2.0), 2, TooFewRows, "need at least 3 rows, got 2"),
             (np.array([1.0, np.nan, 2.0]), 3, OutOfRange, "values must be finite"),
         ],
         ids=["two_dimensional", "length_vs_sites", "two_sites", "nan"],

@@ -352,7 +352,7 @@ class TestDifference:
 
     def test_too_short(self):
         a = make_annual([1990], ["a"], [[1.0]])
-        with pytest.raises(errors.TooShort):
+        with pytest.raises(errors.TooFewRows, match="^need at least 2 rows, got 1$"):
             difference(a)
 
     def test_missing_cells_rejected(self):
