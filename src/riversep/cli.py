@@ -6,8 +6,10 @@ the diagnostics tables, and finishes with a manifest recording the config
 hash, every stage's row/column counts, and the tool version.  The other
 subcommands stop earlier in that chain and write only their own outputs,
 which makes any stage inspectable in isolation.  :class:`_Pipeline` makes
-each table, the correlation PCA and the ICA and FA fits once.  Each stage's
-writer, the manifest being the ``run`` stage's, turns them into
+each table, the correlation PCA and the ICA and FA fits once, and each
+method's :class:`_Components`, the series and loadings its writer and the
+truth scorecard read.  Each stage's writer, the manifest being the ``run``
+stage's, turns them into
 ``(file name, text)`` pairs; one writer computes as well: the ``diagnose``
 writer computes the autocorrelations and the mutual-information table.
 :func:`_execute` writes each file as it is yielded, inside one boundary that
@@ -30,6 +32,7 @@ from dataclasses import replace
 from functools import cache, cached_property
 from itertools import takewhile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +42,11 @@ from .diagnostics import acf, mutual_information_matrix
 from .errors import (
     ConfigError, MissingCells, OutOfRange, RiversepError, RuleInapplicable, ZeroVarianceColumn,
 )
-from .fa import fa_dof, fit_fa_ml_corr, smallest_adequate_k
+from .fa import bartlett_scores, fa_dof, fit_fa_ml_corr, smallest_adequate_k
 from .ica import _ROWS_PER_COMPONENT, IcaConfig, fast_ica
 from .ingest import Table, emit_csv, fetch_remote, parse_csv, parse_rdb
-from .linalg import correlation_matrix
-from .pca import explained_variance, fit_pca, kaiser_retain
+from .linalg import _column_moments, as_matrix
+from .pca import explained_variance, fit_pca, kaiser_retain, scores
 from .preprocess import STAGES
 from .report import format_number, json_text, loading_csv, table_csv
 from .synth import evaluate_recovery, generate_scenario
@@ -69,6 +72,15 @@ def _stage(name: str):
         yield
     except (RiversepError, OSError, MemoryError) as exc:
         raise _StageFailure(name, exc) from exc
+
+
+class _Components(NamedTuple):
+    """One method's k components of the model input: ``series``, rows x k,
+    and ``loadings``, variables x k, in correlation units, so that ``series
+    @ loadings.T`` approximates the standardized model input.  k may be 0."""
+
+    series: np.ndarray
+    loadings: np.ndarray
 
 
 class _Pipeline:
@@ -119,8 +131,9 @@ class _Pipeline:
     @cached_property
     def model_input(self) -> Table:
         """The staged table, checked to be dense and finite and to have a
-        correlation, kept as ``correlation``: at least two rows, and no column
-        constant or with squares that underflow or overflow."""
+        correlation: at least two rows, and no column constant or with
+        squares that underflow or overflow.  Its column means, sds and
+        correlation are kept as ``mean``, ``sd`` and ``correlation``."""
         table = self.table
         values = table.values
         with _stage("model input"):
@@ -128,7 +141,9 @@ class _Pipeline:
             if missing:
                 raise MissingCells(missing)
             try:
-                self.correlation = correlation_matrix(values)
+                self.mean, self.sd, self.correlation = _column_moments(
+                    as_matrix(values), standardize=True
+                )
             except ZeroVarianceColumn as exc:
                 raise ZeroVarianceColumn(table.codes[exc.col]) from exc
         return table
@@ -140,15 +155,27 @@ class _Pipeline:
         return fit_pca(self.model_input.values, scale=True)
 
     @cached_property
+    def pca_components(self) -> _Components:
+        """The correlation PCA's scores and eigenvectors at Kaiser's count."""
+        k = kaiser_retain(self.pca)
+        series = scores(self.pca, self.model_input.values)[:, :k]
+        return _Components(series, self.pca.loadings[:, :k])
+
+    @cached_property
     def ica(self):
         """The model input's FastICA, whitened from the correlation PCA, of the
         configured count or else Kaiser's."""
         k = self.cfg.ica.n_components
         if k is None:
-            k = kaiser_retain(self.pca)
+            k = self.pca_components.loadings.shape[1]
         if k == 0:  # the config admits no count below 1
             raise RuleInapplicable("Kaiser's rule keeps no component: no eigenvalue exceeds 1")
         return fast_ica(self.model_input.values, self.pca, replace(self.cfg.ica, n_components=k))
+
+    @cached_property
+    def ica_components(self) -> _Components:
+        """FastICA's sources and its mixing over the column sds."""
+        return _Components(self.ica.sources, self.ica.mixing / self.pca.sd[:, None])
 
     @cached_property
     def fa(self):
@@ -162,6 +189,14 @@ class _Pipeline:
             raise RiversepError(f"no factor count is estimable for {p} variables")
         fits = [fit_fa_ml_corr(self.correlation, k, n) for k in ks]
         return fits, smallest_adequate_k([m.p_value for m in fits], self.cfg.fa_alpha)
+
+    @cached_property
+    def fa_components(self) -> _Components:
+        """The selected FA fit's Bartlett scores and its loadings."""
+        fits, selection = self.fa
+        model = fits[selection.k - 1]
+        series = bartlett_scores(model, self.model_input.values, self.mean, self.sd)
+        return _Components(series, model.loadings)
 
 
 def _write_files(out_dir: Path, files) -> list[str]:
@@ -185,21 +220,29 @@ def _write_preprocessed(pipe: _Pipeline):
     yield "preprocessed.csv", emit_csv(pipe.table)
 
 
+def _series_csv(pipe: _Pipeline, prefix: str, series: np.ndarray) -> str:
+    """A method's ``series`` under the model input's index, as columns
+    ``<prefix>1``, ``<prefix>2``, ..."""
+    table = pipe.model_input
+    codes = [f"{prefix}{j + 1}" for j in range(series.shape[1])]
+    return emit_csv(Table(table.index_name, table.index, codes, series))
+
+
 def _write_pca(pipe: _Pipeline):
     matrix, labels, model = pipe.model_input.values, pipe.model_input.codes, pipe.pca
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
     yield "pca_loadings.csv", loading_csv(header, [*labels, "stdev"], rows)
+    series = pipe.pca_components.series
+    yield "pca_scores.csv", _series_csv(pipe, "PC", series)
 
-    kaiser = kaiser_retain(model)
+    kaiser = series.shape[1]
     # a share of the variance needs at least one component
     explained = explained_variance(model, kaiser) if kaiser else None
     # eigenvalues as the model holds them, so a negative rounding one reads 0
     eigenvalues = model.stdevs**2
     smallest = float(eigenvalues[-1])
     summary = {
-        "center": True,  # PCA always centers and scales
-        "scale": True,
         "n_rows": int(matrix.shape[0]),
         "stdevs": [float(s) for s in model.stdevs],
         "kaiser_components": kaiser,
@@ -211,21 +254,17 @@ def _write_pca(pipe: _Pipeline):
 
 
 def _write_ica(pipe: _Pipeline):
-    table, model, settings = pipe.model_input, pipe.ica, pipe.cfg.ica
-    k = model.unmixing.shape[0]  # the configured count or else Kaiser's
+    model, settings, (sources, mixing) = pipe.ica, pipe.cfg.ica, pipe.ica_components
+    k = mixing.shape[1]  # the configured count or else Kaiser's
+    yield "ica_sources.csv", _series_csv(pipe, "IC", sources)
     codes = [f"IC{j + 1}" for j in range(k)]
-    sources = Table(table.index_name, table.index, codes, model.sources)
-    yield "ica_sources.csv", emit_csv(sources)
-    # in correlation units, as pca_loadings.csv
-    mixing = model.mixing / pipe.pca.sd[:, None]
-    yield "ica_mixing.csv", loading_csv(["variable", *codes], table.codes, mixing)
+    yield "ica_mixing.csv", loading_csv(["variable", *codes], pipe.model_input.codes, mixing)
     summary = {
         "n_components": k,
         "converged": model.converged,
         "iterations": model.iterations,
         "final_delta": model.delta_history[-1],
         "seed": settings.seed,
-        "contrast": "logcosh",  # FastICA's one contrast
         "tol": settings.tol,
         "max_iter": settings.max_iter,
     }
@@ -266,6 +305,7 @@ def _write_fa(pipe: _Pipeline):
         "selection_adequate": selection.adequate,
     }
     yield "fa_summary.json", json_text(summary)
+    yield "fa_scores.csv", _series_csv(pipe, "F", pipe.fa_components.series)
 
 
 def _write_diagnostics(pipe: _Pipeline):

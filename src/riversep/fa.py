@@ -409,6 +409,28 @@ def fit_fa_ml(x, k: int) -> FaModel:
     return fit_fa_ml_corr(correlation_matrix(x), k, x.shape[0])
 
 
+def bartlett_scores(model: FaModel, x, mean, sd) -> np.ndarray:
+    """Bartlett's (1937) factor scores of the rows of ``x``, rows x k.
+
+    Each row is standardized with the column ``mean`` and ``sd`` the fit's
+    correlation was computed with, ``z = (x - mean) / sd``, and scored by
+    weighted least squares, ``(Lambda' Psi^-1 Lambda)^-1 Lambda' Psi^-1 z``,
+    which is unbiased for the factors.
+
+    Raises
+    ------
+    Singular
+        If ``Lambda' Psi^-1 Lambda`` is singular, as where a loading column
+        is all zero.
+    """
+    weights = model.loadings / model.uniquenesses[:, None]  # Psi^-1 Lambda
+    z = (x - mean) / sd
+    try:
+        return np.linalg.solve(model.loadings.T @ weights, (z @ weights).T).T
+    except np.linalg.LinAlgError as exc:
+        raise Singular("Bartlett scores need a nonsingular Lambda' Psi^-1 Lambda") from exc
+
+
 def smallest_adequate_k(p_values: Sequence[float], alpha: float = 0.05) -> FactorSelection:
     """Apply the sequential stopping rule to a p-value sequence.
 

@@ -1,11 +1,13 @@
 """Truth scorecard: how well PCA, FA and ICA recover the bundled fixture's
 drivers and loadings, which :func:`station_builder.station` returns.
 
-Every method's components are PCA's scores at Kaiser's count, FA's Bartlett
-scores at the selected count and ICA's sources.  :func:`scorecard` gives
-each method the matched mean |r| of its components with the drivers, the
-mean of :func:`riversep.synth._best_match`'s per-driver |r| under the
-best one-to-one pairing, and PCA and FA two subspace measures:
+Every method's components are the series and loadings ``riversep run``
+writes, read from its :class:`riversep.cli._Components`: PCA's scores at
+Kaiser's count, FA's Bartlett scores at the selected count and ICA's
+sources.  :func:`scorecard` gives each method the matched mean |r| of its
+components with the drivers, the mean of
+:func:`riversep.synth._best_match`'s per-driver |r| under the best
+one-to-one pairing, and PCA and FA two subspace measures:
 
 - the canonical correlations of the method's series with the drivers
   (Hotelling 1936, *Biometrika* 28:321);
@@ -14,9 +16,9 @@ best one-to-one pairing, and PCA and FA two subspace measures:
   27:579): PCA's eigenvectors, FA's loadings.
 
 ICA rotates PCA's top k scores, so its subspace measures are PCA's at its
-k, which ``tests/test_cli.py`` pins; it gets whether FastICA converged
-instead.  Run as a script, it prints the table of :func:`variants` as
-markdown, marking an unconverged ICA row::
+k, which ``tests/test_cli.py`` pins at Kaiser's count; it gets whether
+FastICA converged instead.  Run as a script, it prints the table of
+:func:`variants` as markdown, marking an unconverged ICA row::
 
     PYTHONPATH=src:tests python tests/scorecard.py
 """
@@ -30,7 +32,6 @@ import numpy as np
 
 from riversep.cli import _Pipeline
 from riversep.config import load_config
-from riversep.pca import kaiser_retain, scores
 from riversep.synth import _best_match, _centered_columns
 from station_builder import YEARS, station
 
@@ -78,7 +79,6 @@ def scorecard(cfg) -> Card:
     and aligned to the model input's rows by year."""
     pipe = _Pipeline(cfg)
     table = pipe.model_input
-    x = table.values
     years = table.index.tolist()
     drivers, driver_years = STATION.drivers, list(YEARS)
     if "difference" in cfg.pipeline:
@@ -89,35 +89,21 @@ def scorecard(cfg) -> Card:
     def matched(series) -> float:
         return float(np.mean(_best_match(centered, series)))
 
-    sd = x.std(axis=0, ddof=1)
-    truth = np.array([STATION.loadings[code] for code in table.codes]) / sd[:, None]
+    truth = np.array([STATION.loadings[code] for code in table.codes]) / pipe.sd[:, None]
 
-    k = kaiser_retain(pipe.pca)
-    pca_scores = scores(pipe.pca, x)[:, :k]
-    pca = Row(
-        k,
-        matched(pca_scores),
-        canonical_correlations(pca_scores, drivers),
-        cosines(pipe.pca.loadings[:, :k], truth),
-    )
+    def subspace_row(components) -> Row:
+        series, loadings = components
+        return Row(
+            loadings.shape[1],
+            matched(series),
+            canonical_correlations(series, drivers),
+            cosines(loadings, truth),
+        )
 
-    fits, selection = pipe.fa
-    fa = fits[selection.k - 1]
-    z = (x - x.mean(axis=0)) / sd
-    weights = fa.loadings / fa.uniquenesses[:, None]  # Psi^-1 Lambda
-    bartlett = np.linalg.solve(fa.loadings.T @ weights, (z @ weights).T).T
-    fa_row = Row(
-        fa.k,
-        matched(bartlett),
-        canonical_correlations(bartlett, drivers),
-        cosines(fa.loadings, truth),
-    )
-
-    ica = pipe.ica
-    ica_row = Row(
-        ica.sources.shape[1], matched(ica.sources), converged=ica.converged
-    )
-    return Card(years, {"PCA": pca, "FA": fa_row, "ICA": ica_row})
+    series, loadings = pipe.ica_components
+    ica = Row(loadings.shape[1], matched(series), converged=pipe.ica.converged)
+    rows = {"PCA": subspace_row(pipe.pca_components), "FA": subspace_row(pipe.fa_components)}
+    return Card(years, {**rows, "ICA": ica})
 
 
 def variants() -> dict:

@@ -271,30 +271,40 @@ def test_scorecard_recovers_the_fixtures_drivers_and_loadings():
 @pytest.mark.parametrize("name", list(SCORECARD_BOUNDS))
 def test_ica_spans_pcas_top_k_scores_and_loadings(name):
     # FastICA rotates the correlation PCA's top k scores, so the scorecard's
-    # subspace measures of ICA would be PCA's at ICA's k: its sources span
-    # those scores, and its mixing over the column sd those loadings
-    pipe = riversep.cli._Pipeline(scorecard.variants()[name])
-    x = pipe.model_input.values
-    ica = pipe.ica
-    k = ica.sources.shape[1]
-    sd = x.std(axis=0, ddof=1)
+    # subspace measures of ICA would be PCA's at ICA's k: at Kaiser's count,
+    # ICA's series span PCA's and its loadings PCA's
+    cfg = scorecard.variants()[name]
+    pipe = riversep.cli._Pipeline(replace(cfg, ica=replace(cfg.ica, n_components=None)))
+    ica, pca = pipe.ica_components, pipe.pca_components
+    k = pca.loadings.shape[1]
+    assert ica.loadings.shape[1] == k
     for got in (
-        scorecard.cosines(ica.sources, riversep.pca.scores(pipe.pca, x)[:, :k]),
-        scorecard.cosines(ica.mixing / sd[:, None], pipe.pca.loadings[:, :k]),
+        scorecard.cosines(ica.series, pca.series),
+        scorecard.cosines(ica.loadings, pca.loadings),
     ):
         np.testing.assert_allclose(got, np.ones(k), rtol=0, atol=1e-12)
 
 
+# What each command computes from the model input: the calls of each function
+# and the shapes handed to np.linalg.svd.
+MODEL_CALLS = {
+    "run": ({"_column_moments": 2, "fit_pca": 1, "fast_ica": 1, "fit_fa_ml_corr": 3}, {(3, 3)}),
+    "fa": ({"_column_moments": 1, "fit_pca": 0, "fast_ica": 0, "fit_fa_ml_corr": 3}, set()),
+}
+
+
 @pytest.mark.parametrize("variant", ["committed", "kaiser"])
-def test_run_computes_the_model_input_moments_once_in_the_gate_and_once_for_pca(
-    workdir, monkeypatch, variant
+@pytest.mark.parametrize("command", list(MODEL_CALLS))
+def test_run_and_fa_compute_the_model_input_moments_once_in_the_gate_and_once_per_pca(
+    workdir, monkeypatch, command, variant
 ):
-    # the model-input gate makes the correlation every FA fit reads, PCA and
-    # ICA share one correlation PCA, which ICA whitens from and may take
-    # Kaiser's count of, and each model is fit once: one ICA, and one FA per
-    # count k = 1..3.  No QR or SVD of the model input is made: the one SVD
-    # is FastICA's decorrelation of its 3 x 3 unmixing.
-    calls = {"_column_moments": 0, "fit_pca": 0, "fast_ica": 0, "fit_fa_ml_corr": 0}
+    # the model-input gate makes the correlation every FA fit reads and the
+    # means and sds the Bartlett scores standardize with, so fa fits no PCA;
+    # PCA and ICA share one correlation PCA, which ICA whitens from and may
+    # take Kaiser's count of, and each model is fit once: one ICA, and one FA
+    # per count k = 1..3.  No QR or SVD of the model input is made: the one
+    # SVD is FastICA's decorrelation of its 3 x 3 unmixing.
+    calls = dict.fromkeys(MODEL_CALLS[command][0], 0)
     factored = {"qr": set(), "svd": set()}
 
     def count(module, name):
@@ -317,14 +327,16 @@ def test_run_computes_the_model_input_moments_once_in_the_gate_and_once_for_pca(
 
     count(riversep.linalg, "_column_moments")
     count(riversep.pca, "_column_moments")
+    count(riversep.cli, "_column_moments")
     count(riversep.cli, "fit_pca")
     count(riversep.cli, "fast_ica")
     count(riversep.cli, "fit_fa_ml_corr")
     log_shapes("qr")
     log_shapes("svd")
-    assert main(["run", str(write_config(workdir, variant))]) == 0
-    assert calls == {"_column_moments": 2, "fit_pca": 1, "fast_ica": 1, "fit_fa_ml_corr": 3}
-    assert factored == {"qr": set(), "svd": {(3, 3)}}
+    assert main([command, str(write_config(workdir, variant))]) == 0
+    expected_calls, svd_shapes = MODEL_CALLS[command]
+    assert calls == expected_calls
+    assert factored == {"qr": set(), "svd": svd_shapes}
 
 
 @pytest.mark.parametrize("variant", ["committed", "kaiser"])
@@ -894,6 +906,7 @@ class TestExitCodes:
             "ica_summary.json",
             "ingested.csv",
             "pca_loadings.csv",
+            "pca_scores.csv",
             "pca_summary.json",
             "preprocessed.csv",
         ]
@@ -1000,15 +1013,18 @@ class TestExitCodes:
         assert not (workdir / "out").exists()
 
     def test_a_record_where_kaiser_keeps_no_component(self, workdir, capsys):
-        # pca reports the count of 0 with no explained share; ica, which
-        # reads that count, fails in its own stage, and run keeps the files
-        # of the stages before it
+        # pca reports the count of 0 with no explained share and scores of no
+        # component, the index column alone; ica, which reads that count,
+        # fails in its own stage, and run keeps the files of the stages
+        # before it
         config = str(write_kaiser_zero_record(workdir))
         assert main(["pca", config]) == 0
         assert capsys.readouterr().err == ""
         summary = json.loads((workdir / "out" / "pca_summary.json").read_text())
         assert summary["kaiser_components"] == 0
         assert summary["explained_variance_kaiser"] is None
+        years = "".join(f"{1980 + i}\n" for i in range(16))
+        assert (workdir / "out" / "pca_scores.csv").read_text() == "year\n" + years
         shutil.rmtree(workdir / "out")
         for command in ("ica", "run"):
             code = main([command, config])
@@ -1020,6 +1036,7 @@ class TestExitCodes:
         assert sorted(p.name for p in (workdir / "out").iterdir()) == [
             "ingested.csv",
             "pca_loadings.csv",
+            "pca_scores.csv",
             "pca_summary.json",
             "preprocessed.csv",
         ]
@@ -1106,6 +1123,7 @@ class TestExitCodes:
             "ica_summary.json",
             "ingested.csv",
             "pca_loadings.csv",
+            "pca_scores.csv",
             "pca_summary.json",
             "preprocessed.csv",
         ]
@@ -1182,10 +1200,10 @@ def test_mutated_inputs_keep_the_exit_code_contract(workdir, capsys, target):
 SUBCOMMAND_OUTPUTS = {
     "ingest": ["ingested.csv"],
     "preprocess": ["ingested.csv", "preprocessed.csv"],
-    "pca": ["pca_loadings.csv", "pca_summary.json"],
+    "pca": ["pca_loadings.csv", "pca_scores.csv", "pca_summary.json"],
     "ica": ["ica_sources.csv", "ica_mixing.csv", "ica_summary.json"],
     "fa": [f"fa_k{k}_{kind}.csv" for k in (1, 2, 3) for kind in ("loadings", "residual")]
-    + ["fa_summary.json"],
+    + ["fa_summary.json", "fa_scores.csv"],
     "diagnose": ["acf.csv", "mi.csv"],
 }
 
@@ -1267,6 +1285,28 @@ class TestSubcommands:
         assert summary["min_eigenvalue"] == stdevs[-1] ** 2
         assert summary["condition_number"] == stdevs[0] ** 2 / stdevs[-1] ** 2
 
+    def test_pca_scores_times_loadings_are_the_rank_k_approximation(self, run_outputs):
+        # the written scores have variances the eigenvalues, and with the
+        # written eigenvectors rebuild the standardized model input's best
+        # rank-k approximation (Eckart-Young), up to the files' rounding
+        x = np.array([row[1:] for row in read_csv(run_outputs / "preprocessed.csv")[1:]], float)
+        z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+        header, *rows = read_csv(run_outputs / "pca_scores.csv")
+        scores = np.array([row[1:] for row in rows], float)
+        k = scores.shape[1]
+        assert header == ["year", *(f"PC{j + 1}" for j in range(k))]
+        summary = json.loads((run_outputs / "pca_summary.json").read_text())
+        assert k == summary["kaiser_components"]
+        np.testing.assert_allclose(
+            scores.var(axis=0, ddof=1), np.square(summary["stdevs"][:k]), rtol=1e-9
+        )
+        _, *rows = read_csv(run_outputs / "pca_loadings.csv")
+        loadings = np.array([row[1 : k + 1] for row in rows[:-1]], float)  # less the stdevs
+        u, s, vt = np.linalg.svd(z, full_matrices=False)
+        rank_k = (u[:, :k] * s[:k]) @ vt[:k]
+        # 7-decimal loadings times k = 3 scores each below 6 in magnitude
+        np.testing.assert_allclose(scores @ loadings.T, rank_k, rtol=0, atol=1e-6)
+
     def test_pca_summary_has_no_condition_number_for_a_singular_spectrum(
         self, workdir, monkeypatch
     ):
@@ -1345,6 +1385,9 @@ class TestSubcommands:
         assert [f["dof"] for f in summary["fits"]] == [44, 34, 25]
         assert summary["k_max_used"] == 3
         assert all("residual_verdict" in f for f in summary["fits"])
+        header, *rows = read_csv(out / "fa_scores.csv")
+        assert header == ["year", *(f"F{j + 1}" for j in range(summary["selected_k"]))]
+        assert [row[0] for row in rows] == [str(year) for year in range(1951, 2001)]
 
     def test_diagnose_outputs(self, workdir):
         assert main(["diagnose", str(workdir / "pipeline.json")]) == 0

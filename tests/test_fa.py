@@ -31,6 +31,7 @@ from riversep.fa import (
     _chi2_upper_tail,
     _hessian_log,
     _objective_log,
+    bartlett_scores,
     fa_dof,
     fit_fa_ml,
     fit_fa_ml_corr,
@@ -636,6 +637,46 @@ class TestResidualMatrix:
         )
         np.testing.assert_array_equal(null.fitted(), np.eye(4))
         np.testing.assert_allclose(r - null.fitted(), null.residual)
+
+
+def exact_model(lam, psi) -> FaModel:
+    """The k-factor model ``lam``, ``psi`` as a fit that recovered it exactly."""
+    p, k = lam.shape
+    return FaModel(lam, psi, k, 0.0, 1.0, np.zeros((p, p)), True, False, 0.0)
+
+
+class TestBartlettScores:
+    # Ten variables, each loading 0.9 on one of two factors and 0.2 on the
+    # other: Lambda' Psi^-1 Lambda is large, so each score's error is small.
+    LAM = np.array([[0.9, 0.2]] * 5 + [[0.2, 0.9]] * 5)
+    PSI = 1.0 - (LAM**2).sum(axis=1)
+
+    def simulate(self, n=5000, seed=37):
+        rng = np.random.default_rng(seed)
+        factors = rng.normal(size=(n, 2))
+        noise = rng.normal(size=(n, 10)) * np.sqrt(self.PSI)
+        return factors, factors @ self.LAM.T + noise
+
+    def test_each_score_tracks_its_true_factor_without_bias(self):
+        # standardized with the population's own mean 0 and sd 1
+        factors, x = self.simulate()
+        got = bartlett_scores(exact_model(self.LAM, self.PSI), x, np.zeros(10), np.ones(10))
+        assert got.shape == factors.shape
+        for j in range(2):
+            assert np.corrcoef(got[:, j], factors[:, j])[0, 1] > 0.95, j
+        # unbiased: the scores regress on the factors with the identity,
+        # where the regression (Thomson) scores shrink by 0.04 or more
+        slopes = np.linalg.lstsq(factors, got, rcond=None)[0]
+        np.testing.assert_allclose(slopes, np.eye(2), rtol=0, atol=0.01)
+
+    def test_a_factor_with_no_loading_is_singular(self):
+        # _loadings_at's clip zeroes a column whose scaled eigenvalue is at
+        # most 1; its scores are not defined
+        lam = self.LAM.copy()
+        lam[:, 1] = 0.0
+        _, x = self.simulate(n=50)
+        with pytest.raises(Singular, match="^Bartlett scores need a nonsingular"):
+            bartlett_scores(exact_model(lam, self.PSI), x, np.zeros(10), np.ones(10))
 
 
 class TestInputValidation:
