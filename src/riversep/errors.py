@@ -35,21 +35,16 @@ class ZeroVarianceColumn(RiversepError):
 
 class TooFewRows(RiversepError):
     def __init__(self, rows: int, required: int):
-        self.rows = rows
-        self.required = required
         super().__init__(f"need at least {required} rows, got {rows}")
 
 
 class DidNotConverge(RiversepError):
     def __init__(self, routine: str):
-        self.routine = routine
         super().__init__(f"LAPACK {routine} did not converge")
 
 
 class ShapeMismatch(RiversepError):
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +115,6 @@ class NonConsecutiveYears(RiversepError):
 
 class MissingCells(RiversepError):
     def __init__(self, count: int):
-        self.count = count
         super().__init__(f"table has {count} missing cells; a dense table is required")
 
 
@@ -139,9 +133,7 @@ class Singular(RiversepError):
 
 
 class OutOfRange(RiversepError):
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(detail)
+    pass
 
 
 class RuleInapplicable(RiversepError):

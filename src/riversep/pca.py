@@ -25,16 +25,15 @@ class PcaModel:
     components); ``stdevs`` are the component standard deviations, i.e. the
     square roots of the covariance eigenvalues, in descending order.
     ``mean`` and ``sd`` are the training columns' means and sample (n-1)
-    standard deviations, which :func:`scores` applies to new data; a model
-    assembled by hand may leave them out.  Arrays are read-only by
-    convention.
+    standard deviations, which :func:`scores` applies to new data.  Arrays
+    are read-only by convention.
     """
 
     loadings: np.ndarray
     stdevs: np.ndarray
     scaled: bool
-    mean: np.ndarray | None = None
-    sd: np.ndarray | None = None
+    mean: np.ndarray
+    sd: np.ndarray
 
     @property
     def n_components(self) -> int:
@@ -103,8 +102,6 @@ def _standardized_rows(model: PcaModel, m: np.ndarray) -> np.ndarray:
         raise OutOfRange(
             f"{m.shape[1]} columns, model was fit with {model.loadings.shape[0]}"
         )
-    if model.mean is None or model.sd is None:
-        raise RuleInapplicable("scores need the training mean and sd of a fit_pca model")
     pre = np.ascontiguousarray(m.T) - model.mean[:, None]
     if model.scaled:
         pre = pre / model.sd[:, None]

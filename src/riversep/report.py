@@ -10,7 +10,8 @@ the UTF-8 bytes of text (years, variable codes), and :func:`date_keys`
 writes ``datetime64[D]`` days as ISO ``YYYY-MM-DD`` dates, as ``str`` does.
 A block of fixed-decimal cells is written from integer digits into the
 same bytes as its keys, and decoded without its 0xFF bytes a bounded slice
-at a time, with the bytes per-cell formatting writes.
+at a time; any other block is one ``%`` call a row.  Both write the bytes
+:func:`format_number` writes for each cell.
 """
 
 from __future__ import annotations
@@ -63,17 +64,14 @@ def keyed_rows(keys, values) -> Iterator[str]:
     or fixed decimals takes :func:`_decimal_text`, an exact integer path
     with the same bytes, and is yielded as one text.  Any other block goes
     to :func:`_row_lines`, its keys decoded for its rows, and is yielded a
-    row at a time.  There a row of only zeros, NaNs and plain-window cells
-    is one ``%`` call: ``%.12g`` writes a double as ``f"{x:.12g}"`` does,
-    NaN as ``nan`` (then replaced by the missing token), and zero as ``0``
-    once adding 0.0 has turned -0.0 into 0.0.  Other rows go cell by cell.
+    row at a time, one ``%`` call a row with :func:`format_number`'s bytes;
+    no cell is passed to :func:`format_number` itself.
     Only one block of cells is turned into Python floats at a time, so a
     large table never holds all its cells as Python objects at once.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[1]:  # each key's comma is part of its field
         keys = np.column_stack([keys, np.full(len(keys), ord(","), np.uint8)])
-    row_format = ",".join(["%.12g"] * values.shape[1])
     for start in range(0, len(values), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         block = values[rows] + 0.0
@@ -82,7 +80,7 @@ def keyed_rows(keys, values) -> Iterator[str]:
             yield text
         else:
             texts = _key_texts(keys[rows])
-            yield from map("{}{}\n".format, texts, _row_lines(block, row_format))
+            yield from map("{}{}\n".format, texts, _row_lines(block))
 
 
 def text_keys(texts) -> np.ndarray:
@@ -125,19 +123,26 @@ def _key_texts(field) -> list[str]:
     return [data[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
 
 
-def _row_lines(block, row_format) -> Iterator[str]:
-    """The lines of ``block`` (2-D, no -0.0) by ``%`` row or by cell."""
+def _row_lines(block) -> Iterator[str]:
+    """The lines of ``block`` (2-D, no -0.0), one ``%`` per row.
+
+    Each cell takes :func:`format_number`'s branch for it: ``%.12g`` if it
+    is zero, NaN or in the plain window, ``%.11e`` otherwise (±inf too),
+    which write a double as ``f"{x:.12g}"`` and ``f"{x:.11e}"`` do, NaN as
+    ``nan`` (then replaced by the missing token), and 0.0 as ``0``.  Each
+    distinct pattern of the two among the rows gets its format built once.
+    """
     magnitude = np.abs(block)
-    simple = (
-        ((magnitude >= _PLAIN_LO) & (magnitude < _PLAIN_HI))
-        | (block == 0.0)
-        | np.isnan(block)
-    ).all(axis=1)
-    for row, row_simple in zip(block.tolist(), simple.tolist()):
-        if row_simple:
-            yield (row_format % tuple(row)).replace("nan", MISSING_TOKEN)
-        else:
-            yield ",".join(map(format_number, row))
+    plain = (magnitude >= _PLAIN_LO) & (magnitude < _PLAIN_HI) | (block == 0.0) | np.isnan(block)
+    # a row's pattern: its packed bits, in C order so that they view as one
+    # value, and a zero byte more so that a row with no cells has one too
+    packed = np.zeros((len(block), (block.shape[1] + 7) // 8 + 1), np.uint8)
+    packed[:, :-1] = np.packbits(plain, axis=1)
+    patterns = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, kinds = np.unique(patterns, return_index=True, return_inverse=True)
+    formats = [",".join(np.where(plain[i], "%.12g", "%.11e").tolist()) for i in first.tolist()]
+    for row, kind in zip(block.tolist(), kinds.tolist()):
+        yield (formats[kind] % tuple(row)).replace("nan", MISSING_TOKEN)
 
 
 # Cells whose repr :func:`_decimal_scale` reads to choose a scale.
@@ -289,7 +294,7 @@ def table_csv(header, keys, values) -> str:
     array of one per row) and its cells (:func:`keyed_rows`).  A
     ``datetime64[D]`` array of keys is written as ISO dates
     (:func:`date_keys`), which need no quoting; any other key as :mod:`csv`
-    writes it alone in a row, each distinct key quoted once."""
+    writes it alone in a row (:func:`_quoted_keys`)."""
     if getattr(keys, "dtype", None) == "datetime64[D]":
         fields = date_keys(keys)
     else:
@@ -313,8 +318,11 @@ def _csv_line(fields) -> str:
 
 
 def _quoted_keys(keys) -> list[str]:
-    """Each key as :mod:`csv` writes it alone in a row, each distinct one once."""
-    quoted = {key: _csv_line([key])[:-1] for key in dict.fromkeys(keys)}
+    """Each key as :mod:`csv` writes it alone in a row: text quoted where it
+    needs to be, each distinct key once, and any other key (a year) as
+    ``str`` writes it, with no character that needs quoting."""
+    distinct = dict.fromkeys(keys)
+    quoted = {k: _csv_line([k])[:-1] if isinstance(k, str) else str(k) for k in distinct}
     return [quoted[key] for key in keys]
 
 

@@ -45,6 +45,8 @@ def reference_model() -> PcaModel:
         loadings=np.eye(11),
         stdevs=stdevs,
         scaled=True,
+        mean=np.zeros(11),
+        sd=np.ones(11),
     )
 
 

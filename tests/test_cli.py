@@ -430,6 +430,25 @@ class TestRun:
         got = riversep.report.table_csv(["variable"], keys, np.empty((8, 0)))
         assert got == 'variable\n"00,618"\n""\n00618\n"00,618"\n""\n"a""b"\n"x\ny"\nµ618\n'
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([1990, 1991, 2024, 1990, 0, -5], dtype=np.int64),
+            ["a,b", 'say "hi"', "x\ny", "x\ry", '""', "", "plain", "a,b"],
+        ],
+        ids=["int64", "text"],
+    )
+    def test_table_csv_writes_each_key_as_csv_writes_it_alone(self, keys):
+        def alone(key):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow([key])
+            return out.getvalue()[:-1]
+
+        values = np.arange(2.0 * len(keys)).reshape(-1, 2) / 3.0
+        got = riversep.report.table_csv(["key", "a", "b"], keys, values)
+        rows = [",".join([alone(key), *map(format_number, row)]) for key, row in zip(keys, values)]
+        assert got == "\n".join(["key,a,b", *rows]) + "\n"
+
     def test_tables_keyed_by_code_write_each_code_as_csv_does(self, workdir):
         # Renaming "00010" to "00,010" (which csv quotes) and "00660" to a
         # non-ASCII code changes only their keys and header fields in every

@@ -1217,50 +1217,49 @@ def _seeded_wide_range(rows=2000, cols=8, seed=3):
     return values
 
 
+def _seeded_tiny_column(rows=5000, cols=24, seed=5):
+    """Cells uniform in [0, 100), with more digits than a fixed decimal
+    holds, and one column in (1e-6, 9e-5), below the plain window, so that
+    every row mixes both of format_number's branches."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 100.0, size=(rows, cols))
+    values[:, cols // 2] = rng.uniform(1e-6, 9e-5, size=rows)
+    return values
+
+
 nan, inf = np.nan, np.inf
-# name -> (values, rows that must fall back to per-cell formatting, or None
-# for "some but not all")
 ROW_PATH_CASES = {
-    "edge_values": ([EDGE_VALUES, EDGE_VALUES[::-1]], 2),
-    "all_plain": (
-        [[1.5, -2.25, 123456.789], [999999.9999999, -1e-4, 3.14159265358979]],
-        0,
-    ),
-    "plain_nan_signed_zero": (
-        [[1.0, nan, -0.0], [nan, nan, nan], [-0.0, 0.0, -0.0], [0.5, 0.0, nan]],
-        0,
-    ),
-    "mixed": (
-        [
-            [1.0, 2.0, 1e6],
-            [1.0, nan, -0.0],
-            [5e-324, 0.0, 3.0],
-            [inf, 1.0, 2.0],
-            [1e-4, 999999.0, nan],
-            [-inf, nan, 0.0],
-            [0.25, 1e-5, -7.5],
-        ],
-        5,
-    ),
-    "seeded_wide_range": (_seeded_wide_range(), None),
+    "edge_values": [EDGE_VALUES, EDGE_VALUES[::-1]],
+    "all_plain": [[1.5, -2.25, 123456.789], [999999.9999999, -1e-4, 3.14159265358979]],
+    "plain_nan_signed_zero": [[1.0, nan, -0.0], [nan, nan, nan], [-0.0, 0.0, -0.0], [0.5, 0.0, nan]],
+    "mixed": [
+        [1.0, 2.0, 1e6],
+        [1.0, nan, -0.0],
+        [5e-324, 0.0, 3.0],
+        [inf, 1.0, 2.0],
+        [1e-4, 999999.0, nan],
+        [-inf, nan, 0.0],
+        [0.25, 1e-5, -7.5],
+    ],
+    "seeded_wide_range": _seeded_wide_range(),
     # more rows than one block of keyed_rows' float conversion
-    "seeded_wide_range_blocks": (
-        _seeded_wide_range(rows=2 * report._ROW_BLOCK + 7, cols=3, seed=4), None
-    ),
-    "no_variables": (np.empty((3, 0)), 0),
-    "no_rows": (np.empty((0, 4)), 0),
+    "seeded_wide_range_blocks": _seeded_wide_range(rows=2 * report._ROW_BLOCK + 7, cols=3, seed=4),
+    "seeded_tiny_column": _seeded_tiny_column(),
+    # blocks of a column-major array, as a transposed matrix is
+    "column_major": np.asfortranarray(_seeded_tiny_column(rows=9, cols=10)),
+    "no_variables": np.empty((3, 0)),
+    "no_rows": np.empty((0, 4)),
     # a third scale (0.125's, after 0.5's and 0.25's) is not tried: the
     # block goes to the row path
-    "third_decimal_scale": ([[0.5]] * 8 + [[0.25]] * 8 + [[0.125]], 0),
+    "third_decimal_scale": [[0.5]] * 8 + [[0.25]] * 8 + [[0.125]],
 }
 
 
 @pytest.mark.parametrize("case", ROW_PATH_CASES)
 def test_emit_equals_per_cell_format_number(case, monkeypatch):
-    # A row of zeros, NaNs and plain-window cells is formatted whole; any
-    # other row cell by cell.  Both must write format_number's bytes.
-    values, fallback_rows = ROW_PATH_CASES[case]
-    values = np.array(values, dtype=float)
+    # Each row is one % call whose format holds each cell's branch of
+    # format_number; it must write format_number's bytes without calling it.
+    values = np.array(ROW_PATH_CASES[case], dtype=float)
     n, p = values.shape
     codes = [f"v{j}" for j in range(p)]
     dates = consecutive_dates(n)
@@ -1275,10 +1274,7 @@ def test_emit_equals_per_cell_format_number(case, monkeypatch):
     calls = []
     monkeypatch.setattr(report, "format_number", lambda x: calls.append(x) or "")
     written(values)
-    if fallback_rows is None:
-        assert 0 < len(calls) < values.size
-    else:
-        assert len(calls) == fallback_rows * p
+    assert calls == []
 
 
 # Dates whose ISO text is written from their day numbers: the first and
