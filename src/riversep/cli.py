@@ -76,8 +76,10 @@ def _stage(name: str):
 
 class _Components(NamedTuple):
     """One method's k components of the model input: ``series``, rows x k,
-    and ``loadings``, variables x k, in correlation units, so that ``series
-    @ loadings.T`` approximates the standardized model input.  k may be 0."""
+    and ``loadings``, variables x k, so that ``series @ loadings.T``
+    approximates the standardized model input; k may be 0.  ICA's loadings
+    are the variables' correlations with its series, and FA's its fit's;
+    PCA's are unit eigenvectors, which times ``pca.stdevs[:k]`` are."""
 
     series: np.ndarray
     loadings: np.ndarray
@@ -131,9 +133,9 @@ class _Pipeline:
     @cached_property
     def model_input(self) -> Table:
         """The staged table, checked to be dense and finite and to have a
-        correlation: at least two rows, and no column constant or with
-        squares that underflow or overflow.  Its column means, sds and
-        correlation are kept as ``mean``, ``sd`` and ``correlation``."""
+        correlation in any units: at least two rows, no constant column, and
+        none whose cells lie too far from its mean to center.  Its column means,
+        sds and correlation are kept as ``mean``, ``sd`` and ``correlation``."""
         table = self.table
         values = table.values
         with _stage("model input"):
@@ -335,7 +337,6 @@ def _write_manifest(pipe: _Pipeline):
         "tool_version": __version__,
         "config_sha256": pipe.cfg.config_sha256,
         "seed": pipe.cfg.ica.seed,
-        "offline": pipe.offline,
         "stages": stages,
         "outputs": sorted({*pipe.outputs, "manifest.json"}),
     }

@@ -65,7 +65,8 @@ def acf(series, max_lag: int) -> AcfResult:
     Uses the biased estimator: every lag's cross-sum is divided by the
     full-series sum of squares about the full-series mean.  This keeps
     every value in [-1, 1] (each numerator is a Cauchy-Schwarz fragment of
-    the denominator) at the cost of damping high lags toward zero.
+    the denominator) at the cost of damping high lags toward zero.  Each series
+    is summed over the power of two at its largest magnitude, which is exact.
 
     Parameters
     ----------
@@ -96,17 +97,14 @@ def acf(series, max_lag: int) -> AcfResult:
     n = rows.shape[1]
     if n < max_lag + 2:
         raise TooFewRows(n, max_lag + 2)
-    # a sum of squares past the largest float is rejected, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
+    rows = np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None])
+    with np.errstate(invalid="ignore"):
         centered = rows - (np.add.reduce(rows, axis=1) / n)[:, None]
         denom = np.add.reduce(centered**2, axis=1)
     failing = ~np.isfinite(denom) | (denom == 0.0)  # NaN if a cell is not finite
     if failing.any():
-        j = int(np.argmax(failing))
-        if not np.isfinite(rows[j]).all():
+        if not np.isfinite(denom[np.argmax(failing)]):
             raise OutOfRange("series must be finite")
-        if not np.isfinite(denom[j]):
-            raise OutOfRange("series' sum of squares overflows")
         raise ConstantSeries("series has no variation")
     values = np.ones((rows.shape[0], max_lag + 1))
     for h in range(1, max_lag + 1):

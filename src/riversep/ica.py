@@ -161,15 +161,17 @@ def fast_ica(x, pca: PcaModel, cfg: IcaConfig) -> IcaModel:
     signs = _column_signs(mixing[:, order])
     mixing = mixing[:, order] * signs
     w = w[order] * signs[:, None]
-    if pca.scaled:
-        whitening = whitening / pca.sd
-        mixing = pca.sd[:, None] * mixing
+    mixing = pca.sd[:, None] * mixing if pca.scaled else mixing
+    with np.errstate(over="ignore", invalid="ignore"):
+        unmixing = w @ (whitening / pca.sd if pca.scaled else whitening)
+    if not np.isfinite(unmixing).all():  # a column's sd near the smallest float
+        raise OutOfRange("the unmixing overflows in the input's units")
     # C-ordered, so sums over its columns keep their order; fast, as z is
     # F-ordered
     sources = z @ w.T
     return IcaModel(
         sources=sources,
-        unmixing=w @ whitening,
+        unmixing=unmixing,
         mixing=mixing,
         converged=converged,
         iterations=iterations,

@@ -26,9 +26,8 @@ from .errors import (
     ZeroVarianceColumn,
 )
 
-# Relative threshold under which a column counts as constant.  Measured
-# against the column's own magnitude so that tiny-but-real variation in
-# small-scale data is not destroyed.
+# A column whose sd is at most this times its largest magnitude counts as
+# constant: the threshold is unit-free, as the correlation is.
 _ZERO_VAR_REL = 1e-13
 
 
@@ -64,49 +63,49 @@ def _column_mean(x: np.ndarray) -> np.ndarray:
     return np.ones(n) @ x / n
 
 
-def _check_zero_variance(x: np.ndarray, sd: np.ndarray) -> None:
-    # Constant columns can leave a roundoff-sized sd; compare against the
-    # column's own scale so the check is unit-free.  The max runs along the
-    # contiguous rows of the transpose, not down strided columns; a max is
-    # exact, so the layout does not change the result.
-    scale = np.abs(np.ascontiguousarray(x.T)).max(axis=1)
-    bad = sd <= _ZERO_VAR_REL * scale
-    if bad.any():
-        raise ZeroVarianceColumn(int(np.argmax(bad)))
-
-
 def _column_moments(
     m: np.ndarray, standardize: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(mean, sd, c)`` of the columns of a validated matrix, all from one
     centering: the means, the sample (n-1) standard deviations, and the
     sample covariance, or with ``standardize`` the correlation, clipped to
-    [-1, 1], which raises :class:`ZeroVarianceColumn` on a constant column.
-    The sds are the square roots of the covariance diagonal.  ``c`` is
+    [-1, 1], of each column over the power of two at its largest magnitude:
+    an exact scaling, so no finite column's squares overflow or underflow,
+    and the bits are the unscaled sums' wherever those do not.  ``c`` is
     exactly symmetric, so the package's eigensolves take it unchecked.
 
     The centering runs on a columns x rows copy ``xct``: a row of means
     broadcast down a tall, narrow ``m`` is several times slower.  The Gram
     product ``xct @ xct.T`` takes the symmetric BLAS route of
     ``xc.T @ xc``.  The means stay ``ones @ m``: ``xct @ ones`` sums in
-    another order.  Raises :class:`OutOfRange` when the sums overflow.
+    another order.  Raises :class:`ZeroVarianceColumn` on a column whose sd
+    is at most ``_ZERO_VAR_REL`` times its largest magnitude, and
+    :class:`OutOfRange` when a covariance's sums overflow or a correlation's
+    sd times sqrt(n-1) does, the farthest a centered cell can lie from its mean.
     """
     n = m.shape[0]
     if n < 2:
         raise TooFewRows(n, 2)
+    if standardize:  # a max is exact, so the contiguous transpose gives the same
+        top, power = np.frexp(np.abs(np.ascontiguousarray(m.T)).max(axis=1))
+        m = np.ldexp(m, -power)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = _column_mean(m)
         xct = np.ascontiguousarray(m.T) - mean[:, None]
         c = xct @ xct.T / (n - 1)
-    if not np.isfinite(c).all():
+        sd = np.sqrt(np.diag(c))
+        if standardize:
+            scaled_sd, sd = sd, np.ldexp(sd, power)
+            bad = (scaled_sd <= _ZERO_VAR_REL * top) | (sd == 0.0)
+            if bad.any():
+                raise ZeroVarianceColumn(int(np.argmax(bad)))
+            c /= np.outer(scaled_sd, scaled_sd)
+            mean, spread = np.ldexp(mean, power), sd * (n - 1) ** 0.5
+    if not np.isfinite(c).all() or (standardize and not np.isfinite(spread).all()):
         raise OutOfRange("column sums of squares overflow")
-    sd = np.sqrt(np.diag(c))
-    if not standardize:
-        return mean, sd, (c + c.T) / 2.0
-    _check_zero_variance(m, sd)
-    c /= np.outer(sd, sd)
+    c = (c + c.T) / 2.0
     # rounding can leave a correlation, the diagonal's too, a few ulps past 1
-    return mean, sd, np.clip((c + c.T) / 2.0, -1.0, 1.0)
+    return mean, sd, np.clip(c, -1.0, 1.0) if standardize else c
 
 
 def covariance_matrix(x) -> np.ndarray:

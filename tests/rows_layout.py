@@ -33,9 +33,13 @@ def fifty_by_eleven(seed):
 
 
 def tables():
-    """Seeded 50x11 tables and 5000-row synth-bench observations."""
+    """Seeded 50x11 tables, the same on column scales from 10**-30 to
+    10**30, and 5000-row synth-bench observations."""
     for seed in range(5):
         yield fifty_by_eleven(seed)
+    for seed in range(20):
+        scales = 10.0 ** np.random.default_rng(seed).uniform(-30.0, 30.0, 11)
+        yield fifty_by_eleven(seed % 5) * scales
     for dists in SCENARIOS[:3]:
         for seed in range(2):
             yield generate_scenario(dists, rows=5000, seed=seed).observed

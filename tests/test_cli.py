@@ -285,6 +285,28 @@ def test_ica_spans_pcas_top_k_scores_and_loadings(name):
         np.testing.assert_allclose(got, np.ones(k), rtol=0, atol=1e-12)
 
 
+def test_each_component_record_relates_its_loadings_to_the_standardized_input(workdir):
+    # ICA's loadings are each variable's correlation with each source; PCA's
+    # are unit eigenvectors, and its scores carry variance lambda, so the
+    # correlations are its loadings times the component sds; FA's are the
+    # selected fit's loadings
+    pipe = riversep.cli._Pipeline(load_config(workdir / "pipeline.json"))
+    z = (pipe.model_input.values - pipe.mean) / pipe.sd
+
+    def correlations(series):
+        return np.corrcoef(z, series, rowvar=False)[: z.shape[1], z.shape[1] :]
+
+    ica, pca = pipe.ica_components, pipe.pca_components
+    k = pca.loadings.shape[1]
+    np.testing.assert_allclose(ica.loadings, correlations(ica.series), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        pca.loadings * pipe.pca.stdevs[:k], correlations(pca.series), rtol=0, atol=1e-14
+    )
+    assert np.abs(pca.loadings - correlations(pca.series)).max() > 0.4
+    fits, selection = pipe.fa
+    np.testing.assert_array_equal(pipe.fa_components.loadings, fits[selection.k - 1].loadings)
+
+
 # What each command computes from the model input: the calls of each function
 # and the shapes handed to np.linalg.svd.
 MODEL_CALLS = {
@@ -489,6 +511,14 @@ class TestRun:
         main(["run", str(workdir / "pipeline.json")])
         first = hash_tree(workdir / "out")
         main(["run", str(workdir / "pipeline.json")])
+        assert hash_tree(workdir / "out") == first
+
+    def test_offline_rerun_of_a_local_record_is_byte_identical(self, workdir):
+        # --offline only forbids a download, which a local record never needs
+        assert main(["run", str(workdir / "pipeline.json")]) == 0
+        first = hash_tree(workdir / "out")
+        shutil.rmtree(workdir / "out")
+        assert main(["run", str(workdir / "pipeline.json"), "--offline"]) == 0
         assert hash_tree(workdir / "out") == first
 
     @pytest.mark.parametrize("command", ["ingest", "run"])
@@ -714,30 +744,19 @@ class TestExitCodes:
             "1960 is inf: its samples overflow or are infinite"
         ]
 
-    @pytest.mark.parametrize("cell", ["1.7e308", "1.5e155"])
-    def test_overflowing_diagnostic_is_a_runtime_error(self, workdir, capsys, cell):
-        # the one kept 1960 sample of 00300 becomes that year's mean and
-        # enters both of its differences: with 1.7e308 the column's range
-        # overflows, with 1.5e155 only its sum of squares does; either way
-        # the model-input gate's sum of squares fails before acf's or the
-        # binning's
-        set_00300_cells(workdir, "1960", [cell, "", "", ""])
-        assert main(["diagnose", str(workdir / "pipeline.json")]) == 3
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.splitlines() == [
-            "riversep: error in stage 'model input': column sums of squares overflow"
-        ]
-
-    @pytest.mark.parametrize("cell", ["1.7e308", "1.5e155"])
-    def test_overflowing_model_input_is_a_runtime_error(self, workdir, capsys, cell):
-        # the same one-sample year reaches the models: the sum of squares
-        # of its column overflows in the gate's column moments
-        set_00300_cells(workdir, "1960", [cell, "", "", ""])
-        assert main(["run", str(workdir / "pipeline.json")]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            "riversep: error in stage 'model input': column sums of squares overflow"
-        ]
+    @pytest.mark.parametrize("power", [-1000, -600, 600, 900])
+    def test_a_column_in_other_units_gives_the_same_models(self, workdir, power):
+        # every 00300 cell times 2**power, written exactly by repr: each
+        # correlation is scale-free, and so is every file past preprocessing
+        assert main(["run", str(workdir / "pipeline.json")]) == 0
+        want = hash_tree(workdir / "out")
+        shutil.rmtree(workdir / "out")
+        edit_00300_cells(workdir, lambda cell: repr(float(cell) * 2.0**power))
+        assert main(["run", str(workdir / "pipeline.json")]) == 0
+        got = hash_tree(workdir / "out")
+        for name in ("ingested.csv", "preprocessed.csv"):
+            assert got.pop(name) != want.pop(name)
+        assert got == want
 
     # The fixture's 1998-2000 window leaves two differenced rows of 24
     # variables: the model-input gate passes them, and each command fails in
@@ -941,27 +960,35 @@ class TestExitCodes:
     _MODELS = ("pca", "ica", "fa", "diagnose", "run")
     _OVERFLOW = ("model input", "column sums of squares overflow")
     _ZERO_VARIANCE = ("model input", "column 00300 has zero sample variance")
+    _UNMIXING = ("ica", "the unmixing overflows in the input's units")
     VALUE_MUTANTS = {
-        # the one kept 1960 sample: its column's sum of squares overflows
+        # the one kept 1960 sample: its column's raw sum of squares would
+        # overflow, but every model reads the column in correlation units,
+        # which its sums reach scaled by a power of two
         "1e154_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1e154", "", "", ""]),
-            dict.fromkeys(_MODELS, _OVERFLOW),
+            dict.fromkeys(_MODELS),
         ),
-        # the sum of squares is finite, and the column has full rank in
-        # correlation units, which every model reads
         "1e153_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1e153", "", "", ""]),
             dict.fromkeys(_MODELS),
         ),
-        # the column varies, but its squares underflow
+        # the one kept sample enters both of its differences, so the column's
+        # range overflows and the gate fails before acf or the binning
+        "1.7e308_in_1960": (
+            lambda workdir: set_00300_cells(workdir, "1960", ["1.7e308", "", "", ""]),
+            dict.fromkeys(_MODELS, _OVERFLOW),
+        ),
+        # the column varies, and its raw squares would underflow
         "times_1e-300": (
             lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-300"),
-            dict.fromkeys(_MODELS, _ZERO_VARIANCE),
+            dict.fromkeys(_MODELS),
         ),
-        # subnormal cells: as above, the squares underflow
+        # subnormal cells: every model analyses them but ICA, whose unmixing
+        # in the input's units divides by the column's sd, about 1e-310
         "subnormal": (
             lambda workdir: edit_00300_cells(workdir, lambda cell: cell + "e-310"),
-            dict.fromkeys(_MODELS, _ZERO_VARIANCE),
+            {**dict.fromkeys(_MODELS), "ica": _UNMIXING, "run": _UNMIXING},
         ),
         "plus_1e12": (
             lambda workdir: edit_00300_cells(

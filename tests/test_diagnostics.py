@@ -145,14 +145,27 @@ class TestAcf:
             acf(series, max_lag)
 
     @pytest.mark.parametrize("cells", [[1.5e155], [1.7e308, 1.7e308]])
-    def test_overflowing_sum_of_squares_is_rejected_without_warnings(self, cells):
-        # one cell squares past the largest float, or two overflow the mean
+    def test_large_cells_have_an_acf_without_warnings(self, cells):
+        # one cell squares past the largest float, or two sum past it: the
+        # sums run over the power of two at the largest |x|, as they do for
+        # the series over 2**600
         x = np.random.default_rng(8).normal(size=30)
         x[3:3 + len(cells)] = cells
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRange, match="sum of squares overflows"):
-                acf(x, max_lag=5)
+            r = acf(x, max_lag=5)
+            np.testing.assert_array_equal(r.values, acf(x * 2.0**-600, max_lag=5).values)
+        assert np.isfinite(r.values).all()
+
+    @pytest.mark.parametrize("power", [-1000, 900])
+    def test_acf_is_scale_free_bit_for_bit(self, power):
+        # the series' squares underflow or overflow at 2**power, not its ACF
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(200, 4)) * 10.0 ** rng.uniform(-3, 3, size=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = acf(x * 2.0**power, max_lag=12)
+        np.testing.assert_array_equal(got.values, acf(x, max_lag=12).values)
 
     def test_result_fields(self):
         r = acf(np.sin(np.arange(30.0)), max_lag=4)
@@ -163,14 +176,16 @@ class TestAcf:
         assert r.conf_band == 1.96 / np.sqrt(30)
 
     def test_table_rows_are_each_columns_acf_bit_for_bit(self):
-        # and each column's ACF is the per-lag 1-D computation's, bit for bit
+        # and each column's ACF is the per-lag 1-D computation's, bit for
+        # bit: offsets of about 100 on column scales within 10**±3, then
+        # offsets of about 100 scales on column scales within 10**±30
         rng = np.random.default_rng(20261019)
-        for _ in range(60):
+        for decades in [3] * 60 + [30] * 60:
             n = int(rng.integers(2, 700))
             p = int(rng.integers(1, 14))
             max_lag = int(rng.integers(0, min(n - 1, 25)))
-            x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
-            x += rng.normal(scale=100.0, size=p)
+            x = rng.normal(size=(n, p)) * (scales := 10.0 ** rng.uniform(-decades, decades, size=p))
+            x += rng.normal(scale=100.0, size=p) * (1.0 if decades == 3 else scales)
             r = acf(x, max_lag)
             assert r.values.shape == (p, max_lag + 1)
             assert r.conf_band == 1.96 / np.sqrt(n)

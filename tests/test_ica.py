@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -105,6 +107,19 @@ class TestWhiten:
         x[0, 0] = 1.7e308
         with pytest.raises(errors.OutOfRange, match="^column sums of squares overflow$"):
             whitened(x, 1)
+
+    def test_unmixing_past_the_largest_float_is_out_of_range(self):
+        # subnormal cells have a correlation, so a scaled PCA, but their
+        # unmixing in the input's units, about 1 / sd, is past the largest
+        # float; a column scaled by 1e-300 still unmixes
+        x = np.random.default_rng(9).normal(size=(40, 3))
+        x[:, 1] *= 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(whitened(x, 2, scale=True)[0]).all()
+            x[:, 1] *= 1e-10
+            with pytest.raises(errors.OutOfRange, match="^the unmixing overflows in the input's units$"):
+                whitened(x, 2, scale=True)
 
 
 class TestFastIca:

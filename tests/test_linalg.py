@@ -9,7 +9,6 @@ from riversep import errors
 from riversep.linalg import (
     _column_mean,
     _ZERO_VAR_REL,
-    _check_zero_variance,
     _column_moments,
     _column_signs,
     _eigh_descending,
@@ -63,24 +62,50 @@ class TestColumnStatistics:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_zero_variance_threshold_is_the_column_abs_max(self, order):
-        # The threshold is _ZERO_VAR_REL times max |x| per column, as the
-        # strided ``np.max(np.abs(x), axis=0)`` gives it: an sd exactly on it
-        # is flagged, one ulp above it is not, column by column.
-        rng = np.random.default_rng(8)
-        x = np.asarray(rng.normal(size=(5000, 3)) * [1e-3, 1.0, 1e5], order=order)
-        at = _ZERO_VAR_REL * np.max(np.abs(x), axis=0)
-        above = np.nextafter(at, np.inf)
-        _check_zero_variance(x, above)
+        # The threshold is _ZERO_VAR_REL times max |x| per column, in the
+        # column's own units: an sd exactly on it is flagged, one ulp above
+        # it is not, column by column, in columns scaled by 2**-960, 1 and
+        # 2**960, whose squares underflow and overflow in those units.
+        on, above = two_cell_column(0), two_cell_column(1)
+        scales = 2.0 ** np.array([-960, 0, 960])
+        _column_moments(np.asarray(np.column_stack([above] * 3) * scales, order=order), True)
         for j in range(3):
-            sd = above.copy()
-            sd[j] = at[j]
+            columns = [on if i == j else above for i in range(3)]
+            x = np.asarray(np.column_stack(columns) * scales, order=order)
             with pytest.raises(errors.ZeroVarianceColumn) as exc:
-                _check_zero_variance(x, sd)
+                _column_moments(x, standardize=True)
             assert exc.value.col == j
+
+    def test_sd_that_underflows_in_the_data_units_is_zero_variance(self):
+        # scaled, the column's sd is a tenth of its max; in its own units it
+        # is a tenth of the smallest subnormal, which rounds to 0
+        x = np.column_stack([np.linspace(0.0, 1.0, 100), np.zeros(100)])
+        x[-1, 1] = 5e-324
+        with pytest.raises(errors.ZeroVarianceColumn) as exc:
+            correlation_matrix(x)
+        assert exc.value.col == 1
+
+
+def two_cell_column(ulps):
+    """Two cells a - d and a + d whose mean a, centered cells and variance
+    2d^2 are exact, so their sd is sqrt(2) * d rounded once; a is chosen so
+    that _ZERO_VAR_REL * (a + d), the threshold, is ``ulps`` ulps below it."""
+    d = 500 * 2.0**-52
+    sd = threshold = np.sqrt(2.0) * d
+    for _ in range(ulps):
+        threshold = np.nextafter(threshold, 0.0)
+    start = round((sd / _ZERO_VAR_REL - d) / 2.0**-52)
+    a = next(j * 2.0**-52 for j in range(start - 8, start + 8)
+             if _ZERO_VAR_REL * (j * 2.0**-52 + d) == threshold)
+    column = np.array([a - d, a + d])
+    assert _column_moments(column[:, None], standardize=False)[1] == sd
+    return column
 
 
 class TestOverflow:
-    """Sums that overflow raise a typed error, with no numpy warning."""
+    """Sums that overflow raise a typed error, with no numpy warning.  A
+    correlation sums each column over the power of two at its max |x|, so
+    only a centered cell past the largest float makes it fail."""
 
     @staticmethod
     def table(cell):
@@ -88,13 +113,32 @@ class TestOverflow:
         x[7, 2] = cell
         return x
 
-    @pytest.mark.parametrize("statistic", [correlation_matrix, covariance_matrix])
     @pytest.mark.parametrize("cell", [1e200, 1.5e155, 1.7e308])
-    def test_overflowing_sum_of_squares_raises(self, statistic, cell):
+    def test_overflowing_sum_of_squares_raises(self, cell):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(errors.OutOfRange, match="sums of squares overflow"):
-                statistic(self.table(cell))
+                covariance_matrix(self.table(cell))
+
+    @pytest.mark.parametrize("cell", [1e200, 1.5e155, 1.7e308])
+    def test_correlation_of_a_large_cell_is_scale_free(self, cell):
+        # the column over 2**600 keeps every cell a normal float
+        x = self.table(cell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = correlation_matrix(x)
+            x[:, 2] *= 2.0**-600
+            assert_array_equal(correlation_matrix(x), r)
+        assert np.isfinite(r).all()
+
+    def test_overflowing_centered_cell_raises(self):
+        # the column's range, and so its sd times sqrt(n - 1), overflows
+        x = self.table(1.7e308)
+        x[8, 2] = -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.OutOfRange, match="sums of squares overflow"):
+                correlation_matrix(x)
 
     def test_overflowing_mean_raises(self):
         x = np.full((50, 2), 1e307)
