@@ -77,9 +77,9 @@ def _stage(name: str):
 class _Components(NamedTuple):
     """One method's k components of the model input: ``series``, rows x k,
     and ``loadings``, variables x k, so that ``series @ loadings.T``
-    approximates the standardized model input; k may be 0.  ICA's loadings
-    are the variables' correlations with its series, and FA's its fit's;
-    PCA's are unit eigenvectors, which times ``pca.stdevs[:k]`` are."""
+    approximates the standardized model input; k may be 0.  Each series has
+    unit scale (FA's exceeds it by its error) and each loading is a
+    correlation: PCA's and ICA's a variable's with a series, FA's its fit's."""
 
     series: np.ndarray
     loadings: np.ndarray
@@ -158,10 +158,10 @@ class _Pipeline:
 
     @cached_property
     def pca_components(self) -> _Components:
-        """The correlation PCA's scores and eigenvectors at Kaiser's count."""
-        k = kaiser_retain(self.pca)
-        series = scores(self.pca, self.model_input.values)[:, :k]
-        return _Components(series, self.pca.loadings[:, :k])
+        """The correlation PCA at Kaiser's count: unit-variance scores, correlation loadings."""
+        k, stdevs = kaiser_retain(self.pca), self.pca.stdevs
+        series = scores(self.pca, self.model_input.values)[:, :k] / stdevs[:k]
+        return _Components(series, self.pca.loadings[:, :k] * stdevs[:k])
 
     @cached_property
     def ica(self):
@@ -235,10 +235,9 @@ def _write_pca(pipe: _Pipeline):
     header = ["variable"] + [f"PC{j + 1}" for j in range(model.n_components)]
     rows = np.vstack([model.loadings, model.stdevs])
     yield "pca_loadings.csv", loading_csv(header, [*labels, "stdev"], rows)
-    series = pipe.pca_components.series
-    yield "pca_scores.csv", _series_csv(pipe, "PC", series)
+    yield "pca_scores.csv", _series_csv(pipe, "PC", pipe.pca_components.series)
 
-    kaiser = series.shape[1]
+    kaiser = pipe.pca_components.loadings.shape[1]
     # a share of the variance needs at least one component
     explained = explained_variance(model, kaiser) if kaiser else None
     # eigenvalues as the model holds them, so a negative rounding one reads 0

@@ -81,8 +81,7 @@ def _column_moments(
     another order.  Raises :class:`ZeroVarianceColumn` on a column whose sd
     is at most ``_ZERO_VAR_REL`` times its largest magnitude, and
     :class:`OutOfRange` when a covariance's sums overflow or a correlation's
-    sd times sqrt(n-1) does, the farthest a centered cell can lie from its mean.
-    """
+    sd, or its largest centered cell, read in the input's units, does."""
     n = m.shape[0]
     if n < 2:
         raise TooFewRows(n, 2)
@@ -100,8 +99,10 @@ def _column_moments(
             if bad.any():
                 raise ZeroVarianceColumn(int(np.argmax(bad)))
             c /= np.outer(scaled_sd, scaled_sd)
-            mean, spread = np.ldexp(mean, power), sd * (n - 1) ** 0.5
-    if not np.isfinite(c).all() or (standardize and not np.isfinite(spread).all()):
+            mean, reach = np.ldexp(mean, power), np.ldexp(np.abs(xct).max(axis=1), power)
+            if not np.isfinite([sd, reach]).all():
+                raise OutOfRange("a column's centered cell or sd overflows")
+    if not np.isfinite(c).all():
         raise OutOfRange("column sums of squares overflow")
     c = (c + c.T) / 2.0
     # rounding can leave a correlation, the diagonal's too, a few ulps past 1

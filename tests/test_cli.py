@@ -269,42 +269,46 @@ def test_scorecard_recovers_the_fixtures_drivers_and_loadings():
 
 
 @pytest.mark.parametrize("name", list(SCORECARD_BOUNDS))
-def test_ica_spans_pcas_top_k_scores_and_loadings(name):
-    # FastICA rotates the correlation PCA's top k scores, so the scorecard's
-    # subspace measures of ICA would be PCA's at ICA's k: at Kaiser's count,
-    # ICA's series span PCA's and its loadings PCA's
+def test_ica_record_is_an_orthogonal_rotation_of_pcas(name):
+    # FastICA rotates the correlation PCA's top k normalized scores, so at
+    # Kaiser's count one orthogonal k x k W maps PCA's record onto ICA's,
+    # series and loadings alike: the scorecard's subspace measures of ICA
+    # would be PCA's at ICA's k
     cfg = scorecard.variants()[name]
     pipe = riversep.cli._Pipeline(replace(cfg, ica=replace(cfg.ica, n_components=None)))
     ica, pca = pipe.ica_components, pipe.pca_components
     k = pca.loadings.shape[1]
     assert ica.loadings.shape[1] == k
-    for got in (
-        scorecard.cosines(ica.series, pca.series),
-        scorecard.cosines(ica.loadings, pca.loadings),
-    ):
-        np.testing.assert_allclose(got, np.ones(k), rtol=0, atol=1e-12)
+    w = np.linalg.lstsq(pca.series, ica.series, rcond=None)[0]
+    for got, want in ((w.T @ w, np.eye(k)), (pca.series @ w, ica.series),
+                      (pca.loadings @ w, ica.loadings)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_each_component_record_relates_its_loadings_to_the_standardized_input(workdir):
-    # ICA's loadings are each variable's correlation with each source; PCA's
-    # are unit eigenvectors, and its scores carry variance lambda, so the
-    # correlations are its loadings times the component sds; FA's are the
-    # selected fit's loadings
+    # PCA's and ICA's series have unit sample variance and their loadings
+    # are each variable's correlation with each series; FA's loadings are
+    # the selected fit's
     pipe = riversep.cli._Pipeline(load_config(workdir / "pipeline.json"))
     z = (pipe.model_input.values - pipe.mean) / pipe.sd
-
-    def correlations(series):
-        return np.corrcoef(z, series, rowvar=False)[: z.shape[1], z.shape[1] :]
-
-    ica, pca = pipe.ica_components, pipe.pca_components
-    k = pca.loadings.shape[1]
-    np.testing.assert_allclose(ica.loadings, correlations(ica.series), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(
-        pca.loadings * pipe.pca.stdevs[:k], correlations(pca.series), rtol=0, atol=1e-14
-    )
-    assert np.abs(pca.loadings - correlations(pca.series)).max() > 0.4
+    p = z.shape[1]
+    for series, loadings in (pipe.pca_components, pipe.ica_components):
+        np.testing.assert_allclose(series.var(axis=0, ddof=1), 1.0, rtol=1e-9)
+        correlations = np.corrcoef(z, series, rowvar=False)[:p, p:]
+        np.testing.assert_allclose(loadings, correlations, rtol=0, atol=1e-14)
     fits, selection = pipe.fa
     np.testing.assert_array_equal(pipe.fa_components.loadings, fits[selection.k - 1].loadings)
+
+
+def test_component_records_count_salient_loadings_in_one_unit(workdir):
+    # every record's loadings are in correlation units, so one |loading| >=
+    # 0.4 rule counts each component's salient variables for all three
+    pipe = riversep.cli._Pipeline(load_config(workdir / "pipeline.json"))
+    counts = {
+        name: (np.abs(getattr(pipe, f"{name}_components").loadings) >= 0.4).sum(axis=0).tolist()
+        for name in ("pca", "fa", "ica")
+    }
+    assert counts == {"pca": [8, 5, 2], "fa": [1, 7, 4], "ica": [7, 6, 5]}
 
 
 # What each command computes from the model input: the calls of each function
@@ -958,7 +962,7 @@ class TestExitCodes:
     # each.  A column no method can analyse fails every model subcommand in
     # the model-input gate, whichever method would have met it first.
     _MODELS = ("pca", "ica", "fa", "diagnose", "run")
-    _OVERFLOW = ("model input", "column sums of squares overflow")
+    _BINNING = ("diagnose", "column 1 spans -1.7e+308 to 1.7e+308, too wide to bin")
     _ZERO_VARIANCE = ("model input", "column 00300 has zero sample variance")
     _UNMIXING = ("ica", "the unmixing overflows in the input's units")
     VALUE_MUTANTS = {
@@ -974,10 +978,11 @@ class TestExitCodes:
             dict.fromkeys(_MODELS),
         ),
         # the one kept sample enters both of its differences, so the column's
-        # range overflows and the gate fails before acf or the binning
+        # range overflows; its centered cells and sd do not, so every model
+        # analyses it, but its range is too wide to bin for the MI table
         "1.7e308_in_1960": (
             lambda workdir: set_00300_cells(workdir, "1960", ["1.7e308", "", "", ""]),
-            dict.fromkeys(_MODELS, _OVERFLOW),
+            {**dict.fromkeys(_MODELS), "diagnose": _BINNING, "run": _BINNING},
         ),
         # the column varies, and its raw squares would underflow
         "times_1e-300": (
@@ -1332,9 +1337,10 @@ class TestSubcommands:
         assert summary["condition_number"] == stdevs[0] ** 2 / stdevs[-1] ** 2
 
     def test_pca_scores_times_loadings_are_the_rank_k_approximation(self, run_outputs):
-        # the written scores have variances the eigenvalues, and with the
-        # written eigenvectors rebuild the standardized model input's best
-        # rank-k approximation (Eckart-Young), up to the files' rounding
+        # the written scores are normalized, with unit variances, and with
+        # the written eigenvectors times their stdevs rebuild the standardized
+        # model input's best rank-k approximation (Eckart-Young), up to the
+        # files' rounding
         x = np.array([row[1:] for row in read_csv(run_outputs / "preprocessed.csv")[1:]], float)
         z = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
         header, *rows = read_csv(run_outputs / "pca_scores.csv")
@@ -1343,14 +1349,13 @@ class TestSubcommands:
         assert header == ["year", *(f"PC{j + 1}" for j in range(k))]
         summary = json.loads((run_outputs / "pca_summary.json").read_text())
         assert k == summary["kaiser_components"]
-        np.testing.assert_allclose(
-            scores.var(axis=0, ddof=1), np.square(summary["stdevs"][:k]), rtol=1e-9
-        )
+        np.testing.assert_allclose(scores.var(axis=0, ddof=1), np.ones(k), rtol=1e-9)
         _, *rows = read_csv(run_outputs / "pca_loadings.csv")
-        loadings = np.array([row[1 : k + 1] for row in rows[:-1]], float)  # less the stdevs
+        basis = np.array([row[1 : k + 1] for row in rows], float)
+        loadings = basis[:-1] * basis[-1]  # the eigenvectors times the stdev row
         u, s, vt = np.linalg.svd(z, full_matrices=False)
         rank_k = (u[:, :k] * s[:k]) @ vt[:k]
-        # 7-decimal loadings times k = 3 scores each below 6 in magnitude
+        # 7-decimal loadings and stdevs times k = 3 scores each below 4 in magnitude
         np.testing.assert_allclose(scores @ loadings.T, rank_k, rtol=0, atol=1e-6)
 
     def test_pca_summary_has_no_condition_number_for_a_singular_spectrum(

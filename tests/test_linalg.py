@@ -105,7 +105,7 @@ def two_cell_column(ulps):
 class TestOverflow:
     """Sums that overflow raise a typed error, with no numpy warning.  A
     correlation sums each column over the power of two at its max |x|, so
-    only a centered cell past the largest float makes it fail."""
+    only a centered cell or an sd past the largest float makes it fail."""
 
     @staticmethod
     def table(cell):
@@ -132,13 +132,34 @@ class TestOverflow:
         assert np.isfinite(r).all()
 
     def test_overflowing_centered_cell_raises(self):
-        # the column's range, and so its sd times sqrt(n - 1), overflows
+        # one cell of 1.7e308 among cells of -1.7e308 lies about 3.3e308
+        # from the column's mean; the column's sd, about 4.8e307, is finite
+        x = self.table(1.7e308)
+        x[np.arange(50) != 7, 2] = -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.OutOfRange, match="^a column's centered cell or sd overflows$"):
+                correlation_matrix(x)
+
+    def test_overflowing_sd_raises(self):
+        # two cells -1.5e308 and 1.5e308 are their own centered cells, but
+        # their sd, sqrt(2) * 1.5e308, passes the largest float
+        x = np.array([[-1.5e308, 0.0], [1.5e308, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.OutOfRange, match="^a column's centered cell or sd overflows$"):
+                correlation_matrix(x)
+
+    def test_overflowing_range_with_finite_centered_cells_passes(self):
+        # 1.7e308 and -1.7e308 among small cells: the range overflows, but
+        # the mean is near 0, so no centered cell does, and the sd is finite
         x = self.table(1.7e308)
         x[8, 2] = -1.7e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(errors.OutOfRange, match="sums of squares overflow"):
-                correlation_matrix(x)
+            r = correlation_matrix(x)
+        assert np.isfinite(r).all()
+        assert r[2, 2] == 1.0
 
     def test_overflowing_mean_raises(self):
         x = np.full((50, 2), 1e307)
